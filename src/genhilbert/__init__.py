@@ -26,7 +26,6 @@ from .kernel import (
     entry,
     entry_block,
     finite_section,
-    log_binomial,
     section_from_csv,
     section_from_json,
     section_to_csv,
@@ -100,7 +99,6 @@ __all__ = [
     "extremal_sequence",
     "finite_section",
     "hankel_fast_apply",
-    "log_binomial",
     "lower_bound_ratio",
     "lp_norm",
     "measure_to_dict",

@@ -20,7 +20,7 @@ from .errors import ConvergenceError
 from .kernel import DEFAULT_SECTION_CAP, finite_section
 from .measure import Measure
 from .norms import NormVerdict, classify_boundedness, validate_p, verdict_to_dict
-from .operator import SequenceVector, apply_truncated, hankel_fast_apply, lp_norm
+from .operator import SequenceVector, apply_truncated, hankel_fast_apply, lp_norm, uniform_coeff
 
 __all__ = [
     "ExtremalParams",
@@ -103,15 +103,6 @@ def extremal_sequence(params: ExtremalParams) -> SequenceVector:
     return SequenceVector(n_plus_1 ** -params.w, nonneg=True)
 
 
-def _is_scaled_uniform(mu: Measure) -> bool:
-    return (
-        not mu.atoms
-        and len(mu.jacobi_terms) == 1
-        and mu.jacobi_terms[0].alpha == 0.0
-        and mu.jacobi_terms[0].beta == 0.0
-    )
-
-
 def lower_bound_ratio(mu: Measure, params: ExtremalParams, n_rows: int) -> float:
     """||C applied to the test sequence||_p / ||test sequence||_p.
 
@@ -121,11 +112,11 @@ def lower_bound_ratio(mu: Measure, params: ExtremalParams, n_rows: int) -> float
     unboundedness witness, e.g. for measures with an atom at 0).
     """
     a = extremal_sequence(params)
-    if _is_scaled_uniform(mu):
-        # c * dt: the image is c times the classical Hankel apply, which the
-        # FFT path handles at sizes far beyond the dense cap.
+    coeff = uniform_coeff(mu)
+    if coeff is not None:
+        # The FFT path handles c * dt at sizes far beyond the dense cap.
         image = hankel_fast_apply(a, n_rows)
-        numerator = mu.jacobi_terms[0].coeff * lp_norm(image.values, params.p)
+        numerator = coeff * lp_norm(image.values, params.p)
     else:
         image = apply_truncated(mu, a, n_rows)
         numerator = lp_norm(image.values, params.p)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import certify, kernel, norms, operator
 from .errors import ConvergenceError, ResourceLimitError
-from .measure import LEBESGUE, MeasureFormatError, parse_measure
+from .measure import MeasureFormatError, parse_measure
 from .operator import EnEvalConfig, SequenceVector
 from .rng import SplitMix64
 
@@ -70,11 +70,22 @@ def _parse_float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected comma-separated reals, got {text!r}")
 
 
-def _parse_int_list(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+def _positive(kind):
+    """argparse type: a ``kind`` value > 0; anything else is a usage error."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = 0
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"expected a positive {kind.__name__}, got {text!r}")
+        return value
+
+    return parse
+
+
+def _parse_size_list(text: str) -> list[int]:
+    return [_positive(int)(tok) for tok in text.split(",") if tok.strip()]
 
 
 def _progress(args, message: str):
@@ -109,12 +120,13 @@ def _cmd_apply(args) -> int:
     seq, header_p = _load_sequence(args.sequence)
     p_echo = args.p if args.p is not None else header_p
     if args.route == "fft":
-        if mu != LEBESGUE:
+        coeff = operator.uniform_coeff(mu)
+        if coeff is None:
             raise ValueError(
-                "the fft route implements the classical (Lebesgue) matrix only; "
-                "pass the Lebesgue measure or use --route truncated/quadrature"
+                "the fft route implements c*dt measures (the scaled classical matrix) only; "
+                "use --route truncated/quadrature"
             )
-        image = operator.hankel_fast_apply(seq, args.rows)
+        image = SequenceVector(coeff * operator.hankel_fast_apply(seq, args.rows).values)
     elif args.route == "quadrature":
         image = operator.apply_via_quadrature(mu, seq, args.rows, EnEvalConfig())
     else:
@@ -172,8 +184,6 @@ def _hilbert_check_trial(rng: SplitMix64, max_terms: int):
 def _cmd_hilbert_check(args) -> int:
     if math.isinf(args.p) or args.p == 1.0:
         raise _UsageError("hilbert-check needs 1 < p < inf (constant undefined otherwise)")
-    if args.trials < 1 or args.terms < 1:
-        raise _UsageError("--trials and --terms must be positive")
     constant = norms.classical_constant(args.p)
     q = args.p / (args.p - 1.0)
     rng = SplitMix64(args.seed)
@@ -225,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("section", help="dense N x N leading section")
     sp.add_argument("--measure", required=True)
-    sp.add_argument("--N", type=int, required=True)
+    sp.add_argument("--N", type=_positive(int), required=True)
     common(sp, "csv")
     sp.set_defaults(func=_cmd_section)
 
@@ -254,16 +264,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--measure", required=True)
     sp.add_argument("--p", type=_parse_p, required=True)
     sp.add_argument("--eps", type=_parse_float_list, required=True, help="comma list")
-    sp.add_argument("--N", type=_parse_int_list, required=True, help="comma list of sizes")
-    sp.add_argument("--tol", type=float, default=1e-10)
+    sp.add_argument("--N", type=_parse_size_list, required=True, help="comma list of sizes")
+    sp.add_argument("--tol", type=_positive(float), default=1e-10)
     common(sp, "csv")
     sp.set_defaults(func=_cmd_certify)
 
     sp = sub.add_parser("hilbert-check", help="seeded random check of the classical inequality")
     sp.add_argument("--p", type=_parse_p, required=True)
-    sp.add_argument("--trials", type=int, required=True)
+    sp.add_argument("--trials", type=_positive(int), required=True)
     sp.add_argument("--seed", type=int, required=True)
-    sp.add_argument("--terms", type=int, default=64, help="max sequence length per trial")
+    sp.add_argument("--terms", type=_positive(int), default=64, help="max sequence length per trial")
     common(sp, "json")
     sp.set_defaults(func=_cmd_hilbert_check)
 

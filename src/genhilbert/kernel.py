@@ -1,10 +1,13 @@
 """Entries and finite sections of the generalized Hilbert matrix.
 
 The matrix attached to a measure has entries
-``binom(n+k,k) * integral of (1-t)**n * t**k d(mu)``.  Each measure
-component contributes in closed form (Beta functions for density terms,
-powers for atoms), evaluated in log space because the binomial factor
-overflows double precision near n+k ~ 1029.
+``binom(n+k,k) * integral of (1-t)**n * t**k d(mu)``.  A density term
+``coeff * t**alpha * (1-t)**beta`` contributes exactly
+``coeff * (n+1)_beta * (k+1)_alpha / (n+k+1)_(alpha+beta+1)``, with
+``(x)_m = Gamma(x+m)/Gamma(x)``: a row factor times a Hankel (diagonal)
+factor times a column factor, each evaluated once per distinct row, column
+or diagonal and gathered per entry.  Interior atoms stay in log space
+(``Gamma(n+k+1)`` overflows) but gather ``ln Gamma(d+1)`` the same way.
 
 Scalar entries, dense sections, and row blocks all go through one array
 core, so a section is bitwise identical to its individual entries.
@@ -17,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, poch
 
 from .errors import ResourceLimitError
 from .measure import Measure
@@ -26,7 +29,6 @@ __all__ = [
     "DEFAULT_SECTION_CAP",
     "FiniteSection",
     "Decomposition",
-    "log_binomial",
     "entry",
     "entry_block",
     "finite_section",
@@ -40,9 +42,7 @@ __all__ = [
 #: Largest dense section built by default (~2 GiB of float64 at 16384**2).
 DEFAULT_SECTION_CAP = 16384
 
-# Below this, ln binom(n+k,k) is summed term by term; the log-gamma route
-# loses relative accuracy when the result is small against lgamma(n+k+1).
-_EXACT_SUM_LIMIT = 2048
+_TINY = np.finfo(np.float64).tiny
 
 
 @dataclass(frozen=True)
@@ -66,93 +66,78 @@ class Decomposition:
     c0: float
     c1: float
 
-    def atomic_entry(self, n: int, k: int) -> float:
-        value = 0.0
-        if k == 0:
-            value += self.c0
-        if n == 0:
-            value += self.c1
-        return value
 
-
-def log_binomial(n: int, k: int) -> float:
-    """ln binom(n+k, k).
-
-    Uses an exact term-by-term log sum when min(n,k) is small and the
-    log-gamma difference otherwise; relative error stays below 1e-12 for
-    n+k up to 1e6.
-    """
-    if n < 0 or k < 0:
-        raise ValueError(f"indices must be nonnegative, got n={n}, k={k}")
-    m, big = (n, k) if n <= k else (k, n)
-    if m == 0:
-        return 0.0
-    if m <= _EXACT_SUM_LIMIT:
-        return math.fsum(math.log((big + i) / i) for i in range(1, m + 1))
-    s = float(n + k)
-    return float(gammaln(s + 1.0) - gammaln(float(k) + 1.0) - gammaln(float(n) + 1.0))
-
-
-def _accumulate(parts, shape):
-    """Sum contribution arrays in list order; compensated for many parts."""
-    if not parts:
-        return np.zeros(shape)
-    if len(parts) < 16:
-        total = parts[0]
-        for p in parts[1:]:
-            total = total + p
-    else:
-        total = np.zeros(shape)
-        comp = np.zeros(shape)
-        for p in parts:
-            y = p - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
-    return np.broadcast_to(np.asarray(total, dtype=np.float64), shape)
+def _indices(x) -> np.ndarray:
+    """``x`` as an intp array; raises unless every value is a nonnegative integer."""
+    x = np.asarray(x)
+    with np.errstate(invalid="ignore"):
+        idx = x.astype(np.intp)
+    if not (np.array_equal(idx, x) and (idx.size == 0 or idx.min() >= 0)):
+        raise ValueError("matrix indices must be nonnegative integers")
+    return idx
 
 
 def entry_block(mu: Measure, n, k) -> np.ndarray:
-    """Matrix entries for broadcastable index arrays ``n``, ``k``.
+    """Matrix entries for broadcastable nonnegative integer index arrays ``n``, ``k``.
 
     This is the single code path behind :func:`entry`, :func:`finite_section`
-    and the blocked matvec in :mod:`genhilbert.operator`; one exponentiation
-    per measure component per entry.
+    and the blocked matvec in :mod:`genhilbert.operator`.  Every component's
+    contribution is nonnegative, so the plain running sum over components
+    is accurate to (m-1) ulps.  A density term whose factors leave the
+    float64 range, which takes (alpha+beta+1) * ln(n+k+1) above ~708,
+    raises ``ValueError``.
     """
-    n = np.asarray(n, dtype=np.float64)
-    k = np.asarray(k, dtype=np.float64)
-    shape = np.broadcast_shapes(n.shape, k.shape)
-    s = n + k
-    parts = []
+    n = _indices(n)
+    k = _indices(k)
+    out = np.zeros(np.broadcast_shapes(n.shape, k.shape))
+    if out.size == 0:
+        return out
+    # Index of n + k into the vector ``d`` of distinct diagonals.
+    n_lo, k_lo = int(n.min()), int(k.min())
+    span = int(n.max()) - n_lo + int(k.max()) - k_lo + 1
+    if span <= out.size:
+        d = np.arange(n_lo + k_lo, n_lo + k_lo + span, dtype=np.float64)
+        diag = (n - n_lo) + (k - k_lo)
+    else:
+        d, diag = np.unique(n + k, return_inverse=True)
+        d = d.astype(np.float64)
+        diag = diag.reshape(out.shape)
+    buf = np.empty(out.shape)
     for term in mu.jacobi_terms:
-        if term.alpha == 0.0 and term.beta == 0.0:
-            # Uniform term: all gamma factors cancel to 1/(s+1) exactly,
-            # avoiding the ~1e-13 cancellation noise of the generic path.
-            parts.append(term.coeff / (s + 1.0))
-            continue
-        logv = gammaln(s + 1.0) - gammaln(s + (term.alpha + term.beta + 2.0))
-        logv = logv + (gammaln(k + (term.alpha + 1.0)) - gammaln(k + 1.0))
-        logv = logv + (gammaln(n + (term.beta + 1.0)) - gammaln(n + 1.0))
-        parts.append(term.coeff * np.exp(logv))
+        row = term.coeff * poch(n + 1.0, term.beta)
+        col = poch(k + 1.0, term.alpha)
+        hankel = 1.0 / poch(d + 1.0, term.alpha + term.beta + 1.0)
+        if not (np.isfinite(row).all() and np.isfinite(col).all() and hankel.min() >= _TINY):
+            raise ValueError(
+                f"{term} leaves the float64 range of the factored kernel at n+k <= {int(d[-1])}"
+            )
+        np.take(hankel, diag, out=buf, mode="clip")
+        buf *= row
+        buf *= col
+        out += buf
+    if any(0.0 < atom.location < 1.0 for atom in mu.atoms):
+        log_diag = gammaln(d + 1.0)
+        log_row = gammaln(n + 1.0)
+        log_col = gammaln(k + 1.0)
     for atom in mu.atoms:
         t = atom.location
         if t == 0.0:
-            parts.append(np.where(k == 0.0, atom.mass, 0.0))
+            out += np.where(k == 0, atom.mass, 0.0)
         elif t == 1.0:
-            parts.append(np.where(n == 0.0, atom.mass, 0.0))
+            out += np.where(n == 0, atom.mass, 0.0)
         else:
-            logv = gammaln(s + 1.0)
-            logv = logv + (k * math.log(t) - gammaln(k + 1.0))
-            logv = logv + (n * math.log1p(-t) - gammaln(n + 1.0))
-            parts.append(atom.mass * np.exp(logv))
-    return _accumulate(parts, shape)
+            np.take(log_diag, diag, out=buf, mode="clip")
+            buf += k * math.log(t) - log_col
+            buf += n * math.log1p(-t) - log_row
+            np.exp(buf, out=buf)
+            buf *= atom.mass
+            out += buf
+    return out
 
 
 def entry(mu: Measure, n: int, k: int) -> float:
     """Single matrix entry; always finite and nonnegative."""
-    if n < 0 or k < 0:
-        raise ValueError(f"indices must be nonnegative, got n={n}, k={k}")
-    return float(entry_block(mu, float(n), float(k)))
+    return float(entry_block(mu, n, k))
 
 
 def finite_section(mu: Measure, size: int, cap: int = DEFAULT_SECTION_CAP) -> FiniteSection:
@@ -161,9 +146,8 @@ def finite_section(mu: Measure, size: int, cap: int = DEFAULT_SECTION_CAP) -> Fi
         raise ValueError(f"section size must be >= 1, got {size}")
     if size > cap:
         raise ResourceLimitError(f"section size {size} exceeds cap {cap}")
-    n = np.arange(size, dtype=np.float64)[:, None]
-    k = np.arange(size, dtype=np.float64)[None, :]
-    return FiniteSection(size, entry_block(mu, n, k))
+    n = np.arange(size)[:, None]
+    return FiniteSection(size, entry_block(mu, n, n.T))
 
 
 def decompose(mu: Measure) -> Decomposition:

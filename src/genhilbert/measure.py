@@ -153,8 +153,7 @@ def beta_kernel_integral(
             # closed-form 2.0 with no rounding residue.
             exponent = a * math.log2(t) + b * (math.log1p(-t) / _LN2)
             parts.append(atom.mass * 2.0**exponent)
-    if len(parts) >= 16:
-        return math.fsum(parts)
+    # Every part is nonnegative, so the plain sum is accurate to len(parts) ulps.
     return float(sum(parts))
 
 
@@ -176,7 +175,12 @@ def _number(obj: dict, key: str, path: str) -> float:
         f"{path}.{key}",
         f"expected a number, got {value!r}",
     )
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
+    _require(math.isfinite(number), f"{path}.{key}", f"expected a finite number, got {value!r}")
+    return number
 
 
 def parse_measure(text: str) -> Measure:

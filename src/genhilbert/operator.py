@@ -28,6 +28,7 @@ __all__ = [
     "apply_truncated",
     "apply_via_quadrature",
     "hankel_fast_apply",
+    "uniform_coeff",
     "sequence_to_csv",
     "sequence_from_csv",
 ]
@@ -188,11 +189,11 @@ def apply_truncated(
     out = np.zeros(n_rows)
     if K == 0:
         return SequenceVector(out, nonneg=True)
-    k_row = np.arange(K, dtype=np.float64)[None, :]
+    k_row = np.arange(K)[None, :]
     block = max(1, min(n_rows, _APPLY_BLOCK_ELEMENTS // K))
     for start in range(0, n_rows, block):
         stop = min(start + block, n_rows)
-        n_col = np.arange(start, stop, dtype=np.float64)[:, None]
+        n_col = np.arange(start, stop)[:, None]
         out[start:stop] = (entry_block(mu, n_col, k_row) * values).sum(axis=1)
     return SequenceVector(out, nonneg=a.nonneg or None)
 
@@ -264,6 +265,14 @@ def apply_via_quadrature(
     return SequenceVector(out, nonneg=a.nonneg or None)
 
 
+def uniform_coeff(mu: Measure) -> float | None:
+    """``c`` when ``mu`` is ``c * dt``, whose matrix is ``c`` times the classical one; else None."""
+    terms = mu.jacobi_terms
+    if mu.atoms or len(terms) != 1 or (terms[0].alpha, terms[0].beta) != (0.0, 0.0):
+        return None
+    return terms[0].coeff
+
+
 def hankel_fast_apply(a: SequenceVector, n_rows: int, cap: int = HANKEL_CAP) -> SequenceVector:
     """Classical Hilbert matrix apply, d_n = sum_k a_k / (n+k+1), in O(M log M).
 
@@ -309,7 +318,10 @@ def sequence_from_csv(text: str) -> tuple[SequenceVector, float | None]:
                 p = math.inf if body[2:].strip() == "inf" else float(body[2:])
             continue
         try:
-            values.append(float(line))
-        except ValueError as exc:
-            raise ValueError(f"line {i + 1}: not a number: {line!r}") from exc
+            value = float(line)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise ValueError(f"line {i + 1}: not a finite number: {line!r}")
+        values.append(value)
     return SequenceVector(np.array(values, dtype=np.float64)), p

@@ -8,6 +8,7 @@ import pytest
 
 from genhilbert import (
     Atom,
+    JacobiTerm,
     LEBESGUE,
     Measure,
     SequenceVector,
@@ -122,6 +123,28 @@ def test_apply_routes_agree(capsys, lebesgue_file, sequence_file):
         results[route] = np.array(json.loads(out)["values"])
     np.testing.assert_allclose(results["quadrature"], results["truncated"], rtol=1e-12)
     np.testing.assert_allclose(results["fft"], results["truncated"], rtol=1e-12)
+
+
+def test_apply_fft_route_scales_to_c_dt(capsys, tmp_path, sequence_file):
+    mu = Measure((JacobiTerm(3.0, 0.0, 0.0),), ())
+    path = tmp_path / "three_dt.json"
+    path.write_text(measure_to_json(mu), encoding="utf-8")
+    code, out, _ = run(
+        capsys, "apply", "--measure", str(path), "--sequence", sequence_file,
+        "--rows", "4", "--route", "fft", "--output", "json",
+    )
+    assert code == 0
+    want = apply_truncated(mu, SequenceVector(np.array([1.0, 0.5, 0.25, 0.125])), 4).values
+    np.testing.assert_allclose(json.loads(out)["values"], want, rtol=1e-12)
+
+
+def test_apply_non_finite_sequence_is_usage_error(capsys, lebesgue_file, tmp_path):
+    path = tmp_path / "nan.csv"
+    path.write_text("1\nnan\n0.5\n", encoding="utf-8")
+    code, _, err = run(
+        capsys, "apply", "--measure", lebesgue_file, "--sequence", str(path), "--rows", "4"
+    )
+    assert code == 2 and "not a finite number" in err
 
 
 def test_apply_fft_requires_classical_measure(capsys, atom_zero_file, sequence_file):
@@ -261,4 +284,23 @@ def test_unknown_flag_exits_two(lebesgue_file):
 def test_invalid_p_exits_two():
     with pytest.raises(SystemExit) as exc_info:
         main(["classify", "--measure", "x.json", "--p", "0.5"])
+    assert exc_info.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["section", "--N", "0"],
+        ["certify", "--p", "2", "--eps", "0.1", "--N", "0"],
+        ["certify", "--p", "2", "--eps", "0.1", "--N", "8,-4"],
+        ["certify", "--p", "2", "--eps", "0.1", "--N", "8", "--tol", "0"],
+        ["certify", "--p", "2", "--eps", "0.1", "--N", "8", "--tol", "nan"],
+        ["hilbert-check", "--p", "2", "--trials", "0", "--seed", "1"],
+    ],
+)
+def test_nonpositive_sizes_and_tolerances_exit_two(lebesgue_file, argv):
+    if argv[0] != "hilbert-check":
+        argv = [argv[0], "--measure", lebesgue_file, *argv[1:]]
+    with pytest.raises(SystemExit) as exc_info:
+        main(argv)
     assert exc_info.value.code == 2

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from genhilbert import kernel, operator
 from genhilbert import (
     Atom,
     JacobiTerm,
@@ -15,40 +16,13 @@ from genhilbert import (
     entry,
     entry_block,
     finite_section,
-    log_binomial,
+    reflected,
     section_from_csv,
     section_from_json,
     section_to_csv,
     section_to_json,
 )
 from conftest import MIXED_CORPUS
-
-# ------------------------------------------------------------- log_binomial
-
-
-@pytest.mark.parametrize("n,k", [(0, 0), (1, 0), (0, 5), (1, 1), (20, 20)])
-def test_log_binomial_small_exact(n, k):
-    # oracle: exact integer binomials
-    assert log_binomial(n, k) == pytest.approx(math.log(math.comb(n + k, k)), rel=1e-14, abs=1e-14)
-
-
-@pytest.mark.parametrize(
-    "n,k",
-    [(1, 999_999), (3, 500_000), (2048, 997_952), (2049, 997_951), (4000, 996_000)],
-)
-def test_log_binomial_huge_arguments(n, k):
-    """1e-12 relative accuracy up to n+k = 1e6, straddling the exact-sum cutoff."""
-    # oracle: exact integer binomial; its log taken via bit-length scaling
-    # because the int far exceeds float range
-    ref = math.comb(n + k, k)
-    shift = max(0, ref.bit_length() - 900)
-    ref_log = math.log(ref >> shift) + shift * math.log(2.0)
-    assert log_binomial(n, k) == pytest.approx(ref_log, rel=1e-12)
-
-
-def test_log_binomial_symmetric():
-    assert log_binomial(37, 1021) == log_binomial(1021, 37)
-
 
 # ------------------------------------------------------------------- entries
 
@@ -139,6 +113,51 @@ def test_row_sums_of_point_mass_increase_to_geometric_limit():
             assert partial[-1] == pytest.approx(limit, rel=1e-8)
 
 
+def test_transpose_is_reflection():
+    # C(reflected mu) = C(mu)^T: t -> 1-t swaps the roles of n and k
+    for mu in MIXED_CORPUS:
+        for n in range(16):
+            for k in range(16):
+                assert entry(reflected(mu), n, k) == pytest.approx(entry(mu, k, n), rel=1e-14)
+
+
+@pytest.mark.parametrize("n,k", [(-1, 0), (0.5, 1), (2, math.nan), (math.inf, 0)])
+def test_entry_block_rejects_non_integer_indices(n, k):
+    with pytest.raises(ValueError):
+        entry_block(LEBESGUE, np.array([n, 1.0]), k)
+
+
+def test_no_special_function_call_per_entry(monkeypatch):
+    """Factors are evaluated per row, column and diagonal, never per entry."""
+    sizes = []
+    for name in ("poch", "gammaln"):
+        original = getattr(kernel, name)
+
+        def counted(x, *args, _original=original):
+            sizes.append(np.size(x))
+            return _original(x, *args)
+
+        monkeypatch.setattr(kernel, name, counted)
+    monkeypatch.setattr(operator, "_APPLY_BLOCK_ELEMENTS", 5000)
+    a = operator.SequenceVector(np.ones(300))
+    for mu in MIXED_CORPUS:
+        finite_section(mu, 64)
+    assert sizes and max(sizes) <= 64 + 64
+    sizes.clear()
+    for mu in MIXED_CORPUS:
+        operator.apply_truncated(mu, a, 100)  # blocks of 16 rows by 300 columns
+    assert sizes and max(sizes) <= 16 + 300
+
+
+def test_factor_overflow_is_an_error_not_a_nan():
+    # (k+1)_60 overflows and 1/(k+1)_61 underflows near k = 1e5, although
+    # the entries 1/(k+61) of row 0 are representable
+    mu = Measure((JacobiTerm(1.0, 60.0, 0.0),), ())
+    assert entry(mu, 0, 1000) == pytest.approx(1.0 / 1061.0, rel=1e-14)
+    with pytest.raises(ValueError, match="float64 range"):
+        entry_block(mu, 0, np.arange(200_000))
+
+
 def test_section_cap_enforced():
     with pytest.raises(ResourceLimitError):
         finite_section(LEBESGUE, 100, cap=64)
@@ -172,18 +191,13 @@ def test_entry_reconstruction_from_decomposition():
     ]
     for mu in corpus:
         dec = decompose(mu)
+        endpoint_atoms = Measure((), tuple(a for a in mu.atoms if a.location in (0.0, 1.0)))
         for n in range(8):
             for k in range(8):
-                recon = entry(dec.smooth, n, k) + dec.atomic_entry(n, k)
+                recon = entry(dec.smooth, n, k) + entry(endpoint_atoms, n, k)
                 assert entry(mu, n, k) == pytest.approx(recon, abs=1e-12)
-
-
-def test_atomic_corner_is_sum_of_masses():
-    dec = decompose(Measure((), (Atom(0.0, 2.0), Atom(1.0, 3.0))))
-    assert dec.atomic_entry(0, 0) == 5.0
-    assert dec.atomic_entry(4, 0) == 2.0
-    assert dec.atomic_entry(0, 4) == 3.0
-    assert dec.atomic_entry(2, 2) == 0.0
+    # the endpoint part's corner carries both masses
+    assert entry(Measure((), (Atom(0.0, 2.0), Atom(1.0, 3.0))), 0, 0) == 5.0
 
 
 # ------------------------------------------------------------------ export

@@ -188,6 +188,16 @@ def test_parse_pure_atom():
         ('{"jacobi":[],"atoms":[{"t":0.5,"mass":1},{"t":0.5,"mass":2}]}', "$.atoms[1].t"),
         ('{"jacobi":[],"atoms":[{"t":"x","mass":1}]}', "$.atoms[0].t"),
         ("not json", "$"),
+        # json.loads accepts these tokens; the schema does not
+        ('{"jacobi":[{"coeff":Infinity,"alpha":0,"beta":0}],"atoms":[]}', "$.jacobi[0].coeff"),
+        ('{"jacobi":[{"coeff":1,"alpha":Infinity,"beta":0}],"atoms":[]}', "$.jacobi[0].alpha"),
+        ('{"jacobi":[{"coeff":1,"alpha":0,"beta":NaN}],"atoms":[]}', "$.jacobi[0].beta"),
+        ('{"jacobi":[],"atoms":[{"t":0.5,"mass":Infinity}]}', "$.atoms[0].mass"),
+        pytest.param(
+            '{"jacobi":[],"atoms":[{"t":0.5,"mass":1%s}]}' % ("0" * 400),
+            "$.atoms[0].mass",
+            id="integer-beyond-float-range",
+        ),
     ],
 )
 def test_parse_errors_carry_field_paths(text, fragment):

@@ -315,5 +315,6 @@ def test_sequence_csv_no_header():
 
 
 def test_sequence_csv_rejects_garbage():
-    with pytest.raises(ValueError):
-        sequence_from_csv("1.0\nbogus\n")
+    for text in ("1.0\nbogus\n", "1.0\nnan\n", "1.0\ninf\n", "-inf\n"):
+        with pytest.raises(ValueError, match="line"):
+            sequence_from_csv(text)

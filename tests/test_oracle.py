@@ -1,0 +1,72 @@
+"""Matrix entries against an arbitrary-precision oracle (mpmath) at large n, k."""
+
+import math
+
+import numpy as np
+import pytest
+
+from genhilbert import Atom, JacobiTerm, Measure, entry_block
+
+mpmath = pytest.importorskip("mpmath")
+
+MAX_INDEX = 300_000
+UNIT_ROUNDOFF = 2.0**-53
+
+
+def _relative_errors(got, ref):
+    return [abs((mpmath.mpf(float(g)) - r) / r) for g, r in zip(got, ref)]
+
+
+def test_jacobi_terms_match_mpmath_to_1e10():
+    # Row, diagonal and column Pochhammer factors; the log-gamma route
+    # cancels terms of size s*ln(s) and loses ~1e-9 here.
+    rng = np.random.default_rng(20220611)
+    worst = 0.0
+    for _ in range(30):
+        alpha, beta = rng.uniform(-0.9, 3.0, size=2)
+        term = JacobiTerm(float(rng.uniform(0.1, 5.0)), float(alpha), float(beta))
+        n = rng.integers(0, MAX_INDEX + 1, size=10)
+        k = rng.integers(0, MAX_INDEX + 1, size=10)
+        n[:2], k[:2] = rng.integers(0, 20, size=2), rng.integers(0, 20, size=2)
+        got = entry_block(Measure((term,), ()), n, k)
+        with mpmath.workdps(40):
+            ref = [
+                term.coeff
+                * mpmath.binomial(int(ni) + int(ki), int(ki))
+                * mpmath.beta(int(ki) + mpmath.mpf(term.alpha) + 1, int(ni) + mpmath.mpf(term.beta) + 1)
+                for ni, ki in zip(n, k)
+            ]
+            worst = max(worst, max(_relative_errors(got, ref)))
+    assert worst <= 1e-10
+
+
+def test_interior_atoms_match_mpmath_within_log_space_bound():
+    """Relative error <= 8 u M, M the sum of the log-space terms' magnitudes.
+
+    ln Gamma(n+k+1) alone is ~3.5e6 at n = k = 3e5, so M u is ~1e-9 there:
+    the bound is set by the rounding of the log-space terms, not by the
+    binomial's size.  Indices sit near the mode so the entries do not underflow.
+    """
+    rng = np.random.default_rng(1962)
+    for _ in range(30):
+        t = float(rng.uniform(0.05, 0.95))
+        mass = float(rng.uniform(0.1, 5.0))
+        s = rng.integers(0, int(MAX_INDEX / max(t, 1.0 - t)) + 1, size=10)
+        spread = rng.uniform(-3.0, 3.0, size=10) * np.sqrt(s * t * (1.0 - t))
+        k = np.clip(np.rint(s * t + spread), np.maximum(s - MAX_INDEX, 0), np.minimum(s, MAX_INDEX))
+        k = k.astype(np.int64)
+        n = s - k
+        got = entry_block(Measure((), (Atom(t, mass),)), n, k)
+        with mpmath.workdps(40):
+            ref = [
+                mass * mpmath.binomial(int(si), int(ki)) * mpmath.mpf(t) ** int(ki)
+                * (1 - mpmath.mpf(t)) ** int(ni)
+                for si, ni, ki in zip(s, n, k)
+            ]
+            errors = _relative_errors(got, ref)
+        for si, ni, ki, err in zip(s, n, k, errors):
+            magnitude = (
+                math.lgamma(si + 1.0) + math.lgamma(ni + 1.0) + math.lgamma(ki + 1.0)
+                + abs(ki * math.log(t)) + abs(ni * math.log1p(-t))
+            )
+            assert err <= 8.0 * UNIT_ROUNDOFF * (magnitude + 1.0)
