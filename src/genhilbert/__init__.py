@@ -20,9 +20,7 @@ from .certify import (
 from .errors import ConvergenceError, ResourceLimitError
 from .kernel import (
     DEFAULT_SECTION_CAP,
-    Decomposition,
     FiniteSection,
-    decompose,
     entry,
     entry_block,
     finite_section,
@@ -74,7 +72,6 @@ __all__ = [
     "CertificationReport",
     "ConvergenceError",
     "DEFAULT_SECTION_CAP",
-    "Decomposition",
     "EnEvalConfig",
     "ExtremalParams",
     "FiniteSection",
@@ -93,7 +90,6 @@ __all__ = [
     "classical_constant",
     "classify_boundedness",
     "convergence_sweep",
-    "decompose",
     "entry",
     "entry_block",
     "extremal_sequence",

@@ -149,9 +149,10 @@ def _emit_verdict(verdict, output: str) -> None:
 
 def _cmd_norm(args) -> int:
     mu = _load_measure(args.measure)
-    # norm_integral's precondition (raises on endpoint atoms, exit 1);
-    # classification then packages the same integral as a verdict.
-    norms.norm_integral(mu, args.p)
+    # norm_integral's precondition (exit 1); classification then evaluates
+    # the same integral once and packages it as a verdict.
+    if mu.atom_at(0.0) or mu.atom_at(1.0):
+        raise ValueError("norm needs a measure without endpoint atoms; use classify")
     _emit_verdict(norms.classify_boundedness(mu, args.p), args.output)
     return 0
 

@@ -28,11 +28,9 @@ from .measure import Measure
 __all__ = [
     "DEFAULT_SECTION_CAP",
     "FiniteSection",
-    "Decomposition",
     "entry",
     "entry_block",
     "finite_section",
-    "decompose",
     "section_to_csv",
     "section_from_csv",
     "section_to_json",
@@ -51,20 +49,6 @@ class FiniteSection:
 
     size: int
     entries: np.ndarray
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    """Split of a measure's matrix into its open-interval and endpoint parts.
-
-    ``smooth`` is the measure with endpoint atoms removed; ``c0`` and ``c1``
-    are the removed masses at 0 and 1.  The endpoint part has first column
-    ``c0``, first row ``c1``, and corner ``c0 + c1``.
-    """
-
-    smooth: Measure
-    c0: float
-    c1: float
 
 
 def _indices(x) -> np.ndarray:
@@ -148,13 +132,6 @@ def finite_section(mu: Measure, size: int, cap: int = DEFAULT_SECTION_CAP) -> Fi
         raise ResourceLimitError(f"section size {size} exceeds cap {cap}")
     n = np.arange(size)[:, None]
     return FiniteSection(size, entry_block(mu, n, n.T))
-
-
-def decompose(mu: Measure) -> Decomposition:
-    """Strip endpoint atoms off a measure; interior atoms stay in the smooth part."""
-    interior = tuple(a for a in mu.atoms if a.location not in (0.0, 1.0))
-    smooth = Measure(mu.jacobi_terms, interior)
-    return Decomposition(smooth, mu.atom_at(0.0), mu.atom_at(1.0))
 
 
 def section_to_csv(section: FiniteSection) -> str:

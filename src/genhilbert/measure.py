@@ -13,8 +13,6 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from scipy.special import gammaln
-
 __all__ = [
     "JacobiTerm",
     "Atom",
@@ -105,61 +103,53 @@ LEBESGUE = Measure((JacobiTerm(1.0, 0.0, 0.0),), ())
 
 def log_beta(x: float, y: float) -> float:
     """ln B(x,y) via log-gamma; valid for x, y > 0 of any magnitude."""
-    return gammaln(x) + gammaln(y) - gammaln(x + y)
+    return math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y)
 
 
 def beta(x: float, y: float) -> float:
     """B(x,y) = Gamma(x)Gamma(y)/Gamma(x+y), computed in log space."""
-    return float(math.exp(log_beta(x, y)))
+    return math.exp(log_beta(x, y))
 
 
-def beta_kernel_integral(
-    mu: Measure,
-    a: float,
-    b: float,
-    include_zero: bool = False,
-    include_one: bool = False,
-) -> float:
-    """Integral of ``t**a * (1-t)**b`` against ``mu`` over (0,1), plus optional endpoints.
+def beta_kernel_integral(mu: Measure, a: float, b: float) -> float:
+    """Integral of ``t**a * (1-t)**b`` against ``mu`` over the closed interval [0,1].
 
-    Endpoint atoms enter only when requested via the flags, and only
-    contribute a finite value when the integrand is finite there (with the
-    convention 0**0 = 1).  Returns ``math.inf`` when any contribution
-    diverges; the divergence decision is made by exponent comparison before
-    any numeric evaluation.
+    Endpoint atoms count with the convention 0**0 = 1.  Returns ``math.inf``
+    when the integral diverges; that is decided by exponent comparison
+    before any numeric evaluation.  A convergent integral whose value
+    leaves the float64 range raises ``ValueError``, so an overflow is never
+    mistaken for divergence.
     """
-    parts = []
-    for term in mu.jacobi_terms:
-        if not (a + term.alpha > -1.0 and b + term.beta > -1.0):
-            return math.inf
-        parts.append(term.coeff * beta(a + term.alpha + 1.0, b + term.beta + 1.0))
-    for atom in mu.atoms:
-        t = atom.location
-        if t == 0.0:
-            if not include_zero:
-                continue
-            if a < 0.0:
-                return math.inf
-            parts.append(atom.mass if a == 0.0 else 0.0)
-        elif t == 1.0:
-            if not include_one:
-                continue
-            if b < 0.0:
-                return math.inf
-            parts.append(atom.mass if b == 0.0 else 0.0)
-        else:
-            # Base-2 log space keeps dyadic locations exact (log2 of 1/2 is
-            # exactly -1), e.g. the delta_{1/2} sharp norm comes out as the
-            # closed-form 2.0 with no rounding residue.
-            exponent = a * math.log2(t) + b * (math.log1p(-t) / _LN2)
-            parts.append(atom.mass * 2.0**exponent)
-    # Every part is nonnegative, so the plain sum is accurate to len(parts) ulps.
-    return float(sum(parts))
+    if any(not (a + term.alpha > -1.0 and b + term.beta > -1.0) for term in mu.jacobi_terms):
+        return math.inf
+    if (a < 0.0 and mu.atom_at(0.0)) or (b < 0.0 and mu.atom_at(1.0)):
+        return math.inf
+    # Every part is nonnegative, so the plain sum is accurate to one ulp per part.
+    total = 0.0
+    try:
+        for term in mu.jacobi_terms:
+            total += term.coeff * beta(a + term.alpha + 1.0, b + term.beta + 1.0)
+        for atom in mu.atoms:
+            t = atom.location
+            if 0.0 < t < 1.0:
+                # Base-2 log space keeps dyadic locations exact (log2 of 1/2
+                # is exactly -1), e.g. the delta_{1/2} sharp norm comes out as
+                # the closed-form 2.0 with no rounding residue.
+                total += atom.mass * 2.0 ** (a * math.log2(t) + b * (math.log1p(-t) / _LN2))
+            else:
+                total += atom.mass * t**a * (1.0 - t) ** b
+    except OverflowError:
+        total = math.inf
+    if total == math.inf:
+        raise ValueError(
+            f"the integral of t^{a} (1-t)^{b} converges but its value exceeds the float64 range"
+        )
+    return total
 
 
 def total_mass(mu: Measure) -> float:
     """mu([0,1]): Beta-function masses of the density terms plus all atom masses."""
-    return beta_kernel_integral(mu, 0.0, 0.0, include_zero=True, include_one=True)
+    return beta_kernel_integral(mu, 0.0, 0.0)
 
 
 def _require(condition: bool, path: str, message: str):

@@ -1,10 +1,11 @@
 """Boundedness classification and exact operator norms on ell-p.
 
-Two regimes with different formulas: measures without endpoint atoms are
-bounded iff the sharp-norm integral converges (and that integral is the
-norm); an atom at an endpoint forces unboundedness except in two special
-pairings (atom at 1 with p=1, atom at 0 with p=infinity), each with its
-own closed-form norm.
+One criterion covers every measure: the operator is bounded on ell-p iff
+the integral of t^(-1/p) (1-t)^(1/p-1) over the closed interval [0,1]
+converges, and then that integral is the norm.  Endpoint atoms enter it
+with the convention 0**0 = 1, so an atom at 0 is harmless only at
+p=infinity and an atom at 1 only at p=1; the unbounded verdicts name the
+atom that makes the integral diverge.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .kernel import decompose
 from .measure import Measure, beta_kernel_integral
 
 __all__ = [
@@ -80,53 +80,46 @@ class NormVerdict:
 
 
 def norm_integral(mu: Measure, p: float) -> float:
-    """Sharp-norm integral of t^{-1/p} (1-t)^{1/p-1} against the measure.
+    """Sharp-norm integral of t^{-1/p} (1-t)^{1/p-1} against a measure without endpoint atoms.
 
-    This is the quantity whose finiteness decides boundedness on ell-p (and
-    whose value is the operator norm) for measures without endpoint atoms;
-    for p=infinity the kernel degenerates to 1/(1-t).  Returns math.inf
+    Its finiteness decides boundedness on ell-p and its value is the
+    operator norm; for p=infinity the kernel is 1/(1-t).  Returns math.inf
     when the integral diverges.
     """
     p = validate_p(p)
-    if any(atom.location in (0.0, 1.0) for atom in mu.atoms):
+    if mu.atom_at(0.0) or mu.atom_at(1.0):
         raise ValueError(
             "norm_integral requires a measure without endpoint atoms; "
             "use classify_boundedness for the endpoint taxonomy"
         )
-    if math.isinf(p):
-        return beta_kernel_integral(mu, 0.0, -1.0)
     return beta_kernel_integral(mu, -1.0 / p, 1.0 / p - 1.0)
 
 
 def classify_boundedness(mu: Measure, p: float) -> NormVerdict:
     """Decide boundedness on ell-p and produce the exact norm when bounded.
 
-    Decision order matters: an atom at 0 dominates for every finite p, an
-    atom at 1 dominates for p > 1; the two surviving endpoint pairings and
-    the atom-free case each reduce to one integral's finiteness.
+    An endpoint atom under a kernel that is infinite there is reported by
+    name (an atom at 0 for every finite p first, then an atom at 1 for
+    every p > 1); everything else is the finiteness of one integral.
     """
     p = validate_p(p)
-    dec = decompose(mu)
-    if dec.c0 > 0.0 and not math.isinf(p):
+    a, b = -1.0 / p, 1.0 / p - 1.0
+    c0, c1 = mu.atom_at(0.0), mu.atom_at(1.0)
+    if c0 and a < 0.0:
         return NormVerdict("Unbounded", p, reason=REASON_ATOM_AT_ZERO_FINITE_P)
-    if dec.c1 > 0.0 and 1.0 < p < math.inf:
-        return NormVerdict("Unbounded", p, reason=REASON_ATOM_AT_ONE_P_GT_1)
-    if dec.c1 > 0.0 and math.isinf(p):
-        return NormVerdict("Unbounded", p, reason=REASON_ATOM_AT_ONE_P_INF)
-    if dec.c1 > 0.0 and p == 1.0:
-        value = beta_kernel_integral(mu, -1.0, 0.0) + dec.c1
-        if math.isinf(value):
-            return NormVerdict("Unbounded", p, reason=REASON_DIVERGENT_INTEGRAL)
-        return NormVerdict("Bounded", p, norm=value, formula_used=FORMULA_P1_ATOM_AT_ONE)
-    if dec.c0 > 0.0 and math.isinf(p):
-        value = beta_kernel_integral(mu, 0.0, -1.0, include_zero=True)
-        if math.isinf(value):
-            return NormVerdict("Unbounded", p, reason=REASON_DIVERGENT_INTEGRAL)
-        return NormVerdict("Bounded", p, norm=value, formula_used=FORMULA_PINF_ATOM_AT_ZERO)
-    value = norm_integral(mu, p)
+    if c1 and b < 0.0:
+        reason = REASON_ATOM_AT_ONE_P_INF if math.isinf(p) else REASON_ATOM_AT_ONE_P_GT_1
+        return NormVerdict("Unbounded", p, reason=reason)
+    value = beta_kernel_integral(mu, a, b)
     if math.isinf(value):
         return NormVerdict("Unbounded", p, reason=REASON_DIVERGENT_INTEGRAL)
-    return NormVerdict("Bounded", p, norm=value, formula_used=FORMULA_INTERIOR)
+    if c1:
+        formula = FORMULA_P1_ATOM_AT_ONE
+    elif c0:
+        formula = FORMULA_PINF_ATOM_AT_ZERO
+    else:
+        formula = FORMULA_INTERIOR
+    return NormVerdict("Bounded", p, norm=value, formula_used=formula)
 
 
 def classical_constant(p: float) -> float:

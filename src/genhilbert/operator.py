@@ -16,7 +16,7 @@ from scipy.fft import irfft, next_fast_len, rfft
 from scipy.special import gammaln, roots_jacobi
 
 from .errors import ConvergenceError, ResourceLimitError
-from .kernel import DEFAULT_SECTION_CAP, decompose, entry_block
+from .kernel import DEFAULT_SECTION_CAP, entry_block
 from .measure import Measure
 
 __all__ = [
@@ -235,7 +235,6 @@ def apply_via_quadrature(
     if K == 0:
         return SequenceVector(out, nonneg=True)
     rows = np.arange(n_rows)
-    dec = decompose(mu)
     for term in mu.jacobi_terms:
         degree = (K - 1) + (n_rows - 1)
         n_nodes = degree // 2 + 1
@@ -253,15 +252,16 @@ def apply_via_quadrature(
                     estimate=err,
                 )
             out += fine
-    interior = [atom for atom in dec.smooth.atoms]
+    interior = [atom for atom in mu.atoms if 0.0 < atom.location < 1.0]
     if interior:
         t_atoms = np.array([atom.location for atom in interior])
         masses = np.array([atom.mass for atom in interior])
         out += _row_series_block(rows, t_atoms, values, cfg) @ masses
-    if dec.c0 > 0:
-        out += dec.c0 * values[0]
-    if dec.c1 > 0:
-        out[0] += dec.c1 * values.sum()
+    c0, c1 = mu.atom_at(0.0), mu.atom_at(1.0)
+    if c0 > 0:
+        out += c0 * values[0]
+    if c1 > 0:
+        out[0] += c1 * values.sum()
     return SequenceVector(out, nonneg=a.nonneg or None)
 
 

@@ -201,6 +201,41 @@ def test_classify_csv_output(capsys, lebesgue_file):
     assert lines[1] == "status,bounded"
 
 
+def test_norm_evaluates_the_integral_once(capsys, monkeypatch, tmp_path):
+    from genhilbert import measure, norms
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return measure.beta_kernel_integral(*args)
+
+    monkeypatch.setattr(norms, "beta_kernel_integral", counted)
+    path = tmp_path / "m.json"
+    path.write_text(measure_to_json(Measure((JacobiTerm(1.0, 1.0, 1.0),), (Atom(0.5, 1.0),))))
+    for p in ("1", "2", "inf"):
+        calls.clear()
+        code, _, _ = run(capsys, "norm", "--measure", str(path), "--p", p)
+        assert code == 0 and len(calls) == 1
+
+
+@pytest.mark.parametrize("subcommand", ["norm", "classify"])
+@pytest.mark.parametrize(
+    "text,p",
+    [
+        ('{"jacobi":[{"coeff":1e308,"alpha":0,"beta":0}],"atoms":[{"t":0.5,"mass":1e308}]}', "2"),
+        ('{"jacobi":[],"atoms":[{"t":5e-324,"mass":1}]}', "1"),
+    ],
+    ids=["huge-masses", "subnormal-atom"],
+)
+def test_overflow_is_a_domain_error_not_divergence(capsys, tmp_path, subcommand, text, p):
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    code, out, err = run(capsys, subcommand, "--measure", str(path), "--p", p)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "float64 range" in err
+
+
 # ------------------------------------------------------------------ certify
 
 

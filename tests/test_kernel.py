@@ -1,4 +1,4 @@
-"""Matrix entries, finite sections, endpoint decomposition."""
+"""Matrix entries, finite sections, additivity over endpoint atoms."""
 
 import math
 
@@ -12,7 +12,6 @@ from genhilbert import (
     LEBESGUE,
     Measure,
     ResourceLimitError,
-    decompose,
     entry,
     entry_block,
     finite_section,
@@ -165,22 +164,7 @@ def test_section_cap_enforced():
         finite_section(LEBESGUE, 0)
 
 
-# ------------------------------------------------------------- decomposition
-
-
-def test_decompose_splits_endpoint_masses():
-    mu = Measure((JacobiTerm(1.0, 0.0, 0.0),), (Atom(0.0, 2.0), Atom(0.5, 9.0), Atom(1.0, 3.0)))
-    dec = decompose(mu)
-    assert (dec.c0, dec.c1) == (2.0, 3.0)
-    assert dec.smooth.jacobi_terms == mu.jacobi_terms
-    assert dec.smooth.atom_at(0.5) == 9.0
-    assert dec.smooth.atom_at(0.0) == 0.0
-
-
-def test_decompose_interior_atom_stays_smooth(delta_half):
-    dec = decompose(delta_half)
-    assert (dec.c0, dec.c1) == (0.0, 0.0)
-    assert dec.smooth == delta_half
+# ------------------------------------------------------------- endpoint atoms
 
 
 def test_entry_reconstruction_from_decomposition():
@@ -190,11 +174,11 @@ def test_entry_reconstruction_from_decomposition():
         Measure((), (Atom(0.0, 1.0), Atom(0.25, 1.0))),
     ]
     for mu in corpus:
-        dec = decompose(mu)
+        smooth = Measure(mu.jacobi_terms, tuple(a for a in mu.atoms if 0.0 < a.location < 1.0))
         endpoint_atoms = Measure((), tuple(a for a in mu.atoms if a.location in (0.0, 1.0)))
         for n in range(8):
             for k in range(8):
-                recon = entry(dec.smooth, n, k) + entry(endpoint_atoms, n, k)
+                recon = entry(smooth, n, k) + entry(endpoint_atoms, n, k)
                 assert entry(mu, n, k) == pytest.approx(recon, abs=1e-12)
     # the endpoint part's corner carries both masses
     assert entry(Measure((), (Atom(0.0, 2.0), Atom(1.0, 3.0))), 0, 0) == 5.0

@@ -110,28 +110,24 @@ def test_dyadic_atom_kernel_is_exact(delta_half):
 
 
 class TestEndpointAtomFlags:
-    """Endpoint atoms enter only on request, and only when the kernel is finite there."""
-
-    def test_excluded_by_default(self):
-        mu = Measure((), (Atom(0.0, 1.0), Atom(1.0, 2.0)))
-        assert beta_kernel_integral(mu, -5.0, -5.0) == 0.0
+    """Endpoint atoms always count, with 0**0 = 1, and diverge under an infinite kernel."""
 
     def test_atom_at_zero_with_positive_exponent_vanishes(self):
         mu = Measure((), (Atom(0.0, 3.0),))
-        assert beta_kernel_integral(mu, 2.0, -4.0, include_zero=True) == 0.0
+        assert beta_kernel_integral(mu, 2.0, -4.0) == 0.0
 
     def test_atom_at_zero_with_zero_exponent_counts_mass(self):
         mu = Measure((), (Atom(0.0, 3.0),))
-        assert beta_kernel_integral(mu, 0.0, -4.0, include_zero=True) == 3.0
+        assert beta_kernel_integral(mu, 0.0, -4.0) == 3.0
 
     def test_atom_at_zero_with_negative_exponent_diverges(self):
         mu = Measure((), (Atom(0.0, 3.0),))
-        assert beta_kernel_integral(mu, -0.5, 0.0, include_zero=True) == math.inf
+        assert beta_kernel_integral(mu, -0.5, 0.0) == math.inf
 
     def test_atom_at_one_mirrors(self):
         mu = Measure((), (Atom(1.0, 7.0),))
-        assert beta_kernel_integral(mu, -4.0, 0.0, include_one=True) == 7.0
-        assert beta_kernel_integral(mu, 0.0, -0.1, include_one=True) == math.inf
+        assert beta_kernel_integral(mu, -4.0, 0.0) == 7.0
+        assert beta_kernel_integral(mu, 0.0, -0.1) == math.inf
 
 
 def test_total_mass_equals_full_kernel_integral():
@@ -139,9 +135,31 @@ def test_total_mass_equals_full_kernel_integral():
         (JacobiTerm(1.0, 1.0, 1.0), JacobiTerm(0.5, -0.5, 0.25)),
         (Atom(0.0, 1.0), Atom(0.5, 2.0), Atom(1.0, 3.0)),
     )
-    assert total_mass(mu) == beta_kernel_integral(
-        mu, 0.0, 0.0, include_zero=True, include_one=True
-    )
+    assert total_mass(mu) == beta_kernel_integral(mu, 0.0, 0.0)
+    density = 1.0 / 6.0 + 0.5 * math.gamma(0.5) * math.gamma(1.25) / math.gamma(1.75)
+    assert total_mass(mu) == pytest.approx(density + 1.0 + 2.0 + 3.0, rel=1e-14)
+
+
+# ----------------------------------------------------------------- overflow
+
+
+@pytest.mark.parametrize(
+    "mu,a,b",
+    [
+        (Measure((JacobiTerm(1e308, 0.0, 0.0),), (Atom(0.5, 1e308),)), -0.5, -0.5),
+        # 5e-324**-1 = 2**1074 is finite in exact arithmetic but not in float64.
+        (Measure((), (Atom(5e-324, 1.0),)), -1.0, 0.0),
+    ],
+    ids=["huge-masses", "subnormal-atom"],
+)
+def test_overflowing_convergent_integral_is_an_error_not_divergence(mu, a, b):
+    with pytest.raises(ValueError, match="float64 range"):
+        beta_kernel_integral(mu, a, b)
+
+
+def test_divergence_is_still_inf_when_parts_would_overflow():
+    mu = Measure((JacobiTerm(1e308, 0.0, 0.0),), (Atom(0.5, 1e308), Atom(1.0, 1.0)))
+    assert beta_kernel_integral(mu, -0.5, -0.5) == math.inf
 
 
 @settings(max_examples=50, deadline=None)

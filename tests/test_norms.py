@@ -14,6 +14,7 @@ from genhilbert import (
     NormVerdict,
     SequenceVector,
     apply_truncated,
+    beta_kernel_integral,
     classical_constant,
     classify_boundedness,
     lp_norm,
@@ -22,6 +23,7 @@ from genhilbert import (
     verdict_to_dict,
     verdict_to_json,
 )
+from conftest import random_interior_measure
 
 P_GRID = (1.1, 1.5, 2.0, 3.0, 10.0)
 
@@ -198,6 +200,29 @@ def test_bounded_verdicts_dominate_truncated_applies():
             a = SequenceVector(rng.random(int(rng.integers(1, 40))), nonneg=True)
             image = apply_truncated(mu, a, 128)
             assert lp_norm(image.values, p) <= v.norm * lp_norm(a.values, p) + 1e-9
+
+
+def test_verdict_is_the_closed_interval_integral():
+    # Endpoint atoms included, the operator is bounded iff the sharp-norm
+    # integral over [0,1] is finite, and that integral is the norm.
+    rng = np.random.default_rng(6)
+    endpoint_sets = ((0.0,), (1.0,), (0.0, 1.0))
+    formulas = set()
+    for _ in range(200):
+        base = random_interior_measure(rng)
+        ends = endpoint_sets[int(rng.integers(len(endpoint_sets)))]
+        mu = Measure(
+            base.jacobi_terms,
+            base.atoms + tuple(Atom(t, float(rng.uniform(0.1, 2.0))) for t in ends),
+        )
+        for p in (1.0, 1.5, 2.0, 3.0, math.inf, float(rng.uniform(1.0, 8.0))):
+            v = classify_boundedness(mu, p)
+            value = beta_kernel_integral(mu, -1.0 / p, 1.0 / p - 1.0)
+            assert v.is_bounded == math.isfinite(value)
+            if v.is_bounded:
+                assert v.norm == value
+                formulas.add(v.formula_used)
+    assert formulas == {"P1_WithAtomAtOne", "PInf_WithAtomAtZero"}
 
 
 # -------------------------------------------------------------- NormVerdict
