@@ -20,7 +20,7 @@ from .errors import ConvergenceError
 from .kernel import DEFAULT_SECTION_CAP, finite_section
 from .measure import Measure
 from .norms import NormVerdict, classify_boundedness, validate_p, verdict_to_dict
-from .operator import SequenceVector, apply_truncated, hankel_fast_apply, lp_norm, uniform_coeff
+from .operator import ROUTE_RTOL, SequenceVector, apply_fft, apply_truncated, lp_norm
 
 __all__ = [
     "ExtremalParams",
@@ -110,19 +110,26 @@ def lower_bound_ratio(mu: Measure, params: ExtremalParams, n_rows: int) -> float
     most the true image norm: the ratio is a certified lower bound for the
     operator norm.  Overflow of the numerator is reported as math.inf (an
     unboundedness witness, e.g. for measures with an atom at 0).
+
+    A measure without interior atoms goes through the FFT apply when its
+    stated error bound on the image norm is at most ``ROUTE_RTOL`` times
+    that norm, which reaches sizes far beyond the dense cap; every other
+    case, and every measure with an interior atom, takes the dense
+    truncated route.
     """
     a = extremal_sequence(params)
-    coeff = uniform_coeff(mu)
-    if coeff is not None:
-        # The FFT path handles c * dt at sizes far beyond the dense cap.
-        image = hankel_fast_apply(a, n_rows)
-        numerator = coeff * lp_norm(image.values, params.p)
-    else:
-        image = apply_truncated(mu, a, n_rows)
-        numerator = lp_norm(image.values, params.p)
+    p = params.p
+    numerator = None
+    if not mu.interior_atoms:
+        image, bound = apply_fft(mu, a, n_rows, p)
+        numerator = lp_norm(image.values, p)
+        if not bound <= ROUTE_RTOL * numerator:
+            numerator = None
+    if numerator is None:
+        numerator = lp_norm(apply_truncated(mu, a, n_rows).values, p)
     if math.isinf(numerator):
         return math.inf
-    return numerator / lp_norm(a.values, params.p)
+    return numerator / lp_norm(a.values, p)
 
 
 def p2_section_norm(

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import gammaln, poch
 
 from .errors import ResourceLimitError
-from .measure import Measure
+from .measure import JacobiTerm, Measure
 
 __all__ = [
     "DEFAULT_SECTION_CAP",
@@ -31,6 +31,7 @@ __all__ = [
     "entry",
     "entry_block",
     "finite_section",
+    "jacobi_factors",
     "section_to_csv",
     "section_from_csv",
     "section_to_json",
@@ -61,13 +62,33 @@ def _indices(x) -> np.ndarray:
     return idx
 
 
+def jacobi_factors(term: JacobiTerm, n, k, d) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row, column and diagonal factors of one density term.
+
+    The term's entry at ``(n, k)`` is ``row[n] * hankel[n+k] * col[k]``:
+    ``row = coeff * (n+1)_beta``, ``col = (k+1)_alpha`` and ``hankel =
+    1/(d+1)_(alpha+beta+1)`` over the diagonal indices ``d``, whose last
+    element is the largest.  Raises ``ValueError`` when a factor leaves the
+    float64 range.
+    """
+    row = term.coeff * poch(n + 1.0, term.beta)
+    col = poch(k + 1.0, term.alpha)
+    hankel = 1.0 / poch(d + 1.0, term.alpha + term.beta + 1.0)
+    if not (np.isfinite(row).all() and np.isfinite(col).all() and hankel.min() >= _TINY):
+        raise ValueError(
+            f"{term} leaves the float64 range of the factored kernel at n+k <= {int(d[-1])}"
+        )
+    return row, col, hankel
+
+
 def entry_block(mu: Measure, n, k) -> np.ndarray:
     """Matrix entries for broadcastable nonnegative integer index arrays ``n``, ``k``.
 
     This is the single code path behind :func:`entry`, :func:`finite_section`
-    and the blocked matvec in :mod:`genhilbert.operator`.  Every component's
-    contribution is nonnegative, so the plain running sum over components
-    is accurate to (m-1) ulps.  A density term whose factors leave the
+    and the blocked matvec in :mod:`genhilbert.operator`; density terms take
+    their factors from :func:`jacobi_factors`, as the FFT apply does.  Every
+    component's contribution is nonnegative, so the plain running sum over
+    components is accurate to (m-1) ulps.  A density term whose factors leave the
     float64 range, which takes (alpha+beta+1) * ln(n+k+1) above ~708,
     raises ``ValueError``.
     """
@@ -88,18 +109,12 @@ def entry_block(mu: Measure, n, k) -> np.ndarray:
         diag = diag.reshape(out.shape)
     buf = np.empty(out.shape)
     for term in mu.jacobi_terms:
-        row = term.coeff * poch(n + 1.0, term.beta)
-        col = poch(k + 1.0, term.alpha)
-        hankel = 1.0 / poch(d + 1.0, term.alpha + term.beta + 1.0)
-        if not (np.isfinite(row).all() and np.isfinite(col).all() and hankel.min() >= _TINY):
-            raise ValueError(
-                f"{term} leaves the float64 range of the factored kernel at n+k <= {int(d[-1])}"
-            )
+        row, col, hankel = jacobi_factors(term, n, k, d)
         np.take(hankel, diag, out=buf, mode="clip")
         buf *= row
         buf *= col
         out += buf
-    if any(0.0 < atom.location < 1.0 for atom in mu.atoms):
+    if mu.interior_atoms:
         log_diag = gammaln(d + 1.0)
         log_row = gammaln(n + 1.0)
         log_col = gammaln(k + 1.0)

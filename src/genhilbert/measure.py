@@ -89,6 +89,11 @@ class Measure:
         if len(set(locations)) != len(locations):
             raise ValueError(f"atom locations must be pairwise distinct, got {locations}")
 
+    @property
+    def interior_atoms(self) -> tuple[Atom, ...]:
+        """Atoms strictly inside (0,1); the endpoint ones are rank one."""
+        return tuple(a for a in self.atoms if 0.0 < a.location < 1.0)
+
     def atom_at(self, location: float) -> float:
         """Mass at an exact location (0.0 when absent)."""
         for a in self.atoms:
@@ -107,7 +112,19 @@ def log_beta(x: float, y: float) -> float:
 
 
 def beta(x: float, y: float) -> float:
-    """B(x,y) = Gamma(x)Gamma(y)/Gamma(x+y), computed in log space."""
+    """B(x,y) = Gamma(x)Gamma(y)/Gamma(x+y).
+
+    Evaluated directly while the three Gamma values and the quotient are
+    finite (x + y below ~171), which keeps the error near 3 ulps; in log
+    space beyond, where the exponential amplifies the rounding of the
+    log-gamma sum.
+    """
+    try:
+        value = math.gamma(x) * math.gamma(y) / math.gamma(x + y)
+    except OverflowError:  # a Gamma value beyond the float range, e.g. x = 5e-324
+        value = math.inf
+    if math.isfinite(value):
+        return value
     return math.exp(log_beta(x, y))
 
 

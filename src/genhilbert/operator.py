@@ -2,8 +2,9 @@
 
 Two deliberately redundant routes: an entrywise truncated matvec (the
 workhorse) and quadrature of the row generating series against the measure
-(the reference).  The classical Hilbert matrix additionally gets an
-FFT-based fast apply exploiting its Hankel structure.
+(the reference).  Measures without interior atoms additionally get an
+FFT apply: each density term is a Hankel matrix scaled by diagonal factors
+on both sides, so its image is one convolution.
 """
 
 from __future__ import annotations
@@ -16,25 +17,34 @@ from scipy.fft import irfft, next_fast_len, rfft
 from scipy.special import gammaln, roots_jacobi
 
 from .errors import ConvergenceError, ResourceLimitError
-from .kernel import DEFAULT_SECTION_CAP, entry_block
+from .kernel import DEFAULT_SECTION_CAP, entry_block, jacobi_factors
 from .measure import Measure
 
 __all__ = [
     "SequenceVector",
     "EnEvalConfig",
     "HANKEL_CAP",
+    "ROUTE_RTOL",
     "lp_norm",
     "row_series_value",
     "apply_truncated",
     "apply_via_quadrature",
+    "apply_fft",
     "hankel_fast_apply",
     "uniform_coeff",
     "sequence_to_csv",
     "sequence_from_csv",
 ]
 
-#: Size cap for the FFT fast path (n_rows and input length).
+#: Size cap for the FFT routes (n_rows and input length).
 HANKEL_CAP = 1 << 22
+
+#: Relative error allowed to a route that is not exact: the quadrature
+#: route's refinement tolerance, and the error bound the FFT route must meet
+#: before certification uses it.
+ROUTE_RTOL = 1e-9
+
+_UNIT_ROUNDOFF = 2.0**-53
 
 # Target elements per block in the truncated matvec (memory bound).
 _APPLY_BLOCK_ELEMENTS = 4_000_000
@@ -220,9 +230,9 @@ def apply_via_quadrature(
     term's own endpoint weight.  The row series is a polynomial of degree
     stored-length-1 + n, so a rule with enough nodes is exact; when the
     required rule would be too large, two refinements are compared at
-    relative tolerance 1e-9 instead.  Atoms contribute point evaluations:
-    interior ones directly, the endpoint ones through the t=0 / t=1 row
-    series conventions.
+    relative tolerance ``ROUTE_RTOL`` instead.  Atoms contribute point
+    evaluations: interior ones directly, the endpoint ones through the
+    t=0 / t=1 row series conventions.
     """
     if n_rows < 1:
         raise ValueError(f"n_rows must be >= 1, got {n_rows}")
@@ -245,14 +255,14 @@ def apply_via_quadrature(
             fine = _gauss_jacobi_integrals(term, rows, values, cfg, 2 * _GAUSS_EXACT_MAX)
             scale = np.maximum(np.abs(fine), np.abs(coarse))
             err = float(np.max(np.abs(fine - coarse) / np.where(scale > 0, scale, 1.0)))
-            if err > 1e-9:
+            if err > ROUTE_RTOL:
                 raise ConvergenceError(
                     f"quadrature not converged for density term {term}: "
                     f"relative change {err:.3e} between refinements",
                     estimate=err,
                 )
             out += fine
-    interior = [atom for atom in mu.atoms if 0.0 < atom.location < 1.0]
+    interior = mu.interior_atoms
     if interior:
         t_atoms = np.array([atom.location for atom in interior])
         masses = np.array([atom.mass for atom in interior])
@@ -273,26 +283,118 @@ def uniform_coeff(mu: Measure) -> float | None:
     return terms[0].coeff
 
 
+def _check_fft_sizes(n_rows: int, K: int, cap: int):
+    if n_rows < 1:
+        raise ValueError(f"n_rows must be >= 1, got {n_rows}")
+    if n_rows > cap or K > cap:
+        raise ResourceLimitError(f"size {max(n_rows, K)} exceeds cap {cap}")
+
+
+def _hankel_conv(h: np.ndarray, b: np.ndarray, n_rows: int) -> np.ndarray:
+    """``c[n] = sum_k h[n+k] b[k]`` for ``n < n_rows``, given ``h[:n_rows+K-1]``.
+
+    These are entries K-1 ... K-2+n_rows of the linear convolution of ``h``
+    with reversed ``b``.  A circular convolution of length
+    ``m >= n_rows+K-1`` wraps only entries at or beyond ``m`` onto indices
+    below ``K-1``, so the rows kept are exact; ``m < 2 (n_rows+K-1)``.
+    """
+    K = len(b)
+    m = next_fast_len(n_rows + K - 1, real=True)
+    return irfft(rfft(h, m) * rfft(b[::-1], m), m)[K - 1 : K - 1 + n_rows]
+
+
+def apply_fft(
+    mu: Measure, a: SequenceVector, n_rows: int, p: float
+) -> tuple[SequenceVector, float]:
+    """First ``n_rows`` outputs in O(M log M), with an a-priori bound on their ell-p error.
+
+    For measures of density terms and endpoint atoms only; interior atoms
+    raise ``ValueError``.  A density term's entries are ``D[n] H[n+k] E[k]``
+    (:func:`genhilbert.kernel.jacobi_factors`, which also rejects factors
+    outside the float64 range), so its image is ``D * c`` with
+    ``c[n] = sum_k H[n+k] b[k]`` and ``b = E * a``: one convolution.  An atom
+    at 0 adds ``c0 * a[0]`` to every row, an atom at 1 adds ``c1 * sum(a)``
+    to row 0.
+
+    The bound majorizes ``||y_fft - y||_p``, where ``y`` is the exact
+    product of the entries :func:`~genhilbert.kernel.entry_block` returns
+    with ``a`` (the dense route without its summation rounding).  With unit
+    roundoff u, N = n_rows, K = len(a), T components (density terms plus
+    endpoint atoms), ``lam = log2(2(N+K-1))`` (more than log2 of the
+    transform length m, and at least 1) and ``s = max(0, 1/p - 1/2)`` (so
+    that ``||x||_p <= N^s ||x||_2``), it is, to first order in u::
+
+        16 u (lam + T + 1) N^s sum_terms ||D||_inf (||h||_2 ||b||_1 + ||h||_1 ||b||_2)
+        + (2T + K + 3) u (c0 |a[0]| N^(1/p) + c1 ||a||_1)
+
+    with ``h = H[:N+K-1]``.  Derivation (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., section 24.1): a computed length-m
+    transform has ``||fl(Fx) - Fx||_2 <= phi ||Fx||_2``,
+    ``phi = log2(m) (u + gamma_4 (sqrt(2) + u)) < 7 u lam`` (Theorem 24.2,
+    proved for radix 2 and taken here for scipy's mixed-radix real
+    transforms of 5-smooth length).  The convolution is ``F^-1(Fh . Fb)``
+    with ``||Fx||_2 = sqrt(m) ||x||_2`` and ``||Fx||_inf <= ||x||_1``.  The
+    error of ``Fh`` meets ``Fb`` and costs ``phi ||h||_2 ||b||_1``; the
+    error of ``Fb`` meets ``Fh`` and costs ``phi ||h||_1 ||b||_2``; the
+    complex products (``sqrt(2) gamma_2``), the inverse transform (``phi``)
+    and its 1/m scaling (``u``) cost at most ``phi + 4u`` times
+    ``||h * b||_2 <= ||h||_2 ||b||_1`` (Young's inequality).  The rest are
+    relative roundings per row of the majorant ``D (h * |b|)``: forming
+    ``b`` and scaling by ``D`` (u each), adding the T components (T u), and
+    the entries' own rounding in ``entry_block`` ((T + 1) u).  Per term this
+    is ``(14 lam + 2T + 7) u ||h||_2 ||b||_1 + 7 lam u ||h||_1 ||b||_2`` in
+    ell-2, times ``||D||_inf N^s`` in ell-p.  The atoms share those
+    ``(2T + 3) u`` per row, and ``sum(a)`` adds at most ``K u``.
+    """
+    if mu.interior_atoms:
+        raise ValueError("the FFT apply takes density terms and endpoint atoms only")
+    values = a.values
+    K = len(values)
+    _check_fft_sizes(n_rows, K, HANKEL_CAP)
+    out = np.zeros(n_rows)
+    if K == 0:
+        return SequenceVector(out, nonneg=True), 0.0
+    n, k = np.arange(n_rows), np.arange(K)
+    d = np.arange(n_rows + K - 1, dtype=np.float64)
+    weight = 0.0
+    for term in mu.jacobi_terms:
+        row, col, hankel = jacobi_factors(term, n, k, d)
+        b = col * values
+        out += row * _hankel_conv(hankel, b, n_rows)
+        b_1, b_2 = np.abs(b).sum(), np.linalg.norm(b)
+        weight += row.max() * (np.linalg.norm(hankel) * b_1 + hankel.sum() * b_2)
+    c0, c1 = mu.atom_at(0.0), mu.atom_at(1.0)
+    if c0 > 0:
+        out += c0 * values[0]
+    if c1 > 0:
+        out[0] += c1 * values.sum()
+    if a.nonneg:
+        # The exact image is nonnegative; rows whose value lies below the
+        # transforms' absolute error can come out negative, and clipping
+        # them moves every row toward its exact value.
+        np.maximum(out, 0.0, out=out)
+    components = len(mu.jacobi_terms) + (c0 > 0) + (c1 > 0)
+    lam = math.log2(2.0 * (n_rows + K - 1))
+    bound = _UNIT_ROUNDOFF * (
+        16.0 * (lam + components + 1) * n_rows ** max(0.0, 1.0 / p - 0.5) * weight
+        + (2 * components + K + 3)
+        * (c0 * abs(values[0]) * n_rows ** (1.0 / p) + c1 * np.abs(values).sum())
+    )
+    return SequenceVector(out, nonneg=a.nonneg or None), float(bound)
+
+
 def hankel_fast_apply(a: SequenceVector, n_rows: int, cap: int = HANKEL_CAP) -> SequenceVector:
     """Classical Hilbert matrix apply, d_n = sum_k a_k / (n+k+1), in O(M log M).
 
-    The matrix is Hankel (entries depend on n+k only), so the apply embeds
-    into one FFT convolution of the kernel 1/(s+1) with the reversed input.
+    The matrix is Hankel (entries depend on n+k only), so the apply is one
+    convolution of the kernel 1/(s+1) with the input, as in :func:`apply_fft`.
     """
-    if n_rows < 1:
-        raise ValueError(f"n_rows must be >= 1, got {n_rows}")
     K = len(a)
-    if n_rows > cap or K > cap:
-        raise ResourceLimitError(f"size {max(n_rows, K)} exceeds cap {cap}")
-    values = a.values
+    _check_fft_sizes(n_rows, K, cap)
     if K == 0:
         return SequenceVector(np.zeros(n_rows), nonneg=True)
-    diag_len = n_rows + K - 1
-    h = 1.0 / np.arange(1.0, diag_len + 1.0)
-    m = next_fast_len(diag_len + K - 1)
-    conv = irfft(rfft(h, m) * rfft(values[::-1], m), m)
-    out = conv[K - 1 : K - 1 + n_rows].copy()
-    return SequenceVector(out, nonneg=a.nonneg or None)
+    h = 1.0 / np.arange(1.0, n_rows + K)
+    return SequenceVector(_hankel_conv(h, a.values, n_rows).copy(), nonneg=a.nonneg or None)
 
 
 def sequence_to_csv(seq: SequenceVector, p: float | None = None) -> str:

@@ -23,6 +23,10 @@ from genhilbert import (
     report_to_csv,
     report_to_json,
 )
+from genhilbert import certify as certify_module
+from genhilbert import kernel, operator
+from genhilbert.certify import SOUNDNESS_SLACK
+from genhilbert.operator import SequenceVector, apply_fft, apply_truncated, lp_norm
 
 
 # ------------------------------------------------------------ ExtremalParams
@@ -110,6 +114,101 @@ def test_fast_path_matches_dense_route(lebesgue):
     a = mk(params)
     dense = lp_norm(apply_truncated(lebesgue, a, 256).values, 2.0) / lp_norm(a.values, 2.0)
     assert fast == pytest.approx(dense, rel=1e-12)
+
+
+def _extended_precision_image(mu, values, n_rows):
+    """The dense route's entries times ``values``, summed in long double."""
+    out = np.empty(n_rows, dtype=np.longdouble)
+    k = np.arange(len(values))[None, :]
+    wide = values.astype(np.longdouble)
+    for start in range(0, n_rows, 512):
+        n = np.arange(start, min(start + 512, n_rows))[:, None]
+        out[start : start + n.shape[0]] = kernel.entry_block(mu, n, k).astype(np.longdouble) @ wide
+    return out
+
+
+def test_fft_route_error_within_its_stated_bound_and_ratio_sound():
+    rng = np.random.default_rng(241)
+    for case in range(16):
+        terms = tuple(
+            JacobiTerm(float(rng.uniform(0.1, 3.0)), *map(float, rng.uniform(-0.9, 3.0, size=2)))
+            for _ in range(int(rng.integers(1, 3)))
+        )
+        atoms = tuple(
+            Atom(t, float(rng.uniform(0.1, 3.0))) for t in (0.0, 1.0) if rng.random() < 0.3
+        )
+        mu = Measure(terms, atoms)
+        sizes = np.exp(rng.uniform(0.0, math.log(4096), size=2)).astype(int)
+        n_rows, K = (4096, 4096) if case == 0 else map(int, sizes)
+        p = float(rng.choice([1.0, 1.5, 2.0, 3.0]))
+        values = rng.uniform(-1.0, 1.0, K) if case % 2 else np.arange(1.0, K + 1.0) ** -0.6
+        got, bound = apply_fft(mu, SequenceVector(values), n_rows, p)
+        ref = _extended_precision_image(mu, values, n_rows)
+        err = lp_norm((got.values - ref).astype(np.float64), p)
+        assert err <= bound, (mu, n_rows, K, p, err, bound)
+        verdict = classify_boundedness(mu, p)
+        if verdict.is_bounded:
+            ratio = lower_bound_ratio(mu, ExtremalParams(p, 0.5 / p, K), n_rows)
+            assert ratio <= verdict.norm + SOUNDNESS_SLACK, (mu, n_rows, K, p)
+
+
+def _record_calls(monkeypatch, calls, module, name):
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_ratio_without_interior_atoms_builds_no_entries(monkeypatch):
+    mix2 = Measure((JacobiTerm(1.0, -0.5, 0.25), JacobiTerm(0.5, 0.5, -0.25)), ())
+    with_endpoints = Measure(mix2.jacobi_terms, (Atom(0.0, 0.5), Atom(1.0, 2.0)))
+    calls = []
+    _record_calls(monkeypatch, calls, kernel, "entry_block")
+    _record_calls(monkeypatch, calls, operator, "entry_block")
+    for mu in (mix2, with_endpoints):
+        for p in (1.0, 1.5, 3.0):
+            lower_bound_ratio(mu, ExtremalParams(p, 0.1, 2048), 2048)
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "mu,size",
+    [
+        (Measure((JacobiTerm(1.0, 1.0, 1.0),), ()), 2048),
+        # rows beyond ~1000 fall below the transforms' absolute error
+        (Measure((JacobiTerm(1.0, 3.0, 3.0),), ()), 1024),
+        (Measure((JacobiTerm(1.0, 0.0, 0.0),), (Atom(0.3, 0.4),)), 256),
+    ],
+    ids=["t(1-t)dt", "t^3(1-t)^3", "interior-atom"],
+)
+def test_ratio_takes_the_dense_route_when_the_fft_cannot_serve(mu, size, monkeypatch):
+    params = ExtremalParams(2.0, 0.1, size)
+    a = extremal_sequence(params)
+    dense = lp_norm(apply_truncated(mu, a, size).values, 2.0) / lp_norm(a.values, 2.0)
+    calls = []
+    _record_calls(monkeypatch, calls, certify_module, "apply_truncated")
+    assert lower_bound_ratio(mu, params, size) == dense
+    assert len(calls) == 1
+
+
+def test_factor_range_error_is_the_same_on_both_routes():
+    # (alpha+beta+1)! already overflows, so 1/(d+1)_(alpha+beta+1) is 0 at d = 0
+    mu = Measure((JacobiTerm(1.0, 100.0, 80.0),), (Atom(1.0, 1.0),))
+    params = ExtremalParams(2.0, 0.1, 30)
+    a = extremal_sequence(params)
+    messages = []
+    for route in (
+        lambda: apply_truncated(mu, a, 20),
+        lambda: apply_fft(mu, a, 20, 2.0),
+        lambda: lower_bound_ratio(mu, params, 20),
+    ):
+        with pytest.raises(ValueError, match="float64 range") as error:
+            route()
+        messages.append(str(error.value))
+    assert messages[0] == messages[1] == messages[2]
 
 
 def test_dual_exponents_approach_the_same_constant(lebesgue):

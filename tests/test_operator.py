@@ -23,6 +23,7 @@ from genhilbert import (
     sequence_from_csv,
     sequence_to_csv,
 )
+from genhilbert.operator import apply_fft
 from conftest import random_interior_measure
 
 
@@ -242,7 +243,12 @@ def test_fast_apply_zero_input():
     np.testing.assert_array_equal(out.values, 0.0)
 
 
-@pytest.mark.parametrize("K,n_rows", [(1, 7), (13, 5), (1024, 1024), (777, 2000)])
+# (1, 1) and (1024, 1025) transform at exactly n_rows + K - 1, the shortest
+# length whose wrap-around misses the rows kept
+@pytest.mark.parametrize(
+    "K,n_rows",
+    [(1, 7), (13, 5), (1024, 1024), (777, 2000), (1, 1), (5000, 3), (3, 5000), (1024, 1025)],
+)
 def test_fast_apply_matches_naive(K, n_rows):
     rng = np.random.default_rng(K)
     values = rng.random(K)
@@ -254,6 +260,13 @@ def test_fast_apply_matches_naive(K, n_rows):
 def test_fast_apply_size_cap():
     with pytest.raises(ResourceLimitError):
         hankel_fast_apply(SequenceVector(np.ones(4)), 2**23)
+    with pytest.raises(ResourceLimitError):
+        apply_fft(LEBESGUE, SequenceVector(np.ones(2**23)), 4, 2.0)
+
+
+def test_fft_apply_rejects_interior_atoms(delta_half):
+    with pytest.raises(ValueError, match="endpoint atoms"):
+        apply_fft(delta_half, SequenceVector(np.ones(4)), 4, 2.0)
 
 
 # ------------------------------------------------------------- propagation
