@@ -20,7 +20,7 @@ from .errors import ConvergenceError
 from .kernel import DEFAULT_SECTION_CAP, finite_section
 from .measure import Measure
 from .norms import NormVerdict, classify_boundedness, validate_p, verdict_to_dict
-from .operator import ROUTE_RTOL, SequenceVector, apply_fft, apply_truncated, lp_norm
+from .operator import SequenceVector, apply_fft, apply_truncated, lp_norm
 
 __all__ = [
     "ExtremalParams",
@@ -36,6 +36,10 @@ __all__ = [
 # Slack allowed between an empirical lower bound and the analytic norm it
 # must stay below (floating-point headroom only).
 SOUNDNESS_SLACK = 1e-6
+
+# Largest stated error bound of the FFT apply, relative to the image norm,
+# at which lower_bound_ratio prefers it to the dense route.
+FFT_ROUTE_RTOL = 1e-9
 
 _POWER_ITERATION_CAP = 20_000
 
@@ -107,26 +111,26 @@ def lower_bound_ratio(mu: Measure, params: ExtremalParams, n_rows: int) -> float
     """||C applied to the test sequence||_p / ||test sequence||_p.
 
     Entries are nonnegative, so any truncation of the image has norm at
-    most the true image norm: the ratio is a certified lower bound for the
-    operator norm.  Overflow of the numerator is reported as math.inf (an
-    unboundedness witness, e.g. for measures with an atom at 0).
-
-    A measure without interior atoms goes through the FFT apply when its
-    stated error bound on the image norm is at most ``ROUTE_RTOL`` times
-    that norm, which reaches sizes far beyond the dense cap; every other
-    case, and every measure with an interior atom, takes the dense
-    truncated route.
+    most the true image norm: on the dense truncated route the ratio is a
+    certified lower bound for the operator norm.  A measure without
+    interior atoms goes through the FFT apply instead when its stated error
+    bound on the image norm is at most ``FFT_ROUTE_RTOL`` times that norm,
+    or when ``n_rows`` is beyond the dense cap; the numerator is then the
+    computed norm less that bound, so the ratio stays a lower bound.  Every
+    other case takes the dense route.  Overflow of the numerator is
+    reported as math.inf (an unboundedness witness, e.g. for measures with
+    an atom at 0).
     """
     a = extremal_sequence(params)
     p = params.p
-    numerator = None
     if not mu.interior_atoms:
         image, bound = apply_fft(mu, a, n_rows, p)
         numerator = lp_norm(image.values, p)
-        if not bound <= ROUTE_RTOL * numerator:
-            numerator = None
-    if numerator is None:
-        numerator = lp_norm(apply_truncated(mu, a, n_rows).values, p)
+        if math.isinf(numerator):
+            return math.inf
+        if bound <= FFT_ROUTE_RTOL * numerator or n_rows > DEFAULT_SECTION_CAP:
+            return max(0.0, numerator - bound) / lp_norm(a.values, p)
+    numerator = lp_norm(apply_truncated(mu, a, n_rows).values, p)
     if math.isinf(numerator):
         return math.inf
     return numerator / lp_norm(a.values, p)

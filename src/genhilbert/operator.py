@@ -13,18 +13,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
+from scipy.fft import irfft, rfft
 from scipy.special import gammaln, roots_jacobi
 
 from .errors import ConvergenceError, ResourceLimitError
 from .kernel import DEFAULT_SECTION_CAP, entry_block, jacobi_factors
-from .measure import Measure
+from .measure import LEBESGUE, Measure
 
 __all__ = [
     "SequenceVector",
     "EnEvalConfig",
     "HANKEL_CAP",
-    "ROUTE_RTOL",
     "lp_norm",
     "row_series_value",
     "apply_truncated",
@@ -38,11 +37,6 @@ __all__ = [
 
 #: Size cap for the FFT routes (n_rows and input length).
 HANKEL_CAP = 1 << 22
-
-#: Relative error allowed to a route that is not exact: the quadrature
-#: route's refinement tolerance, and the error bound the FFT route must meet
-#: before certification uses it.
-ROUTE_RTOL = 1e-9
 
 _UNIT_ROUNDOFF = 2.0**-53
 
@@ -230,7 +224,7 @@ def apply_via_quadrature(
     term's own endpoint weight.  The row series is a polynomial of degree
     stored-length-1 + n, so a rule with enough nodes is exact; when the
     required rule would be too large, two refinements are compared at
-    relative tolerance ``ROUTE_RTOL`` instead.  Atoms contribute point
+    relative tolerance 1e-9 instead.  Atoms contribute point
     evaluations: interior ones directly, the endpoint ones through the
     t=0 / t=1 row series conventions.
     """
@@ -255,7 +249,7 @@ def apply_via_quadrature(
             fine = _gauss_jacobi_integrals(term, rows, values, cfg, 2 * _GAUSS_EXACT_MAX)
             scale = np.maximum(np.abs(fine), np.abs(coarse))
             err = float(np.max(np.abs(fine - coarse) / np.where(scale > 0, scale, 1.0)))
-            if err > ROUTE_RTOL:
+            if err > 1e-9:
                 raise ConvergenceError(
                     f"quadrature not converged for density term {term}: "
                     f"relative change {err:.3e} between refinements",
@@ -283,26 +277,6 @@ def uniform_coeff(mu: Measure) -> float | None:
     return terms[0].coeff
 
 
-def _check_fft_sizes(n_rows: int, K: int, cap: int):
-    if n_rows < 1:
-        raise ValueError(f"n_rows must be >= 1, got {n_rows}")
-    if n_rows > cap or K > cap:
-        raise ResourceLimitError(f"size {max(n_rows, K)} exceeds cap {cap}")
-
-
-def _hankel_conv(h: np.ndarray, b: np.ndarray, n_rows: int) -> np.ndarray:
-    """``c[n] = sum_k h[n+k] b[k]`` for ``n < n_rows``, given ``h[:n_rows+K-1]``.
-
-    These are entries K-1 ... K-2+n_rows of the linear convolution of ``h``
-    with reversed ``b``.  A circular convolution of length
-    ``m >= n_rows+K-1`` wraps only entries at or beyond ``m`` onto indices
-    below ``K-1``, so the rows kept are exact; ``m < 2 (n_rows+K-1)``.
-    """
-    K = len(b)
-    m = next_fast_len(n_rows + K - 1, real=True)
-    return irfft(rfft(h, m) * rfft(b[::-1], m), m)[K - 1 : K - 1 + n_rows]
-
-
 def apply_fft(
     mu: Measure, a: SequenceVector, n_rows: int, p: float
 ) -> tuple[SequenceVector, float]:
@@ -312,37 +286,43 @@ def apply_fft(
     raise ``ValueError``.  A density term's entries are ``D[n] H[n+k] E[k]``
     (:func:`genhilbert.kernel.jacobi_factors`, which also rejects factors
     outside the float64 range), so its image is ``D * c`` with
-    ``c[n] = sum_k H[n+k] b[k]`` and ``b = E * a``: one convolution.  An atom
-    at 0 adds ``c0 * a[0]`` to every row, an atom at 1 adds ``c1 * sum(a)``
-    to row 0.
+    ``c[n] = sum_k H[n+k] b[k]`` and ``b = E * a``.  These are entries
+    K-1 ... K-2+N of the linear convolution of ``h = H[:N+K-1]`` with
+    reversed ``b``.  A circular convolution of length ``m >= N+K-1`` wraps
+    only entries at or beyond ``m`` onto indices below K-1, so the rows kept
+    are exact; ``m`` is the least power of two that long.  An atom at 0
+    adds ``c0 * a[0]`` to every row, an atom at 1 adds ``c1 * sum(a)`` to
+    row 0.
 
     The bound majorizes ``||y_fft - y||_p``, where ``y`` is the exact
     product of the entries :func:`~genhilbert.kernel.entry_block` returns
     with ``a`` (the dense route without its summation rounding).  With unit
     roundoff u, N = n_rows, K = len(a), T components (density terms plus
-    endpoint atoms), ``lam = log2(2(N+K-1))`` (more than log2 of the
-    transform length m, and at least 1) and ``s = max(0, 1/p - 1/2)`` (so
-    that ``||x||_p <= N^s ||x||_2``), it is, to first order in u::
+    endpoint atoms), ``lam = max(1, log2 m)`` and ``s = max(0, 1/p - 1/2)``
+    (so that ``||x||_p <= N^s ||x||_2``), it is, to first order in u::
 
         16 u (lam + T + 1) N^s sum_terms ||D||_inf (||h||_2 ||b||_1 + ||h||_1 ||b||_2)
         + (2T + K + 3) u (c0 |a[0]| N^(1/p) + c1 ||a||_1)
 
-    with ``h = H[:N+K-1]``.  Derivation (Higham, *Accuracy and Stability of
-    Numerical Algorithms*, 2nd ed., section 24.1): a computed length-m
-    transform has ``||fl(Fx) - Fx||_2 <= phi ||Fx||_2``,
-    ``phi = log2(m) (u + gamma_4 (sqrt(2) + u)) < 7 u lam`` (Theorem 24.2,
-    proved for radix 2 and taken here for scipy's mixed-radix real
-    transforms of 5-smooth length).  The convolution is ``F^-1(Fh . Fb)``
-    with ``||Fx||_2 = sqrt(m) ||x||_2`` and ``||Fx||_inf <= ||x||_1``.  The
-    error of ``Fh`` meets ``Fb`` and costs ``phi ||h||_2 ||b||_1``; the
-    error of ``Fb`` meets ``Fh`` and costs ``phi ||h||_1 ||b||_2``; the
-    complex products (``sqrt(2) gamma_2``), the inverse transform (``phi``)
-    and its 1/m scaling (``u``) cost at most ``phi + 4u`` times
-    ``||h * b||_2 <= ||h||_2 ||b||_1`` (Young's inequality).  The rest are
-    relative roundings per row of the majorant ``D (h * |b|)``: forming
-    ``b`` and scaling by ``D`` (u each), adding the T components (T u), and
-    the entries' own rounding in ``entry_block`` ((T + 1) u).  Per term this
-    is ``(14 lam + 2T + 7) u ||h||_2 ||b||_1 + 7 lam u ||h||_1 ||b||_2`` in
+    Derivation (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    2nd ed., section 24.1): Theorem 24.2 bounds a computed radix-2
+    transform of length m by ``||fl(Fx) - Fx||_2 <= phi ||Fx||_2``,
+    ``phi = log2(m) (u + gamma_4 (sqrt(2) + u)) < 7 u lam``.  m is a power
+    of two, a length the theorem covers; scipy computes these real
+    transforms by radix-4 and radix-2 passes (a radix-4 butterfly is two
+    radix-2 levels in exact arithmetic), and the theorem is taken for them,
+    not proved.  The convolution is
+    ``F^-1(Fh . Fb)`` with ``||Fx||_2 = sqrt(m) ||x||_2`` and
+    ``||Fx||_inf <= ||x||_1``.  The error of ``Fh`` meets ``Fb`` and costs
+    ``phi ||h||_2 ||b||_1``; the error of ``Fb`` meets ``Fh`` and costs
+    ``phi ||h||_1 ||b||_2``; the complex products (``sqrt(2) gamma_2``), the
+    inverse transform (``phi``) and its 1/m scaling (``u``) cost at most
+    ``phi + 4u`` times ``||h * b||_2 <= ||h||_2 ||b||_1`` (Young's
+    inequality).  The rest are relative roundings per row of the majorant
+    ``D (h * |b|)``: forming ``b`` and scaling by ``D`` (u each), adding the
+    T components (T u), and the entries' own rounding in ``entry_block``
+    ((T + 1) u).  Per term this is
+    ``(14 lam + 2T + 7) u ||h||_2 ||b||_1 + 7 lam u ||h||_1 ||b||_2`` in
     ell-2, times ``||D||_inf N^s`` in ell-p.  The atoms share those
     ``(2T + 3) u`` per row, and ``sum(a)`` adds at most ``K u``.
     """
@@ -350,17 +330,22 @@ def apply_fft(
         raise ValueError("the FFT apply takes density terms and endpoint atoms only")
     values = a.values
     K = len(values)
-    _check_fft_sizes(n_rows, K, HANKEL_CAP)
+    if n_rows < 1:
+        raise ValueError(f"n_rows must be >= 1, got {n_rows}")
+    if n_rows > HANKEL_CAP or K > HANKEL_CAP:
+        raise ResourceLimitError(f"size {max(n_rows, K)} exceeds cap {HANKEL_CAP}")
     out = np.zeros(n_rows)
     if K == 0:
         return SequenceVector(out, nonneg=True), 0.0
     n, k = np.arange(n_rows), np.arange(K)
     d = np.arange(n_rows + K - 1, dtype=np.float64)
+    m = 1 << (n_rows + K - 2).bit_length()
     weight = 0.0
     for term in mu.jacobi_terms:
         row, col, hankel = jacobi_factors(term, n, k, d)
         b = col * values
-        out += row * _hankel_conv(hankel, b, n_rows)
+        conv = irfft(rfft(hankel, m) * rfft(b[::-1], m), m)
+        out += row * conv[K - 1 : K - 1 + n_rows]
         b_1, b_2 = np.abs(b).sum(), np.linalg.norm(b)
         weight += row.max() * (np.linalg.norm(hankel) * b_1 + hankel.sum() * b_2)
     c0, c1 = mu.atom_at(0.0), mu.atom_at(1.0)
@@ -374,7 +359,7 @@ def apply_fft(
         # them moves every row toward its exact value.
         np.maximum(out, 0.0, out=out)
     components = len(mu.jacobi_terms) + (c0 > 0) + (c1 > 0)
-    lam = math.log2(2.0 * (n_rows + K - 1))
+    lam = max(1, m.bit_length() - 1)
     bound = _UNIT_ROUNDOFF * (
         16.0 * (lam + components + 1) * n_rows ** max(0.0, 1.0 / p - 0.5) * weight
         + (2 * components + K + 3)
@@ -386,15 +371,12 @@ def apply_fft(
 def hankel_fast_apply(a: SequenceVector, n_rows: int, cap: int = HANKEL_CAP) -> SequenceVector:
     """Classical Hilbert matrix apply, d_n = sum_k a_k / (n+k+1), in O(M log M).
 
-    The matrix is Hankel (entries depend on n+k only), so the apply is one
-    convolution of the kernel 1/(s+1) with the input, as in :func:`apply_fft`.
+    This is :func:`apply_fft` for the Lebesgue measure, whose factors are
+    ``D = E = 1`` and ``H[s] = 1/(s+1)``.
     """
-    K = len(a)
-    _check_fft_sizes(n_rows, K, cap)
-    if K == 0:
-        return SequenceVector(np.zeros(n_rows), nonneg=True)
-    h = 1.0 / np.arange(1.0, n_rows + K)
-    return SequenceVector(_hankel_conv(h, a.values, n_rows).copy(), nonneg=a.nonneg or None)
+    if n_rows > cap or len(a) > cap:
+        raise ResourceLimitError(f"size {max(n_rows, len(a))} exceeds cap {cap}")
+    return apply_fft(LEBESGUE, a, n_rows, 2.0)[0]
 
 
 def sequence_to_csv(seq: SequenceVector, p: float | None = None) -> str:

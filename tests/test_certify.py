@@ -26,7 +26,14 @@ from genhilbert import (
 from genhilbert import certify as certify_module
 from genhilbert import kernel, operator
 from genhilbert.certify import SOUNDNESS_SLACK
-from genhilbert.operator import SequenceVector, apply_fft, apply_truncated, lp_norm
+from genhilbert.norms import classical_constant
+from genhilbert.operator import (
+    SequenceVector,
+    apply_fft,
+    apply_truncated,
+    hankel_fast_apply,
+    lp_norm,
+)
 
 
 # ------------------------------------------------------------ ExtremalParams
@@ -152,6 +159,19 @@ def test_fft_route_error_within_its_stated_bound_and_ratio_sound():
             assert ratio <= verdict.norm + SOUNDNESS_SLACK, (mu, n_rows, K, p)
 
 
+def test_fft_ratio_stays_below_the_exact_truncated_ratio():
+    # the FFT route subtracts its stated bound, so rounding cannot lift the
+    # ratio above the exact image norm of the dense route's entries
+    mix2 = Measure((JacobiTerm(1.0, -0.5, 0.25), JacobiTerm(0.5, 0.5, -0.25)), ())
+    for p in (1.0, 1.5, 3.0):
+        params = ExtremalParams(p, 0.1, 1024)
+        a = extremal_sequence(params)
+        exact = _extended_precision_image(mix2, a.values, 1024)
+        want = float(np.sum(exact**p) ** (1.0 / p)) / lp_norm(a.values, p)
+        ratio = lower_bound_ratio(mix2, params, 1024)
+        assert want * (1.0 - 1e-9) <= ratio <= want, (p, ratio, want)
+
+
 def _record_calls(monkeypatch, calls, module, name):
     original = getattr(module, name)
 
@@ -192,6 +212,22 @@ def test_ratio_takes_the_dense_route_when_the_fft_cannot_serve(mu, size, monkeyp
     _record_calls(monkeypatch, calls, certify_module, "apply_truncated")
     assert lower_bound_ratio(mu, params, size) == dense
     assert len(calls) == 1
+
+
+def test_c_dt_ratio_beyond_the_dense_cap_at_large_p(monkeypatch):
+    # At p=10 the FFT apply's stated bound exceeds the routing tolerance, and
+    # 2**20 rows are beyond the dense cap: the FFT image still answers.
+    size = 2**20
+    mu = Measure((JacobiTerm(3.0, 0.0, 0.0),), ())
+    params = ExtremalParams(10.0, 0.05, size)
+    calls = []
+    _record_calls(monkeypatch, calls, certify_module, "apply_truncated")
+    ratio = lower_bound_ratio(mu, params, size)
+    assert calls == []
+    a = extremal_sequence(params)
+    fft = 3.0 * lp_norm(hankel_fast_apply(a, size).values, 10.0) / lp_norm(a.values, 10.0)
+    assert abs(ratio - fft) <= 1e-8 * fft
+    assert ratio <= 3.0 * classical_constant(10.0) + SOUNDNESS_SLACK
 
 
 def test_factor_range_error_is_the_same_on_both_routes():
