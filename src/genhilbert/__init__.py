@@ -53,7 +53,6 @@ from .norms import (
 )
 from .operator import (
     HANKEL_CAP,
-    EnEvalConfig,
     SequenceVector,
     apply_truncated,
     apply_via_quadrature,
@@ -72,7 +71,6 @@ __all__ = [
     "CertificationReport",
     "ConvergenceError",
     "DEFAULT_SECTION_CAP",
-    "EnEvalConfig",
     "ExtremalParams",
     "FiniteSection",
     "HANKEL_CAP",

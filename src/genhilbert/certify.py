@@ -136,13 +136,7 @@ def lower_bound_ratio(mu: Measure, params: ExtremalParams, n_rows: int) -> float
     return numerator / lp_norm(a.values, p)
 
 
-def p2_section_norm(
-    mu: Measure,
-    size: int,
-    tol: float = 1e-10,
-    cap: int = DEFAULT_SECTION_CAP,
-    max_iterations: int = _POWER_ITERATION_CAP,
-) -> float:
+def p2_section_norm(mu: Measure, size: int, tol: float = 1e-10) -> float:
     """Largest singular value of the size-by-size section.
 
     Power iteration on the Gram operator S^T S from the normalized all-ones
@@ -151,11 +145,11 @@ def p2_section_norm(
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    section = finite_section(mu, size, cap=cap)
+    section = finite_section(mu, size)
     s = section.entries
     v = np.full(size, 1.0 / math.sqrt(size))
     sigma = 0.0
-    for _ in range(max_iterations):
+    for _ in range(_POWER_ITERATION_CAP):
         u = s @ v
         sigma_new = float(np.linalg.norm(u))
         if sigma_new == 0.0:
@@ -167,7 +161,7 @@ def p2_section_norm(
         sigma = sigma_new
     raise ConvergenceError(
         f"power iteration did not reach relative tol {tol} "
-        f"within {max_iterations} iterations (size {size})",
+        f"within {_POWER_ITERATION_CAP} iterations (size {size})",
         estimate=sigma,
     )
 

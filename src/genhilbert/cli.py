@@ -18,33 +18,22 @@ import numpy as np
 
 from . import certify, kernel, norms, operator
 from .errors import ConvergenceError, ResourceLimitError
-from .measure import MeasureFormatError, parse_measure
-from .operator import EnEvalConfig, SequenceVector
+from .measure import parse_measure
+from .operator import SequenceVector
 from .rng import SplitMix64
 
 _FLOAT_FMT = "%.17g"
 
 
-def _load_measure(path: str):
+def _load(path: str, what: str, parse):
+    """``parse`` of the file's text; an unreadable file or a rejected text is a usage error."""
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
-        raise _UsageError(f"cannot read measure file {path}: {exc}") from exc
+        raise _UsageError(f"cannot read {what} file {path}: {exc}") from exc
     try:
-        return parse_measure(text)
-    except MeasureFormatError as exc:
-        raise _UsageError(f"{path}: {exc}") from exc
-
-
-def _load_sequence(path: str):
-    try:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise _UsageError(f"cannot read sequence file {path}: {exc}") from exc
-    try:
-        return operator.sequence_from_csv(text)
+        return parse(text)
     except ValueError as exc:
         raise _UsageError(f"{path}: {exc}") from exc
 
@@ -63,29 +52,31 @@ def _parse_p(text: str) -> float:
     return p
 
 
-def _parse_float_list(text: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated reals, got {text!r}")
-
-
 def _positive(kind):
-    """argparse type: a ``kind`` value > 0; anything else is a usage error."""
+    """argparse type: a finite ``kind`` value > 0; anything else is a usage error."""
     def parse(text: str):
         try:
             value = kind(text)
         except ValueError:
             value = 0
-        if not value > 0:
+        if not 0 < value < math.inf:
             raise argparse.ArgumentTypeError(f"expected a positive {kind.__name__}, got {text!r}")
         return value
 
     return parse
 
 
-def _parse_size_list(text: str) -> list[int]:
-    return [_positive(int)(tok) for tok in text.split(",") if tok.strip()]
+def _positive_list(kind):
+    """argparse type: a nonempty comma-separated list of :func:`_positive` values."""
+    item = _positive(kind)
+
+    def parse(text: str):
+        values = [item(tok) for tok in text.split(",") if tok.strip()]
+        if not values:
+            raise argparse.ArgumentTypeError(f"expected a nonempty comma list, got {text!r}")
+        return values
+
+    return parse
 
 
 def _progress(args, message: str):
@@ -94,7 +85,7 @@ def _progress(args, message: str):
 
 
 def _cmd_entry(args) -> int:
-    mu = _load_measure(args.measure)
+    mu = _load(args.measure, "measure", parse_measure)
     if args.n < 0 or args.k < 0:
         raise _UsageError("indices must be nonnegative")
     value = kernel.entry(mu, args.n, args.k)
@@ -106,7 +97,7 @@ def _cmd_entry(args) -> int:
 
 
 def _cmd_section(args) -> int:
-    mu = _load_measure(args.measure)
+    mu = _load(args.measure, "measure", parse_measure)
     section = kernel.finite_section(mu, args.N)
     if args.output == "json":
         print(kernel.section_to_json(section))
@@ -116,19 +107,18 @@ def _cmd_section(args) -> int:
 
 
 def _cmd_apply(args) -> int:
-    mu = _load_measure(args.measure)
-    seq, header_p = _load_sequence(args.sequence)
+    mu = _load(args.measure, "measure", parse_measure)
+    seq, header_p = _load(args.sequence, "sequence", operator.sequence_from_csv)
     p_echo = args.p if args.p is not None else header_p
     if args.route == "fft":
-        coeff = operator.uniform_coeff(mu)
-        if coeff is None:
+        if operator.uniform_coeff(mu) is None:
             raise ValueError(
                 "the fft route implements c*dt measures (the scaled classical matrix) only; "
                 "use --route truncated/quadrature"
             )
-        image = SequenceVector(coeff * operator.hankel_fast_apply(seq, args.rows).values)
+        image = operator.apply_fft(mu, seq, args.rows, 2.0)[0]
     elif args.route == "quadrature":
-        image = operator.apply_via_quadrature(mu, seq, args.rows, EnEvalConfig())
+        image = operator.apply_via_quadrature(mu, seq, args.rows)
     else:
         image = operator.apply_truncated(mu, seq, args.rows)
     if args.output == "json":
@@ -138,33 +128,32 @@ def _cmd_apply(args) -> int:
     return 0
 
 
-def _emit_verdict(verdict, output: str) -> None:
-    payload = norms.verdict_to_dict(verdict)
+def _emit_record(payload: dict, output: str) -> None:
+    """One flat record: a ``key,value`` table for csv, one JSON object otherwise."""
     if output == "csv":
-        lines = ["key,value"] + [f"{key},{value}" for key, value in payload.items()]
-        print("\n".join(lines))
+        print("\n".join(["key,value"] + [f"{key},{value}" for key, value in payload.items()]))
     else:
         print(json.dumps(payload))
 
 
 def _cmd_norm(args) -> int:
-    mu = _load_measure(args.measure)
+    mu = _load(args.measure, "measure", parse_measure)
     # norm_integral's precondition (exit 1); classification then evaluates
     # the same integral once and packages it as a verdict.
     if mu.atom_at(0.0) or mu.atom_at(1.0):
         raise ValueError("norm needs a measure without endpoint atoms; use classify")
-    _emit_verdict(norms.classify_boundedness(mu, args.p), args.output)
+    _emit_record(norms.verdict_to_dict(norms.classify_boundedness(mu, args.p)), args.output)
     return 0
 
 
 def _cmd_classify(args) -> int:
-    mu = _load_measure(args.measure)
-    _emit_verdict(norms.classify_boundedness(mu, args.p), args.output)
+    mu = _load(args.measure, "measure", parse_measure)
+    _emit_record(norms.verdict_to_dict(norms.classify_boundedness(mu, args.p)), args.output)
     return 0
 
 
 def _cmd_certify(args) -> int:
-    mu = _load_measure(args.measure)
+    mu = _load(args.measure, "measure", parse_measure)
     _progress(args, f"certifying over eps={args.eps} sizes={args.N}")
     report = certify.convergence_sweep(mu, args.p, args.eps, args.N, tol=args.tol)
     if args.output == "json":
@@ -208,10 +197,7 @@ def _cmd_hilbert_check(args) -> int:
         "violations": violations,
         "status": "ok" if violations == 0 else "violated",
     }
-    if args.output == "csv":
-        print("\n".join(["key,value"] + [f"{key},{value}" for key, value in payload.items()]))
-    else:
-        print(json.dumps(payload))
+    _emit_record(payload, args.output)
     return 0 if violations == 0 else 1
 
 
@@ -243,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("apply", help="apply the matrix to a sequence file")
     sp.add_argument("--measure", required=True)
     sp.add_argument("--sequence", required=True)
-    sp.add_argument("--rows", type=int, required=True)
+    sp.add_argument("--rows", type=_positive(int), required=True)
     sp.add_argument("--route", choices=("truncated", "quadrature", "fft"), default="truncated")
     sp.add_argument("--p", type=_parse_p, default=None, help="echoed in the output header")
     common(sp, "csv")
@@ -264,8 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("certify", help="lower-bound sweep against the analytic norm")
     sp.add_argument("--measure", required=True)
     sp.add_argument("--p", type=_parse_p, required=True)
-    sp.add_argument("--eps", type=_parse_float_list, required=True, help="comma list")
-    sp.add_argument("--N", type=_parse_size_list, required=True, help="comma list of sizes")
+    sp.add_argument("--eps", type=_positive_list(float), required=True, help="comma list")
+    sp.add_argument("--N", type=_positive_list(int), required=True, help="comma list of sizes")
     sp.add_argument("--tol", type=_positive(float), default=1e-10)
     common(sp, "csv")
     sp.set_defaults(func=_cmd_certify)

@@ -2,7 +2,7 @@
 
 
 class ResourceLimitError(RuntimeError):
-    """A requested computation exceeds the configured size cap."""
+    """A requested computation exceeds its size cap."""
 
 
 class ConvergenceError(RuntimeError):

@@ -38,7 +38,8 @@ __all__ = [
     "section_from_json",
 ]
 
-#: Largest dense section built by default (~2 GiB of float64 at 16384**2).
+#: Largest dense section, and row count of the truncated and quadrature applies
+#: (~2 GiB of float64 at 16384**2).
 DEFAULT_SECTION_CAP = 16384
 
 _TINY = np.finfo(np.float64).tiny
@@ -139,12 +140,12 @@ def entry(mu: Measure, n: int, k: int) -> float:
     return float(entry_block(mu, n, k))
 
 
-def finite_section(mu: Measure, size: int, cap: int = DEFAULT_SECTION_CAP) -> FiniteSection:
+def finite_section(mu: Measure, size: int) -> FiniteSection:
     """Dense leading ``size x size`` truncation of the matrix."""
     if size < 1:
         raise ValueError(f"section size must be >= 1, got {size}")
-    if size > cap:
-        raise ResourceLimitError(f"section size {size} exceeds cap {cap}")
+    if size > DEFAULT_SECTION_CAP:
+        raise ResourceLimitError(f"section size {size} exceeds cap {DEFAULT_SECTION_CAP}")
     n = np.arange(size)[:, None]
     return FiniteSection(size, entry_block(mu, n, n.T))
 

@@ -22,7 +22,6 @@ from .measure import LEBESGUE, Measure
 
 __all__ = [
     "SequenceVector",
-    "EnEvalConfig",
     "HANKEL_CAP",
     "lp_norm",
     "row_series_value",
@@ -49,6 +48,11 @@ _GAUSS_EXACT_MAX = 1024
 
 # Re-derive the running log-term from log-gamma every this many series steps.
 _LOG_REFRESH = 4096
+
+# Row-series truncation: stop once the tail bound is below _TAIL_TOL at
+# every grid point; raise ConvergenceError after _MAX_TERMS terms.
+_TAIL_TOL = 1e-12
+_MAX_TERMS = 10**7
 
 
 @dataclass(frozen=True)
@@ -78,20 +82,6 @@ class SequenceVector:
         return len(self.values)
 
 
-@dataclass(frozen=True)
-class EnEvalConfig:
-    """Truncation policy for row-series evaluation."""
-
-    tail_tol: float = 1e-12
-    max_terms: int = 10**7
-
-    def __post_init__(self):
-        if not self.tail_tol > 0:
-            raise ValueError(f"tail_tol must be > 0, got {self.tail_tol}")
-        if not self.max_terms > 0:
-            raise ValueError(f"max_terms must be > 0, got {self.max_terms}")
-
-
 def lp_norm(values, p: float) -> float:
     """ell-p norm of a finite vector; p may be math.inf."""
     values = np.asarray(values, dtype=np.float64)
@@ -106,12 +96,12 @@ def lp_norm(values, p: float) -> float:
     return float((np.abs(values) ** p).sum() ** (1.0 / p))
 
 
-def _row_series_block(rows, t, values, cfg: EnEvalConfig) -> np.ndarray:
+def _row_series_block(rows, t, values) -> np.ndarray:
     """Row series sum_m binom(n+m,m) t^m (1-t)^n a_m on a rows-by-nodes grid.
 
     ``t`` must lie strictly inside (0,1).  Terms are generated through a
     running log recurrence; iteration stops early once the geometric tail
-    bound (ratio threshold (1+t)/2) falls below ``tail_tol`` for every grid
+    bound (ratio threshold (1+t)/2) falls below ``_TAIL_TOL`` for every grid
     point, and is exact at the stored length otherwise.
     """
     rows = np.asarray(rows, dtype=np.float64).reshape(-1, 1)
@@ -144,16 +134,16 @@ def _row_series_block(rows, t, values, cfg: EnEvalConfig) -> np.ndarray:
         ratio_next = t * (rows + m + 1.0) / (m + 1.0)
         if np.all(ratio_next <= r_star):
             tail_bound = suffix_max[m] * np.exp(log_c) * tail_scale
-            if np.all(tail_bound < cfg.tail_tol):
+            if np.all(tail_bound < _TAIL_TOL):
                 return out
-        if m >= cfg.max_terms:
+        if m >= _MAX_TERMS:
             raise ConvergenceError(
-                f"row series not converged after {m} terms (tail_tol={cfg.tail_tol})",
+                f"row series not converged after {m} terms (tail_tol={_TAIL_TOL})",
                 estimate=float(np.max(suffix_max[m] * np.exp(log_c) * tail_scale)),
             )
 
 
-def row_series_value(n: int, t: float, a: SequenceVector, cfg: EnEvalConfig | None = None) -> float:
+def row_series_value(n: int, t: float, a: SequenceVector) -> float:
     """Value at ``t`` of the series sum_m binom(n+m,m) t^m (1-t)^n a_m.
 
     At t=0 only the m=0 term survives; at t=1 the value is 0 for n >= 1 and
@@ -171,13 +161,10 @@ def row_series_value(n: int, t: float, a: SequenceVector, cfg: EnEvalConfig | No
         return float(values[0])
     if t == 1.0:
         return float(values.sum()) if n == 0 else 0.0
-    cfg = cfg if cfg is not None else EnEvalConfig()
-    return float(_row_series_block([n], [t], values, cfg)[0, 0])
+    return float(_row_series_block([n], [t], values)[0, 0])
 
 
-def apply_truncated(
-    mu: Measure, a: SequenceVector, n_rows: int, cap: int = DEFAULT_SECTION_CAP
-) -> SequenceVector:
+def apply_truncated(mu: Measure, a: SequenceVector, n_rows: int) -> SequenceVector:
     """First ``n_rows`` outputs of the matrix applied to the stored sequence.
 
     Exact truncation: input beyond the stored length is treated as zero.
@@ -186,8 +173,8 @@ def apply_truncated(
     """
     if n_rows < 1:
         raise ValueError(f"n_rows must be >= 1, got {n_rows}")
-    if n_rows > cap:
-        raise ResourceLimitError(f"n_rows {n_rows} exceeds cap {cap}")
+    if n_rows > DEFAULT_SECTION_CAP:
+        raise ResourceLimitError(f"n_rows {n_rows} exceeds cap {DEFAULT_SECTION_CAP}")
     values = a.values
     K = len(values)
     out = np.zeros(n_rows)
@@ -202,22 +189,16 @@ def apply_truncated(
     return SequenceVector(out, nonneg=a.nonneg or None)
 
 
-def _gauss_jacobi_integrals(term, rows, values, cfg, n_nodes):
+def _gauss_jacobi_integrals(term, rows, values, n_nodes):
     """Integrals of the row series against coeff * t^alpha (1-t)^beta dt."""
     x, w = roots_jacobi(n_nodes, term.beta, term.alpha)
     t = 0.5 * (x + 1.0)
     scale = term.coeff * 2.0 ** -(term.alpha + term.beta + 1.0)
-    e = _row_series_block(rows, t, values, cfg)
+    e = _row_series_block(rows, t, values)
     return scale * (e * w).sum(axis=1)
 
 
-def apply_via_quadrature(
-    mu: Measure,
-    a: SequenceVector,
-    n_rows: int,
-    cfg: EnEvalConfig | None = None,
-    cap: int = DEFAULT_SECTION_CAP,
-) -> SequenceVector:
+def apply_via_quadrature(mu: Measure, a: SequenceVector, n_rows: int) -> SequenceVector:
     """Reference apply route: integrate the row series against the measure.
 
     Density terms are integrated by Gauss-Jacobi rules matched to each
@@ -230,9 +211,8 @@ def apply_via_quadrature(
     """
     if n_rows < 1:
         raise ValueError(f"n_rows must be >= 1, got {n_rows}")
-    if n_rows > cap:
-        raise ResourceLimitError(f"n_rows {n_rows} exceeds cap {cap}")
-    cfg = cfg if cfg is not None else EnEvalConfig()
+    if n_rows > DEFAULT_SECTION_CAP:
+        raise ResourceLimitError(f"n_rows {n_rows} exceeds cap {DEFAULT_SECTION_CAP}")
     values = a.values
     K = len(values)
     out = np.zeros(n_rows)
@@ -243,10 +223,10 @@ def apply_via_quadrature(
         degree = (K - 1) + (n_rows - 1)
         n_nodes = degree // 2 + 1
         if n_nodes <= _GAUSS_EXACT_MAX:
-            out += _gauss_jacobi_integrals(term, rows, values, cfg, n_nodes)
+            out += _gauss_jacobi_integrals(term, rows, values, n_nodes)
         else:
-            coarse = _gauss_jacobi_integrals(term, rows, values, cfg, _GAUSS_EXACT_MAX)
-            fine = _gauss_jacobi_integrals(term, rows, values, cfg, 2 * _GAUSS_EXACT_MAX)
+            coarse = _gauss_jacobi_integrals(term, rows, values, _GAUSS_EXACT_MAX)
+            fine = _gauss_jacobi_integrals(term, rows, values, 2 * _GAUSS_EXACT_MAX)
             scale = np.maximum(np.abs(fine), np.abs(coarse))
             err = float(np.max(np.abs(fine - coarse) / np.where(scale > 0, scale, 1.0)))
             if err > 1e-9:
@@ -260,7 +240,7 @@ def apply_via_quadrature(
     if interior:
         t_atoms = np.array([atom.location for atom in interior])
         masses = np.array([atom.mass for atom in interior])
-        out += _row_series_block(rows, t_atoms, values, cfg) @ masses
+        out += _row_series_block(rows, t_atoms, values) @ masses
     c0, c1 = mu.atom_at(0.0), mu.atom_at(1.0)
     if c0 > 0:
         out += c0 * values[0]
@@ -368,14 +348,12 @@ def apply_fft(
     return SequenceVector(out, nonneg=a.nonneg or None), float(bound)
 
 
-def hankel_fast_apply(a: SequenceVector, n_rows: int, cap: int = HANKEL_CAP) -> SequenceVector:
+def hankel_fast_apply(a: SequenceVector, n_rows: int) -> SequenceVector:
     """Classical Hilbert matrix apply, d_n = sum_k a_k / (n+k+1), in O(M log M).
 
     This is :func:`apply_fft` for the Lebesgue measure, whose factors are
     ``D = E = 1`` and ``H[s] = 1/(s+1)``.
     """
-    if n_rows > cap or len(a) > cap:
-        raise ResourceLimitError(f"size {max(n_rows, len(a))} exceeds cap {cap}")
     return apply_fft(LEBESGUE, a, n_rows, 2.0)[0]
 
 

@@ -289,9 +289,10 @@ def test_p2_section_norm_zero_measure(zero_measure):
     assert p2_section_norm(zero_measure, 8) == 0.0
 
 
-def test_p2_section_norm_iteration_cap(lebesgue):
+def test_p2_section_norm_iteration_cap(lebesgue, monkeypatch):
+    monkeypatch.setattr(certify_module, "_POWER_ITERATION_CAP", 3)
     with pytest.raises(ConvergenceError) as exc_info:
-        p2_section_norm(lebesgue, 32, tol=1e-300, max_iterations=3)
+        p2_section_norm(lebesgue, 32, tol=1e-300)
     assert exc_info.value.estimate > 0.0
 
 

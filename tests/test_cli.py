@@ -19,6 +19,7 @@ from genhilbert import (
     sequence_to_csv,
 )
 from genhilbert.cli import main
+from genhilbert.operator import apply_fft
 
 
 @pytest.fixture
@@ -134,7 +135,9 @@ def test_apply_fft_route_scales_to_c_dt(capsys, tmp_path, sequence_file):
         "--rows", "4", "--route", "fft", "--output", "json",
     )
     assert code == 0
-    want = apply_truncated(mu, SequenceVector(np.array([1.0, 0.5, 0.25, 0.125])), 4).values
+    a = SequenceVector(np.array([1.0, 0.5, 0.25, 0.125]))
+    np.testing.assert_array_equal(json.loads(out)["values"], apply_fft(mu, a, 4, 2.0)[0].values)
+    want = apply_truncated(mu, a, 4).values
     np.testing.assert_allclose(json.loads(out)["values"], want, rtol=1e-12)
 
 
@@ -331,11 +334,18 @@ def test_invalid_p_exits_two():
         ["certify", "--p", "2", "--eps", "0.1", "--N", "8", "--tol", "0"],
         ["certify", "--p", "2", "--eps", "0.1", "--N", "8", "--tol", "nan"],
         ["hilbert-check", "--p", "2", "--trials", "0", "--seed", "1"],
+        ["apply", "--sequence", "{seq}", "--rows", "0"],
+        ["apply", "--sequence", "{seq}", "--rows", "-3"],
+        ["certify", "--p", "2", "--eps", ",", "--N", "8"],
+        ["certify", "--p", "2", "--eps", "0.1", "--N", ","],
+        ["certify", "--p", "2", "--eps", "nan", "--N", "8"],
+        ["certify", "--p", "2", "--eps", "0.1", "--N", "8", "--tol", "inf"],
     ],
 )
-def test_nonpositive_sizes_and_tolerances_exit_two(lebesgue_file, argv):
+def test_nonpositive_sizes_and_tolerances_exit_two(lebesgue_file, sequence_file, argv):
     if argv[0] != "hilbert-check":
         argv = [argv[0], "--measure", lebesgue_file, *argv[1:]]
+    argv = [sequence_file if arg == "{seq}" else arg for arg in argv]
     with pytest.raises(SystemExit) as exc_info:
         main(argv)
     assert exc_info.value.code == 2

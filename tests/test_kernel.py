@@ -157,9 +157,10 @@ def test_factor_overflow_is_an_error_not_a_nan():
         entry_block(mu, 0, np.arange(200_000))
 
 
-def test_section_cap_enforced():
+def test_section_cap_enforced(monkeypatch):
+    monkeypatch.setattr(kernel, "DEFAULT_SECTION_CAP", 64)
     with pytest.raises(ResourceLimitError):
-        finite_section(LEBESGUE, 100, cap=64)
+        finite_section(LEBESGUE, 100)
     with pytest.raises(ValueError):
         finite_section(LEBESGUE, 0)
 

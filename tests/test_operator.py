@@ -8,7 +8,6 @@ import pytest
 from genhilbert import (
     Atom,
     ConvergenceError,
-    EnEvalConfig,
     JacobiTerm,
     LEBESGUE,
     Measure,
@@ -23,6 +22,7 @@ from genhilbert import (
     sequence_from_csv,
     sequence_to_csv,
 )
+from genhilbert import operator
 from genhilbert.operator import apply_fft
 from conftest import random_interior_measure
 
@@ -115,18 +115,21 @@ def test_row_series_against_direct_summation():
             assert row_series_value(n, t, a) == pytest.approx(direct, rel=1e-12, abs=1e-13)
 
 
-def test_row_series_long_sequence_tail_cutoff_is_sound():
+def test_row_series_long_sequence_tail_cutoff_is_sound(monkeypatch):
     # geometric tail bound must not bite before 1e-12: compare full vs default
     a = SequenceVector(1.0 / (np.arange(50_000.0) + 1.0) ** 2)
     loose = row_series_value(3, 0.4, a)
-    exact = row_series_value(3, 0.4, a, EnEvalConfig(tail_tol=1e-300, max_terms=10**8))
+    monkeypatch.setattr(operator, "_TAIL_TOL", 1e-300)
+    monkeypatch.setattr(operator, "_MAX_TERMS", 10**8)
+    exact = row_series_value(3, 0.4, a)
     assert loose == pytest.approx(exact, abs=5e-12)
 
 
-def test_row_series_reports_nonconvergence():
+def test_row_series_reports_nonconvergence(monkeypatch):
     a = SequenceVector(np.ones(10**6))
+    monkeypatch.setattr(operator, "_MAX_TERMS", 1000)
     with pytest.raises(ConvergenceError) as err:
-        row_series_value(2, 0.999999, a, EnEvalConfig(max_terms=1000))
+        row_series_value(2, 0.999999, a)
     assert err.value.estimate is not None
 
 
