@@ -5,114 +5,80 @@ The matrix entry at (n, k) is binom(n+k, k) times the integral of
 is the Lebesgue case.  The package computes entries and finite sections,
 applies the operator to sequences, decides boundedness on ell-p with exact
 sharp norms, and certifies those norms empirically from below.
+
+``measure``, ``norms``, ``errors`` and ``rng`` use the standard library
+only and load with the package.  ``kernel``, ``operator`` and ``certify``
+need numpy and scipy; each is registered at import but runs its code on
+first attribute access, so boundedness verdicts load no array library.
 """
 
-from .certify import (
-    CertificationReport,
-    ExtremalParams,
-    convergence_sweep,
-    extremal_sequence,
-    lower_bound_ratio,
-    p2_section_norm,
-    report_to_csv,
-    report_to_json,
-)
-from .errors import ConvergenceError, ResourceLimitError
-from .kernel import (
-    DEFAULT_SECTION_CAP,
-    FiniteSection,
-    entry,
-    entry_block,
-    finite_section,
-    section_from_csv,
-    section_from_json,
-    section_to_csv,
-    section_to_json,
-)
-from .measure import (
-    LEBESGUE,
-    Atom,
-    JacobiTerm,
-    Measure,
-    MeasureFormatError,
-    beta_kernel_integral,
-    measure_to_dict,
-    measure_to_json,
-    parse_measure,
-    reflected,
-    total_mass,
-)
-from .norms import (
-    NormVerdict,
-    classical_constant,
-    classify_boundedness,
-    norm_integral,
-    validate_p,
-    verdict_to_dict,
-    verdict_to_json,
-)
-from .operator import (
-    HANKEL_CAP,
-    SequenceVector,
-    apply_truncated,
-    apply_via_quadrature,
-    hankel_fast_apply,
-    lp_norm,
-    row_series_value,
-    sequence_from_csv,
-    sequence_to_csv,
-)
-from .rng import SplitMix64
+import importlib.util
+import sys
+
+from . import errors, measure, norms, rng
+
+
+def _lazy_submodule(name: str):
+    """Register ``genhilbert.<name>`` in ``sys.modules``; its code runs on first attribute access.
+
+    The first access is not thread-safe before Python 3.12: another thread
+    touching the module while its code runs can see it half initialised.
+    The package itself is single-threaded.
+    """
+    fullname = f"{__name__}.{name}"
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+kernel = _lazy_submodule("kernel")
+operator = _lazy_submodule("operator")
+certify = _lazy_submodule("certify")
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Atom",
-    "CertificationReport",
-    "ConvergenceError",
-    "DEFAULT_SECTION_CAP",
-    "ExtremalParams",
-    "FiniteSection",
-    "HANKEL_CAP",
-    "JacobiTerm",
-    "LEBESGUE",
-    "Measure",
-    "MeasureFormatError",
-    "NormVerdict",
-    "ResourceLimitError",
-    "SequenceVector",
-    "SplitMix64",
-    "apply_truncated",
-    "apply_via_quadrature",
-    "beta_kernel_integral",
-    "classical_constant",
-    "classify_boundedness",
-    "convergence_sweep",
-    "entry",
-    "entry_block",
-    "extremal_sequence",
-    "finite_section",
-    "hankel_fast_apply",
-    "lower_bound_ratio",
-    "lp_norm",
-    "measure_to_dict",
-    "measure_to_json",
-    "norm_integral",
-    "p2_section_norm",
-    "parse_measure",
-    "reflected",
-    "report_to_csv",
-    "report_to_json",
-    "row_series_value",
-    "section_from_csv",
-    "section_from_json",
-    "section_to_csv",
-    "section_to_json",
-    "sequence_from_csv",
-    "sequence_to_csv",
-    "total_mass",
-    "validate_p",
-    "verdict_to_dict",
-    "verdict_to_json",
-    "__version__",
-]
+#: Defining module -> the names the package re-exports from it.
+_EXPORTS = {
+    "certify": (
+        "CertificationReport", "ExtremalParams", "convergence_sweep", "extremal_sequence",
+        "lower_bound_ratio", "p2_section_norm", "report_to_csv", "report_to_json",
+    ),
+    "errors": ("ConvergenceError", "ResourceLimitError"),
+    "kernel": (
+        "DEFAULT_SECTION_CAP", "FiniteSection", "entry", "entry_block", "finite_section",
+        "section_from_csv", "section_from_json", "section_to_csv", "section_to_json",
+    ),
+    "measure": (
+        "LEBESGUE", "Atom", "JacobiTerm", "Measure", "MeasureFormatError", "beta_kernel_integral",
+        "measure_to_dict", "measure_to_json", "parse_measure", "reflected", "total_mass",
+    ),
+    "norms": (
+        "NormVerdict", "classical_constant", "classify_boundedness", "norm_integral", "validate_p",
+        "verdict_to_dict", "verdict_to_json",
+    ),
+    "operator": (
+        "HANKEL_CAP", "SequenceVector", "apply_truncated", "apply_via_quadrature",
+        "hankel_fast_apply", "lp_norm", "row_series_value", "sequence_from_csv", "sequence_to_csv",
+    ),
+    "rng": ("SplitMix64",),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_OWNER) + ["__version__"]
+
+
+def __getattr__(name: str):
+    # Not cached in the package namespace: the defining module's current
+    # binding is returned, so a patched or wrapped function is seen here too.
+    try:
+        module = _OWNER[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(globals()[module], name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_OWNER))

@@ -14,12 +14,9 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import certify, kernel, norms, operator
 from .errors import ConvergenceError, ResourceLimitError
 from .measure import parse_measure
-from .operator import SequenceVector
 from .rng import SplitMix64
 
 _FLOAT_FMT = "%.17g"
@@ -30,7 +27,7 @@ def _load(path: str, what: str, parse):
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read {what} file {path}: {exc}") from exc
     try:
         return parse(text)
@@ -86,8 +83,9 @@ def _progress(args, message: str):
 
 def _cmd_entry(args) -> int:
     mu = _load(args.measure, "measure", parse_measure)
-    if args.n < 0 or args.k < 0:
-        raise _UsageError("indices must be nonnegative")
+    # sys.maxsize is the largest array index (intp max).
+    if not (0 <= args.n <= sys.maxsize and 0 <= args.k <= sys.maxsize):
+        raise _UsageError(f"indices must be integers in 0..{sys.maxsize}")
     value = kernel.entry(mu, args.n, args.k)
     if args.output == "json":
         print(json.dumps({"n": args.n, "k": args.k, "value": value}))
@@ -165,15 +163,17 @@ def _cmd_certify(args) -> int:
 
 def _hilbert_check_trial(rng: SplitMix64, max_terms: int):
     length_a = 1 + rng.below(max_terms)
-    a = np.array([rng.uniform01() for _ in range(length_a)])
+    a = [rng.uniform01() for _ in range(length_a)]
     length_b = 1 + rng.below(max_terms)
-    b = np.array([rng.uniform01() for _ in range(length_b)])
-    return SequenceVector(a, nonneg=True), SequenceVector(b, nonneg=True)
+    b = [rng.uniform01() for _ in range(length_b)]
+    return operator.SequenceVector(a, nonneg=True), operator.SequenceVector(b, nonneg=True)
 
 
 def _cmd_hilbert_check(args) -> int:
     if math.isinf(args.p) or args.p == 1.0:
         raise _UsageError("hilbert-check needs 1 < p < inf (constant undefined otherwise)")
+    import numpy as np
+
     constant = norms.classical_constant(args.p)
     q = args.p / (args.p - 1.0)
     rng = SplitMix64(args.seed)

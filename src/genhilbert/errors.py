@@ -1,5 +1,7 @@
 """Exceptions shared across the toolkit."""
 
+__all__ = ["ResourceLimitError", "ConvergenceError"]
+
 
 class ResourceLimitError(RuntimeError):
     """A requested computation exceeds its size cap."""

@@ -56,9 +56,12 @@ class FiniteSection:
 def _indices(x) -> np.ndarray:
     """``x`` as an intp array; raises unless every value is a nonnegative integer."""
     x = np.asarray(x)
-    with np.errstate(invalid="ignore"):
-        idx = x.astype(np.intp)
-    if not (np.array_equal(idx, x) and (idx.size == 0 or idx.min() >= 0)):
+    try:
+        with np.errstate(invalid="ignore"):
+            idx = x.astype(np.intp)
+    except OverflowError:  # a Python int beyond the intp range
+        idx = None
+    if idx is None or not (np.array_equal(idx, x) and (idx.size == 0 or idx.min() >= 0)):
         raise ValueError("matrix indices must be nonnegative integers")
     return idx
 

@@ -18,6 +18,8 @@ any library version.
 
 from __future__ import annotations
 
+__all__ = ["SplitMix64"]
+
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -311,6 +312,27 @@ def test_malformed_measure_json_is_usage_error(capsys, tmp_path):
     path.write_text("{not json", encoding="utf-8")
     code, _, err = run(capsys, "entry", "--measure", str(path), "--n", "0", "--k", "0")
     assert code == 2 and "error:" in err
+
+
+def test_non_utf8_input_files_are_usage_errors(capsys, lebesgue_file, tmp_path):
+    path = tmp_path / "utf16.bin"
+    path.write_bytes(b"\xff\xfe{\x00}\x00")
+    code, _, err = run(capsys, "classify", "--measure", str(path), "--p", "2")
+    assert code == 2 and "cannot read measure file" in err
+    code, _, err = run(
+        capsys, "apply", "--measure", lebesgue_file, "--sequence", str(path), "--rows", "4"
+    )
+    assert code == 2 and "cannot read sequence file" in err
+
+
+def test_entry_indices_beyond_intp_are_usage_errors(capsys, lebesgue_file):
+    for n, k in [("100000000000000000000", "0"), ("0", str(sys.maxsize + 1))]:
+        code, _, err = run(capsys, "entry", "--measure", lebesgue_file, "--n", n, "--k", k)
+        assert code == 2 and "error:" in err
+    code, out, _ = run(
+        capsys, "entry", "--measure", lebesgue_file, "--n", str(sys.maxsize), "--k", "0"
+    )
+    assert code == 0 and float(out) == entry(LEBESGUE, sys.maxsize, 0)
 
 
 def test_unknown_flag_exits_two(lebesgue_file):

@@ -126,6 +126,12 @@ def test_entry_block_rejects_non_integer_indices(n, k):
         entry_block(LEBESGUE, np.array([n, 1.0]), k)
 
 
+@pytest.mark.parametrize("n", [10**20, [3, 10**20], -(10**20)])
+def test_entry_block_rejects_indices_beyond_intp(n):
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        entry_block(LEBESGUE, n, 0)
+
+
 def test_no_special_function_call_per_entry(monkeypatch):
     """Factors are evaluated per row, column and diagonal, never per entry."""
     sizes = []
