@@ -20,7 +20,7 @@ from .errors import ConvergenceError
 from .kernel import DEFAULT_SECTION_CAP, finite_section
 from .measure import Measure
 from .norms import NormVerdict, classify_boundedness, validate_p, verdict_to_dict
-from .operator import SequenceVector, apply_fft, apply_truncated, lp_norm
+from .operator import SequenceVector, apply_fft, apply_truncated, fft_plan, lp_norm
 
 __all__ = [
     "ExtremalParams",
@@ -137,24 +137,62 @@ def lower_bound_ratio(mu: Measure, params: ExtremalParams, n_rows: int) -> float
 
 
 def p2_section_norm(mu: Measure, size: int, tol: float = 1e-10) -> float:
-    """Largest singular value of the size-by-size section.
+    """Largest singular value sigma_N of the size-by-size section, from below.
 
     Power iteration on the Gram operator S^T S from the normalized all-ones
-    vector; the returned Rayleigh-quotient estimate converges from below,
-    so it is itself a sound lower bound for the p=2 operator norm.
+    vector; it stops once two successive values differ by at most ``tol``
+    relative.  Each step applies S to the current vector v and S^T to the
+    image.  A measure without interior atoms is applied matrix-free through
+    one :class:`~genhilbert.operator.FFTPlan` and its transpose, and the
+    step's value is the certified Rayleigh quotient
+    ``max(0, ||y_fft||_2 - bound) / ||v||_2 <= ||S v||_2 / ||v||_2 <= sigma_N``,
+    with ``bound`` the FFT apply's stated ell-2 error bound
+    (:func:`~genhilbert.operator.apply_fft`).  That route holds while every
+    step's bound is at most ``FFT_ROUTE_RTOL`` times ``||y_fft||_2``, or
+    throughout when ``size`` is beyond the dense cap, the rule
+    :func:`lower_bound_ratio` follows.  Otherwise (interior atoms, or a
+    bound above the tolerance within the cap, such as t(1-t)dt's) the
+    iteration starts over on the dense section, where the value is
+    ``||S v||_2``.  Power iteration converges from below, so either value is
+    a sound lower bound for the p=2 operator norm.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    section = finite_section(mu, size)
-    s = section.entries
+    if not mu.interior_atoms:
+        plan = fft_plan(mu, size, size)
+        adjoint = plan.transposed()
+
+        def forward(v):
+            image, bound = plan.apply(SequenceVector(v), 2.0)
+            return image.values, bound
+
+        sigma = _power_iteration(
+            forward, lambda u: adjoint.apply(SequenceVector(u), 2.0)[0].values, size, tol
+        )
+        if sigma is not None:
+            return sigma
+    s = finite_section(mu, size).entries
+    return _power_iteration(lambda v: (s @ v, 0.0), lambda u: s.T @ u, size, tol)
+
+
+def _power_iteration(forward, backward, size: int, tol: float) -> float | None:
+    """sigma from power iteration with ``forward(v) -> (S v, bound)`` and ``backward(u) = S^T u``.
+
+    Returns None as soon as a step's bound exceeds ``FFT_ROUTE_RTOL`` times
+    its image norm while ``size`` is within the dense cap.
+    """
     v = np.full(size, 1.0 / math.sqrt(size))
     sigma = 0.0
     for _ in range(_POWER_ITERATION_CAP):
-        u = s @ v
-        sigma_new = float(np.linalg.norm(u))
-        if sigma_new == 0.0:
+        u, bound = forward(v)
+        norm_u = float(np.linalg.norm(u))
+        if norm_u == 0.0:
             return 0.0
-        w = s.T @ u
+        if bound > FFT_ROUTE_RTOL * norm_u and size <= DEFAULT_SECTION_CAP:
+            return None
+        # The dense pair states bound 0; its value is ||S v||_2 for the normalized v.
+        sigma_new = max(0.0, norm_u - bound) / float(np.linalg.norm(v)) if bound else norm_u
+        w = backward(u)
         v = w / np.linalg.norm(w)
         if abs(sigma_new - sigma) <= tol * sigma_new:
             return sigma_new

@@ -43,6 +43,10 @@ __all__ = [
 DEFAULT_SECTION_CAP = 16384
 
 _TINY = np.finfo(np.float64).tiny
+_UNIT_ROUNDOFF = 2.0**-53
+
+#: Largest relative error bound of an interior atom's log-space entries.
+_ATOM_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -94,7 +98,10 @@ def entry_block(mu: Measure, n, k) -> np.ndarray:
     component's contribution is nonnegative, so the plain running sum over
     components is accurate to (m-1) ulps.  A density term whose factors leave the
     float64 range, which takes (alpha+beta+1) * ln(n+k+1) above ~708,
-    raises ``ValueError``.
+    raises ``ValueError``.  An interior atom's entry is the exp of a sum of
+    log-space terms; with M the sum of their magnitudes its relative error
+    is at most 8 u M (u the unit roundoff), and a block whose largest
+    indices put that bound above ``_ATOM_RTOL`` raises ``ValueError``.
     """
     n = _indices(n)
     k = _indices(k)
@@ -119,15 +126,16 @@ def entry_block(mu: Measure, n, k) -> np.ndarray:
         buf *= col
         out += buf
     if mu.interior_atoms:
+        _check_log_space_bound(mu, int(n.max()), int(k.max()))
         log_diag = gammaln(d + 1.0)
         log_row = gammaln(n + 1.0)
         log_col = gammaln(k + 1.0)
     for atom in mu.atoms:
         t = atom.location
         if t == 0.0:
-            out += np.where(k == 0, atom.mass, 0.0)
+            np.add(out, atom.mass, out=out, where=k == 0)
         elif t == 1.0:
-            out += np.where(n == 0, atom.mass, 0.0)
+            np.add(out, atom.mass, out=out, where=n == 0)
         else:
             np.take(log_diag, diag, out=buf, mode="clip")
             buf += k * math.log(t) - log_col
@@ -136,6 +144,23 @@ def entry_block(mu: Measure, n, k) -> np.ndarray:
             buf *= atom.mass
             out += buf
     return out
+
+
+def _check_log_space_bound(mu: Measure, n_max: int, k_max: int) -> None:
+    """Raise ``ValueError`` when an interior atom's 8 u M bound at (n_max, k_max) exceeds _ATOM_RTOL.
+
+    Every term of M grows with n and k, so the block's largest indices bound
+    every entry's M.
+    """
+    logs = math.lgamma(n_max + k_max + 1.0) + math.lgamma(n_max + 1.0) + math.lgamma(k_max + 1.0)
+    for atom in mu.interior_atoms:
+        t = atom.location
+        magnitude = logs - k_max * math.log(t) - n_max * math.log1p(-t)
+        if 8.0 * _UNIT_ROUNDOFF * magnitude > _ATOM_RTOL:
+            raise ValueError(
+                f"interior atom at t={t} loses more than {_ATOM_RTOL:g} relative accuracy "
+                f"in log space at n={n_max}, k={k_max}"
+            )
 
 
 def entry(mu: Measure, n: int, k: int) -> float:

@@ -4,7 +4,8 @@ Two deliberately redundant routes: an entrywise truncated matvec (the
 workhorse) and quadrature of the row generating series against the measure
 (the reference).  Measures without interior atoms additionally get an
 FFT apply: each density term is a Hankel matrix scaled by diagonal factors
-on both sides, so its image is one convolution.
+on both sides, so its image is one convolution against a Hankel spectrum
+that an :class:`FFTPlan` computes once.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ __all__ = [
     "apply_truncated",
     "apply_via_quadrature",
     "apply_fft",
+    "FFTPlan",
+    "fft_plan",
     "hankel_fast_apply",
     "uniform_coeff",
     "sequence_to_csv",
@@ -257,6 +260,88 @@ def uniform_coeff(mu: Measure) -> float | None:
     return terms[0].coeff
 
 
+@dataclass(frozen=True)
+class FFTPlan:
+    """What :func:`apply_fft` computes once per measure and shape, reusable across inputs.
+
+    Per density term ``(row, col, spectrum, h_2, h_1)``: the factors
+    :func:`~genhilbert.kernel.jacobi_factors` returns, ``rfft(hankel, m)``
+    and the Hankel factor's 2- and 1-norms; ``c0`` and ``c1`` are the
+    endpoint masses.  Build one with :func:`fft_plan`.
+    """
+
+    n_rows: int
+    n_cols: int
+    m: int
+    terms: tuple
+    c0: float
+    c1: float
+
+    def transposed(self) -> FFTPlan:
+        """The plan of the transposed matrix: row and column factors swap, and so do c0 and c1."""
+        terms = tuple((col, row, spectrum, h_2, h_1) for row, col, spectrum, h_2, h_1 in self.terms)
+        return FFTPlan(self.n_cols, self.n_rows, self.m, terms, self.c1, self.c0)
+
+    def apply(self, a: SequenceVector, p: float) -> tuple[SequenceVector, float]:
+        """The image of ``a`` (of length ``n_cols``) and its ell-p error bound, as in :func:`apply_fft`."""
+        values = a.values
+        K, n_rows = len(values), self.n_rows
+        if K != self.n_cols:
+            raise ValueError(f"input length {K} does not match the plan's {self.n_cols} columns")
+        out = np.zeros(n_rows)
+        if K == 0:
+            return SequenceVector(out, nonneg=True), 0.0
+        m = self.m
+        weight = 0.0
+        for row, col, spectrum, h_2, h_1 in self.terms:
+            b = col * values
+            conv = irfft(spectrum * rfft(b[::-1], m), m)
+            out += row * conv[K - 1 : K - 1 + n_rows]
+            b_1, b_2 = np.abs(b).sum(), np.linalg.norm(b)
+            weight += row.max() * (h_2 * b_1 + h_1 * b_2)
+        c0, c1 = self.c0, self.c1
+        if c0 > 0:
+            out += c0 * values[0]
+        if c1 > 0:
+            out[0] += c1 * values.sum()
+        if a.nonneg:
+            # The exact image is nonnegative; rows whose value lies below the
+            # transforms' absolute error can come out negative, and clipping
+            # them moves every row toward its exact value.
+            np.maximum(out, 0.0, out=out)
+        components = len(self.terms) + (c0 > 0) + (c1 > 0)
+        lam = max(1, m.bit_length() - 1)
+        bound = _UNIT_ROUNDOFF * (
+            16.0 * (lam + components + 1) * n_rows ** max(0.0, 1.0 / p - 0.5) * weight
+            + (2 * components + K + 3)
+            * (c0 * abs(values[0]) * n_rows ** (1.0 / p) + c1 * np.abs(values).sum())
+        )
+        return SequenceVector(out, nonneg=a.nonneg or None), float(bound)
+
+
+def fft_plan(mu: Measure, n_rows: int, n_cols: int) -> FFTPlan:
+    """The :class:`FFTPlan` of the leading ``n_rows`` by ``n_cols`` block of ``mu``'s matrix.
+
+    For measures of density terms and endpoint atoms only; interior atoms
+    raise ``ValueError``, factors outside the float64 range too.
+    """
+    if mu.interior_atoms:
+        raise ValueError("the FFT apply takes density terms and endpoint atoms only")
+    if n_rows < 1:
+        raise ValueError(f"n_rows must be >= 1, got {n_rows}")
+    if n_rows > HANKEL_CAP or n_cols > HANKEL_CAP:
+        raise ResourceLimitError(f"size {max(n_rows, n_cols)} exceeds cap {HANKEL_CAP}")
+    m = 1 << (n_rows + n_cols - 2).bit_length()
+    terms = []
+    if n_cols:
+        n, k = np.arange(n_rows), np.arange(n_cols)
+        d = np.arange(n_rows + n_cols - 1, dtype=np.float64)
+        for term in mu.jacobi_terms:
+            row, col, hankel = jacobi_factors(term, n, k, d)
+            terms.append((row, col, rfft(hankel, m), np.linalg.norm(hankel), hankel.sum()))
+    return FFTPlan(n_rows, n_cols, m, tuple(terms), mu.atom_at(0.0), mu.atom_at(1.0))
+
+
 def apply_fft(
     mu: Measure, a: SequenceVector, n_rows: int, p: float
 ) -> tuple[SequenceVector, float]:
@@ -272,7 +357,9 @@ def apply_fft(
     only entries at or beyond ``m`` onto indices below K-1, so the rows kept
     are exact; ``m`` is the least power of two that long.  An atom at 0
     adds ``c0 * a[0]`` to every row, an atom at 1 adds ``c1 * sum(a)`` to
-    row 0.
+    row 0.  This is :func:`fft_plan` applied once; a caller applying the
+    same block to many inputs keeps the plan, whose ``transposed()`` serves
+    the transposed block with the same spectra.
 
     The bound majorizes ``||y_fft - y||_p``, where ``y`` is the exact
     product of the entries :func:`~genhilbert.kernel.entry_block` returns
@@ -306,46 +393,7 @@ def apply_fft(
     ell-2, times ``||D||_inf N^s`` in ell-p.  The atoms share those
     ``(2T + 3) u`` per row, and ``sum(a)`` adds at most ``K u``.
     """
-    if mu.interior_atoms:
-        raise ValueError("the FFT apply takes density terms and endpoint atoms only")
-    values = a.values
-    K = len(values)
-    if n_rows < 1:
-        raise ValueError(f"n_rows must be >= 1, got {n_rows}")
-    if n_rows > HANKEL_CAP or K > HANKEL_CAP:
-        raise ResourceLimitError(f"size {max(n_rows, K)} exceeds cap {HANKEL_CAP}")
-    out = np.zeros(n_rows)
-    if K == 0:
-        return SequenceVector(out, nonneg=True), 0.0
-    n, k = np.arange(n_rows), np.arange(K)
-    d = np.arange(n_rows + K - 1, dtype=np.float64)
-    m = 1 << (n_rows + K - 2).bit_length()
-    weight = 0.0
-    for term in mu.jacobi_terms:
-        row, col, hankel = jacobi_factors(term, n, k, d)
-        b = col * values
-        conv = irfft(rfft(hankel, m) * rfft(b[::-1], m), m)
-        out += row * conv[K - 1 : K - 1 + n_rows]
-        b_1, b_2 = np.abs(b).sum(), np.linalg.norm(b)
-        weight += row.max() * (np.linalg.norm(hankel) * b_1 + hankel.sum() * b_2)
-    c0, c1 = mu.atom_at(0.0), mu.atom_at(1.0)
-    if c0 > 0:
-        out += c0 * values[0]
-    if c1 > 0:
-        out[0] += c1 * values.sum()
-    if a.nonneg:
-        # The exact image is nonnegative; rows whose value lies below the
-        # transforms' absolute error can come out negative, and clipping
-        # them moves every row toward its exact value.
-        np.maximum(out, 0.0, out=out)
-    components = len(mu.jacobi_terms) + (c0 > 0) + (c1 > 0)
-    lam = max(1, m.bit_length() - 1)
-    bound = _UNIT_ROUNDOFF * (
-        16.0 * (lam + components + 1) * n_rows ** max(0.0, 1.0 / p - 0.5) * weight
-        + (2 * components + K + 3)
-        * (c0 * abs(values[0]) * n_rows ** (1.0 / p) + c1 * np.abs(values).sum())
-    )
-    return SequenceVector(out, nonneg=a.nonneg or None), float(bound)
+    return fft_plan(mu, n_rows, len(a)).apply(a, p)
 
 
 def hankel_fast_apply(a: SequenceVector, n_rows: int) -> SequenceVector:

@@ -5,6 +5,7 @@ import importlib.util
 import json
 import math
 import pkgutil
+import sys
 import textwrap
 from pathlib import Path
 
@@ -14,6 +15,7 @@ import pytest
 import genhilbert
 
 WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+ORACLE_PY = WORKLOADS_PY.with_name("oracle.py")
 
 
 def test_every_exported_name_resolves():
@@ -28,7 +30,7 @@ def test_every_exported_name_resolves():
     assert not missing
 
 
-def test_benchmark_requests_and_oracle_call_forms():
+def test_benchmark_requests_and_oracle_call_forms(monkeypatch):
     # One request of each kind, taken from the benchmark's own builders and
     # shrunk, plus the positional calls perfbench/oracle.py makes, so a
     # signature change that would break the benchmark fails here.
@@ -37,6 +39,9 @@ def test_benchmark_requests_and_oracle_call_forms():
     spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PY)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
+    from genhilbert.kernel import finite_section
+    from genhilbert.measure import parse_measure
+
     certify_reqs = workloads.build_requests("certify-p2", 1, 1.0)
     apply_reqs = workloads.build_requests("apply-lp", 1, 1.0)
 
@@ -47,13 +52,22 @@ def test_benchmark_requests_and_oracle_call_forms():
     report = run(dict(first(certify_reqs, "sweep", "mix-atom"), sizes=[8, 16]))["report"]
     assert [n for _, _, n, _ in report.ratios] == [8, 16]
     assert [n for n, _ in report.sigma_max_series] == [8, 16]
+    # An atom-free sweep takes the matrix-free p=2 route; the benchmark's own
+    # oracle checks its sigma against a dense eigensolver.
+    monkeypatch.setitem(sys.modules, "workloads", workloads)
+    spec = importlib.util.spec_from_file_location("perfbench_oracle", ORACLE_PY)
+    oracle = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracle)
+    request = dict(first(certify_reqs, "sweep", "mix2"), sizes=[64, 128])
+    checks = oracle.check_certify([request], [run(request)], parse_measure, finite_section)
+    assert checks.failures == {}
+    assert checks.max_rel_err["certify.p2_section_norm"] <= oracle.SIGMA_RTOL
     ratio = run(dict(first(apply_reqs, "ratio", "c07"), size=64))["ratio"]
     assert 0.0 < ratio < math.inf
     cross = run(dict(first(apply_reqs, "cross"), size=16))
     assert len(cross["truncated"]) == 16
     np.testing.assert_allclose(cross["quadrature"], cross["truncated"], rtol=1e-7)
 
-    from genhilbert.kernel import finite_section
     from genhilbert.measure import LEBESGUE
     from genhilbert.operator import SequenceVector, hankel_fast_apply
 

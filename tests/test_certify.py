@@ -14,12 +14,14 @@ from genhilbert import (
     JacobiTerm,
     LEBESGUE,
     Measure,
+    ResourceLimitError,
     classify_boundedness,
     convergence_sweep,
     extremal_sequence,
     finite_section,
     lower_bound_ratio,
     p2_section_norm,
+    reflected,
     report_to_csv,
     report_to_json,
 )
@@ -31,6 +33,7 @@ from genhilbert.operator import (
     SequenceVector,
     apply_fft,
     apply_truncated,
+    fft_plan,
     hankel_fast_apply,
     lp_norm,
 )
@@ -300,6 +303,104 @@ def test_p2_section_norm_below_operator_norm(lebesgue, delta_half):
     for mu in (lebesgue, delta_half):
         target = classify_boundedness(mu, 2.0).norm
         assert p2_section_norm(mu, 256) < target
+
+
+def _dense_power_iteration(s, tol=1e-10):
+    """Power iteration on a dense section, as the dense route runs it: the bitwise reference."""
+    v = np.full(len(s), 1.0 / math.sqrt(len(s)))
+    sigma = 0.0
+    while True:
+        u = s @ v
+        sigma_new = float(np.linalg.norm(u))
+        v = s.T @ u
+        v = v / np.linalg.norm(v)
+        if abs(sigma_new - sigma) <= tol * sigma_new:
+            return sigma_new
+        sigma = sigma_new
+
+
+def test_fft_route_sigma_is_certified_against_the_dense_eigensolver(monkeypatch):
+    rng = np.random.default_rng(1950)
+    calls = []
+    _record_calls(monkeypatch, calls, certify_module, "finite_section")
+    taken = 0
+    for _ in range(24):
+        terms = tuple(
+            JacobiTerm(float(rng.uniform(0.1, 3.0)), *map(float, rng.uniform(-0.9, 3.0, size=2)))
+            for _ in range(int(rng.integers(1, 3)))
+        )
+        atoms = tuple(
+            Atom(t, float(rng.uniform(0.1, 3.0))) for t in (0.0, 1.0) if rng.random() < 0.3
+        )
+        mu = Measure(terms, atoms)
+        size = int(rng.integers(2, 1025))
+        calls.clear()
+        sigma = p2_section_norm(mu, size)
+        if calls:  # the first step's bound sent it to the dense section
+            continue
+        taken += 1
+        s = finite_section(mu, size).entries
+        top = math.sqrt(np.linalg.eigvalsh(s.T @ s)[-1])
+        assert sigma <= top * (1.0 + 1e-12), (mu, size, sigma, top)
+        assert abs(sigma - top) <= 1e-9 * top, (mu, size, sigma, top)
+    assert taken >= 8
+
+
+def test_atom_free_sweep_builds_no_entries(monkeypatch):
+    mix2 = Measure((JacobiTerm(1.0, -0.5, 0.25), JacobiTerm(0.5, 0.5, -0.25)), ())
+    calls = []
+    _record_calls(monkeypatch, calls, kernel, "entry_block")
+    _record_calls(monkeypatch, calls, operator, "entry_block")
+    report = convergence_sweep(mix2, 2.0, [0.1], [256, 1024])
+    assert calls == []
+    assert [n for n, _ in report.sigma_max_series] == [256, 1024]
+
+
+@pytest.mark.parametrize(
+    "mu,size",
+    [
+        (Measure((JacobiTerm(1.0, 1.0, 1.0),), ()), 2048),
+        (Measure((), (Atom(0.5, 1.0),)), 256),
+    ],
+    ids=["t(1-t)dt", "delta_half"],
+)
+def test_dense_route_sigma_is_one_section_and_unchanged(mu, size, monkeypatch):
+    # t(1-t)dt's first FFT step states a bound above FFT_ROUTE_RTOL, and an
+    # interior atom has no FFT apply: both iterate on one dense section.
+    calls = []
+    _record_calls(monkeypatch, calls, certify_module, "finite_section")
+    sigma = p2_section_norm(mu, size)
+    assert calls == [(mu, size)]
+    assert sigma == _dense_power_iteration(finite_section(mu, size).entries)
+
+
+def test_transposed_plan_applies_the_reflected_measure():
+    # The transpose of mu's matrix is the matrix of mu reflected by t -> 1-t.
+    rng = np.random.default_rng(3)
+    mix2 = (JacobiTerm(1.0, -0.5, 0.25), JacobiTerm(0.5, 0.5, -0.25))
+    for mu in (
+        Measure(mix2, (Atom(0.0, 0.5), Atom(1.0, 2.0))),
+        Measure((JacobiTerm(2.0, 1.0, 0.0),), (Atom(1.0, 1.0),)),
+        LEBESGUE,
+    ):
+        plan = fft_plan(mu, 300, 170)
+        a = SequenceVector(rng.uniform(0.0, 1.0, size=170))
+        image, _ = plan.apply(a, 2.0)
+        np.testing.assert_array_equal(image.values, apply_fft(mu, a, 300, 2.0)[0].values)
+        for p in (1.5, 2.0, 3.0):
+            b = SequenceVector(rng.standard_normal(300))
+            got, bound = plan.transposed().apply(b, p)
+            want, reflected_bound = apply_fft(reflected(mu), b, 170, p)
+            assert lp_norm(got.values - want.values, p) <= bound + reflected_bound
+
+
+def test_lebesgue_section_norm_beyond_the_dense_cap(delta_half):
+    # sigma_N increases to pi (Magnus 1950), with a gap of order 1/log^2 N.
+    sigma = p2_section_norm(LEBESGUE, 65536)
+    assert 2.7086 <= sigma <= math.pi
+    assert sigma >= p2_section_norm(LEBESGUE, 4096)
+    with pytest.raises(ResourceLimitError):
+        p2_section_norm(delta_half, 65536)
 
 
 # ---------------------------------------------------------- convergence_sweep

@@ -75,6 +75,15 @@ def test_entry_negative_index_is_usage_error(capsys, lebesgue_file):
     assert code == 2 and "error:" in err
 
 
+def test_entry_beyond_the_atom_log_space_bound_is_domain_error(capsys, tmp_path):
+    path = tmp_path / "delta.json"
+    path.write_text(measure_to_json(Measure((), (Atom(0.5, 1.0),))), encoding="utf-8")
+    index = str(2**63 - 1)
+    code, out, err = run(capsys, "entry", "--measure", str(path), "--n", index, "--k", index)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "log space" in err
+
+
 # ------------------------------------------------------------------ section
 
 
@@ -253,6 +262,21 @@ def test_certify_csv_table(capsys, lebesgue_file):
     assert blocks[0].splitlines()[0] == "epsilon,K,N,ratio"
     assert len(blocks[0].splitlines()) == 5  # header + 4 sweep cells
     assert blocks[1].splitlines()[0] == "N,sigma_max"
+
+
+def test_certify_p2_beyond_the_dense_cap(capsys, lebesgue_file, tmp_path):
+    argv = ["--p", "2", "--eps", "0.1", "--N", "4096,65536", "--output", "json", "--quiet"]
+    code, out, _ = run(capsys, "certify", "--measure", lebesgue_file, *argv)
+    assert code == 0
+    series = json.loads(out)["sigma_max_series"]
+    assert [row["N"] for row in series] == [4096, 65536]
+    assert series[0]["sigma_max"] <= series[1]["sigma_max"] <= math.pi
+    # An interior atom has no matrix-free apply: its sections stay capped.
+    path = tmp_path / "atom.json"
+    path.write_text(measure_to_json(Measure((), (Atom(0.5, 1.0),))), encoding="utf-8")
+    code, out, err = run(capsys, "certify", "--measure", str(path), *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "exceeds cap" in err
 
 
 def test_certify_progress_goes_to_stderr(capsys, lebesgue_file):

@@ -91,6 +91,29 @@ def test_symmetric_measure_gives_symmetric_entries():
     np.testing.assert_allclose(section, section.T, rtol=1e-12)
 
 
+def test_endpoint_atoms_add_their_mass_to_column_or_row_zero():
+    base = Measure((JacobiTerm(1.0, 0.5, -0.25),), ())
+    mu = Measure(base.jacobi_terms, (Atom(0.0, 2.0), Atom(1.0, 3.0)))
+    expected = finite_section(base, 6).entries
+    expected[:, 0] += 2.0
+    expected[0, :] += 3.0
+    np.testing.assert_array_equal(finite_section(mu, 6).entries, expected)
+
+
+def test_interior_atom_entries_beyond_their_log_space_bound_raise():
+    # Unchecked, the log-space sum cancels: (n, n) came out 0.5% off at
+    # n = 1e12, and 1.0 at n = 2**63 - 1, where the entry is ~1.86e-10.
+    delta_half = Measure((), (Atom(0.5, 1.0),))
+    for n in (10**12, 2**63 - 1):
+        with pytest.raises(ValueError, match="log space"):
+            entry(delta_half, n, n)
+    with pytest.raises(ValueError, match="log space"):
+        entry_block(delta_half, [0, 10**12], 0)
+    # Density terms and endpoint atoms have no log-space sum.
+    mu = Measure(LEBESGUE.jacobi_terms, (Atom(0.0, 1.0),))
+    assert entry(mu, 10**12, 10**12) == pytest.approx(1.0 / (2e12 + 1.0), rel=1e-12)
+
+
 def test_biased_coin_bound_for_interior_atoms():
     # entries of a point mass are mass * binomial pmf value, hence <= mass
     for s, mass in [(0.2, 1.0), (0.5, 2.0), (0.9, 0.7)]:
