@@ -16,11 +16,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, ResourceLimitError
 from .kernel import DEFAULT_SECTION_CAP, finite_section
 from .measure import Measure
 from .norms import NormVerdict, classify_boundedness, validate_p, verdict_to_dict
-from .operator import SequenceVector, apply_fft, apply_truncated, fft_plan, lp_norm
+from .operator import (
+    HANKEL_CAP,
+    FFTPlan,
+    SequenceVector,
+    _row_block_sums,
+    apply_truncated,
+    fft_plan,
+    lp_norm,
+)
 
 __all__ = [
     "ExtremalParams",
@@ -121,19 +129,7 @@ def lower_bound_ratio(mu: Measure, params: ExtremalParams, n_rows: int) -> float
     reported as math.inf (an unboundedness witness, e.g. for measures with
     an atom at 0).
     """
-    a = extremal_sequence(params)
-    p = params.p
-    if not mu.interior_atoms:
-        image, bound = apply_fft(mu, a, n_rows, p)
-        numerator = lp_norm(image.values, p)
-        if math.isinf(numerator):
-            return math.inf
-        if bound <= FFT_ROUTE_RTOL * numerator or n_rows > DEFAULT_SECTION_CAP:
-            return max(0.0, numerator - bound) / lp_norm(a.values, p)
-    numerator = lp_norm(apply_truncated(mu, a, n_rows).values, p)
-    if math.isinf(numerator):
-        return math.inf
-    return numerator / lp_norm(a.values, p)
+    return _Block(mu, n_rows, params.length).ratio(extremal_sequence(params), params.p)
 
 
 def p2_section_norm(mu: Measure, size: int, tol: float = 1e-10) -> float:
@@ -158,50 +154,99 @@ def p2_section_norm(mu: Measure, size: int, tol: float = 1e-10) -> float:
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    if not mu.interior_atoms:
-        plan = fft_plan(mu, size, size)
-        adjoint = plan.transposed()
-
-        def forward(v):
-            image, bound = plan.apply(SequenceVector(v), 2.0)
-            return image.values, bound
-
-        sigma = _power_iteration(
-            forward, lambda u: adjoint.apply(SequenceVector(u), 2.0)[0].values, size, tol
-        )
-        if sigma is not None:
-            return sigma
-    s = finite_section(mu, size).entries
-    return _power_iteration(lambda v: (s @ v, 0.0), lambda u: s.T @ u, size, tol)
+    return _Block(mu, size, size).sigma(tol)
 
 
-def _power_iteration(forward, backward, size: int, tol: float) -> float | None:
-    """sigma from power iteration with ``forward(v) -> (S v, bound)`` and ``backward(u) = S^T u``.
+class _Block:
+    """The leading ``n_rows`` by ``n_cols`` block of ``mu``'s matrix, and the FFT-or-dense rule.
 
-    Returns None as soon as a step's bound exceeds ``FFT_ROUTE_RTOL`` times
-    its image norm while ``size`` is within the dense cap.
+    Its FFT plan is built on first use and kept, and so is the dense
+    section when :meth:`sigma` needs one; the ratios and sigma of one sweep
+    size share both.
     """
-    v = np.full(size, 1.0 / math.sqrt(size))
-    sigma = 0.0
-    for _ in range(_POWER_ITERATION_CAP):
-        u, bound = forward(v)
-        norm_u = float(np.linalg.norm(u))
-        if norm_u == 0.0:
-            return 0.0
-        if bound > FFT_ROUTE_RTOL * norm_u and size <= DEFAULT_SECTION_CAP:
-            return None
-        # The dense pair states bound 0; its value is ||S v||_2 for the normalized v.
-        sigma_new = max(0.0, norm_u - bound) / float(np.linalg.norm(v)) if bound else norm_u
-        w = backward(u)
-        v = w / np.linalg.norm(w)
-        if abs(sigma_new - sigma) <= tol * sigma_new:
-            return sigma_new
-        sigma = sigma_new
-    raise ConvergenceError(
-        f"power iteration did not reach relative tol {tol} "
-        f"within {_POWER_ITERATION_CAP} iterations (size {size})",
-        estimate=sigma,
-    )
+
+    def __init__(self, mu: Measure, n_rows: int, n_cols: int):
+        self.mu = mu
+        self.n_rows = n_rows
+        self.n_cols = n_cols
+        self._plan = None
+        self._section = None
+
+    def plan(self) -> FFTPlan:
+        if self._plan is None:
+            self._plan = fft_plan(self.mu, self.n_rows, self.n_cols)
+        return self._plan
+
+    def fft_serves(self, bound: float, norm: float) -> bool:
+        """Whether an FFT image of norm ``norm`` and stated error ``bound`` is used."""
+        return bound <= FFT_ROUTE_RTOL * norm or self.n_rows > DEFAULT_SECTION_CAP
+
+    def ratio(self, a: SequenceVector, p: float) -> float:
+        """:func:`lower_bound_ratio` for the sequence ``a`` of length ``n_cols``.
+
+        The dense route sums a held section's rows as
+        :func:`~genhilbert.operator.apply_truncated` sums its entries, so
+        both give the same image bit for bit.
+        """
+        if not self.mu.interior_atoms:
+            image, bound = self.plan().apply(a, p)
+            numerator = lp_norm(image.values, p)
+            if math.isinf(numerator):
+                return math.inf
+            if self.fft_serves(bound, numerator):
+                return max(0.0, numerator - bound) / lp_norm(a.values, p)
+        if self._section is None:
+            image = apply_truncated(self.mu, a, self.n_rows).values
+        else:
+            s = self._section
+            image = _row_block_sums(lambda start, stop: s[start:stop], a.values, self.n_rows)
+        return lp_norm(image, p) / lp_norm(a.values, p)
+
+    def sigma(self, tol: float) -> float:
+        """:func:`p2_section_norm` of the (square) block."""
+        if not self.mu.interior_atoms:
+            plan = self.plan()
+            adjoint = plan.transposed()
+
+            def forward(v):
+                image, bound = plan.apply(SequenceVector(v), 2.0)
+                return image.values, bound
+
+            sigma = self._power_iteration(
+                forward, lambda u: adjoint.apply(SequenceVector(u), 2.0)[0].values, tol
+            )
+            if sigma is not None:
+                return sigma
+        s = self._section = finite_section(self.mu, self.n_rows).entries
+        return self._power_iteration(lambda v: (s @ v, 0.0), lambda u: s.T @ u, tol)
+
+    def _power_iteration(self, forward, backward, tol: float) -> float | None:
+        """sigma by power iteration, ``forward(v) -> (S v, bound)`` and ``backward(u) = S^T u``.
+
+        Returns None as soon as a step's image no longer serves (:meth:`fft_serves`).
+        """
+        size = self.n_rows
+        v = np.full(size, 1.0 / math.sqrt(size))
+        sigma = 0.0
+        for _ in range(_POWER_ITERATION_CAP):
+            u, bound = forward(v)
+            norm_u = float(np.linalg.norm(u))
+            if norm_u == 0.0:
+                return 0.0
+            if not self.fft_serves(bound, norm_u):
+                return None
+            # The dense pair states bound 0; its value is ||S v||_2 for the normalized v.
+            sigma_new = max(0.0, norm_u - bound) / float(np.linalg.norm(v)) if bound else norm_u
+            w = backward(u)
+            v = w / np.linalg.norm(w)
+            if abs(sigma_new - sigma) <= tol * sigma_new:
+                return sigma_new
+            sigma = sigma_new
+        raise ConvergenceError(
+            f"power iteration did not reach relative tol {tol} "
+            f"within {_POWER_ITERATION_CAP} iterations (size {size})",
+            estimate=sigma,
+        )
 
 
 def convergence_sweep(
@@ -212,24 +257,39 @@ def convergence_sweep(
     For p=2 a finite-section sigma_max series over the same sizes is
     attached.  The report's construction re-checks soundness against the
     analytic verdict and monotonicity of the section series.
+
+    Every size is checked against its cap (``DEFAULT_SECTION_CAP`` with
+    interior atoms, else ``HANKEL_CAP``) before any work.  Each size is then
+    one :class:`_Block`: its sigma comes first, so a size whose power
+    iteration built the dense section reuses it, and the FFT plan, for
+    every epsilon.  The values equal :func:`p2_section_norm`'s and
+    :func:`lower_bound_ratio`'s bit for bit.
     """
     eps_grid = list(eps_grid)
     size_grid = list(size_grid)
     if not eps_grid or not size_grid:
         raise ValueError("eps_grid and size_grid must be nonempty")
     p = validate_p(p)
+    if p == 2.0 and not tol > 0.0:
+        raise ValueError(f"tol must be > 0, got {tol}")
+    # In report order, epsilon-major: size j's cells are every len(size_grid)-th from j.
+    cells = [ExtremalParams(p, eps, size) for eps in eps_grid for size in size_grid]
+    cap = DEFAULT_SECTION_CAP if mu.interior_atoms else HANKEL_CAP
+    for size in size_grid:
+        if size > cap:
+            raise ResourceLimitError(f"size {size} exceeds cap {cap}")
     verdict = classify_boundedness(mu, p)
     target = verdict.norm if verdict.is_bounded else math.inf
-    ratios = []
-    for eps in eps_grid:
-        for size in size_grid:
-            params = ExtremalParams(p=p, epsilon=eps, length=size)
-            ratios.append((eps, size, size, lower_bound_ratio(mu, params, size)))
+    ratios = [0.0] * len(cells)
     sigma_series = []
-    if p == 2.0:
-        sigma_series = [(size, p2_section_norm(mu, size, tol=tol)) for size in size_grid]
+    for j, size in enumerate(size_grid):
+        block = _Block(mu, size, size)
+        if p == 2.0:
+            sigma_series.append((size, block.sigma(tol)))
+        for c in range(j, len(cells), len(size_grid)):
+            ratios[c] = block.ratio(extremal_sequence(cells[c]), p)
     return CertificationReport(
-        ratios=tuple(ratios),
+        ratios=tuple((c.epsilon, c.length, c.length, r) for c, r in zip(cells, ratios)),
         target=target,
         sigma_max_series=tuple(sigma_series),
         verdict=verdict,

@@ -6,8 +6,11 @@ The matrix attached to a measure has entries
 ``coeff * (n+1)_beta * (k+1)_alpha / (n+k+1)_(alpha+beta+1)``, with
 ``(x)_m = Gamma(x+m)/Gamma(x)``: a row factor times a Hankel (diagonal)
 factor times a column factor, each evaluated once per distinct row, column
-or diagonal and gathered per entry.  Interior atoms stay in log space
-(``Gamma(n+k+1)`` overflows) but gather ``ln Gamma(d+1)`` the same way.
+or diagonal.  On a grid of consecutive rows by consecutive columns, as in
+every section and row block, entry (i, j) reads the diagonal vector at
+i + j through a read-only strided view; other index arrays gather it per
+entry.  Interior atoms stay in log space (``Gamma(n+k+1)`` overflows) but
+read ``ln Gamma(d+1)`` the same way.
 
 Scalar entries, dense sections, and row blocks all go through one array
 core, so a section is bitwise identical to its individual entries.
@@ -20,6 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy.special import gammaln, poch
 
 from .errors import ResourceLimitError
@@ -94,7 +98,13 @@ def entry_block(mu: Measure, n, k) -> np.ndarray:
 
     This is the single code path behind :func:`entry`, :func:`finite_section`
     and the blocked matvec in :mod:`genhilbert.operator`; density terms take
-    their factors from :func:`jacobi_factors`, as the FFT apply does.  Every
+    their factors from :func:`jacobi_factors`, as the FFT apply does.  When
+    ``n`` is a column (R, 1) and ``k`` a row (1, C) of consecutive indices,
+    the diagonal factors are read as ``as_strided(h, (R, C), (s, s))`` with
+    ``s`` the vector's element stride, so no R x C index array is built;
+    any other indices gather one value per distinct diagonal.  Both give
+    the same bits, since each entry is the same products of the same
+    factors.  Every
     component's contribution is nonnegative, so the plain running sum over
     components is accurate to (m-1) ulps.  A density term whose factors leave the
     float64 range, which takes (alpha+beta+1) * ln(n+k+1) above ~708,
@@ -108,21 +118,27 @@ def entry_block(mu: Measure, n, k) -> np.ndarray:
     out = np.zeros(np.broadcast_shapes(n.shape, k.shape))
     if out.size == 0:
         return out
-    # Index of n + k into the vector ``d`` of distinct diagonals.
-    n_lo, k_lo = int(n.min()), int(k.min())
-    span = int(n.max()) - n_lo + int(k.max()) - k_lo + 1
-    if span <= out.size:
-        d = np.arange(n_lo + k_lo, n_lo + k_lo + span, dtype=np.float64)
-        diag = (n - n_lo) + (k - k_lo)
+    buf = np.empty(out.shape)
+    if _is_grid(n, k):
+        # n + k = n[0] + k[0] + i + j, so a vector over the diagonals is read
+        # as an (R, C) view whose row and column strides are both one element.
+        lo = int(n[0, 0]) + int(k[0, 0])
+        d = np.arange(lo, lo + sum(out.shape) - 1, dtype=np.float64)
+
+        def diagonal(h):
+            return as_strided(h, out.shape, (h.strides[0],) * 2, writeable=False)
+
     else:
         d, diag = np.unique(n + k, return_inverse=True)
         d = d.astype(np.float64)
         diag = diag.reshape(out.shape)
-    buf = np.empty(out.shape)
+
+        def diagonal(h):
+            return np.take(h, diag, out=buf, mode="clip")
+
     for term in mu.jacobi_terms:
         row, col, hankel = jacobi_factors(term, n, k, d)
-        np.take(hankel, diag, out=buf, mode="clip")
-        buf *= row
+        np.multiply(diagonal(hankel), row, out=buf)
         buf *= col
         out += buf
     if mu.interior_atoms:
@@ -137,13 +153,23 @@ def entry_block(mu: Measure, n, k) -> np.ndarray:
         elif t == 1.0:
             np.add(out, atom.mass, out=out, where=n == 0)
         else:
-            np.take(log_diag, diag, out=buf, mode="clip")
-            buf += k * math.log(t) - log_col
+            np.add(diagonal(log_diag), k * math.log(t) - log_col, out=buf)
             buf += n * math.log1p(-t) - log_row
             np.exp(buf, out=buf)
             buf *= atom.mass
             out += buf
     return out
+
+
+def _is_grid(n: np.ndarray, k: np.ndarray) -> bool:
+    """True when ``n`` is a column and ``k`` a row of consecutive indices, as in every section."""
+    return (
+        n.ndim == 2
+        and n.shape[1] == 1
+        and k.ndim == 2
+        and k.shape[0] == 1
+        and bool(np.all(np.diff(n[:, 0]) == 1) and np.all(np.diff(k[0]) == 1))
+    )
 
 
 def _check_log_space_bound(mu: Measure, n_max: int, k_max: int) -> None:

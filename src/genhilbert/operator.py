@@ -41,6 +41,7 @@ __all__ = [
 HANKEL_CAP = 1 << 22
 
 _UNIT_ROUNDOFF = 2.0**-53
+_TINY = np.finfo(np.float64).tiny
 
 # Target elements per block in the truncated matvec (memory bound).
 _APPLY_BLOCK_ELEMENTS = 4_000_000
@@ -86,17 +87,36 @@ class SequenceVector:
 
 
 def lp_norm(values, p: float) -> float:
-    """ell-p norm of a finite vector; p may be math.inf."""
+    """ell-p norm of a finite vector; p may be math.inf.
+
+    Returns math.inf only when the norm itself is beyond the float64 range.
+    """
     values = np.asarray(values, dtype=np.float64)
     if not (p >= 1.0):
         raise ValueError(f"p must be >= 1, got {p}")
     if values.size == 0:
         return 0.0
+    magnitude = np.abs(values)
     if math.isinf(p):
-        return float(np.abs(values).max())
+        return float(magnitude.max())
     if p == 1.0:
-        return float(np.abs(values).sum())
-    return float((np.abs(values) ** p).sum() ** (1.0 / p))
+        return float(magnitude.sum())
+    # Dividing by the power of two 2**e above max |v| is exact and keeps
+    # |v|**p from overflowing or underflowing; the root is scaled back.  Once
+    # 0.5**p is no longer a normal number, the largest term could underflow
+    # as well, and the scaled values are divided by their max too.
+    _, e = math.frexp(float(magnitude.max()))
+    np.ldexp(magnitude, -e, out=magnitude)
+    unit = 1.0
+    if 0.5**p < _TINY:
+        unit = float(magnitude.max())
+        magnitude /= unit
+    magnitude **= p
+    root = unit * float(magnitude.sum() ** (1.0 / p))
+    try:
+        return math.ldexp(root, e)
+    except OverflowError:
+        return math.inf
 
 
 def _row_series_block(rows, t, values) -> np.ndarray:
@@ -178,18 +198,31 @@ def apply_truncated(mu: Measure, a: SequenceVector, n_rows: int) -> SequenceVect
         raise ValueError(f"n_rows must be >= 1, got {n_rows}")
     if n_rows > DEFAULT_SECTION_CAP:
         raise ResourceLimitError(f"n_rows {n_rows} exceeds cap {DEFAULT_SECTION_CAP}")
-    values = a.values
+    k_row = np.arange(len(a))[None, :]
+
+    def rows(start, stop):
+        return entry_block(mu, np.arange(start, stop)[:, None], k_row)
+
+    return SequenceVector(_row_block_sums(rows, a.values, n_rows), nonneg=a.nonneg or None)
+
+
+def _row_block_sums(rows, values: np.ndarray, n_rows: int) -> np.ndarray:
+    """``sum_k rows(start, stop)[i, k] * values[k]`` for the first ``n_rows`` rows.
+
+    ``rows(start, stop)`` returns the matrix rows ``start:stop`` over the
+    columns of ``values``; it is called on blocks of at most
+    ``_APPLY_BLOCK_ELEMENTS`` entries (at least one row).  Each row is summed
+    whole in a fixed order, so results do not depend on the blocking.
+    """
     K = len(values)
     out = np.zeros(n_rows)
     if K == 0:
-        return SequenceVector(out, nonneg=True)
-    k_row = np.arange(K)[None, :]
+        return out
     block = max(1, min(n_rows, _APPLY_BLOCK_ELEMENTS // K))
     for start in range(0, n_rows, block):
         stop = min(start + block, n_rows)
-        n_col = np.arange(start, stop)[:, None]
-        out[start:stop] = (entry_block(mu, n_col, k_row) * values).sum(axis=1)
-    return SequenceVector(out, nonneg=a.nonneg or None)
+        out[start:stop] = (rows(start, stop) * values).sum(axis=1)
+    return out
 
 
 def _gauss_jacobi_integrals(term, rows, values, n_nodes):

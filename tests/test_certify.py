@@ -233,6 +233,15 @@ def test_c_dt_ratio_beyond_the_dense_cap_at_large_p(monkeypatch):
     assert ratio <= 3.0 * classical_constant(10.0) + SOUNDNESS_SLACK
 
 
+@pytest.mark.parametrize("scale", [1e-35, 1e35])
+def test_ratio_at_large_p_scales_with_the_measure(scale):
+    # |image|**10 underflowed to a ratio of 0.0 at 1e-35 dt, and overflowed to inf at 1e35 dt.
+    params = ExtremalParams(10.0, 0.05, 64)
+    want = lower_bound_ratio(LEBESGUE, params, 64)
+    got = lower_bound_ratio(Measure((JacobiTerm(scale, 0.0, 0.0),), ()), params, 64)
+    assert got == pytest.approx(scale * want, rel=1e-12, abs=0)
+
+
 def test_factor_range_error_is_the_same_on_both_routes():
     # (alpha+beta+1)! already overflows, so 1/(d+1)_(alpha+beta+1) is 0 at d = 0
     mu = Measure((JacobiTerm(1.0, 100.0, 80.0),), (Atom(1.0, 1.0),))
@@ -421,6 +430,57 @@ def test_sweep_shape_and_monotone_sigma(lebesgue):
     assert sizes == [8, 32]
     assert sigmas == sorted(sigmas)
     assert report.verdict.is_bounded
+
+
+MIX_ATOM = Measure(
+    (JacobiTerm(1.0, -0.5, 0.25), JacobiTerm(0.5, 0.5, -0.25)), (Atom(0.3, 0.4),)
+)
+
+
+@pytest.mark.parametrize(
+    "mu,sizes",
+    [(Measure((JacobiTerm(1.0, 1.0, 1.0),), ()), (128, 512)), (MIX_ATOM, (128, 256))],
+    ids=["t(1-t)dt", "interior-atom-mixture"],
+)
+def test_p2_sweep_builds_each_size_once(mu, sizes, monkeypatch):
+    # t(1-t)dt's sigma leaves the FFT route at both sizes, and so do its
+    # ratios at 512 but not at 128; the atom mixture is dense throughout.
+    # The ratios sum the section sigma built, with the same bits as the
+    # truncated apply.
+    eps_grid = (0.05, 0.1, 0.3)
+    want_ratios = [
+        lower_bound_ratio(mu, ExtremalParams(2.0, eps, size), size)
+        for eps in eps_grid
+        for size in sizes
+    ]
+    want_sigmas = [p2_section_norm(mu, size) for size in sizes]
+    entries = []
+
+    def counted_entry_block(mu, n, k, _original=kernel.entry_block):
+        entries.append(np.broadcast(n, k).size)
+        return _original(mu, n, k)
+
+    monkeypatch.setattr(kernel, "entry_block", counted_entry_block)
+    monkeypatch.setattr(operator, "entry_block", counted_entry_block)
+    truncated, plans = [], []
+    _record_calls(monkeypatch, truncated, certify_module, "apply_truncated")
+    _record_calls(monkeypatch, plans, certify_module, "fft_plan")
+    report = convergence_sweep(mu, 2.0, eps_grid, sizes)
+    assert sum(entries) == sum(size * size for size in sizes)
+    assert truncated == []
+    assert len(plans) <= len(sizes)
+    assert [ratio for *_, ratio in report.ratios] == want_ratios
+    assert [sigma for _, sigma in report.sigma_max_series] == want_sigmas
+
+
+def test_sweep_checks_every_size_against_its_cap_before_any_work(delta_half, monkeypatch):
+    calls = []
+    for name in ("finite_section", "apply_truncated", "fft_plan"):
+        _record_calls(monkeypatch, calls, certify_module, name)
+    for mu, cap in ((delta_half, kernel.DEFAULT_SECTION_CAP), (LEBESGUE, operator.HANKEL_CAP)):
+        with pytest.raises(ResourceLimitError, match=f"size {cap + 1} exceeds cap {cap}"):
+            convergence_sweep(mu, 2.0, [0.1], [4096, cap + 1])
+    assert calls == []
 
 
 def test_sweep_skips_sigma_series_away_from_p2(lebesgue):

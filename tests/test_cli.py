@@ -14,6 +14,7 @@ from genhilbert import (
     Measure,
     SequenceVector,
     apply_truncated,
+    classical_constant,
     entry,
     measure_to_json,
     section_from_csv,
@@ -277,6 +278,17 @@ def test_certify_p2_beyond_the_dense_cap(capsys, lebesgue_file, tmp_path):
     code, out, err = run(capsys, "certify", "--measure", str(path), *argv)
     assert code == 1 and out == ""
     assert err.startswith("error:") and "exceeds cap" in err
+
+
+def test_certify_large_p_on_a_huge_measure_stays_finite(capsys, tmp_path):
+    # |image|**10 overflowed at 1e35 dt, and the ratio came out inf.
+    path = tmp_path / "huge.json"
+    path.write_text(measure_to_json(Measure((JacobiTerm(1e35, 0.0, 0.0),), ())), encoding="utf-8")
+    argv = ["--p", "10", "--eps", "0.05", "--N", "64", "--output", "json", "--quiet"]
+    code, out, _ = run(capsys, "certify", "--measure", str(path), *argv)
+    assert code == 0
+    (row,) = json.loads(out)["ratios"]
+    assert 0.0 < row["ratio"] <= 1e35 * classical_constant(10.0)
 
 
 def test_certify_progress_goes_to_stderr(capsys, lebesgue_file):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genhilbert import kernel, operator
 from genhilbert import (
@@ -75,6 +77,26 @@ def test_entry_block_matches_scalar_entry():
     for n in range(6):
         for k in range(6):
             assert block[n, k] == entry(mu, n, k)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    n0=st.integers(0, 5000),
+    k0=st.integers(0, 5000),
+    rows=st.integers(1, 5),
+    cols=st.integers(1, 5),
+)
+def test_offset_grid_block_is_bit_identical_to_entries(n0, k0, rows, cols):
+    # A column of consecutive rows by a row of consecutive columns reads the
+    # diagonal factors through a strided view; a scalar entry gathers them.
+    n = np.arange(n0, n0 + rows)[:, None]
+    k = np.arange(k0, k0 + cols)[None, :]
+    for mu in MIXED_CORPUS:
+        block = entry_block(mu, n, k)
+        assert block.shape == (rows, cols)
+        for i in range(rows):
+            for j in range(cols):
+                assert block[i, j] == entry(mu, n0 + i, k0 + j), (mu, n0 + i, k0 + j)
 
 
 def test_section_is_bit_identical_to_entries():
@@ -175,6 +197,16 @@ def test_no_special_function_call_per_entry(monkeypatch):
     for mu in MIXED_CORPUS:
         operator.apply_truncated(mu, a, 100)  # blocks of 16 rows by 300 columns
     assert sizes and max(sizes) <= 16 + 300
+    # Indices that are not a grid of consecutive rows and columns gather
+    # one value per distinct diagonal.
+    n = np.arange(0, 30, 3)[:, None]
+    k = np.arange(0, 60, 3)[None, :]  # 200 entries on 29 diagonals
+    for mu in MIXED_CORPUS:
+        sizes.clear()
+        block = entry_block(mu, n, k)
+        assert max(sizes, default=0) <= 29
+        for i, j in [(0, 0), (2, 7), (9, 19)]:
+            assert block[i, j] == entry(mu, int(n[i, 0]), int(k[0, j]))
 
 
 def test_factor_overflow_is_an_error_not_a_nan():

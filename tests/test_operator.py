@@ -62,10 +62,26 @@ def test_sequence_vector_rejects_matrix_input():
         ([1.0, -2.0, 3.0], math.inf, 3.0),
         ([], 2.0, 0.0),
         ([2.0, 2.0, 2.0, 2.0], 4.0, 2.0 * 4.0**0.25),
+        # 0.5**p and 0.7**p are subnormal or zero at these p
+        ([1.0, 0.5], 2000.0, 1.0),
+        ([0.7, 0.7], 1500.0, 0.7 * 2.0 ** (1.0 / 1500.0)),
     ],
 )
 def test_lp_norm(values, p, expected):
     assert lp_norm(values, p) == pytest.approx(expected, rel=1e-14)
+
+
+@pytest.mark.parametrize("scale", [2.0**-1000, 1e-35, 1e35, 2.0**1000])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 10.0])
+def test_lp_norm_neither_overflows_nor_underflows(scale, p):
+    # |v|**p alone leaves the float64 range at these scales.
+    values = np.array([1.0, -0.5, 0.25, 3.0])
+    want = scale * lp_norm(values, p)
+    assert lp_norm(scale * values, p) == pytest.approx(want, rel=1e-14, abs=0)
+
+
+def test_lp_norm_reports_a_norm_beyond_float64_as_inf():
+    assert lp_norm(np.full(4, 1.5e308), 2.0) == math.inf
 
 
 def test_lp_norm_rejects_p_below_one():
