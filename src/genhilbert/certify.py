@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, ResourceLimitError
-from .kernel import DEFAULT_SECTION_CAP, finite_section
+from .errors import ConvergenceError
+from .kernel import DEFAULT_SECTION_CAP, _check_size, finite_section
 from .measure import Measure
 from .norms import NormVerdict, classify_boundedness, validate_p, verdict_to_dict
 from .operator import (
@@ -112,7 +112,7 @@ class CertificationReport:
 def extremal_sequence(params: ExtremalParams) -> SequenceVector:
     """values[n] = (n+1)^{-w} for n < length; always nonnegative."""
     n_plus_1 = np.arange(1.0, params.length + 1.0)
-    return SequenceVector(n_plus_1 ** -params.w, nonneg=True)
+    return SequenceVector(n_plus_1 ** -params.w)
 
 
 def lower_bound_ratio(mu: Measure, params: ExtremalParams, n_rows: int) -> float:
@@ -152,8 +152,6 @@ def p2_section_norm(mu: Measure, size: int, tol: float = 1e-10) -> float:
     ``||S v||_2``.  Power iteration converges from below, so either value is
     a sound lower bound for the p=2 operator norm.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be > 0, got {tol}")
     return _Block(mu, size, size).sigma(tol)
 
 
@@ -204,6 +202,8 @@ class _Block:
 
     def sigma(self, tol: float) -> float:
         """:func:`p2_section_norm` of the (square) block."""
+        if not tol > 0.0:
+            raise ValueError(f"tol must be > 0, got {tol}")
         if not self.mu.interior_atoms:
             plan = self.plan()
             adjoint = plan.transposed()
@@ -270,14 +270,11 @@ def convergence_sweep(
     if not eps_grid or not size_grid:
         raise ValueError("eps_grid and size_grid must be nonempty")
     p = validate_p(p)
-    if p == 2.0 and not tol > 0.0:
-        raise ValueError(f"tol must be > 0, got {tol}")
-    # In report order, epsilon-major: size j's cells are every len(size_grid)-th from j.
-    cells = [ExtremalParams(p, eps, size) for eps in eps_grid for size in size_grid]
     cap = DEFAULT_SECTION_CAP if mu.interior_atoms else HANKEL_CAP
     for size in size_grid:
-        if size > cap:
-            raise ResourceLimitError(f"size {size} exceeds cap {cap}")
+        _check_size(size, cap)
+    # In report order, epsilon-major: size j's cells are every len(size_grid)-th from j.
+    cells = [ExtremalParams(p, eps, size) for eps in eps_grid for size in size_grid]
     verdict = classify_boundedness(mu, p)
     target = verdict.norm if verdict.is_bounded else math.inf
     ratios = [0.0] * len(cells)

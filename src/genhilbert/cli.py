@@ -41,12 +41,9 @@ class _UsageError(Exception):
 
 def _parse_p(text: str) -> float:
     try:
-        p = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"p must be a real >= 1 or 'inf', got {text!r}")
-    if math.isnan(p) or p < 1.0:
-        raise argparse.ArgumentTypeError(f"p must be >= 1 or 'inf', got {text}")
-    return p
+        return norms.validate_p(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _positive(kind):
@@ -166,7 +163,7 @@ def _hilbert_check_trial(rng: SplitMix64, max_terms: int):
     a = [rng.uniform01() for _ in range(length_a)]
     length_b = 1 + rng.below(max_terms)
     b = [rng.uniform01() for _ in range(length_b)]
-    return operator.SequenceVector(a, nonneg=True), operator.SequenceVector(b, nonneg=True)
+    return operator.SequenceVector(a), operator.SequenceVector(b)
 
 
 def _cmd_hilbert_check(args) -> int:

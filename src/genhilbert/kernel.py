@@ -194,12 +194,17 @@ def entry(mu: Measure, n: int, k: int) -> float:
     return float(entry_block(mu, n, k))
 
 
+def _check_size(size: int, cap: int) -> None:
+    """Raise ``ValueError`` for a size below 1 and ``ResourceLimitError`` for one above ``cap``."""
+    if size < 1:
+        raise ValueError(f"size must be >= 1, got {size}")
+    if size > cap:
+        raise ResourceLimitError(f"size {size} exceeds cap {cap}")
+
+
 def finite_section(mu: Measure, size: int) -> FiniteSection:
     """Dense leading ``size x size`` truncation of the matrix."""
-    if size < 1:
-        raise ValueError(f"section size must be >= 1, got {size}")
-    if size > DEFAULT_SECTION_CAP:
-        raise ResourceLimitError(f"section size {size} exceeds cap {DEFAULT_SECTION_CAP}")
+    _check_size(size, DEFAULT_SECTION_CAP)
     n = np.arange(size)[:, None]
     return FiniteSection(size, entry_block(mu, n, n.T))
 

@@ -42,41 +42,44 @@ FORMULA_P1_ATOM_AT_ONE = "P1_WithAtomAtOne"
 FORMULA_PINF_ATOM_AT_ZERO = "PInf_WithAtomAtZero"
 
 
-def validate_p(p: float) -> float:
-    """Check that p is a real >= 1 or math.inf; returns it as a float."""
-    p = float(p)
-    if math.isnan(p) or p < 1.0:
-        raise ValueError(f"p must be >= 1 or inf, got {p}")
-    return p
+def validate_p(p: float | str) -> float:
+    """Check that p, a number or its text, is a real >= 1 or inf; returns it as a float."""
+    try:
+        value = float(p)
+    except ValueError:
+        value = math.nan
+    if not value >= 1.0:
+        raise ValueError(f"p must be a real >= 1 or inf, got {str(p)!r}")
+    return value
 
 
 @dataclass(frozen=True)
 class NormVerdict:
     """Outcome of the boundedness decision for one (measure, p) pair.
 
-    Exactly one of ``norm`` (bounded) and ``reason`` (unbounded) is set;
-    ``formula_used`` names the closed form behind a bounded norm.
+    Exactly one of ``norm`` (bounded) and ``reason`` (unbounded) is set,
+    and ``status`` follows from which; ``formula_used`` names the closed
+    form behind a bounded norm.
     """
 
-    status: str
     p: float
     norm: float | None = None
     reason: str | None = None
     formula_used: str | None = None
 
     def __post_init__(self):
-        if self.status not in ("Bounded", "Unbounded"):
-            raise ValueError(f"status must be Bounded or Unbounded, got {self.status!r}")
         if (self.norm is None) == (self.reason is None):
             raise ValueError("exactly one of norm and reason must be present")
         if self.norm is not None and not (0.0 <= self.norm < math.inf):
             raise ValueError(f"bounded verdict requires a finite nonnegative norm, got {self.norm}")
-        if (self.status == "Bounded") != (self.norm is not None):
-            raise ValueError("status Bounded iff norm present")
 
     @property
     def is_bounded(self) -> bool:
-        return self.status == "Bounded"
+        return self.norm is not None
+
+    @property
+    def status(self) -> str:
+        return "Bounded" if self.is_bounded else "Unbounded"
 
 
 def norm_integral(mu: Measure, p: float) -> float:
@@ -106,20 +109,20 @@ def classify_boundedness(mu: Measure, p: float) -> NormVerdict:
     a, b = -1.0 / p, 1.0 / p - 1.0
     c0, c1 = mu.atom_at(0.0), mu.atom_at(1.0)
     if c0 and a < 0.0:
-        return NormVerdict("Unbounded", p, reason=REASON_ATOM_AT_ZERO_FINITE_P)
+        return NormVerdict(p, reason=REASON_ATOM_AT_ZERO_FINITE_P)
     if c1 and b < 0.0:
         reason = REASON_ATOM_AT_ONE_P_INF if math.isinf(p) else REASON_ATOM_AT_ONE_P_GT_1
-        return NormVerdict("Unbounded", p, reason=reason)
+        return NormVerdict(p, reason=reason)
     value = beta_kernel_integral(mu, a, b)
     if math.isinf(value):
-        return NormVerdict("Unbounded", p, reason=REASON_DIVERGENT_INTEGRAL)
+        return NormVerdict(p, reason=REASON_DIVERGENT_INTEGRAL)
     if c1:
         formula = FORMULA_P1_ATOM_AT_ONE
     elif c0:
         formula = FORMULA_PINF_ATOM_AT_ZERO
     else:
         formula = FORMULA_INTERIOR
-    return NormVerdict("Bounded", p, norm=value, formula_used=formula)
+    return NormVerdict(p, norm=value, formula_used=formula)
 
 
 def classical_constant(p: float) -> float:

@@ -11,15 +11,18 @@ that an :class:`FFTPlan` computes once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.fft import irfft, rfft
 from scipy.special import gammaln, roots_jacobi
 
 from .errors import ConvergenceError, ResourceLimitError
-from .kernel import DEFAULT_SECTION_CAP, entry_block, jacobi_factors
+from .kernel import (
+    _TINY, _UNIT_ROUNDOFF, DEFAULT_SECTION_CAP, _check_size, entry_block, jacobi_factors,
+)
 from .measure import LEBESGUE, Measure
+from .norms import validate_p
 
 __all__ = [
     "SequenceVector",
@@ -39,9 +42,6 @@ __all__ = [
 
 #: Size cap for the FFT routes (n_rows and input length).
 HANKEL_CAP = 1 << 22
-
-_UNIT_ROUNDOFF = 2.0**-53
-_TINY = np.finfo(np.float64).tiny
 
 # Target elements per block in the truncated matvec (memory bound).
 _APPLY_BLOCK_ELEMENTS = 4_000_000
@@ -63,24 +63,18 @@ _MAX_TERMS = 10**7
 class SequenceVector:
     """Finite stored prefix of a sequence, implicitly zero beyond its end.
 
-    ``nonneg=None`` infers the flag from the values; passing ``True``
-    asserts it.
+    ``nonneg`` is read from the values: whether none is negative.
     """
 
     values: np.ndarray
-    nonneg: bool | None = None
+    nonneg: bool = field(init=False)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
         if values.ndim != 1:
             raise ValueError(f"sequence values must be one-dimensional, got shape {values.shape}")
         object.__setattr__(self, "values", values)
-        nonneg = self.nonneg
-        if nonneg is None:
-            nonneg = bool(values.size == 0 or values.min() >= 0.0)
-        elif nonneg and values.size and not values.min() >= 0.0:
-            raise ValueError("nonneg flag set but sequence has negative values")
-        object.__setattr__(self, "nonneg", bool(nonneg))
+        object.__setattr__(self, "nonneg", bool(values.size == 0 or values.min() >= 0.0))
 
     def __len__(self):
         return len(self.values)
@@ -92,8 +86,7 @@ def lp_norm(values, p: float) -> float:
     Returns math.inf only when the norm itself is beyond the float64 range.
     """
     values = np.asarray(values, dtype=np.float64)
-    if not (p >= 1.0):
-        raise ValueError(f"p must be >= 1, got {p}")
+    p = validate_p(p)
     if values.size == 0:
         return 0.0
     magnitude = np.abs(values)
@@ -122,17 +115,16 @@ def lp_norm(values, p: float) -> float:
 def _row_series_block(rows, t, values) -> np.ndarray:
     """Row series sum_m binom(n+m,m) t^m (1-t)^n a_m on a rows-by-nodes grid.
 
-    ``t`` must lie strictly inside (0,1).  Terms are generated through a
-    running log recurrence; iteration stops early once the geometric tail
-    bound (ratio threshold (1+t)/2) falls below ``_TAIL_TOL`` for every grid
-    point, and is exact at the stored length otherwise.
+    ``t`` must lie strictly inside (0,1) and ``values`` be nonempty.  Terms
+    are generated through a running log recurrence; iteration stops early
+    once the geometric tail bound (ratio threshold (1+t)/2) falls below
+    ``_TAIL_TOL`` for every grid point, and is exact at the stored length
+    otherwise.
     """
     rows = np.asarray(rows, dtype=np.float64).reshape(-1, 1)
     t = np.asarray(t, dtype=np.float64).reshape(1, -1)
     out = np.zeros((rows.shape[0], t.shape[1]))
     K = len(values)
-    if K == 0:
-        return out
     suffix_max = np.maximum.accumulate(np.abs(values)[::-1])[::-1]
     log_t = np.log(t)
     log_1mt = np.log1p(-t)
@@ -194,16 +186,13 @@ def apply_truncated(mu: Measure, a: SequenceVector, n_rows: int) -> SequenceVect
     Rows are computed in memory-bounded blocks; each row is summed whole in
     a fixed order, so results do not depend on the blocking.
     """
-    if n_rows < 1:
-        raise ValueError(f"n_rows must be >= 1, got {n_rows}")
-    if n_rows > DEFAULT_SECTION_CAP:
-        raise ResourceLimitError(f"n_rows {n_rows} exceeds cap {DEFAULT_SECTION_CAP}")
+    _check_size(n_rows, DEFAULT_SECTION_CAP)
     k_row = np.arange(len(a))[None, :]
 
     def rows(start, stop):
         return entry_block(mu, np.arange(start, stop)[:, None], k_row)
 
-    return SequenceVector(_row_block_sums(rows, a.values, n_rows), nonneg=a.nonneg or None)
+    return SequenceVector(_row_block_sums(rows, a.values, n_rows))
 
 
 def _row_block_sums(rows, values: np.ndarray, n_rows: int) -> np.ndarray:
@@ -245,15 +234,12 @@ def apply_via_quadrature(mu: Measure, a: SequenceVector, n_rows: int) -> Sequenc
     evaluations: interior ones directly, the endpoint ones through the
     t=0 / t=1 row series conventions.
     """
-    if n_rows < 1:
-        raise ValueError(f"n_rows must be >= 1, got {n_rows}")
-    if n_rows > DEFAULT_SECTION_CAP:
-        raise ResourceLimitError(f"n_rows {n_rows} exceeds cap {DEFAULT_SECTION_CAP}")
+    _check_size(n_rows, DEFAULT_SECTION_CAP)
     values = a.values
     K = len(values)
     out = np.zeros(n_rows)
     if K == 0:
-        return SequenceVector(out, nonneg=True)
+        return SequenceVector(out)
     rows = np.arange(n_rows)
     for term in mu.jacobi_terms:
         degree = (K - 1) + (n_rows - 1)
@@ -282,7 +268,7 @@ def apply_via_quadrature(mu: Measure, a: SequenceVector, n_rows: int) -> Sequenc
         out += c0 * values[0]
     if c1 > 0:
         out[0] += c1 * values.sum()
-    return SequenceVector(out, nonneg=a.nonneg or None)
+    return SequenceVector(out)
 
 
 def uniform_coeff(mu: Measure) -> float | None:
@@ -323,15 +309,17 @@ class FFTPlan:
             raise ValueError(f"input length {K} does not match the plan's {self.n_cols} columns")
         out = np.zeros(n_rows)
         if K == 0:
-            return SequenceVector(out, nonneg=True), 0.0
-        m = self.m
+            return SequenceVector(out), 0.0
+        m, u = self.m, _UNIT_ROUNDOFF
+        # u scales each magnitude before the large factors do, so the bound
+        # overflows only when its value is beyond float64.
         weight = 0.0
         for row, col, spectrum, h_2, h_1 in self.terms:
             b = col * values
             conv = irfft(spectrum * rfft(b[::-1], m), m)
             out += row * conv[K - 1 : K - 1 + n_rows]
             b_1, b_2 = np.abs(b).sum(), np.linalg.norm(b)
-            weight += row.max() * (h_2 * b_1 + h_1 * b_2)
+            weight += u * row.max() * (h_2 * b_1 + h_1 * b_2)
         c0, c1 = self.c0, self.c1
         if c0 > 0:
             out += c0 * values[0]
@@ -344,12 +332,11 @@ class FFTPlan:
             np.maximum(out, 0.0, out=out)
         components = len(self.terms) + (c0 > 0) + (c1 > 0)
         lam = max(1, m.bit_length() - 1)
-        bound = _UNIT_ROUNDOFF * (
-            16.0 * (lam + components + 1) * n_rows ** max(0.0, 1.0 / p - 0.5) * weight
-            + (2 * components + K + 3)
-            * (c0 * abs(values[0]) * n_rows ** (1.0 / p) + c1 * np.abs(values).sum())
+        bound = 16.0 * (lam + components + 1) * n_rows ** max(0.0, 1.0 / p - 0.5) * weight
+        bound += (2 * components + K + 3) * (
+            u * c0 * abs(values[0]) * n_rows ** (1.0 / p) + u * c1 * np.abs(values).sum()
         )
-        return SequenceVector(out, nonneg=a.nonneg or None), float(bound)
+        return SequenceVector(out), float(bound)
 
 
 def fft_plan(mu: Measure, n_rows: int, n_cols: int) -> FFTPlan:
@@ -360,10 +347,9 @@ def fft_plan(mu: Measure, n_rows: int, n_cols: int) -> FFTPlan:
     """
     if mu.interior_atoms:
         raise ValueError("the FFT apply takes density terms and endpoint atoms only")
-    if n_rows < 1:
-        raise ValueError(f"n_rows must be >= 1, got {n_rows}")
-    if n_rows > HANKEL_CAP or n_cols > HANKEL_CAP:
-        raise ResourceLimitError(f"size {max(n_rows, n_cols)} exceeds cap {HANKEL_CAP}")
+    _check_size(n_rows, HANKEL_CAP)
+    if n_cols > HANKEL_CAP:
+        raise ResourceLimitError(f"size {n_cols} exceeds cap {HANKEL_CAP}")
     m = 1 << (n_rows + n_cols - 2).bit_length()
     terms = []
     if n_cols:
@@ -442,7 +428,7 @@ def sequence_to_csv(seq: SequenceVector, p: float | None = None) -> str:
     """One value per line at full precision, optional ``# p=<value>`` header."""
     lines = []
     if p is not None:
-        lines.append("# p=%s" % ("inf" if math.isinf(p) else repr(float(p))))
+        lines.append("# p=%r" % float(p))
     lines.extend("%.17g" % v for v in seq.values)
     return "\n".join(lines) + "\n"
 
@@ -458,7 +444,10 @@ def sequence_from_csv(text: str) -> tuple[SequenceVector, float | None]:
         if line.startswith("#"):
             body = line.lstrip("#").strip()
             if body.startswith("p="):
-                p = math.inf if body[2:].strip() == "inf" else float(body[2:])
+                try:
+                    p = validate_p(body[2:].strip())
+                except ValueError as exc:
+                    raise ValueError(f"line {i + 1}: {exc}") from None
             continue
         try:
             value = float(line)

@@ -212,7 +212,7 @@ def test_criterion_10_hilbert_inequality_and_near_extremal_pair():
         n_grid = np.arange(1.0, big_k + 1.0)
         a = n_grid ** -(1.0 / p + 0.01)
         b = n_grid ** -(1.0 / q + 0.01)
-        image = hankel_fast_apply(SequenceVector(a, nonneg=True), big_k)
+        image = hankel_fast_apply(SequenceVector(a), big_k)
         bilinear = float(np.dot(b, image.values))
         achieved = bilinear / (constant * lp_norm(a, p) * lp_norm(b, q))
         # Floor pinned by direct summation: 0.759 / 0.816 / 0.759 at K=1e4.
@@ -223,14 +223,14 @@ def test_criterion_11_fft_apply_speed_and_agreement():
     size = 1 << 12
     rng = SplitMix64(31415)
     values = np.array([rng.uniform01() for _ in range(size)])
-    a = SequenceVector(values, nonneg=True)
+    a = SequenceVector(values)
     fast = hankel_fast_apply(a, size).values
     h = 1.0 / (np.arange(size)[:, None] + np.arange(size)[None, :] + 1.0)
     naive = h @ values
     assert np.max(np.abs(fast - naive) / np.abs(naive)) <= 1e-10
 
     size = 1 << 20
-    big = SequenceVector(np.ones(size), nonneg=True)
+    big = SequenceVector(np.ones(size))
     start = time.perf_counter()
     image = hankel_fast_apply(big, size)
     elapsed = time.perf_counter() - start

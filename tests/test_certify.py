@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from genhilbert.operator import (
     SequenceVector,
     apply_fft,
     apply_truncated,
+    apply_via_quadrature,
     fft_plan,
     hankel_fast_apply,
     lp_norm,
@@ -239,6 +241,19 @@ def test_ratio_at_large_p_scales_with_the_measure(scale):
     params = ExtremalParams(10.0, 0.05, 64)
     want = lower_bound_ratio(LEBESGUE, params, 64)
     got = lower_bound_ratio(Measure((JacobiTerm(scale, 0.0, 0.0),), ()), params, 64)
+    assert got == pytest.approx(scale * want, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("scale,p", [(1e304, 1.0), (1e307, 2.0)])
+def test_fft_ratio_scales_with_a_measure_near_the_float64_limit(scale, p):
+    # The FFT bound's unit roundoff has to scale the magnitudes before the
+    # large factors do, or the bound overflows although its value is far
+    # below the float64 limit.
+    params = ExtremalParams(p, 0.5 / p, 32768)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        want = lower_bound_ratio(LEBESGUE, params, 32768)
+        got = lower_bound_ratio(Measure((JacobiTerm(scale, 0.0, 0.0),), ()), params, 32768)
     assert got == pytest.approx(scale * want, rel=1e-12, abs=0)
 
 
@@ -481,6 +496,29 @@ def test_sweep_checks_every_size_against_its_cap_before_any_work(delta_half, mon
         with pytest.raises(ResourceLimitError, match=f"size {cap + 1} exceeds cap {cap}"):
             convergence_sweep(mu, 2.0, [0.1], [4096, cap + 1])
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda size: finite_section(LEBESGUE, size),
+        lambda size: apply_truncated(LEBESGUE, SequenceVector(np.ones(3)), size),
+        lambda size: apply_via_quadrature(LEBESGUE, SequenceVector(np.ones(3)), size),
+        lambda size: fft_plan(LEBESGUE, size, 3),
+        lambda size: convergence_sweep(LEBESGUE, 2.0, [0.1], [size]),
+    ],
+    ids=["finite_section", "apply_truncated", "apply_via_quadrature", "fft_plan", "sweep"],
+)
+def test_every_size_entry_point_has_one_check_and_one_wording(call, monkeypatch):
+    for module in (kernel, operator, certify_module):
+        monkeypatch.setattr(module, "DEFAULT_SECTION_CAP", 8)
+    for module in (operator, certify_module):
+        monkeypatch.setattr(module, "HANKEL_CAP", 8)
+    call(8)
+    with pytest.raises(ValueError, match="^size must be >= 1, got 0$"):
+        call(0)
+    with pytest.raises(ResourceLimitError, match="^size 9 exceeds cap 8$"):
+        call(9)
 
 
 def test_sweep_skips_sigma_series_away_from_p2(lebesgue):

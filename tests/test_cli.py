@@ -16,8 +16,10 @@ from genhilbert import (
     apply_truncated,
     classical_constant,
     entry,
+    finite_section,
     measure_to_json,
     section_from_csv,
+    section_from_json,
     sequence_to_csv,
 )
 from genhilbert.cli import main
@@ -41,7 +43,7 @@ def atom_zero_file(tmp_path):
 
 @pytest.fixture
 def sequence_file(tmp_path):
-    seq = SequenceVector(np.array([1.0, 0.5, 0.25, 0.125]), nonneg=True)
+    seq = SequenceVector(np.array([1.0, 0.5, 0.25, 0.125]))
     path = tmp_path / "seq.csv"
     path.write_text(sequence_to_csv(seq), encoding="utf-8")
     return str(path)
@@ -94,6 +96,14 @@ def test_section_csv_round_trips_bitwise(capsys, lebesgue_file):
     parsed = section_from_csv(out)
     direct = np.array([[1.0 / (n + k + 1) for k in range(6)] for n in range(6)])
     np.testing.assert_array_equal(parsed.entries, direct)
+
+
+def test_section_json_round_trips_bitwise(capsys, lebesgue_file):
+    code, out, _ = run(capsys, "section", "--measure", lebesgue_file, "--N", "6", "--output", "json")
+    assert code == 0
+    parsed = section_from_json(out)
+    assert parsed.size == 6
+    np.testing.assert_array_equal(parsed.entries, finite_section(LEBESGUE, 6).entries)
 
 
 def test_section_output_is_deterministic(capsys, lebesgue_file):
@@ -159,6 +169,17 @@ def test_apply_non_finite_sequence_is_usage_error(capsys, lebesgue_file, tmp_pat
         capsys, "apply", "--measure", lebesgue_file, "--sequence", str(path), "--rows", "4"
     )
     assert code == 2 and "not a finite number" in err
+
+
+@pytest.mark.parametrize("header", ["# p=0.5", "# p=nan", "# p=-3"])
+def test_apply_invalid_p_header_is_usage_error(capsys, lebesgue_file, tmp_path, header):
+    path = tmp_path / "bad_p.csv"
+    path.write_text(header + "\n1.0\n", encoding="utf-8")
+    code, out, err = run(
+        capsys, "apply", "--measure", lebesgue_file, "--sequence", str(path), "--rows", "2"
+    )
+    assert code == 2 and out == ""
+    assert "line 1: p must be a real >= 1 or inf" in err
 
 
 def test_apply_fft_requires_classical_measure(capsys, atom_zero_file, sequence_file):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from genhilbert import (
     Atom,
@@ -15,6 +17,7 @@ from genhilbert import (
     SequenceVector,
     apply_truncated,
     apply_via_quadrature,
+    finite_section,
     hankel_fast_apply,
     lp_norm,
     norm_integral,
@@ -39,11 +42,6 @@ def naive_hilbert_apply(values: np.ndarray, n_rows: int) -> np.ndarray:
 def test_sequence_vector_infers_nonneg_flag():
     assert SequenceVector(np.array([0.0, 1.0])).nonneg is True
     assert SequenceVector(np.array([0.0, -1.0])).nonneg is False
-
-
-def test_sequence_vector_rejects_false_nonneg_claim():
-    with pytest.raises(ValueError):
-        SequenceVector(np.array([-1.0]), nonneg=True)
 
 
 def test_sequence_vector_rejects_matrix_input():
@@ -149,6 +147,23 @@ def test_row_series_reports_nonconvergence(monkeypatch):
     assert err.value.estimate is not None
 
 
+def test_row_series_log_refresh_matches_the_running_log(monkeypatch):
+    rng = np.random.default_rng(3)
+    a = SequenceVector(rng.random(200))
+    want = apply_via_quadrature(LEBESGUE, a, 8).values
+    refreshes = []
+
+    def counted_gammaln(x, _original=operator.gammaln):
+        refreshes.append(1)
+        return _original(x)
+
+    monkeypatch.setattr(operator, "_LOG_REFRESH", 16)
+    monkeypatch.setattr(operator, "gammaln", counted_gammaln)
+    got = apply_via_quadrature(LEBESGUE, a, 8).values
+    assert refreshes
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
 def test_row_series_rejects_bad_inputs():
     a = SequenceVector(np.ones(3))
     with pytest.raises(ValueError):
@@ -233,6 +248,20 @@ def test_quadrature_cross_oracle_on_random_interior_measures():
         np.testing.assert_allclose(d2, d1, rtol=1e-7, atol=1e-12)
 
 
+def test_quadrature_compares_two_rules_beyond_the_exact_rule(monkeypatch):
+    monkeypatch.setattr(operator, "_GAUSS_EXACT_MAX", 16)
+    # Degree 40 needs 21 nodes; with a[m] = 0 beyond m = 3 the row series has
+    # degree at most 4, which both the 16- and the 32-node rule integrate exactly.
+    values = np.zeros(40)
+    values[[0, 3]] = (1.0, 0.5)
+    a = SequenceVector(values)
+    got = apply_via_quadrature(LEBESGUE, a, 2).values
+    np.testing.assert_allclose(got, apply_truncated(LEBESGUE, a, 2).values, rtol=3e-15, atol=0)
+    with pytest.raises(ConvergenceError, match="between refinements") as err:
+        apply_via_quadrature(LEBESGUE, SequenceVector(np.ones(40)), 20)
+    assert 1e-9 < err.value.estimate < 1e-5
+
+
 def test_quadrature_endpoint_atom_conventions():
     # atom at 0 adds a_0 to every row; atom at 1 adds the full sum to row 0
     a = SequenceVector(np.array([2.0, 3.0, 4.0]))
@@ -283,6 +312,19 @@ def test_fast_apply_size_cap():
         apply_fft(LEBESGUE, SequenceVector(np.ones(2**23)), 4, 2.0)
 
 
+def test_fft_plan_checks_the_input_length():
+    plan = operator.fft_plan(LEBESGUE, 5, 3)
+    with pytest.raises(ValueError, match="input length 4 does not match the plan's 3 columns"):
+        plan.apply(SequenceVector(np.ones(4)), 2.0)
+
+
+def test_zero_column_fft_plan_maps_to_zero():
+    mu = Measure((JacobiTerm(1.0, 1.0, 0.0),), (Atom(0.0, 2.0), Atom(1.0, 1.0)))
+    image, bound = operator.fft_plan(mu, 5, 0).apply(SequenceVector(np.zeros(0)), 2.0)
+    np.testing.assert_array_equal(image.values, np.zeros(5))
+    assert bound == 0.0
+
+
 def test_fft_apply_rejects_interior_atoms(delta_half):
     with pytest.raises(ValueError, match="endpoint atoms"):
         apply_fft(delta_half, SequenceVector(np.ones(4)), 4, 2.0)
@@ -293,7 +335,7 @@ def test_fft_apply_rejects_interior_atoms(delta_half):
 
 def test_positivity_preserved_by_all_routes(delta_half):
     rng = np.random.default_rng(8)
-    a = SequenceVector(rng.random(20), nonneg=True)
+    a = SequenceVector(rng.random(20))
     for out in (
         apply_truncated(LEBESGUE, a, 10),
         apply_via_quadrature(delta_half, a, 10),
@@ -301,6 +343,39 @@ def test_positivity_preserved_by_all_routes(delta_half):
     ):
         assert out.nonneg
         assert out.values.min() >= 0.0
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_applies_are_linear_in_the_measure(seed):
+    rng = np.random.default_rng(seed)
+    mu, nu = random_interior_measure(rng), random_interior_measure(rng)
+    locations = [atom.location for atom in mu.atoms + nu.atoms]
+    assume(len(set(locations)) == len(locations))
+    both = Measure(mu.jacobi_terms + nu.jacobi_terms, mu.atoms + nu.atoms)
+    np.testing.assert_allclose(
+        finite_section(both, 24).entries,
+        finite_section(mu, 24).entries + finite_section(nu, 24).entries,
+        rtol=2e-15, atol=0,
+    )
+    a = SequenceVector(rng.random(int(rng.integers(1, 40))))
+    n_rows = int(rng.integers(1, 30))
+    np.testing.assert_allclose(
+        apply_truncated(both, a, n_rows).values,
+        apply_truncated(mu, a, n_rows).values + apply_truncated(nu, a, n_rows).values,
+        rtol=2e-15, atol=0,
+    )
+    np.testing.assert_allclose(
+        apply_via_quadrature(both, a, n_rows).values,
+        apply_via_quadrature(mu, a, n_rows).values + apply_via_quadrature(nu, a, n_rows).values,
+        rtol=1e-11, atol=0,
+    )
+    # Each FFT image is within its stated bound of the exact one, and the
+    # exact images add up, so the difference is within the sum of the bounds.
+    ffts = [apply_fft(Measure(m.jacobi_terms, ()), a, n_rows, 2.0) for m in (both, mu, nu)]
+    (both_image, _), (mu_image, _), (nu_image, _) = ffts
+    gap = lp_norm(both_image.values - mu_image.values - nu_image.values, 2.0)
+    assert gap <= sum(bound for _, bound in ffts)
 
 
 def test_image_norm_bounded_by_sharp_integral():
@@ -316,7 +391,7 @@ def test_image_norm_bounded_by_sharp_integral():
         cap = norm_integral(mu, p)
         assert math.isfinite(cap)
         for _ in range(5):
-            a = SequenceVector(rng.random(int(rng.integers(1, 50))), nonneg=True)
+            a = SequenceVector(rng.random(int(rng.integers(1, 50))))
             image = apply_truncated(mu, a, 200)
             assert lp_norm(image.values, p) <= cap * lp_norm(a.values, p) + 1e-9
 
@@ -344,6 +419,21 @@ def test_sequence_csv_no_header():
     again, p = sequence_from_csv(text)
     assert p is None
     np.testing.assert_array_equal(again.values, [4.0])
+
+
+def test_sequence_csv_inf_header_round_trips():
+    seq = SequenceVector(np.array([1.0, 2.0]))
+    text = sequence_to_csv(seq, p=math.inf)
+    assert text.startswith("# p=inf\n")
+    again, p = sequence_from_csv(text)
+    assert p == math.inf
+    np.testing.assert_array_equal(again.values, seq.values)
+
+
+@pytest.mark.parametrize("header", ["# p=0.5", "# p=nan", "# p=-3"])
+def test_sequence_csv_rejects_an_invalid_p_header(header):
+    with pytest.raises(ValueError, match="^line 1: p must be a real >= 1 or inf"):
+        sequence_from_csv(header + "\n1.0\n")
 
 
 def test_sequence_csv_rejects_garbage():
