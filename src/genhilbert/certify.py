@@ -25,6 +25,7 @@ from .operator import (
     FFTPlan,
     SequenceVector,
     _row_block_sums,
+    _scaled,
     apply_truncated,
     fft_plan,
     lp_norm,
@@ -125,9 +126,9 @@ def lower_bound_ratio(mu: Measure, params: ExtremalParams, n_rows: int) -> float
     bound on the image norm is at most ``FFT_ROUTE_RTOL`` times that norm,
     or when ``n_rows`` is beyond the dense cap; the numerator is then the
     computed norm less that bound, so the ratio stays a lower bound.  Every
-    other case takes the dense route.  Overflow of the numerator is
-    reported as math.inf (an unboundedness witness, e.g. for measures with
-    an atom at 0).
+    other case takes the dense route.  The ratio scales exactly with the
+    measure, and is math.inf only when it is beyond the float64 range (an
+    unboundedness witness, e.g. for measures with an atom at 0).
     """
     return _Block(mu, n_rows, params.length).ratio(extremal_sequence(params), params.p)
 
@@ -137,20 +138,22 @@ def p2_section_norm(mu: Measure, size: int, tol: float = 1e-10) -> float:
 
     Power iteration on the Gram operator S^T S from the normalized all-ones
     vector; it stops once two successive values differ by at most ``tol``
-    relative.  Each step applies S to the current vector v and S^T to the
-    image.  A measure without interior atoms is applied matrix-free through
-    one :class:`~genhilbert.operator.FFTPlan` and its transpose, and the
-    step's value is the certified Rayleigh quotient
+    relative.  Each step applies S to the current vector v and, unless that
+    value stops the iteration, S^T to the image.  A measure without interior
+    atoms is applied matrix-free through one
+    :class:`~genhilbert.operator.FFTPlan` and its transpose, and the step's
+    value is the certified Rayleigh quotient
     ``max(0, ||y_fft||_2 - bound) / ||v||_2 <= ||S v||_2 / ||v||_2 <= sigma_N``,
     with ``bound`` the FFT apply's stated ell-2 error bound
-    (:func:`~genhilbert.operator.apply_fft`).  That route holds while every
-    step's bound is at most ``FFT_ROUTE_RTOL`` times ``||y_fft||_2``, or
-    throughout when ``size`` is beyond the dense cap, the rule
+    (:meth:`~genhilbert.operator.FFTPlan.apply`).  That route holds while
+    every step's bound is at most ``FFT_ROUTE_RTOL`` times ``||y_fft||_2``,
+    or throughout when ``size`` is beyond the dense cap, the rule
     :func:`lower_bound_ratio` follows.  Otherwise (interior atoms, or a
     bound above the tolerance within the cap, such as t(1-t)dt's) the
-    iteration starts over on the dense section, where the value is
-    ``||S v||_2``.  Power iteration converges from below, so either value is
-    a sound lower bound for the p=2 operator norm.
+    iteration continues from that step's v on the dense section, where the
+    value is ``||S v||_2``.  Power iteration converges from below, so either
+    value is a sound lower bound for the p=2 operator norm.  sigma_N scales
+    exactly with the measure while the applies stay within the float64 range.
     """
     return _Block(mu, size, size).sigma(tol)
 
@@ -184,64 +187,65 @@ class _Block:
 
         The dense route sums a held section's rows as
         :func:`~genhilbert.operator.apply_truncated` sums its entries, so
-        both give the same image bit for bit.
+        both give the same image bit for bit.  ``a`` is first divided by the
+        power of two above its norm, which is exact, so the image norm
+        overflows only when the ratio is beyond the float64 range itself.
         """
+        norm_a = lp_norm(a.values, p)
+        e = math.frexp(norm_a)[1]
+        a, denominator = SequenceVector(np.ldexp(a.values, -e)), math.ldexp(norm_a, -e)
         if not self.mu.interior_atoms:
             image, bound = self.plan().apply(a, p)
             numerator = lp_norm(image.values, p)
-            if math.isinf(numerator):
-                return math.inf
             if self.fft_serves(bound, numerator):
-                return max(0.0, numerator - bound) / lp_norm(a.values, p)
+                return max(0.0, numerator - bound) / denominator
         if self._section is None:
             image = apply_truncated(self.mu, a, self.n_rows).values
         else:
             s = self._section
             image = _row_block_sums(lambda start, stop: s[start:stop], a.values, self.n_rows)
-        return lp_norm(image, p) / lp_norm(a.values, p)
+        return lp_norm(image, p) / denominator
+
+    def section(self) -> np.ndarray:
+        if self._section is None:
+            self._section = finite_section(self.mu, self.n_rows).entries
+        return self._section
 
     def sigma(self, tol: float) -> float:
-        """:func:`p2_section_norm` of the (square) block."""
+        """:func:`p2_section_norm` of the (square) block: one power loop over one apply pair.
+
+        The pair is the FFT plan and its transpose until a step's image no
+        longer serves (:meth:`fft_serves`), and the dense section and its
+        transpose from that step on; the step's vector carries over.  S v and
+        S^T S v are divided by the power of two above their largest
+        magnitude, which is exact, so sigma scales exactly with the measure.
+        """
         if not tol > 0.0:
             raise ValueError(f"tol must be > 0, got {tol}")
-        if not self.mu.interior_atoms:
-            plan = self.plan()
-            adjoint = plan.transposed()
-
-            def forward(v):
-                image, bound = plan.apply(SequenceVector(v), 2.0)
-                return image.values, bound
-
-            sigma = self._power_iteration(
-                forward, lambda u: adjoint.apply(SequenceVector(u), 2.0)[0].values, tol
-            )
-            if sigma is not None:
-                return sigma
-        s = self._section = finite_section(self.mu, self.n_rows).entries
-        return self._power_iteration(lambda v: (s @ v, 0.0), lambda u: s.T @ u, tol)
-
-    def _power_iteration(self, forward, backward, tol: float) -> float | None:
-        """sigma by power iteration, ``forward(v) -> (S v, bound)`` and ``backward(u) = S^T u``.
-
-        Returns None as soon as a step's image no longer serves (:meth:`fft_serves`).
-        """
         size = self.n_rows
+        fft = not self.mu.interior_atoms
+        # Building the plan or the section checks the size before v divides by it.
+        adjoint = self.plan().transposed() if fft else self.section().T
         v = np.full(size, 1.0 / math.sqrt(size))
         sigma = 0.0
         for _ in range(_POWER_ITERATION_CAP):
-            u, bound = forward(v)
-            norm_u = float(np.linalg.norm(u))
+            if fft:
+                image, bound = self.plan().apply(SequenceVector(v), 2.0)
+                u, norm_u = _scaled(image.values)
+                fft = self.fft_serves(bound, norm_u)
+            if not fft:
+                adjoint = self.section().T
+                u, norm_u = _scaled(self.section() @ v)
+                bound = 0.0
             if norm_u == 0.0:
                 return 0.0
-            if not self.fft_serves(bound, norm_u):
-                return None
-            # The dense pair states bound 0; its value is ||S v||_2 for the normalized v.
+            # The dense route states bound 0; its value is ||S v||_2 for the normalized v.
             sigma_new = max(0.0, norm_u - bound) / float(np.linalg.norm(v)) if bound else norm_u
-            w = backward(u)
-            v = w / np.linalg.norm(w)
             if abs(sigma_new - sigma) <= tol * sigma_new:
                 return sigma_new
             sigma = sigma_new
+            w = _scaled(adjoint.apply(SequenceVector(u), 2.0)[0].values if fft else adjoint @ u)[0]
+            v = w / np.linalg.norm(w)
         raise ConvergenceError(
             f"power iteration did not reach relative tol {tol} "
             f"within {_POWER_ITERATION_CAP} iterations (size {size})",

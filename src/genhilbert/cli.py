@@ -106,12 +106,13 @@ def _cmd_apply(args) -> int:
     seq, header_p = _load(args.sequence, "sequence", operator.sequence_from_csv)
     p_echo = args.p if args.p is not None else header_p
     if args.route == "fft":
-        if operator.uniform_coeff(mu) is None:
+        terms = mu.jacobi_terms
+        if mu.atoms or len(terms) != 1 or (terms[0].alpha, terms[0].beta) != (0.0, 0.0):
             raise ValueError(
                 "the fft route implements c*dt measures (the scaled classical matrix) only; "
                 "use --route truncated/quadrature"
             )
-        image = operator.apply_fft(mu, seq, args.rows, 2.0)[0]
+        image = operator.fft_plan(mu, args.rows, len(seq)).apply(seq, 2.0)[0]
     elif args.route == "quadrature":
         image = operator.apply_via_quadrature(mu, seq, args.rows)
     else:

@@ -41,7 +41,7 @@ _LN2 = math.log(2.0)
 class JacobiTerm:
     """Density term ``coeff * t**alpha * (1-t)**beta`` on (0,1).
 
-    Requires ``coeff > 0`` and ``alpha, beta > -1`` so the term has finite mass.
+    Requires finite ``coeff > 0`` and ``alpha, beta > -1`` so the term has finite mass.
     """
 
     coeff: float
@@ -49,12 +49,12 @@ class JacobiTerm:
     beta: float
 
     def __post_init__(self):
-        if not self.coeff > 0:
-            raise ValueError(f"coeff must be > 0, got {self.coeff!r}")
-        if not self.alpha > -1:
-            raise ValueError(f"alpha must be > -1, got {self.alpha!r}")
-        if not self.beta > -1:
-            raise ValueError(f"beta must be > -1, got {self.beta!r}")
+        if not 0 < self.coeff < math.inf:
+            raise ValueError(f"coeff must be finite and > 0, got {self.coeff!r}")
+        if not -1 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and > -1, got {self.alpha!r}")
+        if not -1 < self.beta < math.inf:
+            raise ValueError(f"beta must be finite and > -1, got {self.beta!r}")
 
 
 @dataclass(frozen=True)
@@ -67,8 +67,8 @@ class Atom:
     def __post_init__(self):
         if not 0.0 <= self.location <= 1.0:
             raise ValueError(f"atom location must lie in [0,1], got {self.location!r}")
-        if not self.mass > 0:
-            raise ValueError(f"atom mass must be > 0, got {self.mass!r}")
+        if not 0 < self.mass < math.inf:
+            raise ValueError(f"atom mass must be finite and > 0, got {self.mass!r}")
 
 
 @dataclass(frozen=True)

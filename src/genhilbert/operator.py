@@ -31,11 +31,9 @@ __all__ = [
     "row_series_value",
     "apply_truncated",
     "apply_via_quadrature",
-    "apply_fft",
     "FFTPlan",
     "fft_plan",
     "hankel_fast_apply",
-    "uniform_coeff",
     "sequence_to_csv",
     "sequence_from_csv",
 ]
@@ -92,12 +90,10 @@ def lp_norm(values, p: float) -> float:
     magnitude = np.abs(values)
     if math.isinf(p):
         return float(magnitude.max())
-    if p == 1.0:
-        return float(magnitude.sum())
     # Dividing by the power of two 2**e above max |v| is exact and keeps
-    # |v|**p from overflowing or underflowing; the root is scaled back.  Once
-    # 0.5**p is no longer a normal number, the largest term could underflow
-    # as well, and the scaled values are divided by their max too.
+    # |v|**p and their sum in range, p = 1 included; the root is scaled back.
+    # Once 0.5**p is no longer a normal number, the largest term could
+    # underflow as well, and the scaled values are divided by their max too.
     _, e = math.frexp(float(magnitude.max()))
     np.ldexp(magnitude, -e, out=magnitude)
     unit = 1.0
@@ -110,6 +106,20 @@ def lp_norm(values, p: float) -> float:
         return math.ldexp(root, e)
     except OverflowError:
         return math.inf
+
+
+def _scaled(x: np.ndarray) -> tuple[np.ndarray, float]:
+    """``x`` divided by the power of two 2**e above its largest magnitude, and ``||x||_2``.
+
+    The division is exact and keeps the squares in ``np.linalg.norm`` in
+    range; the norm is math.inf only when it is beyond the float64 range.
+    """
+    e = math.frexp(float(np.abs(x).max()))[1]
+    x = np.ldexp(x, -e)
+    try:
+        return x, math.ldexp(float(np.linalg.norm(x)), e)
+    except OverflowError:
+        return x, math.inf
 
 
 def _row_series_block(rows, t, values) -> np.ndarray:
@@ -271,17 +281,9 @@ def apply_via_quadrature(mu: Measure, a: SequenceVector, n_rows: int) -> Sequenc
     return SequenceVector(out)
 
 
-def uniform_coeff(mu: Measure) -> float | None:
-    """``c`` when ``mu`` is ``c * dt``, whose matrix is ``c`` times the classical one; else None."""
-    terms = mu.jacobi_terms
-    if mu.atoms or len(terms) != 1 or (terms[0].alpha, terms[0].beta) != (0.0, 0.0):
-        return None
-    return terms[0].coeff
-
-
 @dataclass(frozen=True)
 class FFTPlan:
-    """What :func:`apply_fft` computes once per measure and shape, reusable across inputs.
+    """The FFT apply of one measure's leading ``n_rows`` by ``n_cols`` block, for many inputs.
 
     Per density term ``(row, col, spectrum, h_2, h_1)``: the factors
     :func:`~genhilbert.kernel.jacobi_factors` returns, ``rfft(hankel, m)``
@@ -302,7 +304,50 @@ class FFTPlan:
         return FFTPlan(self.n_cols, self.n_rows, self.m, terms, self.c1, self.c0)
 
     def apply(self, a: SequenceVector, p: float) -> tuple[SequenceVector, float]:
-        """The image of ``a`` (of length ``n_cols``) and its ell-p error bound, as in :func:`apply_fft`."""
+        """The image of ``a`` (length ``n_cols``) in O(M log M) and an a-priori ell-p error bound.
+
+        A density term's entries are ``D[n] H[n+k] E[k]``
+        (:func:`~genhilbert.kernel.jacobi_factors`), so its image is ``D * c``
+        with ``c[n] = sum_k H[n+k] b[k]`` and ``b = E * a``.  These are entries
+        K-1 ... K-2+N of the linear convolution of ``h = H[:N+K-1]`` with
+        reversed ``b``.  A circular convolution of length ``m >= N+K-1`` wraps
+        only entries at or beyond ``m`` onto indices below K-1, so the rows kept
+        are exact; ``m`` is the least power of two that long.  An atom at 0
+        adds ``c0 * a[0]`` to every row, an atom at 1 adds ``c1 * sum(a)`` to
+        row 0.
+
+        The bound majorizes ``||y_fft - y||_p``, where ``y`` is the exact
+        product of the entries :func:`~genhilbert.kernel.entry_block` returns
+        with ``a`` (the dense route without its summation rounding).  With unit
+        roundoff u, N = n_rows, K = len(a), T components (density terms plus
+        endpoint atoms), ``lam = max(1, log2 m)`` and ``s = max(0, 1/p - 1/2)``
+        (so that ``||x||_p <= N^s ||x||_2``), it is, to first order in u::
+
+            16 u (lam + T + 1) N^s sum_terms ||D||_inf (||h||_2 ||b||_1 + ||h||_1 ||b||_2)
+            + (2T + K + 3) u (c0 |a[0]| N^(1/p) + c1 ||a||_1)
+
+        Derivation (Higham, *Accuracy and Stability of Numerical Algorithms*,
+        2nd ed., section 24.1): Theorem 24.2 bounds a computed radix-2
+        transform of length m by ``||fl(Fx) - Fx||_2 <= phi ||Fx||_2``,
+        ``phi = log2(m) (u + gamma_4 (sqrt(2) + u)) < 7 u lam``.  m is a power
+        of two, a length the theorem covers; scipy computes these real
+        transforms by radix-4 and radix-2 passes (a radix-4 butterfly is two
+        radix-2 levels in exact arithmetic), and the theorem is taken for them,
+        not proved.  The convolution is
+        ``F^-1(Fh . Fb)`` with ``||Fx||_2 = sqrt(m) ||x||_2`` and
+        ``||Fx||_inf <= ||x||_1``.  The error of ``Fh`` meets ``Fb`` and costs
+        ``phi ||h||_2 ||b||_1``; the error of ``Fb`` meets ``Fh`` and costs
+        ``phi ||h||_1 ||b||_2``; the complex products (``sqrt(2) gamma_2``), the
+        inverse transform (``phi``) and its 1/m scaling (``u``) cost at most
+        ``phi + 4u`` times ``||h * b||_2 <= ||h||_2 ||b||_1`` (Young's
+        inequality).  The rest are relative roundings per row of the majorant
+        ``D (h * |b|)``: forming ``b`` and scaling by ``D`` (u each), adding the
+        T components (T u), and the entries' own rounding in ``entry_block``
+        ((T + 1) u).  Per term this is
+        ``(14 lam + 2T + 7) u ||h||_2 ||b||_1 + 7 lam u ||h||_1 ||b||_2`` in
+        ell-2, times ``||D||_inf N^s`` in ell-p.  The atoms share those
+        ``(2T + 3) u`` per row, and ``sum(a)`` adds at most ``K u``.
+        """
         values = a.values
         K, n_rows = len(values), self.n_rows
         if K != self.n_cols:
@@ -318,7 +363,7 @@ class FFTPlan:
             b = col * values
             conv = irfft(spectrum * rfft(b[::-1], m), m)
             out += row * conv[K - 1 : K - 1 + n_rows]
-            b_1, b_2 = np.abs(b).sum(), np.linalg.norm(b)
+            b_1, b_2 = np.abs(b).sum(), _scaled(b)[1]
             weight += u * row.max() * (h_2 * b_1 + h_1 * b_2)
         c0, c1 = self.c0, self.c1
         if c0 > 0:
@@ -361,67 +406,13 @@ def fft_plan(mu: Measure, n_rows: int, n_cols: int) -> FFTPlan:
     return FFTPlan(n_rows, n_cols, m, tuple(terms), mu.atom_at(0.0), mu.atom_at(1.0))
 
 
-def apply_fft(
-    mu: Measure, a: SequenceVector, n_rows: int, p: float
-) -> tuple[SequenceVector, float]:
-    """First ``n_rows`` outputs in O(M log M), with an a-priori bound on their ell-p error.
-
-    For measures of density terms and endpoint atoms only; interior atoms
-    raise ``ValueError``.  A density term's entries are ``D[n] H[n+k] E[k]``
-    (:func:`genhilbert.kernel.jacobi_factors`, which also rejects factors
-    outside the float64 range), so its image is ``D * c`` with
-    ``c[n] = sum_k H[n+k] b[k]`` and ``b = E * a``.  These are entries
-    K-1 ... K-2+N of the linear convolution of ``h = H[:N+K-1]`` with
-    reversed ``b``.  A circular convolution of length ``m >= N+K-1`` wraps
-    only entries at or beyond ``m`` onto indices below K-1, so the rows kept
-    are exact; ``m`` is the least power of two that long.  An atom at 0
-    adds ``c0 * a[0]`` to every row, an atom at 1 adds ``c1 * sum(a)`` to
-    row 0.  This is :func:`fft_plan` applied once; a caller applying the
-    same block to many inputs keeps the plan, whose ``transposed()`` serves
-    the transposed block with the same spectra.
-
-    The bound majorizes ``||y_fft - y||_p``, where ``y`` is the exact
-    product of the entries :func:`~genhilbert.kernel.entry_block` returns
-    with ``a`` (the dense route without its summation rounding).  With unit
-    roundoff u, N = n_rows, K = len(a), T components (density terms plus
-    endpoint atoms), ``lam = max(1, log2 m)`` and ``s = max(0, 1/p - 1/2)``
-    (so that ``||x||_p <= N^s ||x||_2``), it is, to first order in u::
-
-        16 u (lam + T + 1) N^s sum_terms ||D||_inf (||h||_2 ||b||_1 + ||h||_1 ||b||_2)
-        + (2T + K + 3) u (c0 |a[0]| N^(1/p) + c1 ||a||_1)
-
-    Derivation (Higham, *Accuracy and Stability of Numerical Algorithms*,
-    2nd ed., section 24.1): Theorem 24.2 bounds a computed radix-2
-    transform of length m by ``||fl(Fx) - Fx||_2 <= phi ||Fx||_2``,
-    ``phi = log2(m) (u + gamma_4 (sqrt(2) + u)) < 7 u lam``.  m is a power
-    of two, a length the theorem covers; scipy computes these real
-    transforms by radix-4 and radix-2 passes (a radix-4 butterfly is two
-    radix-2 levels in exact arithmetic), and the theorem is taken for them,
-    not proved.  The convolution is
-    ``F^-1(Fh . Fb)`` with ``||Fx||_2 = sqrt(m) ||x||_2`` and
-    ``||Fx||_inf <= ||x||_1``.  The error of ``Fh`` meets ``Fb`` and costs
-    ``phi ||h||_2 ||b||_1``; the error of ``Fb`` meets ``Fh`` and costs
-    ``phi ||h||_1 ||b||_2``; the complex products (``sqrt(2) gamma_2``), the
-    inverse transform (``phi``) and its 1/m scaling (``u``) cost at most
-    ``phi + 4u`` times ``||h * b||_2 <= ||h||_2 ||b||_1`` (Young's
-    inequality).  The rest are relative roundings per row of the majorant
-    ``D (h * |b|)``: forming ``b`` and scaling by ``D`` (u each), adding the
-    T components (T u), and the entries' own rounding in ``entry_block``
-    ((T + 1) u).  Per term this is
-    ``(14 lam + 2T + 7) u ||h||_2 ||b||_1 + 7 lam u ||h||_1 ||b||_2`` in
-    ell-2, times ``||D||_inf N^s`` in ell-p.  The atoms share those
-    ``(2T + 3) u`` per row, and ``sum(a)`` adds at most ``K u``.
-    """
-    return fft_plan(mu, n_rows, len(a)).apply(a, p)
-
-
 def hankel_fast_apply(a: SequenceVector, n_rows: int) -> SequenceVector:
     """Classical Hilbert matrix apply, d_n = sum_k a_k / (n+k+1), in O(M log M).
 
-    This is :func:`apply_fft` for the Lebesgue measure, whose factors are
+    This is the :class:`FFTPlan` of the Lebesgue measure, whose factors are
     ``D = E = 1`` and ``H[s] = 1/(s+1)``.
     """
-    return apply_fft(LEBESGUE, a, n_rows, 2.0)[0]
+    return fft_plan(LEBESGUE, n_rows, len(a)).apply(a, 2.0)[0]
 
 
 def sequence_to_csv(seq: SequenceVector, p: float | None = None) -> str:

@@ -12,6 +12,7 @@ from genhilbert import (
     CertificationReport,
     ConvergenceError,
     ExtremalParams,
+    FiniteSection,
     JacobiTerm,
     LEBESGUE,
     Measure,
@@ -30,9 +31,9 @@ from genhilbert import certify as certify_module
 from genhilbert import kernel, operator
 from genhilbert.certify import SOUNDNESS_SLACK
 from genhilbert.norms import classical_constant
+from conftest import MIXED_CORPUS
 from genhilbert.operator import (
     SequenceVector,
-    apply_fft,
     apply_truncated,
     apply_via_quadrature,
     fft_plan,
@@ -154,7 +155,7 @@ def test_fft_route_error_within_its_stated_bound_and_ratio_sound():
         n_rows, K = (4096, 4096) if case == 0 else map(int, sizes)
         p = float(rng.choice([1.0, 1.5, 2.0, 3.0]))
         values = rng.uniform(-1.0, 1.0, K) if case % 2 else np.arange(1.0, K + 1.0) ** -0.6
-        got, bound = apply_fft(mu, SequenceVector(values), n_rows, p)
+        got, bound = fft_plan(mu, n_rows, len(values)).apply(SequenceVector(values), p)
         ref = _extended_precision_image(mu, values, n_rows)
         err = lp_norm((got.values - ref).astype(np.float64), p)
         assert err <= bound, (mu, n_rows, K, p, err, bound)
@@ -265,7 +266,7 @@ def test_factor_range_error_is_the_same_on_both_routes():
     messages = []
     for route in (
         lambda: apply_truncated(mu, a, 20),
-        lambda: apply_fft(mu, a, 20, 2.0),
+        lambda: fft_plan(mu, 20, len(a)).apply(a, 2.0),
         lambda: lower_bound_ratio(mu, params, 20),
     ):
         with pytest.raises(ValueError, match="float64 range") as error:
@@ -398,6 +399,107 @@ def test_dense_route_sigma_is_one_section_and_unchanged(mu, size, monkeypatch):
     assert sigma == _dense_power_iteration(finite_section(mu, size).entries)
 
 
+def test_power_loop_makes_one_transposed_apply_fewer_than_forward_ones(monkeypatch):
+    # Convergence is tested before the transposed apply, which the last
+    # step's value does not use.
+    forward, backward = [], []
+    apply, transposed = operator.FFTPlan.apply, operator.FFTPlan.transposed
+
+    def recorded_apply(plan, a, p):
+        (backward if any(plan is adj for adj in adjoints) else forward).append(p)
+        return apply(plan, a, p)
+
+    adjoints = []
+
+    def recorded_transposed(plan):
+        adjoints.append(transposed(plan))
+        return adjoints[-1]
+
+    monkeypatch.setattr(operator.FFTPlan, "apply", recorded_apply)
+    monkeypatch.setattr(operator.FFTPlan, "transposed", recorded_transposed)
+    p2_section_norm(LEBESGUE, 512)
+    assert len(forward) >= 2
+    assert len(backward) == len(forward) - 1
+
+
+def test_switch_to_the_dense_section_continues_from_that_steps_vector(monkeypatch):
+    mu = Measure((JacobiTerm(1.0, -0.5, 0.25), JacobiTerm(0.5, 0.5, -0.25)), ())
+    size = 256
+    serves, apply = certify_module._Block.fft_serves, operator.FFTPlan.apply
+    steps, applied, products, sections = [], [], [], []
+
+    def fails_from_step_3(block, bound, norm):
+        steps.append(norm)
+        return len(steps) < 3 and serves(block, bound, norm)
+
+    def recorded_apply(plan, a, p):
+        applied.append((plan, a.values.copy()))
+        return apply(plan, a, p)
+
+    class RecordedProducts(np.ndarray):
+        def __matmul__(self, other):
+            products.append(np.array(other))
+            return np.asarray(self) @ other
+
+    def recorded_section(mu, size):
+        sections.append(size)
+        return FiniteSection(size, finite_section(mu, size).entries.view(RecordedProducts))
+
+    monkeypatch.setattr(certify_module._Block, "fft_serves", fails_from_step_3)
+    monkeypatch.setattr(operator.FFTPlan, "apply", recorded_apply)
+    monkeypatch.setattr(certify_module, "finite_section", recorded_section)
+    sigma = p2_section_norm(mu, size)
+    assert sections == [size]
+    plan = applied[0][0]
+    steps_v = [v for applied_plan, v in applied if applied_plan is plan]
+    assert len(steps_v) == 3
+    np.testing.assert_array_equal(products[0], steps_v[2])
+    assert not np.allclose(products[0], 1.0 / math.sqrt(size), rtol=1e-6, atol=0)
+    s = finite_section(mu, size).entries
+    top = math.sqrt(np.linalg.eigvalsh(s.T @ s)[-1])
+    assert sigma <= top * (1.0 + 1e-12)
+    assert abs(sigma - top) <= 1e-9 * top
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan])
+def test_p2_section_norm_rejects_a_tol_that_is_not_positive(lebesgue, tol):
+    with pytest.raises(ValueError, match="tol must be > 0"):
+        p2_section_norm(lebesgue, 8, tol=tol)
+
+
+def _times_power_of_two(mu, k):
+    return Measure(
+        tuple(JacobiTerm(math.ldexp(t.coeff, k), t.alpha, t.beta) for t in mu.jacobi_terms),
+        tuple(Atom(a.location, math.ldexp(a.mass, k)) for a in mu.atoms),
+    )
+
+
+@pytest.mark.parametrize("k", [100, 400, 520, 700, 1000, -100, -400, -520, -700, -1000])
+def test_sigma_and_ratios_scale_exactly_with_the_measure(k):
+    # 2**k mu has 2**k times mu's entries and images, bit for bit.  sigma
+    # read 0.0 at 2**260 dt and inf at 2**-300 dt while ||.||_2 squared
+    # unscaled values.
+    for mu in MIXED_CORPUS:
+        scaled = _times_power_of_two(mu, k)
+        assert p2_section_norm(scaled, 48) == math.ldexp(p2_section_norm(mu, 48), k), mu
+        for p in (1.0, 3.0):
+            params = ExtremalParams(p, 0.5 / p, 48)
+            want = math.ldexp(lower_bound_ratio(mu, params, 48), k)
+            assert lower_bound_ratio(scaled, params, 48) == want, (mu, p)
+
+
+def test_p1_ratio_of_a_measure_whose_image_norm_is_beyond_float64():
+    # ||C a||_1 is about 1.86e308 for 1e307 dt at this size, and the ratio 7.2e307.
+    params = ExtremalParams(1.0, 0.5, 4096)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        want = lower_bound_ratio(LEBESGUE, params, 4096)
+        got = lower_bound_ratio(Measure((JacobiTerm(1e307, 0.0, 0.0),), ()), params, 4096)
+        beyond = lower_bound_ratio(Measure((JacobiTerm(1e308, 0.0, 0.0),), ()), params, 4096)
+    assert got == pytest.approx(1e307 * want, rel=1e-12, abs=0)
+    assert beyond == math.inf
+
+
 def test_transposed_plan_applies_the_reflected_measure():
     # The transpose of mu's matrix is the matrix of mu reflected by t -> 1-t.
     rng = np.random.default_rng(3)
@@ -410,11 +512,12 @@ def test_transposed_plan_applies_the_reflected_measure():
         plan = fft_plan(mu, 300, 170)
         a = SequenceVector(rng.uniform(0.0, 1.0, size=170))
         image, _ = plan.apply(a, 2.0)
-        np.testing.assert_array_equal(image.values, apply_fft(mu, a, 300, 2.0)[0].values)
+        want = fft_plan(mu, 300, len(a)).apply(a, 2.0)[0].values
+        np.testing.assert_array_equal(image.values, want)
         for p in (1.5, 2.0, 3.0):
             b = SequenceVector(rng.standard_normal(300))
             got, bound = plan.transposed().apply(b, p)
-            want, reflected_bound = apply_fft(reflected(mu), b, 170, p)
+            want, reflected_bound = fft_plan(reflected(mu), 170, len(b)).apply(b, p)
             assert lp_norm(got.values - want.values, p) <= bound + reflected_bound
 
 

@@ -23,7 +23,7 @@ from genhilbert import (
     sequence_to_csv,
 )
 from genhilbert.cli import main
-from genhilbert.operator import apply_fft
+from genhilbert.operator import fft_plan
 
 
 @pytest.fixture
@@ -157,7 +157,8 @@ def test_apply_fft_route_scales_to_c_dt(capsys, tmp_path, sequence_file):
     )
     assert code == 0
     a = SequenceVector(np.array([1.0, 0.5, 0.25, 0.125]))
-    np.testing.assert_array_equal(json.loads(out)["values"], apply_fft(mu, a, 4, 2.0)[0].values)
+    want = fft_plan(mu, 4, len(a)).apply(a, 2.0)[0].values
+    np.testing.assert_array_equal(json.loads(out)["values"], want)
     want = apply_truncated(mu, a, 4).values
     np.testing.assert_allclose(json.loads(out)["values"], want, rtol=1e-12)
 

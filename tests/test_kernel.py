@@ -266,3 +266,15 @@ def test_section_json_round_trip_is_bitwise():
 def test_section_csv_rejects_ragged_input():
     with pytest.raises(ValueError):
         section_from_csv("1,2\n3\n")
+
+
+def test_section_csv_rejects_a_non_square_table():
+    with pytest.raises(ValueError, match="expected a square table, got shape"):
+        section_from_csv("1,2\n3,4\n5,6\n")
+
+
+def test_empty_index_arrays_give_empty_blocks(delta_half):
+    for mu in (LEBESGUE, delta_half):
+        assert entry_block(mu, np.arange(0), np.arange(0)).shape == (0,)
+        block = entry_block(mu, np.zeros((0, 1), dtype=int), np.arange(3)[None, :])
+        assert block.shape == (0, 3)

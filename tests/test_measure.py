@@ -43,6 +43,23 @@ def test_atom_rejects_bad_location_and_mass():
         Atom(0.5, 0.0)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: JacobiTerm(math.inf, 0.0, 0.0),
+        lambda: JacobiTerm(1.0, math.inf, 0.0),
+        lambda: JacobiTerm(1.0, 0.0, math.inf),
+        lambda: Atom(0.0, math.inf),
+        lambda: Atom(0.5, math.inf),
+    ],
+    ids=["coeff", "alpha", "beta", "mass-at-0", "mass-at-half"],
+)
+def test_constructors_reject_infinite_parameters(make):
+    # Accepted, they gave sections of inf, a sigma of 0.0 and nan norms.
+    with pytest.raises(ValueError, match="finite"):
+        make()
+
+
 def test_measure_rejects_duplicate_atom_locations():
     with pytest.raises(ValueError):
         Measure((), (Atom(0.5, 1.0), Atom(0.5, 2.0)))

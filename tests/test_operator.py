@@ -26,7 +26,7 @@ from genhilbert import (
     sequence_to_csv,
 )
 from genhilbert import operator
-from genhilbert.operator import apply_fft
+from genhilbert.operator import fft_plan
 from conftest import random_interior_measure
 
 
@@ -309,13 +309,22 @@ def test_fast_apply_size_cap():
     with pytest.raises(ResourceLimitError):
         hankel_fast_apply(SequenceVector(np.ones(4)), 2**23)
     with pytest.raises(ResourceLimitError):
-        apply_fft(LEBESGUE, SequenceVector(np.ones(2**23)), 4, 2.0)
+        fft_plan(LEBESGUE, 4, 2**23).apply(SequenceVector(np.ones(2**23)), 2.0)
 
 
 def test_fft_plan_checks_the_input_length():
     plan = operator.fft_plan(LEBESGUE, 5, 3)
     with pytest.raises(ValueError, match="input length 4 does not match the plan's 3 columns"):
         plan.apply(SequenceVector(np.ones(4)), 2.0)
+
+
+def test_empty_sequence_maps_to_zero_on_every_route():
+    mu = Measure((JacobiTerm(1.0, 1.0, 0.0),), (Atom(0.0, 2.0), Atom(0.5, 1.0), Atom(1.0, 1.0)))
+    empty = SequenceVector(np.zeros(0))
+    for t in (0.0, 0.5, 1.0):
+        assert row_series_value(0, t, empty) == 0.0
+    for route in (apply_truncated, apply_via_quadrature):
+        np.testing.assert_array_equal(route(mu, empty, 5).values, np.zeros(5))
 
 
 def test_zero_column_fft_plan_maps_to_zero():
@@ -327,7 +336,7 @@ def test_zero_column_fft_plan_maps_to_zero():
 
 def test_fft_apply_rejects_interior_atoms(delta_half):
     with pytest.raises(ValueError, match="endpoint atoms"):
-        apply_fft(delta_half, SequenceVector(np.ones(4)), 4, 2.0)
+        fft_plan(delta_half, 4, 4).apply(SequenceVector(np.ones(4)), 2.0)
 
 
 # ------------------------------------------------------------- propagation
@@ -372,7 +381,10 @@ def test_applies_are_linear_in_the_measure(seed):
     )
     # Each FFT image is within its stated bound of the exact one, and the
     # exact images add up, so the difference is within the sum of the bounds.
-    ffts = [apply_fft(Measure(m.jacobi_terms, ()), a, n_rows, 2.0) for m in (both, mu, nu)]
+    ffts = [
+        fft_plan(Measure(m.jacobi_terms, ()), n_rows, len(a)).apply(a, 2.0)
+        for m in (both, mu, nu)
+    ]
     (both_image, _), (mu_image, _), (nu_image, _) = ffts
     gap = lp_norm(both_image.values - mu_image.values - nu_image.values, 2.0)
     assert gap <= sum(bound for _, bound in ffts)
