@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-from .kernel import DEFAULT_SECTION_CAP, _check_size, finite_section
+from .kernel import _UNIT_ROUNDOFF, DEFAULT_SECTION_CAP, _check_size, finite_section
 from .measure import Measure
 from .norms import NormVerdict, classify_boundedness, validate_p, verdict_to_dict
 from .operator import (
@@ -50,7 +50,8 @@ SOUNDNESS_SLACK = 1e-6
 # at which lower_bound_ratio prefers it to the dense route.
 FFT_ROUTE_RTOL = 1e-9
 
-_POWER_ITERATION_CAP = 20_000
+# Golub-Kahan-Lanczos steps before p2_section_norm gives up.
+_KRYLOV_STEP_CAP = 128
 
 
 @dataclass(frozen=True)
@@ -134,26 +135,29 @@ def lower_bound_ratio(mu: Measure, params: ExtremalParams, n_rows: int) -> float
 
 
 def p2_section_norm(mu: Measure, size: int, tol: float = 1e-10) -> float:
-    """Largest singular value sigma_N of the size-by-size section, from below.
+    """Largest singular value sigma_N of the size-by-size section S, from below.
 
-    Power iteration on the Gram operator S^T S from the normalized all-ones
-    vector; it stops once two successive values differ by at most ``tol``
-    relative.  Each step applies S to the current vector v and, unless that
-    value stops the iteration, S^T to the image.  A measure without interior
-    atoms is applied matrix-free through one
-    :class:`~genhilbert.operator.FFTPlan` and its transpose, and the step's
-    value is the certified Rayleigh quotient
-    ``max(0, ||y_fft||_2 - bound) / ||v||_2 <= ||S v||_2 / ||v||_2 <= sigma_N``,
-    with ``bound`` the FFT apply's stated ell-2 error bound
+    Golub-Kahan-Lanczos bidiagonalization of S from the normalized all-ones
+    vector, with full reorthogonalization; it stops once the top Ritz value
+    (the largest singular value of the bidiagonal) changes by at most
+    ``tol`` relative, and raises :class:`~genhilbert.errors.ConvergenceError`
+    with that value as the estimate past ``_KRYLOV_STEP_CAP`` steps.  The
+    value returned is a certified quotient of the top Ritz vector x,
+    ``max(0, ||fl(S x)||_2 - bound) / ||x||_2 <= ||S x||_2 / ||x||_2 <= sigma_N``
+    with ``bound`` covering the product's and the norms' rounding, so it is a
+    sound lower bound for the p=2 operator norm.  A measure
+    without interior atoms is applied matrix-free through one
+    :class:`~genhilbert.operator.FFTPlan` and its transpose, whose product
+    error is the FFT apply's stated ell-2 error bound
     (:meth:`~genhilbert.operator.FFTPlan.apply`).  That route holds while
-    every step's bound is at most ``FFT_ROUTE_RTOL`` times ``||y_fft||_2``,
-    or throughout when ``size`` is beyond the dense cap, the rule
-    :func:`lower_bound_ratio` follows.  Otherwise (interior atoms, or a
-    bound above the tolerance within the cap, such as t(1-t)dt's) the
-    iteration continues from that step's v on the dense section, where the
-    value is ``||S v||_2``.  Power iteration converges from below, so either
-    value is a sound lower bound for the p=2 operator norm.  sigma_N scales
-    exactly with the measure while the applies stay within the float64 range.
+    each step's bound is at most ``FFT_ROUTE_RTOL`` times the larger of its
+    image norm and the top Ritz value so far, or throughout when ``size`` is
+    beyond the dense cap, the rule :func:`lower_bound_ratio` follows.
+    Otherwise (interior atoms, or a bound above the tolerance within the
+    cap, such as t(1-t)dt's) the loop continues with the same basis on the
+    dense section, whose product error is a stated gemv rounding bound
+    (:meth:`_Block.sigma`).  sigma_N scales exactly with the measure while
+    the applies stay within the float64 range.
     """
     return _Block(mu, size, size).sigma(tol)
 
@@ -212,13 +216,35 @@ class _Block:
         return self._section
 
     def sigma(self, tol: float) -> float:
-        """:func:`p2_section_norm` of the (square) block: one power loop over one apply pair.
+        """:func:`p2_section_norm` of the (square) block: one Golub-Kahan-Lanczos loop.
 
-        The pair is the FFT plan and its transpose until a step's image no
-        longer serves (:meth:`fft_serves`), and the dense section and its
-        transpose from that step on; the step's vector carries over.  S v and
-        S^T S v are divided by the power of two above their largest
-        magnitude, which is exact, so sigma scales exactly with the measure.
+        Step j applies S to v_j and, unless the top Ritz value then stops
+        the loop, S^T to u_j.  Each image is orthogonalized twice against
+        the basis it extends (classical Gram-Schmidt) and normalized, which
+        gives alpha_j, u_j and beta_j, v_(j+1) of the upper bidiagonal B
+        with ``S V = U B``.  The apply pair is the FFT plan and its
+        transpose until a forward image fails :meth:`fft_serves` against
+        the larger of its norm and the top Ritz value so far (an image's
+        error moves the Ritz values by about that error), and the dense
+        section and its transpose from that step on.  Images are divided by
+        the power of two above their largest magnitude before they are
+        orthogonalized, and B is kept in units of the first image's power
+        of two; both are exact, so sigma scales exactly with the measure.
+        The loop also ends when an image is 0 within the basis (the Krylov
+        space is invariant, and the Ritz value exact) and after ``size``
+        steps.
+
+        The quotient's ``bound`` is the product's error bound plus
+        ``(N + 4) u ||y||_2`` (u the unit roundoff), which covers, to first
+        order in u, the rounding of the 2-norms of y and x (each at most
+        ``(N/2 + 1) u`` relative, Higham, *Accuracy and Stability of
+        Numerical Algorithms*, 2nd ed., section 3.1) and of the final
+        subtraction and division.  The product's error bound is the FFT
+        apply's stated one, or on the dense route ``N u ||fl(S |x|)||_2``:
+        ``|fl(S x) - S x| <= gamma_N |S| |x|`` (ibid., (3.11)), ``|S| = S``
+        here, and fl(S |x|) is within ``gamma_N`` of S |x|.  x is taken with
+        a nonnegative sum, so that |x| = x, and fl(S |x|) = fl(S x), as
+        long as no component is negative.
         """
         if not tol > 0.0:
             raise ValueError(f"tol must be > 0, got {tol}")
@@ -226,31 +252,67 @@ class _Block:
         fft = not self.mu.interior_atoms
         # Building the plan or the section checks the size before v divides by it.
         adjoint = self.plan().transposed() if fft else self.section().T
-        v = np.full(size, 1.0 / math.sqrt(size))
-        sigma = 0.0
-        for _ in range(_POWER_ITERATION_CAP):
+        steps = min(size, _KRYLOV_STEP_CAP)
+        # Rows of V and U; their storage doubles when full.
+        basis_v, basis_u = np.empty((2, min(steps, 16) + 1, size))
+        basis_v[0] = 1.0 / math.sqrt(size)
+        # B in units of 2**e0, the power of two above the first image's largest magnitude.
+        bidiagonal, e0 = np.zeros((steps, steps)), 0
+        top = 0.0
+        for j in range(steps):
             if fft:
-                image, bound = self.plan().apply(SequenceVector(v), 2.0)
-                u, norm_u = _scaled(image.values)
-                fft = self.fft_serves(bound, norm_u)
+                image, bound = self.plan().apply(SequenceVector(basis_v[j]), 2.0)
+                p, norm_p, e = _scaled(image.values)
+                fft = self.fft_serves(bound, max(norm_p, math.ldexp(top, e0)))
             if not fft:
                 adjoint = self.section().T
-                u, norm_u = _scaled(self.section() @ v)
-                bound = 0.0
-            if norm_u == 0.0:
-                return 0.0
-            # The dense route states bound 0; its value is ||S v||_2 for the normalized v.
-            sigma_new = max(0.0, norm_u - bound) / float(np.linalg.norm(v)) if bound else norm_u
-            if abs(sigma_new - sigma) <= tol * sigma_new:
-                return sigma_new
-            sigma = sigma_new
-            w = _scaled(adjoint.apply(SequenceVector(u), 2.0)[0].values if fft else adjoint @ u)[0]
-            v = w / np.linalg.norm(w)
-        raise ConvergenceError(
-            f"power iteration did not reach relative tol {tol} "
-            f"within {_POWER_ITERATION_CAP} iterations (size {size})",
-            estimate=sigma,
-        )
+                p, _, e = _scaled(self.section() @ basis_v[j])
+            if j == 0:
+                e0 = e
+            bidiagonal[j, j], basis_u[j] = _orthonormalized(p, e - e0, basis_u[:j])
+            b = bidiagonal[: j + 1, : j + 1]
+            previous, top = top, float(np.linalg.svd(b, compute_uv=False)[0])
+            if abs(top - previous) <= tol * top or not b[j, j] or j + 1 == size:
+                break
+            if j + 1 == steps:
+                raise ConvergenceError(
+                    f"Golub-Kahan-Lanczos did not reach relative tol {tol} "
+                    f"within {steps} steps (size {size})",
+                    estimate=math.ldexp(top, e0),
+                )
+            w = adjoint.apply(SequenceVector(basis_u[j]), 2.0)[0].values if fft else adjoint @ basis_u[j]
+            w, _, e = _scaled(w)
+            if j + 1 == len(basis_v):
+                basis_v, basis_u = (np.concatenate((m, np.empty_like(m))) for m in (basis_v, basis_u))
+            bidiagonal[j, j + 1], basis_v[j + 1] = _orthonormalized(w, e - e0, basis_v[: j + 1])
+            if not bidiagonal[j, j + 1]:
+                break
+        x = np.linalg.svd(b)[2][0] @ basis_v[: j + 1]
+        x *= math.copysign(1.0, x.sum())
+        if fft:
+            image, bound = self.plan().apply(SequenceVector(x), 2.0)
+            norm_y = _scaled(image.values)[1]
+            fft = self.fft_serves(bound, norm_y)
+        if not fft:
+            y = self.section() @ x
+            norm_y = _scaled(y)[1]
+            # S |x| is S x when x is nonnegative, as the top Ritz vector of S >= 0 mostly is.
+            z_norm = norm_y if x.min() >= 0.0 else _scaled(self.section() @ np.abs(x))[1]
+            bound = size * _UNIT_ROUNDOFF * z_norm
+        bound += (size + 4) * _UNIT_ROUNDOFF * norm_y
+        return max(0.0, norm_y - bound) / float(np.linalg.norm(x))
+
+
+def _orthonormalized(p: np.ndarray, e: int, basis: np.ndarray) -> tuple[float, np.ndarray]:
+    """The norm and direction of ``2**e p`` less its components along the orthonormal rows of ``basis``.
+
+    Classical Gram-Schmidt, run twice; a zero remainder gives a norm of 0.0
+    and the zero vector.
+    """
+    for _ in range(2):
+        p = p - (basis @ p) @ basis
+    norm = math.sqrt(p @ p)
+    return math.ldexp(norm, e), (p / norm if norm else p)
 
 
 def convergence_sweep(
@@ -264,8 +326,8 @@ def convergence_sweep(
 
     Every size is checked against its cap (``DEFAULT_SECTION_CAP`` with
     interior atoms, else ``HANKEL_CAP``) before any work.  Each size is then
-    one :class:`_Block`: its sigma comes first, so a size whose power
-    iteration built the dense section reuses it, and the FFT plan, for
+    one :class:`_Block`: its sigma comes first, so a size whose Krylov loop
+    built the dense section reuses it, and the FFT plan, for
     every epsilon.  The values equal :func:`p2_section_norm`'s and
     :func:`lower_bound_ratio`'s bit for bit.
     """

@@ -42,7 +42,7 @@ __all__ = [
 HANKEL_CAP = 1 << 22
 
 # Target elements per block in the truncated matvec (memory bound).
-_APPLY_BLOCK_ELEMENTS = 4_000_000
+_APPLY_BLOCK_ELEMENTS = 1 << 18
 
 # Largest Gauss-Jacobi rule used for exact polynomial integration; beyond
 # this the quadrature route falls back to compare-two-rules refinement.
@@ -108,8 +108,8 @@ def lp_norm(values, p: float) -> float:
         return math.inf
 
 
-def _scaled(x: np.ndarray) -> tuple[np.ndarray, float]:
-    """``x`` divided by the power of two 2**e above its largest magnitude, and ``||x||_2``.
+def _scaled(x: np.ndarray) -> tuple[np.ndarray, float, int]:
+    """``x`` divided by the power of two 2**e above its largest magnitude, ``||x||_2`` and e.
 
     The division is exact and keeps the squares in ``np.linalg.norm`` in
     range; the norm is math.inf only when it is beyond the float64 range.
@@ -117,9 +117,9 @@ def _scaled(x: np.ndarray) -> tuple[np.ndarray, float]:
     e = math.frexp(float(np.abs(x).max()))[1]
     x = np.ldexp(x, -e)
     try:
-        return x, math.ldexp(float(np.linalg.norm(x)), e)
+        return x, math.ldexp(float(np.linalg.norm(x)), e), e
     except OverflowError:
-        return x, math.inf
+        return x, math.inf, e
 
 
 def _row_series_block(rows, t, values) -> np.ndarray:
@@ -312,9 +312,9 @@ class FFTPlan:
         K-1 ... K-2+N of the linear convolution of ``h = H[:N+K-1]`` with
         reversed ``b``.  A circular convolution of length ``m >= N+K-1`` wraps
         only entries at or beyond ``m`` onto indices below K-1, so the rows kept
-        are exact; ``m`` is the least power of two that long.  An atom at 0
-        adds ``c0 * a[0]`` to every row, an atom at 1 adds ``c1 * sum(a)`` to
-        row 0.
+        are exact; ``m`` is the least power of two that long, and the image is
+        finite whenever it is within the float64 range.  An atom at 0 adds
+        ``c0 * a[0]`` to every row, an atom at 1 adds ``c1 * sum(a)`` to row 0.
 
         The bound majorizes ``||y_fft - y||_p``, where ``y`` is the exact
         product of the entries :func:`~genhilbert.kernel.entry_block` returns
@@ -361,9 +361,16 @@ class FFTPlan:
         weight = 0.0
         for row, col, spectrum, h_2, h_1 in self.terms:
             b = col * values
-            conv = irfft(spectrum * rfft(b[::-1], m), m)
-            out += row * conv[K - 1 : K - 1 + n_rows]
-            b_1, b_2 = np.abs(b).sum(), _scaled(b)[1]
+            b_1, (b_2, e) = np.abs(b).sum(), _scaled(b)[1:]
+            # The transforms' values reach m ||h||_1 ||b||_1.  Where that may
+            # pass the float64 range they run on b / 2**e, whose entries are
+            # below 1, and the rows are scaled back; both steps are exact.
+            # The copy is made only then, so the usual path holds no second
+            # array of b's length during the transforms.
+            shift = 0 if b_1 < 2.0**1000 / (m * h_1) else e
+            conv = irfft(spectrum * rfft((np.ldexp(b, -shift) if shift else b)[::-1], m), m)
+            rows = row * conv[K - 1 : K - 1 + n_rows]
+            out += np.ldexp(rows, shift) if shift else rows
             weight += u * row.max() * (h_2 * b_1 + h_1 * b_2)
         c0, c1 = self.c0, self.c1
         if c0 > 0:

@@ -295,7 +295,7 @@ def test_p2_section_norm_matches_dense_eigensolver(lebesgue, size):
     h = finite_section(lebesgue, size).entries
     top = math.sqrt(max(np.linalg.eigvalsh(h.T @ h)))
     assert sigma == pytest.approx(top, rel=1e-9)
-    assert sigma <= top * (1.0 + 1e-12)  # power iteration approaches from below
+    assert sigma <= top * (1.0 + 1e-12)  # a certified quotient approaches from below
 
 
 def test_p2_section_norm_trivial_sizes(lebesgue):
@@ -318,7 +318,7 @@ def test_p2_section_norm_zero_measure(zero_measure):
 
 
 def test_p2_section_norm_iteration_cap(lebesgue, monkeypatch):
-    monkeypatch.setattr(certify_module, "_POWER_ITERATION_CAP", 3)
+    monkeypatch.setattr(certify_module, "_KRYLOV_STEP_CAP", 3)
     with pytest.raises(ConvergenceError) as exc_info:
         p2_section_norm(lebesgue, 32, tol=1e-300)
     assert exc_info.value.estimate > 0.0
@@ -330,18 +330,23 @@ def test_p2_section_norm_below_operator_norm(lebesgue, delta_half):
         assert p2_section_norm(mu, 256) < target
 
 
-def _dense_power_iteration(s, tol=1e-10):
-    """Power iteration on a dense section, as the dense route runs it: the bitwise reference."""
-    v = np.full(len(s), 1.0 / math.sqrt(len(s)))
-    sigma = 0.0
-    while True:
-        u = s @ v
-        sigma_new = float(np.linalg.norm(u))
-        v = s.T @ u
-        v = v / np.linalg.norm(v)
-        if abs(sigma_new - sigma) <= tol * sigma_new:
-            return sigma_new
-        sigma = sigma_new
+def _record_sections(monkeypatch, sections, products):
+    """certify's finite_section, recording each call and every product with a section or its transpose.
+
+    ``products`` gets ``(forward, operand)`` per product: forward is True
+    for the section itself (C-ordered), False for its transpose.
+    """
+
+    class RecordedProducts(np.ndarray):
+        def __matmul__(self, other):
+            products.append((self.flags.c_contiguous, np.array(other)))
+            return np.asarray(self) @ other
+
+    def recorded_section(mu, size):
+        sections.append((mu, size))
+        return FiniteSection(size, finite_section(mu, size).entries.view(RecordedProducts))
+
+    monkeypatch.setattr(certify_module, "finite_section", recorded_section)
 
 
 def test_fft_route_sigma_is_certified_against_the_dense_eigensolver(monkeypatch):
@@ -386,22 +391,26 @@ def test_atom_free_sweep_builds_no_entries(monkeypatch):
     [
         (Measure((JacobiTerm(1.0, 1.0, 1.0),), ()), 2048),
         (Measure((), (Atom(0.5, 1.0),)), 256),
+        (Measure((), (Atom(0.5, 1.0),)), 2048),
     ],
-    ids=["t(1-t)dt", "delta_half"],
+    ids=["t(1-t)dt", "delta_half", "delta_half@2048"],
 )
 def test_dense_route_sigma_is_one_section_and_unchanged(mu, size, monkeypatch):
     # t(1-t)dt's first FFT step states a bound above FFT_ROUTE_RTOL, and an
-    # interior atom has no FFT apply: both iterate on one dense section.
-    calls = []
-    _record_calls(monkeypatch, calls, certify_module, "finite_section")
+    # interior atom has no FFT apply: both run on one dense section.
+    sections, products = [], []
+    _record_sections(monkeypatch, sections, products)
     sigma = p2_section_norm(mu, size)
-    assert calls == [(mu, size)]
-    assert sigma == _dense_power_iteration(finite_section(mu, size).entries)
+    assert sections == [(mu, size)]
+    assert sum(forward for forward, _ in products) <= 80
+    top = float(np.linalg.norm(finite_section(mu, size).entries, 2))
+    assert abs(sigma - top) <= 1e-12 * top, (sigma, top)
 
 
-def test_power_loop_makes_one_transposed_apply_fewer_than_forward_ones(monkeypatch):
+def test_krylov_loop_makes_two_transposed_applies_fewer_than_forward_ones(monkeypatch):
     # Convergence is tested before the transposed apply, which the last
-    # step's value does not use.
+    # step's Ritz value does not use, and the certified quotient of the
+    # Ritz vector is one more forward apply.
     forward, backward = [], []
     apply, transposed = operator.FFTPlan.apply, operator.FFTPlan.transposed
 
@@ -418,8 +427,8 @@ def test_power_loop_makes_one_transposed_apply_fewer_than_forward_ones(monkeypat
     monkeypatch.setattr(operator.FFTPlan, "apply", recorded_apply)
     monkeypatch.setattr(operator.FFTPlan, "transposed", recorded_transposed)
     p2_section_norm(LEBESGUE, 512)
-    assert len(forward) >= 2
-    assert len(backward) == len(forward) - 1
+    assert len(forward) >= 3
+    assert len(backward) == len(forward) - 2
 
 
 def test_switch_to_the_dense_section_continues_from_that_steps_vector(monkeypatch):
@@ -436,25 +445,18 @@ def test_switch_to_the_dense_section_continues_from_that_steps_vector(monkeypatc
         applied.append((plan, a.values.copy()))
         return apply(plan, a, p)
 
-    class RecordedProducts(np.ndarray):
-        def __matmul__(self, other):
-            products.append(np.array(other))
-            return np.asarray(self) @ other
-
-    def recorded_section(mu, size):
-        sections.append(size)
-        return FiniteSection(size, finite_section(mu, size).entries.view(RecordedProducts))
-
     monkeypatch.setattr(certify_module._Block, "fft_serves", fails_from_step_3)
     monkeypatch.setattr(operator.FFTPlan, "apply", recorded_apply)
-    monkeypatch.setattr(certify_module, "finite_section", recorded_section)
+    _record_sections(monkeypatch, sections, products)
     sigma = p2_section_norm(mu, size)
-    assert sections == [size]
+    assert sections == [(mu, size)]
     plan = applied[0][0]
     steps_v = [v for applied_plan, v in applied if applied_plan is plan]
     assert len(steps_v) == 3
-    np.testing.assert_array_equal(products[0], steps_v[2])
-    assert not np.allclose(products[0], 1.0 / math.sqrt(size), rtol=1e-6, atol=0)
+    forward, v = products[0]
+    assert forward
+    np.testing.assert_array_equal(v, steps_v[2])
+    assert not np.allclose(v, 1.0 / math.sqrt(size), rtol=1e-6, atol=0)
     s = finite_section(mu, size).entries
     top = math.sqrt(np.linalg.eigvalsh(s.T @ s)[-1])
     assert sigma <= top * (1.0 + 1e-12)
@@ -498,6 +500,17 @@ def test_p1_ratio_of_a_measure_whose_image_norm_is_beyond_float64():
         beyond = lower_bound_ratio(Measure((JacobiTerm(1e308, 0.0, 0.0),), ()), params, 4096)
     assert got == pytest.approx(1e307 * want, rel=1e-12, abs=0)
     assert beyond == math.inf
+
+
+def test_sigma_of_a_measure_near_the_float64_limit_scales_exactly():
+    # The transposed apply's input carries the coefficient: 2**1017 ||u||_1
+    # m ||h||_1 is beyond float64 in its transforms, while sigma_300
+    # (3.3e306) is not.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        want = math.ldexp(p2_section_norm(LEBESGUE, 300), 1017)
+        got = p2_section_norm(_times_power_of_two(LEBESGUE, 1017), 300)
+    assert got == want
 
 
 def test_transposed_plan_applies_the_reflected_measure():

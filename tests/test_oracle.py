@@ -1,11 +1,11 @@
-"""Beta values and matrix entries against an arbitrary-precision oracle (mpmath)."""
+"""Beta values, matrix entries and section norms against an arbitrary-precision oracle (mpmath)."""
 
 import math
 
 import numpy as np
 import pytest
 
-from genhilbert import Atom, JacobiTerm, Measure, entry_block
+from genhilbert import Atom, JacobiTerm, Measure, entry_block, finite_section, p2_section_norm
 from genhilbert.measure import beta
 
 mpmath = pytest.importorskip("mpmath")
@@ -103,3 +103,23 @@ def test_interior_atoms_match_mpmath_within_log_space_bound():
                 + abs(ki * math.log(t)) + abs(ni * math.log1p(-t))
             )
             assert err <= 8.0 * UNIT_ROUNDOFF * (magnitude + 1.0)
+
+
+@pytest.mark.parametrize(
+    "mu",
+    [
+        Measure((), (Atom(0.5, 1.0),)),
+        Measure((JacobiTerm(1.0, 1.0, 1.0),), ()),
+        Measure((JacobiTerm(1.0, -0.5, 0.25), JacobiTerm(0.5, 0.5, -0.25)), (Atom(0.3, 0.4),)),
+    ],
+    ids=["delta_half", "t(1-t)dt", "mix-atom"],
+)
+def test_section_norm_is_at_most_the_sections_own_sigma_at_30_digits(mu):
+    # The oracle is the largest singular value of the float64 section itself,
+    # from the eigenvalues of S^T S at 30 digits: the certified quotient must
+    # not pass it, rounding included.
+    for size in (7, 48):
+        s = mpmath.matrix(finite_section(mu, size).entries.tolist())
+        with mpmath.workdps(30):
+            top = mpmath.sqrt(max(mpmath.eigsy(s.T * s, eigvals_only=True)))
+            assert mpmath.mpf(p2_section_norm(mu, size)) <= top, (size, top)
