@@ -121,15 +121,16 @@ def lower_bound_ratio(mu: Measure, params: ExtremalParams, n_rows: int) -> float
     """||C applied to the test sequence||_p / ||test sequence||_p.
 
     Entries are nonnegative, so any truncation of the image has norm at
-    most the true image norm: on the dense truncated route the ratio is a
-    certified lower bound for the operator norm.  A measure without
-    interior atoms goes through the FFT apply instead when its stated error
-    bound on the image norm is at most ``FFT_ROUTE_RTOL`` times that norm,
-    or when ``n_rows`` is beyond the dense cap; the numerator is then the
-    computed norm less that bound, so the ratio stays a lower bound.  Every
-    other case takes the dense route.  The ratio scales exactly with the
-    measure, and is math.inf only when it is beyond the float64 range (an
-    unboundedness witness, e.g. for measures with an atom at 0).
+    most the true image norm: the ratio is a certified lower bound for the
+    operator norm.  A measure without interior atoms takes the FFT apply:
+    the one-tile plan while its stated error bound is at most
+    ``FFT_ROUTE_RTOL`` times the image norm, else the tiled plan
+    (:func:`~genhilbert.operator.fft_plan`).  The numerator is then the
+    computed norm less that bound and less the rounding of both norms and
+    the quotient, so the ratio stays a lower bound.  A measure with interior
+    atoms takes the dense truncated route.  The ratio scales exactly with
+    the measure, and is math.inf only when it is beyond the float64 range
+    (an unboundedness witness, e.g. for measures with an atom at 0).
     """
     return _Block(mu, n_rows, params.length).ratio(extremal_sequence(params), params.p)
 
@@ -146,16 +147,16 @@ def p2_section_norm(mu: Measure, size: int, tol: float = 1e-10) -> float:
     ``max(0, ||fl(S x)||_2 - bound) / ||x||_2 <= ||S x||_2 / ||x||_2 <= sigma_N``
     with ``bound`` covering the product's and the norms' rounding, so it is a
     sound lower bound for the p=2 operator norm.  A measure
-    without interior atoms is applied matrix-free through one
+    without interior atoms is applied matrix-free through an
     :class:`~genhilbert.operator.FFTPlan` and its transpose, whose product
     error is the FFT apply's stated ell-2 error bound
-    (:meth:`~genhilbert.operator.FFTPlan.apply`).  That route holds while
-    each step's bound is at most ``FFT_ROUTE_RTOL`` times the larger of its
-    image norm and the top Ritz value so far, or throughout when ``size`` is
-    beyond the dense cap, the rule :func:`lower_bound_ratio` follows.
-    Otherwise (interior atoms, or a bound above the tolerance within the
-    cap, such as t(1-t)dt's) the loop continues with the same basis on the
-    dense section, whose product error is a stated gemv rounding bound
+    (:meth:`~genhilbert.operator.FFTPlan.apply`).  The one-tile plan holds
+    while each step's bound is at most ``FFT_ROUTE_RTOL`` times the larger
+    of its image norm and the top Ritz value so far, the rule
+    :func:`lower_bound_ratio` follows; from the first step that fails it
+    (t(1-t)dt's first, for one) the loop continues with the same basis on
+    the tiled plan.  A measure with interior atoms runs on the dense
+    section, whose product error is a stated gemv rounding bound
     (:meth:`_Block.sigma`).  sigma_N scales exactly with the measure while
     the applies stay within the float64 range.
     """
@@ -163,37 +164,48 @@ def p2_section_norm(mu: Measure, size: int, tol: float = 1e-10) -> float:
 
 
 class _Block:
-    """The leading ``n_rows`` by ``n_cols`` block of ``mu``'s matrix, and the FFT-or-dense rule.
+    """The leading ``n_rows`` by ``n_cols`` block of ``mu``'s matrix, and the route rule.
 
-    Its FFT plan is built on first use and kept, and so is the dense
-    section when :meth:`sigma` needs one; the ratios and sigma of one sweep
-    size share both.
+    A measure without interior atoms is applied by its one-tile FFT plan
+    while that plan's stated bound is at most ``FFT_ROUTE_RTOL`` times the
+    image norm (:meth:`fft_serves`), and by its tiled plan otherwise, at any
+    size.  A measure with interior atoms takes the dense section or the
+    truncated apply.  Each plan is built on first use and kept, and so is
+    the dense section; the ratios and sigma of one sweep size share them.
     """
 
     def __init__(self, mu: Measure, n_rows: int, n_cols: int):
         self.mu = mu
         self.n_rows = n_rows
         self.n_cols = n_cols
-        self._plan = None
+        self._plans = {}
         self._section = None
 
-    def plan(self) -> FFTPlan:
-        if self._plan is None:
-            self._plan = fft_plan(self.mu, self.n_rows, self.n_cols)
-        return self._plan
+    def plan(self, tiled: bool = False) -> FFTPlan:
+        if tiled not in self._plans:
+            self._plans[tiled] = fft_plan(self.mu, self.n_rows, self.n_cols, tiled)
+        return self._plans[tiled]
 
     def fft_serves(self, bound: float, norm: float) -> bool:
-        """Whether an FFT image of norm ``norm`` and stated error ``bound`` is used."""
-        return bound <= FFT_ROUTE_RTOL * norm or self.n_rows > DEFAULT_SECTION_CAP
+        """Whether a one-tile image of norm ``norm`` and stated error ``bound`` is used."""
+        return bound <= FFT_ROUTE_RTOL * norm
 
     def ratio(self, a: SequenceVector, p: float) -> float:
         """:func:`lower_bound_ratio` for the sequence ``a`` of length ``n_cols``.
 
-        The dense route sums a held section's rows as
-        :func:`~genhilbert.operator.apply_truncated` sums its entries, so
-        both give the same image bit for bit.  ``a`` is first divided by the
-        power of two above its norm, which is exact, so the image norm
-        overflows only when the ratio is beyond the float64 range itself.
+        On the FFT routes the numerator is the image norm times
+        ``1 - (2 (N + K) + 16) u`` (N = n_rows, K = n_cols, u the unit
+        roundoff), less the apply's bound.  The factor covers, to first
+        order in u, the rounding of :func:`~genhilbert.operator.lp_norm` on
+        the image and on ``a`` (each at most ``(2L + 6) u`` relative for a
+        vector of length L: the sum, the powers, the exponent 1/p and the
+        root) and of the factor, the subtraction and the division; an image
+        norm beyond float64 stays math.inf.  The dense route sums a held
+        section's rows as :func:`~genhilbert.operator.apply_truncated` sums
+        its entries, so both give the same image bit for bit.  ``a`` is
+        first divided by the power of two above its norm, which is exact, so
+        the image norm overflows only when the ratio is beyond the float64
+        range itself.
         """
         norm_a = lp_norm(a.values, p)
         e = math.frexp(norm_a)[1]
@@ -201,8 +213,11 @@ class _Block:
         if not self.mu.interior_atoms:
             image, bound = self.plan().apply(a, p)
             numerator = lp_norm(image.values, p)
-            if self.fft_serves(bound, numerator):
-                return max(0.0, numerator - bound) / denominator
+            if not self.fft_serves(bound, numerator):
+                image, bound = self.plan(tiled=True).apply(a, p)
+                numerator = lp_norm(image.values, p)
+            rounding = (2 * (self.n_rows + self.n_cols) + 16) * _UNIT_ROUNDOFF
+            return max(0.0, numerator * (1.0 - rounding) - bound) / denominator
         if self._section is None:
             image = apply_truncated(self.mu, a, self.n_rows).values
         else:
@@ -222,14 +237,16 @@ class _Block:
         the loop, S^T to u_j.  Each image is orthogonalized twice against
         the basis it extends (classical Gram-Schmidt) and normalized, which
         gives alpha_j, u_j and beta_j, v_(j+1) of the upper bidiagonal B
-        with ``S V = U B``.  The apply pair is the FFT plan and its
-        transpose until a forward image fails :meth:`fft_serves` against
-        the larger of its norm and the top Ritz value so far (an image's
-        error moves the Ritz values by about that error), and the dense
-        section and its transpose from that step on.  Images are divided by
-        the power of two above their largest magnitude before they are
-        orthogonalized, and B is kept in units of the first image's power
-        of two; both are exact, so sigma scales exactly with the measure.
+        with ``S V = U B``.  For a measure without interior atoms the apply
+        pair is the one-tile FFT plan and its transpose until a forward
+        image fails :meth:`fft_serves` against the larger of its norm and
+        the top Ritz value so far (an image's error moves the Ritz values by
+        about that error), and the tiled plan and its transpose from that
+        step on; otherwise it is the dense section and its transpose.
+        Images are divided by the power of two above their largest
+        magnitude before they are orthogonalized, and B is kept in units of
+        the first image's power of two; both are exact, so sigma scales
+        exactly with the measure.
         The loop also ends when an image is 0 within the basis (the Krylov
         space is invariant, and the Ritz value exact) and after ``size``
         steps.
@@ -240,7 +257,8 @@ class _Block:
         ``(N/2 + 1) u`` relative, Higham, *Accuracy and Stability of
         Numerical Algorithms*, 2nd ed., section 3.1) and of the final
         subtraction and division.  The product's error bound is the FFT
-        apply's stated one, or on the dense route ``N u ||fl(S |x|)||_2``:
+        apply's stated one (of either plan), or on the dense route
+        ``N u ||fl(S |x|)||_2``:
         ``|fl(S x) - S x| <= gamma_N |S| |x|`` (ibid., (3.11)), ``|S| = S``
         here, and fl(S |x|) is within ``gamma_N`` of S |x|.  x is taken with
         a nonnegative sum, so that |x| = x, and fl(S |x|) = fl(S x), as
@@ -249,9 +267,24 @@ class _Block:
         if not tol > 0.0:
             raise ValueError(f"tol must be > 0, got {tol}")
         size = self.n_rows
-        fft = not self.mu.interior_atoms
+        dense = bool(self.mu.interior_atoms)
         # Building the plan or the section checks the size before v divides by it.
-        adjoint = self.plan().transposed() if fft else self.section().T
+        plan = None if dense else self.plan()
+        adjoint = self.section().T if dense else plan.transposed()
+        one_tile = not dense
+
+        def forward(v, reference):
+            """The FFT image of v as :func:`_scaled` returns it, and its stated bound."""
+            nonlocal plan, adjoint, one_tile
+            image, bound = plan.apply(SequenceVector(v), 2.0)
+            y, norm, e = _scaled(image.values)
+            if one_tile and not self.fft_serves(bound, max(norm, reference)):
+                plan, one_tile = self.plan(tiled=True), False
+                adjoint = plan.transposed()
+                image, bound = plan.apply(SequenceVector(v), 2.0)
+                y, norm, e = _scaled(image.values)
+            return y, norm, e, bound
+
         steps = min(size, _KRYLOV_STEP_CAP)
         # Rows of V and U; their storage doubles when full.
         basis_v, basis_u = np.empty((2, min(steps, 16) + 1, size))
@@ -260,13 +293,10 @@ class _Block:
         bidiagonal, e0 = np.zeros((steps, steps)), 0
         top = 0.0
         for j in range(steps):
-            if fft:
-                image, bound = self.plan().apply(SequenceVector(basis_v[j]), 2.0)
-                p, norm_p, e = _scaled(image.values)
-                fft = self.fft_serves(bound, max(norm_p, math.ldexp(top, e0)))
-            if not fft:
-                adjoint = self.section().T
+            if dense:
                 p, _, e = _scaled(self.section() @ basis_v[j])
+            else:
+                p, _, e, _ = forward(basis_v[j], math.ldexp(top, e0))
             if j == 0:
                 e0 = e
             bidiagonal[j, j], basis_u[j] = _orthonormalized(p, e - e0, basis_u[:j])
@@ -280,7 +310,7 @@ class _Block:
                     f"within {steps} steps (size {size})",
                     estimate=math.ldexp(top, e0),
                 )
-            w = adjoint.apply(SequenceVector(basis_u[j]), 2.0)[0].values if fft else adjoint @ basis_u[j]
+            w = adjoint @ basis_u[j] if dense else adjoint.apply(SequenceVector(basis_u[j]), 2.0)[0].values
             w, _, e = _scaled(w)
             if j + 1 == len(basis_v):
                 basis_v, basis_u = (np.concatenate((m, np.empty_like(m))) for m in (basis_v, basis_u))
@@ -289,16 +319,14 @@ class _Block:
                 break
         x = np.linalg.svd(b)[2][0] @ basis_v[: j + 1]
         x *= math.copysign(1.0, x.sum())
-        if fft:
-            image, bound = self.plan().apply(SequenceVector(x), 2.0)
-            norm_y = _scaled(image.values)[1]
-            fft = self.fft_serves(bound, norm_y)
-        if not fft:
+        if dense:
             y = self.section() @ x
             norm_y = _scaled(y)[1]
             # S |x| is S x when x is nonnegative, as the top Ritz vector of S >= 0 mostly is.
             z_norm = norm_y if x.min() >= 0.0 else _scaled(self.section() @ np.abs(x))[1]
             bound = size * _UNIT_ROUNDOFF * z_norm
+        else:
+            _, norm_y, _, bound = forward(x, 0.0)
         bound += (size + 4) * _UNIT_ROUNDOFF * norm_y
         return max(0.0, norm_y - bound) / float(np.linalg.norm(x))
 

@@ -4,16 +4,21 @@ Two deliberately redundant routes: an entrywise truncated matvec (the
 workhorse) and quadrature of the row generating series against the measure
 (the reference).  Measures without interior atoms additionally get an
 FFT apply: each density term is a Hankel matrix scaled by diagonal factors
-on both sides, so its image is one convolution against a Hankel spectrum
-that an :class:`FFTPlan` computes once.
+on both sides, so the image of any block of it is one convolution against
+a Hankel spectrum that an :class:`FFTPlan` computes once.  The one-tile
+plan convolves the whole block at once; the tiled plan cuts it into tiles
+inside which n+k varies by a bounded factor, so that each tile's stated
+error bound follows its own rows' image where the factors grow or shrink.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy.fft import irfft, rfft
 from scipy.special import gammaln, roots_jacobi
 
@@ -102,8 +107,13 @@ def lp_norm(values, p: float) -> float:
         magnitude /= unit
     magnitude **= p
     root = unit * float(magnitude.sum() ** (1.0 / p))
+    return _ldexp(root, e)
+
+
+def _ldexp(x: float, e: int) -> float:
+    """``x * 2**e``, or math.inf when that is beyond the float64 range."""
     try:
-        return math.ldexp(root, e)
+        return math.ldexp(x, e)
     except OverflowError:
         return math.inf
 
@@ -116,10 +126,17 @@ def _scaled(x: np.ndarray) -> tuple[np.ndarray, float, int]:
     """
     e = math.frexp(float(np.abs(x).max()))[1]
     x = np.ldexp(x, -e)
-    try:
-        return x, math.ldexp(float(np.linalg.norm(x)), e), e
-    except OverflowError:
-        return x, math.inf, e
+    return x, _ldexp(float(np.linalg.norm(x)), e), e
+
+
+def _norms_1_2(x: np.ndarray) -> tuple[float, float, int]:
+    """``||x||_1`` and ``||x||_2`` in units of 2**e, the power of two above max |x|, and e.
+
+    Both sums run on ``x / 2**e``, which is exact and keeps them in range.
+    """
+    e = math.frexp(float(np.abs(x).max()))[1]
+    x = np.ldexp(x, -e)
+    return float(np.abs(x).sum()), math.sqrt(x.dot(x)), e
 
 
 def _row_series_block(rows, t, values) -> np.ndarray:
@@ -281,50 +298,102 @@ def apply_via_quadrature(mu: Measure, a: SequenceVector, n_rows: int) -> Sequenc
     return SequenceVector(out)
 
 
+#: Tiles of a tiled :class:`FFTPlan` with at most this many entries hold their dense Hankel segment.
+_DENSE_TILE_ENTRIES = 4096
+
+
+def _tile_cover(n_rows: int, n_cols: int) -> list[tuple[slice, slice]]:
+    """The tiled plan's cover of ``[0, n_rows) x [0, n_cols)`` by disjoint ``(rows, cols)`` slices.
+
+    Row tiles ``[2^i, 2^(i+1)) x [0, 4 * 2^i)``, column tiles
+    ``[0, 2^(j-1)) x [2^j, 2^(j+1))`` for j >= 2, and the corner
+    ``[0, 1) x [0, 4)``, each cut to the block; empty ones are dropped.
+    Inside a tile n+k+1 varies by less than a factor of 6.
+    """
+    tiles = [(0, 1, 0, 4)]
+    i = 0
+    while 1 << i < n_rows:
+        tiles.append((1 << i, 2 << i, 0, 4 << i))
+        i += 1
+    j = 2
+    while 1 << j < n_cols:
+        tiles.append((0, 1 << (j - 1), 1 << j, 2 << j))
+        j += 1
+    return [
+        (slice(r0, min(r1, n_rows)), slice(c0, min(c1, n_cols)))
+        for r0, r1, c0, c1 in tiles
+        if r0 < n_rows and c0 < n_cols
+    ]
+
+
 @dataclass(frozen=True)
 class FFTPlan:
     """The FFT apply of one measure's leading ``n_rows`` by ``n_cols`` block, for many inputs.
 
-    Per density term ``(row, col, spectrum, h_2, h_1)``: the factors
-    :func:`~genhilbert.kernel.jacobi_factors` returns, ``rfft(hankel, m)``
-    and the Hankel factor's 2- and 1-norms; ``c0`` and ``c1`` are the
-    endpoint masses.  Build one with :func:`fft_plan`.
+    ``tiles`` cut the block into disjoint ``(rows, cols, m, terms)``: row
+    and column slices, a transform length m and, per density term,
+    ``(row, col, segment, h_2, h_1)``.  ``row`` and ``col`` are the tile's
+    slices of the factors :func:`~genhilbert.kernel.jacobi_factors`
+    returns.  ``h`` is the Hankel factor over the tile's diagonals,
+    ``segment`` its spectrum ``rfft(h, m)`` or, when m is 0, the dense
+    matrix ``h[i + j]`` of the tile's shape, and ``h_2``, ``h_1`` its 2- and
+    1-norms.  ``c0`` and ``c1`` are the endpoint masses.  ``components``
+    counts the sums that can land in one row: the density terms times the
+    most tiles that share a row, plus the endpoint atoms.  Build one with
+    :func:`fft_plan`.
     """
 
     n_rows: int
     n_cols: int
-    m: int
-    terms: tuple
+    tiles: tuple
     c0: float
     c1: float
+    components: int = field(init=False)
+
+    def __post_init__(self):
+        # A tile opens at rows.start and closes at rows.stop; at one index closes sort first.
+        events = sorted(e for rows, *_ in self.tiles for e in ((rows.start, 1), (rows.stop, -1)))
+        depth = max(itertools.accumulate(step for _, step in events), default=0)
+        terms = len(self.tiles[0][3]) if self.tiles else 0
+        object.__setattr__(self, "components", terms * depth + (self.c0 > 0) + (self.c1 > 0))
 
     def transposed(self) -> FFTPlan:
-        """The plan of the transposed matrix: row and column factors swap, and so do c0 and c1."""
-        terms = tuple((col, row, spectrum, h_2, h_1) for row, col, spectrum, h_2, h_1 in self.terms)
-        return FFTPlan(self.n_cols, self.n_rows, self.m, terms, self.c1, self.c0)
+        """The plan of the transposed matrix: each tile's ranges and factors swap, and so do c0 and c1."""
+        tiles = tuple(
+            (cols, rows, m, tuple((col, row, seg if m else seg.T, *norms) for row, col, seg, *norms in terms))
+            for rows, cols, m, terms in self.tiles
+        )
+        return FFTPlan(self.n_cols, self.n_rows, tiles, self.c1, self.c0)
 
     def apply(self, a: SequenceVector, p: float) -> tuple[SequenceVector, float]:
         """The image of ``a`` (length ``n_cols``) in O(M log M) and an a-priori ell-p error bound.
 
         A density term's entries are ``D[n] H[n+k] E[k]``
-        (:func:`~genhilbert.kernel.jacobi_factors`), so its image is ``D * c``
-        with ``c[n] = sum_k H[n+k] b[k]`` and ``b = E * a``.  These are entries
-        K-1 ... K-2+N of the linear convolution of ``h = H[:N+K-1]`` with
-        reversed ``b``.  A circular convolution of length ``m >= N+K-1`` wraps
-        only entries at or beyond ``m`` onto indices below K-1, so the rows kept
-        are exact; ``m`` is the least power of two that long, and the image is
-        finite whenever it is within the float64 range.  An atom at 0 adds
-        ``c0 * a[0]`` to every row, an atom at 1 adds ``c1 * sum(a)`` to row 0.
+        (:func:`~genhilbert.kernel.jacobi_factors`), so on a tile of n rows
+        from r0 and k columns from c0 its image is ``D * c`` with
+        ``c[i] = sum_j h[i+j] b[j]``, ``h = H[r0+c0 :][: n+k-1]`` and
+        ``b = E * a`` over the tile's columns.  These are entries k-1 ...
+        k-2+n of the linear convolution of h with reversed b.  A circular
+        convolution of length ``m >= n+k-1`` wraps only entries at or beyond
+        m onto indices below k-1, so the rows kept are exact; m is the least
+        power of two that long.  A dense tile (m = 0) forms c as the product
+        of its matrix ``h[i+j]`` with b.  The image is finite whenever it is
+        within the float64 range.  An atom at 0 adds ``c0 * a[0]`` to every
+        row, an atom at 1 adds ``c1 * sum(a)`` to row 0.
 
         The bound majorizes ``||y_fft - y||_p``, where ``y`` is the exact
         product of the entries :func:`~genhilbert.kernel.entry_block` returns
         with ``a`` (the dense route without its summation rounding).  With unit
-        roundoff u, N = n_rows, K = len(a), T components (density terms plus
-        endpoint atoms), ``lam = max(1, log2 m)`` and ``s = max(0, 1/p - 1/2)``
-        (so that ``||x||_p <= N^s ||x||_2``), it is, to first order in u::
+        roundoff u, N = n_rows, K = len(a), A = ``components``,
+        ``lam = max(1, log2 m)`` and ``s = max(0, 1/p - 1/2)`` (so that a
+        tile's ``||x||_p <= n^s ||x||_2``), it is, to first order in u, a sum
+        over the tiles of ::
 
-            16 u (lam + T + 1) N^s sum_terms ||D||_inf (||h||_2 ||b||_1 + ||h||_1 ||b||_2)
-            + (2T + K + 3) u (c0 |a[0]| N^(1/p) + c1 ||a||_1)
+            16 u (lam + A + 1) n^s sum_terms ||D||_inf (||h||_2 ||b||_1 + ||h||_1 ||b||_2)
+
+        (a dense tile has ``k + 2A + 4`` in place of ``16 (lam + A + 1)``), plus::
+
+            (2A + K + 3) u (c0 |a[0]| N^(1/p) + c1 ||a||_1)
 
         Derivation (Higham, *Accuracy and Stability of Numerical Algorithms*,
         2nd ed., section 24.1): Theorem 24.2 bounds a computed radix-2
@@ -340,13 +409,22 @@ class FFTPlan:
         ``phi ||h||_1 ||b||_2``; the complex products (``sqrt(2) gamma_2``), the
         inverse transform (``phi``) and its 1/m scaling (``u``) cost at most
         ``phi + 4u`` times ``||h * b||_2 <= ||h||_2 ||b||_1`` (Young's
-        inequality).  The rest are relative roundings per row of the majorant
-        ``D (h * |b|)``: forming ``b`` and scaling by ``D`` (u each), adding the
-        T components (T u), and the entries' own rounding in ``entry_block``
-        ((T + 1) u).  Per term this is
-        ``(14 lam + 2T + 7) u ||h||_2 ||b||_1 + 7 lam u ||h||_1 ||b||_2`` in
-        ell-2, times ``||D||_inf N^s`` in ell-p.  The atoms share those
-        ``(2T + 3) u`` per row, and ``sum(a)`` adds at most ``K u``.
+        inequality).  A dense tile's product instead errs by at most
+        ``gamma_k`` times ``h * |b|`` per row (ibid., (3.11)).  The rest are
+        relative roundings per row of the majorant ``D (h * |b|)``: forming
+        ``b`` and scaling by ``D`` (u each), adding the at most A sums into
+        the row (A u), and the entries' own rounding in ``entry_block``
+        (at most (A + 1) u).  Per term this is
+        ``(14 lam + 2A + 7) u ||h||_2 ||b||_1 + 7 lam u ||h||_1 ||b||_2`` in
+        ell-2, times ``||D||_inf n^s`` in ell-p, and the tiles' errors add.
+        The atoms share those ``(2A + 3) u`` per row, and ``sum(a)`` adds at
+        most ``K u``.
+
+        The plan of :func:`fft_plan` has one tile, the whole block.  Where
+        the factors grow or shrink along the block, its bound is loose by
+        their spread; inside a tiled plan's tiles n+k+1 varies by less than
+        a factor of 6, so each tile's bound is that of its own rows' image
+        up to ``6^|alpha+beta+1|``.
         """
         values = a.values
         K, n_rows = len(values), self.n_rows
@@ -355,62 +433,84 @@ class FFTPlan:
         out = np.zeros(n_rows)
         if K == 0:
             return SequenceVector(out), 0.0
-        m, u = self.m, _UNIT_ROUNDOFF
-        # u scales each magnitude before the large factors do, so the bound
-        # overflows only when its value is beyond float64.
-        weight = 0.0
-        for row, col, spectrum, h_2, h_1 in self.terms:
-            b = col * values
-            b_1, (b_2, e) = np.abs(b).sum(), _scaled(b)[1:]
-            # The transforms' values reach m ||h||_1 ||b||_1.  Where that may
-            # pass the float64 range they run on b / 2**e, whose entries are
-            # below 1, and the rows are scaled back; both steps are exact.
-            # The copy is made only then, so the usual path holds no second
-            # array of b's length during the transforms.
-            shift = 0 if b_1 < 2.0**1000 / (m * h_1) else e
-            conv = irfft(spectrum * rfft((np.ldexp(b, -shift) if shift else b)[::-1], m), m)
-            rows = row * conv[K - 1 : K - 1 + n_rows]
-            out += np.ldexp(rows, shift) if shift else rows
-            weight += u * row.max() * (h_2 * b_1 + h_1 * b_2)
+        u, s, components = _UNIT_ROUNDOFF, max(0.0, 1.0 / p - 0.5), self.components
+        bound = 0.0
+        for rows, cols, m, terms in self.tiles:
+            part = values[cols]
+            n, k = rows.stop - rows.start, len(part)
+            # u scales each magnitude before the large factors do, and the
+            # power of two of b last, so the bound overflows only when its
+            # value is beyond float64.
+            weight = 0.0
+            for row, col, segment, h_2, h_1 in terms:
+                b = col * part
+                b_1, b_2, e = _norms_1_2(b)
+                # The transforms' values reach m ||h||_1 ||b||_1 (a dense
+                # product's, ||h||_1 ||b||_1).  Where that may pass the
+                # float64 range they run on b / 2**e, whose entries are below
+                # 1, and the rows are scaled back; both steps are exact.  The
+                # copy is made only then, so the usual path holds no second
+                # array of b's length during the transforms.
+                shift = e if math.frexp(max(m, 1) * h_1 * b_1)[1] + e > 1000 else 0
+                if shift:
+                    b = np.ldexp(b, -shift)
+                if m:
+                    c = row * irfft(segment * rfft(b[::-1], m), m)[k - 1 : k - 1 + n]
+                else:
+                    c = row * (segment @ b)
+                out[rows] += np.ldexp(c, shift) if shift else c
+                weight += _ldexp(u * row.max() * (h_2 * b_1 + h_1 * b_2), e)
+            scale = 16.0 * (max(1, m.bit_length() - 1) + components + 1) if m else k + 2 * components + 4
+            bound += scale * n ** s * weight
         c0, c1 = self.c0, self.c1
+        atoms = 0.0
         if c0 > 0:
             out += c0 * values[0]
+            atoms += u * c0 * abs(values[0]) * n_rows ** (1.0 / p)
         if c1 > 0:
             out[0] += c1 * values.sum()
+            atoms += u * c1 * np.abs(values).sum()
         if a.nonneg:
             # The exact image is nonnegative; rows whose value lies below the
             # transforms' absolute error can come out negative, and clipping
             # them moves every row toward its exact value.
             np.maximum(out, 0.0, out=out)
-        components = len(self.terms) + (c0 > 0) + (c1 > 0)
-        lam = max(1, m.bit_length() - 1)
-        bound = 16.0 * (lam + components + 1) * n_rows ** max(0.0, 1.0 / p - 0.5) * weight
-        bound += (2 * components + K + 3) * (
-            u * c0 * abs(values[0]) * n_rows ** (1.0 / p) + u * c1 * np.abs(values).sum()
-        )
+        bound += (2 * components + K + 3) * atoms
         return SequenceVector(out), float(bound)
 
 
-def fft_plan(mu: Measure, n_rows: int, n_cols: int) -> FFTPlan:
+def fft_plan(mu: Measure, n_rows: int, n_cols: int, tiled: bool = False) -> FFTPlan:
     """The :class:`FFTPlan` of the leading ``n_rows`` by ``n_cols`` block of ``mu``'s matrix.
 
-    For measures of density terms and endpoint atoms only; interior atoms
-    raise ``ValueError``, factors outside the float64 range too.
+    The plan is one tile, the whole block, unless ``tiled``: then its tiles
+    are :func:`_tile_cover`'s, and those of at most ``_DENSE_TILE_ENTRIES``
+    entries are dense.  For measures of density terms and endpoint atoms
+    only; interior atoms raise ``ValueError``, factors outside the float64
+    range too.
     """
     if mu.interior_atoms:
         raise ValueError("the FFT apply takes density terms and endpoint atoms only")
     _check_size(n_rows, HANKEL_CAP)
     if n_cols > HANKEL_CAP:
         raise ResourceLimitError(f"size {n_cols} exceeds cap {HANKEL_CAP}")
-    m = 1 << (n_rows + n_cols - 2).bit_length()
-    terms = []
+    tiles = []
     if n_cols:
         n, k = np.arange(n_rows), np.arange(n_cols)
         d = np.arange(n_rows + n_cols - 1, dtype=np.float64)
-        for term in mu.jacobi_terms:
-            row, col, hankel = jacobi_factors(term, n, k, d)
-            terms.append((row, col, rfft(hankel, m), np.linalg.norm(hankel), hankel.sum()))
-    return FFTPlan(n_rows, n_cols, m, tuple(terms), mu.atom_at(0.0), mu.atom_at(1.0))
+        factors = [jacobi_factors(term, n, k, d) for term in mu.jacobi_terms]
+        cover = _tile_cover(n_rows, n_cols) if tiled else [(slice(0, n_rows), slice(0, n_cols))]
+        for rows, cols in cover:
+            shape = (rows.stop - rows.start, cols.stop - cols.start)
+            length = sum(shape) - 1
+            dense = tiled and shape[0] * shape[1] <= _DENSE_TILE_ENTRIES
+            m = 0 if dense else 1 << (length - 1).bit_length()
+            terms = []
+            for row, col, hankel in factors:
+                h = hankel[rows.start + cols.start :][:length]
+                segment = as_strided(h, shape, h.strides * 2).copy() if dense else rfft(h, m)
+                terms.append((row[rows], col[cols], segment, np.linalg.norm(h), h.sum()))
+            tiles.append((rows, cols, m, tuple(terms)))
+    return FFTPlan(n_rows, n_cols, tuple(tiles), mu.atom_at(0.0), mu.atom_at(1.0))
 
 
 def hankel_fast_apply(a: SequenceVector, n_rows: int) -> SequenceVector:

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from genhilbert import (
     Atom,
@@ -165,6 +167,83 @@ def test_fft_route_error_within_its_stated_bound_and_ratio_sound():
             assert ratio <= verdict.norm + SOUNDNESS_SLACK, (mu, n_rows, K, p)
 
 
+def test_tiled_image_and_its_transpose_within_their_stated_bounds(monkeypatch):
+    rng = np.random.default_rng(1307)
+    # The ratio below takes the tiled plan as well.
+    monkeypatch.setattr(certify_module._Block, "fft_serves", lambda block, bound, norm: False)
+    for case in range(16):
+        terms = tuple(
+            JacobiTerm(float(rng.uniform(0.1, 3.0)), *map(float, rng.uniform(-0.9, 3.0, size=2)))
+            for _ in range(int(rng.integers(1, 3)))
+        )
+        atoms = tuple(
+            Atom(t, float(rng.uniform(0.1, 3.0))) for t in (0.0, 1.0) if rng.random() < 0.3
+        )
+        mu = Measure(terms, atoms)
+        sizes = np.exp(rng.uniform(0.0, math.log(3000), size=2)).astype(int)
+        n_rows, K = (3000, 3000) if case == 0 else map(int, sizes)
+        p = float(rng.choice([1.0, 1.5, 2.0, 3.0]))
+        plan = fft_plan(mu, n_rows, K, tiled=True)
+        for transposed in (False, True):
+            rows, cols = (K, n_rows) if transposed else (n_rows, K)
+            values = rng.uniform(-1.0, 1.0, cols) if case % 2 else np.arange(1.0, cols + 1.0) ** -0.6
+            got, bound = (plan.transposed() if transposed else plan).apply(SequenceVector(values), p)
+            ref = _extended_precision_image(reflected(mu) if transposed else mu, values, rows)
+            err = lp_norm((got.values - ref).astype(np.float64), p)
+            assert err <= bound, (mu, n_rows, K, transposed, p, err, bound)
+        verdict = classify_boundedness(mu, p)
+        if verdict.is_bounded:
+            ratio = lower_bound_ratio(mu, ExtremalParams(p, 0.5 / p, K), n_rows)
+            assert ratio <= verdict.norm + SOUNDNESS_SLACK, (mu, n_rows, K, p)
+
+
+def test_t1mt_ratio_stays_positive_and_grows_to_two_to_the_20():
+    # One tile's bound swamped t(1-t)dt's image from 2**18 on: ratios fell
+    # to 0.053 (p=3) at 2**18 and to 0.0 at 2**20.  The tiles' bound does not.
+    mu = Measure((JacobiTerm(1.0, 1.0, 1.0),), ())
+    ratios = {p: [] for p in (1.5, 2.0, 3.0)}
+    for size in (2**16, 2**18, 2**20):
+        block = certify_module._Block(mu, size, size)
+        for p, series in ratios.items():
+            series.append(block.ratio(extremal_sequence(ExtremalParams(p, 0.05, size)), p))
+    for p, series in ratios.items():
+        assert 0.0 < series[0] <= series[1] <= series[2] <= classify_boundedness(mu, p).norm, (p, series)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    terms=st.lists(
+        st.tuples(st.floats(0.1, 3.0), st.floats(-0.9, 3.0), st.floats(-0.9, 3.0)),
+        min_size=1,
+        max_size=2,
+    ),
+    atoms=st.lists(
+        st.tuples(st.sampled_from([0.3, 0.7, 1.0]), st.floats(0.1, 3.0)),
+        max_size=2,
+        unique_by=lambda atom: atom[0],
+    ),
+    p=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+    eps_share=st.floats(0.02, 1.0),
+    n_rows=st.integers(1, 64),
+    length=st.integers(1, 64),
+)
+def test_ratio_stays_below_the_norm_on_every_route(terms, atoms, p, eps_share, n_rows, length):
+    mu = Measure(tuple(JacobiTerm(*term) for term in terms), tuple(Atom(*atom) for atom in atoms))
+    verdict = classify_boundedness(mu, p)
+    assume(verdict.is_bounded)
+    ceiling = verdict.norm + SOUNDNESS_SLACK
+    params = ExtremalParams(p, eps_share / p, length)
+    a = extremal_sequence(params)
+    for route in (apply_truncated, apply_via_quadrature):
+        assert lp_norm(route(mu, a, n_rows).values, p) / lp_norm(a.values, p) <= ceiling, route
+    if not mu.interior_atoms:
+        # The rule picks the one-tile or the tiled plan; each is forced in turn.
+        for one_tile in (True, False):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(certify_module._Block, "fft_serves", lambda block, bound, norm: one_tile)
+                assert lower_bound_ratio(mu, params, n_rows) <= ceiling, one_tile
+
+
 def test_fft_ratio_stays_below_the_exact_truncated_ratio():
     # the FFT route subtracts its stated bound, so rounding cannot lift the
     # ratio above the exact image norm of the dense route's entries
@@ -202,13 +281,8 @@ def test_ratio_without_interior_atoms_builds_no_entries(monkeypatch):
 
 @pytest.mark.parametrize(
     "mu,size",
-    [
-        (Measure((JacobiTerm(1.0, 1.0, 1.0),), ()), 2048),
-        # rows beyond ~1000 fall below the transforms' absolute error
-        (Measure((JacobiTerm(1.0, 3.0, 3.0),), ()), 1024),
-        (Measure((JacobiTerm(1.0, 0.0, 0.0),), (Atom(0.3, 0.4),)), 256),
-    ],
-    ids=["t(1-t)dt", "t^3(1-t)^3", "interior-atom"],
+    [(Measure((JacobiTerm(1.0, 0.0, 0.0),), (Atom(0.3, 0.4),)), 256)],
+    ids=["interior-atom"],
 )
 def test_ratio_takes_the_dense_route_when_the_fft_cannot_serve(mu, size, monkeypatch):
     params = ExtremalParams(2.0, 0.1, size)
@@ -218,6 +292,31 @@ def test_ratio_takes_the_dense_route_when_the_fft_cannot_serve(mu, size, monkeyp
     _record_calls(monkeypatch, calls, certify_module, "apply_truncated")
     assert lower_bound_ratio(mu, params, size) == dense
     assert len(calls) == 1
+
+
+# The gaps to the exact ratio measured 2.1e-12 (t(1-t)dt) and 2.4e-10
+# (t^3(1-t)^3, whose Hankel factor varies by up to 6^7 inside a tile).
+@pytest.mark.parametrize(
+    "mu,size,gap",
+    [
+        (Measure((JacobiTerm(1.0, 1.0, 1.0),), ()), 2048, 4e-12),
+        # rows beyond ~1000 fall below the one-tile transforms' absolute error
+        (Measure((JacobiTerm(1.0, 3.0, 3.0),), ()), 1024, 4e-10),
+    ],
+    ids=["t(1-t)dt", "t^3(1-t)^3"],
+)
+def test_ratio_takes_the_tiled_route_when_one_tile_cannot_serve(mu, size, gap, monkeypatch):
+    params = ExtremalParams(2.0, 0.1, size)
+    a = extremal_sequence(params)
+    exact = _extended_precision_image(mu, a.values, size)
+    want = float(np.sqrt(np.sum(exact**2))) / lp_norm(a.values, 2.0)
+    truncated, plans = [], []
+    _record_calls(monkeypatch, truncated, certify_module, "apply_truncated")
+    _record_calls(monkeypatch, plans, certify_module, "fft_plan")
+    ratio = lower_bound_ratio(mu, params, size)
+    assert truncated == []
+    assert [args[3] for args in plans] == [False, True]
+    assert want * (1.0 - gap) <= ratio <= want, (ratio, want)
 
 
 def test_c_dt_ratio_beyond_the_dense_cap_at_large_p(monkeypatch):
@@ -353,7 +452,6 @@ def test_fft_route_sigma_is_certified_against_the_dense_eigensolver(monkeypatch)
     rng = np.random.default_rng(1950)
     calls = []
     _record_calls(monkeypatch, calls, certify_module, "finite_section")
-    taken = 0
     for _ in range(24):
         terms = tuple(
             JacobiTerm(float(rng.uniform(0.1, 3.0)), *map(float, rng.uniform(-0.9, 3.0, size=2)))
@@ -366,14 +464,11 @@ def test_fft_route_sigma_is_certified_against_the_dense_eigensolver(monkeypatch)
         size = int(rng.integers(2, 1025))
         calls.clear()
         sigma = p2_section_norm(mu, size)
-        if calls:  # the first step's bound sent it to the dense section
-            continue
-        taken += 1
+        assert calls == []  # one-tile or tiled, never the dense section
         s = finite_section(mu, size).entries
         top = math.sqrt(np.linalg.eigvalsh(s.T @ s)[-1])
         assert sigma <= top * (1.0 + 1e-12), (mu, size, sigma, top)
         assert abs(sigma - top) <= 1e-9 * top, (mu, size, sigma, top)
-    assert taken >= 8
 
 
 def test_atom_free_sweep_builds_no_entries(monkeypatch):
@@ -389,15 +484,13 @@ def test_atom_free_sweep_builds_no_entries(monkeypatch):
 @pytest.mark.parametrize(
     "mu,size",
     [
-        (Measure((JacobiTerm(1.0, 1.0, 1.0),), ()), 2048),
         (Measure((), (Atom(0.5, 1.0),)), 256),
         (Measure((), (Atom(0.5, 1.0),)), 2048),
     ],
-    ids=["t(1-t)dt", "delta_half", "delta_half@2048"],
+    ids=["delta_half", "delta_half@2048"],
 )
 def test_dense_route_sigma_is_one_section_and_unchanged(mu, size, monkeypatch):
-    # t(1-t)dt's first FFT step states a bound above FFT_ROUTE_RTOL, and an
-    # interior atom has no FFT apply: both run on one dense section.
+    # An interior atom has no FFT apply: it runs on one dense section.
     sections, products = [], []
     _record_sections(monkeypatch, sections, products)
     sigma = p2_section_norm(mu, size)
@@ -405,6 +498,34 @@ def test_dense_route_sigma_is_one_section_and_unchanged(mu, size, monkeypatch):
     assert sum(forward for forward, _ in products) <= 80
     top = float(np.linalg.norm(finite_section(mu, size).entries, 2))
     assert abs(sigma - top) <= 1e-12 * top, (sigma, top)
+
+
+@pytest.mark.parametrize("size", [512, 2048], ids=["t(1-t)dt@512", "t(1-t)dt"])
+def test_tiled_route_sigma_is_certified_against_the_dense_norm(size, monkeypatch):
+    # t(1-t)dt's first one-tile step states a bound above FFT_ROUTE_RTOL, so
+    # the loop runs on the tiled plan and its transpose, with no section.
+    mu = Measure((JacobiTerm(1.0, 1.0, 1.0),), ())
+    sections, products, plans, forward = [], [], [], []
+    _record_sections(monkeypatch, sections, products)
+    apply = operator.FFTPlan.apply
+
+    def recorded_plan(*args):
+        plans.append(fft_plan(*args))
+        return plans[-1]
+
+    def recorded_apply(plan, a, p):
+        forward.append(any(plan is built for built in plans))
+        return apply(plan, a, p)
+
+    monkeypatch.setattr(certify_module, "fft_plan", recorded_plan)
+    monkeypatch.setattr(operator.FFTPlan, "apply", recorded_apply)
+    sigma = p2_section_norm(mu, size)
+    assert sections == []
+    assert [len(plan.tiles) > 1 for plan in plans] == [False, True]
+    assert sum(forward) <= 80
+    top = float(np.linalg.norm(finite_section(mu, size).entries, 2))
+    assert sigma <= top * (1.0 + 1e-12), (sigma, top)
+    assert abs(sigma - top) <= 1e-11 * top, (sigma, top)
 
 
 def test_krylov_loop_makes_two_transposed_applies_fewer_than_forward_ones(monkeypatch):
@@ -431,7 +552,7 @@ def test_krylov_loop_makes_two_transposed_applies_fewer_than_forward_ones(monkey
     assert len(backward) == len(forward) - 2
 
 
-def test_switch_to_the_dense_section_continues_from_that_steps_vector(monkeypatch):
+def test_switch_to_the_tiled_plan_continues_from_that_steps_vector(monkeypatch):
     mu = Measure((JacobiTerm(1.0, -0.5, 0.25), JacobiTerm(0.5, 0.5, -0.25)), ())
     size = 256
     serves, apply = certify_module._Block.fft_serves, operator.FFTPlan.apply
@@ -449,13 +570,14 @@ def test_switch_to_the_dense_section_continues_from_that_steps_vector(monkeypatc
     monkeypatch.setattr(operator.FFTPlan, "apply", recorded_apply)
     _record_sections(monkeypatch, sections, products)
     sigma = p2_section_norm(mu, size)
-    assert sections == [(mu, size)]
-    plan = applied[0][0]
-    steps_v = [v for applied_plan, v in applied if applied_plan is plan]
-    assert len(steps_v) == 3
-    forward, v = products[0]
-    assert forward
-    np.testing.assert_array_equal(v, steps_v[2])
+    assert sections == []
+    assert len(steps) == 3
+    one_tile = applied[0][0]
+    steps_at = [i for i, (applied_plan, _) in enumerate(applied) if applied_plan is one_tile]
+    assert len(steps_at) == 3
+    tiled, v = applied[steps_at[2] + 1]
+    assert (tiled.n_rows, tiled.n_cols) == (size, size) and len(tiled.tiles) > 1
+    np.testing.assert_array_equal(v, applied[steps_at[2]][1])
     assert not np.allclose(v, 1.0 / math.sqrt(size), rtol=1e-6, atol=0)
     s = finite_section(mu, size).entries
     top = math.sqrt(np.linalg.eigvalsh(s.T @ s)[-1])
@@ -510,6 +632,18 @@ def test_sigma_of_a_measure_near_the_float64_limit_scales_exactly():
         warnings.simplefilter("error", RuntimeWarning)
         want = math.ldexp(p2_section_norm(LEBESGUE, 300), 1017)
         got = p2_section_norm(_times_power_of_two(LEBESGUE, 1017), 300)
+    assert got == want
+
+
+@pytest.mark.parametrize("size", [300, 4096])
+def test_sigma_of_a_measure_at_the_float64_limit_scales_exactly(size):
+    # The transposed apply's input carries the coefficient, so the bound's
+    # ||b||_1 (4096) or h_2 ||b||_1 (300) overflowed for 2**1020 dt, while
+    # sigma (2.6e307, 2.9e307) is in range.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        want = math.ldexp(p2_section_norm(LEBESGUE, size), 1020)
+        got = p2_section_norm(_times_power_of_two(LEBESGUE, 1020), size)
     assert got == want
 
 
@@ -574,10 +708,10 @@ MIX_ATOM = Measure(
     ids=["t(1-t)dt", "interior-atom-mixture"],
 )
 def test_p2_sweep_builds_each_size_once(mu, sizes, monkeypatch):
-    # t(1-t)dt's sigma leaves the FFT route at both sizes, and so do its
-    # ratios at 512 but not at 128; the atom mixture is dense throughout.
-    # The ratios sum the section sigma built, with the same bits as the
-    # truncated apply.
+    # t(1-t)dt's sigma leaves the one-tile plan at both sizes, and so do its
+    # ratios at 512 but not at 128: the tiled plan serves them, and no entry
+    # is built.  The atom mixture is dense throughout; its ratios sum the
+    # section sigma built, with the same bits as the truncated apply.
     eps_grid = (0.05, 0.1, 0.3)
     want_ratios = [
         lower_bound_ratio(mu, ExtremalParams(2.0, eps, size), size)
@@ -597,9 +731,9 @@ def test_p2_sweep_builds_each_size_once(mu, sizes, monkeypatch):
     _record_calls(monkeypatch, truncated, certify_module, "apply_truncated")
     _record_calls(monkeypatch, plans, certify_module, "fft_plan")
     report = convergence_sweep(mu, 2.0, eps_grid, sizes)
-    assert sum(entries) == sum(size * size for size in sizes)
+    assert sum(entries) == (sum(size * size for size in sizes) if mu.interior_atoms else 0)
     assert truncated == []
-    assert len(plans) <= len(sizes)
+    assert len(plans) == len({args[1:] for args in plans}) <= 2 * len(sizes)
     assert [ratio for *_, ratio in report.ratios] == want_ratios
     assert [sigma for _, sigma in report.sigma_max_series] == want_sigmas
 

@@ -334,6 +334,29 @@ def test_zero_column_fft_plan_maps_to_zero():
     assert bound == 0.0
 
 
+def _assert_exact_partition(n_rows, n_cols):
+    tiles = np.array([(r.start, r.stop, c.start, c.stop) for r, c in operator._tile_cover(n_rows, n_cols)])
+    r0, r1, c0, c1 = tiles.T
+    assert (0 <= r0).all() and (r0 < r1).all() and (r1 <= n_rows).all(), (n_rows, n_cols)
+    assert (0 <= c0).all() and (c0 < c1).all() and (c1 <= n_cols).all(), (n_rows, n_cols)
+    assert ((r1 - r0) * (c1 - c0)).sum() == n_rows * n_cols, (n_rows, n_cols)
+    overlaps = (r0[:, None] < r1) & (r0 < r1[:, None]) & (c0[:, None] < c1) & (c0 < c1[:, None])
+    assert overlaps.sum() == len(tiles), (n_rows, n_cols)
+    # n + k + 1 varies by less than a factor of 6 inside each tile
+    assert ((r1 + c1 - 1) < 6 * (r0 + c0 + 1)).all(), (n_rows, n_cols)
+
+
+def test_tile_cover_is_an_exact_partition():
+    # Disjoint tiles inside the block whose areas sum to the block's cover
+    # it exactly.  Every size from 1 to 3000 is paired with itself, with its
+    # mirror 3001 - N and with 1, 5 and 3000 both ways; all pairs up to 64.
+    pairs = {(n, k) for n in range(1, 65) for k in range(1, 65)}
+    for n in range(1, 3001):
+        pairs |= {(n, n), (n, 3001 - n)} | {(n, k) for k in (1, 5, 3000)} | {(k, n) for k in (1, 5, 3000)}
+    for n_rows, n_cols in sorted(pairs):
+        _assert_exact_partition(n_rows, n_cols)
+
+
 def test_fft_apply_rejects_interior_atoms(delta_half):
     with pytest.raises(ValueError, match="endpoint atoms"):
         fft_plan(delta_half, 4, 4).apply(SequenceVector(np.ones(4)), 2.0)
