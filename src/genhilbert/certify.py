@@ -128,7 +128,9 @@ def lower_bound_ratio(mu: Measure, params: ExtremalParams, n_rows: int) -> float
     (:func:`~genhilbert.operator.fft_plan`).  The numerator is then the
     computed norm less that bound and less the rounding of both norms and
     the quotient, so the ratio stays a lower bound.  A measure with interior
-    atoms takes the dense truncated route.  The ratio scales exactly with
+    atoms takes the dense truncated route, whose numerator is the computed
+    norm less the rounding of the row sums and of both norms
+    (:meth:`_Block.ratio`).  The ratio scales exactly with
     the measure, and is math.inf only when it is beyond the float64 range
     (an unboundedness witness, e.g. for measures with an atom at 0).
     """
@@ -202,7 +204,11 @@ class _Block:
         root) and of the factor, the subtraction and the division; an image
         norm beyond float64 stays math.inf.  The dense route sums a held
         section's rows as :func:`~genhilbert.operator.apply_truncated` sums
-        its entries, so both give the same image bit for bit.  ``a`` is
+        its entries, so both give the same image bit for bit, and scales its
+        norm by ``1 - (2 (N + K) + K + 16) u``: a row of K nonnegative products
+        sums to within ``gamma_K`` of its exact value (Higham, *Accuracy and
+        Stability of Numerical Algorithms*, 2nd ed., (3.11)), about ``K u``
+        relative, for the nonnegative ``a`` every ratio takes.  ``a`` is
         first divided by the power of two above its norm, which is exact, so
         the image norm overflows only when the ratio is beyond the float64
         range itself.
@@ -210,20 +216,21 @@ class _Block:
         norm_a = lp_norm(a.values, p)
         e = math.frexp(norm_a)[1]
         a, denominator = SequenceVector(np.ldexp(a.values, -e)), math.ldexp(norm_a, -e)
+        rounding = (2 * (self.n_rows + self.n_cols) + 16) * _UNIT_ROUNDOFF
         if not self.mu.interior_atoms:
             image, bound = self.plan().apply(a, p)
             numerator = lp_norm(image.values, p)
             if not self.fft_serves(bound, numerator):
                 image, bound = self.plan(tiled=True).apply(a, p)
                 numerator = lp_norm(image.values, p)
-            rounding = (2 * (self.n_rows + self.n_cols) + 16) * _UNIT_ROUNDOFF
             return max(0.0, numerator * (1.0 - rounding) - bound) / denominator
         if self._section is None:
             image = apply_truncated(self.mu, a, self.n_rows).values
         else:
             s = self._section
             image = _row_block_sums(lambda start, stop: s[start:stop], a.values, self.n_rows)
-        return lp_norm(image, p) / denominator
+        rounding += self.n_cols * _UNIT_ROUNDOFF
+        return lp_norm(image, p) * (1.0 - rounding) / denominator
 
     def section(self) -> np.ndarray:
         if self._section is None:

@@ -80,17 +80,58 @@ def jacobi_factors(term: JacobiTerm, n, k, d) -> tuple[np.ndarray, np.ndarray, n
     The term's entry at ``(n, k)`` is ``row[n] * hankel[n+k] * col[k]``:
     ``row = coeff * (n+1)_beta``, ``col = (k+1)_alpha`` and ``hankel =
     1/(d+1)_(alpha+beta+1)`` over the diagonal indices ``d``, whose last
-    element is the largest.  Raises ``ValueError`` when a factor leaves the
-    float64 range.
+    element is the largest.  A row or column factor whose exponent is 0 is
+    a read-only zero-stride constant (``coeff`` for beta = 0, 1.0 for
+    alpha = 0): ``poch(x, 0)`` is exactly 1.0, so its values are those of the
+    product, and no array of ones is stored.  Raises ``ValueError`` when a
+    factor leaves the float64 range.  The row factor is
+    :func:`_unit_factors`' times ``coeff`` (:func:`_scaled_row`), the split
+    the FFT plans' memo in :mod:`genhilbert.operator` keeps apart.
     """
-    row = term.coeff * poch(n + 1.0, term.beta)
-    col = poch(k + 1.0, term.alpha)
+    row, col, hankel = _unit_factors(term, n, k, d)
+    return _scaled_row(term, row, d[-1]), col, hankel
+
+
+def _rising(x, exponent: float) -> np.ndarray:
+    """``(x+1)_exponent``; the zero-stride constant 1.0 when the exponent is 0."""
+    if exponent == 0.0:
+        return np.broadcast_to(1.0, np.shape(x))
+    return poch(x + 1.0, exponent)
+
+
+def _unit_factors(term: JacobiTerm, n, k, d) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`jacobi_factors` with coeff 1; they depend on alpha and beta only.
+
+    Raises ``ValueError``, naming ``term``, when the column or diagonal
+    factor leaves the float64 range.
+    """
+    row = _rising(n, term.beta)
+    col = _rising(k, term.alpha)
     hankel = 1.0 / poch(d + 1.0, term.alpha + term.beta + 1.0)
-    if not (np.isfinite(row).all() and np.isfinite(col).all() and hankel.min() >= _TINY):
-        raise ValueError(
-            f"{term} leaves the float64 range of the factored kernel at n+k <= {int(d[-1])}"
-        )
+    if not (np.isfinite(col).all() and hankel.min() >= _TINY):
+        raise _range_error(term, d[-1])
     return row, col, hankel
+
+
+def _scaled_row(term: JacobiTerm, unit_row: np.ndarray, d_max) -> np.ndarray:
+    """``coeff * unit_row``, a zero-stride constant where ``unit_row`` is one (beta = 0).
+
+    Raises ``ValueError``, naming ``term`` and the largest diagonal
+    ``d_max``, when the product leaves the float64 range.
+    """
+    if term.beta == 0.0:
+        row = np.broadcast_to(float(term.coeff), unit_row.shape)
+    else:
+        # An overflow here is reported by the range error below.
+        with np.errstate(over="ignore"):
+            row = term.coeff * unit_row
+    if not np.isfinite(row).all():
+        raise _range_error(term, d_max)
+    return row
+
+
+def _range_error(term: JacobiTerm, d_max) -> ValueError:
+    return ValueError(f"{term} leaves the float64 range of the factored kernel at n+k <= {int(d_max)}")
 
 
 def entry_block(mu: Measure, n, k) -> np.ndarray:

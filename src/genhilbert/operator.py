@@ -9,12 +9,15 @@ a Hankel spectrum that an :class:`FFTPlan` computes once.  The one-tile
 plan convolves the whole block at once; the tiled plan cuts it into tiles
 inside which n+k varies by a bounded factor, so that each tile's stated
 error bound follows its own rows' image where the factors grow or shrink.
+A plan's coefficient-free data is built once per process and shared
+(:func:`fft_plan`).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,9 +27,9 @@ from scipy.special import gammaln, roots_jacobi
 
 from .errors import ConvergenceError, ResourceLimitError
 from .kernel import (
-    _TINY, _UNIT_ROUNDOFF, DEFAULT_SECTION_CAP, _check_size, entry_block, jacobi_factors,
+    _TINY, _UNIT_ROUNDOFF, DEFAULT_SECTION_CAP, _check_size, _scaled_row, _unit_factors, entry_block,
 )
-from .measure import LEBESGUE, Measure
+from .measure import LEBESGUE, JacobiTerm, Measure
 from .norms import validate_p
 
 __all__ = [
@@ -487,30 +490,92 @@ def fft_plan(mu: Measure, n_rows: int, n_cols: int, tiled: bool = False) -> FFTP
     entries are dense.  For measures of density terms and endpoint atoms
     only; interior atoms raise ``ValueError``, factors outside the float64
     range too.
+
+    Only the row factor depends on a term's coefficient.  The rest of each
+    term's plan data, its unit row factor and per tile the column factor's
+    slice, the Hankel segment's spectrum (or dense segment) and its norms,
+    is kept read-only for the life of the process, keyed by
+    ``(alpha, beta, n_rows, n_cols, tiled)`` (:func:`_unit_plan`); each call
+    multiplies the coefficient into the row and checks that product's range.
+    So ``c*dt`` at one size builds its spectrum once for every c.
     """
     if mu.interior_atoms:
         raise ValueError("the FFT apply takes density terms and endpoint atoms only")
     _check_size(n_rows, HANKEL_CAP)
     if n_cols > HANKEL_CAP:
         raise ResourceLimitError(f"size {n_cols} exceeds cap {HANKEL_CAP}")
-    tiles = []
+    tiles = ()
     if n_cols:
-        n, k = np.arange(n_rows), np.arange(n_cols)
-        d = np.arange(n_rows + n_cols - 1, dtype=np.float64)
-        factors = [jacobi_factors(term, n, k, d) for term in mu.jacobi_terms]
-        cover = _tile_cover(n_rows, n_cols) if tiled else [(slice(0, n_rows), slice(0, n_cols))]
-        for rows, cols in cover:
-            shape = (rows.stop - rows.start, cols.stop - cols.start)
-            length = sum(shape) - 1
-            dense = tiled and shape[0] * shape[1] <= _DENSE_TILE_ENTRIES
-            m = 0 if dense else 1 << (length - 1).bit_length()
-            terms = []
-            for row, col, hankel in factors:
-                h = hankel[rows.start + cols.start :][:length]
-                segment = as_strided(h, shape, h.strides * 2).copy() if dense else rfft(h, m)
-                terms.append((row[rows], col[cols], segment, np.linalg.norm(h), h.sum()))
-            tiles.append((rows, cols, m, tuple(terms)))
-    return FFTPlan(n_rows, n_cols, tuple(tiles), mu.atom_at(0.0), mu.atom_at(1.0))
+        layout = _layout(n_rows, n_cols, tiled)
+        terms = []
+        for term in mu.jacobi_terms:
+            unit_row, parts = _unit_plan(term, n_rows, n_cols, tiled, layout)
+            terms.append((_scaled_row(term, unit_row, n_rows + n_cols - 2), parts))
+        tiles = tuple(
+            (rows, cols, m, tuple((row[rows], *parts[i]) for row, parts in terms))
+            for i, (rows, cols, m) in enumerate(layout)
+        )
+    return FFTPlan(n_rows, n_cols, tiles, mu.atom_at(0.0), mu.atom_at(1.0))
+
+
+def _layout(n_rows: int, n_cols: int, tiled: bool) -> list[tuple[slice, slice, int]]:
+    """The plan's tiles as ``(rows, cols, m)``: m is the transform length, or 0 for a dense tile.
+
+    m is the least power of two at least rows + columns - 1 long.
+    """
+    cover = _tile_cover(n_rows, n_cols) if tiled else [(slice(0, n_rows), slice(0, n_cols))]
+    layout = []
+    for rows, cols in cover:
+        shape = (rows.stop - rows.start, cols.stop - cols.start)
+        dense = tiled and shape[0] * shape[1] <= _DENSE_TILE_ENTRIES
+        layout.append((rows, cols, 0 if dense else 1 << (sum(shape) - 2).bit_length()))
+    return layout
+
+
+#: Bytes of coefficient-free plan data :func:`fft_plan` keeps for the life of the process.
+_PLAN_MEMO_BYTES = 64 << 20
+
+# (alpha, beta, n_rows, n_cols, tiled) -> (bytes held, unit row, per-tile parts), least recently used first.
+_plan_memo: OrderedDict = OrderedDict()
+
+
+def _unit_plan(term: JacobiTerm, n_rows: int, n_cols: int, tiled: bool, layout) -> tuple[np.ndarray, tuple]:
+    """One density term's plan data for coeff 1: the row factor and, per tile of ``layout``, ``(col, segment, h_2, h_1)``.
+
+    ``col`` is the tile's slice of the column factor, ``h`` the Hankel
+    factor over the tile's diagonals, ``segment`` its spectrum ``rfft(h, m)``
+    or, when m is 0, the dense matrix ``h[i + j]`` of the tile's shape, and
+    ``h_2``, ``h_1`` its 2- and 1-norms.  They depend on the term's exponents
+    and the sizes only, and are memoized under that key with their arrays
+    read-only.  The memo holds at most ``_PLAN_MEMO_BYTES`` of arrays (a
+    zero-stride constant counts nothing) and evicts the least recently used
+    entries first; data larger than that is returned and not kept.  A range
+    error raises, naming ``term``, and keeps nothing.
+    """
+    key = (term.alpha, term.beta, n_rows, n_cols, tiled)
+    if key in _plan_memo:
+        _plan_memo.move_to_end(key)
+        return _plan_memo[key][1:]
+    n, k = np.arange(n_rows), np.arange(n_cols)
+    d = np.arange(n_rows + n_cols - 1, dtype=np.float64)
+    row, col, hankel = _unit_factors(term, n, k, d)
+    held = [row, col]
+    row.flags.writeable = col.flags.writeable = False
+    parts = []
+    for rows, cols, m in layout:
+        shape = (rows.stop - rows.start, cols.stop - cols.start)
+        h = hankel[rows.start + cols.start :][: sum(shape) - 1]
+        segment = rfft(h, m) if m else as_strided(h, shape, h.strides * 2).copy()
+        segment.flags.writeable = False
+        held.append(segment)
+        parts.append((col[cols], segment, np.linalg.norm(h), h.sum()))
+    nbytes = sum(x.nbytes for x in held if x.strides[-1])
+    parts = tuple(parts)
+    if nbytes <= _PLAN_MEMO_BYTES:
+        _plan_memo[key] = (nbytes, row, parts)
+        while sum(entry[0] for entry in _plan_memo.values()) > _PLAN_MEMO_BYTES:
+            _plan_memo.popitem(last=False)
+    return row, parts
 
 
 def hankel_fast_apply(a: SequenceVector, n_rows: int) -> SequenceVector:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import poch
 
 from genhilbert import kernel, operator
 from genhilbert import (
@@ -104,6 +105,31 @@ def test_section_is_bit_identical_to_entries():
     for mu in MIXED_CORPUS[:5]:
         section = finite_section(mu, 9).entries
         for n, k in [(0, 0), (3, 7), (8, 1), (5, 5)]:
+            assert section[n, k] == entry(mu, n, k)
+
+
+@pytest.mark.parametrize(
+    "term", [JacobiTerm(3.0, 0.0, 0.0), JacobiTerm(1.0, 1.0, 0.0), JacobiTerm(1.0, 0.0, 0.5)],
+    ids=["c*dt", "t dt", "(1-t)^0.5 dt"],
+)
+def test_factors_of_exponent_zero_are_constants_with_the_products_bits(term):
+    # poch(x, 0) is exactly 1.0, so a constant coeff or 1.0 has the bits of
+    # coeff * poch(n+1, 0), and holds no array of ones.
+    n, k = np.arange(300), np.arange(170)
+    d = np.arange(469.0)
+    row, col, hankel = kernel.jacobi_factors(term, n, k, d)
+    want = (
+        term.coeff * poch(n + 1.0, term.beta),
+        poch(k + 1.0, term.alpha),
+        1.0 / poch(d + 1.0, term.alpha + term.beta + 1.0),
+    )
+    for got, ref, exponent in zip((row, col, hankel), want, (term.beta, term.alpha, None)):
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+        assert (got.strides == (0,)) == (exponent == 0.0)
+    mu = Measure((term,), ())
+    section = finite_section(mu, 9).entries
+    for n in range(9):
+        for k in range(9):
             assert section[n, k] == entry(mu, n, k)
 
 

@@ -1,6 +1,7 @@
 """Sequence applies: truncated matvec, quadrature reference, FFT fast path."""
 
 import math
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from genhilbert import (
 )
 from genhilbert import operator
 from genhilbert.operator import fft_plan
-from conftest import random_interior_measure
+from conftest import MIXED_CORPUS, random_interior_measure
 
 
 def naive_hilbert_apply(values: np.ndarray, n_rows: int) -> np.ndarray:
@@ -355,6 +356,106 @@ def test_tile_cover_is_an_exact_partition():
         pairs |= {(n, n), (n, 3001 - n)} | {(n, k) for k in (1, 5, 3000)} | {(k, n) for k in (1, 5, 3000)}
     for n_rows, n_cols in sorted(pairs):
         _assert_exact_partition(n_rows, n_cols)
+
+
+def _plan_bytes(plan) -> bytes:
+    """Every number a plan holds, as bytes."""
+    parts = [repr((plan.n_rows, plan.n_cols, plan.c0, plan.c1, plan.components))]
+    for rows, cols, m, terms in plan.tiles:
+        parts.append(repr((rows, cols, m)))
+        for row, col, segment, h_2, h_1 in terms:
+            parts += [repr((h_2, h_1)), row.tobytes(), col.tobytes(), segment.tobytes()]
+    return b"".join(part.encode() if isinstance(part, str) else part for part in parts)
+
+
+def _scaled(mu, c):
+    return Measure(
+        tuple(JacobiTerm(t.coeff * c, t.alpha, t.beta) for t in mu.jacobi_terms),
+        tuple(Atom(a.location, a.mass * c) for a in mu.atoms),
+    )
+
+
+def test_memo_hit_equals_a_fresh_build(monkeypatch):
+    # A plan read from the memo holds, and computes, the same bits as one
+    # built from nothing, whatever coefficient the memo's data last served.
+    built = []
+    unit_factors = operator._unit_factors
+    monkeypatch.setattr(operator, "_unit_factors", lambda *args: built.append(args) or unit_factors(*args))
+    rng = np.random.default_rng(14)
+    for mu in (m for m in MIXED_CORPUS if not m.interior_atoms):
+        for n_rows, n_cols in ((7, 7), (300, 170)):
+            for tiled in (False, True):
+                values = SequenceVector(rng.uniform(-1.0, 1.0, n_cols))
+                monkeypatch.setattr(operator, "_plan_memo", OrderedDict())
+                fft_plan(mu, n_rows, n_cols, tiled)
+                for c in (1.0, 3.0, 2.0**-40):
+                    scaled = _scaled(mu, c)
+                    count = len(built)
+                    hit = fft_plan(scaled, n_rows, n_cols, tiled)
+                    assert len(built) == count
+                    monkeypatch.setattr(operator, "_plan_memo", OrderedDict())
+                    fresh = fft_plan(scaled, n_rows, n_cols, tiled)
+                    assert _plan_bytes(hit) == _plan_bytes(fresh), (mu, n_rows, tiled, c)
+                    for p in (1.0, 2.0, 3.0):
+                        (got, got_bound), (want, want_bound) = (plan.apply(values, p) for plan in (hit, fresh))
+                        assert got.values.tobytes() == want.values.tobytes() and got_bound == want_bound
+
+
+def test_memo_hit_raises_the_same_range_error(monkeypatch):
+    # The unit factors fit float64 and are kept; coeff times the row does not.
+    monkeypatch.setattr(operator, "_plan_memo", OrderedDict())
+    big = Measure((JacobiTerm(1e300, 0.5, 30.0),), ())
+    messages = []
+    for route in (
+        lambda: fft_plan(big, 300, 170),
+        lambda: fft_plan(big, 300, 170),
+        lambda: apply_truncated(big, SequenceVector(np.ones(170)), 300),
+    ):
+        with pytest.raises(ValueError, match="float64 range") as error:
+            route()
+        messages.append(str(error.value))
+    assert messages[0] == messages[1] == messages[2]
+    assert len(operator._plan_memo) == 1
+    fft_plan(Measure((JacobiTerm(1.0, 0.5, 30.0),), ()), 300, 170)
+    # A factor that leaves the range without the coefficient keeps nothing.
+    with pytest.raises(ValueError, match="float64 range"):
+        fft_plan(Measure((JacobiTerm(1.0, 100.0, 80.0),), ()), 20, 30)
+    assert len(operator._plan_memo) == 1
+
+
+def test_memo_holds_at_most_its_budget(monkeypatch):
+    budget = 1 << 20
+    monkeypatch.setattr(operator, "_PLAN_MEMO_BYTES", budget)
+    monkeypatch.setattr(operator, "_plan_memo", OrderedDict())
+    memo, kept = operator._plan_memo, []
+    for e in range(10, 17):
+        size = 1 << e
+        for alpha in (1.0, 2.0):
+            fft_plan(Measure((JacobiTerm(1.0, alpha, 1.0),), ()), size, size)
+            # The row and column factors and the spectrum: 8N + 8N + 16(N+1) bytes.
+            fits = 32 * size + 16 <= budget
+            kept += [(alpha, 1.0, size, size, False)] if fits else []
+            held = sum(row.nbytes + col.nbytes + segment.nbytes for _, row, ((col, segment, *_),) in memo.values())
+            assert held <= budget, (size, held)
+            # The least recently used go first; a plan over the budget is not kept.
+            assert list(memo) == kept[len(kept) - len(memo) :], (size, list(memo))
+    assert 0 < len(memo) < len(kept)
+
+
+def test_memo_arrays_are_read_only():
+    mu = Measure((JacobiTerm(1.0, 1.0, 0.5), JacobiTerm(2.0, 0.0, 0.0)), ())
+    for tiled in (False, True):
+        plan = fft_plan(mu, 300, 300, tiled)
+        _, row, parts = operator._plan_memo[(1.0, 0.5, 300, 300, tiled)]
+        assert not row.flags.writeable
+        for col, segment, _, _ in parts:
+            assert not col.flags.writeable and not segment.flags.writeable
+        for _, _, _, terms in plan.tiles:
+            for _, col, segment, _, _ in terms:
+                with pytest.raises(ValueError, match="read-only"):
+                    segment[0] = 0.0
+                with pytest.raises(ValueError, match="read-only"):
+                    col[0] = 0.0
 
 
 def test_fft_apply_rejects_interior_atoms(delta_half):
