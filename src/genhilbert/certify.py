@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,7 @@ from .operator import (
     HANKEL_CAP,
     FFTPlan,
     SequenceVector,
+    _ldexp,
     _row_block_sums,
     _scaled,
     apply_truncated,
@@ -73,8 +75,8 @@ class ExtremalParams:
         object.__setattr__(self, "p", p)
         if not 0.0 < self.epsilon <= 1.0 / p:
             raise ValueError(f"epsilon must lie in (0, 1/p], got {self.epsilon} at p={p}")
-        if self.length < 1:
-            raise ValueError(f"length must be >= 1, got {self.length}")
+        if not isinstance(self.length, numbers.Integral) or self.length < 1:
+            raise ValueError(f"length must be an integer >= 1, got {self.length}")
 
     @property
     def w(self) -> float:
@@ -122,14 +124,10 @@ def lower_bound_ratio(mu: Measure, params: ExtremalParams, n_rows: int) -> float
 
     Entries are nonnegative, so any truncation of the image has norm at
     most the true image norm: the ratio is a certified lower bound for the
-    operator norm.  A measure without interior atoms takes the FFT apply:
-    the one-tile plan while its stated error bound is at most
-    ``FFT_ROUTE_RTOL`` times the image norm, else the tiled plan
-    (:func:`~genhilbert.operator.fft_plan`).  The numerator is then the
-    computed norm less that bound and less the rounding of both norms and
-    the quotient, so the ratio stays a lower bound.  A measure with interior
-    atoms takes the dense truncated route, whose numerator is the computed
-    norm less the rounding of the row sums and of both norms
+    operator norm.  The image comes from the route :class:`_Block` picks (a
+    one-tile or tiled FFT plan by :meth:`_Block.fft_image`, or with interior
+    atoms the dense truncated route), and the numerator is its computed norm
+    less the route's stated error and the rounding of both norms
     (:meth:`_Block.ratio`).  The ratio scales exactly with
     the measure, and is math.inf only when it is beyond the float64 range
     (an unboundedness witness, e.g. for measures with an atom at 0).
@@ -148,17 +146,10 @@ def p2_section_norm(mu: Measure, size: int, tol: float = 1e-10) -> float:
     value returned is a certified quotient of the top Ritz vector x,
     ``max(0, ||fl(S x)||_2 - bound) / ||x||_2 <= ||S x||_2 / ||x||_2 <= sigma_N``
     with ``bound`` covering the product's and the norms' rounding, so it is a
-    sound lower bound for the p=2 operator norm.  A measure
-    without interior atoms is applied matrix-free through an
-    :class:`~genhilbert.operator.FFTPlan` and its transpose, whose product
-    error is the FFT apply's stated ell-2 error bound
-    (:meth:`~genhilbert.operator.FFTPlan.apply`).  The one-tile plan holds
-    while each step's bound is at most ``FFT_ROUTE_RTOL`` times the larger
-    of its image norm and the top Ritz value so far, the rule
-    :func:`lower_bound_ratio` follows; from the first step that fails it
-    (t(1-t)dt's first, for one) the loop continues with the same basis on
-    the tiled plan.  A measure with interior atoms runs on the dense
-    section, whose product error is a stated gemv rounding bound
+    sound lower bound for the p=2 operator norm.  The products run on the
+    apply pair :class:`_Block` picks before the first step: the FFT plan
+    :meth:`_Block.fft_image` picks for the starting vector and its
+    transpose, or with interior atoms the dense section and its transpose
     (:meth:`_Block.sigma`).  sigma_N scales exactly with the measure while
     the applies stay within the float64 range.
     """
@@ -166,20 +157,22 @@ def p2_section_norm(mu: Measure, size: int, tol: float = 1e-10) -> float:
 
 
 class _Block:
-    """The leading ``n_rows`` by ``n_cols`` block of ``mu``'s matrix, and the route rule.
+    """The leading ``n_rows`` by ``n_cols`` block of ``mu``'s matrix, and its route.
 
-    A measure without interior atoms is applied by its one-tile FFT plan
-    while that plan's stated bound is at most ``FFT_ROUTE_RTOL`` times the
-    image norm (:meth:`fft_serves`), and by its tiled plan otherwise, at any
-    size.  A measure with interior atoms takes the dense section or the
-    truncated apply.  Each plan is built on first use and kept, and so is
-    the dense section; the ratios and sigma of one sweep size share them.
+    The route is picked once, on construction: a measure with interior
+    atoms takes the dense section or the truncated apply, and its size is
+    checked against ``DEFAULT_SECTION_CAP``; any other takes the FFT plans,
+    one-tile or tiled by :meth:`fft_image`, against ``HANKEL_CAP``.  Each
+    plan is built on first use and kept, and so is the dense section; the
+    ratios and sigma of one sweep size share them.
     """
 
     def __init__(self, mu: Measure, n_rows: int, n_cols: int):
         self.mu = mu
         self.n_rows = n_rows
         self.n_cols = n_cols
+        self.dense = bool(mu.interior_atoms)
+        _check_size(n_rows, DEFAULT_SECTION_CAP if self.dense else HANKEL_CAP)
         self._plans = {}
         self._section = None
 
@@ -188,15 +181,29 @@ class _Block:
             self._plans[tiled] = fft_plan(self.mu, self.n_rows, self.n_cols, tiled)
         return self._plans[tiled]
 
-    def fft_serves(self, bound: float, norm: float) -> bool:
-        """Whether a one-tile image of norm ``norm`` and stated error ``bound`` is used."""
-        return bound <= FFT_ROUTE_RTOL * norm
+    def fft_image(self, a: SequenceVector, p: float, norm, tiled: bool = False):
+        """The image of ``a`` by the plan the route rule picks, ``norm`` of it, its stated bound and ``tiled``.
+
+        The route rule: the one-tile plan's image is kept unless its stated
+        ell-p error bound is above ``FFT_ROUTE_RTOL`` times its norm (or not
+        comparable with it); then the tiled plan's image is taken
+        (:func:`~genhilbert.operator.fft_plan`).  The one-tile plan is the
+        faster apply, and the tiled plan's bound follows each tile's own rows
+        where the factors grow or shrink along the block.  With ``tiled``
+        true the tiled plan is already chosen and applied at once.  ``norm``
+        maps the image's values to the norm the caller reports.
+        """
+        image, bound = self.plan(tiled).apply(a, p)
+        image_norm = norm(image.values)
+        if not tiled and not bound <= FFT_ROUTE_RTOL * image_norm:
+            return self.fft_image(a, p, norm, tiled=True)
+        return image, image_norm, bound, tiled
 
     def ratio(self, a: SequenceVector, p: float) -> float:
         """:func:`lower_bound_ratio` for the sequence ``a`` of length ``n_cols``.
 
-        On the FFT routes the numerator is the image norm times
-        ``1 - (2 (N + K) + 16) u`` (N = n_rows, K = n_cols, u the unit
+        On the FFT route (:meth:`fft_image`) the numerator is the image norm
+        times ``1 - (2 (N + K) + 16) u`` (N = n_rows, K = n_cols, u the unit
         roundoff), less the apply's bound.  The factor covers, to first
         order in u, the rounding of :func:`~genhilbert.operator.lp_norm` on
         the image and on ``a`` (each at most ``(2L + 6) u`` relative for a
@@ -217,12 +224,8 @@ class _Block:
         e = math.frexp(norm_a)[1]
         a, denominator = SequenceVector(np.ldexp(a.values, -e)), math.ldexp(norm_a, -e)
         rounding = (2 * (self.n_rows + self.n_cols) + 16) * _UNIT_ROUNDOFF
-        if not self.mu.interior_atoms:
-            image, bound = self.plan().apply(a, p)
-            numerator = lp_norm(image.values, p)
-            if not self.fft_serves(bound, numerator):
-                image, bound = self.plan(tiled=True).apply(a, p)
-                numerator = lp_norm(image.values, p)
+        if not self.dense:
+            _, numerator, bound, _ = self.fft_image(a, p, lambda values: lp_norm(values, p))
             return max(0.0, numerator * (1.0 - rounding) - bound) / denominator
         if self._section is None:
             image = apply_truncated(self.mu, a, self.n_rows).values
@@ -240,16 +243,14 @@ class _Block:
     def sigma(self, tol: float) -> float:
         """:func:`p2_section_norm` of the (square) block: one Golub-Kahan-Lanczos loop.
 
-        Step j applies S to v_j and, unless the top Ritz value then stops
-        the loop, S^T to u_j.  Each image is orthogonalized twice against
-        the basis it extends (classical Gram-Schmidt) and normalized, which
-        gives alpha_j, u_j and beta_j, v_(j+1) of the upper bidiagonal B
-        with ``S V = U B``.  For a measure without interior atoms the apply
-        pair is the one-tile FFT plan and its transpose until a forward
-        image fails :meth:`fft_serves` against the larger of its norm and
-        the top Ritz value so far (an image's error moves the Ritz values by
-        about that error), and the tiled plan and its transpose from that
-        step on; otherwise it is the dense section and its transpose.
+        The apply pair is fixed before step 0: on the dense route the
+        section and its transpose; otherwise the plan :meth:`fft_image`
+        picks for the starting vector v_0, whose image step 0 reuses, and
+        that plan's transpose.  Step j applies S to v_j and, unless the top
+        Ritz value then stops the loop, S^T to u_j.  Each image is
+        orthogonalized twice against the basis it extends (classical
+        Gram-Schmidt) and normalized, which gives alpha_j, u_j and beta_j,
+        v_(j+1) of the upper bidiagonal B with ``S V = U B``.
         Images are divided by the power of two above their largest
         magnitude before they are orthogonalized, and B is kept in units of
         the first image's power of two; both are exact, so sigma scales
@@ -263,9 +264,11 @@ class _Block:
         order in u, the rounding of the 2-norms of y and x (each at most
         ``(N/2 + 1) u`` relative, Higham, *Accuracy and Stability of
         Numerical Algorithms*, 2nd ed., section 3.1) and of the final
-        subtraction and division.  The product's error bound is the FFT
-        apply's stated one (of either plan), or on the dense route
-        ``N u ||fl(S |x|)||_2``:
+        subtraction and division.  On the FFT route the product is
+        :meth:`fft_image`'s from the loop's plan on, so its error bound is
+        the stated one of the plan that made it; the quotient is stationary
+        in x, so the loop's plan moves it only to second order.  On the
+        dense route it is ``N u ||fl(S |x|)||_2``:
         ``|fl(S x) - S x| <= gamma_N |S| |x|`` (ibid., (3.11)), ``|S| = S``
         here, and fl(S |x|) is within ``gamma_N`` of S |x|.  x is taken with
         a nonnegative sum, so that |x| = x, and fl(S |x|) = fl(S x), as
@@ -274,36 +277,23 @@ class _Block:
         if not tol > 0.0:
             raise ValueError(f"tol must be > 0, got {tol}")
         size = self.n_rows
-        dense = bool(self.mu.interior_atoms)
-        # Building the plan or the section checks the size before v divides by it.
-        plan = None if dense else self.plan()
-        adjoint = self.section().T if dense else plan.transposed()
-        one_tile = not dense
-
-        def forward(v, reference):
-            """The FFT image of v as :func:`_scaled` returns it, and its stated bound."""
-            nonlocal plan, adjoint, one_tile
-            image, bound = plan.apply(SequenceVector(v), 2.0)
-            y, norm, e = _scaled(image.values)
-            if one_tile and not self.fft_serves(bound, max(norm, reference)):
-                plan, one_tile = self.plan(tiled=True), False
-                adjoint = plan.transposed()
-                image, bound = plan.apply(SequenceVector(v), 2.0)
-                y, norm, e = _scaled(image.values)
-            return y, norm, e, bound
-
         steps = min(size, _KRYLOV_STEP_CAP)
         # Rows of V and U; their storage doubles when full.
         basis_v, basis_u = np.empty((2, min(steps, 16) + 1, size))
         basis_v[0] = 1.0 / math.sqrt(size)
+        if self.dense:
+            s = self.section()
+            forward, backward = s.__matmul__, s.T.__matmul__
+            image = forward(basis_v[0])
+        else:
+            image, _, _, tiled = self.fft_image(SequenceVector(basis_v[0]), 2.0, _norm_2)
+            image, plan = image.values, self.plan(tiled)
+            forward, backward = _product(plan), _product(plan.transposed())
         # B in units of 2**e0, the power of two above the first image's largest magnitude.
         bidiagonal, e0 = np.zeros((steps, steps)), 0
         top = 0.0
         for j in range(steps):
-            if dense:
-                p, _, e = _scaled(self.section() @ basis_v[j])
-            else:
-                p, _, e, _ = forward(basis_v[j], math.ldexp(top, e0))
+            p, _, e = _scaled(image)
             if j == 0:
                 e0 = e
             bidiagonal[j, j], basis_u[j] = _orthonormalized(p, e - e0, basis_u[:j])
@@ -317,25 +307,35 @@ class _Block:
                     f"within {steps} steps (size {size})",
                     estimate=math.ldexp(top, e0),
                 )
-            w = adjoint @ basis_u[j] if dense else adjoint.apply(SequenceVector(basis_u[j]), 2.0)[0].values
-            w, _, e = _scaled(w)
+            w, _, e = _scaled(backward(basis_u[j]))
             if j + 1 == len(basis_v):
                 basis_v, basis_u = (np.concatenate((m, np.empty_like(m))) for m in (basis_v, basis_u))
             bidiagonal[j, j + 1], basis_v[j + 1] = _orthonormalized(w, e - e0, basis_v[: j + 1])
             if not bidiagonal[j, j + 1]:
                 break
+            image = forward(basis_v[j + 1])
         x = np.linalg.svd(b)[2][0] @ basis_v[: j + 1]
         x *= math.copysign(1.0, x.sum())
-        if dense:
-            y = self.section() @ x
-            norm_y = _scaled(y)[1]
+        if self.dense:
+            norm_y = _norm_2(s @ x)
             # S |x| is S x when x is nonnegative, as the top Ritz vector of S >= 0 mostly is.
-            z_norm = norm_y if x.min() >= 0.0 else _scaled(self.section() @ np.abs(x))[1]
+            z_norm = norm_y if x.min() >= 0.0 else _norm_2(s @ np.abs(x))
             bound = size * _UNIT_ROUNDOFF * z_norm
         else:
-            _, norm_y, _, bound = forward(x, 0.0)
+            _, norm_y, bound, _ = self.fft_image(SequenceVector(x), 2.0, _norm_2, tiled)
         bound += (size + 4) * _UNIT_ROUNDOFF * norm_y
         return max(0.0, norm_y - bound) / float(np.linalg.norm(x))
+
+
+def _norm_2(x: np.ndarray) -> float:
+    """``||x||_2`` from :func:`_scaled`; math.inf only when it is beyond the float64 range."""
+    _, norm, e = _scaled(x)
+    return _ldexp(norm, e)
+
+
+def _product(plan: FFTPlan):
+    """The map from an array v to ``plan``'s image of it, as an array (at p = 2, its bound dropped)."""
+    return lambda v: plan.apply(SequenceVector(v), 2.0)[0].values
 
 
 def _orthonormalized(p: np.ndarray, e: int, basis: np.ndarray) -> tuple[float, np.ndarray]:
@@ -359,31 +359,27 @@ def convergence_sweep(
     attached.  The report's construction re-checks soundness against the
     analytic verdict and monotonicity of the section series.
 
-    Every size is checked against its cap (``DEFAULT_SECTION_CAP`` with
-    interior atoms, else ``HANKEL_CAP``) before any work.  Each size is then
-    one :class:`_Block`: its sigma comes first, so a size whose Krylov loop
-    built the dense section reuses it, and the FFT plan, for
-    every epsilon.  The values equal :func:`p2_section_norm`'s and
-    :func:`lower_bound_ratio`'s bit for bit.
+    Each size is one :class:`_Block`, and all are built, which checks every
+    size against its route's cap, before any work.  A size's sigma comes
+    first, so a size whose Krylov loop built the dense section reuses it,
+    and the FFT plans, for every epsilon.  The values equal
+    :func:`p2_section_norm`'s and :func:`lower_bound_ratio`'s bit for bit.
     """
     eps_grid = list(eps_grid)
     size_grid = list(size_grid)
     if not eps_grid or not size_grid:
         raise ValueError("eps_grid and size_grid must be nonempty")
     p = validate_p(p)
-    cap = DEFAULT_SECTION_CAP if mu.interior_atoms else HANKEL_CAP
-    for size in size_grid:
-        _check_size(size, cap)
+    blocks = [_Block(mu, size, size) for size in size_grid]
     # In report order, epsilon-major: size j's cells are every len(size_grid)-th from j.
     cells = [ExtremalParams(p, eps, size) for eps in eps_grid for size in size_grid]
     verdict = classify_boundedness(mu, p)
     target = verdict.norm if verdict.is_bounded else math.inf
     ratios = [0.0] * len(cells)
     sigma_series = []
-    for j, size in enumerate(size_grid):
-        block = _Block(mu, size, size)
+    for j, block in enumerate(blocks):
         if p == 2.0:
-            sigma_series.append((size, block.sigma(tol)))
+            sigma_series.append((block.n_rows, block.sigma(tol)))
         for c in range(j, len(cells), len(size_grid)):
             ratios[c] = block.ratio(extremal_sequence(cells[c]), p)
     return CertificationReport(

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -236,9 +237,9 @@ def entry(mu: Measure, n: int, k: int) -> float:
 
 
 def _check_size(size: int, cap: int) -> None:
-    """Raise ``ValueError`` for a size below 1 and ``ResourceLimitError`` for one above ``cap``."""
-    if size < 1:
-        raise ValueError(f"size must be >= 1, got {size}")
+    """Raise ``ValueError`` for a size that is not an integer >= 1, ``ResourceLimitError`` for one above ``cap``."""
+    if not isinstance(size, numbers.Integral) or size < 1:
+        raise ValueError(f"size must be an integer >= 1, got {size}")
     if size > cap:
         raise ResourceLimitError(f"size {size} exceeds cap {cap}")
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -122,24 +123,20 @@ def _ldexp(x: float, e: int) -> float:
 
 
 def _scaled(x: np.ndarray) -> tuple[np.ndarray, float, int]:
-    """``x`` divided by the power of two 2**e above its largest magnitude, ``||x||_2`` and e.
+    """``x`` divided by 2**e, the power of two above its largest magnitude, the quotient's 2-norm, and e.
 
-    The division is exact and keeps the squares in ``np.linalg.norm`` in
-    range; the norm is math.inf only when it is beyond the float64 range.
+    The division is exact and keeps the quotient's squares in range, so
+    ``2**e`` times the norm is ``||x||_2`` to within the norm's own rounding.
     """
     e = math.frexp(float(np.abs(x).max()))[1]
     x = np.ldexp(x, -e)
-    return x, _ldexp(float(np.linalg.norm(x)), e), e
+    return x, math.sqrt(x.dot(x)), e
 
 
 def _norms_1_2(x: np.ndarray) -> tuple[float, float, int]:
-    """``||x||_1`` and ``||x||_2`` in units of 2**e, the power of two above max |x|, and e.
-
-    Both sums run on ``x / 2**e``, which is exact and keeps them in range.
-    """
-    e = math.frexp(float(np.abs(x).max()))[1]
-    x = np.ldexp(x, -e)
-    return float(np.abs(x).sum()), math.sqrt(x.dot(x)), e
+    """``||x||_1`` and ``||x||_2`` in units of 2**e, the power of two above max |x|, and e (:func:`_scaled`)."""
+    x, norm_2, e = _scaled(x)
+    return float(np.abs(x).sum()), norm_2, e
 
 
 def _row_series_block(rows, t, values) -> np.ndarray:
@@ -489,7 +486,8 @@ def fft_plan(mu: Measure, n_rows: int, n_cols: int, tiled: bool = False) -> FFTP
     are :func:`_tile_cover`'s, and those of at most ``_DENSE_TILE_ENTRIES``
     entries are dense.  For measures of density terms and endpoint atoms
     only; interior atoms raise ``ValueError``, factors outside the float64
-    range too.
+    range too.  ``n_rows`` is checked as every size is, and ``n_cols``
+    must be an integer from 0 to ``HANKEL_CAP``.
 
     Only the row factor depends on a term's coefficient.  The rest of each
     term's plan data, its unit row factor and per tile the column factor's
@@ -502,6 +500,8 @@ def fft_plan(mu: Measure, n_rows: int, n_cols: int, tiled: bool = False) -> FFTP
     if mu.interior_atoms:
         raise ValueError("the FFT apply takes density terms and endpoint atoms only")
     _check_size(n_rows, HANKEL_CAP)
+    if not isinstance(n_cols, numbers.Integral) or n_cols < 0:
+        raise ValueError(f"n_cols must be an integer >= 0, got {n_cols}")
     if n_cols > HANKEL_CAP:
         raise ResourceLimitError(f"size {n_cols} exceeds cap {HANKEL_CAP}")
     tiles = ()

@@ -59,8 +59,9 @@ def test_params_epsilon_must_sit_in_zero_to_one_over_p(eps):
 
 
 def test_params_length_positive():
-    with pytest.raises(ValueError):
-        ExtremalParams(2.0, 0.25, 0)
+    for length in (0, 2.5, 3.0):
+        with pytest.raises(ValueError, match=f"^length must be an integer >= 1, got {length}$"):
+            ExtremalParams(2.0, 0.25, length)
 
 
 def test_params_weight_exponent():
@@ -169,8 +170,8 @@ def test_fft_route_error_within_its_stated_bound_and_ratio_sound():
 
 def test_tiled_image_and_its_transpose_within_their_stated_bounds(monkeypatch):
     rng = np.random.default_rng(1307)
-    # The ratio below takes the tiled plan as well.
-    monkeypatch.setattr(certify_module._Block, "fft_serves", lambda block, bound, norm: False)
+    # -1.0 rejects every nonzero one-tile image: the ratio below takes the tiled plan as well.
+    monkeypatch.setattr(certify_module, "FFT_ROUTE_RTOL", -1.0)
     for case in range(16):
         terms = tuple(
             JacobiTerm(float(rng.uniform(0.1, 3.0)), *map(float, rng.uniform(-0.9, 3.0, size=2)))
@@ -237,11 +238,12 @@ def test_ratio_stays_below_the_norm_on_every_route(terms, atoms, p, eps_share, n
     for route in (apply_truncated, apply_via_quadrature):
         assert lp_norm(route(mu, a, n_rows).values, p) / lp_norm(a.values, p) <= ceiling, route
     if not mu.interior_atoms:
-        # The rule picks the one-tile or the tiled plan; each is forced in turn.
-        for one_tile in (True, False):
+        # The rule picks the one-tile or the tiled plan; each is forced in turn
+        # (math.inf keeps every one-tile image with a nonzero norm, -1.0 none).
+        for rtol in (math.inf, -1.0):
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(certify_module._Block, "fft_serves", lambda block, bound, norm: one_tile)
-                assert lower_bound_ratio(mu, params, n_rows) <= ceiling, one_tile
+                patch.setattr(certify_module, "FFT_ROUTE_RTOL", rtol)
+                assert lower_bound_ratio(mu, params, n_rows) <= ceiling, rtol
 
 
 def test_fft_ratio_stays_below_the_exact_truncated_ratio():
@@ -569,37 +571,78 @@ def test_krylov_loop_makes_two_transposed_applies_fewer_than_forward_ones(monkey
     assert len(backward) == len(forward) - 2
 
 
-def test_switch_to_the_tiled_plan_continues_from_that_steps_vector(monkeypatch):
-    mu = Measure((JacobiTerm(1.0, -0.5, 0.25), JacobiTerm(0.5, 0.5, -0.25)), ())
-    size = 256
-    serves, apply = certify_module._Block.fft_serves, operator.FFTPlan.apply
-    steps, applied, products, sections = [], [], [], []
+def _record_fft_route(monkeypatch, applied):
+    """Record each FFTPlan.apply of certify's plans as ``(name, input values)``.
 
-    def fails_from_step_3(block, bound, norm):
-        steps.append(norm)
-        return len(steps) < 3 and serves(block, bound, norm)
+    The name is "one-tile" or "tiled", with "^T" for the plan's transpose.
+    """
+    apply, transposed = operator.FFTPlan.apply, operator.FFTPlan.transposed
+    names = []
+
+    def name_of(plan):
+        return next(name for built, name in names if built is plan)
+
+    def recorded_plan(mu, n_rows, n_cols, tiled=False):
+        names.append((fft_plan(mu, n_rows, n_cols, tiled), "tiled" if tiled else "one-tile"))
+        return names[-1][0]
+
+    def recorded_transposed(plan):
+        names.append((transposed(plan), name_of(plan) + "^T"))
+        return names[-1][0]
 
     def recorded_apply(plan, a, p):
-        applied.append((plan, a.values.copy()))
+        applied.append((name_of(plan), a.values.copy()))
         return apply(plan, a, p)
 
-    monkeypatch.setattr(certify_module._Block, "fft_serves", fails_from_step_3)
+    monkeypatch.setattr(certify_module, "fft_plan", recorded_plan)
+    monkeypatch.setattr(operator.FFTPlan, "transposed", recorded_transposed)
     monkeypatch.setattr(operator.FFTPlan, "apply", recorded_apply)
-    _record_sections(monkeypatch, sections, products)
-    sigma = p2_section_norm(mu, size)
-    assert sections == []
-    assert len(steps) == 3
-    one_tile = applied[0][0]
-    steps_at = [i for i, (applied_plan, _) in enumerate(applied) if applied_plan is one_tile]
-    assert len(steps_at) == 3
-    tiled, v = applied[steps_at[2] + 1]
-    assert (tiled.n_rows, tiled.n_cols) == (size, size) and len(tiled.tiles) > 1
-    np.testing.assert_array_equal(v, applied[steps_at[2]][1])
-    assert not np.allclose(v, 1.0 / math.sqrt(size), rtol=1e-6, atol=0)
-    s = finite_section(mu, size).entries
-    top = math.sqrt(np.linalg.eigvalsh(s.T @ s)[-1])
-    assert sigma <= top * (1.0 + 1e-12)
-    assert abs(sigma - top) <= 1e-9 * top
+
+
+def _assert_certified_against_the_dense_norm(mu, size, sigma, rtol):
+    top = float(np.linalg.norm(finite_section(mu, size).entries, 2))
+    assert sigma <= top * (1.0 + 1e-12), (sigma, top)
+    assert abs(sigma - top) <= rtol * top, (sigma, top)
+
+
+def test_a_rejected_first_image_runs_the_whole_loop_on_the_tiled_plan(monkeypatch):
+    # -1.0 rejects every nonzero one-tile image, v_0's first.
+    mu = Measure((JacobiTerm(1.0, -0.5, 0.25), JacobiTerm(0.5, 0.5, -0.25)), ())
+    monkeypatch.setattr(certify_module, "FFT_ROUTE_RTOL", -1.0)
+    applied = []
+    _record_fft_route(monkeypatch, applied)
+    sigma = p2_section_norm(mu, 256)
+    names = [name for name, _ in applied]
+    assert names[:2] == ["one-tile", "tiled"]
+    np.testing.assert_array_equal(applied[1][1], applied[0][1])
+    # Step 0 reuses v_0's tiled image, and the quotient starts on the tiled plan.
+    assert set(names[1:]) == {"tiled", "tiled^T"}
+    assert names.count("tiled^T") == names.count("tiled") - 2
+    _assert_certified_against_the_dense_norm(mu, 256, sigma, 1e-9)
+
+
+def test_a_later_rejection_keeps_the_loop_on_the_one_tile_plan(monkeypatch):
+    # v_0's one-tile image passes the rule (bound/norm 9.3e-10 against
+    # FFT_ROUTE_RTOL = 1e-9) and the top Ritz vector's does not: the loop
+    # stays on the one-tile plan and the quotient is taken on the tiled plan.
+    # A loop that switched plans at step 1 gave the same sigma,
+    # 36.99488245190927, 1.9e-12 relative below norm(S, 2).
+    mu = Measure(
+        (
+            JacobiTerm(2.008275636674005, 1.4819280638927523, -0.15411454766890031),
+            JacobiTerm(1.7657447699476374, -0.7452229680099001, 2.226491179858306),
+        ),
+        (),
+    )
+    applied = []
+    _record_fft_route(monkeypatch, applied)
+    sigma = p2_section_norm(mu, 300)
+    names = [name for name, _ in applied]
+    assert names[-2:] == ["one-tile", "tiled"]
+    np.testing.assert_array_equal(applied[-1][1], applied[-2][1])
+    assert set(names[:-1]) == {"one-tile", "one-tile^T"}
+    assert names.count("one-tile^T") == names.count("one-tile") - 2
+    _assert_certified_against_the_dense_norm(mu, 300, sigma, 1e-11)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan])
@@ -773,8 +816,18 @@ def test_sweep_checks_every_size_against_its_cap_before_any_work(delta_half, mon
         lambda size: apply_via_quadrature(LEBESGUE, SequenceVector(np.ones(3)), size),
         lambda size: fft_plan(LEBESGUE, size, 3),
         lambda size: convergence_sweep(LEBESGUE, 2.0, [0.1], [size]),
+        lambda size: p2_section_norm(LEBESGUE, size),
+        lambda size: lower_bound_ratio(LEBESGUE, ExtremalParams(2.0, 0.1, 3), size),
     ],
-    ids=["finite_section", "apply_truncated", "apply_via_quadrature", "fft_plan", "sweep"],
+    ids=[
+        "finite_section",
+        "apply_truncated",
+        "apply_via_quadrature",
+        "fft_plan",
+        "sweep",
+        "p2_section_norm",
+        "lower_bound_ratio",
+    ],
 )
 def test_every_size_entry_point_has_one_check_and_one_wording(call, monkeypatch):
     for module in (kernel, operator, certify_module):
@@ -782,8 +835,9 @@ def test_every_size_entry_point_has_one_check_and_one_wording(call, monkeypatch)
     for module in (operator, certify_module):
         monkeypatch.setattr(module, "HANKEL_CAP", 8)
     call(8)
-    with pytest.raises(ValueError, match="^size must be >= 1, got 0$"):
-        call(0)
+    for size in (0, -1, 2.5, 3.0, 3.5):
+        with pytest.raises(ValueError, match=f"^size must be an integer >= 1, got {size}$"):
+            call(size)
     with pytest.raises(ResourceLimitError, match="^size 9 exceeds cap 8$"):
         call(9)
 

@@ -333,6 +333,9 @@ def test_zero_column_fft_plan_maps_to_zero():
     image, bound = operator.fft_plan(mu, 5, 0).apply(SequenceVector(np.zeros(0)), 2.0)
     np.testing.assert_array_equal(image.values, np.zeros(5))
     assert bound == 0.0
+    for n_cols in (-1, 2.5, 0.0):
+        with pytest.raises(ValueError, match=f"^n_cols must be an integer >= 0, got {n_cols}$"):
+            operator.fft_plan(mu, 5, n_cols)
 
 
 def _assert_exact_partition(n_rows, n_cols):
