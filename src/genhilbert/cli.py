@@ -103,7 +103,7 @@ def _cmd_section(args) -> int:
 
 def _cmd_apply(args) -> int:
     mu = _load(args.measure, "measure", parse_measure)
-    seq, header_p = _load(args.sequence, "sequence", operator.sequence_from_csv)
+    values, header_p = _load(args.sequence, "sequence", norms.parse_sequence_csv)
     p_echo = args.p if args.p is not None else header_p
     if args.route == "fft":
         terms = mu.jacobi_terms
@@ -112,6 +112,9 @@ def _cmd_apply(args) -> int:
                 "the fft route implements c*dt measures (the scaled classical matrix) only; "
                 "use --route truncated/quadrature"
             )
+    # The checks above need no array library; numpy loads from here on.
+    seq = operator.SequenceVector(values)
+    if args.route == "fft":
         image = operator.fft_plan(mu, args.rows, len(seq)).apply(seq, 2.0)[0]
     elif args.route == "quadrature":
         image = operator.apply_via_quadrature(mu, seq, args.rows)

@@ -10,7 +10,9 @@ or diagonal.  On a grid of consecutive rows by consecutive columns, as in
 every section and row block, entry (i, j) reads the diagonal vector at
 i + j through a read-only strided view; other index arrays gather it per
 entry.  Interior atoms stay in log space (``Gamma(n+k+1)`` overflows) but
-read ``ln Gamma(d+1)`` the same way.
+read ``ln Gamma(d+1)`` the same way.  A factor whose exponent is an integer
+is an exact product in numpy; scipy.special is imported only for the others
+and for an interior atom's log-gamma.
 
 Scalar entries, dense sections, and row blocks all go through one array
 core, so a section is bitwise identical to its individual entries.
@@ -25,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy.special import gammaln, poch
 
 from .errors import ResourceLimitError
 from .measure import JacobiTerm, Measure
@@ -52,6 +53,9 @@ _UNIT_ROUNDOFF = 2.0**-53
 
 #: Largest relative error bound of an interior atom's log-space entries.
 _ATOM_RTOL = 1e-6
+
+#: Least m whose m! is beyond float64; from it on every (x+1)_m with x >= 0 is too.
+_FACTORIAL_OVERFLOW = 171
 
 
 @dataclass(frozen=True)
@@ -83,7 +87,7 @@ def jacobi_factors(term: JacobiTerm, n, k, d) -> tuple[np.ndarray, np.ndarray, n
     1/(d+1)_(alpha+beta+1)`` over the diagonal indices ``d``, whose last
     element is the largest.  A row or column factor whose exponent is 0 is
     a read-only zero-stride constant (``coeff`` for beta = 0, 1.0 for
-    alpha = 0): ``poch(x, 0)`` is exactly 1.0, so its values are those of the
+    alpha = 0): ``(x)_0`` is exactly 1.0, so its values are those of the
     product, and no array of ones is stored.  Raises ``ValueError`` when a
     factor leaves the float64 range.  The row factor is
     :func:`_unit_factors`' times ``coeff`` (:func:`_scaled_row`), the split
@@ -94,10 +98,29 @@ def jacobi_factors(term: JacobiTerm, n, k, d) -> tuple[np.ndarray, np.ndarray, n
 
 
 def _rising(x, exponent: float) -> np.ndarray:
-    """``(x+1)_exponent``; the zero-stride constant 1.0 when the exponent is 0."""
+    """``(x+1)_exponent`` for indices ``x``; the zero-stride constant 1.0 when the exponent is 0.
+
+    A positive integer exponent m gives the product ``(a+m-1) (a+m-2) ... a``
+    with ``a = x+1``, formed in that order: the recurrence, and so the bits,
+    of ``scipy.special.poch``.  From m = ``_FACTORIAL_OVERFLOW`` on every
+    value is inf, as poch's.  Any other exponent imports scipy.special.
+    """
     if exponent == 0.0:
         return np.broadcast_to(1.0, np.shape(x))
-    return poch(x + 1.0, exponent)
+    a = x + 1.0
+    if not float(exponent).is_integer():
+        from scipy.special import poch
+
+        return poch(a, exponent)
+    m = int(exponent)
+    if m >= _FACTORIAL_OVERFLOW:
+        return np.full(np.shape(a), math.inf)
+    # An overflow gives inf, as poch's does; the callers raise the range error.
+    with np.errstate(over="ignore"):
+        r = a + (m - 1.0)
+        for j in range(m - 2, -1, -1):
+            r *= a + j
+    return r
 
 
 def _unit_factors(term: JacobiTerm, n, k, d) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -108,7 +131,7 @@ def _unit_factors(term: JacobiTerm, n, k, d) -> tuple[np.ndarray, np.ndarray, np
     """
     row = _rising(n, term.beta)
     col = _rising(k, term.alpha)
-    hankel = 1.0 / poch(d + 1.0, term.alpha + term.beta + 1.0)
+    hankel = 1.0 / _rising(d, term.alpha + term.beta + 1.0)
     if not (np.isfinite(col).all() and hankel.min() >= _TINY):
         raise _range_error(term, d[-1])
     return row, col, hankel
@@ -185,6 +208,8 @@ def entry_block(mu: Measure, n, k) -> np.ndarray:
         out += buf
     if mu.interior_atoms:
         _check_log_space_bound(mu, int(n.max()), int(k.max()))
+        from scipy.special import gammaln
+
         log_diag = gammaln(d + 1.0)
         log_row = gammaln(n + 1.0)
         log_col = gammaln(k + 1.0)

@@ -156,3 +156,36 @@ def verdict_to_json(verdict: NormVerdict) -> str:
     import json
 
     return json.dumps(verdict_to_dict(verdict))
+
+
+def parse_sequence_csv(text: str) -> tuple[list[float], float | None]:
+    """The values and the header p, if any, of the sequence format.
+
+    One value per line; blank lines and ``#`` comments are skipped, and a
+    ``# p=<value>`` comment sets p.  Raises ``ValueError`` naming the line
+    of a value that is not a finite number or of a bad p.  The standard
+    library suffices, so a rejected file is reported before numpy loads;
+    :func:`genhilbert.operator.sequence_from_csv` builds the vector.
+    """
+    p = None
+    values = []
+    for i, raw in enumerate(text.splitlines()):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            body = line.lstrip("#").strip()
+            if body.startswith("p="):
+                try:
+                    p = validate_p(body[2:].strip())
+                except ValueError as exc:
+                    raise ValueError(f"line {i + 1}: {exc}") from None
+            continue
+        try:
+            value = float(line)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise ValueError(f"line {i + 1}: not a finite number: {line!r}")
+        values.append(value)
+    return values, p

@@ -22,16 +22,15 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.fft import irfft, rfft
 from numpy.lib.stride_tricks import as_strided
-from scipy.fft import irfft, rfft
-from scipy.special import gammaln, roots_jacobi
 
 from .errors import ConvergenceError, ResourceLimitError
 from .kernel import (
     _TINY, _UNIT_ROUNDOFF, DEFAULT_SECTION_CAP, _check_size, _scaled_row, _unit_factors, entry_block,
 )
 from .measure import LEBESGUE, JacobiTerm, Measure
-from .norms import validate_p
+from .norms import parse_sequence_csv, validate_p
 
 __all__ = [
     "SequenceVector",
@@ -166,6 +165,8 @@ def _row_series_block(rows, t, values) -> np.ndarray:
             return out
         log_c = log_c + log_t + np.log((rows + m) / m)
         if m % _LOG_REFRESH == 0:
+            from scipy.special import gammaln
+
             log_c = (
                 gammaln(rows + (m + 1.0))
                 - gammaln(m + 1.0)
@@ -243,6 +244,8 @@ def _row_block_sums(rows, values: np.ndarray, n_rows: int) -> np.ndarray:
 
 def _gauss_jacobi_integrals(term, rows, values, n_nodes):
     """Integrals of the row series against coeff * t^alpha (1-t)^beta dt."""
+    from scipy.special import roots_jacobi
+
     x, w = roots_jacobi(n_nodes, term.beta, term.alpha)
     t = 0.5 * (x + 1.0)
     scale = term.coeff * 2.0 ** -(term.alpha + term.beta + 1.0)
@@ -399,10 +402,10 @@ class FFTPlan:
         2nd ed., section 24.1): Theorem 24.2 bounds a computed radix-2
         transform of length m by ``||fl(Fx) - Fx||_2 <= phi ||Fx||_2``,
         ``phi = log2(m) (u + gamma_4 (sqrt(2) + u)) < 7 u lam``.  m is a power
-        of two, a length the theorem covers; scipy computes these real
-        transforms by radix-4 and radix-2 passes (a radix-4 butterfly is two
-        radix-2 levels in exact arithmetic), and the theorem is taken for them,
-        not proved.  The convolution is
+        of two, a length the theorem covers; numpy.fft's pocketfft computes
+        these real transforms by radix-4 and radix-2 passes (a radix-4
+        butterfly is two radix-2 levels in exact arithmetic), and the theorem
+        is taken for them, not proved.  The convolution is
         ``F^-1(Fh . Fb)`` with ``||Fx||_2 = sqrt(m) ||x||_2`` and
         ``||Fx||_inf <= ||x||_1``.  The error of ``Fh`` meets ``Fb`` and costs
         ``phi ||h||_2 ||b||_1``; the error of ``Fb`` meets ``Fh`` and costs
@@ -597,26 +600,9 @@ def sequence_to_csv(seq: SequenceVector, p: float | None = None) -> str:
 
 
 def sequence_from_csv(text: str) -> tuple[SequenceVector, float | None]:
-    """Parse the sequence format; returns the vector and the header p, if any."""
-    p = None
-    values = []
-    for i, raw in enumerate(text.splitlines()):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line.lstrip("#").strip()
-            if body.startswith("p="):
-                try:
-                    p = validate_p(body[2:].strip())
-                except ValueError as exc:
-                    raise ValueError(f"line {i + 1}: {exc}") from None
-            continue
-        try:
-            value = float(line)
-        except ValueError:
-            value = math.nan
-        if not math.isfinite(value):
-            raise ValueError(f"line {i + 1}: not a finite number: {line!r}")
-        values.append(value)
-    return SequenceVector(np.array(values, dtype=np.float64)), p
+    """Parse the sequence format; returns the vector and the header p, if any.
+
+    The text is read by :func:`~genhilbert.norms.parse_sequence_csv`.
+    """
+    values, p = parse_sequence_csv(text)
+    return SequenceVector(values), p

@@ -1,7 +1,10 @@
-"""Boundedness verdicts and usage errors load neither numpy nor scipy.
+"""Each subcommand loads only the array libraries its result needs.
 
-Each check runs in a fresh interpreter, since this test process has long
-since imported both.
+Boundedness verdicts and usage errors load neither numpy nor scipy;
+entries, sections, applies and checks whose factors have integer exponents
+load numpy alone; non-integer exponents, interior atoms and the quadrature
+route load scipy too.  Each check runs in a fresh interpreter, since this
+test process has long since imported both.
 """
 
 import json
@@ -42,16 +45,47 @@ def test_standard_library_modules_import_without_array_libraries(module):
     assert json.loads(out.splitlines()[-1]) == []
 
 
+# Runs each argv of the JSON list in sys.argv[1] through the CLI in this one
+# interpreter and prints, per case, its exit status and the array libraries
+# loaded so far.
+_RUN_CASES = textwrap.dedent("""
+    import contextlib, io, json, sys
+    from genhilbert.cli import main
+    quiet = io.StringIO()
+    for argv in json.loads(sys.argv[1]):
+        with contextlib.redirect_stdout(quiet), contextlib.redirect_stderr(quiet):
+            try:
+                status = main(argv)
+            except SystemExit as exc:
+                status = exc.code
+        loaded = sorted({m.split(".")[0] for m in sys.modules} & {"numpy", "scipy"})
+        print(json.dumps([status, loaded]))
+""")
+
+
+def run_cases(argvs) -> list:
+    """``[status, libraries loaded]`` after each argv, all run in one fresh interpreter.
+
+    A library loaded by one case stays loaded, so the report after each
+    case covers every case before it.
+    """
+    out = run_fresh(_RUN_CASES, json.dumps(argvs))
+    return [json.loads(line) for line in out.splitlines()]
+
+
+def write_files(root: Path, files: dict) -> str:
+    for name, text in files.items():
+        (root / name).write_text(text, encoding="utf-8")
+    return str(root)
+
+
 def test_verdicts_and_usage_errors_load_no_array_library(tmp_path):
-    files = {
+    d = write_files(tmp_path, {
         "leb.json": '{"jacobi": [{"coeff": 1, "alpha": 0, "beta": 0}], '
                     '"atoms": [{"t": 0.5, "mass": 2}]}',
         "endpoint.json": '{"jacobi": [], "atoms": [{"t": 1, "mass": 1}]}',
         "inf.json": '{"jacobi": [{"coeff": Infinity, "alpha": 0, "beta": 0}], "atoms": []}',
-    }
-    for name, text in files.items():
-        (tmp_path / name).write_text(text, encoding="utf-8")
-    d = str(tmp_path)
+    })
     cases = [
         (["classify", "--measure", f"{d}/leb.json", "--p", "3"], 0),
         (["norm", "--measure", f"{d}/leb.json", "--p", "2", "--output", "csv"], 0),
@@ -61,20 +95,61 @@ def test_verdicts_and_usage_errors_load_no_array_library(tmp_path):
         (["classify", "--measure", f"{d}/inf.json", "--p", "2"], 2),
         (["norm", "--measure", f"{d}/absent.json", "--p", "2"], 2),
     ]
-    # The cases run in one interpreter; a library loaded by one case stays
-    # loaded, so the report after each case covers every case before it.
-    code = textwrap.dedent("""
-        import contextlib, io, json, sys
-        from genhilbert.cli import main
-        quiet = io.StringIO()
-        for argv in json.loads(sys.argv[1]):
-            with contextlib.redirect_stdout(quiet), contextlib.redirect_stderr(quiet):
-                try:
-                    status = main(argv)
-                except SystemExit as exc:
-                    status = exc.code
-            loaded = sorted({m.split(".")[0] for m in sys.modules} & {"numpy", "scipy"})
-            print(json.dumps([status, loaded]))
-    """)
-    out = run_fresh(code, json.dumps([argv for argv, _ in cases]))
-    assert [json.loads(line) for line in out.splitlines()] == [[status, []] for _, status in cases]
+    assert run_cases([argv for argv, _ in cases]) == [[status, []] for _, status in cases]
+
+
+def test_sequence_file_errors_load_no_array_library(tmp_path):
+    d = write_files(tmp_path, {
+        "c07.json": '{"jacobi": [{"coeff": 1, "alpha": 1, "beta": 0}], "atoms": [{"t": 1, "mass": 1}]}',
+        "bad.csv": "1\nabc\n",
+        "nan.csv": "1\nnan\n0.5\n",
+        "inf.csv": "1\ninf\n0.5\n",
+        "header.csv": "# p=0.5\n1\n",
+        "a.csv": "1\n0.5\n",
+    })
+    apply = ["apply", "--measure", f"{d}/c07.json", "--rows", "4", "--sequence"]
+    cases = [
+        (apply + [f"{d}/bad.csv"], 2),
+        (apply + [f"{d}/nan.csv"], 2),
+        (apply + [f"{d}/inf.csv"], 2),
+        (apply + [f"{d}/header.csv"], 2),
+        (apply + [f"{d}/absent.csv"], 2),
+        # The fft route's measure check comes before the vector is built.
+        (apply + [f"{d}/a.csv", "--route", "fft"], 1),
+    ]
+    assert run_cases([argv for argv, _ in cases]) == [[status, []] for _, status in cases]
+
+
+def test_integer_exponent_work_loads_numpy_but_not_scipy(tmp_path):
+    d = write_files(tmp_path, {
+        "t1mt.json": '{"jacobi": [{"coeff": 1, "alpha": 1, "beta": 1}], "atoms": []}',
+        "c07.json": '{"jacobi": [{"coeff": 1, "alpha": 1, "beta": 0}], "atoms": [{"t": 1, "mass": 1}]}',
+        "cdt.json": '{"jacobi": [{"coeff": 3, "alpha": 0, "beta": 0}], "atoms": []}',
+        "a.csv": "".join(f"{1.0 / (i + 1) ** 0.6!r}\n" for i in range(64)),
+    })
+    cases = [
+        (["entry", "--measure", f"{d}/t1mt.json", "--n", "17", "--k", "300"], 0),
+        (["section", "--measure", f"{d}/t1mt.json", "--N", "40"], 0),
+        (["section", "--measure", f"{d}/cdt.json", "--N", "20000"], 1),
+        (["apply", "--measure", f"{d}/c07.json", "--sequence", f"{d}/a.csv", "--rows", "64"], 0),
+        (["apply", "--measure", f"{d}/cdt.json", "--sequence", f"{d}/a.csv", "--rows", "256",
+          "--route", "fft", "--p", "2"], 0),
+        (["hilbert-check", "--p", "3", "--trials", "50", "--seed", "11"], 0),
+    ]
+    assert run_cases([argv for argv, _ in cases]) == [[status, ["numpy"]] for _, status in cases]
+
+
+@pytest.mark.parametrize("case", ["interior-atom-entry", "quadrature-apply", "non-integer-entry"])
+def test_work_that_needs_scipy_still_loads_it(tmp_path, case):
+    d = write_files(tmp_path, {
+        "atom.json": '{"jacobi": [{"coeff": 1, "alpha": 0, "beta": 0}], "atoms": [{"t": 0.5, "mass": 2}]}',
+        "half.json": '{"jacobi": [{"coeff": 1, "alpha": 0.5, "beta": 0}], "atoms": []}',
+        "a.csv": "1\n0.5\n0.25\n",
+    })
+    argv = {
+        "interior-atom-entry": ["entry", "--measure", f"{d}/atom.json", "--n", "5", "--k", "7"],
+        "quadrature-apply": ["apply", "--measure", f"{d}/atom.json", "--sequence", f"{d}/a.csv",
+                             "--rows", "8", "--route", "quadrature"],
+        "non-integer-entry": ["entry", "--measure", f"{d}/half.json", "--n", "5", "--k", "7"],
+    }[case]
+    assert run_cases([argv]) == [[0, ["numpy", "scipy"]]]

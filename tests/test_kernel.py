@@ -1,11 +1,13 @@
 """Matrix entries, finite sections, additivity over endpoint atoms."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import scipy.special
 from scipy.special import poch
 
 from genhilbert import kernel, operator
@@ -109,12 +111,15 @@ def test_section_is_bit_identical_to_entries():
 
 
 @pytest.mark.parametrize(
-    "term", [JacobiTerm(3.0, 0.0, 0.0), JacobiTerm(1.0, 1.0, 0.0), JacobiTerm(1.0, 0.0, 0.5)],
-    ids=["c*dt", "t dt", "(1-t)^0.5 dt"],
+    "term",
+    [JacobiTerm(3.0, 0.0, 0.0), JacobiTerm(1.0, 1.0, 0.0), JacobiTerm(1.0, 0.0, 0.5), JacobiTerm(2.0, 0.5, -0.5)],
+    ids=["c*dt", "t dt", "(1-t)^0.5 dt", "t^0.5 (1-t)^-0.5 dt"],
 )
 def test_factors_of_exponent_zero_are_constants_with_the_products_bits(term):
     # poch(x, 0) is exactly 1.0, so a constant coeff or 1.0 has the bits of
-    # coeff * poch(n+1, 0), and holds no array of ones.
+    # coeff * poch(n+1, 0), and holds no array of ones.  Every other factor
+    # has poch's bits too, an integer exponent's product included (the
+    # Hankel exponent alpha + beta + 1 = 1 of the last term).
     n, k = np.arange(300), np.arange(170)
     d = np.arange(469.0)
     row, col, hankel = kernel.jacobi_factors(term, n, k, d)
@@ -131,6 +136,29 @@ def test_factors_of_exponent_zero_are_constants_with_the_products_bits(term):
     for n in range(9):
         for k in range(9):
             assert section[n, k] == entry(mu, n, k)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 21, 181])
+def test_integer_exponent_product_has_the_bits_of_poch(m):
+    # The product runs poch's own recurrence for an integer exponent, in its
+    # order, so every value (an overflow's inf included) is the same double.
+    for x in (np.arange(5000.0), 2.0**21 + np.arange(-2500.0, 2500.0), 1e7 + np.arange(-2500.0, 2500.0)):
+        got = kernel._rising(x, float(m))
+        want = poch(x + 1.0, float(m))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), (m, x[0])
+    assert kernel._rising(np.asarray(7), float(m)) == poch(8.0, float(m))
+
+
+@pytest.mark.parametrize("alpha,beta", [(60.0, 0.0), (0.0, 60.0), (100.0, 80.0)])
+def test_an_overflowing_product_raises_the_range_error_without_a_warning(alpha, beta):
+    # pytest turns RuntimeWarning into an error here, and so does this block.
+    term = JacobiTerm(1.0, alpha, beta)
+    n = np.arange(200_000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as error:
+            entry_block(Measure((term,), ()), n, n)
+    assert str(error.value) == f"{term} leaves the float64 range of the factored kernel at n+k <= 399998"
 
 
 def test_symmetric_measure_gives_symmetric_entries():
@@ -204,21 +232,30 @@ def test_entry_block_rejects_indices_beyond_intp(n):
 
 
 def test_no_special_function_call_per_entry(monkeypatch):
-    """Factors are evaluated per row, column and diagonal, never per entry."""
-    sizes = []
-    for name in ("poch", "gammaln"):
-        original = getattr(kernel, name)
+    """Factors are evaluated per row, column and diagonal, never per entry.
 
-        def counted(x, *args, _original=original):
+    scipy.special's functions are counted in scipy.special, where the kernel
+    imports them from on use; ``kernel._rising`` counts every Pochhammer
+    factor, an integer exponent's exact product included.
+    """
+    sizes = []
+    products = []
+    for module, name in [(scipy.special, "poch"), (scipy.special, "gammaln"), (kernel, "_rising")]:
+        original = getattr(module, name)
+
+        def counted(x, *args, _original=original, _name=name):
             sizes.append(np.size(x))
+            if _name == "_rising" and args[0] > 0 and float(args[0]).is_integer():
+                products.append(np.size(x))
             return _original(x, *args)
 
-        monkeypatch.setattr(kernel, name, counted)
+        monkeypatch.setattr(module, name, counted)
     monkeypatch.setattr(operator, "_APPLY_BLOCK_ELEMENTS", 5000)
     a = operator.SequenceVector(np.ones(300))
     for mu in MIXED_CORPUS:
         finite_section(mu, 64)
     assert sizes and max(sizes) <= 64 + 64
+    assert products  # the corpus's integer exponents take the product path
     sizes.clear()
     for mu in MIXED_CORPUS:
         operator.apply_truncated(mu, a, 100)  # blocks of 16 rows by 300 columns

@@ -5,6 +5,8 @@ from collections import OrderedDict
 
 import numpy as np
 import pytest
+import scipy.fft
+import scipy.special
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -154,12 +156,13 @@ def test_row_series_log_refresh_matches_the_running_log(monkeypatch):
     want = apply_via_quadrature(LEBESGUE, a, 8).values
     refreshes = []
 
-    def counted_gammaln(x, _original=operator.gammaln):
+    def counted_gammaln(x, _original=scipy.special.gammaln):
         refreshes.append(1)
         return _original(x)
 
     monkeypatch.setattr(operator, "_LOG_REFRESH", 16)
-    monkeypatch.setattr(operator, "gammaln", counted_gammaln)
+    # The refresh imports gammaln from scipy.special when it runs.
+    monkeypatch.setattr(scipy.special, "gammaln", counted_gammaln)
     got = apply_via_quadrature(LEBESGUE, a, 8).values
     assert refreshes
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
@@ -459,6 +462,26 @@ def test_memo_arrays_are_read_only():
                     segment[0] = 0.0
                 with pytest.raises(ValueError, match="read-only"):
                     col[0] = 0.0
+
+
+def test_numpy_and_scipy_transforms_give_the_same_plans_and_images(monkeypatch):
+    # numpy.fft and scipy.fft run the same pocketfft; the plans' spectra and
+    # every image are the same bits with either, one-tile and tiled.
+    rng = np.random.default_rng(16)
+    measures = [LEBESGUE, Measure((JacobiTerm(1.0, 1.0, 1.0),), ()), MIXED_CORPUS[5]]
+    for size in (300, 2**12, 2**16):
+        values = SequenceVector(rng.uniform(0.0, 1.0, size))
+        for mu in measures:
+            for tiled in (False, True):
+                results = []
+                for fft in (np.fft, scipy.fft):
+                    monkeypatch.setattr(operator, "rfft", fft.rfft)
+                    monkeypatch.setattr(operator, "irfft", fft.irfft)
+                    monkeypatch.setattr(operator, "_plan_memo", OrderedDict())
+                    plan = fft_plan(mu, size, size, tiled)
+                    image, bound = plan.apply(values, 2.0)
+                    results.append((_plan_bytes(plan), image.values.tobytes(), bound))
+                assert results[0] == results[1], (mu, size, tiled)
 
 
 def test_fft_apply_rejects_interior_atoms(delta_half):
