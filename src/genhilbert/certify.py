@@ -48,10 +48,6 @@ __all__ = [
 # must stay below (floating-point headroom only).
 SOUNDNESS_SLACK = 1e-6
 
-# Largest stated error bound of the FFT apply, relative to the image norm,
-# at which lower_bound_ratio prefers it to the dense route.
-FFT_ROUTE_RTOL = 1e-9
-
 # Golub-Kahan-Lanczos steps before p2_section_norm gives up.
 _KRYLOV_STEP_CAP = 128
 
@@ -124,12 +120,11 @@ def lower_bound_ratio(mu: Measure, params: ExtremalParams, n_rows: int) -> float
 
     Entries are nonnegative, so any truncation of the image has norm at
     most the true image norm: the ratio is a certified lower bound for the
-    operator norm.  The image comes from the route :class:`_Block` picks (a
-    one-tile or tiled FFT plan by :meth:`_Block.fft_image`, or with interior
-    atoms the dense truncated route), and the numerator is its computed norm
-    less the route's stated error and the rounding of both norms
-    (:meth:`_Block.ratio`).  The ratio scales exactly with
-    the measure, and is math.inf only when it is beyond the float64 range
+    operator norm.  The image comes from the route :class:`_Block` picks
+    (its FFT plan, or with interior atoms the dense truncated route), and the
+    numerator is its computed norm less the route's stated error and the
+    rounding of both norms (:meth:`_Block.ratio`).  The ratio scales exactly
+    with the measure, and is math.inf only when it is beyond the float64 range
     (an unboundedness witness, e.g. for measures with an atom at 0).
     """
     return _Block(mu, n_rows, params.length).ratio(extremal_sequence(params), params.p)
@@ -146,10 +141,8 @@ def p2_section_norm(mu: Measure, size: int, tol: float = 1e-10) -> float:
     value returned is a certified quotient of the top Ritz vector x,
     ``max(0, ||fl(S x)||_2 - bound) / ||x||_2 <= ||S x||_2 / ||x||_2 <= sigma_N``
     with ``bound`` covering the product's and the norms' rounding, so it is a
-    sound lower bound for the p=2 operator norm.  The products run on the
-    apply pair :class:`_Block` picks before the first step: the FFT plan
-    :meth:`_Block.fft_image` picks for the starting vector and its
-    transpose, or with interior atoms the dense section and its transpose
+    sound lower bound for the p=2 operator norm.  Every product, the
+    quotient's included, runs on the apply pair :class:`_Block` holds
     (:meth:`_Block.sigma`).  sigma_N scales exactly with the measure while
     the applies stay within the float64 range.
     """
@@ -160,11 +153,11 @@ class _Block:
     """The leading ``n_rows`` by ``n_cols`` block of ``mu``'s matrix, and its route.
 
     The route is picked once, on construction: a measure with interior
-    atoms takes the dense section or the truncated apply, and its size is
-    checked against ``DEFAULT_SECTION_CAP``; any other takes the FFT plans,
-    one-tile or tiled by :meth:`fft_image`, against ``HANKEL_CAP``.  Each
-    plan is built on first use and kept, and so is the dense section; the
-    ratios and sigma of one sweep size share them.
+    atoms takes the dense section or the truncated apply, and ``n_rows`` is
+    checked against ``DEFAULT_SECTION_CAP``; any other takes its one FFT
+    plan, and both sizes are checked against ``HANKEL_CAP``.  The plan and
+    the section are built on first use and kept for the ratios and sigma of
+    one sweep size.
     """
 
     def __init__(self, mu: Measure, n_rows: int, n_cols: int):
@@ -173,37 +166,20 @@ class _Block:
         self.n_cols = n_cols
         self.dense = bool(mu.interior_atoms)
         _check_size(n_rows, DEFAULT_SECTION_CAP if self.dense else HANKEL_CAP)
-        self._plans = {}
-        self._section = None
+        if not self.dense:
+            _check_size(n_cols, HANKEL_CAP)
+        self._plan = self._section = None
 
-    def plan(self, tiled: bool = False) -> FFTPlan:
-        if tiled not in self._plans:
-            self._plans[tiled] = fft_plan(self.mu, self.n_rows, self.n_cols, tiled)
-        return self._plans[tiled]
-
-    def fft_image(self, a: SequenceVector, p: float, norm, tiled: bool = False):
-        """The image of ``a`` by the plan the route rule picks, ``norm`` of it, its stated bound and ``tiled``.
-
-        The route rule: the one-tile plan's image is kept unless its stated
-        ell-p error bound is above ``FFT_ROUTE_RTOL`` times its norm (or not
-        comparable with it); then the tiled plan's image is taken
-        (:func:`~genhilbert.operator.fft_plan`).  The one-tile plan is the
-        faster apply, and the tiled plan's bound follows each tile's own rows
-        where the factors grow or shrink along the block.  With ``tiled``
-        true the tiled plan is already chosen and applied at once.  ``norm``
-        maps the image's values to the norm the caller reports.
-        """
-        image, bound = self.plan(tiled).apply(a, p)
-        image_norm = norm(image.values)
-        if not tiled and not bound <= FFT_ROUTE_RTOL * image_norm:
-            return self.fft_image(a, p, norm, tiled=True)
-        return image, image_norm, bound, tiled
+    def plan(self) -> FFTPlan:
+        if self._plan is None:
+            self._plan = fft_plan(self.mu, self.n_rows, self.n_cols)
+        return self._plan
 
     def ratio(self, a: SequenceVector, p: float) -> float:
         """:func:`lower_bound_ratio` for the sequence ``a`` of length ``n_cols``.
 
-        On the FFT route (:meth:`fft_image`) the numerator is the image norm
-        times ``1 - (2 (N + K) + 16) u`` (N = n_rows, K = n_cols, u the unit
+        On the FFT route the numerator is the image norm times
+        ``1 - (2 (N + K) + 16) u`` (N = n_rows, K = n_cols, u the unit
         roundoff), less the apply's bound.  The factor covers, to first
         order in u, the rounding of :func:`~genhilbert.operator.lp_norm` on
         the image and on ``a`` (each at most ``(2L + 6) u`` relative for a
@@ -225,8 +201,8 @@ class _Block:
         a, denominator = SequenceVector(np.ldexp(a.values, -e)), math.ldexp(norm_a, -e)
         rounding = (2 * (self.n_rows + self.n_cols) + 16) * _UNIT_ROUNDOFF
         if not self.dense:
-            _, numerator, bound, _ = self.fft_image(a, p, lambda values: lp_norm(values, p))
-            return max(0.0, numerator * (1.0 - rounding) - bound) / denominator
+            image, bound = self.plan().apply(a, p)
+            return max(0.0, lp_norm(image.values, p) * (1.0 - rounding) - bound) / denominator
         if self._section is None:
             image = apply_truncated(self.mu, a, self.n_rows).values
         else:
@@ -243,14 +219,12 @@ class _Block:
     def sigma(self, tol: float) -> float:
         """:func:`p2_section_norm` of the (square) block: one Golub-Kahan-Lanczos loop.
 
-        The apply pair is fixed before step 0: on the dense route the
-        section and its transpose; otherwise the plan :meth:`fft_image`
-        picks for the starting vector v_0, whose image step 0 reuses, and
-        that plan's transpose.  Step j applies S to v_j and, unless the top
-        Ritz value then stops the loop, S^T to u_j.  Each image is
-        orthogonalized twice against the basis it extends (classical
-        Gram-Schmidt) and normalized, which gives alpha_j, u_j and beta_j,
-        v_(j+1) of the upper bidiagonal B with ``S V = U B``.
+        The apply pair is the section and its transpose on the dense route,
+        the block's FFT plan and its transpose otherwise.  Step j applies S
+        to v_j and, unless the top Ritz value then stops the loop, S^T to
+        u_j.  Each image is orthogonalized twice against the basis it
+        extends (classical Gram-Schmidt) and normalized, which gives alpha_j,
+        u_j and beta_j, v_(j+1) of the upper bidiagonal B with ``S V = U B``.
         Images are divided by the power of two above their largest
         magnitude before they are orthogonalized, and B is kept in units of
         the first image's power of two; both are exact, so sigma scales
@@ -264,11 +238,9 @@ class _Block:
         order in u, the rounding of the 2-norms of y and x (each at most
         ``(N/2 + 1) u`` relative, Higham, *Accuracy and Stability of
         Numerical Algorithms*, 2nd ed., section 3.1) and of the final
-        subtraction and division.  On the FFT route the product is
-        :meth:`fft_image`'s from the loop's plan on, so its error bound is
-        the stated one of the plan that made it; the quotient is stationary
-        in x, so the loop's plan moves it only to second order.  On the
-        dense route it is ``N u ||fl(S |x|)||_2``:
+        subtraction and division.  On the FFT route the product's error
+        bound is the plan's stated one; on the dense route it is
+        ``N u ||fl(S |x|)||_2``:
         ``|fl(S x) - S x| <= gamma_N |S| |x|`` (ibid., (3.11)), ``|S| = S``
         here, and fl(S |x|) is within ``gamma_N`` of S |x|.  x is taken with
         a nonnegative sum, so that |x| = x, and fl(S |x|) = fl(S x), as
@@ -284,11 +256,10 @@ class _Block:
         if self.dense:
             s = self.section()
             forward, backward = s.__matmul__, s.T.__matmul__
-            image = forward(basis_v[0])
         else:
-            image, _, _, tiled = self.fft_image(SequenceVector(basis_v[0]), 2.0, _norm_2)
-            image, plan = image.values, self.plan(tiled)
+            plan = self.plan()
             forward, backward = _product(plan), _product(plan.transposed())
+        image = forward(basis_v[0])
         # B in units of 2**e0, the power of two above the first image's largest magnitude.
         bidiagonal, e0 = np.zeros((steps, steps)), 0
         top = 0.0
@@ -322,7 +293,8 @@ class _Block:
             z_norm = norm_y if x.min() >= 0.0 else _norm_2(s @ np.abs(x))
             bound = size * _UNIT_ROUNDOFF * z_norm
         else:
-            _, norm_y, bound, _ = self.fft_image(SequenceVector(x), 2.0, _norm_2, tiled)
+            image, bound = plan.apply(SequenceVector(x), 2.0)
+            norm_y = _norm_2(image.values)
         bound += (size + 4) * _UNIT_ROUNDOFF * norm_y
         return max(0.0, norm_y - bound) / float(np.linalg.norm(x))
 
@@ -362,7 +334,7 @@ def convergence_sweep(
     Each size is one :class:`_Block`, and all are built, which checks every
     size against its route's cap, before any work.  A size's sigma comes
     first, so a size whose Krylov loop built the dense section reuses it,
-    and the FFT plans, for every epsilon.  The values equal
+    and the FFT plan, for every epsilon.  The values equal
     :func:`p2_section_norm`'s and :func:`lower_bound_ratio`'s bit for bit.
     """
     eps_grid = list(eps_grid)

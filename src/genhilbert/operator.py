@@ -5,17 +5,16 @@ workhorse) and quadrature of the row generating series against the measure
 (the reference).  Measures without interior atoms additionally get an
 FFT apply: each density term is a Hankel matrix scaled by diagonal factors
 on both sides, so the image of any block of it is one convolution against
-a Hankel spectrum that an :class:`FFTPlan` computes once.  The one-tile
-plan convolves the whole block at once; the tiled plan cuts it into tiles
-inside which n+k varies by a bounded factor, so that each tile's stated
-error bound follows its own rows' image where the factors grow or shrink.
-A plan's coefficient-free data is built once per process and shared
-(:func:`fft_plan`).
+a Hankel spectrum that an :class:`FFTPlan` computes once.
+:func:`fft_plan` picks each block's tiling before any transform, from both
+tilings' stated error bounds: one tile convolves the whole block at once,
+and tiles inside which n+k varies by a bounded factor keep each tile's
+bound near its own rows' image where the factors grow or shrink.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 import numbers
 from collections import OrderedDict
@@ -304,29 +303,49 @@ def apply_via_quadrature(mu: Measure, a: SequenceVector, n_rows: int) -> Sequenc
 #: Tiles of a tiled :class:`FFTPlan` with at most this many entries hold their dense Hankel segment.
 _DENSE_TILE_ENTRIES = 4096
 
+#: :func:`fft_plan` keeps the one-tile plan iff its bound at the probe is at most this many times the tiled plan's.
+_ONE_TILE_BOUND_RATIO = 256
 
-def _tile_cover(n_rows: int, n_cols: int) -> list[tuple[slice, slice]]:
-    """The tiled plan's cover of ``[0, n_rows) x [0, n_cols)`` by disjoint ``(rows, cols)`` slices.
 
-    Row tiles ``[2^i, 2^(i+1)) x [0, 4 * 2^i)``, column tiles
-    ``[0, 2^(j-1)) x [2^j, 2^(j+1))`` for j >= 2, and the corner
-    ``[0, 1) x [0, 4)``, each cut to the block; empty ones are dropped.
-    Inside a tile n+k+1 varies by less than a factor of 6.
+@functools.lru_cache(maxsize=256)
+def _picks_tiled(terms: tuple, c0: float, c1: float, n_rows: int, n_cols: int) -> bool:
+    """Whether :func:`fft_plan` takes the tiled plan, from each term's ``(coeff, norms)`` (:func:`_unit_plan`).
+
+    It does iff the one-tile plan's stated bound at the probe a = 1/sqrt(K), p = 2 (b = E/sqrt(K),
+    |a[0]| = 1/sqrt(K), ||a||_1 = sqrt(K)) is above ``_ONE_TILE_BOUND_RATIO`` times the tiled plan's.
     """
-    tiles = [(0, 1, 0, 4)]
-    i = 0
-    while 1 << i < n_rows:
-        tiles.append((1 << i, 2 << i, 0, 4 << i))
-        i += 1
-    j = 2
-    while 1 << j < n_cols:
-        tiles.append((0, 1 << (j - 1), 1 << j, 2 << j))
-        j += 1
-    return [
-        (slice(r0, min(r1, n_rows)), slice(c0, min(c1, n_cols)))
-        for r0, r1, c0, c1 in tiles
-        if r0 < n_rows and c0 < n_cols
-    ]
+    q, bounds = 1.0 / math.sqrt(n_cols), []
+    for tiled in (False, True):
+        tiles = [(r, m, c.stop - c.start, []) for r, c, m in _layout(n_rows, n_cols, tiled)]
+        for coeff, norms in terms:
+            for (*_, parts), (d, h_2, h_1, b_1, b_2, e) in zip(tiles, norms[tiled]):
+                parts.append((coeff * d, h_2, h_1, q * b_1, q * b_2, e))
+        bounds.append(_stated_bound(tiles, (c0, c1, q, n_cols * q), n_rows, n_cols, 2.0))
+    return not bounds[0] <= _ONE_TILE_BOUND_RATIO * bounds[1]
+
+
+def _layout(n_rows: int, n_cols: int, tiled: bool) -> list[tuple[slice, slice, int]]:
+    """A plan's tiles: disjoint ``(rows, cols, m)`` that cover ``[0, n_rows) x [0, n_cols)``.
+
+    One tile is the whole block.  The tiled cover has row tiles
+    ``[2^i, 2^(i+1)) x [0, 4 * 2^i)``, column tiles
+    ``[0, 2^(j-1)) x [2^j, 2^(j+1))`` for j >= 2 and the corner
+    ``[0, 1) x [0, 4)``, each cut to the block, and drops empty ones; inside
+    a tile n+k+1 varies by less than a factor of 6.  m is the least power of
+    two at least rows + columns - 1 long, or 0 for a tiled cover's dense tile
+    of at most ``_DENSE_TILE_ENTRIES`` entries.
+    """
+    spans = [(0, n_rows, 0, n_cols)]
+    if tiled:
+        spans = [(0, 1, 0, 4)] + [(1 << i, 2 << i, 0, 4 << i) for i in range((n_rows - 1).bit_length())]
+        spans += [(0, 1 << (j - 1), 1 << j, 2 << j) for j in range(2, (n_cols - 1).bit_length())]
+    layout = []
+    for r0, r1, c0, c1 in spans:
+        n, k = min(r1, n_rows) - r0, min(c1, n_cols) - c0
+        if n > 0 and k > 0:
+            m = 0 if tiled and n * k <= _DENSE_TILE_ENTRIES else 1 << (n + k - 2).bit_length()
+            layout.append((slice(r0, r0 + n), slice(c0, c0 + k), m))
+    return layout
 
 
 @dataclass(frozen=True)
@@ -340,9 +359,7 @@ class FFTPlan:
     returns.  ``h`` is the Hankel factor over the tile's diagonals,
     ``segment`` its spectrum ``rfft(h, m)`` or, when m is 0, the dense
     matrix ``h[i + j]`` of the tile's shape, and ``h_2``, ``h_1`` its 2- and
-    1-norms.  ``c0`` and ``c1`` are the endpoint masses.  ``components``
-    counts the sums that can land in one row: the density terms times the
-    most tiles that share a row, plus the endpoint atoms.  Build one with
+    1-norms.  ``c0`` and ``c1`` are the endpoint masses.  Build one with
     :func:`fft_plan`.
     """
 
@@ -351,14 +368,6 @@ class FFTPlan:
     tiles: tuple
     c0: float
     c1: float
-    components: int = field(init=False)
-
-    def __post_init__(self):
-        # A tile opens at rows.start and closes at rows.stop; at one index closes sort first.
-        events = sorted(e for rows, *_ in self.tiles for e in ((rows.start, 1), (rows.stop, -1)))
-        depth = max(itertools.accumulate(step for _, step in events), default=0)
-        terms = len(self.tiles[0][3]) if self.tiles else 0
-        object.__setattr__(self, "components", terms * depth + (self.c0 > 0) + (self.c1 > 0))
 
     def transposed(self) -> FFTPlan:
         """The plan of the transposed matrix: each tile's ranges and factors swap, and so do c0 and c1."""
@@ -387,7 +396,8 @@ class FFTPlan:
         The bound majorizes ``||y_fft - y||_p``, where ``y`` is the exact
         product of the entries :func:`~genhilbert.kernel.entry_block` returns
         with ``a`` (the dense route without its summation rounding).  With unit
-        roundoff u, N = n_rows, K = len(a), A = ``components``,
+        roundoff u, N = n_rows, K = len(a), A the most sums that can land in
+        one row (terms times tiles, plus the endpoint atoms),
         ``lam = max(1, log2 m)`` and ``s = max(0, 1/p - 1/2)`` (so that a
         tile's ``||x||_p <= n^s ||x||_2``), it is, to first order in u, a sum
         over the tiles of ::
@@ -423,11 +433,11 @@ class FFTPlan:
         The atoms share those ``(2A + 3) u`` per row, and ``sum(a)`` adds at
         most ``K u``.
 
-        The plan of :func:`fft_plan` has one tile, the whole block.  Where
-        the factors grow or shrink along the block, its bound is loose by
-        their spread; inside a tiled plan's tiles n+k+1 varies by less than
-        a factor of 6, so each tile's bound is that of its own rows' image
-        up to ``6^|alpha+beta+1|``.
+        The bound reads norms only (:func:`_stated_bound`).  Where the
+        factors grow or shrink along the block, one tile's bound is loose by
+        their spread; inside a tile of the tiled cover n+k+1 varies by less
+        than a factor of 6, so each tile's bound is that of its own rows'
+        image up to ``6^|alpha+beta+1|``.
         """
         values = a.values
         K, n_rows = len(values), self.n_rows
@@ -436,15 +446,11 @@ class FFTPlan:
         out = np.zeros(n_rows)
         if K == 0:
             return SequenceVector(out), 0.0
-        u, s, components = _UNIT_ROUNDOFF, max(0.0, 1.0 / p - 0.5), self.components
-        bound = 0.0
+        tiles = []
         for rows, cols, m, terms in self.tiles:
             part = values[cols]
             n, k = rows.stop - rows.start, len(part)
-            # u scales each magnitude before the large factors do, and the
-            # power of two of b last, so the bound overflows only when its
-            # value is beyond float64.
-            weight = 0.0
+            tiles.append((rows, m, k, []))
             for row, col, segment, h_2, h_1 in terms:
                 b = col * part
                 b_1, b_2, e = _norms_1_2(b)
@@ -462,44 +468,67 @@ class FFTPlan:
                 else:
                     c = row * (segment @ b)
                 out[rows] += np.ldexp(c, shift) if shift else c
-                weight += _ldexp(u * row.max() * (h_2 * b_1 + h_1 * b_2), e)
-            scale = 16.0 * (max(1, m.bit_length() - 1) + components + 1) if m else k + 2 * components + 4
-            bound += scale * n ** s * weight
+                tiles[-1][3].append((row.max(), h_2, h_1, b_1, b_2, e))
         c0, c1 = self.c0, self.c1
-        atoms = 0.0
         if c0 > 0:
             out += c0 * values[0]
-            atoms += u * c0 * abs(values[0]) * n_rows ** (1.0 / p)
         if c1 > 0:
             out[0] += c1 * values.sum()
-            atoms += u * c1 * np.abs(values).sum()
         if a.nonneg:
             # The exact image is nonnegative; rows whose value lies below the
             # transforms' absolute error can come out negative, and clipping
             # them moves every row toward its exact value.
             np.maximum(out, 0.0, out=out)
-        bound += (2 * components + K + 3) * atoms
-        return SequenceVector(out), float(bound)
+        atoms = (c0, c1, abs(values[0]), np.abs(values).sum() if c1 > 0 else 0.0)
+        return SequenceVector(out), _stated_bound(tiles, atoms, n_rows, K, p)
 
 
-def fft_plan(mu: Measure, n_rows: int, n_cols: int, tiled: bool = False) -> FFTPlan:
+def _stated_bound(tiles, atoms, n_rows: int, K: int, p: float) -> float:
+    """:meth:`FFTPlan.apply`'s bound from ``atoms = (c0, c1, |a[0]|, ||a||_1)`` and the ``tiles``.
+
+    Per tile: ``(rows, m, k, norms)``, k its columns, and per density term
+    ``(||D||_inf, h_2, h_1, b_1, b_2, e)`` with b's norms in units of 2**e.
+    """
+    c0, c1, a_0, a_1 = atoms
+    # Every tile holds row 0 or is the one row tile of its rows, and the tiles
+    # that hold a later row hold row 0 too: no row lies in more than row 0.
+    A = len(tiles[0][3]) * sum(rows.start == 0 for rows, *_ in tiles) + (c0 > 0) + (c1 > 0)
+    u, s = _UNIT_ROUNDOFF, max(0.0, 1.0 / p - 0.5)
+    bound = 0.0
+    for rows, m, k, norms in tiles:
+        # u scales each magnitude before the large factors do, and the
+        # power of two of b last, so the bound overflows only when its
+        # value is beyond float64.
+        weight = 0.0
+        for d, h_2, h_1, b_1, b_2, e in norms:
+            weight += _ldexp(u * d * (h_2 * b_1 + h_1 * b_2), e)
+        scale = 16.0 * (max(1, m.bit_length() - 1) + A + 1) if m else k + 2 * A + 4
+        bound += scale * (rows.stop - rows.start) ** s * weight
+    return float(bound + (2 * A + K + 3) * (u * c0 * a_0 * n_rows ** (1.0 / p) + u * c1 * a_1))
+
+
+def fft_plan(mu: Measure, n_rows: int, n_cols: int) -> FFTPlan:
     """The :class:`FFTPlan` of the leading ``n_rows`` by ``n_cols`` block of ``mu``'s matrix.
 
-    The plan is one tile, the whole block, unless ``tiled``: then its tiles
-    are :func:`_tile_cover`'s, and those of at most ``_DENSE_TILE_ENTRIES``
-    entries are dense.  For measures of density terms and endpoint atoms
-    only; interior atoms raise ``ValueError``, factors outside the float64
-    range too.  ``n_rows`` is checked as every size is, and ``n_cols``
-    must be an integer from 0 to ``HANKEL_CAP``.
+    Its tiles are one or the tiled cover (:func:`_layout`).  Before any
+    transform, both tilings' stated bounds (:meth:`FFTPlan.apply`) are
+    taken at the probe, the normalized all-ones vector at p = 2, and the
+    one-tile plan, the faster apply, is kept iff its bound is at most
+    ``_ONE_TILE_BOUND_RATIO`` times the tiled plan's.  Interior atoms raise
+    ``ValueError``, factors outside the float64 range too.  ``n_rows`` is
+    checked as every size is; ``n_cols`` must be an integer from 0 to
+    ``HANKEL_CAP``.
 
-    Only the row factor depends on a term's coefficient.  The rest of each
-    term's plan data, its unit row factor and per tile the column factor's
-    slice, the Hankel segment's spectrum (or dense segment) and its norms,
-    is kept read-only for the life of the process, keyed by
-    ``(alpha, beta, n_rows, n_cols, tiled)`` (:func:`_unit_plan`); each call
-    multiplies the coefficient into the row and checks that product's range.
-    So ``c*dt`` at one size builds its spectrum once for every c.
+    Only the row factor depends on a term's coefficient, which each call
+    multiplies in and range-checks; the rest is kept for the life of the
+    process (:func:`_unit_plan`), spectra only for a picked tiling, so
+    ``c*dt`` at one size builds its spectrum once for every c.
     """
+    return _fft_plan(mu, n_rows, n_cols)
+
+
+def _fft_plan(mu: Measure, n_rows: int, n_cols: int, tiled: bool | None = None) -> FFTPlan:
+    """:func:`fft_plan`, with the tiling forced to ``tiled`` unless it is None."""
     if mu.interior_atoms:
         raise ValueError("the FFT apply takes density terms and endpoint atoms only")
     _check_size(n_rows, HANKEL_CAP)
@@ -507,78 +536,76 @@ def fft_plan(mu: Measure, n_rows: int, n_cols: int, tiled: bool = False) -> FFTP
         raise ValueError(f"n_cols must be an integer >= 0, got {n_cols}")
     if n_cols > HANKEL_CAP:
         raise ResourceLimitError(f"size {n_cols} exceeds cap {HANKEL_CAP}")
-    tiles = ()
-    if n_cols:
-        layout = _layout(n_rows, n_cols, tiled)
-        terms = []
-        for term in mu.jacobi_terms:
-            unit_row, parts = _unit_plan(term, n_rows, n_cols, tiled, layout)
-            terms.append((_scaled_row(term, unit_row, n_rows + n_cols - 2), parts))
-        tiles = tuple(
-            (rows, cols, m, tuple((row[rows], *parts[i]) for row, parts in terms))
-            for i, (rows, cols, m) in enumerate(layout)
-        )
-    return FFTPlan(n_rows, n_cols, tiles, mu.atom_at(0.0), mu.atom_at(1.0))
-
-
-def _layout(n_rows: int, n_cols: int, tiled: bool) -> list[tuple[slice, slice, int]]:
-    """The plan's tiles as ``(rows, cols, m)``: m is the transform length, or 0 for a dense tile.
-
-    m is the least power of two at least rows + columns - 1 long.
-    """
-    cover = _tile_cover(n_rows, n_cols) if tiled else [(slice(0, n_rows), slice(0, n_cols))]
-    layout = []
-    for rows, cols in cover:
-        shape = (rows.stop - rows.start, cols.stop - cols.start)
-        dense = tiled and shape[0] * shape[1] <= _DENSE_TILE_ENTRIES
-        layout.append((rows, cols, 0 if dense else 1 << (sum(shape) - 2).bit_length()))
-    return layout
+    c0, c1, terms = mu.atom_at(0.0), mu.atom_at(1.0), mu.jacobi_terms
+    if not n_cols:
+        return FFTPlan(n_rows, n_cols, (), c0, c1)
+    built = {}
+    units = [_unit_plan(term, n_rows, n_cols, built) for term in terms]
+    rows = [_scaled_row(term, row, n_rows + n_cols - 2) for term, (row, _, _) in zip(terms, units)]
+    if tiled is None:
+        tiled = _picks_tiled(tuple((t.coeff, norms) for t, (_, _, norms) in zip(terms, units)), c0, c1, n_rows, n_cols)
+    tiles = [(r, c, m, []) for r, c, m in _layout(n_rows, n_cols, tiled)]
+    for term, row, (_, col, norms) in zip(terms, rows, units):
+        spectra = _unit_plan(term, n_rows, n_cols, built, tiled)
+        for (r, c, _, parts), segment, (_, h_2, h_1, *_) in zip(tiles, spectra, norms[tiled]):
+            parts.append((row[r], col[c], segment, h_2, h_1))
+    return FFTPlan(n_rows, n_cols, tuple((r, c, m, tuple(parts)) for r, c, m, parts in tiles), c0, c1)
 
 
 #: Bytes of coefficient-free plan data :func:`fft_plan` keeps for the life of the process.
 _PLAN_MEMO_BYTES = 64 << 20
 
-# (alpha, beta, n_rows, n_cols, tiled) -> (bytes held, unit row, per-tile parts), least recently used first.
+# (alpha, beta, n_rows, n_cols, tiled) -> (bytes held, value), least recently used first.
 _plan_memo: OrderedDict = OrderedDict()
 
 
-def _unit_plan(term: JacobiTerm, n_rows: int, n_cols: int, tiled: bool, layout) -> tuple[np.ndarray, tuple]:
-    """One density term's plan data for coeff 1: the row factor and, per tile of ``layout``, ``(col, segment, h_2, h_1)``.
+def _unit_plan(term: JacobiTerm, n_rows: int, n_cols: int, built: dict, tiled: bool | None = None) -> tuple:
+    """One density term's plan data for coeff 1, memoized under ``(alpha, beta, n_rows, n_cols, tiled)``.
 
-    ``col`` is the tile's slice of the column factor, ``h`` the Hankel
-    factor over the tile's diagonals, ``segment`` its spectrum ``rfft(h, m)``
-    or, when m is 0, the dense matrix ``h[i + j]`` of the tile's shape, and
-    ``h_2``, ``h_1`` its 2- and 1-norms.  They depend on the term's exponents
-    and the sizes only, and are memoized under that key with their arrays
-    read-only.  The memo holds at most ``_PLAN_MEMO_BYTES`` of arrays (a
-    zero-stride constant counts nothing) and evicts the least recently used
-    entries first; data larger than that is returned and not kept.  A range
-    error raises, naming ``term``, and keeps nothing.
+    With ``tiled`` None: ``(row, col, norms)``, the row and column factors
+    and ``norms[t]``, per tile of either tiling t, the row factor's max, the
+    2- and 1-norms of the Hankel factor h over the tile's diagonals, and
+    :func:`_norms_1_2` of its column factor.  Otherwise, per tile of that
+    tiling, ``rfft(h, m)`` or (m = 0) the dense matrix ``h[i + j]``.  A miss
+    builds the factors once per ``built``, one plan's dict.  The memo keeps
+    at most ``_PLAN_MEMO_BYTES`` of arrays, read-only (a zero-stride constant
+    counts nothing), and evicts the least recently used first.
     """
     key = (term.alpha, term.beta, n_rows, n_cols, tiled)
     if key in _plan_memo:
         _plan_memo.move_to_end(key)
-        return _plan_memo[key][1:]
-    n, k = np.arange(n_rows), np.arange(n_cols)
-    d = np.arange(n_rows + n_cols - 1, dtype=np.float64)
-    row, col, hankel = _unit_factors(term, n, k, d)
-    held = [row, col]
-    row.flags.writeable = col.flags.writeable = False
-    parts = []
-    for rows, cols, m in layout:
-        shape = (rows.stop - rows.start, cols.stop - cols.start)
-        h = hankel[rows.start + cols.start :][: sum(shape) - 1]
-        segment = rfft(h, m) if m else as_strided(h, shape, h.strides * 2).copy()
-        segment.flags.writeable = False
-        held.append(segment)
-        parts.append((col[cols], segment, np.linalg.norm(h), h.sum()))
-    nbytes = sum(x.nbytes for x in held if x.strides[-1])
-    parts = tuple(parts)
+        return _plan_memo[key][1]
+    if (term.alpha, term.beta) not in built:
+        # The indices live with the factors until the plan is built: freed earlier, they left later
+        # applies' large temporaries where each free returns them to the system (c*dt at 2^20: 17% slower).
+        n, k, d = np.arange(n_rows), np.arange(n_cols), np.arange(n_rows + n_cols - 1.0)
+        built[term.alpha, term.beta] = (n, k, d), _unit_factors(term, n, k, d)
+    row, col, hankel = built[term.alpha, term.beta][1]
+    if tiled is None:
+        norms = tuple(
+            tuple(
+                (float(row[r].max()), float(np.linalg.norm(h)), float(h.sum()), *_norms_1_2(col[c]))
+                for r, c, _ in _layout(n_rows, n_cols, t)
+                for h in [hankel[r.start + c.start : r.stop + c.stop - 1]]
+            )
+            for t in (False, True)
+        )
+        value, arrays = (row, col, norms), [row, col]
+    else:
+        arrays = []
+        for r, c, m in _layout(n_rows, n_cols, tiled):
+            shape = (r.stop - r.start, c.stop - c.start)
+            h = hankel[r.start + c.start : r.stop + c.stop - 1]
+            arrays.append(rfft(h, m) if m else as_strided(h, shape, h.strides * 2).copy())
+        value = tuple(arrays)
+    for x in arrays:
+        x.flags.writeable = False
+    nbytes = sum(x.nbytes for x in arrays if x.strides[-1])
     if nbytes <= _PLAN_MEMO_BYTES:
-        _plan_memo[key] = (nbytes, row, parts)
+        _plan_memo[key] = (nbytes, value)
         while sum(entry[0] for entry in _plan_memo.values()) > _PLAN_MEMO_BYTES:
             _plan_memo.popitem(last=False)
-    return row, parts
+    return value
 
 
 def hankel_fast_apply(a: SequenceVector, n_rows: int) -> SequenceVector:

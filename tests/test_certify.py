@@ -3,6 +3,7 @@
 import json
 import math
 import warnings
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -168,10 +169,15 @@ def test_fft_route_error_within_its_stated_bound_and_ratio_sound():
             assert ratio <= verdict.norm + SOUNDNESS_SLACK, (mu, n_rows, K, p)
 
 
+def _force_tiling(patch, tiled):
+    """Make every plan certify builds the one-tile (False) or the tiled (True) plan."""
+    patch.setattr(certify_module, "fft_plan", lambda mu, n_rows, n_cols: operator._fft_plan(mu, n_rows, n_cols, tiled))
+
+
 def test_tiled_image_and_its_transpose_within_their_stated_bounds(monkeypatch):
     rng = np.random.default_rng(1307)
-    # -1.0 rejects every nonzero one-tile image: the ratio below takes the tiled plan as well.
-    monkeypatch.setattr(certify_module, "FFT_ROUTE_RTOL", -1.0)
+    # The ratio below takes the tiled plan as well.
+    _force_tiling(monkeypatch, True)
     for case in range(16):
         terms = tuple(
             JacobiTerm(float(rng.uniform(0.1, 3.0)), *map(float, rng.uniform(-0.9, 3.0, size=2)))
@@ -184,7 +190,7 @@ def test_tiled_image_and_its_transpose_within_their_stated_bounds(monkeypatch):
         sizes = np.exp(rng.uniform(0.0, math.log(3000), size=2)).astype(int)
         n_rows, K = (3000, 3000) if case == 0 else map(int, sizes)
         p = float(rng.choice([1.0, 1.5, 2.0, 3.0]))
-        plan = fft_plan(mu, n_rows, K, tiled=True)
+        plan = operator._fft_plan(mu, n_rows, K, True)
         for transposed in (False, True):
             rows, cols = (K, n_rows) if transposed else (n_rows, K)
             values = rng.uniform(-1.0, 1.0, cols) if case % 2 else np.arange(1.0, cols + 1.0) ** -0.6
@@ -238,12 +244,11 @@ def test_ratio_stays_below_the_norm_on_every_route(terms, atoms, p, eps_share, n
     for route in (apply_truncated, apply_via_quadrature):
         assert lp_norm(route(mu, a, n_rows).values, p) / lp_norm(a.values, p) <= ceiling, route
     if not mu.interior_atoms:
-        # The rule picks the one-tile or the tiled plan; each is forced in turn
-        # (math.inf keeps every one-tile image with a nonzero norm, -1.0 none).
-        for rtol in (math.inf, -1.0):
+        # fft_plan picks the one-tile or the tiled plan; each is forced in turn.
+        for tiled in (False, True):
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(certify_module, "FFT_ROUTE_RTOL", rtol)
-                assert lower_bound_ratio(mu, params, n_rows) <= ceiling, rtol
+                _force_tiling(patch, tiled)
+                assert lower_bound_ratio(mu, params, n_rows) <= ceiling, tiled
 
 
 def test_fft_ratio_stays_below_the_exact_truncated_ratio():
@@ -331,16 +336,19 @@ def test_ratio_takes_the_tiled_route_when_one_tile_cannot_serve(mu, size, gap, m
     want = float(np.sqrt(np.sum(exact**2))) / lp_norm(a.values, 2.0)
     truncated, plans = [], []
     _record_calls(monkeypatch, truncated, certify_module, "apply_truncated")
-    _record_calls(monkeypatch, plans, certify_module, "fft_plan")
+    monkeypatch.setattr(certify_module, "fft_plan", lambda *args: plans.append(fft_plan(*args)) or plans[-1])
     ratio = lower_bound_ratio(mu, params, size)
     assert truncated == []
-    assert [args[3] for args in plans] == [False, True]
+    assert [len(plan.tiles) > 1 for plan in plans] == [True]
     assert want * (1.0 - gap) <= ratio <= want, (ratio, want)
+    # Forced onto the one-tile plan, the same ratio is looser.
+    _force_tiling(monkeypatch, False)
+    assert lower_bound_ratio(mu, params, size) < ratio
 
 
 def test_c_dt_ratio_beyond_the_dense_cap_at_large_p(monkeypatch):
-    # At p=10 the FFT apply's stated bound exceeds the routing tolerance, and
-    # 2**20 rows are beyond the dense cap: the FFT image still answers.
+    # 2**20 rows are beyond the dense cap, and at p=10 the one-tile plan's
+    # stated bound is 1.2e-9 of the image: the FFT image still answers.
     size = 2**20
     mu = Measure((JacobiTerm(3.0, 0.0, 0.0),), ())
     params = ExtremalParams(10.0, 0.05, size)
@@ -521,8 +529,9 @@ def test_dense_route_sigma_is_one_section_and_unchanged(mu, size, monkeypatch):
 
 @pytest.mark.parametrize("size", [512, 2048], ids=["t(1-t)dt@512", "t(1-t)dt"])
 def test_tiled_route_sigma_is_certified_against_the_dense_norm(size, monkeypatch):
-    # t(1-t)dt's first one-tile step states a bound above FFT_ROUTE_RTOL, so
-    # the loop runs on the tiled plan and its transpose, with no section.
+    # t(1-t)dt's one-tile bound at the start vector is above 256 times the
+    # tiled one, so the loop runs on the tiled plan and its transpose, with
+    # no section.
     mu = Measure((JacobiTerm(1.0, 1.0, 1.0),), ())
     sections, products, plans, forward = [], [], [], []
     _record_sections(monkeypatch, sections, products)
@@ -540,11 +549,64 @@ def test_tiled_route_sigma_is_certified_against_the_dense_norm(size, monkeypatch
     monkeypatch.setattr(operator.FFTPlan, "apply", recorded_apply)
     sigma = p2_section_norm(mu, size)
     assert sections == []
-    assert [len(plan.tiles) > 1 for plan in plans] == [False, True]
+    assert [len(plan.tiles) > 1 for plan in plans] == [True]
     assert sum(forward) <= 80
     top = float(np.linalg.norm(finite_section(mu, size).entries, 2))
     assert sigma <= top * (1.0 + 1e-12), (sigma, top)
     assert abs(sigma - top) <= 1e-11 * top, (sigma, top)
+
+
+@pytest.mark.parametrize("size", [256, 512])
+@pytest.mark.parametrize("mu", [MIXED_CORPUS[5], MIXED_CORPUS[7]], ids=["t^2dt+5delta_1", "t(1-t)dt+delta_0+delta_1"])
+def test_sigma_of_growing_factors_with_endpoint_atoms_within_1e12_of_the_dense_norm(mu, size):
+    # One tile's bound at the start vector is 496 to 7100 times the tiled
+    # one here; the loop on one tile left sigma 1.8e-11 to 4.0e-10 below.
+    sigma = p2_section_norm(mu, size)
+    top = float(np.linalg.norm(finite_section(mu, size).entries, 2))
+    assert top - 1e-12 * top <= sigma <= top, (sigma, top)
+
+
+@pytest.mark.parametrize(
+    "mu,tiled",
+    [
+        (Measure((JacobiTerm(1.0, 1.0, 1.0),), ()), True),
+        (Measure((JacobiTerm(3.0, 0.0, 0.0),), ()), False),
+        (Measure((JacobiTerm(1.0, -0.5, 0.25), JacobiTerm(0.5, 0.5, -0.25)), ()), False),
+    ],
+    ids=["t(1-t)dt", "c*dt", "mix2"],
+)
+def test_a_sweep_transforms_on_the_picked_tiling_alone(mu, tiled, monkeypatch):
+    # No spectrum is built, and no apply made, for the tiling not picked.
+    monkeypatch.setattr(operator, "_plan_memo", OrderedDict())
+    applied = set()
+    apply = operator.FFTPlan.apply
+
+    def recorded_apply(plan, a, p):
+        applied.add(len(plan.tiles) > 1)
+        return apply(plan, a, p)
+
+    monkeypatch.setattr(operator.FFTPlan, "apply", recorded_apply)
+    for p in (1.5, 2.0):
+        convergence_sweep(mu, p, [0.1], [2048])
+    assert applied == {tiled}
+    terms = [(term.alpha, term.beta) for term in mu.jacobi_terms]
+    assert [key[:2] for key in operator._plan_memo if key[4] is not None] == terms
+    assert all(key[2:] in ((2048, 2048, None), (2048, 2048, tiled)) for key in operator._plan_memo)
+
+
+def test_ratio_checks_the_column_cap_before_it_builds_the_sequence(delta_half, monkeypatch):
+    # The sequence of 2**22 + 1 floats was built before the plan raised, and
+    # a length of 10**18 ran out of memory instead.
+    calls = []
+    _record_calls(monkeypatch, calls, certify_module, "extremal_sequence")
+    cap = operator.HANKEL_CAP
+    for length in (cap + 1, 10**18):
+        with pytest.raises(ResourceLimitError, match=f"^size {length} exceeds cap {cap}$"):
+            lower_bound_ratio(LEBESGUE, ExtremalParams(2.0, 0.1, length), 8)
+    assert calls == []
+    # The dense route's columns stay uncapped.
+    monkeypatch.setattr(certify_module, "HANKEL_CAP", 8)
+    assert lower_bound_ratio(delta_half, ExtremalParams(2.0, 0.1, 9), 8) > 0.0
 
 
 def test_krylov_loop_makes_two_transposed_applies_fewer_than_forward_ones(monkeypatch):
@@ -571,10 +633,11 @@ def test_krylov_loop_makes_two_transposed_applies_fewer_than_forward_ones(monkey
     assert len(backward) == len(forward) - 2
 
 
-def _record_fft_route(monkeypatch, applied):
-    """Record each FFTPlan.apply of certify's plans as ``(name, input values)``.
+def _record_fft_route(monkeypatch, applied, build=fft_plan):
+    """Record each FFTPlan.apply of the plans certify builds with ``build`` as ``(name, input values)``.
 
-    The name is "one-tile" or "tiled", with "^T" for the plan's transpose.
+    The name is "one-tile" or "tiled", with "^T" for the plan's transpose;
+    an apply on any other plan fails.
     """
     apply, transposed = operator.FFTPlan.apply, operator.FFTPlan.transposed
     names = []
@@ -582,9 +645,10 @@ def _record_fft_route(monkeypatch, applied):
     def name_of(plan):
         return next(name for built, name in names if built is plan)
 
-    def recorded_plan(mu, n_rows, n_cols, tiled=False):
-        names.append((fft_plan(mu, n_rows, n_cols, tiled), "tiled" if tiled else "one-tile"))
-        return names[-1][0]
+    def recorded_plan(mu, n_rows, n_cols):
+        plan = build(mu, n_rows, n_cols)
+        names.append((plan, "tiled" if len(plan.tiles) > 1 else "one-tile"))
+        return plan
 
     def recorded_transposed(plan):
         names.append((transposed(plan), name_of(plan) + "^T"))
@@ -597,6 +661,7 @@ def _record_fft_route(monkeypatch, applied):
     monkeypatch.setattr(certify_module, "fft_plan", recorded_plan)
     monkeypatch.setattr(operator.FFTPlan, "transposed", recorded_transposed)
     monkeypatch.setattr(operator.FFTPlan, "apply", recorded_apply)
+    return names
 
 
 def _assert_certified_against_the_dense_norm(mu, size, sigma, rtol):
@@ -606,43 +671,52 @@ def _assert_certified_against_the_dense_norm(mu, size, sigma, rtol):
 
 
 def test_a_rejected_first_image_runs_the_whole_loop_on_the_tiled_plan(monkeypatch):
-    # -1.0 rejects every nonzero one-tile image, v_0's first.
+    # mix2 keeps one tile (its bound at v_0 is 3.2 times the tiled one); the
+    # tiled plan, forced, serves every step and the quotient.
     mu = Measure((JacobiTerm(1.0, -0.5, 0.25), JacobiTerm(0.5, 0.5, -0.25)), ())
-    monkeypatch.setattr(certify_module, "FFT_ROUTE_RTOL", -1.0)
     applied = []
-    _record_fft_route(monkeypatch, applied)
+    _record_fft_route(monkeypatch, applied, lambda *args: operator._fft_plan(*args, True))
     sigma = p2_section_norm(mu, 256)
     names = [name for name, _ in applied]
-    assert names[:2] == ["one-tile", "tiled"]
-    np.testing.assert_array_equal(applied[1][1], applied[0][1])
-    # Step 0 reuses v_0's tiled image, and the quotient starts on the tiled plan.
-    assert set(names[1:]) == {"tiled", "tiled^T"}
+    assert set(names) == {"tiled", "tiled^T"}
     assert names.count("tiled^T") == names.count("tiled") - 2
     _assert_certified_against_the_dense_norm(mu, 256, sigma, 1e-9)
 
 
-def test_a_later_rejection_keeps_the_loop_on_the_one_tile_plan(monkeypatch):
-    # v_0's one-tile image passes the rule (bound/norm 9.3e-10 against
-    # FFT_ROUTE_RTOL = 1e-9) and the top Ritz vector's does not: the loop
-    # stays on the one-tile plan and the quotient is taken on the tiled plan.
-    # A loop that switched plans at step 1 gave the same sigma,
-    # 36.99488245190927, 1.9e-12 relative below norm(S, 2).
-    mu = Measure(
-        (
-            JacobiTerm(2.008275636674005, 1.4819280638927523, -0.15411454766890031),
-            JacobiTerm(1.7657447699476374, -0.7452229680099001, 2.226491179858306),
-        ),
-        (),
-    )
+# The two-term measure's first one-tile image once passed a bound-to-norm
+# test that its top Ritz vector's failed; fft_plan now picks before any apply.
+TWO_TERMS = Measure(
+    (
+        JacobiTerm(2.008275636674005, 1.4819280638927523, -0.15411454766890031),
+        JacobiTerm(1.7657447699476374, -0.7452229680099001, 2.226491179858306),
+    ),
+    (),
+)
+
+
+@pytest.mark.parametrize(
+    "mu,sizes",
+    [
+        (TWO_TERMS, (300,)),
+        (Measure((JacobiTerm(1.0, -0.5, 0.25), JacobiTerm(0.5, 0.5, -0.25)), ()), (256, 1024)),
+        (Measure((JacobiTerm(1.0, 1.0, 1.0),), ()), (256, 512)),
+        (MIXED_CORPUS[5], (256,)),
+    ],
+    ids=["two-terms", "mix2", "t(1-t)dt", "t^2dt+5delta_1"],
+)
+def test_every_apply_of_a_sweep_runs_on_the_blocks_one_plan_or_its_transpose(mu, sizes, monkeypatch):
     applied = []
-    _record_fft_route(monkeypatch, applied)
-    sigma = p2_section_norm(mu, 300)
-    names = [name for name, _ in applied]
-    assert names[-2:] == ["one-tile", "tiled"]
-    np.testing.assert_array_equal(applied[-1][1], applied[-2][1])
-    assert set(names[:-1]) == {"one-tile", "one-tile^T"}
-    assert names.count("one-tile^T") == names.count("one-tile") - 2
-    _assert_certified_against_the_dense_norm(mu, 300, sigma, 1e-11)
+    built = _record_fft_route(monkeypatch, applied)
+    report = convergence_sweep(mu, 2.0, [0.05, 0.3], sizes)
+    # One plan per size serves sigma, its quotient and both ratios; with its
+    # transpose it makes every apply (_record_fft_route fails on any other).
+    plans = [(plan.n_rows, name) for plan, name in built if not name.endswith("^T")]
+    assert [size for size, _ in plans] == list(sizes), plans
+    forward = sum(not name.endswith("^T") for name, _ in applied)
+    # sigma makes two transposed applies fewer than forward ones, and each ratio one forward.
+    assert forward == len(applied) - forward + 4 * len(sizes)
+    for size, sigma in report.sigma_max_series:
+        _assert_certified_against_the_dense_norm(mu, size, sigma, 1e-11)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan])
@@ -768,9 +842,8 @@ MIX_ATOM = Measure(
     ids=["t(1-t)dt", "interior-atom-mixture"],
 )
 def test_p2_sweep_builds_each_size_once(mu, sizes, monkeypatch):
-    # t(1-t)dt's sigma leaves the one-tile plan at both sizes, and so do its
-    # ratios at 512 but not at 128: the tiled plan serves them, and no entry
-    # is built.  The atom mixture is dense throughout; its ratios sum the
+    # t(1-t)dt takes the tiled plan at both sizes, for sigma and the ratios
+    # alike, and builds no entry.  The atom mixture is dense throughout; its ratios sum the
     # section sigma built, with the same bits as the truncated apply.
     eps_grid = (0.05, 0.1, 0.3)
     want_ratios = [
@@ -793,7 +866,7 @@ def test_p2_sweep_builds_each_size_once(mu, sizes, monkeypatch):
     report = convergence_sweep(mu, 2.0, eps_grid, sizes)
     assert sum(entries) == (sum(size * size for size in sizes) if mu.interior_atoms else 0)
     assert truncated == []
-    assert len(plans) == len({args[1:] for args in plans}) <= 2 * len(sizes)
+    assert len(plans) == len({args[1:] for args in plans}) <= len(sizes)
     assert [ratio for *_, ratio in report.ratios] == want_ratios
     assert [sigma for _, sigma in report.sigma_max_series] == want_sigmas
 

@@ -342,7 +342,7 @@ def test_zero_column_fft_plan_maps_to_zero():
 
 
 def _assert_exact_partition(n_rows, n_cols):
-    tiles = np.array([(r.start, r.stop, c.start, c.stop) for r, c in operator._tile_cover(n_rows, n_cols)])
+    tiles = np.array([(r.start, r.stop, c.start, c.stop) for r, c, _ in operator._layout(n_rows, n_cols, True)])
     r0, r1, c0, c1 = tiles.T
     assert (0 <= r0).all() and (r0 < r1).all() and (r1 <= n_rows).all(), (n_rows, n_cols)
     assert (0 <= c0).all() and (c0 < c1).all() and (c1 <= n_cols).all(), (n_rows, n_cols)
@@ -366,7 +366,7 @@ def test_tile_cover_is_an_exact_partition():
 
 def _plan_bytes(plan) -> bytes:
     """Every number a plan holds, as bytes."""
-    parts = [repr((plan.n_rows, plan.n_cols, plan.c0, plan.c1, plan.components))]
+    parts = [repr((plan.n_rows, plan.n_cols, plan.c0, plan.c1))]
     for rows, cols, m, terms in plan.tiles:
         parts.append(repr((rows, cols, m)))
         for row, col, segment, h_2, h_1 in terms:
@@ -393,14 +393,14 @@ def test_memo_hit_equals_a_fresh_build(monkeypatch):
             for tiled in (False, True):
                 values = SequenceVector(rng.uniform(-1.0, 1.0, n_cols))
                 monkeypatch.setattr(operator, "_plan_memo", OrderedDict())
-                fft_plan(mu, n_rows, n_cols, tiled)
+                operator._fft_plan(mu, n_rows, n_cols, tiled)
                 for c in (1.0, 3.0, 2.0**-40):
                     scaled = _scaled(mu, c)
                     count = len(built)
-                    hit = fft_plan(scaled, n_rows, n_cols, tiled)
+                    hit = operator._fft_plan(scaled, n_rows, n_cols, tiled)
                     assert len(built) == count
                     monkeypatch.setattr(operator, "_plan_memo", OrderedDict())
-                    fresh = fft_plan(scaled, n_rows, n_cols, tiled)
+                    fresh = operator._fft_plan(scaled, n_rows, n_cols, tiled)
                     assert _plan_bytes(hit) == _plan_bytes(fresh), (mu, n_rows, tiled, c)
                     for p in (1.0, 2.0, 3.0):
                         (got, got_bound), (want, want_bound) = (plan.apply(values, p) for plan in (hit, fresh))
@@ -421,12 +421,14 @@ def test_memo_hit_raises_the_same_range_error(monkeypatch):
             route()
         messages.append(str(error.value))
     assert messages[0] == messages[1] == messages[2]
-    assert len(operator._plan_memo) == 1
+    # The unit factors and norms are kept; the error came before any spectrum.
+    assert list(operator._plan_memo) == [(0.5, 30.0, 300, 170, None)]
     fft_plan(Measure((JacobiTerm(1.0, 0.5, 30.0),), ()), 300, 170)
+    held = list(operator._plan_memo)
     # A factor that leaves the range without the coefficient keeps nothing.
     with pytest.raises(ValueError, match="float64 range"):
         fft_plan(Measure((JacobiTerm(1.0, 100.0, 80.0),), ()), 20, 30)
-    assert len(operator._plan_memo) == 1
+    assert list(operator._plan_memo) == held
 
 
 def test_memo_holds_at_most_its_budget(monkeypatch):
@@ -437,25 +439,28 @@ def test_memo_holds_at_most_its_budget(monkeypatch):
     for e in range(10, 17):
         size = 1 << e
         for alpha in (1.0, 2.0):
-            fft_plan(Measure((JacobiTerm(1.0, alpha, 1.0),), ()), size, size)
-            # The row and column factors and the spectrum: 8N + 8N + 16(N+1) bytes.
-            fits = 32 * size + 16 <= budget
-            kept += [(alpha, 1.0, size, size, False)] if fits else []
-            held = sum(row.nbytes + col.nbytes + segment.nbytes for _, row, ((col, segment, *_),) in memo.values())
+            operator._fft_plan(Measure((JacobiTerm(1.0, alpha, 1.0),), ()), size, size, False)
+            # The row and column factors, 8N + 8N bytes, and the spectrum, 16(N+1).
+            for tiled, nbytes in ((None, 16 * size), (False, 16 * size + 16)):
+                kept += [(alpha, 1.0, size, size, tiled)] if nbytes <= budget else []
+            held = sum(x.nbytes for value in memo.values() for x in _memo_arrays(value[1]))
             assert held <= budget, (size, held)
             # The least recently used go first; a plan over the budget is not kept.
             assert list(memo) == kept[len(kept) - len(memo) :], (size, list(memo))
     assert 0 < len(memo) < len(kept)
 
 
+def _memo_arrays(value):
+    """The arrays a memo value holds: the row and column factors, or the spectra."""
+    return value[:2] if isinstance(value[-1], tuple) else value
+
+
 def test_memo_arrays_are_read_only():
     mu = Measure((JacobiTerm(1.0, 1.0, 0.5), JacobiTerm(2.0, 0.0, 0.0)), ())
     for tiled in (False, True):
-        plan = fft_plan(mu, 300, 300, tiled)
-        _, row, parts = operator._plan_memo[(1.0, 0.5, 300, 300, tiled)]
-        assert not row.flags.writeable
-        for col, segment, _, _ in parts:
-            assert not col.flags.writeable and not segment.flags.writeable
+        plan = operator._fft_plan(mu, 300, 300, tiled)
+        for key in ((1.0, 0.5, 300, 300, None), (1.0, 0.5, 300, 300, tiled)):
+            assert not any(x.flags.writeable for x in _memo_arrays(operator._plan_memo[key][1]))
         for _, _, _, terms in plan.tiles:
             for _, col, segment, _, _ in terms:
                 with pytest.raises(ValueError, match="read-only"):
@@ -478,10 +483,34 @@ def test_numpy_and_scipy_transforms_give_the_same_plans_and_images(monkeypatch):
                     monkeypatch.setattr(operator, "rfft", fft.rfft)
                     monkeypatch.setattr(operator, "irfft", fft.irfft)
                     monkeypatch.setattr(operator, "_plan_memo", OrderedDict())
-                    plan = fft_plan(mu, size, size, tiled)
+                    plan = operator._fft_plan(mu, size, size, tiled)
                     image, bound = plan.apply(values, 2.0)
                     results.append((_plan_bytes(plan), image.values.tobytes(), bound))
                 assert results[0] == results[1], (mu, size, tiled)
+
+
+def test_the_pick_reads_the_bound_each_tiling_states_at_the_probe(monkeypatch):
+    # fft_plan weighs both tilings from memoized norms; each plan's apply of
+    # the probe, the normalized all-ones vector at p = 2, states the same
+    # bounds up to the rounding of forming b.
+    probed = []
+    stated_bound = operator._stated_bound
+    monkeypatch.setattr(operator, "_stated_bound", lambda *args: probed.append(stated_bound(*args)) or probed[-1])
+    for mu in (m for m in MIXED_CORPUS if not m.interior_atoms and m.jacobi_terms):
+        for n_rows, n_cols in ((256, 256), (300, 170), (2048, 2048)):
+            terms = mu.jacobi_terms
+            units = [operator._unit_plan(term, n_rows, n_cols, {}) for term in terms]
+            probed.clear()
+            operator._picks_tiled.__wrapped__(
+                tuple((t.coeff, norms) for t, (_, _, norms) in zip(terms, units)),
+                mu.atom_at(0.0), mu.atom_at(1.0), n_rows, n_cols,
+            )
+            bounds = list(probed)
+            probe = SequenceVector(np.full(n_cols, 1.0 / math.sqrt(n_cols)))
+            stated = [operator._fft_plan(mu, n_rows, n_cols, tiled).apply(probe, 2.0)[1] for tiled in (False, True)]
+            np.testing.assert_allclose(bounds, stated, rtol=1e-14, err_msg=str((mu, n_rows, n_cols)))
+            picked = len(fft_plan(mu, n_rows, n_cols).tiles) > 1
+            assert picked == (stated[0] > operator._ONE_TILE_BOUND_RATIO * stated[1]), (mu, n_rows, n_cols)
 
 
 def test_fft_apply_rejects_interior_atoms(delta_half):
