@@ -144,7 +144,8 @@ def p2_section_norm(mu: Measure, size: int, tol: float = 1e-10) -> float:
     sound lower bound for the p=2 operator norm.  Every product, the
     quotient's included, runs on the apply pair :class:`_Block` holds
     (:meth:`_Block.sigma`).  sigma_N scales exactly with the measure while
-    the applies stay within the float64 range.
+    the applies stay within the float64 range, and is math.inf only when
+    ``||fl(S x)||_2`` is beyond it.
     """
     return _Block(mu, size, size).sigma(tol)
 
@@ -276,7 +277,7 @@ class _Block:
                 raise ConvergenceError(
                     f"Golub-Kahan-Lanczos did not reach relative tol {tol} "
                     f"within {steps} steps (size {size})",
-                    estimate=math.ldexp(top, e0),
+                    estimate=_ldexp(top, e0),
                 )
             w, _, e = _scaled(backward(basis_u[j]))
             if j + 1 == len(basis_v):
@@ -296,7 +297,8 @@ class _Block:
             image, bound = plan.apply(SequenceVector(x), 2.0)
             norm_y = _norm_2(image.values)
         bound += (size + 4) * _UNIT_ROUNDOFF * norm_y
-        return max(0.0, norm_y - bound) / float(np.linalg.norm(x))
+        # A norm beyond float64 makes the bound inf too; sigma_N is beyond it as well.
+        return max(0.0, norm_y - bound) / float(np.linalg.norm(x)) if norm_y < math.inf else math.inf
 
 
 def _norm_2(x: np.ndarray) -> float:

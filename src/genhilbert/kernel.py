@@ -88,13 +88,21 @@ def jacobi_factors(term: JacobiTerm, n, k, d) -> tuple[np.ndarray, np.ndarray, n
     element is the largest.  A row or column factor whose exponent is 0 is
     a read-only zero-stride constant (``coeff`` for beta = 0, 1.0 for
     alpha = 0): ``(x)_0`` is exactly 1.0, so its values are those of the
-    product, and no array of ones is stored.  Raises ``ValueError`` when a
-    factor leaves the float64 range.  The row factor is
-    :func:`_unit_factors`' times ``coeff`` (:func:`_scaled_row`), the split
-    the FFT plans' memo in :mod:`genhilbert.operator` keeps apart.
+    product, and no array of ones is stored.  Raises ``ValueError``, naming
+    ``term`` and the largest diagonal, when a factor leaves the float64
+    range.
     """
-    row, col, hankel = _unit_factors(term, n, k, d)
-    return _scaled_row(term, row, d[-1]), col, hankel
+    if term.beta == 0.0:
+        row = np.broadcast_to(float(term.coeff), np.shape(n))
+    else:
+        # An overflow here is reported by the range error below.
+        with np.errstate(over="ignore"):
+            row = term.coeff * _rising(n, term.beta)
+    col = _rising(k, term.alpha)
+    hankel = 1.0 / _rising(d, term.alpha + term.beta + 1.0)
+    if not (np.isfinite(row).all() and np.isfinite(col).all() and hankel.min() >= _TINY):
+        raise _range_error(term, d[-1])
+    return row, col, hankel
 
 
 def _rising(x, exponent: float) -> np.ndarray:
@@ -121,37 +129,6 @@ def _rising(x, exponent: float) -> np.ndarray:
         for j in range(m - 2, -1, -1):
             r *= a + j
     return r
-
-
-def _unit_factors(term: JacobiTerm, n, k, d) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`jacobi_factors` with coeff 1; they depend on alpha and beta only.
-
-    Raises ``ValueError``, naming ``term``, when the column or diagonal
-    factor leaves the float64 range.
-    """
-    row = _rising(n, term.beta)
-    col = _rising(k, term.alpha)
-    hankel = 1.0 / _rising(d, term.alpha + term.beta + 1.0)
-    if not (np.isfinite(col).all() and hankel.min() >= _TINY):
-        raise _range_error(term, d[-1])
-    return row, col, hankel
-
-
-def _scaled_row(term: JacobiTerm, unit_row: np.ndarray, d_max) -> np.ndarray:
-    """``coeff * unit_row``, a zero-stride constant where ``unit_row`` is one (beta = 0).
-
-    Raises ``ValueError``, naming ``term`` and the largest diagonal
-    ``d_max``, when the product leaves the float64 range.
-    """
-    if term.beta == 0.0:
-        row = np.broadcast_to(float(term.coeff), unit_row.shape)
-    else:
-        # An overflow here is reported by the range error below.
-        with np.errstate(over="ignore"):
-            row = term.coeff * unit_row
-    if not np.isfinite(row).all():
-        raise _range_error(term, d_max)
-    return row
 
 
 def _range_error(term: JacobiTerm, d_max) -> ValueError:
@@ -194,8 +171,9 @@ def entry_block(mu: Measure, n, k) -> np.ndarray:
             return as_strided(h, out.shape, (h.strides[0],) * 2, writeable=False)
 
     else:
-        d, diag = np.unique(n + k, return_inverse=True)
-        d = d.astype(np.float64)
+        # n + k cannot wrap in uint64; the factors read d in float64, as the
+        # grid's, and a range error names the exact largest diagonal.
+        d, diag = np.unique(n.astype(np.uint64) + k.astype(np.uint64), return_inverse=True)
         diag = diag.reshape(out.shape)
 
         def diagonal(h):

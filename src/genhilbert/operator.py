@@ -14,11 +14,10 @@ bound near its own rows' image where the factors grow or shrink.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.fft import irfft, rfft
@@ -26,9 +25,9 @@ from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConvergenceError, ResourceLimitError
 from .kernel import (
-    _TINY, _UNIT_ROUNDOFF, DEFAULT_SECTION_CAP, _check_size, _scaled_row, _unit_factors, entry_block,
+    _TINY, _UNIT_ROUNDOFF, DEFAULT_SECTION_CAP, _check_size, _range_error, entry_block, jacobi_factors,
 )
-from .measure import LEBESGUE, JacobiTerm, Measure
+from .measure import LEBESGUE, Atom, JacobiTerm, Measure
 from .norms import parse_sequence_csv, validate_p
 
 __all__ = [
@@ -307,23 +306,6 @@ _DENSE_TILE_ENTRIES = 4096
 _ONE_TILE_BOUND_RATIO = 256
 
 
-@functools.lru_cache(maxsize=256)
-def _picks_tiled(terms: tuple, c0: float, c1: float, n_rows: int, n_cols: int) -> bool:
-    """Whether :func:`fft_plan` takes the tiled plan, from each term's ``(coeff, norms)`` (:func:`_unit_plan`).
-
-    It does iff the one-tile plan's stated bound at the probe a = 1/sqrt(K), p = 2 (b = E/sqrt(K),
-    |a[0]| = 1/sqrt(K), ||a||_1 = sqrt(K)) is above ``_ONE_TILE_BOUND_RATIO`` times the tiled plan's.
-    """
-    q, bounds = 1.0 / math.sqrt(n_cols), []
-    for tiled in (False, True):
-        tiles = [(r, m, c.stop - c.start, []) for r, c, m in _layout(n_rows, n_cols, tiled)]
-        for coeff, norms in terms:
-            for (*_, parts), (d, h_2, h_1, b_1, b_2, e) in zip(tiles, norms[tiled]):
-                parts.append((coeff * d, h_2, h_1, q * b_1, q * b_2, e))
-        bounds.append(_stated_bound(tiles, (c0, c1, q, n_cols * q), n_rows, n_cols, 2.0))
-    return not bounds[0] <= _ONE_TILE_BOUND_RATIO * bounds[1]
-
-
 def _layout(n_rows: int, n_cols: int, tiled: bool) -> list[tuple[slice, slice, int]]:
     """A plan's tiles: disjoint ``(rows, cols, m)`` that cover ``[0, n_rows) x [0, n_cols)``.
 
@@ -359,8 +341,9 @@ class FFTPlan:
     returns.  ``h`` is the Hankel factor over the tile's diagonals,
     ``segment`` its spectrum ``rfft(h, m)`` or, when m is 0, the dense
     matrix ``h[i + j]`` of the tile's shape, and ``h_2``, ``h_1`` its 2- and
-    1-norms.  ``c0`` and ``c1`` are the endpoint masses.  Build one with
-    :func:`fft_plan`.
+    1-norms.  ``c0`` and ``c1`` are the endpoint masses.  All of these are a
+    measure nu's, and the plan is that of ``2**scale`` times nu
+    (:meth:`apply`).  Build one with :func:`fft_plan`.
     """
 
     n_rows: int
@@ -368,6 +351,7 @@ class FFTPlan:
     tiles: tuple
     c0: float
     c1: float
+    scale: int = 0
 
     def transposed(self) -> FFTPlan:
         """The plan of the transposed matrix: each tile's ranges and factors swap, and so do c0 and c1."""
@@ -375,7 +359,7 @@ class FFTPlan:
             (cols, rows, m, tuple((col, row, seg if m else seg.T, *norms) for row, col, seg, *norms in terms))
             for rows, cols, m, terms in self.tiles
         )
-        return FFTPlan(self.n_cols, self.n_rows, tiles, self.c1, self.c0)
+        return FFTPlan(self.n_cols, self.n_rows, tiles, self.c1, self.c0, self.scale)
 
     def apply(self, a: SequenceVector, p: float) -> tuple[SequenceVector, float]:
         """The image of ``a`` (length ``n_cols``) in O(M log M) and an a-priori ell-p error bound.
@@ -391,7 +375,10 @@ class FFTPlan:
         power of two that long.  A dense tile (m = 0) forms c as the product
         of its matrix ``h[i+j]`` with b.  The image is finite whenever it is
         within the float64 range.  An atom at 0 adds ``c0 * a[0]`` to every
-        row, an atom at 1 adds ``c1 * sum(a)`` to row 0.
+        row, an atom at 1 adds ``c1 * sum(a)`` to row 0.  The image and the
+        bound are then multiplied by ``2**scale``; that is exact while they
+        stay in the float64 range, so both equal those of the scaled
+        measure's own plan bit for bit, and beyond it they are inf.
 
         The bound majorizes ``||y_fft - y||_p``, where ``y`` is the exact
         product of the entries :func:`~genhilbert.kernel.entry_block` returns
@@ -480,7 +467,9 @@ class FFTPlan:
             # them moves every row toward its exact value.
             np.maximum(out, 0.0, out=out)
         atoms = (c0, c1, abs(values[0]), np.abs(values).sum() if c1 > 0 else 0.0)
-        return SequenceVector(out), _stated_bound(tiles, atoms, n_rows, K, p)
+        with np.errstate(over="ignore"):
+            np.ldexp(out, self.scale, out=out)
+        return SequenceVector(out), _ldexp(_stated_bound(tiles, atoms, n_rows, K, p), self.scale)
 
 
 def _stated_bound(tiles, atoms, n_rows: int, K: int, p: float) -> float:
@@ -515,20 +504,16 @@ def fft_plan(mu: Measure, n_rows: int, n_cols: int) -> FFTPlan:
     taken at the probe, the normalized all-ones vector at p = 2, and the
     one-tile plan, the faster apply, is kept iff its bound is at most
     ``_ONE_TILE_BOUND_RATIO`` times the tiled plan's.  Interior atoms raise
-    ``ValueError``, factors outside the float64 range too.  ``n_rows`` is
-    checked as every size is; ``n_cols`` must be an integer from 0 to
-    ``HANKEL_CAP``.
+    ``ValueError``, factors outside the float64 range too, naming ``mu``'s
+    own term.  ``n_rows`` is checked as every size is; ``n_cols`` must be an
+    integer from 0 to ``HANKEL_CAP``.
 
-    Only the row factor depends on a term's coefficient, which each call
-    multiplies in and range-checks; the rest is kept for the life of the
-    process (:func:`_unit_plan`), spectra only for a picked tiling, so
-    ``c*dt`` at one size builds its spectrum once for every c.
+    One plan per ``(nu, n_rows, n_cols)``, ``mu = 2**e * nu``
+    (:func:`_binary_scale`), is kept and serves ``mu`` with scale e, so
+    every power-of-two multiple of a measure shares it.  The memo keeps the
+    newest plan and, least recently used out first, others up to
+    ``_PLAN_MEMO_BYTES`` in all; a call that raises leaves it unchanged.
     """
-    return _fft_plan(mu, n_rows, n_cols)
-
-
-def _fft_plan(mu: Measure, n_rows: int, n_cols: int, tiled: bool | None = None) -> FFTPlan:
-    """:func:`fft_plan`, with the tiling forced to ``tiled`` unless it is None."""
     if mu.interior_atoms:
         raise ValueError("the FFT apply takes density terms and endpoint atoms only")
     _check_size(n_rows, HANKEL_CAP)
@@ -536,76 +521,108 @@ def _fft_plan(mu: Measure, n_rows: int, n_cols: int, tiled: bool | None = None) 
         raise ValueError(f"n_cols must be an integer >= 0, got {n_cols}")
     if n_cols > HANKEL_CAP:
         raise ResourceLimitError(f"size {n_cols} exceeds cap {HANKEL_CAP}")
-    c0, c1, terms = mu.atom_at(0.0), mu.atom_at(1.0), mu.jacobi_terms
-    if not n_cols:
-        return FFTPlan(n_rows, n_cols, (), c0, c1)
-    built = {}
-    units = [_unit_plan(term, n_rows, n_cols, built) for term in terms]
-    rows = [_scaled_row(term, row, n_rows + n_cols - 2) for term, (row, _, _) in zip(terms, units)]
-    if tiled is None:
-        tiled = _picks_tiled(tuple((t.coeff, norms) for t, (_, _, norms) in zip(terms, units)), c0, c1, n_rows, n_cols)
-    tiles = [(r, c, m, []) for r, c, m in _layout(n_rows, n_cols, tiled)]
-    for term, row, (_, col, norms) in zip(terms, rows, units):
-        spectra = _unit_plan(term, n_rows, n_cols, built, tiled)
-        for (r, c, _, parts), segment, (_, h_2, h_1, *_) in zip(tiles, spectra, norms[tiled]):
-            parts.append((row[r], col[c], segment, h_2, h_1))
-    return FFTPlan(n_rows, n_cols, tuple((r, c, m, tuple(parts)) for r, c, m, parts in tiles), c0, c1)
+    # nu's rows can leave the float64 range where mu's do not, and mu's own
+    # build names mu's own term: a failed build of nu is retried as mu's.
+    for nu, e in (_binary_scale(mu), (mu, 0)):
+        key = (nu, n_rows, n_cols)
+        try:
+            entry = _plan_memo.get(key) or _build_plan(nu, n_rows, n_cols)
+            break
+        except ValueError:
+            if not e:
+                raise
+    plan, _, row_max = entry
+    for term, top in zip(mu.jacobi_terms, row_max):
+        if _ldexp(top, e) == math.inf:
+            raise _range_error(term, n_rows + n_cols - 2)
+    _plan_memo[key] = entry
+    _plan_memo.move_to_end(key)
+    while len(_plan_memo) > 1 and sum(held for _, held, _ in _plan_memo.values()) > _PLAN_MEMO_BYTES:
+        _plan_memo.popitem(last=False)
+    return replace(plan, scale=e) if e else plan
 
 
-#: Bytes of coefficient-free plan data :func:`fft_plan` keeps for the life of the process.
+#: Bytes of plan arrays :func:`fft_plan` keeps for the life of the process besides the newest plan.
 _PLAN_MEMO_BYTES = 64 << 20
 
-# (alpha, beta, n_rows, n_cols, tiled) -> (bytes held, value), least recently used first.
+# (nu, n_rows, n_cols) -> (plan, bytes held, each term's row maximum), least recently used first.
 _plan_memo: OrderedDict = OrderedDict()
 
 
-def _unit_plan(term: JacobiTerm, n_rows: int, n_cols: int, built: dict, tiled: bool | None = None) -> tuple:
-    """One density term's plan data for coeff 1, memoized under ``(alpha, beta, n_rows, n_cols, tiled)``.
+def _binary_scale(mu: Measure) -> tuple[Measure, int]:
+    """``(nu, e)`` with ``mu = 2**e * nu`` exactly and nu's first coefficient or mass in [1, 2).
 
-    With ``tiled`` None: ``(row, col, norms)``, the row and column factors
-    and ``norms[t]``, per tile of either tiling t, the row factor's max, the
-    2- and 1-norms of the Hankel factor h over the tile's diagonals, and
-    :func:`_norms_1_2` of its column factor.  Otherwise, per tile of that
-    tiling, ``rfft(h, m)`` or (m = 0) the dense matrix ``h[i + j]``.  A miss
-    builds the factors once per ``built``, one plan's dict.  The memo keeps
-    at most ``_PLAN_MEMO_BYTES`` of arrays, read-only (a zero-stride constant
-    counts nothing), and evicts the least recently used first.
+    e is 0, and nu is ``mu``, when ``mu`` has no weight or a weight of nu
+    would leave the normal float64 range.
     """
-    key = (term.alpha, term.beta, n_rows, n_cols, tiled)
-    if key in _plan_memo:
-        _plan_memo.move_to_end(key)
-        return _plan_memo[key][1]
-    if (term.alpha, term.beta) not in built:
-        # The indices live with the factors until the plan is built: freed earlier, they left later
-        # applies' large temporaries where each free returns them to the system (c*dt at 2^20: 17% slower).
-        n, k, d = np.arange(n_rows), np.arange(n_cols), np.arange(n_rows + n_cols - 1.0)
-        built[term.alpha, term.beta] = (n, k, d), _unit_factors(term, n, k, d)
-    row, col, hankel = built[term.alpha, term.beta][1]
-    if tiled is None:
-        norms = tuple(
-            tuple(
-                (float(row[r].max()), float(np.linalg.norm(h)), float(h.sum()), *_norms_1_2(col[c]))
-                for r, c, _ in _layout(n_rows, n_cols, t)
+    exponents = [math.frexp(w)[1] for w in [t.coeff for t in mu.jacobi_terms] + [a.mass for a in mu.atoms]]
+    e = exponents[0] - 1 if exponents else 0
+    if not e or not all(-1021 <= x - e <= 1024 for x in exponents):
+        return mu, 0
+    terms = tuple(JacobiTerm(math.ldexp(t.coeff, -e), t.alpha, t.beta) for t in mu.jacobi_terms)
+    return Measure(terms, tuple(Atom(a.location, math.ldexp(a.mass, -e)) for a in mu.atoms)), e
+
+
+def _build_plan(mu: Measure, n_rows: int, n_cols: int, tiled: bool | None = None) -> tuple[FFTPlan, int, tuple]:
+    """``mu``'s plan from nothing, the bytes of its arrays and each term's row maximum.
+
+    The factors come from one :func:`~genhilbert.kernel.jacobi_factors`
+    call per term, and spectra only for the tiling :func:`fft_plan` picks,
+    or for ``tiled`` when it is not None.  Every array is read-only; a
+    zero-stride constant counts no bytes.
+    """
+    c0, c1 = mu.atom_at(0.0), mu.atom_at(1.0)
+    if not n_cols:
+        return FFTPlan(n_rows, n_cols, (), c0, c1), 0, ()
+    # The indices live with the factors until the plan is built: freed earlier, they left later
+    # applies' large temporaries where each free returns them to the system (c*dt at 2^20: 17% slower).
+    n, k, d = np.arange(n_rows), np.arange(n_cols), np.arange(n_rows + n_cols - 1.0)
+    factors = [jacobi_factors(term, n, k, d) for term in mu.jacobi_terms]
+    for row, col, _ in factors:
+        # Before any view is taken: views inherit it.
+        row.flags.writeable = col.flags.writeable = False
+    # Per tiling, per tile (rows, cols, m) and term: the Hankel factor h over
+    # the tile's diagonals, the row factor's max, h's 2- and 1-norms and
+    # _norms_1_2 of the column factor.
+    norms = {
+        t: [
+            ((r, c, m), [
+                (h, float(row[r].max()), float(np.linalg.norm(h)), float(h.sum()), *_norms_1_2(col[c]))
+                for row, col, hankel in factors
                 for h in [hankel[r.start + c.start : r.stop + c.stop - 1]]
+            ])
+            for r, c, m in _layout(n_rows, n_cols, t)
+        ]
+        for t in (False, True)
+    }
+    if tiled is None:
+        # The probe a = 1/sqrt(K) at p = 2: b = E/sqrt(K), |a[0]| = 1/sqrt(K), ||a||_1 = sqrt(K).
+        q = 1.0 / math.sqrt(n_cols)
+        bounds = [
+            _stated_bound(
+                [
+                    (r, m, c.stop - c.start,
+                     [(d, h_2, h_1, q * b_1, q * b_2, e) for _, d, h_2, h_1, b_1, b_2, e in parts])
+                    for (r, c, m), parts in norms[t]
+                ],
+                (c0, c1, q, n_cols * q), n_rows, n_cols, 2.0,
             )
             for t in (False, True)
-        )
-        value, arrays = (row, col, norms), [row, col]
-    else:
-        arrays = []
-        for r, c, m in _layout(n_rows, n_cols, tiled):
+        ]
+        tiled = not bounds[0] <= _ONE_TILE_BOUND_RATIO * bounds[1]
+    tiles, nbytes = [], sum(x.nbytes for row, col, _ in factors for x in (row, col) if x.strides[-1])
+    for (r, c, m), parts in norms[tiled]:
+        terms = []
+        for (row, col, _), (h, _, h_2, h_1, *_) in zip(factors, parts):
             shape = (r.stop - r.start, c.stop - c.start)
-            h = hankel[r.start + c.start : r.stop + c.stop - 1]
-            arrays.append(rfft(h, m) if m else as_strided(h, shape, h.strides * 2).copy())
-        value = tuple(arrays)
-    for x in arrays:
-        x.flags.writeable = False
-    nbytes = sum(x.nbytes for x in arrays if x.strides[-1])
-    if nbytes <= _PLAN_MEMO_BYTES:
-        _plan_memo[key] = (nbytes, value)
-        while sum(entry[0] for entry in _plan_memo.values()) > _PLAN_MEMO_BYTES:
-            _plan_memo.popitem(last=False)
-    return value
+            segment = rfft(h, m) if m else as_strided(h, shape, h.strides * 2).copy()
+            segment.flags.writeable = False
+            nbytes += segment.nbytes
+            terms.append((row[r], col[c], segment, h_2, h_1))
+        tiles.append((r, c, m, tuple(terms)))
+    # The one tile covers every row.
+    row_max = tuple(top for _, top, *_ in norms[False][0][1])
+    return FFTPlan(n_rows, n_cols, tuple(tiles), c0, c1), nbytes, row_max
 
 
 def hankel_fast_apply(a: SequenceVector, n_rows: int) -> SequenceVector:

@@ -171,7 +171,7 @@ def test_fft_route_error_within_its_stated_bound_and_ratio_sound():
 
 def _force_tiling(patch, tiled):
     """Make every plan certify builds the one-tile (False) or the tiled (True) plan."""
-    patch.setattr(certify_module, "fft_plan", lambda mu, n_rows, n_cols: operator._fft_plan(mu, n_rows, n_cols, tiled))
+    patch.setattr(certify_module, "fft_plan", lambda *args: operator._build_plan(*args, tiled)[0])
 
 
 def test_tiled_image_and_its_transpose_within_their_stated_bounds(monkeypatch):
@@ -190,7 +190,7 @@ def test_tiled_image_and_its_transpose_within_their_stated_bounds(monkeypatch):
         sizes = np.exp(rng.uniform(0.0, math.log(3000), size=2)).astype(int)
         n_rows, K = (3000, 3000) if case == 0 else map(int, sizes)
         p = float(rng.choice([1.0, 1.5, 2.0, 3.0]))
-        plan = operator._fft_plan(mu, n_rows, K, True)
+        plan = operator._build_plan(mu, n_rows, K, True)[0]
         for transposed in (False, True):
             rows, cols = (K, n_rows) if transposed else (n_rows, K)
             values = rng.uniform(-1.0, 1.0, cols) if case % 2 else np.arange(1.0, cols + 1.0) ** -0.6
@@ -576,22 +576,36 @@ def test_sigma_of_growing_factors_with_endpoint_atoms_within_1e12_of_the_dense_n
     ids=["t(1-t)dt", "c*dt", "mix2"],
 )
 def test_a_sweep_transforms_on_the_picked_tiling_alone(mu, tiled, monkeypatch):
-    # No spectrum is built, and no apply made, for the tiling not picked.
+    # No spectrum is built, and no apply made, for the tiling not picked;
+    # the sweeps at both p share one kept plan.
     monkeypatch.setattr(operator, "_plan_memo", OrderedDict())
-    applied = set()
-    apply = operator.FFTPlan.apply
+    applied, builds, spectra = set(), [], [0]
+    apply, build, rfft = operator.FFTPlan.apply, operator._build_plan, operator.rfft
 
     def recorded_apply(plan, a, p):
         applied.add(len(plan.tiles) > 1)
         return apply(plan, a, p)
 
+    def recorded_build(*args):
+        builds.append(None)
+        builds[-1] = build(*args)
+        return builds[-1]
+
+    def recorded_rfft(*args):
+        # A transform made while a plan is built is one of its spectra.
+        spectra[0] += builds[-1:] == [None]
+        return rfft(*args)
+
     monkeypatch.setattr(operator.FFTPlan, "apply", recorded_apply)
+    monkeypatch.setattr(operator, "_build_plan", recorded_build)
+    monkeypatch.setattr(operator, "rfft", recorded_rfft)
     for p in (1.5, 2.0):
         convergence_sweep(mu, p, [0.1], [2048])
     assert applied == {tiled}
-    terms = [(term.alpha, term.beta) for term in mu.jacobi_terms]
-    assert [key[:2] for key in operator._plan_memo if key[4] is not None] == terms
-    assert all(key[2:] in ((2048, 2048, None), (2048, 2048, tiled)) for key in operator._plan_memo)
+    # One build, whose transforms are the picked tiling's spectra: one per FFT tile and term.
+    (plan, _, _), = builds
+    assert spectra[0] == sum(bool(m) for _, _, m, _ in plan.tiles) * len(mu.jacobi_terms) > 0
+    assert [key[1:] for key in operator._plan_memo] == [(2048, 2048)]
 
 
 def test_ratio_checks_the_column_cap_before_it_builds_the_sequence(delta_half, monkeypatch):
@@ -675,7 +689,7 @@ def test_a_rejected_first_image_runs_the_whole_loop_on_the_tiled_plan(monkeypatc
     # tiled plan, forced, serves every step and the quotient.
     mu = Measure((JacobiTerm(1.0, -0.5, 0.25), JacobiTerm(0.5, 0.5, -0.25)), ())
     applied = []
-    _record_fft_route(monkeypatch, applied, lambda *args: operator._fft_plan(*args, True))
+    _record_fft_route(monkeypatch, applied, lambda *args: operator._build_plan(*args, True)[0])
     sigma = p2_section_norm(mu, 256)
     names = [name for name, _ in applied]
     assert set(names) == {"tiled", "tiled^T"}
@@ -779,6 +793,27 @@ def test_sigma_of_a_measure_at_the_float64_limit_scales_exactly(size):
         want = math.ldexp(p2_section_norm(LEBESGUE, size), 1020)
         got = p2_section_norm(_times_power_of_two(LEBESGUE, 1020), size)
     assert got == want
+
+
+def test_sigma_beyond_float64_is_inf_on_both_routes():
+    # ||S x||_2 is inf here, and the quotient subtracted (N + 4) u ||S x||_2
+    # from it: inf - inf read as 0.0, though lower_bound_ratio gave inf.
+    fft = _times_power_of_two(LEBESGUE, 1023)
+    dense = Measure((JacobiTerm(2.0**1022, 0.0, 0.0),), (Atom(0.5, 2.0**1022),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert np.isfinite(finite_section(dense, 300).entries).all()
+        for mu in (fft, dense):
+            assert p2_section_norm(mu, 300) == math.inf, mu
+            assert lower_bound_ratio(mu, ExtremalParams(2.0, 0.1, 300), 300) == math.inf, mu
+
+
+def test_krylov_cap_estimate_beyond_float64_is_inf(monkeypatch):
+    # The estimate 2**e0 times the top Ritz value raised OverflowError.
+    monkeypatch.setattr(certify_module, "_KRYLOV_STEP_CAP", 2)
+    with pytest.raises(ConvergenceError) as exc_info:
+        p2_section_norm(_times_power_of_two(LEBESGUE, 1023), 300)
+    assert exc_info.value.estimate == math.inf
 
 
 def test_transposed_plan_applies_the_reflected_measure():

@@ -393,6 +393,20 @@ def test_entry_indices_beyond_intp_are_usage_errors(capsys, lebesgue_file):
     assert code == 0 and float(out) == entry(LEBESGUE, sys.maxsize, 0)
 
 
+def test_entry_at_the_largest_indices_names_the_true_diagonal(capsys, tmp_path):
+    # n + k wrapped in intp: this printed inf with exit 0.
+    index = str(sys.maxsize)
+    for name, (alpha, beta) in (("half.json", (0.5, 0.25)), ("steep.json", (10.0, 10.0))):
+        path = tmp_path / name
+        path.write_text(measure_to_json(Measure((JacobiTerm(1.0, alpha, beta),), ())), encoding="utf-8")
+        code, out, err = run(capsys, "entry", "--measure", str(path), "--n", index, "--k", index)
+        if alpha < 1.0:
+            assert code == 0 and 0.0 < float(out) < 1e-19, out
+        else:
+            assert code == 1 and out == "" and err.startswith("error:")
+            assert f"n+k <= {2 * sys.maxsize}" in err
+
+
 def test_unknown_flag_exits_two(lebesgue_file):
     with pytest.raises(SystemExit) as exc_info:
         main(["entry", "--measure", lebesgue_file, "--n", "0", "--k", "0", "--bogus"])

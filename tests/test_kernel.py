@@ -231,6 +231,19 @@ def test_entry_block_rejects_indices_beyond_intp(n):
         entry_block(LEBESGUE, n, 0)
 
 
+def test_entry_at_the_largest_indices_does_not_wrap():
+    # n + k of two intp indices wrapped past 2**63 - 1 to -2: the entry read
+    # inf and a range error named n+k <= -9223372036854775808.
+    top = 2**63 - 1
+    mu = Measure((JacobiTerm(1.0, 0.5, 0.25),), ())
+    # (n+1)_0.25 (k+1)_0.5 / (n+k+1)_1.75 at n = k = 2**63 - 1, from mpmath at 30 digits.
+    assert entry(mu, top, top) == pytest.approx(3.22335234405292323e-20, rel=1e-12, abs=0)
+    np.testing.assert_array_equal(entry_block(mu, [top, 3], [top, 4]), [entry(mu, top, top), entry(mu, 3, 4)])
+    steep = Measure((JacobiTerm(1.0, 10.0, 10.0),), ())
+    with pytest.raises(ValueError, match=r"at n\+k <= 18446744073709551614$"):
+        entry(steep, top, top)
+
+
 def test_no_special_function_call_per_entry(monkeypatch):
     """Factors are evaluated per row, column and diagonal, never per entry.
 

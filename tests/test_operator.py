@@ -381,92 +381,170 @@ def _scaled(mu, c):
     )
 
 
+def _count_builds(monkeypatch):
+    """Count every factor call and every transform ``operator`` makes, as ``{"factors": n, "rfft": n}``."""
+    calls = {"factors": 0, "rfft": 0}
+    jacobi_factors, rfft = operator.jacobi_factors, operator.rfft
+
+    def counted_factors(*args):
+        calls["factors"] += 1
+        return jacobi_factors(*args)
+
+    def counted_rfft(*args):
+        calls["rfft"] += 1
+        return rfft(*args)
+
+    monkeypatch.setattr(operator, "jacobi_factors", counted_factors)
+    monkeypatch.setattr(operator, "rfft", counted_rfft)
+    return calls
+
+
+def _assert_same_applies(plan, reference, rng):
+    """``plan`` and ``reference`` give the same images and bounds bit for bit, and so do their transposes."""
+    for got_plan, want_plan in ((plan, reference), (plan.transposed(), reference.transposed())):
+        for sign in (0.0, 1.0):
+            values = SequenceVector(rng.uniform(-sign, 1.0, want_plan.n_cols))
+            for p in (1.0, 2.0, 3.0):
+                (got, got_bound), (want, want_bound) = (q.apply(values, p) for q in (got_plan, want_plan))
+                assert got.values.tobytes() == want.values.tobytes() and got_bound == want_bound
+
+
 def test_memo_hit_equals_a_fresh_build(monkeypatch):
-    # A plan read from the memo holds, and computes, the same bits as one
-    # built from nothing, whatever coefficient the memo's data last served.
-    built = []
-    unit_factors = operator._unit_factors
-    monkeypatch.setattr(operator, "_unit_factors", lambda *args: built.append(args) or unit_factors(*args))
+    # A plan read from the memo holds the same bits as one built from an
+    # empty memo, and computes the same bits as the measure's own plan,
+    # whatever multiple of the measure the memo's plan was built for.
+    calls = _count_builds(monkeypatch)
     rng = np.random.default_rng(14)
     for mu in (m for m in MIXED_CORPUS if not m.interior_atoms):
         for n_rows, n_cols in ((7, 7), (300, 170)):
-            for tiled in (False, True):
-                values = SequenceVector(rng.uniform(-1.0, 1.0, n_cols))
+            for c in (1.0, 3.0, 2.0**-40):
                 monkeypatch.setattr(operator, "_plan_memo", OrderedDict())
-                operator._fft_plan(mu, n_rows, n_cols, tiled)
-                for c in (1.0, 3.0, 2.0**-40):
-                    scaled = _scaled(mu, c)
-                    count = len(built)
-                    hit = operator._fft_plan(scaled, n_rows, n_cols, tiled)
-                    assert len(built) == count
-                    monkeypatch.setattr(operator, "_plan_memo", OrderedDict())
-                    fresh = operator._fft_plan(scaled, n_rows, n_cols, tiled)
-                    assert _plan_bytes(hit) == _plan_bytes(fresh), (mu, n_rows, tiled, c)
-                    for p in (1.0, 2.0, 3.0):
-                        (got, got_bound), (want, want_bound) = (plan.apply(values, p) for plan in (hit, fresh))
-                        assert got.values.tobytes() == want.values.tobytes() and got_bound == want_bound
+                fft_plan(mu, n_rows, n_cols)
+                scaled = _scaled(mu, c)
+                count = dict(calls)
+                hit = fft_plan(scaled, n_rows, n_cols)
+                if c != 3.0:
+                    assert calls == count, (mu, c)
+                monkeypatch.setattr(operator, "_plan_memo", OrderedDict())
+                fresh = fft_plan(scaled, n_rows, n_cols)
+                assert _plan_bytes(hit) == _plan_bytes(fresh) and hit.scale == fresh.scale, (mu, n_rows, c)
+                _assert_same_applies(hit, operator._build_plan(scaled, n_rows, n_cols)[0], rng)
+
+
+def test_power_of_two_multiples_share_one_plan(monkeypatch):
+    # 2**-40 ... 2**40 times a measure read the plan built for the first of
+    # them, with no factor and no transform, and scale its images exactly.
+    calls = _count_builds(monkeypatch)
+    rng = np.random.default_rng(18)
+    for mu in (m for m in MIXED_CORPUS if not m.interior_atoms and (m.jacobi_terms or m.atoms)):
+        monkeypatch.setattr(operator, "_plan_memo", OrderedDict())
+        first = fft_plan(_scaled(mu, 2.0**-40), 300, 170)
+        count = dict(calls)
+        for k in range(-40, 41):
+            plan = fft_plan(_scaled(mu, 2.0**k), 300, 170)
+            assert plan.tiles is first.tiles and plan.scale - first.scale == k + 40, (mu, k)
+        assert calls == count and len(operator._plan_memo) == 1, mu
+        for k in (-40, 0, 40):
+            scaled = _scaled(mu, 2.0**k)
+            _assert_same_applies(fft_plan(scaled, 300, 170), operator._build_plan(scaled, 300, 170)[0], rng)
 
 
 def test_memo_hit_raises_the_same_range_error(monkeypatch):
-    # The unit factors fit float64 and are kept; coeff times the row does not.
     monkeypatch.setattr(operator, "_plan_memo", OrderedDict())
-    big = Measure((JacobiTerm(1e300, 0.5, 30.0),), ())
-    messages = []
-    for route in (
-        lambda: fft_plan(big, 300, 170),
-        lambda: fft_plan(big, 300, 170),
-        lambda: apply_truncated(big, SequenceVector(np.ones(170)), 300),
-    ):
+
+    def message(route):
+        held = list(operator._plan_memo)
         with pytest.raises(ValueError, match="float64 range") as error:
             route()
-        messages.append(str(error.value))
-    assert messages[0] == messages[1] == messages[2]
-    # The unit factors and norms are kept; the error came before any spectrum.
-    assert list(operator._plan_memo) == [(0.5, 30.0, 300, 170, None)]
-    fft_plan(Measure((JacobiTerm(1.0, 0.5, 30.0),), ()), 300, 170)
-    held = list(operator._plan_memo)
-    # A factor that leaves the range without the coefficient keeps nothing.
-    with pytest.raises(ValueError, match="float64 range"):
-        fft_plan(Measure((JacobiTerm(1.0, 100.0, 80.0),), ()), 20, 30)
-    assert list(operator._plan_memo) == held
+        # A call that raises leaves the memo as it was.
+        assert list(operator._plan_memo) == held
+        return str(error.value)
+
+    # coeff times the row leaves float64; a power-of-two multiple of the
+    # measure fits, and its plan is kept.
+    big = Measure((JacobiTerm(1e300, 0.5, 30.0),), ())
+    small = Measure((JacobiTerm(math.ldexp(1e300, -1000), 0.5, 30.0),), ())
+    dense = message(lambda: apply_truncated(big, SequenceVector(np.ones(170)), 300))
+    miss = message(lambda: fft_plan(big, 300, 170))
+    fft_plan(small, 300, 170)
+    hit = message(lambda: fft_plan(big, 300, 170))
+    assert miss == hit == dense and dense.startswith(repr(big.jacobi_terms[0])) and "n+k <= 468" in dense
+    # The column and Hankel factors leave float64 whatever the coefficient;
+    # 4.0 tells the caller's term from its multiple's, whose coefficient is
+    # 1.0 and whose build fails first.
+    steep = Measure((JacobiTerm(4.0, 100.0, 80.0),), ())
+    dense = message(lambda: apply_truncated(steep, SequenceVector(np.ones(30)), 20))
+    assert message(lambda: fft_plan(steep, 20, 30)) == dense and dense.startswith(repr(steep.jacobi_terms[0]))
+    assert list(operator._plan_memo) == [(operator._binary_scale(small)[0], 300, 170)]
+
+
+def test_a_measure_whose_unit_multiple_leaves_the_range_gets_its_own_plan(monkeypatch):
+    # Scaled so that its first coefficient is 1, the second term's row
+    # (2**600 (n+1)_85) leaves float64; the measure's own rows do not.
+    monkeypatch.setattr(operator, "_plan_memo", OrderedDict())
+    mu = Measure((JacobiTerm(2.0**-700, 0.0, 0.0), JacobiTerm(2.0**-100, 0.5, 85.0)), ())
+    plan = fft_plan(mu, 300, 170)
+    assert plan.scale == 0 and list(operator._plan_memo) == [(mu, 300, 170)]
+    _assert_same_applies(plan, operator._build_plan(mu, 300, 170)[0], np.random.default_rng(3))
+    assert fft_plan(mu, 300, 170).tiles is plan.tiles
+
+
+def _held_bytes(plan) -> int:
+    """Bytes of the arrays a plan holds: each term's row and column factors, unless constant, and every segment."""
+    terms = plan.tiles[0][3]
+    factors = sum(
+        8 * (plan.n_rows * bool(row.strides[0]) + plan.n_cols * bool(col.strides[0])) for row, col, *_ in terms
+    )
+    return factors + sum(segment.nbytes for *_, terms in plan.tiles for _, _, segment, *_ in terms)
 
 
 def test_memo_holds_at_most_its_budget(monkeypatch):
     budget = 1 << 20
     monkeypatch.setattr(operator, "_PLAN_MEMO_BYTES", budget)
     monkeypatch.setattr(operator, "_plan_memo", OrderedDict())
-    memo, kept = operator._plan_memo, []
+    memo, built, lengths = operator._plan_memo, [], []
     for e in range(10, 17):
         size = 1 << e
         for alpha in (1.0, 2.0):
-            operator._fft_plan(Measure((JacobiTerm(1.0, alpha, 1.0),), ()), size, size, False)
-            # The row and column factors, 8N + 8N bytes, and the spectrum, 16(N+1).
-            for tiled, nbytes in ((None, 16 * size), (False, 16 * size + 16)):
-                kept += [(alpha, 1.0, size, size, tiled)] if nbytes <= budget else []
-            held = sum(x.nbytes for value in memo.values() for x in _memo_arrays(value[1]))
-            assert held <= budget, (size, held)
-            # The least recently used go first; a plan over the budget is not kept.
-            assert list(memo) == kept[len(kept) - len(memo) :], (size, list(memo))
-    assert 0 < len(memo) < len(kept)
+            mu = Measure((JacobiTerm(1.0, alpha, 1.0),), ())
+            built.append(((mu, size, size), _held_bytes(fft_plan(mu, size, size))))
+            # The newest plans that fit the budget together, and at least the newest.
+            kept, total = [], 0
+            for key, nbytes in reversed(built):
+                total += nbytes
+                if kept and total > budget:
+                    break
+                kept.insert(0, key)
+            assert list(memo) == kept, (size, alpha)
+            held = [_held_bytes(plan) for plan, _, _ in memo.values()]
+            assert held == [nbytes for _, nbytes, _ in memo.values()]
+            assert sum(held) <= budget or len(memo) == 1, (size, held)
+            lengths.append(len(memo))
+    # Plans fit together at first; the last ones are each over the budget.
+    assert max(lengths) > 2 and lengths[-1] == 1
 
 
-def _memo_arrays(value):
-    """The arrays a memo value holds: the row and column factors, or the spectra."""
-    return value[:2] if isinstance(value[-1], tuple) else value
+def test_memo_keeps_the_newest_plan_over_its_budget(monkeypatch):
+    monkeypatch.setattr(operator, "_PLAN_MEMO_BYTES", 1 << 10)
+    monkeypatch.setattr(operator, "_plan_memo", OrderedDict())
+    for mu in (LEBESGUE, Measure((JacobiTerm(1.0, 1.0, 1.0),), ())):
+        plan = fft_plan(mu, 4096, 4096)
+        assert _held_bytes(plan) > 1 << 10
+        assert list(operator._plan_memo) == [(mu, 4096, 4096)]
+        assert fft_plan(mu, 4096, 4096) is plan
 
 
-def test_memo_arrays_are_read_only():
+def test_memo_arrays_are_read_only(monkeypatch):
+    monkeypatch.setattr(operator, "_plan_memo", OrderedDict())
     mu = Measure((JacobiTerm(1.0, 1.0, 0.5), JacobiTerm(2.0, 0.0, 0.0)), ())
-    for tiled in (False, True):
-        plan = operator._fft_plan(mu, 300, 300, tiled)
-        for key in ((1.0, 0.5, 300, 300, None), (1.0, 0.5, 300, 300, tiled)):
-            assert not any(x.flags.writeable for x in _memo_arrays(operator._plan_memo[key][1]))
+    plans = [fft_plan(mu, 300, 300)] + [operator._build_plan(mu, 300, 300, tiled)[0] for tiled in (False, True)]
+    assert [plan for plan, _, _ in operator._plan_memo.values()] == plans[:1]
+    for plan in plans:
         for _, _, _, terms in plan.tiles:
-            for _, col, segment, _, _ in terms:
-                with pytest.raises(ValueError, match="read-only"):
-                    segment[0] = 0.0
-                with pytest.raises(ValueError, match="read-only"):
-                    col[0] = 0.0
+            for row, col, segment, _, _ in terms:
+                for x in (row, col, segment):
+                    with pytest.raises(ValueError, match="read-only"):
+                        x[0] = 0.0
 
 
 def test_numpy_and_scipy_transforms_give_the_same_plans_and_images(monkeypatch):
@@ -482,34 +560,28 @@ def test_numpy_and_scipy_transforms_give_the_same_plans_and_images(monkeypatch):
                 for fft in (np.fft, scipy.fft):
                     monkeypatch.setattr(operator, "rfft", fft.rfft)
                     monkeypatch.setattr(operator, "irfft", fft.irfft)
-                    monkeypatch.setattr(operator, "_plan_memo", OrderedDict())
-                    plan = operator._fft_plan(mu, size, size, tiled)
+                    plan = operator._build_plan(mu, size, size, tiled)[0]
                     image, bound = plan.apply(values, 2.0)
                     results.append((_plan_bytes(plan), image.values.tobytes(), bound))
                 assert results[0] == results[1], (mu, size, tiled)
 
 
 def test_the_pick_reads_the_bound_each_tiling_states_at_the_probe(monkeypatch):
-    # fft_plan weighs both tilings from memoized norms; each plan's apply of
-    # the probe, the normalized all-ones vector at p = 2, states the same
+    # A plan's build weighs both tilings from their norms; each plan's apply
+    # of the probe, the normalized all-ones vector at p = 2, states the same
     # bounds up to the rounding of forming b.
     probed = []
     stated_bound = operator._stated_bound
     monkeypatch.setattr(operator, "_stated_bound", lambda *args: probed.append(stated_bound(*args)) or probed[-1])
     for mu in (m for m in MIXED_CORPUS if not m.interior_atoms and m.jacobi_terms):
         for n_rows, n_cols in ((256, 256), (300, 170), (2048, 2048)):
-            terms = mu.jacobi_terms
-            units = [operator._unit_plan(term, n_rows, n_cols, {}) for term in terms]
             probed.clear()
-            operator._picks_tiled.__wrapped__(
-                tuple((t.coeff, norms) for t, (_, _, norms) in zip(terms, units)),
-                mu.atom_at(0.0), mu.atom_at(1.0), n_rows, n_cols,
-            )
+            picked = len(operator._build_plan(mu, n_rows, n_cols)[0].tiles) > 1
             bounds = list(probed)
             probe = SequenceVector(np.full(n_cols, 1.0 / math.sqrt(n_cols)))
-            stated = [operator._fft_plan(mu, n_rows, n_cols, tiled).apply(probe, 2.0)[1] for tiled in (False, True)]
+            plans = [operator._build_plan(mu, n_rows, n_cols, tiled)[0] for tiled in (False, True)]
+            stated = [plan.apply(probe, 2.0)[1] for plan in plans]
             np.testing.assert_allclose(bounds, stated, rtol=1e-14, err_msg=str((mu, n_rows, n_cols)))
-            picked = len(fft_plan(mu, n_rows, n_cols).tiles) > 1
             assert picked == (stated[0] > operator._ONE_TILE_BOUND_RATIO * stated[1]), (mu, n_rows, n_cols)
 
 
