@@ -131,8 +131,9 @@ def _rising(x, exponent: float) -> np.ndarray:
     return r
 
 
-def _range_error(term: JacobiTerm, d_max) -> ValueError:
-    return ValueError(f"{term} leaves the float64 range of the factored kernel at n+k <= {int(d_max)}")
+def _range_error(what, d_max) -> ValueError:
+    """The error for a density term, or a measure's sum of components, ``what`` beyond float64 at n+k <= d_max."""
+    return ValueError(f"{what} leaves the float64 range of the factored kernel at n+k <= {int(d_max)}")
 
 
 def entry_block(mu: Measure, n, k) -> np.ndarray:
@@ -150,7 +151,9 @@ def entry_block(mu: Measure, n, k) -> np.ndarray:
     component's contribution is nonnegative, so the plain running sum over
     components is accurate to (m-1) ulps.  A density term whose factors leave the
     float64 range, which takes (alpha+beta+1) * ln(n+k+1) above ~708,
-    raises ``ValueError``.  An interior atom's entry is the exp of a sum of
+    raises ``ValueError``, and so does a sum of finite components beyond
+    it; the sum is checked only when the components' largest values add up
+    to more than 2^1023.  An interior atom's entry is the exp of a sum of
     log-space terms; with M the sum of their magnitudes its relative error
     is at most 8 u M (u the unit roundoff), and a block whose largest
     indices put that bound above ``_ATOM_RTOL`` raises ``ValueError``.
@@ -179,11 +182,15 @@ def entry_block(mu: Measure, n, k) -> np.ndarray:
         def diagonal(h):
             return np.take(h, diag, out=buf, mode="clip")
 
+    # An upper bound on the largest entry, summed over the components below.
+    bound = 0.0
     for term in mu.jacobi_terms:
         row, col, hankel = jacobi_factors(term, n, k, d)
-        np.multiply(diagonal(hankel), row, out=buf)
-        buf *= col
-        out += buf
+        bound += float(row.max()) * float(col.max()) * float(hankel.max())
+        with np.errstate(over="ignore"):
+            np.multiply(diagonal(hankel), row, out=buf)
+            buf *= col
+            out += buf
     if mu.interior_atoms:
         _check_log_space_bound(mu, int(n.max()), int(k.max()))
         from scipy.special import gammaln
@@ -193,16 +200,21 @@ def entry_block(mu: Measure, n, k) -> np.ndarray:
         log_col = gammaln(k + 1.0)
     for atom in mu.atoms:
         t = atom.location
-        if t == 0.0:
-            np.add(out, atom.mass, out=out, where=k == 0)
-        elif t == 1.0:
-            np.add(out, atom.mass, out=out, where=n == 0)
-        else:
-            np.add(diagonal(log_diag), k * math.log(t) - log_col, out=buf)
-            buf += n * math.log1p(-t) - log_row
-            np.exp(buf, out=buf)
-            buf *= atom.mass
-            out += buf
+        with np.errstate(over="ignore"):
+            if t == 0.0:
+                np.add(out, atom.mass, out=out, where=k == 0)
+            elif t == 1.0:
+                np.add(out, atom.mass, out=out, where=n == 0)
+            else:
+                np.add(diagonal(log_diag), k * math.log(t) - log_col, out=buf)
+                buf += n * math.log1p(-t) - log_row
+                np.exp(buf, out=buf)
+                buf *= atom.mass
+                out += buf
+        # An interior atom's entry is at most mass / max(t, 1-t) <= 2 mass.
+        bound += atom.mass if t in (0.0, 1.0) else 2.0 * atom.mass
+    if bound > 2.0**1023 and not np.isfinite(out).all():
+        raise _range_error(mu, d[-1])
     return out
 
 

@@ -54,8 +54,14 @@ _APPLY_BLOCK_ELEMENTS = 1 << 18
 # this the quadrature route falls back to compare-two-rules refinement.
 _GAUSS_EXACT_MAX = 1024
 
-# Re-derive the running log-term from log-gamma every this many series steps.
+# Re-derive the row series' running log-binomial from log-gamma at the first
+# block start at or past each multiple of this many terms.
 _LOG_REFRESH = 4096
+
+# Row-series blocks of W terms: (W-1) ln(n_max+2) <= _BLOCK_LOG_SPAN keeps
+# every in-block binomial ratio and each block's prefactor in the normal
+# float64 range (see _row_series_block).
+_BLOCK_LOG_SPAN = 640.0
 
 # Row-series truncation: stop once the tail bound is below _TAIL_TOL at
 # every grid point; raise ConvergenceError after _MAX_TERMS terms.
@@ -139,49 +145,83 @@ def _norms_1_2(x: np.ndarray) -> tuple[float, float, int]:
 def _row_series_block(rows, t, values) -> np.ndarray:
     """Row series sum_m binom(n+m,m) t^m (1-t)^n a_m on a rows-by-nodes grid.
 
-    ``t`` must lie strictly inside (0,1) and ``values`` be nonempty.  Terms
-    are generated through a running log recurrence; iteration stops early
-    once the geometric tail bound (ratio threshold (1+t)/2) falls below
-    ``_TAIL_TOL`` for every grid point, and is exact at the stored length
-    otherwise.
+    ``t`` must lie strictly inside (0,1) and ``values`` be nonempty.  The
+    terms are taken in blocks of W consecutive ones, m = m0, ..., m0+W-1.
+    With ``G[n, m] = ln binom(n+m, m)`` and ``L`` the block's last term, a
+    block adds ``exp(P) * (A @ V)`` to the R x T grid, where
+    ``P[n, j] = G[n, L] + m0 ln t_j + n ln(1-t_j)``,
+    ``A[n, w] = a_(m0+w) exp(G[n, m0+w] - G[n, L])`` and ``V[w, j] = t_j^w``.
+    So a block costs one ``exp`` per grid point, one (R x W) @ (W x T)
+    product and four more passes over the grid.  ``A``'s factor is a
+    product of ratios ``(m+1)/(n+m+1)``, so it lies in
+    ``[(n+1)^-(W-1), 1]`` and ``|A| <= |a|``.
+
+    Width rule: W is the largest width with ``(W-1) ln(n_max+2) <=
+    _BLOCK_LOG_SPAN = 640``, cut to K and to ``_LOG_REFRESH`` (so that each
+    multiple of it gets its own refresh).  Then every factor of ``A`` is a
+    normal number, and ``P`` is at most ``-ln(1-t) + 640 < 677``, since a
+    term is at most ``1/(1-t)``, so ``exp(P)`` is finite.  Only products of
+    ``A`` and ``V`` (and ``V``'s own powers) may underflow.  Each loses at
+    most 2^-1074 absolute before the factor ``exp(P) < e^677``, so underflow
+    adds an absolute error below ``W 2^-1074 e^677 (1 + max|a|) < 1e-29 W
+    (1 + max|a|)`` per grid point, far below the absolute ``_TAIL_TOL``.
+
+    ``G`` is carried from block to block as a row vector and re-derived from
+    ``gammaln`` at the first block start at or past each multiple of
+    ``_LOG_REFRESH``.  At each block start the series stops once the
+    geometric tail bound (ratio threshold (1+t)/2) falls below ``_TAIL_TOL``
+    at every grid point, and it is exact at the stored length otherwise.
     """
     rows = np.asarray(rows, dtype=np.float64).reshape(-1, 1)
     t = np.asarray(t, dtype=np.float64).reshape(1, -1)
-    out = np.zeros((rows.shape[0], t.shape[1]))
     K = len(values)
     suffix_max = np.maximum.accumulate(np.abs(values)[::-1])[::-1]
     log_t = np.log(t)
-    log_1mt = np.log1p(-t)
+    row_log_1mt = rows * np.log1p(-t)
     r_star = (1.0 + t) / 2.0
     tail_scale = 1.0 / (1.0 - r_star)
-    log_c = rows * log_1mt
-    m = 0
+    n_max = float(rows.max())
+    width = min(K, _LOG_REFRESH, 1 + int(_BLOCK_LOG_SPAN / math.log(n_max + 2.0)))
+    powers = t ** np.arange(width, dtype=np.float64)[:, None]
+    steps = np.arange(1.0, width)
+    out = np.zeros(row_log_1mt.shape)
+    prefactor = np.empty(out.shape)
+    block = np.empty(out.shape)
+    log_binom = np.zeros(rows.shape)
+    m0 = 0
     while True:
-        out += np.exp(log_c) * values[m]
-        m += 1
-        if m == K:
+        w = min(width, K - m0)
+        # factors[n, i] = binom(n+m0+i, m0+i) / binom(n+m0+w-1, m0+w-1)
+        m = m0 + steps[: w - 1]
+        ratios = m / (rows + m)
+        factors = np.ones((rows.shape[0], w))
+        factors[:, :-1] = np.cumprod(ratios[:, ::-1], axis=1)[:, ::-1]
+        log_last = log_binom - np.log(factors[:, :1])
+        np.add(row_log_1mt, m0 * log_t, out=prefactor)
+        prefactor += log_last
+        np.exp(prefactor, out=prefactor)
+        if m0:
+            if np.all(t * (n_max + m0 + 1.0) / (m0 + 1.0) <= r_star):
+                tail_bound = suffix_max[m0] * (prefactor * factors[:, :1]) * tail_scale
+                if np.all(tail_bound < _TAIL_TOL):
+                    return out
+            if m0 >= _MAX_TERMS:
+                raise ConvergenceError(
+                    f"row series not converged after {m0} terms (tail_tol={_TAIL_TOL})",
+                    estimate=float(np.max(suffix_max[m0] * (prefactor * factors[:, :1]) * tail_scale)),
+                )
+        np.matmul(factors * values[m0 : m0 + w], powers[:w], out=block)
+        block *= prefactor
+        out += block
+        m0 += w
+        if m0 == K:
             return out
-        log_c = log_c + log_t + np.log((rows + m) / m)
-        if m % _LOG_REFRESH == 0:
+        if m0 // _LOG_REFRESH > (m0 - w) // _LOG_REFRESH:
             from scipy.special import gammaln
 
-            log_c = (
-                gammaln(rows + (m + 1.0))
-                - gammaln(m + 1.0)
-                - gammaln(rows + 1.0)
-                + m * log_t
-                + rows * log_1mt
-            )
-        ratio_next = t * (rows + m + 1.0) / (m + 1.0)
-        if np.all(ratio_next <= r_star):
-            tail_bound = suffix_max[m] * np.exp(log_c) * tail_scale
-            if np.all(tail_bound < _TAIL_TOL):
-                return out
-        if m >= _MAX_TERMS:
-            raise ConvergenceError(
-                f"row series not converged after {m} terms (tail_tol={_TAIL_TOL})",
-                estimate=float(np.max(suffix_max[m] * np.exp(log_c) * tail_scale)),
-            )
+            log_binom = gammaln(rows + (m0 + 1.0)) - gammaln(m0 + 1.0) - gammaln(rows + 1.0)
+        else:
+            log_binom = log_last + np.log((rows + m0) / m0)
 
 
 def row_series_value(n: int, t: float, a: SequenceVector) -> float:
@@ -261,6 +301,14 @@ def apply_via_quadrature(mu: Measure, a: SequenceVector, n_rows: int) -> Sequenc
     relative tolerance 1e-9 instead.  Atoms contribute point
     evaluations: interior ones directly, the endpoint ones through the
     t=0 / t=1 row series conventions.
+
+    Each row series is summed over all rows and nodes in blocks of W terms
+    by :func:`_row_series_block`: one ``exp`` per grid point and one
+    (n_rows x W) @ (W x nodes) product per block, with W the largest width
+    with ``(W-1) ln(n_rows+1) <= 640``, cut to the stored length and to
+    ``_LOG_REFRESH``.  Underflow inside a block adds an absolute error
+    below ``1e-29 W (1 + max|a|)`` per grid point, far below the series'
+    absolute tail tolerance ``_TAIL_TOL``.
     """
     _check_size(n_rows, DEFAULT_SECTION_CAP)
     values = a.values

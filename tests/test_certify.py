@@ -384,6 +384,14 @@ def test_fft_ratio_scales_with_a_measure_near_the_float64_limit(scale, p):
     assert got == pytest.approx(scale * want, rel=1e-12, abs=0)
 
 
+def test_section_norm_of_entries_beyond_float64_is_the_range_error():
+    # The interior atom takes the dense route; its section's entries near the
+    # corner sum two finite components into inf.
+    mu = Measure((JacobiTerm(2.0**1023, 0.0, 0.0),), (Atom(0.5, 2.0**1023),))
+    with pytest.raises(ValueError, match="float64 range"):
+        p2_section_norm(mu, 100)
+
+
 def test_factor_range_error_is_the_same_on_both_routes():
     # (alpha+beta+1)! already overflows, so 1/(d+1)_(alpha+beta+1) is 0 at d = 0
     mu = Measure((JacobiTerm(1.0, 100.0, 80.0),), (Atom(1.0, 1.0),))

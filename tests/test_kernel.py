@@ -294,6 +294,18 @@ def test_factor_overflow_is_an_error_not_a_nan():
         entry_block(mu, 0, np.arange(200_000))
 
 
+def test_a_sum_of_finite_components_beyond_float64_is_the_range_error():
+    # Each component of entry (0, 0) is 2^1023, so each alone is finite but
+    # their sum is not; half of each stays in range.
+    mu = Measure((JacobiTerm(2.0**1023, 0.0, 0.0),), (Atom(0.5, 2.0**1023),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as error:
+            entry(mu, 0, 0)
+        assert entry(Measure((JacobiTerm(2.0**1022, 0.0, 0.0),), (Atom(0.5, 2.0**1022),)), 0, 0) == 2.0**1023
+    assert str(error.value) == f"{mu} leaves the float64 range of the factored kernel at n+k <= 0"
+
+
 def test_section_cap_enforced(monkeypatch):
     monkeypatch.setattr(kernel, "DEFAULT_SECTION_CAP", 64)
     with pytest.raises(ResourceLimitError):

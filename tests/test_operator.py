@@ -168,6 +168,24 @@ def test_row_series_log_refresh_matches_the_running_log(monkeypatch):
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
 
+@pytest.mark.parametrize("n", [0, 1, 50, 700])
+def test_row_series_stops_early_at_a_block_start(monkeypatch, n):
+    # With a = 1 the series is 1/(1-t), and with a = (-1)^m it is
+    # (1-t)^n / (1+t)^(n+1) (negative-binomial sums).  Its tail bound falls
+    # below _TAIL_TOL within a few hundred terms, inside a block of at least
+    # 98; the series stops at the next block start, and the term cap shows
+    # that it stops long before the stored length.
+    monkeypatch.setattr(operator, "_MAX_TERMS", 2000)
+    t = 0.3
+    ones = np.ones(10**6)
+    alternating = np.where(np.arange(10**6) % 2 == 0, 1.0, -1.0)
+    got = operator._row_series_block([n], [t], ones)[0, 0]
+    assert got == pytest.approx(1.0 / (1.0 - t), rel=1e-13)
+    got = operator._row_series_block([n], [t], alternating)[0, 0]
+    want = math.exp(n * math.log1p(-t) - (n + 1) * math.log1p(t))
+    assert abs(got - want) <= 1e-13 * want + operator._TAIL_TOL
+
+
 def test_row_series_rejects_bad_inputs():
     a = SequenceVector(np.ones(3))
     with pytest.raises(ValueError):

@@ -1,12 +1,22 @@
-"""Beta values, matrix entries and section norms against an arbitrary-precision oracle (mpmath)."""
+"""Beta values, kernel integrals, matrix entries, row series and section norms against an arbitrary-precision oracle (mpmath)."""
 
 import math
 
 import numpy as np
 import pytest
 
-from genhilbert import Atom, JacobiTerm, Measure, entry_block, finite_section, p2_section_norm
+from genhilbert import (
+    Atom,
+    JacobiTerm,
+    Measure,
+    beta_kernel_integral,
+    classify_boundedness,
+    entry_block,
+    finite_section,
+    p2_section_norm,
+)
 from genhilbert.measure import beta
+from genhilbert.operator import _row_series_block
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -48,6 +58,68 @@ def test_beta_log_space_branch_matches_mpmath_to_5e11():
             worst = max(worst, abs((mpmath.mpf(beta(x, y)) - ref) / ref))
     assert kept >= 2000
     assert worst <= 5e-11
+
+
+def _kernel_integral_at_30_digits(mu, a, b):
+    """The integral of t^a (1-t)^b against mu, and the relative error bound of its float64 value.
+
+    The bound is 4e-15 for the Beta values themselves plus the rounding of
+    the float sums a + alpha + 1 and b + beta + 1, taken at the density term
+    where it is largest: an absolute error of u (1 + |a| + |alpha|) in an
+    argument x moves B by that over x, relatively.
+    """
+    with mpmath.workdps(30):
+        a_, b_ = mpmath.mpf(a), mpmath.mpf(b)
+        total, rtol = mpmath.mpf(0), 4e-15
+        for term in mu.jacobi_terms:
+            x = a_ + mpmath.mpf(term.alpha) + 1
+            y = b_ + mpmath.mpf(term.beta) + 1
+            total += mpmath.mpf(term.coeff) * mpmath.beta(x, y)
+            rtol = max(rtol, 4e-15 + UNIT_ROUNDOFF * (
+                (1 + abs(a) + abs(term.alpha)) / float(x) + (1 + abs(b) + abs(term.beta)) / float(y)
+            ))
+        for atom in mu.atoms:
+            t = mpmath.mpf(atom.location)
+            total += mpmath.mpf(atom.mass) * t**a_ * (1 - t) ** b_
+    return total, rtol
+
+
+@pytest.mark.parametrize("delta", [1e-6, 1e-9, 1e-12])
+@pytest.mark.parametrize("a,b", [(-0.4, -0.9), (-0.999, -0.001), (-0.75, 0.5)])
+def test_beta_kernel_integral_near_the_divergence_boundary_matches_mpmath(a, b, delta):
+    # Each density term puts one Beta argument delta above 0, where the
+    # integral diverges; the atoms and the Lebesgue term stay moderate.
+    terms = [JacobiTerm(1.7, -1.0 - a + delta, 0.25), JacobiTerm(0.5, 0.0, 0.0)]
+    if b < 0.0:
+        terms.append(JacobiTerm(0.3, 0.5, -1.0 - b + delta))
+    mu = Measure(tuple(terms), (Atom(0.3, 0.4), Atom(1.0 - 2.0**-20, 0.2)))
+    want, rtol = _kernel_integral_at_30_digits(mu, a, b)
+    got = beta_kernel_integral(mu, a, b)
+    assert abs((mpmath.mpf(got) - want) / want) <= rtol
+    assert got > 0.5 / delta
+
+
+@pytest.mark.parametrize("delta", [1e-6, 3e-8, 1e-11])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 7.0, math.inf])
+@pytest.mark.parametrize("side", ["t", "1-t"])
+def test_classify_boundedness_norm_near_the_divergence_boundary_matches_mpmath(side, p, delta):
+    # The sharp norm is the kernel integral at a = -1/p, b = 1/p - 1.  The
+    # density exponent on one side sits delta inside the boundary, where that
+    # integral starts to diverge, and then delta outside it.
+    a, b = -1.0 / p, 1.0 / p - 1.0
+    boundary = -1.0 - (a if side == "t" else b)
+
+    def measure(exponent):
+        term = JacobiTerm(2.0, exponent, 0.5) if side == "t" else JacobiTerm(2.0, 0.25, exponent)
+        return Measure((term,), (Atom(0.3, 0.4),))
+
+    mu = measure(boundary + delta)
+    verdict = classify_boundedness(mu, p)
+    want, rtol = _kernel_integral_at_30_digits(mu, a, b)
+    assert verdict.is_bounded and verdict.formula_used == "Interior_Np"
+    assert abs((mpmath.mpf(verdict.norm) - want) / want) <= rtol
+    if boundary - delta > -1.0:
+        assert classify_boundedness(measure(boundary - delta), p).reason == "DivergentIntegral"
 
 
 def test_jacobi_terms_match_mpmath_to_1e10():
@@ -103,6 +175,42 @@ def test_interior_atoms_match_mpmath_within_log_space_bound():
                 + abs(ki * math.log(t)) + abs(ni * math.log1p(-t))
             )
             assert err <= 8.0 * UNIT_ROUNDOFF * (magnitude + 1.0)
+
+
+ROW_SERIES_ROWS = (0, 1, 7, 100, 1000, 4096)
+ROW_SERIES_NODES = (1e-6, 0.3, 1.0 - 1e-6)
+
+
+@pytest.fixture(scope="module")
+def row_series_terms():
+    """binom(n+m,m) t^m (1-t)^n at 30 digits for m < 300 on the rows-by-nodes grid."""
+    with mpmath.workdps(30):
+        return {
+            (n, t): [mpmath.binomial(n + m, m) * mpmath.mpf(t) ** m * (1 - mpmath.mpf(t)) ** n for m in range(300)]
+            for n in ROW_SERIES_ROWS
+            for t in ROW_SERIES_NODES
+        }
+
+
+@pytest.mark.parametrize("K", [1, 2, 300])
+@pytest.mark.parametrize("signs", ["nonnegative", "changing"])
+def test_blocked_row_series_matches_mpmath(row_series_terms, K, signs):
+    # Rows up to 4096 make the blocks 77 terms wide, so K = 300 ends in a
+    # partial block.  Each term is the exp of log pieces of up to ~700 and a
+    # product of in-block ratios, so it carries a few hundred u of rounding;
+    # underflow adds below 1e-29 W (1 + max|a|) per grid point (the bound in
+    # the docstring), which 1e-25 covers.  No node stops the series early.
+    values = 1.0 / (np.arange(K) + 1.0) ** 0.6
+    if signs == "changing":
+        values = np.random.default_rng(K).standard_normal(K)
+    got = _row_series_block(ROW_SERIES_ROWS, ROW_SERIES_NODES, values)
+    with mpmath.workdps(30):
+        for i, n in enumerate(ROW_SERIES_ROWS):
+            for j, t in enumerate(ROW_SERIES_NODES):
+                terms = [c * mpmath.mpf(float(v)) for c, v in zip(row_series_terms[n, t], values)]
+                want = mpmath.fsum(terms)
+                magnitude = mpmath.fsum(abs(x) for x in terms)
+                assert abs(got[i, j] - want) <= 2e-13 * magnitude + 1e-25, (n, t)
 
 
 @pytest.mark.parametrize(
