@@ -25,6 +25,7 @@ from .operator import (
     HANKEL_CAP,
     FFTPlan,
     SequenceVector,
+    _held_section,
     _ldexp,
     _row_block_sums,
     _scaled,
@@ -157,8 +158,21 @@ class _Block:
     atoms takes the dense section or the truncated apply, and ``n_rows`` is
     checked against ``DEFAULT_SECTION_CAP``; any other takes its one FFT
     plan, and both sizes are checked against ``HANKEL_CAP``.  The plan and
-    the section are built on first use and kept for the ratios and sigma of
-    one sweep size.
+    the section are fetched on first use and kept for the ratios and sigma
+    of one sweep size.
+
+    Both are kept once per process as well, in one memo
+    (:func:`~genhilbert.operator.fft_plan`): the section under the key
+    ``(nu, N, N)`` with ``mu = 2**e * nu`` exactly
+    (:func:`~genhilbert.operator._binary_scale`), read-only, and sigma and
+    the ratios run on nu's section and multiply their result by ``2**e``,
+    as :attr:`~genhilbert.operator.FFTPlan.scale` does.  If nu's largest
+    entry times ``2**e`` leaves float64, mu's own build raises mu's own
+    range error.  A section within ``_PLAN_MEMO_BYTES`` (64 MiB, N <= 2896)
+    stays in the memo, least recently used out first; a larger one lives
+    only as long as its block.  Only sigma builds a section; a ratio sums
+    the rows of one that its block or the memo holds, and otherwise takes
+    the truncated apply.
     """
 
     def __init__(self, mu: Measure, n_rows: int, n_cols: int):
@@ -176,6 +190,12 @@ class _Block:
             self._plan = fft_plan(self.mu, self.n_rows, self.n_cols)
         return self._plan
 
+    def section(self, build: bool = True) -> tuple[np.ndarray, int] | None:
+        """``(S, e)``: nu's section with ``mu = 2**e * nu``, held or, with ``build``, built; else None."""
+        if self._section is None:
+            self._section = _held_section(self.mu, self.n_rows, self.n_cols, finite_section if build else None)
+        return self._section
+
     def ratio(self, a: SequenceVector, p: float) -> float:
         """:func:`lower_bound_ratio` for the sequence ``a`` of length ``n_cols``.
 
@@ -192,7 +212,8 @@ class _Block:
         norm by ``1 - (2 (N + K) + K + 16) u``: a row of K nonnegative products
         sums to within ``gamma_K`` of its exact value (Higham, *Accuracy and
         Stability of Numerical Algorithms*, 2nd ed., (3.11)), about ``K u``
-        relative, for the nonnegative ``a`` every ratio takes.  ``a`` is
+        relative, for the nonnegative ``a`` every ratio takes.  A held
+        section is nu's, and the quotient is multiplied by ``2**e``.  ``a`` is
         first divided by the power of two above its norm, which is exact, so
         the image norm overflows only when the ratio is beyond the float64
         range itself.
@@ -204,24 +225,22 @@ class _Block:
         if not self.dense:
             image, bound = self.plan().apply(a, p)
             return max(0.0, lp_norm(image.values, p) * (1.0 - rounding) - bound) / denominator
-        if self._section is None:
-            image = apply_truncated(self.mu, a, self.n_rows).values
+        held = self.section(build=False)
+        if held is None:
+            image, scale = apply_truncated(self.mu, a, self.n_rows).values, 0
         else:
-            s = self._section
+            s, scale = held
             image = _row_block_sums(lambda start, stop: s[start:stop], a.values, self.n_rows)
         rounding += self.n_cols * _UNIT_ROUNDOFF
-        return lp_norm(image, p) * (1.0 - rounding) / denominator
-
-    def section(self) -> np.ndarray:
-        if self._section is None:
-            self._section = finite_section(self.mu, self.n_rows).entries
-        return self._section
+        return _ldexp(lp_norm(image, p) * (1.0 - rounding) / denominator, scale)
 
     def sigma(self, tol: float) -> float:
         """:func:`p2_section_norm` of the (square) block: one Golub-Kahan-Lanczos loop.
 
-        The apply pair is the section and its transpose on the dense route,
-        the block's FFT plan and its transpose otherwise.  Step j applies S
+        The apply pair is nu's section and its transpose on the dense route,
+        and the result and the estimate of a :class:`ConvergenceError` are
+        multiplied by ``2**e`` (:meth:`section`); otherwise it is the block's
+        FFT plan and its transpose.  Step j applies S
         to v_j and, unless the top Ritz value then stops the loop, S^T to
         u_j.  Each image is orthogonalized twice against the basis it
         extends (classical Gram-Schmidt) and normalized, which gives alpha_j,
@@ -255,10 +274,10 @@ class _Block:
         basis_v, basis_u = np.empty((2, min(steps, 16) + 1, size))
         basis_v[0] = 1.0 / math.sqrt(size)
         if self.dense:
-            s = self.section()
+            s, scale = self.section()
             forward, backward = s.__matmul__, s.T.__matmul__
         else:
-            plan = self.plan()
+            plan, scale = self.plan(), 0
             forward, backward = _product(plan), _product(plan.transposed())
         image = forward(basis_v[0])
         # B in units of 2**e0, the power of two above the first image's largest magnitude.
@@ -277,7 +296,7 @@ class _Block:
                 raise ConvergenceError(
                     f"Golub-Kahan-Lanczos did not reach relative tol {tol} "
                     f"within {steps} steps (size {size})",
-                    estimate=_ldexp(top, e0),
+                    estimate=_ldexp(top, e0 + scale),
                 )
             w, _, e = _scaled(backward(basis_u[j]))
             if j + 1 == len(basis_v):
@@ -298,7 +317,8 @@ class _Block:
             norm_y = _norm_2(image.values)
         bound += (size + 4) * _UNIT_ROUNDOFF * norm_y
         # A norm beyond float64 makes the bound inf too; sigma_N is beyond it as well.
-        return max(0.0, norm_y - bound) / float(np.linalg.norm(x)) if norm_y < math.inf else math.inf
+        sigma = max(0.0, norm_y - bound) / float(np.linalg.norm(x)) if norm_y < math.inf else math.inf
+        return _ldexp(sigma, scale)
 
 
 def _norm_2(x: np.ndarray) -> float:
@@ -335,8 +355,12 @@ def convergence_sweep(
 
     Each size is one :class:`_Block`, and all are built, which checks every
     size against its route's cap, before any work.  A size's sigma comes
-    first, so a size whose Krylov loop built the dense section reuses it,
-    and the FFT plan, for every epsilon.  The values equal
+    first, so a size whose Krylov loop took the dense section reuses it,
+    and the FFT plan, for every epsilon.  Sections and plans are held once
+    per process under ``(nu, N, N)``, ``mu = 2**e * nu``, in one memo of
+    ``_PLAN_MEMO_BYTES`` (64 MiB): a later sweep of any power-of-two
+    multiple of ``mu`` builds neither again, and a section over the budget
+    is dropped with its block when the sweep returns.  The values equal
     :func:`p2_section_norm`'s and :func:`lower_bound_ratio`'s bit for bit.
     """
     eps_grid = list(eps_grid)

@@ -18,6 +18,7 @@ import math
 import numbers
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 from numpy.fft import irfft, rfft
@@ -53,6 +54,10 @@ _APPLY_BLOCK_ELEMENTS = 1 << 18
 # Largest Gauss-Jacobi rule used for exact polynomial integration; beyond
 # this the quadrature route falls back to compare-two-rules refinement.
 _GAUSS_EXACT_MAX = 1024
+
+# Gauss-Jacobi rules kept per process, least recently used out first; a
+# rule has at most 2 * _GAUSS_EXACT_MAX nodes, so they hold at most 4 MiB.
+_JACOBI_RULES = 128
 
 # Re-derive the row series' running log-binomial from log-gamma at the first
 # block start at or past each multiple of this many terms.
@@ -282,13 +287,26 @@ def _row_block_sums(rows, values: np.ndarray, n_rows: int) -> np.ndarray:
 
 def _gauss_jacobi_integrals(term, rows, values, n_nodes):
     """Integrals of the row series against coeff * t^alpha (1-t)^beta dt."""
-    from scipy.special import roots_jacobi
-
-    x, w = roots_jacobi(n_nodes, term.beta, term.alpha)
-    t = 0.5 * (x + 1.0)
+    t, w = _jacobi_rule(n_nodes, term.alpha, term.beta)
     scale = term.coeff * 2.0 ** -(term.alpha + term.beta + 1.0)
     e = _row_series_block(rows, t, values)
     return scale * (e * w).sum(axis=1)
+
+
+@lru_cache(maxsize=_JACOBI_RULES)
+def _jacobi_rule(n_nodes: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The ``n_nodes``-point Gauss rule for t^alpha (1-t)^beta on (0, 1): nodes t and weights, read-only.
+
+    The weights are those of ``(1-x)^beta (1+x)^alpha`` on [-1, 1], with
+    ``t = (x + 1) / 2``; a rule is computed once and served to every later
+    apply while it is among the ``_JACOBI_RULES`` most recently used.
+    """
+    from scipy.special import roots_jacobi
+
+    x, w = roots_jacobi(n_nodes, beta, alpha)
+    t = 0.5 * (x + 1.0)
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
 
 
 def apply_via_quadrature(mu: Measure, a: SequenceVector, n_rows: int) -> SequenceVector:
@@ -559,8 +577,11 @@ def fft_plan(mu: Measure, n_rows: int, n_cols: int) -> FFTPlan:
     One plan per ``(nu, n_rows, n_cols)``, ``mu = 2**e * nu``
     (:func:`_binary_scale`), is kept and serves ``mu`` with scale e, so
     every power-of-two multiple of a measure shares it.  The memo keeps the
-    newest plan and, least recently used out first, others up to
-    ``_PLAN_MEMO_BYTES`` in all; a call that raises leaves it unchanged.
+    newest plan and, least recently used out first, other plans and sections
+    up to ``_PLAN_MEMO_BYTES`` in all; a call that raises leaves it
+    unchanged.  The dense sections of measures with interior atoms share
+    the memo, its key and its scale rule (:func:`_held_section`), but a
+    section over the budget is not kept.
     """
     if mu.interior_atoms:
         raise ValueError("the FFT apply takes density terms and endpoint atoms only")
@@ -569,32 +590,87 @@ def fft_plan(mu: Measure, n_rows: int, n_cols: int) -> FFTPlan:
         raise ValueError(f"n_cols must be an integer >= 0, got {n_cols}")
     if n_cols > HANKEL_CAP:
         raise ResourceLimitError(f"size {n_cols} exceeds cap {HANKEL_CAP}")
-    # nu's rows can leave the float64 range where mu's do not, and mu's own
-    # build names mu's own term: a failed build of nu is retried as mu's.
-    for nu, e in (_binary_scale(mu), (mu, 0)):
-        key = (nu, n_rows, n_cols)
-        try:
-            entry = _plan_memo.get(key) or _build_plan(nu, n_rows, n_cols)
-            break
-        except ValueError:
-            if not e:
-                raise
+    key, entry, e = _memo_entry(mu, n_rows, n_cols, lambda nu: _build_plan(nu, n_rows, n_cols))
     plan, _, row_max = entry
     for term, top in zip(mu.jacobi_terms, row_max):
         if _ldexp(top, e) == math.inf:
             raise _range_error(term, n_rows + n_cols - 2)
+    _hold(key, entry)
+    return replace(plan, scale=e) if e else plan
+
+
+def _held_section(mu: Measure, n_rows: int, n_cols: int, build=None) -> tuple[np.ndarray, int] | None:
+    """``(S, e)``: the dense leading ``n_rows`` by ``n_cols`` block S of nu, read-only, with ``mu = 2**e * nu``.
+
+    The key is ``(nu, n_rows, n_cols)``, as for :func:`fft_plan`
+    (:func:`_binary_scale`), so every power-of-two multiple of a measure
+    reads one section; its products with S are ``2**e`` times mu's, exactly
+    while they stay in the float64 range.  On a miss ``build(nu, n_rows)``
+    (:func:`~genhilbert.kernel.finite_section`'s signature, so square blocks
+    only) builds it, and with no ``build`` the answer is None.  When S's
+    largest entry times ``2**e`` leaves float64, mu's own build raises
+    mu's own range error (None again without ``build``).  A section within
+    ``_PLAN_MEMO_BYTES`` is kept as the memo's newest, least recently used
+    entries out first; a larger one is returned and not kept.
+    """
+    make = None if build is None else (lambda nu: _section_entry(build(nu, n_rows).entries))
+    found = _memo_entry(mu, n_rows, n_cols, make)
+    if found is None:
+        return None
+    key, entry, e = found
+    section, held, (top,) = entry
+    if _ldexp(top, e) == math.inf:
+        return None if build is None else (build(mu, n_rows).entries, 0)
+    if held <= _PLAN_MEMO_BYTES:
+        _hold(key, entry)
+    return section, e
+
+
+def _section_entry(section: np.ndarray) -> tuple:
+    """The memo entry of a section: the section, read-only from now on, its bytes and its largest entry."""
+    section.flags.writeable = False
+    return section, section.nbytes, (float(section.max()),)
+
+
+#: Bytes of plans and sections the memo keeps for the life of the process besides the newest plan.
+_PLAN_MEMO_BYTES = 64 << 20
+
+# (nu, n_rows, n_cols) -> (plan, bytes held, each term's row maximum) or, for a measure with
+# interior atoms, (section, bytes held, (its largest entry,)); least recently used first.
+_plan_memo: OrderedDict = OrderedDict()
+
+
+def _memo_entry(mu: Measure, n_rows: int, n_cols: int, build):
+    """``(key, entry, e)`` for ``nu = 2**-e * mu`` (:func:`_binary_scale`): the memo's entry, or ``build(nu)``.
+
+    nu's entries can leave the float64 range where mu's do not, and mu's own
+    build names mu's own term: a failed build of nu is retried as mu's, with
+    e = 0.  With ``build`` None a miss gives None.  The memo is not changed.
+    """
+    for nu, e in (_binary_scale(mu), (mu, 0)):
+        key = (nu, n_rows, n_cols)
+        entry = _plan_memo.get(key)
+        if entry is None and build is not None:
+            try:
+                entry = build(nu)
+            except ValueError:
+                if not e:
+                    raise
+                continue
+        if entry is not None:
+            return key, entry, e
+    return None
+
+
+def _hold(key, entry) -> None:
+    """Keep ``entry`` as the memo's newest, then drop the least recently used while over ``_PLAN_MEMO_BYTES``.
+
+    The newest entry always stays.
+    """
     _plan_memo[key] = entry
     _plan_memo.move_to_end(key)
     while len(_plan_memo) > 1 and sum(held for _, held, _ in _plan_memo.values()) > _PLAN_MEMO_BYTES:
         _plan_memo.popitem(last=False)
-    return replace(plan, scale=e) if e else plan
-
-
-#: Bytes of plan arrays :func:`fft_plan` keeps for the life of the process besides the newest plan.
-_PLAN_MEMO_BYTES = 64 << 20
-
-# (nu, n_rows, n_cols) -> (plan, bytes held, each term's row maximum), least recently used first.
-_plan_memo: OrderedDict = OrderedDict()
 
 
 def _binary_scale(mu: Measure) -> tuple[Measure, int]:

@@ -292,6 +292,8 @@ def test_ratio_without_interior_atoms_builds_no_entries(monkeypatch):
     ids=["interior-atom"],
 )
 def test_ratio_takes_the_dense_route_when_the_fft_cannot_serve(mu, size, monkeypatch):
+    # With no section held, as in a fresh process.
+    monkeypatch.setattr(operator, "_plan_memo", OrderedDict())
     params = ExtremalParams(2.0, 0.1, size)
     a = extremal_sequence(params)
     # The numerator gives up the rounding of K-term row sums and of both norms.
@@ -526,6 +528,7 @@ def test_atom_free_sweep_builds_no_entries(monkeypatch):
 )
 def test_dense_route_sigma_is_one_section_and_unchanged(mu, size, monkeypatch):
     # An interior atom has no FFT apply: it runs on one dense section.
+    monkeypatch.setattr(operator, "_plan_memo", OrderedDict())
     sections, products = [], []
     _record_sections(monkeypatch, sections, products)
     sigma = p2_section_norm(mu, size)
@@ -533,6 +536,77 @@ def test_dense_route_sigma_is_one_section_and_unchanged(mu, size, monkeypatch):
     assert sum(forward for forward, _ in products) <= 80
     top = float(np.linalg.norm(finite_section(mu, size).entries, 2))
     assert abs(sigma - top) <= 1e-12 * top, (sigma, top)
+
+
+def _section_builds(monkeypatch) -> list:
+    """Start from an empty memo; the returned list gets the arguments of each section certify builds."""
+    monkeypatch.setattr(operator, "_plan_memo", OrderedDict())
+    builds = []
+    _record_calls(monkeypatch, builds, certify_module, "finite_section")
+    return builds
+
+
+@pytest.mark.parametrize("k", [1, -1, 100, -100, 1000, -1000])
+def test_power_of_two_multiples_share_one_held_section(k, monkeypatch):
+    # 2**k mu reads the section held for mu, and its sigma and ratios are
+    # 2**k times mu's, bit for bit.
+    builds, truncated = _section_builds(monkeypatch), []
+    _record_calls(monkeypatch, truncated, certify_module, "apply_truncated")
+    params = [ExtremalParams(p, 0.1, 256) for p in (1.0, 2.0, 3.0)]
+    sigma = p2_section_norm(MIX_ATOM, 256)
+    ratios = [lower_bound_ratio(MIX_ATOM, q, 256) for q in params]
+    scaled = _times_power_of_two(MIX_ATOM, k)
+    assert p2_section_norm(scaled, 256) == math.ldexp(sigma, k)
+    assert [lower_bound_ratio(scaled, q, 256) for q in params] == [math.ldexp(r, k) for r in ratios]
+    assert builds == [(MIX_ATOM, 256)] and truncated == []
+    assert list(operator._plan_memo) == [(MIX_ATOM, 256, 256)]
+
+
+def test_a_held_unit_section_leaves_a_multiple_its_own_range_error(monkeypatch):
+    # nu's section is held; 2**1023 nu's entries near the corner sum two
+    # finite components into inf, and its own build or apply raises its own error.
+    builds = _section_builds(monkeypatch)
+    nu = Measure((JacobiTerm(1.0, 0.0, 0.0),), (Atom(0.5, 1.0),))
+    mu = _times_power_of_two(nu, 1023)
+    p2_section_norm(nu, 100)
+    with pytest.raises(ValueError, match="float64 range") as want:
+        finite_section(mu, 100)
+    for call in (lambda: p2_section_norm(mu, 100), lambda: lower_bound_ratio(mu, ExtremalParams(2.0, 0.1, 100), 100)):
+        with pytest.raises(ValueError, match="float64 range") as error:
+            call()
+        assert str(error.value) == str(want.value)
+    assert builds == [(nu, 100), (mu, 100)]
+    assert list(operator._plan_memo) == [(nu, 100, 100)]
+
+
+def test_held_sections_are_read_only_and_finite_section_stays_fresh(monkeypatch):
+    _section_builds(monkeypatch)
+    p2_section_norm(MIX_ATOM, 64)
+    [(held, nbytes, _)] = operator._plan_memo.values()
+    with pytest.raises(ValueError, match="read-only"):
+        held[0, 0] = 0.0
+    fresh = finite_section(MIX_ATOM, 64).entries
+    assert fresh.flags.writeable and not np.shares_memory(fresh, held) and nbytes == fresh.nbytes
+    entries = np.array([[kernel.entry(MIX_ATOM, n, k) for k in range(64)] for n in range(64)])
+    assert fresh.tobytes() == held.tobytes() == entries.tobytes()
+
+
+def test_a_section_over_the_budget_is_not_kept(monkeypatch):
+    # 64 x 64 float64 is the whole budget; one more row and column is over it.
+    builds, truncated = _section_builds(monkeypatch), []
+    _record_calls(monkeypatch, truncated, certify_module, "apply_truncated")
+    monkeypatch.setattr(operator, "_PLAN_MEMO_BYTES", 64 * 64 * 8)
+    delta = Measure((), (Atom(0.5, 1.0),))
+    fft_plan(LEBESGUE, 32, 32)
+    for _ in range(2):
+        # The sweep's ratios sum the section its sigma built, and the memo keeps its plan.
+        report = convergence_sweep(delta, 2.0, [0.1, 0.3], [65])
+        assert list(operator._plan_memo) == [(LEBESGUE, 32, 32)] and truncated == []
+    assert builds == [(delta, 65)] * 2
+    assert report.sigma_max_series == ((65, p2_section_norm(delta, 65)),)
+    # Within the budget a section is kept, and the plan goes first.
+    p2_section_norm(delta, 64)
+    assert list(operator._plan_memo) == [(delta, 64, 64)]
 
 
 @pytest.mark.parametrize("size", [512, 2048], ids=["t(1-t)dt@512", "t(1-t)dt"])
@@ -895,6 +969,8 @@ def test_p2_sweep_builds_each_size_once(mu, sizes, monkeypatch):
         for size in sizes
     ]
     want_sigmas = [p2_section_norm(mu, size) for size in sizes]
+    # The counts start from an empty memo, as a fresh process does.
+    monkeypatch.setattr(operator, "_plan_memo", OrderedDict())
     entries = []
 
     def counted_entry_block(mu, n, k, _original=kernel.entry_block):

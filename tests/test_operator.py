@@ -284,6 +284,25 @@ def test_quadrature_compares_two_rules_beyond_the_exact_rule(monkeypatch):
     assert 1e-9 < err.value.estimate < 1e-5
 
 
+def test_each_gauss_jacobi_rule_is_computed_once(monkeypatch):
+    # Repeated applies read each (n_nodes, alpha, beta) rule computed once,
+    # and give the images of rules computed afresh per apply, bit for bit.
+    calls = []
+    roots_jacobi = scipy.special.roots_jacobi
+    monkeypatch.setattr(scipy.special, "roots_jacobi", lambda *args: calls.append(args) or roots_jacobi(*args))
+    operator._jacobi_rule.cache_clear()
+    mu = Measure((JacobiTerm(1.0, -0.5, 0.25), JacobiTerm(0.5, 0.5, -0.25)), (Atom(0.3, 0.4),))
+    a = SequenceVector(1.0 / np.arange(1.0, 129.0) ** 0.6)
+    images = [apply_via_quadrature(mu, a, 128).values.tobytes() for _ in range(3)]
+    assert sorted(calls) == [(128, -0.25, 0.5), (128, 0.25, -0.5)]
+    for x in operator._jacobi_rule(128, -0.5, 0.25):
+        with pytest.raises(ValueError, match="read-only"):
+            x[0] = 0.0
+    monkeypatch.setattr(operator, "_jacobi_rule", operator._jacobi_rule.__wrapped__)
+    assert images == [apply_via_quadrature(mu, a, 128).values.tobytes()] * 3
+    assert len(calls) == 4
+
+
 def test_quadrature_endpoint_atom_conventions():
     # atom at 0 adds a_0 to every row; atom at 1 adds the full sum to row 0
     a = SequenceVector(np.array([2.0, 3.0, 4.0]))
