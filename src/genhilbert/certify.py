@@ -169,10 +169,10 @@ class _Block:
     as :attr:`~genhilbert.operator.FFTPlan.scale` does.  If nu's largest
     entry times ``2**e`` leaves float64, mu's own build raises mu's own
     range error.  A section within ``_PLAN_MEMO_BYTES`` (64 MiB, N <= 2896)
-    stays in the memo, least recently used out first; a larger one lives
-    only as long as its block.  Only sigma builds a section; a ratio sums
-    the rows of one that its block or the memo holds, and otherwise takes
-    the truncated apply.
+    stays in the memo, least recently used out first, unless it does not
+    fit beside the newest FFT plan; a larger one lives only as long as its
+    block.  Only sigma takes a section; a ratio sums the rows of the one
+    its block's sigma took, and otherwise takes the truncated apply.
     """
 
     def __init__(self, mu: Measure, n_rows: int, n_cols: int):
@@ -190,10 +190,10 @@ class _Block:
             self._plan = fft_plan(self.mu, self.n_rows, self.n_cols)
         return self._plan
 
-    def section(self, build: bool = True) -> tuple[np.ndarray, int] | None:
-        """``(S, e)``: nu's section with ``mu = 2**e * nu``, held or, with ``build``, built; else None."""
+    def section(self) -> tuple[np.ndarray, int]:
+        """``(S, e)``: nu's held or newly built section, with ``mu = 2**e * nu``."""
         if self._section is None:
-            self._section = _held_section(self.mu, self.n_rows, self.n_cols, finite_section if build else None)
+            self._section = _held_section(self.mu, self.n_rows, finite_section)
         return self._section
 
     def ratio(self, a: SequenceVector, p: float) -> float:
@@ -212,7 +212,7 @@ class _Block:
         norm by ``1 - (2 (N + K) + K + 16) u``: a row of K nonnegative products
         sums to within ``gamma_K`` of its exact value (Higham, *Accuracy and
         Stability of Numerical Algorithms*, 2nd ed., (3.11)), about ``K u``
-        relative, for the nonnegative ``a`` every ratio takes.  A held
+        relative, for the nonnegative ``a`` every ratio takes.  The block's
         section is nu's, and the quotient is multiplied by ``2**e``.  ``a`` is
         first divided by the power of two above its norm, which is exact, so
         the image norm overflows only when the ratio is beyond the float64
@@ -225,11 +225,10 @@ class _Block:
         if not self.dense:
             image, bound = self.plan().apply(a, p)
             return max(0.0, lp_norm(image.values, p) * (1.0 - rounding) - bound) / denominator
-        held = self.section(build=False)
-        if held is None:
+        if self._section is None:
             image, scale = apply_truncated(self.mu, a, self.n_rows).values, 0
         else:
-            s, scale = held
+            s, scale = self._section
             image = _row_block_sums(lambda start, stop: s[start:stop], a.values, self.n_rows)
         rounding += self.n_cols * _UNIT_ROUNDOFF
         return _ldexp(lp_norm(image, p) * (1.0 - rounding) / denominator, scale)

@@ -55,8 +55,10 @@ _APPLY_BLOCK_ELEMENTS = 1 << 18
 # this the quadrature route falls back to compare-two-rules refinement.
 _GAUSS_EXACT_MAX = 1024
 
-# Gauss-Jacobi rules kept per process, least recently used out first; a
-# rule has at most 2 * _GAUSS_EXACT_MAX nodes, so they hold at most 4 MiB.
+# Gauss-Jacobi rules kept per process, least recently used out first.  The
+# bound only caps their memory: a rule has at most 2 * _GAUSS_EXACT_MAX
+# nodes, so 128 rules hold at most 4 MiB, while a measure uses one rule per
+# Jacobi term and node count.
 _JACOBI_RULES = 128
 
 # Re-derive the row series' running log-binomial from log-gamma at the first
@@ -581,7 +583,8 @@ def fft_plan(mu: Measure, n_rows: int, n_cols: int) -> FFTPlan:
     up to ``_PLAN_MEMO_BYTES`` in all; a call that raises leaves it
     unchanged.  The dense sections of measures with interior atoms share
     the memo, its key and its scale rule (:func:`_held_section`), but a
-    section over the budget is not kept.
+    section is kept only where it fits within the budget beside the newest
+    plan, so it never pushes that plan out.
     """
     if mu.interior_atoms:
         raise ValueError("the FFT apply takes density terms and endpoint atoms only")
@@ -599,29 +602,26 @@ def fft_plan(mu: Measure, n_rows: int, n_cols: int) -> FFTPlan:
     return replace(plan, scale=e) if e else plan
 
 
-def _held_section(mu: Measure, n_rows: int, n_cols: int, build=None) -> tuple[np.ndarray, int] | None:
-    """``(S, e)``: the dense leading ``n_rows`` by ``n_cols`` block S of nu, read-only, with ``mu = 2**e * nu``.
+def _held_section(mu: Measure, size: int, build) -> tuple[np.ndarray, int]:
+    """``(S, e)``: nu's dense leading ``size`` by ``size`` section S, read-only, with ``mu = 2**e * nu``.
 
-    The key is ``(nu, n_rows, n_cols)``, as for :func:`fft_plan`
+    The key is ``(nu, size, size)``, as for :func:`fft_plan`
     (:func:`_binary_scale`), so every power-of-two multiple of a measure
     reads one section; its products with S are ``2**e`` times mu's, exactly
-    while they stay in the float64 range.  On a miss ``build(nu, n_rows)``
-    (:func:`~genhilbert.kernel.finite_section`'s signature, so square blocks
-    only) builds it, and with no ``build`` the answer is None.  When S's
-    largest entry times ``2**e`` leaves float64, mu's own build raises
-    mu's own range error (None again without ``build``).  A section within
-    ``_PLAN_MEMO_BYTES`` is kept as the memo's newest, least recently used
-    entries out first; a larger one is returned and not kept.
+    while they stay in the float64 range.  On a miss ``build(nu, size)``
+    (:func:`~genhilbert.kernel.finite_section`'s signature) builds it.  When
+    S's largest entry times ``2**e`` leaves float64, mu's own build raises
+    mu's own range error.  A section is kept as the memo's newest, least
+    recently used entries out first, when it fits within
+    ``_PLAN_MEMO_BYTES`` beside the newest plan; otherwise it is returned
+    and not kept, so it never pushes that plan out.
     """
-    make = None if build is None else (lambda nu: _section_entry(build(nu, n_rows).entries))
-    found = _memo_entry(mu, n_rows, n_cols, make)
-    if found is None:
-        return None
-    key, entry, e = found
+    key, entry, e = _memo_entry(mu, size, size, lambda nu: _section_entry(build(nu, size).entries))
     section, held, (top,) = entry
     if _ldexp(top, e) == math.inf:
-        return None if build is None else (build(mu, n_rows).entries, 0)
-    if held <= _PLAN_MEMO_BYTES:
+        return build(mu, size).entries, 0
+    newest = _newest_plan()
+    if held + (_plan_memo[newest][1] if newest else 0) <= _PLAN_MEMO_BYTES:
         _hold(key, entry)
     return section, e
 
@@ -645,32 +645,36 @@ def _memo_entry(mu: Measure, n_rows: int, n_cols: int, build):
 
     nu's entries can leave the float64 range where mu's do not, and mu's own
     build names mu's own term: a failed build of nu is retried as mu's, with
-    e = 0.  With ``build`` None a miss gives None.  The memo is not changed.
+    e = 0.  The memo is not changed.
     """
     for nu, e in (_binary_scale(mu), (mu, 0)):
         key = (nu, n_rows, n_cols)
-        entry = _plan_memo.get(key)
-        if entry is None and build is not None:
-            try:
-                entry = build(nu)
-            except ValueError:
-                if not e:
-                    raise
-                continue
-        if entry is not None:
-            return key, entry, e
-    return None
+        try:
+            return key, _plan_memo.get(key) or build(nu), e
+        except ValueError:
+            if not e:
+                raise
+
+
+def _newest_plan():
+    """The key of the memo's most recently used FFT plan, or None."""
+    return next((key for key, (value, _, _) in reversed(_plan_memo.items()) if isinstance(value, FFTPlan)), None)
 
 
 def _hold(key, entry) -> None:
     """Keep ``entry`` as the memo's newest, then drop the least recently used while over ``_PLAN_MEMO_BYTES``.
 
-    The newest entry always stays.
+    ``entry`` and the newest plan always stay.
     """
     _plan_memo[key] = entry
     _plan_memo.move_to_end(key)
-    while len(_plan_memo) > 1 and sum(held for _, held, _ in _plan_memo.values()) > _PLAN_MEMO_BYTES:
-        _plan_memo.popitem(last=False)
+    over = sum(held for _, held, _ in _plan_memo.values()) - _PLAN_MEMO_BYTES
+    if over > 0:
+        kept = (key, _newest_plan())
+        for old in [old for old in _plan_memo if old not in kept]:
+            if over <= 0:
+                break
+            over -= _plan_memo.pop(old)[1]
 
 
 def _binary_scale(mu: Measure) -> tuple[Measure, int]:

@@ -292,8 +292,6 @@ def test_ratio_without_interior_atoms_builds_no_entries(monkeypatch):
     ids=["interior-atom"],
 )
 def test_ratio_takes_the_dense_route_when_the_fft_cannot_serve(mu, size, monkeypatch):
-    # With no section held, as in a fresh process.
-    monkeypatch.setattr(operator, "_plan_memo", OrderedDict())
     params = ExtremalParams(2.0, 0.1, size)
     a = extremal_sequence(params)
     # The numerator gives up the rounding of K-term row sums and of both norms.
@@ -548,16 +546,14 @@ def _section_builds(monkeypatch) -> list:
 
 @pytest.mark.parametrize("k", [1, -1, 100, -100, 1000, -1000])
 def test_power_of_two_multiples_share_one_held_section(k, monkeypatch):
-    # 2**k mu reads the section held for mu, and its sigma and ratios are
-    # 2**k times mu's, bit for bit.
+    # A sweep of 2**k mu reads the section held for mu, and its sigma and
+    # ratios are 2**k times mu's, bit for bit.
     builds, truncated = _section_builds(monkeypatch), []
     _record_calls(monkeypatch, truncated, certify_module, "apply_truncated")
-    params = [ExtremalParams(p, 0.1, 256) for p in (1.0, 2.0, 3.0)]
-    sigma = p2_section_norm(MIX_ATOM, 256)
-    ratios = [lower_bound_ratio(MIX_ATOM, q, 256) for q in params]
-    scaled = _times_power_of_two(MIX_ATOM, k)
-    assert p2_section_norm(scaled, 256) == math.ldexp(sigma, k)
-    assert [lower_bound_ratio(scaled, q, 256) for q in params] == [math.ldexp(r, k) for r in ratios]
+    report = convergence_sweep(MIX_ATOM, 2.0, [0.05, 0.1, 0.3], [256])
+    scaled = convergence_sweep(_times_power_of_two(MIX_ATOM, k), 2.0, [0.05, 0.1, 0.3], [256])
+    assert scaled.sigma_max_series == ((256, math.ldexp(report.sigma_max_series[0][1], k)),)
+    assert [row[-1] for row in scaled.ratios] == [math.ldexp(row[-1], k) for row in report.ratios]
     assert builds == [(MIX_ATOM, 256)] and truncated == []
     assert list(operator._plan_memo) == [(MIX_ATOM, 256, 256)]
 
@@ -598,15 +594,26 @@ def test_a_section_over_the_budget_is_not_kept(monkeypatch):
     monkeypatch.setattr(operator, "_PLAN_MEMO_BYTES", 64 * 64 * 8)
     delta = Measure((), (Atom(0.5, 1.0),))
     fft_plan(LEBESGUE, 32, 32)
+    plan_bytes = operator._plan_memo[(LEBESGUE, 32, 32)][1]
     for _ in range(2):
         # The sweep's ratios sum the section its sigma built, and the memo keeps its plan.
         report = convergence_sweep(delta, 2.0, [0.1, 0.3], [65])
         assert list(operator._plan_memo) == [(LEBESGUE, 32, 32)] and truncated == []
     assert builds == [(delta, 65)] * 2
     assert report.sigma_max_series == ((65, p2_section_norm(delta, 65)),)
-    # Within the budget a section is kept, and the plan goes first.
+    # Within the budget but not beside the newest plan, a section is not
+    # kept either: it never pushes that plan out.
     p2_section_norm(delta, 64)
-    assert list(operator._plan_memo) == [(delta, 64, 64)]
+    assert list(operator._plan_memo) == [(LEBESGUE, 32, 32)]
+    # Beside it, it is kept, and a later plan hit keeps both.
+    monkeypatch.setattr(operator, "_PLAN_MEMO_BYTES", 64 * 64 * 8 + plan_bytes)
+    p2_section_norm(delta, 64)
+    fft_plan(LEBESGUE, 32, 32)
+    assert list(operator._plan_memo) == [(delta, 64, 64), (LEBESGUE, 32, 32)]
+    # A newer section pushes the older one out, never the plan.
+    p2_section_norm(delta, 63)
+    assert list(operator._plan_memo) == [(LEBESGUE, 32, 32), (delta, 63, 63)]
+    assert builds == [(delta, 65)] * 3 + [(delta, 64)] * 2 + [(delta, 63)]
 
 
 @pytest.mark.parametrize("size", [512, 2048], ids=["t(1-t)dt@512", "t(1-t)dt"])
