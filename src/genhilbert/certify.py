@@ -162,17 +162,17 @@ class _Block:
     of one sweep size.
 
     Both are kept once per process as well, in one memo
-    (:func:`~genhilbert.operator.fft_plan`): the section under the key
+    (:func:`~genhilbert.operator._cached`): the section under the key
     ``(nu, N, N)`` with ``mu = 2**e * nu`` exactly
     (:func:`~genhilbert.operator._binary_scale`), read-only, and sigma and
     the ratios run on nu's section and multiply their result by ``2**e``,
     as :attr:`~genhilbert.operator.FFTPlan.scale` does.  If nu's largest
     entry times ``2**e`` leaves float64, mu's own build raises mu's own
-    range error.  A section within ``_PLAN_MEMO_BYTES`` (64 MiB, N <= 2896)
-    stays in the memo, least recently used out first, unless it does not
-    fit beside the newest FFT plan; a larger one lives only as long as its
-    block.  Only sigma takes a section; a ratio sums the rows of the one
-    its block's sigma took, and otherwise takes the truncated apply.
+    range error.  A plan or section within ``_PLAN_MEMO_BYTES`` (64 MiB)
+    stays in the memo, least recently used out first; a larger one is not
+    kept and lives only as long as its block.  Only sigma takes a section;
+    a ratio sums the rows of the one its block's sigma took, and otherwise
+    takes the truncated apply.
     """
 
     def __init__(self, mu: Measure, n_rows: int, n_cols: int):
@@ -357,9 +357,10 @@ def convergence_sweep(
     first, so a size whose Krylov loop took the dense section reuses it,
     and the FFT plan, for every epsilon.  Sections and plans are held once
     per process under ``(nu, N, N)``, ``mu = 2**e * nu``, in one memo of
-    ``_PLAN_MEMO_BYTES`` (64 MiB): a later sweep of any power-of-two
-    multiple of ``mu`` builds neither again, and a section over the budget
-    is dropped with its block when the sweep returns.  The values equal
+    ``_PLAN_MEMO_BYTES`` (64 MiB), least recently used out first: a later
+    sweep of any power-of-two multiple of ``mu`` builds neither again while
+    they are held, and a section or plan over the budget is built once per
+    sweep and dropped with its block when the sweep returns.  The values equal
     :func:`p2_section_norm`'s and :func:`lower_bound_ratio`'s bit for bit.
     """
     eps_grid = list(eps_grid)

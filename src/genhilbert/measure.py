@@ -135,17 +135,20 @@ def beta_kernel_integral(mu: Measure, a: float, b: float) -> float:
     when the integral diverges; that is decided by exponent comparison
     before any numeric evaluation.  A convergent integral whose value
     leaves the float64 range raises ``ValueError``, so an overflow is never
-    mistaken for divergence.
+    mistaken for divergence.  Each Beta argument, such as ``a + alpha + 1``,
+    is the correctly rounded sum (``math.fsum``), and the integral diverges
+    where one is not positive.
     """
-    if any(not (a + term.alpha > -1.0 and b + term.beta > -1.0) for term in mu.jacobi_terms):
+    arguments = [(math.fsum((a, t.alpha, 1.0)), math.fsum((b, t.beta, 1.0))) for t in mu.jacobi_terms]
+    if any(not (x > 0.0 and y > 0.0) for x, y in arguments):
         return math.inf
     if (a < 0.0 and mu.atom_at(0.0)) or (b < 0.0 and mu.atom_at(1.0)):
         return math.inf
     # Every part is nonnegative, so the plain sum is accurate to one ulp per part.
     total = 0.0
     try:
-        for term in mu.jacobi_terms:
-            total += term.coeff * beta(a + term.alpha + 1.0, b + term.beta + 1.0)
+        for term, (x, y) in zip(mu.jacobi_terms, arguments):
+            total += term.coeff * beta(x, y)
         for atom in mu.atoms:
             t = atom.location
             if 0.0 < t < 1.0:

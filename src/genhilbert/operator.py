@@ -26,7 +26,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConvergenceError, ResourceLimitError
 from .kernel import (
-    _TINY, _UNIT_ROUNDOFF, DEFAULT_SECTION_CAP, _check_size, _range_error, entry_block, jacobi_factors,
+    _TINY, _UNIT_ROUNDOFF, DEFAULT_SECTION_CAP, _check_size, entry_block, jacobi_factors,
 )
 from .measure import LEBESGUE, Atom, JacobiTerm, Measure
 from .norms import parse_sequence_csv, validate_p
@@ -576,15 +576,10 @@ def fft_plan(mu: Measure, n_rows: int, n_cols: int) -> FFTPlan:
     own term.  ``n_rows`` is checked as every size is; ``n_cols`` must be an
     integer from 0 to ``HANKEL_CAP``.
 
-    One plan per ``(nu, n_rows, n_cols)``, ``mu = 2**e * nu``
-    (:func:`_binary_scale`), is kept and serves ``mu`` with scale e, so
-    every power-of-two multiple of a measure shares it.  The memo keeps the
-    newest plan and, least recently used out first, other plans and sections
-    up to ``_PLAN_MEMO_BYTES`` in all; a call that raises leaves it
-    unchanged.  The dense sections of measures with interior atoms share
-    the memo, its key and its scale rule (:func:`_held_section`), but a
-    section is kept only where it fits within the budget beside the newest
-    plan, so it never pushes that plan out.
+    The plan is that of ``(nu, n_rows, n_cols)``, ``mu = 2**e * nu``
+    (:func:`_binary_scale`), read from or kept in the process memo
+    (:func:`_cached`), and serves ``mu`` with scale e, so every
+    power-of-two multiple of a measure shares it.
     """
     if mu.interior_atoms:
         raise ValueError("the FFT apply takes density terms and endpoint atoms only")
@@ -593,37 +588,20 @@ def fft_plan(mu: Measure, n_rows: int, n_cols: int) -> FFTPlan:
         raise ValueError(f"n_cols must be an integer >= 0, got {n_cols}")
     if n_cols > HANKEL_CAP:
         raise ResourceLimitError(f"size {n_cols} exceeds cap {HANKEL_CAP}")
-    key, entry, e = _memo_entry(mu, n_rows, n_cols, lambda nu: _build_plan(nu, n_rows, n_cols))
-    plan, _, row_max = entry
-    for term, top in zip(mu.jacobi_terms, row_max):
-        if _ldexp(top, e) == math.inf:
-            raise _range_error(term, n_rows + n_cols - 2)
-    _hold(key, entry)
+    plan, e = _cached(mu, n_rows, n_cols, lambda nu: _build_plan(nu, n_rows, n_cols))
     return replace(plan, scale=e) if e else plan
 
 
 def _held_section(mu: Measure, size: int, build) -> tuple[np.ndarray, int]:
     """``(S, e)``: nu's dense leading ``size`` by ``size`` section S, read-only, with ``mu = 2**e * nu``.
 
-    The key is ``(nu, size, size)``, as for :func:`fft_plan`
-    (:func:`_binary_scale`), so every power-of-two multiple of a measure
+    S is read from or kept in the memo as a plan is (:func:`_cached`),
+    under ``(nu, size, size)``, so every power-of-two multiple of a measure
     reads one section; its products with S are ``2**e`` times mu's, exactly
     while they stay in the float64 range.  On a miss ``build(nu, size)``
-    (:func:`~genhilbert.kernel.finite_section`'s signature) builds it.  When
-    S's largest entry times ``2**e`` leaves float64, mu's own build raises
-    mu's own range error.  A section is kept as the memo's newest, least
-    recently used entries out first, when it fits within
-    ``_PLAN_MEMO_BYTES`` beside the newest plan; otherwise it is returned
-    and not kept, so it never pushes that plan out.
+    (:func:`~genhilbert.kernel.finite_section`'s signature) builds it.
     """
-    key, entry, e = _memo_entry(mu, size, size, lambda nu: _section_entry(build(nu, size).entries))
-    section, held, (top,) = entry
-    if _ldexp(top, e) == math.inf:
-        return build(mu, size).entries, 0
-    newest = _newest_plan()
-    if held + (_plan_memo[newest][1] if newest else 0) <= _PLAN_MEMO_BYTES:
-        _hold(key, entry)
-    return section, e
+    return _cached(mu, size, size, lambda nu: _section_entry(build(nu, size).entries))
 
 
 def _section_entry(section: np.ndarray) -> tuple:
@@ -632,7 +610,7 @@ def _section_entry(section: np.ndarray) -> tuple:
     return section, section.nbytes, (float(section.max()),)
 
 
-#: Bytes of plans and sections the memo keeps for the life of the process besides the newest plan.
+#: Bytes of plans and sections the memo keeps for the life of the process.
 _PLAN_MEMO_BYTES = 64 << 20
 
 # (nu, n_rows, n_cols) -> (plan, bytes held, each term's row maximum) or, for a measure with
@@ -640,41 +618,36 @@ _PLAN_MEMO_BYTES = 64 << 20
 _plan_memo: OrderedDict = OrderedDict()
 
 
-def _memo_entry(mu: Measure, n_rows: int, n_cols: int, build):
-    """``(key, entry, e)`` for ``nu = 2**-e * mu`` (:func:`_binary_scale`): the memo's entry, or ``build(nu)``.
+def _cached(mu: Measure, n_rows: int, n_cols: int, build):
+    """``(value, e)``: the memo's value for ``nu = 2**-e * mu`` (:func:`_binary_scale`), or ``build(nu)``'s.
 
-    nu's entries can leave the float64 range where mu's do not, and mu's own
-    build names mu's own term: a failed build of nu is retried as mu's, with
-    e = 0.  The memo is not changed.
+    ``build`` returns ``(value, bytes held, largest values)``, the values
+    that scale with the measure: each term's row maximum for a plan, the
+    largest entry for a section.  When nu's build raises ``ValueError``, or
+    one of nu's largest values times ``2**e`` leaves float64, mu's own build
+    runs with e = 0: it gives mu's value where only nu's leaves float64,
+    and otherwise raises mu's own error.  A value within
+    ``_PLAN_MEMO_BYTES`` is kept as the memo's newest, and the least
+    recently used go first while the memo holds more; one over the budget
+    is never kept and lives as long as its caller holds it.  A call that
+    raises leaves the memo unchanged.
     """
     for nu, e in (_binary_scale(mu), (mu, 0)):
         key = (nu, n_rows, n_cols)
         try:
-            return key, _plan_memo.get(key) or build(nu), e
+            value, held, tops = entry = _plan_memo.get(key) or build(nu)
         except ValueError:
             if not e:
                 raise
-
-
-def _newest_plan():
-    """The key of the memo's most recently used FFT plan, or None."""
-    return next((key for key, (value, _, _) in reversed(_plan_memo.items()) if isinstance(value, FFTPlan)), None)
-
-
-def _hold(key, entry) -> None:
-    """Keep ``entry`` as the memo's newest, then drop the least recently used while over ``_PLAN_MEMO_BYTES``.
-
-    ``entry`` and the newest plan always stay.
-    """
-    _plan_memo[key] = entry
-    _plan_memo.move_to_end(key)
-    over = sum(held for _, held, _ in _plan_memo.values()) - _PLAN_MEMO_BYTES
-    if over > 0:
-        kept = (key, _newest_plan())
-        for old in [old for old in _plan_memo if old not in kept]:
-            if over <= 0:
-                break
-            over -= _plan_memo.pop(old)[1]
+            continue
+        if not e or all(_ldexp(top, e) < math.inf for top in tops):
+            break
+    if held <= _PLAN_MEMO_BYTES:
+        _plan_memo[key] = entry
+        _plan_memo.move_to_end(key)
+        while sum(nbytes for _, nbytes, _ in _plan_memo.values()) > _PLAN_MEMO_BYTES:
+            _plan_memo.popitem(last=False)
+    return value, e
 
 
 def _binary_scale(mu: Measure) -> tuple[Measure, int]:

@@ -236,7 +236,12 @@ def test_t1mt_ratio_stays_positive_and_grows_to_two_to_the_20():
 )
 def test_ratio_stays_below_the_norm_on_every_route(terms, atoms, p, eps_share, n_rows, length):
     mu = Measure(tuple(JacobiTerm(*term) for term in terms), tuple(Atom(*atom) for atom in atoms))
-    verdict = classify_boundedness(mu, p)
+    try:
+        verdict = classify_boundedness(mu, p)
+    except ValueError as error:
+        # A subnormal Beta argument, such as alpha at p = 1, puts a convergent norm beyond float64.
+        assume("exceeds the float64 range" not in str(error))
+        raise
     assume(verdict.is_bounded)
     ceiling = verdict.norm + SOUNDNESS_SLACK
     params = ExtremalParams(p, eps_share / p, length)
@@ -601,16 +606,19 @@ def test_a_section_over_the_budget_is_not_kept(monkeypatch):
         assert list(operator._plan_memo) == [(LEBESGUE, 32, 32)] and truncated == []
     assert builds == [(delta, 65)] * 2
     assert report.sigma_max_series == ((65, p2_section_norm(delta, 65)),)
-    # Within the budget but not beside the newest plan, a section is not
-    # kept either: it never pushes that plan out.
+    # Within the budget, sections and plans leave the memo least recently
+    # used first, whichever kind: the section pushes the plan out, and the plan the section.
     p2_section_norm(delta, 64)
+    assert list(operator._plan_memo) == [(delta, 64, 64)]
+    fft_plan(LEBESGUE, 32, 32)
     assert list(operator._plan_memo) == [(LEBESGUE, 32, 32)]
-    # Beside it, it is kept, and a later plan hit keeps both.
+    # With room for both, a hit makes the plan the newest, and a newer
+    # section pushes out the older one, now the least recently used.
     monkeypatch.setattr(operator, "_PLAN_MEMO_BYTES", 64 * 64 * 8 + plan_bytes)
     p2_section_norm(delta, 64)
+    assert list(operator._plan_memo) == [(LEBESGUE, 32, 32), (delta, 64, 64)]
     fft_plan(LEBESGUE, 32, 32)
     assert list(operator._plan_memo) == [(delta, 64, 64), (LEBESGUE, 32, 32)]
-    # A newer section pushes the older one out, never the plan.
     p2_section_norm(delta, 63)
     assert list(operator._plan_memo) == [(LEBESGUE, 32, 32), (delta, 63, 63)]
     assert builds == [(delta, 65)] * 3 + [(delta, 64)] * 2 + [(delta, 63)]

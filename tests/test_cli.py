@@ -261,8 +261,9 @@ def test_norm_evaluates_the_integral_once(capsys, monkeypatch, tmp_path):
     [
         ('{"jacobi":[{"coeff":1e308,"alpha":0,"beta":0}],"atoms":[{"t":0.5,"mass":1e308}]}', "2"),
         ('{"jacobi":[],"atoms":[{"t":5e-324,"mass":1}]}', "1"),
+        ('{"jacobi":[{"coeff":1,"alpha":2.2e-309,"beta":0}],"atoms":[]}', "1"),
     ],
-    ids=["huge-masses", "subnormal-atom"],
+    ids=["huge-masses", "subnormal-atom", "subnormal-exponent"],
 )
 def test_overflow_is_a_domain_error_not_divergence(capsys, tmp_path, subcommand, text, p):
     path = tmp_path / "m.json"

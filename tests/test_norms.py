@@ -126,6 +126,16 @@ def test_atom_at_one_p1_divergent_interior(lebesgue):
     assert (v.status, v.reason) == ("Unbounded", "DivergentIntegral")
 
 
+def test_a_subnormal_exponent_at_p1_is_the_range_error_not_divergence():
+    # At p = 1 the Beta argument a + alpha + 1 is alpha = 2.2e-309 > 0, so the
+    # integral converges, to about 1/alpha = 4.5e308, beyond float64, though
+    # the float sum (-1 + alpha) + 1 is 0.
+    with pytest.raises(ValueError, match="float64 range"):
+        classify_boundedness(Measure((JacobiTerm(1.0, 2.2e-309, 0.0),), ()), 1.0)
+    v = classify_boundedness(Measure((JacobiTerm(1.0, -2.2e-309, 0.0),), ()), 1.0)
+    assert v.reason == "DivergentIntegral"
+
+
 def test_atom_at_zero_pinf_norm(parabolic):
     mu = Measure(parabolic.jacobi_terms, (Atom(0.0, 1.0),))
     v = classify_boundedness(mu, math.inf)

@@ -20,6 +20,7 @@ from genhilbert import (
     SequenceVector,
     apply_truncated,
     apply_via_quadrature,
+    convergence_sweep,
     finite_section,
     hankel_fast_apply,
     lp_norm,
@@ -545,30 +546,44 @@ def test_memo_holds_at_most_its_budget(monkeypatch):
         for alpha in (1.0, 2.0):
             mu = Measure((JacobiTerm(1.0, alpha, 1.0),), ())
             built.append(((mu, size, size), _held_bytes(fft_plan(mu, size, size))))
-            # The newest plans that fit the budget together, and at least the newest.
+            # The newest plans within the budget that fit it together; none over it.
             kept, total = [], 0
             for key, nbytes in reversed(built):
+                if nbytes > budget:
+                    continue
                 total += nbytes
-                if kept and total > budget:
+                if total > budget:
                     break
                 kept.insert(0, key)
             assert list(memo) == kept, (size, alpha)
             held = [_held_bytes(plan) for plan, _, _ in memo.values()]
             assert held == [nbytes for _, nbytes, _ in memo.values()]
-            assert sum(held) <= budget or len(memo) == 1, (size, held)
+            assert sum(held) <= budget, (size, held)
             lengths.append(len(memo))
-    # Plans fit together at first; the last ones are each over the budget.
-    assert max(lengths) > 2 and lengths[-1] == 1
+    # Plans fit together at first and push each other out; the last ones are each over the budget.
+    assert max(lengths) > 2 and lengths[-1] < max(lengths)
+    assert sum(nbytes > budget for _, nbytes in built) >= 2
 
 
-def test_memo_keeps_the_newest_plan_over_its_budget(monkeypatch):
+def test_a_plan_over_the_memo_budget_is_not_kept_and_a_sweep_builds_it_once(monkeypatch):
     monkeypatch.setattr(operator, "_PLAN_MEMO_BYTES", 1 << 10)
     monkeypatch.setattr(operator, "_plan_memo", OrderedDict())
+    builds, build = [], operator._build_plan
+
+    def recorded_build(*args):
+        builds.append(args[1:])
+        return build(*args)
+
+    monkeypatch.setattr(operator, "_build_plan", recorded_build)
     for mu in (LEBESGUE, Measure((JacobiTerm(1.0, 1.0, 1.0),), ())):
+        builds.clear()
         plan = fft_plan(mu, 4096, 4096)
-        assert _held_bytes(plan) > 1 << 10
-        assert list(operator._plan_memo) == [(mu, 4096, 4096)]
-        assert fft_plan(mu, 4096, 4096) is plan
+        assert _held_bytes(plan) > 1 << 10 and list(operator._plan_memo) == []
+        assert fft_plan(mu, 4096, 4096) is not plan and builds == [(4096, 4096)] * 2
+        # The sweep's block holds each plan for its sigma and every ratio.
+        builds.clear()
+        convergence_sweep(mu, 2.0, [0.1, 0.3], [512, 2048])
+        assert builds == [(512, 512), (2048, 2048)] and list(operator._plan_memo) == []
 
 
 def test_memo_arrays_are_read_only(monkeypatch):

@@ -64,9 +64,9 @@ def _kernel_integral_at_30_digits(mu, a, b):
     """The integral of t^a (1-t)^b against mu, and the relative error bound of its float64 value.
 
     The bound is 4e-15 for the Beta values themselves plus the rounding of
-    the float sums a + alpha + 1 and b + beta + 1, taken at the density term
-    where it is largest: an absolute error of u (1 + |a| + |alpha|) in an
-    argument x moves B by that over x, relatively.
+    the arguments x = a + alpha + 1 and y = b + beta + 1, each a correctly
+    rounded sum, taken at the density term where it is largest: a relative
+    error of u in x moves B by u x |psi(x) - psi(x+y)|, relatively.
     """
     with mpmath.workdps(30):
         a_, b_ = mpmath.mpf(a), mpmath.mpf(b)
@@ -75,8 +75,9 @@ def _kernel_integral_at_30_digits(mu, a, b):
             x = a_ + mpmath.mpf(term.alpha) + 1
             y = b_ + mpmath.mpf(term.beta) + 1
             total += mpmath.mpf(term.coeff) * mpmath.beta(x, y)
-            rtol = max(rtol, 4e-15 + UNIT_ROUNDOFF * (
-                (1 + abs(a) + abs(term.alpha)) / float(x) + (1 + abs(b) + abs(term.beta)) / float(y)
+            psi = mpmath.digamma(x + y)
+            rtol = max(rtol, 4e-15 + UNIT_ROUNDOFF * float(
+                x * abs(mpmath.digamma(x) - psi) + y * abs(mpmath.digamma(y) - psi)
             ))
         for atom in mu.atoms:
             t = mpmath.mpf(atom.location)
