@@ -7,15 +7,12 @@ applies the operator to sequences, decides boundedness on ell-p with exact
 sharp norms, and certifies those norms empirically from below.
 
 ``measure``, ``norms``, ``errors`` and ``rng`` use the standard library
-only and load with the package, so boundedness verdicts and rejected input
-files load no array library.  ``kernel``, ``operator`` and ``certify`` need
-numpy; each is registered at import but runs its code on first attribute
-access.  scipy loads only for a result that comes from it: a Pochhammer
-factor with a non-integer exponent, an interior atom's log-gamma, and the
-quadrature route's Gauss-Jacobi rules and row series.  Integer exponents
-are exact products and the FFT plans use numpy.fft, so, for instance,
-``t(1-t) dt`` entries and sections and the ``c dt`` FFT apply load numpy
-alone.
+only and load with the package, so boundedness verdicts, rejected input
+files and sizes over their caps load no array library.  ``kernel``,
+``operator`` and ``certify`` need numpy alone; each is registered at import
+but runs its code on first attribute access.  No module imports scipy:
+Pochhammer factors, log-gamma values and Gauss-Jacobi rules are numpy code,
+and the FFT plans use numpy.fft.
 """
 
 import importlib.util

@@ -17,12 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError
-from .kernel import _UNIT_ROUNDOFF, DEFAULT_SECTION_CAP, _check_size, finite_section
+from .errors import DEFAULT_SECTION_CAP, HANKEL_CAP, ConvergenceError, _check_block
+from .kernel import _UNIT_ROUNDOFF, _entry_rtol, finite_section
 from .measure import Measure
 from .norms import NormVerdict, classify_boundedness, validate_p, verdict_to_dict
 from .operator import (
-    HANKEL_CAP,
     FFTPlan,
     SequenceVector,
     _held_section,
@@ -180,9 +179,7 @@ class _Block:
         self.n_rows = n_rows
         self.n_cols = n_cols
         self.dense = bool(mu.interior_atoms)
-        _check_size(n_rows, DEFAULT_SECTION_CAP if self.dense else HANKEL_CAP)
-        if not self.dense:
-            _check_size(n_cols, HANKEL_CAP)
+        _check_block(mu, n_rows, n_cols, DEFAULT_SECTION_CAP, HANKEL_CAP)
         self._plan = self._section = None
 
     def plan(self) -> FFTPlan:
@@ -209,10 +206,12 @@ class _Block:
         norm beyond float64 stays math.inf.  The dense route sums a held
         section's rows as :func:`~genhilbert.operator.apply_truncated` sums
         its entries, so both give the same image bit for bit, and scales its
-        norm by ``1 - (2 (N + K) + K + 16) u``: a row of K nonnegative products
-        sums to within ``gamma_K`` of its exact value (Higham, *Accuracy and
-        Stability of Numerical Algorithms*, 2nd ed., (3.11)), about ``K u``
-        relative, for the nonnegative ``a`` every ratio takes.  The block's
+        norm by ``1 - (2 (N + K) + K + 16) u - eta``: a row of K nonnegative
+        products sums to within ``gamma_K`` of its exact value (Higham,
+        *Accuracy and Stability of Numerical Algorithms*, 2nd ed., (3.11)),
+        about ``K u`` relative, for the nonnegative ``a`` every ratio takes,
+        and the entries lie within eta relative of the exact matrix's
+        (:func:`~genhilbert.kernel._entry_rtol`).  The block's
         section is nu's, and the quotient is multiplied by ``2**e``.  ``a`` is
         first divided by the power of two above its norm, which is exact, so
         the image norm overflows only when the ratio is beyond the float64
@@ -230,7 +229,7 @@ class _Block:
         else:
             s, scale = self._section
             image = _row_block_sums(lambda start, stop: s[start:stop], a.values, self.n_rows)
-        rounding += self.n_cols * _UNIT_ROUNDOFF
+        rounding += self.n_cols * _UNIT_ROUNDOFF + _entry_rtol(self.mu)
         return _ldexp(lp_norm(image, p) * (1.0 - rounding) / denominator, scale)
 
     def sigma(self, tol: float) -> float:
@@ -259,9 +258,11 @@ class _Block:
         Numerical Algorithms*, 2nd ed., section 3.1) and of the final
         subtraction and division.  On the FFT route the product's error
         bound is the plan's stated one; on the dense route it is
-        ``N u ||fl(S |x|)||_2``:
+        ``(N u + eta) ||fl(S |x|)||_2``:
         ``|fl(S x) - S x| <= gamma_N |S| |x|`` (ibid., (3.11)), ``|S| = S``
-        here, and fl(S |x|) is within ``gamma_N`` of S |x|.  x is taken with
+        here, fl(S |x|) is within ``gamma_N`` of S |x|, and S within eta
+        relative of the exact matrix, entry by entry
+        (:func:`~genhilbert.kernel._entry_rtol`).  x is taken with
         a nonnegative sum, so that |x| = x, and fl(S |x|) = fl(S x), as
         long as no component is negative.
         """
@@ -310,7 +311,7 @@ class _Block:
             norm_y = _norm_2(s @ x)
             # S |x| is S x when x is nonnegative, as the top Ritz vector of S >= 0 mostly is.
             z_norm = norm_y if x.min() >= 0.0 else _norm_2(s @ np.abs(x))
-            bound = size * _UNIT_ROUNDOFF * z_norm
+            bound = (size * _UNIT_ROUNDOFF + _entry_rtol(self.mu)) * z_norm
         else:
             image, bound = plan.apply(SequenceVector(x), 2.0)
             norm_y = _norm_2(image.values)

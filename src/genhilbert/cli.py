@@ -15,7 +15,9 @@ import math
 import sys
 
 from . import certify, kernel, norms, operator
-from .errors import ConvergenceError, ResourceLimitError
+from .errors import (
+    DEFAULT_SECTION_CAP, HANKEL_CAP, ConvergenceError, ResourceLimitError, _check_block, _check_size,
+)
 from .measure import parse_measure
 from .rng import SplitMix64
 
@@ -93,6 +95,8 @@ def _cmd_entry(args) -> int:
 
 def _cmd_section(args) -> int:
     mu = _load(args.measure, "measure", parse_measure)
+    # The size check runs again in finite_section; here it comes before numpy loads.
+    _check_size(args.N, DEFAULT_SECTION_CAP)
     section = kernel.finite_section(mu, args.N)
     if args.output == "json":
         print(kernel.section_to_json(section))
@@ -153,6 +157,9 @@ def _cmd_classify(args) -> int:
 
 def _cmd_certify(args) -> int:
     mu = _load(args.measure, "measure", parse_measure)
+    # The sweep checks every size again; here it comes before numpy loads.
+    for size in args.N:
+        _check_block(mu, size, size, DEFAULT_SECTION_CAP, HANKEL_CAP)
     _progress(args, f"certifying over eps={args.eps} sizes={args.N}")
     report = certify.convergence_sweep(mu, args.p, args.eps, args.N, tol=args.tol)
     if args.output == "json":

@@ -10,9 +10,12 @@ or diagonal.  On a grid of consecutive rows by consecutive columns, as in
 every section and row block, entry (i, j) reads the diagonal vector at
 i + j through a read-only strided view; other index arrays gather it per
 entry.  Interior atoms stay in log space (``Gamma(n+k+1)`` overflows) but
-read ``ln Gamma(d+1)`` the same way.  A factor whose exponent is an integer
-is an exact product in numpy; scipy.special is imported only for the others
-and for an interior atom's log-gamma.
+read ``ln Gamma(d+1)`` the same way.  Everything is numpy: a factor whose
+exponent is an integer is an exact product, with ``scipy.special.poch``'s
+bits; any other, and ``ln Gamma``, take the Stirling series' remainder
+(:func:`_stirling`), each within a stated relative error
+(:func:`_rising_rtol`, ``_LOG_GAMMA_RTOL``); small indices read them from
+tables of the same values, held per process.
 
 Scalar entries, dense sections, and row blocks all go through one array
 core, so a section is bitwise identical to its individual entries.
@@ -22,13 +25,13 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import ResourceLimitError
+from .errors import DEFAULT_SECTION_CAP, _check_size
 from .measure import JacobiTerm, Measure
 
 __all__ = [
@@ -44,10 +47,6 @@ __all__ = [
     "section_from_json",
 ]
 
-#: Largest dense section, and row count of the truncated and quadrature applies
-#: (~2 GiB of float64 at 16384**2).
-DEFAULT_SECTION_CAP = 16384
-
 _TINY = np.finfo(np.float64).tiny
 _UNIT_ROUNDOFF = 2.0**-53
 
@@ -56,6 +55,28 @@ _ATOM_RTOL = 1e-6
 
 #: Least m whose m! is beyond float64; from it on every (x+1)_m with x >= 0 is too.
 _FACTORIAL_OVERFLOW = 171
+
+#: B_2j / (2j (2j-1)), j = 1..8: the coefficients of the Stirling series (:func:`_stirling`).
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156, -3617 / 122400)
+
+#: Least argument of the Stirling series; smaller integers are shifted up to it.
+_STIRLING_MIN = 16.0
+
+#: Arguments up to this read non-integer Pochhammer factors and ``ln Gamma``
+#: from tables of their values (:func:`_rising_table`, :func:`_log_gamma_table`).
+_TABLE = 1024
+
+#: Non-integer exponents whose table is held, least recently used out first (8 KiB each).
+_RISING_TABLES = 64
+
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+
+#: ln(j!) for j < _STIRLING_MIN, each rounded once.
+_LOG_FACTORIALS = np.array([math.log(math.factorial(j)) for j in range(int(_STIRLING_MIN))])
+_LOG_FACTORIALS.flags.writeable = False
+
+#: Relative error bound of :func:`_log_gamma`, in units of u.
+_LOG_GAMMA_RTOL = 7.0
 
 
 @dataclass(frozen=True)
@@ -111,15 +132,24 @@ def _rising(x, exponent: float) -> np.ndarray:
     A positive integer exponent m gives the product ``(a+m-1) (a+m-2) ... a``
     with ``a = x+1``, formed in that order: the recurrence, and so the bits,
     of ``scipy.special.poch``.  From m = ``_FACTORIAL_OVERFLOW`` on every
-    value is inf, as poch's.  Any other exponent imports scipy.special.
+    value is inf, as poch's.  Any other exponent takes the Stirling form
+    ``z**a * exp(r)``, ``z = max(x+1, _STIRLING_MIN)``, with
+    ``r = (z + a - 1/2) log1p(a/z) - a + delta(z+a) - delta(z)``
+    (:func:`_stirling`), which is ``ln (z)_a - a ln z`` exactly; below
+    ``_STIRLING_MIN`` the value at ``_STIRLING_MIN`` is shifted down by the
+    recurrence ``(j)_a = (j+1)_a j / (j+a)``.  Its relative error is at most
+    :func:`_rising_rtol` of the exponent, for indices below 2^53.  Indices
+    below ``_TABLE`` read these values from the exponent's table
+    (:func:`_rising_table`): a small vector costs one gather, not the
+    form's few dozen numpy calls.
     """
     if exponent == 0.0:
         return np.broadcast_to(1.0, np.shape(x))
-    a = x + 1.0
     if not float(exponent).is_integer():
-        from scipy.special import poch
-
-        return poch(a, exponent)
+        if np.max(x, initial=0) < _TABLE:
+            return _rising_table(float(exponent))[np.asarray(x, dtype=np.intp)]
+        return _stirling_rising(x + 1.0, float(exponent))
+    a = x + 1.0
     m = int(exponent)
     if m >= _FACTORIAL_OVERFLOW:
         return np.full(np.shape(a), math.inf)
@@ -129,6 +159,132 @@ def _rising(x, exponent: float) -> np.ndarray:
         for j in range(m - 2, -1, -1):
             r *= a + j
     return r
+
+
+def _stirling(z: np.ndarray) -> np.ndarray:
+    """The Stirling remainder ``delta(z) = ln Gamma(z) - (z - 1/2) ln z + z - ln(2 pi)/2`` for ``z >= 15``.
+
+    The series ``sum_j B_2j / (2j (2j-1) z^(2j-1))`` is cut after eight
+    terms; the first omitted one, ``B_18 / (306 z^17)``, is below 2^-64 from
+    z = 15 on, and the series alternates, so the cut errs by less than
+    that.  Its terms lie below 1/(12 z) <= 1/180, so its rounding is below
+    u/40.  Every value takes the same terms, so it does not depend on the
+    other values in ``z``: a section keeps its entries' bits.
+    """
+    w = 1.0 / z
+    w2 = w * w
+    s = _STIRLING[-1] * w2
+    for c in reversed(_STIRLING[1:-1]):
+        s += c
+        s *= w2
+    s += _STIRLING[0]
+    s *= w
+    return s
+
+
+def _stirling_rising(z: np.ndarray, a: float) -> np.ndarray:
+    """``(z)_a`` for integer-valued ``z >= 1`` and a non-integer ``a > -1``, as :func:`_rising` states."""
+    shape = np.shape(z)
+    z = np.ravel(z)
+    big = np.maximum(z, _STIRLING_MIN)
+    # One remainder call for both arguments: fewer numpy calls per factor.
+    remainders = _stirling(np.concatenate((big + a, big)))
+    r = np.log1p(a / big)
+    r *= big + (a - 0.5)
+    r -= a
+    r += remainders[: z.size]
+    r -= remainders[z.size :]
+    # An overflow gives inf, as in the product; the callers raise the range error.
+    with np.errstate(over="ignore"):
+        np.exp(r, out=r)
+        r *= big**a
+    small = np.flatnonzero(z < _STIRLING_MIN)
+    if small.size:
+        # shift[j] = (j)_a / (16)_a
+        shift = [1.0] * int(_STIRLING_MIN + 1)
+        for j in range(int(_STIRLING_MIN) - 1, 0, -1):
+            shift[j] = shift[j + 1] * j / (j + a)
+        r[small] *= np.array(shift)[z[small].astype(np.intp)]
+    return r.reshape(shape)
+
+
+@lru_cache(maxsize=_RISING_TABLES)
+def _rising_table(exponent: float) -> np.ndarray:
+    """``(j+1)_exponent`` for ``j < _TABLE`` from :func:`_stirling_rising`, read-only.
+
+    Each value is the form's at that index alone (:func:`_stirling` is
+    elementwise), so a gather from the table has the bits of the form.
+    """
+    table = _stirling_rising(np.arange(1.0, _TABLE + 1.0), exponent)
+    table.flags.writeable = False
+    return table
+
+
+def _rising_rtol(exponent: float) -> float:
+    """A bound on the relative error of :func:`_rising` at this exponent, for indices below 2^53.
+
+    Exponent 0 is exact.  A positive integer m is a product of m exact
+    factors, so it errs by at most ``(m - 1) u``.  A non-integer a errs by
+    at most ``(14 |a| (1 + |a|/16) + 52) u``, to first order in u, taking
+    numpy's log, log1p, exp and power to within one ulp (2 u relative; they
+    measured below 0.7 ulp against mpmath with numpy 2.4 on x86-64).  In
+    the Stirling form, ``log1p(a/z)`` errs by at most 3.1 u and
+    ``z + a - 1/2`` by 2 u, so their product P, with ``|P| <= 1.11 |a|
+    (1 + |a|/16)`` from z = 16 on, by 6.1 u; ``r = P - a + ...`` adds three
+    roundings of at most ``|P| + |a|``, and the remainders u/20; ``exp``,
+    ``z**a`` and their product add 5 u.  The shift below ``_STIRLING_MIN``
+    adds three roundings per step and one product, at most 46 u.
+    """
+    if exponent == 0.0:
+        return 0.0
+    if float(exponent).is_integer():
+        return (exponent - 1.0) * _UNIT_ROUNDOFF
+    magnitude = abs(exponent) * (1.0 + abs(exponent) / _STIRLING_MIN)
+    return (14.0 * magnitude + 52.0) * _UNIT_ROUNDOFF
+
+
+def _log_gamma(z) -> np.ndarray:
+    """``ln Gamma(z)`` for integer-valued ``z >= 1``, with relative error at most ``_LOG_GAMMA_RTOL`` u.
+
+    The values are :func:`_stirling_log_gamma`'s; arguments up to
+    ``_TABLE`` read them from its table (:func:`_log_gamma_table`).
+    """
+    z = np.asarray(z, dtype=np.float64)
+    if np.max(z, initial=1.0) <= _TABLE:
+        return _log_gamma_table()[z.astype(np.intp) - 1]
+    return _stirling_log_gamma(z)
+
+
+@lru_cache(maxsize=None)
+def _log_gamma_table() -> np.ndarray:
+    """``ln Gamma(z)`` for ``z = 1 .. _TABLE`` from :func:`_stirling_log_gamma`, read-only."""
+    table = _stirling_log_gamma(np.arange(1.0, _TABLE + 1.0))
+    table.flags.writeable = False
+    return table
+
+
+def _stirling_log_gamma(z: np.ndarray) -> np.ndarray:
+    """``ln Gamma(z)`` for integer-valued ``z >= 1``, as :func:`_log_gamma` states.
+
+    Below ``_STIRLING_MIN`` it is ``ln((z-1)!)`` from a table rounded once;
+    from there on it is ``(z - 1/2) ln z - z + ln(2 pi)/2 + delta(z)``
+    (:func:`_stirling`).  The product ``(z - 1/2) ln z`` errs by at most
+    3 u relative (log's one ulp and the product), and the three additions
+    by u times ``1``, ``z + 1`` and ``ln Gamma(z)``.  From z = 16 on, where
+    the product is at most 1.55 times ``ln Gamma(z)`` and z at most 0.58
+    times, that is below ``6.4 u ln Gamma(z)``.
+    """
+    shape = np.shape(z)
+    z = np.ravel(z)
+    big = np.maximum(z, _STIRLING_MIN)
+    out = _stirling(big)
+    out += _HALF_LOG_2PI
+    out -= big
+    out += (big - 0.5) * np.log(big)
+    small = np.flatnonzero(z < _STIRLING_MIN)
+    if small.size:
+        out[small] = _LOG_FACTORIALS[z[small].astype(np.intp) - 1]
+    return out.reshape(shape)
 
 
 def _range_error(what, d_max) -> ValueError:
@@ -155,8 +311,9 @@ def entry_block(mu: Measure, n, k) -> np.ndarray:
     it; the sum is checked only when the components' largest values add up
     to more than 2^1023.  An interior atom's entry is the exp of a sum of
     log-space terms; with M the sum of their magnitudes its relative error
-    is at most 8 u M (u the unit roundoff), and a block whose largest
-    indices put that bound above ``_ATOM_RTOL`` raises ``ValueError``.
+    is at most ``11 u M + 3 u`` (u the unit roundoff, :func:`_atom_rtol`),
+    and a block whose largest indices put that bound above ``_ATOM_RTOL``
+    raises ``ValueError``.
     """
     n = _indices(n)
     k = _indices(k)
@@ -193,11 +350,9 @@ def entry_block(mu: Measure, n, k) -> np.ndarray:
             out += buf
     if mu.interior_atoms:
         _check_log_space_bound(mu, int(n.max()), int(k.max()))
-        from scipy.special import gammaln
-
-        log_diag = gammaln(d + 1.0)
-        log_row = gammaln(n + 1.0)
-        log_col = gammaln(k + 1.0)
+        log_diag = _log_gamma(d + 1.0)
+        log_row = _log_gamma(n + 1.0)
+        log_col = _log_gamma(k + 1.0)
     for atom in mu.atoms:
         t = atom.location
         with np.errstate(over="ignore"):
@@ -230,33 +385,60 @@ def _is_grid(n: np.ndarray, k: np.ndarray) -> bool:
 
 
 def _check_log_space_bound(mu: Measure, n_max: int, k_max: int) -> None:
-    """Raise ``ValueError`` when an interior atom's 8 u M bound at (n_max, k_max) exceeds _ATOM_RTOL.
-
-    Every term of M grows with n and k, so the block's largest indices bound
-    every entry's M.
-    """
-    logs = math.lgamma(n_max + k_max + 1.0) + math.lgamma(n_max + 1.0) + math.lgamma(k_max + 1.0)
+    """Raise ``ValueError`` when an interior atom's :func:`_atom_rtol` at (n_max, k_max) exceeds _ATOM_RTOL."""
     for atom in mu.interior_atoms:
-        t = atom.location
-        magnitude = logs - k_max * math.log(t) - n_max * math.log1p(-t)
-        if 8.0 * _UNIT_ROUNDOFF * magnitude > _ATOM_RTOL:
+        if _atom_rtol(atom.location, n_max, k_max) > _ATOM_RTOL:
             raise ValueError(
-                f"interior atom at t={t} loses more than {_ATOM_RTOL:g} relative accuracy "
+                f"interior atom at t={atom.location} loses more than {_ATOM_RTOL:g} relative accuracy "
                 f"in log space at n={n_max}, k={k_max}"
             )
+
+
+def _atom_rtol(t: float, n_max: int, k_max: int) -> float:
+    """``(_LOG_GAMMA_RTOL + 4) u M + 3 u``, an interior atom's entries' relative error bound up to (n_max, k_max).
+
+    M is the sum of the log-space terms' magnitudes, three ``ln Gamma``
+    (:func:`_log_gamma`, each within ``_LOG_GAMMA_RTOL`` u relative), ``k ln t``
+    and ``n ln(1-t)`` (each within 3 u: the logarithm and the product),
+    whose four additions add at most u M each; ``exp`` and the mass add
+    3 u.  Every term of M grows with n and k, so the largest indices bound
+    every entry's M.
+    """
+    magnitude = (
+        math.lgamma(n_max + k_max + 1.0) + math.lgamma(n_max + 1.0) + math.lgamma(k_max + 1.0)
+        - k_max * math.log(t) - n_max * math.log1p(-t)
+    )
+    return ((_LOG_GAMMA_RTOL + 4.0) * magnitude + 3.0) * _UNIT_ROUNDOFF
+
+
+def _term_rtol(term: JacobiTerm) -> float:
+    """A bound on the relative error of a density term's :func:`jacobi_factors` product ``row * hankel * col``.
+
+    Each factor errs by :func:`_rising_rtol` of its exponent, and the
+    coefficient's product and the Hankel factor's reciprocal add u each.
+    """
+    exponents = (term.beta, term.alpha, term.alpha + term.beta + 1.0)
+    return sum(_rising_rtol(e) for e in exponents) + 2.0 * _UNIT_ROUNDOFF
+
+
+def _entry_rtol(mu: Measure) -> float:
+    """A bound on the relative error of :func:`entry_block`'s entries of ``mu`` against the exact matrix.
+
+    A density term's part errs by :func:`_term_rtol` plus the two products
+    that form it (2 u), an endpoint atom's mass not at all, and summing m
+    nonnegative parts adds ``(m - 1) u``.  An interior atom's part counts as
+    exact here: its own bound, :func:`_atom_rtol`, grows with the indices
+    (7e-11 relative for a unit atom at 1/2 at N = 2048), far above the
+    error its entries show against mpmath, and is stated with
+    :func:`entry_block` alone.
+    """
+    parts = [_term_rtol(term) + 2.0 * _UNIT_ROUNDOFF for term in mu.jacobi_terms]
+    return max(parts, default=0.0) + (len(mu.jacobi_terms) + len(mu.atoms) - 1) * _UNIT_ROUNDOFF
 
 
 def entry(mu: Measure, n: int, k: int) -> float:
     """Single matrix entry; always finite and nonnegative."""
     return float(entry_block(mu, n, k))
-
-
-def _check_size(size: int, cap: int) -> None:
-    """Raise ``ValueError`` for a size that is not an integer >= 1, ``ResourceLimitError`` for one above ``cap``."""
-    if not isinstance(size, numbers.Integral) or size < 1:
-        raise ValueError(f"size must be an integer >= 1, got {size}")
-    if size > cap:
-        raise ResourceLimitError(f"size {size} exceeds cap {cap}")
 
 
 def finite_section(mu: Measure, size: int) -> FiniteSection:

@@ -24,11 +24,9 @@ import numpy as np
 from numpy.fft import irfft, rfft
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import ConvergenceError, ResourceLimitError
-from .kernel import (
-    _TINY, _UNIT_ROUNDOFF, DEFAULT_SECTION_CAP, _check_size, entry_block, jacobi_factors,
-)
-from .measure import LEBESGUE, Atom, JacobiTerm, Measure
+from .errors import DEFAULT_SECTION_CAP, HANKEL_CAP, ConvergenceError, ResourceLimitError, _check_size
+from .kernel import _TINY, _UNIT_ROUNDOFF, _log_gamma, _term_rtol, entry_block, jacobi_factors
+from .measure import LEBESGUE, Atom, JacobiTerm, Measure, beta as beta_function
 from .norms import parse_sequence_csv, validate_p
 
 __all__ = [
@@ -45,9 +43,6 @@ __all__ = [
     "sequence_from_csv",
 ]
 
-#: Size cap for the FFT routes (n_rows and input length).
-HANKEL_CAP = 1 << 22
-
 # Target elements per block in the truncated matvec (memory bound).
 _APPLY_BLOCK_ELEMENTS = 1 << 18
 
@@ -60,6 +55,9 @@ _GAUSS_EXACT_MAX = 1024
 # nodes, so 128 rules hold at most 4 MiB, while a measure uses one rule per
 # Jacobi term and node count.
 _JACOBI_RULES = 128
+
+# Newton steps a Gauss-Jacobi rule may take (_jacobi_rule).
+_NEWTON_STEPS = 40
 
 # Re-derive the row series' running log-binomial from log-gamma at the first
 # block start at or past each multiple of this many terms.
@@ -174,7 +172,7 @@ def _row_series_block(rows, t, values) -> np.ndarray:
     (1 + max|a|)`` per grid point, far below the absolute ``_TAIL_TOL``.
 
     ``G`` is carried from block to block as a row vector and re-derived from
-    ``gammaln`` at the first block start at or past each multiple of
+    :func:`~genhilbert.kernel._log_gamma` at the first block start at or past each multiple of
     ``_LOG_REFRESH``.  At each block start the series stops once the
     geometric tail bound (ratio threshold (1+t)/2) falls below ``_TAIL_TOL``
     at every grid point, and it is exact at the stored length otherwise.
@@ -224,9 +222,7 @@ def _row_series_block(rows, t, values) -> np.ndarray:
         if m0 == K:
             return out
         if m0 // _LOG_REFRESH > (m0 - w) // _LOG_REFRESH:
-            from scipy.special import gammaln
-
-            log_binom = gammaln(rows + (m0 + 1.0)) - gammaln(m0 + 1.0) - gammaln(rows + 1.0)
+            log_binom = _log_gamma(rows + (m0 + 1.0)) - _log_gamma(m0 + 1.0) - _log_gamma(rows + 1.0)
         else:
             log_binom = log_last + np.log((rows + m0) / m0)
 
@@ -290,25 +286,99 @@ def _row_block_sums(rows, values: np.ndarray, n_rows: int) -> np.ndarray:
 def _gauss_jacobi_integrals(term, rows, values, n_nodes):
     """Integrals of the row series against coeff * t^alpha (1-t)^beta dt."""
     t, w = _jacobi_rule(n_nodes, term.alpha, term.beta)
-    scale = term.coeff * 2.0 ** -(term.alpha + term.beta + 1.0)
     e = _row_series_block(rows, t, values)
-    return scale * (e * w).sum(axis=1)
+    return term.coeff * (e * w).sum(axis=1)
 
 
 @lru_cache(maxsize=_JACOBI_RULES)
 def _jacobi_rule(n_nodes: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """The ``n_nodes``-point Gauss rule for t^alpha (1-t)^beta on (0, 1): nodes t and weights, read-only.
+    """The ``n_nodes``-point Gauss rule for t^alpha (1-t)^beta dt on (0, 1): nodes t and weights, read-only.
 
-    The weights are those of ``(1-x)^beta (1+x)^alpha`` on [-1, 1], with
-    ``t = (x + 1) / 2``; a rule is computed once and served to every later
-    apply while it is among the ``_JACOBI_RULES`` most recently used.
+    In ``x = 2t - 1`` the weight is ``(1-x)^a (1+x)^b`` with ``a = beta``
+    and ``b = alpha``, and the nodes are the zeros of its degree-n
+    orthogonal polynomial q, scaled so that the recurrence starts from
+    ``q_0 = 1`` (:func:`_jacobi_values`).  Newton's method finds them from
+    Gatteschi and Pittaluga's asymptotic values (F. Gatteschi and
+    G. Pittaluga, 1985)
+    ``x_k = cos(phi_k + ((1/4 - a^2) cot(phi_k/2) - (1/4 - b^2) tan(phi_k/2)) / (4 rho^2))``,
+    ``phi_k = (k + a/2 - 1/4) pi / rho``, ``rho = n + (a+b+1)/2``, with
+    Aberth's correction ``dx / (1 - dx sum_(i != k) 1/(x_k - x_i))`` to each
+    Newton step ``dx = q/q'``, which keeps the iterates at distinct zeros
+    where the asymptotic values are poor (exponents far from [-1/2, 1/2]).
+    It stops after the step whose largest correction is at most 16 u and
+    raises :class:`~genhilbert.errors.ConvergenceError` after
+    ``_NEWTON_STEPS``.  The weights come from the derivative at the final
+    nodes, ``B(alpha+1, beta+1) (2n + a + b + 1) / ((1 - x^2) q'(x)^2)``,
+    which needs no value of q_(n-1): that value, near an endpoint, carries
+    the recurrence's rounding many times over.  The coefficients take
+    ``a + b`` as an exact two-term sum, since ``k + a + b`` cancels near
+    ``a + b = -2``.  A node at distance d from an endpoint carries x's
+    rounding, u/d relative, into its weight: for an exponent e near -1 the
+    nearest node lies about ``2 (1 + e) / n^2`` from its endpoint (9e-11 at
+    n = 64 and e = -0.999).  A rule is computed once and
+    served to every later apply while it is among the ``_JACOBI_RULES``
+    most recently used.
     """
-    from scipy.special import roots_jacobi
-
-    x, w = roots_jacobi(n_nodes, beta, alpha)
+    n, a, b = n_nodes, beta, alpha
+    # a + b = ab + ab_low exactly (Knuth's two-sum): near a + b = -2 the sums
+    # k + a + b below cancel, and the rounding of a + b would dominate them.
+    ab = a + b
+    ab_low = (a - (ab - (ab - a))) + (b - (ab - a))
+    k = np.arange(n, dtype=np.float64)
+    s = 2.0 * k + ab + ab_low
+    # The monic recurrence's coefficients; the first of each has its
+    # vanishing factors cancelled, which the general formulas would divide by.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shift = (b - a) * (b + a) / (s * (s + 2.0))
+        s += 2.0
+        j = k + 1.0
+        scale = 4.0 * j * (j + a) * (j + b) * (j + ab + ab_low) / (s * s * (s + 1.0) * (s - 1.0))
+    two = 2.0 + ab + ab_low
+    shift[0] = (b - a) / two
+    scale[0] = 4.0 * (1.0 + a) * (1.0 + b) / (two * two * (two + 1.0))
+    coefficients = list(zip(shift.tolist(), np.sqrt(scale).tolist()))
+    rho = n + (a + b + 1.0) / 2.0
+    phi = (np.arange(1.0, n + 1.0) + (a / 2.0 - 0.25)) * (math.pi / rho)
+    half = phi / 2.0
+    x = np.cos(phi + ((0.25 - a * a) / np.tan(half) - (0.25 - b * b) * np.tan(half)) / (4.0 * rho * rho))
+    for _ in range(_NEWTON_STEPS):
+        q, dq = _jacobi_values(x, coefficients)
+        step = q / dq
+        if n > 1:
+            gaps = x[:, None] - x[None, :]
+            np.fill_diagonal(gaps, math.inf)
+            step /= 1.0 - step * np.reciprocal(gaps, out=gaps).sum(axis=1)
+        x -= step
+        if np.abs(step).max() <= 16.0 * _UNIT_ROUNDOFF:
+            break
+    else:
+        raise ConvergenceError(f"Gauss-Jacobi nodes not converged in {_NEWTON_STEPS} Newton steps "
+                               f"(n={n}, alpha={alpha}, beta={beta})")
+    x.sort()
+    _, dq = _jacobi_values(x, coefficients)
+    w = beta_function(alpha + 1.0, beta + 1.0) * (2.0 * n + a + b + 1.0) / ((1.0 - x) * (1.0 + x) * dq * dq)
     t = 0.5 * (x + 1.0)
+    if not (np.all(np.diff(x) > 0.0) and np.all(w > 0.0) and np.isfinite(w).all()):
+        raise ConvergenceError(f"Gauss-Jacobi rule out of range (n={n}, alpha={alpha}, beta={beta})")
     t.flags.writeable = w.flags.writeable = False
     return t, w
+
+
+def _jacobi_values(x: np.ndarray, coefficients) -> tuple[np.ndarray, np.ndarray]:
+    """``q_n(x)`` and ``q_n'(x)`` from ``q_(j+1) = ((x - c_j) q_j - s_(j-1) q_(j-1)) / s_j``, ``q_0 = 1``.
+
+    ``coefficients`` holds ``(c_j, s_j)`` for j < n: the monic recurrence's
+    shift and the square root of its next scale, so that each ``q_j`` is the
+    orthonormal polynomial times the square root of the weight's mass.
+    """
+    q_prev, q = np.zeros_like(x), np.ones_like(x)
+    d_prev, d = np.zeros_like(x), np.zeros_like(x)
+    s_prev = 0.0
+    for c, s in coefficients:
+        y = x - c
+        q_prev, q, d_prev, d = q, (y * q - s_prev * q_prev) / s, d, (q + y * d - s_prev * d_prev) / s
+        s_prev = s
+    return q, d
 
 
 def apply_via_quadrature(mu: Measure, a: SequenceVector, n_rows: int) -> SequenceVector:
@@ -404,12 +474,14 @@ class FFTPlan:
 
     ``tiles`` cut the block into disjoint ``(rows, cols, m, terms)``: row
     and column slices, a transform length m and, per density term,
-    ``(row, col, segment, h_2, h_1)``.  ``row`` and ``col`` are the tile's
-    slices of the factors :func:`~genhilbert.kernel.jacobi_factors`
+    ``(row, col, segment, h_2, h_1, eta)``.  ``row`` and ``col`` are the
+    tile's slices of the factors :func:`~genhilbert.kernel.jacobi_factors`
     returns.  ``h`` is the Hankel factor over the tile's diagonals,
     ``segment`` its spectrum ``rfft(h, m)`` or, when m is 0, the dense
-    matrix ``h[i + j]`` of the tile's shape, and ``h_2``, ``h_1`` its 2- and
-    1-norms.  ``c0`` and ``c1`` are the endpoint masses.  All of these are a
+    matrix ``h[i + j]`` of the tile's shape, ``h_2``, ``h_1`` its 2- and
+    1-norms, and ``eta`` the term's factor error against the exact matrix
+    (:func:`~genhilbert.kernel._term_rtol`).  ``c0`` and ``c1`` are the
+    endpoint masses.  All of these are a
     measure nu's, and the plan is that of ``2**scale`` times nu
     (:meth:`apply`).  Build one with :func:`fft_plan`.
     """
@@ -450,14 +522,16 @@ class FFTPlan:
 
         The bound majorizes ``||y_fft - y||_p``, where ``y`` is the exact
         product of the entries :func:`~genhilbert.kernel.entry_block` returns
-        with ``a`` (the dense route without its summation rounding).  With unit
+        with ``a`` (the dense route without its summation rounding), and also
+        where ``y`` is the exact image under the exact matrix.  With unit
         roundoff u, N = n_rows, K = len(a), A the most sums that can land in
         one row (terms times tiles, plus the endpoint atoms),
         ``lam = max(1, log2 m)`` and ``s = max(0, 1/p - 1/2)`` (so that a
         tile's ``||x||_p <= n^s ||x||_2``), it is, to first order in u, a sum
         over the tiles of ::
 
-            16 u (lam + A + 1) n^s sum_terms ||D||_inf (||h||_2 ||b||_1 + ||h||_1 ||b||_2)
+            n^s sum_terms ||D||_inf ((16 u (lam + A + 1) + eta) ||h||_2 ||b||_1
+                                     + 16 u (lam + A + 1) ||h||_1 ||b||_2)
 
         (a dense tile has ``k + 2A + 4`` in place of ``16 (lam + A + 1)``), plus::
 
@@ -485,6 +559,9 @@ class FFTPlan:
         (at most (A + 1) u).  Per term this is
         ``(14 lam + 2A + 7) u ||h||_2 ||b||_1 + 7 lam u ||h||_1 ||b||_2`` in
         ell-2, times ``||D||_inf n^s`` in ell-p, and the tiles' errors add.
+        Against the exact matrix, the factors' own error, at most eta
+        relative per term since every factor is positive, adds
+        ``eta D (h * |b|)`` per row.
         The atoms share those ``(2A + 3) u`` per row, and ``sum(a)`` adds at
         most ``K u``.
 
@@ -506,7 +583,7 @@ class FFTPlan:
             part = values[cols]
             n, k = rows.stop - rows.start, len(part)
             tiles.append((rows, m, k, []))
-            for row, col, segment, h_2, h_1 in terms:
+            for row, col, segment, h_2, h_1, eta in terms:
                 b = col * part
                 b_1, b_2, e = _norms_1_2(b)
                 # The transforms' values reach m ||h||_1 ||b||_1 (a dense
@@ -523,7 +600,7 @@ class FFTPlan:
                 else:
                     c = row * (segment @ b)
                 out[rows] += np.ldexp(c, shift) if shift else c
-                tiles[-1][3].append((row.max(), h_2, h_1, b_1, b_2, e))
+                tiles[-1][3].append((row.max(), h_2, h_1, b_1, b_2, e, eta))
         c0, c1 = self.c0, self.c1
         if c0 > 0:
             out += c0 * values[0]
@@ -544,7 +621,8 @@ def _stated_bound(tiles, atoms, n_rows: int, K: int, p: float) -> float:
     """:meth:`FFTPlan.apply`'s bound from ``atoms = (c0, c1, |a[0]|, ||a||_1)`` and the ``tiles``.
 
     Per tile: ``(rows, m, k, norms)``, k its columns, and per density term
-    ``(||D||_inf, h_2, h_1, b_1, b_2, e)`` with b's norms in units of 2**e.
+    ``(||D||_inf, h_2, h_1, b_1, b_2, e, eta)`` with b's norms in units of
+    2**e and eta the term's factor error (:func:`~genhilbert.kernel._term_rtol`).
     """
     c0, c1, a_0, a_1 = atoms
     # Every tile holds row 0 or is the one row tile of its rows, and the tiles
@@ -556,11 +634,12 @@ def _stated_bound(tiles, atoms, n_rows: int, K: int, p: float) -> float:
         # u scales each magnitude before the large factors do, and the
         # power of two of b last, so the bound overflows only when its
         # value is beyond float64.
-        weight = 0.0
-        for d, h_2, h_1, b_1, b_2, e in norms:
+        weight = factors = 0.0
+        for d, h_2, h_1, b_1, b_2, e, eta in norms:
             weight += _ldexp(u * d * (h_2 * b_1 + h_1 * b_2), e)
+            factors += _ldexp(eta * d * h_2 * b_1, e)
         scale = 16.0 * (max(1, m.bit_length() - 1) + A + 1) if m else k + 2 * A + 4
-        bound += scale * (rows.stop - rows.start) ** s * weight
+        bound += (rows.stop - rows.start) ** s * (scale * weight + factors)
     return float(bound + (2 * A + K + 3) * (u * c0 * a_0 * n_rows ** (1.0 / p) + u * c1 * a_1))
 
 
@@ -682,6 +761,7 @@ def _build_plan(mu: Measure, n_rows: int, n_cols: int, tiled: bool | None = None
     for row, col, _ in factors:
         # Before any view is taken: views inherit it.
         row.flags.writeable = col.flags.writeable = False
+    etas = [_term_rtol(term) for term in mu.jacobi_terms]
     # Per tiling, per tile (rows, cols, m) and term: the Hankel factor h over
     # the tile's diagonals, the row factor's max, h's 2- and 1-norms and
     # _norms_1_2 of the column factor.
@@ -703,7 +783,8 @@ def _build_plan(mu: Measure, n_rows: int, n_cols: int, tiled: bool | None = None
             _stated_bound(
                 [
                     (r, m, c.stop - c.start,
-                     [(d, h_2, h_1, q * b_1, q * b_2, e) for _, d, h_2, h_1, b_1, b_2, e in parts])
+                     [(d, h_2, h_1, q * b_1, q * b_2, e, eta)
+                      for (_, d, h_2, h_1, b_1, b_2, e), eta in zip(parts, etas)])
                     for (r, c, m), parts in norms[t]
                 ],
                 (c0, c1, q, n_cols * q), n_rows, n_cols, 2.0,
@@ -714,12 +795,12 @@ def _build_plan(mu: Measure, n_rows: int, n_cols: int, tiled: bool | None = None
     tiles, nbytes = [], sum(x.nbytes for row, col, _ in factors for x in (row, col) if x.strides[-1])
     for (r, c, m), parts in norms[tiled]:
         terms = []
-        for (row, col, _), (h, _, h_2, h_1, *_) in zip(factors, parts):
+        for (row, col, _), (h, _, h_2, h_1, *_), eta in zip(factors, parts, etas):
             shape = (r.stop - r.start, c.stop - c.start)
             segment = rfft(h, m) if m else as_strided(h, shape, h.strides * 2).copy()
             segment.flags.writeable = False
             nbytes += segment.nbytes
-            terms.append((row[r], col[c], segment, h_2, h_1))
+            terms.append((row[r], col[c], segment, h_2, h_1, eta))
         tiles.append((r, c, m, tuple(terms)))
     # The one tile covers every row.
     row_max = tuple(top for _, top, *_ in norms[False][0][1])

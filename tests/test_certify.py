@@ -299,8 +299,9 @@ def test_ratio_without_interior_atoms_builds_no_entries(monkeypatch):
 def test_ratio_takes_the_dense_route_when_the_fft_cannot_serve(mu, size, monkeypatch):
     params = ExtremalParams(2.0, 0.1, size)
     a = extremal_sequence(params)
-    # The numerator gives up the rounding of K-term row sums and of both norms.
-    rounding = (2 * (size + size) + size + 16) * 2.0**-53
+    # The numerator gives up the rounding of K-term row sums and of both
+    # norms, and the entries' own error against the exact matrix.
+    rounding = (2 * (size + size) + size + 16) * 2.0**-53 + kernel._entry_rtol(mu)
     dense = lp_norm(apply_truncated(mu, a, size).values, 2.0) * (1.0 - rounding) / lp_norm(a.values, 2.0)
     calls = []
     _record_calls(monkeypatch, calls, certify_module, "apply_truncated")

@@ -1,9 +1,9 @@
 """Each subcommand loads only the array libraries its result needs.
 
-Boundedness verdicts and usage errors load neither numpy nor scipy;
-entries, sections, applies and checks whose factors have integer exponents
-load numpy alone; non-integer exponents, interior atoms and the quadrature
-route load scipy too.  Each check runs in a fresh interpreter, since this
+Boundedness verdicts, usage errors and sizes over their caps load neither
+numpy nor scipy; entries, sections, applies, certificates and checks load
+numpy alone, whatever their exponents, atoms or route, since the library
+imports scipy nowhere.  Each check runs in a fresh interpreter, since this
 test process has long since imported both.
 """
 
@@ -125,12 +125,20 @@ def test_integer_exponent_work_loads_numpy_but_not_scipy(tmp_path):
         "t1mt.json": '{"jacobi": [{"coeff": 1, "alpha": 1, "beta": 1}], "atoms": []}',
         "c07.json": '{"jacobi": [{"coeff": 1, "alpha": 1, "beta": 0}], "atoms": [{"t": 1, "mass": 1}]}',
         "cdt.json": '{"jacobi": [{"coeff": 3, "alpha": 0, "beta": 0}], "atoms": []}',
+        "atom.json": '{"jacobi": [], "atoms": [{"t": 0.5, "mass": 1}]}',
         "a.csv": "".join(f"{1.0 / (i + 1) ** 0.6!r}\n" for i in range(64)),
     })
+    certify = ["certify", "--p", "2", "--eps", "0.1", "--measure"]
+    # Sizes over their caps are refused before numpy loads (exit 1).
+    over_caps = [
+        ["section", "--measure", f"{d}/cdt.json", "--N", "20000"],
+        certify + [f"{d}/atom.json", "--N", "64,20000"],
+        certify + [f"{d}/t1mt.json", "--N", f"64,{(1 << 22) + 1}"],
+    ]
+    assert run_cases(over_caps) == [[1, []]] * len(over_caps)
     cases = [
         (["entry", "--measure", f"{d}/t1mt.json", "--n", "17", "--k", "300"], 0),
         (["section", "--measure", f"{d}/t1mt.json", "--N", "40"], 0),
-        (["section", "--measure", f"{d}/cdt.json", "--N", "20000"], 1),
         (["apply", "--measure", f"{d}/c07.json", "--sequence", f"{d}/a.csv", "--rows", "64"], 0),
         (["apply", "--measure", f"{d}/cdt.json", "--sequence", f"{d}/a.csv", "--rows", "256",
           "--route", "fft", "--p", "2"], 0),
@@ -140,7 +148,7 @@ def test_integer_exponent_work_loads_numpy_but_not_scipy(tmp_path):
 
 
 @pytest.mark.parametrize("case", ["interior-atom-entry", "quadrature-apply", "non-integer-entry"])
-def test_work_that_needs_scipy_still_loads_it(tmp_path, case):
+def test_work_that_needed_scipy_loads_numpy_alone(tmp_path, case):
     d = write_files(tmp_path, {
         "atom.json": '{"jacobi": [{"coeff": 1, "alpha": 0, "beta": 0}], "atoms": [{"t": 0.5, "mass": 2}]}',
         "half.json": '{"jacobi": [{"coeff": 1, "alpha": 0.5, "beta": 0}], "atoms": []}',
@@ -152,4 +160,4 @@ def test_work_that_needs_scipy_still_loads_it(tmp_path, case):
                              "--rows", "8", "--route", "quadrature"],
         "non-integer-entry": ["entry", "--measure", f"{d}/half.json", "--n", "5", "--k", "7"],
     }[case]
-    assert run_cases([argv]) == [[0, ["numpy", "scipy"]]]
+    assert run_cases([argv]) == [[0, ["numpy"]]]

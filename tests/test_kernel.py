@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-import scipy.special
 from scipy.special import poch
 
 from genhilbert import kernel, operator
@@ -117,9 +116,10 @@ def test_section_is_bit_identical_to_entries():
 )
 def test_factors_of_exponent_zero_are_constants_with_the_products_bits(term):
     # poch(x, 0) is exactly 1.0, so a constant coeff or 1.0 has the bits of
-    # coeff * poch(n+1, 0), and holds no array of ones.  Every other factor
-    # has poch's bits too, an integer exponent's product included (the
-    # Hankel exponent alpha + beta + 1 = 1 of the last term).
+    # coeff * poch(n+1, 0), and holds no array of ones.  Every other
+    # integer-exponent factor has poch's bits too, the product's (the
+    # Hankel exponent alpha + beta + 1 = 1 of the last term).  Non-integer
+    # exponents are held to mpmath instead (test_oracle.py).
     n, k = np.arange(300), np.arange(170)
     d = np.arange(469.0)
     row, col, hankel = kernel.jacobi_factors(term, n, k, d)
@@ -128,9 +128,12 @@ def test_factors_of_exponent_zero_are_constants_with_the_products_bits(term):
         poch(k + 1.0, term.alpha),
         1.0 / poch(d + 1.0, term.alpha + term.beta + 1.0),
     )
-    for got, ref, exponent in zip((row, col, hankel), want, (term.beta, term.alpha, None)):
-        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
-        assert (got.strides == (0,)) == (exponent == 0.0)
+    exponents = (term.beta, term.alpha, term.alpha + term.beta + 1.0)
+    for got, ref, exponent, factor in zip((row, col, hankel), want, exponents, ("row", "col", "hankel")):
+        assert got.shape == ref.shape
+        assert (got.strides == (0,)) == (exponent == 0.0 and factor != "hankel")
+        if exponent.is_integer():
+            assert got.tobytes() == ref.tobytes(), factor
     mu = Measure((term,), ())
     section = finite_section(mu, 9).entries
     for n in range(9):
@@ -247,29 +250,40 @@ def test_entry_at_the_largest_indices_does_not_wrap():
 def test_no_special_function_call_per_entry(monkeypatch):
     """Factors are evaluated per row, column and diagonal, never per entry.
 
-    scipy.special's functions are counted in scipy.special, where the kernel
-    imports them from on use; ``kernel._rising`` counts every Pochhammer
-    factor, an integer exponent's exact product included.
+    ``kernel._rising`` counts every Pochhammer factor, an integer
+    exponent's exact product included, and ``kernel._log_gamma`` every
+    interior atom's log-gamma vector.  Below ``kernel._TABLE`` both read
+    tables that the Stirling forms (``kernel._stirling_rising``,
+    ``kernel._stirling_log_gamma``) fill once per exponent; those calls
+    are counted on their own.
     """
-    sizes = []
-    products = []
-    for module, name in [(scipy.special, "poch"), (scipy.special, "gammaln"), (kernel, "_rising")]:
-        original = getattr(module, name)
+    kernel._rising_table.cache_clear()
+    kernel._log_gamma_table.cache_clear()
+    sizes, products, stirling = [], [], []
+    for name in ("_rising", "_log_gamma", "_stirling_rising", "_stirling_log_gamma"):
+        original = getattr(kernel, name)
 
         def counted(x, *args, _original=original, _name=name):
-            sizes.append(np.size(x))
+            if _name.startswith("_stirling"):
+                stirling.append((_name, np.size(x)))
+            else:
+                sizes.append(np.size(x))
             if _name == "_rising" and args[0] > 0 and float(args[0]).is_integer():
                 products.append(np.size(x))
             return _original(x, *args)
 
-        monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(kernel, name, counted)
     monkeypatch.setattr(operator, "_APPLY_BLOCK_ELEMENTS", 5000)
     a = operator.SequenceVector(np.ones(300))
     for mu in MIXED_CORPUS:
         finite_section(mu, 64)
     assert sizes and max(sizes) <= 64 + 64
     assert products  # the corpus's integer exponents take the product path
+    # Its non-integer exponents -0.5, 0.25 and 0.75 and its interior atoms fill one table each.
+    table = kernel._TABLE
+    assert sorted(stirling) == [("_stirling_log_gamma", table)] + [("_stirling_rising", table)] * 3
     sizes.clear()
+    stirling.clear()
     for mu in MIXED_CORPUS:
         operator.apply_truncated(mu, a, 100)  # blocks of 16 rows by 300 columns
     assert sizes and max(sizes) <= 16 + 300
@@ -283,6 +297,23 @@ def test_no_special_function_call_per_entry(monkeypatch):
         assert max(sizes, default=0) <= 29
         for i, j in [(0, 0), (2, 7), (9, 19)]:
             assert block[i, j] == entry(mu, int(n[i, 0]), int(k[0, j]))
+    assert stirling == []  # the tables serve every later index below kernel._TABLE
+
+
+def test_entries_across_the_table_edge_keep_their_bits():
+    # A vector with an index from kernel._TABLE on takes the Stirling forms
+    # whole, one below it reads their tables: a block across the edge still
+    # equals its entries, and the tables the forms, bit for bit.
+    mu = Measure((JacobiTerm(0.5, -0.5, 0.25),), (Atom(0.3, 0.4),))
+    edge = kernel._TABLE
+    n = np.arange(edge - 16, edge + 8)[:, None]
+    k = np.arange(24)[None, :]
+    entries = np.array([[entry(mu, int(i), int(j)) for j in k[0]] for i in n[:, 0]])
+    assert entry_block(mu, n, k).tobytes() == entries.tobytes()
+    x = np.arange(edge - 24.0, edge)
+    for exponent in (-0.5, 0.25, 0.75):
+        assert kernel._rising(x, exponent).tobytes() == kernel._stirling_rising(x + 1.0, exponent).tobytes()
+    assert kernel._log_gamma(x + 1.0).tobytes() == kernel._stirling_log_gamma(x + 1.0).tobytes()
 
 
 def test_factor_overflow_is_an_error_not_a_nan():

@@ -6,7 +6,6 @@ from collections import OrderedDict
 import numpy as np
 import pytest
 import scipy.fft
-import scipy.special
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -157,13 +156,12 @@ def test_row_series_log_refresh_matches_the_running_log(monkeypatch):
     want = apply_via_quadrature(LEBESGUE, a, 8).values
     refreshes = []
 
-    def counted_gammaln(x, _original=scipy.special.gammaln):
+    def counted_log_gamma(x, _original=operator._log_gamma):
         refreshes.append(1)
         return _original(x)
 
     monkeypatch.setattr(operator, "_LOG_REFRESH", 16)
-    # The refresh imports gammaln from scipy.special when it runs.
-    monkeypatch.setattr(scipy.special, "gammaln", counted_gammaln)
+    monkeypatch.setattr(operator, "_log_gamma", counted_log_gamma)
     got = apply_via_quadrature(LEBESGUE, a, 8).values
     assert refreshes
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
@@ -288,20 +286,24 @@ def test_quadrature_compares_two_rules_beyond_the_exact_rule(monkeypatch):
 def test_each_gauss_jacobi_rule_is_computed_once(monkeypatch):
     # Repeated applies read each (n_nodes, alpha, beta) rule computed once,
     # and give the images of rules computed afresh per apply, bit for bit.
+    # A rule's computation evaluates its recurrence at least twice.
     calls = []
-    roots_jacobi = scipy.special.roots_jacobi
-    monkeypatch.setattr(scipy.special, "roots_jacobi", lambda *args: calls.append(args) or roots_jacobi(*args))
+    values = operator._jacobi_values
+    monkeypatch.setattr(operator, "_jacobi_values", lambda x, c: calls.append(len(x)) or values(x, c))
     operator._jacobi_rule.cache_clear()
     mu = Measure((JacobiTerm(1.0, -0.5, 0.25), JacobiTerm(0.5, 0.5, -0.25)), (Atom(0.3, 0.4),))
     a = SequenceVector(1.0 / np.arange(1.0, 129.0) ** 0.6)
-    images = [apply_via_quadrature(mu, a, 128).values.tobytes() for _ in range(3)]
-    assert sorted(calls) == [(128, -0.25, 0.5), (128, 0.25, -0.5)]
+    images = [apply_via_quadrature(mu, a, 128).values.tobytes()]
+    first = len(calls)
+    images += [apply_via_quadrature(mu, a, 128).values.tobytes() for _ in range(2)]
+    assert first >= 4 and len(calls) == first and set(calls) == {128}
+    assert operator._jacobi_rule.cache_info().currsize == 2
     for x in operator._jacobi_rule(128, -0.5, 0.25):
         with pytest.raises(ValueError, match="read-only"):
             x[0] = 0.0
     monkeypatch.setattr(operator, "_jacobi_rule", operator._jacobi_rule.__wrapped__)
     assert images == [apply_via_quadrature(mu, a, 128).values.tobytes()] * 3
-    assert len(calls) == 4
+    assert len(calls) == 2 * first
 
 
 def test_quadrature_endpoint_atom_conventions():
@@ -407,8 +409,8 @@ def _plan_bytes(plan) -> bytes:
     parts = [repr((plan.n_rows, plan.n_cols, plan.c0, plan.c1))]
     for rows, cols, m, terms in plan.tiles:
         parts.append(repr((rows, cols, m)))
-        for row, col, segment, h_2, h_1 in terms:
-            parts += [repr((h_2, h_1)), row.tobytes(), col.tobytes(), segment.tobytes()]
+        for row, col, segment, *norms in terms:
+            parts += [repr(norms), row.tobytes(), col.tobytes(), segment.tobytes()]
     return b"".join(part.encode() if isinstance(part, str) else part for part in parts)
 
 
@@ -593,7 +595,7 @@ def test_memo_arrays_are_read_only(monkeypatch):
     assert [plan for plan, _, _ in operator._plan_memo.values()] == plans[:1]
     for plan in plans:
         for _, _, _, terms in plan.tiles:
-            for row, col, segment, _, _ in terms:
+            for row, col, segment, *_ in terms:
                 for x in (row, col, segment):
                     with pytest.raises(ValueError, match="read-only"):
                         x[0] = 0.0

@@ -15,8 +15,9 @@ from genhilbert import (
     finite_section,
     p2_section_norm,
 )
+from genhilbert import kernel
 from genhilbert.measure import beta
-from genhilbert.operator import _row_series_block
+from genhilbert.operator import _jacobi_rule, _row_series_block
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -123,18 +124,19 @@ def test_classify_boundedness_norm_near_the_divergence_boundary_matches_mpmath(s
         assert classify_boundedness(measure(boundary - delta), p).reason == "DivergentIntegral"
 
 
-def test_jacobi_terms_match_mpmath_to_1e10():
-    # Row, diagonal and column Pochhammer factors; the log-gamma route
-    # cancels terms of size s*ln(s) and loses ~1e-9 here.
+def test_jacobi_terms_match_mpmath_within_their_stated_bound():
+    # Row, diagonal and column Pochhammer factors, against the entries'
+    # stated error: kernel._entry_rtol, the factors' own bounds plus the
+    # products'.
     rng = np.random.default_rng(20220611)
-    worst = 0.0
     for _ in range(30):
         alpha, beta = rng.uniform(-0.9, 3.0, size=2)
         term = JacobiTerm(float(rng.uniform(0.1, 5.0)), float(alpha), float(beta))
         n = rng.integers(0, MAX_INDEX + 1, size=10)
         k = rng.integers(0, MAX_INDEX + 1, size=10)
         n[:2], k[:2] = rng.integers(0, 20, size=2), rng.integers(0, 20, size=2)
-        got = entry_block(Measure((term,), ()), n, k)
+        mu = Measure((term,), ())
+        got = entry_block(mu, n, k)
         with mpmath.workdps(40):
             ref = [
                 term.coeff
@@ -142,12 +144,103 @@ def test_jacobi_terms_match_mpmath_to_1e10():
                 * mpmath.beta(int(ki) + mpmath.mpf(term.alpha) + 1, int(ni) + mpmath.mpf(term.beta) + 1)
                 for ni, ki in zip(n, k)
             ]
-            worst = max(worst, max(_relative_errors(got, ref)))
-    assert worst <= 1e-10
+            assert max(_relative_errors(got, ref)) <= kernel._entry_rtol(mu), term
+
+
+# Every x below 40 and 400 log-uniform ones up to 2^21, as indices.
+_RISING_GRID = np.unique(
+    np.concatenate([np.arange(40.0), np.floor(2.0 ** np.random.default_rng(21).uniform(0.0, 21.0, 400))])
+)
+
+
+@pytest.mark.parametrize("exponent", [-0.9, -0.6, 0.3, 0.75, 1.25, 1.5, 2.7, 6.5])
+def test_rising_matches_mpmath_within_its_stated_bound(exponent):
+    # The Stirling form stays within kernel._rising_rtol, and its worst error
+    # is at least 100 times below scipy's poch's.
+    from scipy.special import poch
+
+    x = _RISING_GRID
+    with mpmath.workdps(40):
+        ref = [mpmath.rf(mpmath.mpf(v) + 1, mpmath.mpf(exponent)) for v in x]
+        got = kernel._rising(x, exponent)
+        worst = max(_relative_errors(got, ref))
+        worst_poch = max(_relative_errors(poch(x + 1.0, exponent), ref))
+    assert worst <= kernel._rising_rtol(exponent)
+    assert 100.0 * worst <= worst_poch
+    small = x < kernel._TABLE  # read from the exponent's table when alone
+    assert kernel._rising(x[small], exponent).tobytes() == got[small].tobytes()
+
+
+def test_log_gamma_matches_mpmath_within_its_stated_bound():
+    # Every z below 60 and 600 log-uniform ones up to about 1.3e19.
+    z = np.floor(2.0 ** np.random.default_rng(5).uniform(0.0, 63.5, 600))
+    z = np.unique(np.concatenate([np.arange(1.0, 60.0), z]))
+    got = kernel._log_gamma(z)
+    assert got[0] == got[1] == 0.0  # ln Gamma(1) = ln Gamma(2) = 0
+    with mpmath.workdps(40):
+        worst = max(
+            abs((mpmath.mpf(float(g)) - mpmath.loggamma(mpmath.mpf(v))) / mpmath.loggamma(mpmath.mpf(v)))
+            for v, g in zip(z[2:], got[2:])
+        )
+    assert worst <= kernel._LOG_GAMMA_RTOL * UNIT_ROUNDOFF
+    small = z <= kernel._TABLE  # read from the table when alone
+    assert kernel._log_gamma(z[small]).tobytes() == got[small].tobytes()
+
+
+def _gauss_jacobi_moment_errors(n: int, alpha: float, beta: float) -> float:
+    """The largest relative error of the n-point rule's moments of t^j, j < 2n, against mpmath."""
+    t, w = _jacobi_rule(n, alpha, beta)
+    with mpmath.workdps(30):
+        # B(j+alpha+1, beta+1), one exact ratio from the last.
+        moment, worst = mpmath.beta(alpha + 1, beta + 1), 0.0
+        for j in range(2 * n):
+            worst = max(worst, float(abs(math.fsum(w * t**j) / moment - 1)))
+            moment *= (j + alpha + 1) / mpmath.mpf(j + alpha + beta + 2)
+    return worst
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 32, 128])
+def test_gauss_jacobi_rules_integrate_moments_to_their_tolerance(n):
+    """Each n-point rule integrates t^j t^alpha (1-t)^beta dt, j <= 2n-1, within (32 n^2 + 64) u.
+
+    Near an endpoint the nodes lie O(1/n^2) apart, so a node's rounding moves
+    its weight by O(n^2) u relative; the worst errors measured on this grid
+    are 0.04 to 0.31 of this tolerance up to n = 128, and 0.035 and 0.014 at
+    1024 and 2048.  Their
+    nodes stay within 16 u of scipy's roots_jacobi (the two meet at 2 u or
+    less except where the rule's own formula for one node is ill conditioned,
+    as at n = 1 with alpha + beta near -2).  Rules of 1024 and 2048 nodes
+    take this check in CI.
+    """
+    from scipy.special import roots_jacobi
+
+    exponents = (-0.9, -0.5, 0.0, 0.25, 1.0, 3.0)
+    tolerance = (32 * n * n + 64) * UNIT_ROUNDOFF
+    for alpha in exponents:
+        for beta in exponents:
+            assert _gauss_jacobi_moment_errors(n, alpha, beta) <= tolerance, (alpha, beta)
+            t, _ = _jacobi_rule(n, alpha, beta)
+            x, _ = roots_jacobi(n, beta, alpha)
+            assert np.abs(t - 0.5 * (x + 1.0)).max() <= 16 * UNIT_ROUNDOFF, (alpha, beta)
+
+
+@pytest.mark.parametrize("alpha,beta", [(-0.999, -0.999), (-0.999, -0.998), (-0.999, 40.0)])
+def test_gauss_jacobi_rules_near_an_exponent_of_minus_one(alpha, beta):
+    """Within ``n^2 u / (1 + min(alpha, beta))`` at n = 64.
+
+    The node nearest an endpoint whose exponent e is near -1 lies about
+    ``2 (1 + e) / n^2`` from it, so the rounding of x there moves its weight
+    by about ``n^2 u / (2 (1 + e))`` relative.  With the recurrence's
+    ``k + a + b`` formed from the rounded ``a + b`` these moments erred by
+    1.1e-7 at (-0.999, -0.999); from the exact sum, by 9.3e-11.
+    """
+    n = 64
+    assert _gauss_jacobi_moment_errors(n, alpha, beta) <= n * n * UNIT_ROUNDOFF / (1.0 + min(alpha, beta))
 
 
 def test_interior_atoms_match_mpmath_within_log_space_bound():
-    """Relative error <= 8 u M, M the sum of the log-space terms' magnitudes.
+    """Relative error within the stated ``kernel._atom_rtol``, 11 u M + 3 u, and
+    within 8 u (M + 1), M the sum of the log-space terms' magnitudes.
 
     ln Gamma(n+k+1) alone is ~3.5e6 at n = k = 3e5, so M u is ~1e-9 there:
     the bound is set by the rounding of the log-space terms, not by the
@@ -175,7 +268,21 @@ def test_interior_atoms_match_mpmath_within_log_space_bound():
                 math.lgamma(si + 1.0) + math.lgamma(ni + 1.0) + math.lgamma(ki + 1.0)
                 + abs(ki * math.log(t)) + abs(ni * math.log1p(-t))
             )
-            assert err <= 8.0 * UNIT_ROUNDOFF * (magnitude + 1.0)
+            assert err <= min(8.0 * UNIT_ROUNDOFF * (magnitude + 1.0), kernel._atom_rtol(t, int(ni), int(ki)))
+
+
+def test_interior_atom_entries_up_to_their_log_space_bound():
+    # kernel._atom_rtol of a unit atom at 1/2 passes kernel._ATOM_RTOL from
+    # n = k = 12751065 on; the entry before, binom(2n, n) / 4^n, is within it.
+    delta_half = Measure((), (Atom(0.5, 1.0),))
+    last = 12_751_064
+    assert kernel._atom_rtol(0.5, last, last) <= kernel._ATOM_RTOL < kernel._atom_rtol(0.5, last + 1, last + 1)
+    with mpmath.workdps(40):
+        ref = mpmath.binomial(2 * last, last) / mpmath.mpf(4) ** last
+        [err] = _relative_errors([entry_block(delta_half, last, last)], [ref])
+    assert err <= kernel._atom_rtol(0.5, last, last)
+    with pytest.raises(ValueError, match="log space"):
+        entry_block(delta_half, last + 1, last + 1)
 
 
 ROW_SERIES_ROWS = (0, 1, 7, 100, 1000, 4096)
