@@ -26,7 +26,7 @@ from .operator import (
     SequenceVector,
     _held_section,
     _ldexp,
-    _row_block_sums,
+    _row_sums,
     _scaled,
     apply_truncated,
     fft_plan,
@@ -204,8 +204,9 @@ class _Block:
         vector of length L: the sum, the powers, the exponent 1/p and the
         root) and of the factor, the subtraction and the division; an image
         norm beyond float64 stays math.inf.  The dense route sums a held
-        section's rows as :func:`~genhilbert.operator.apply_truncated` sums
-        its entries, so both give the same image bit for bit, and scales its
+        section's rows in one :func:`~genhilbert.operator._row_sums` call,
+        which sums each row as :func:`~genhilbert.operator.apply_truncated`'s
+        blocks do, so both give the same image bit for bit, and scales its
         norm by ``1 - (2 (N + K) + K + 16) u - eta``: a row of K nonnegative
         products sums to within ``gamma_K`` of its exact value (Higham,
         *Accuracy and Stability of Numerical Algorithms*, 2nd ed., (3.11)),
@@ -228,7 +229,7 @@ class _Block:
             image, scale = apply_truncated(self.mu, a, self.n_rows).values, 0
         else:
             s, scale = self._section
-            image = _row_block_sums(lambda start, stop: s[start:stop], a.values, self.n_rows)
+            image = _row_sums(s, a.values)
         rounding += self.n_cols * _UNIT_ROUNDOFF + _entry_rtol(self.mu)
         return _ldexp(lp_norm(image, p) * (1.0 - rounding) / denominator, scale)
 

@@ -14,8 +14,9 @@ read ``ln Gamma(d+1)`` the same way.  Everything is numpy: a factor whose
 exponent is an integer is an exact product, with ``scipy.special.poch``'s
 bits; any other, and ``ln Gamma``, take the Stirling series' remainder
 (:func:`_stirling`), each within a stated relative error
-(:func:`_rising_rtol`, ``_LOG_GAMMA_RTOL``); small indices read them from
-tables of the same values, held per process.
+(:func:`_rising_rtol`, ``_LOG_GAMMA_RTOL``).  Both follow one rule for
+small indices (:func:`_tabled`): below ``_TABLE`` they are gathered from a
+table of the form's own values, held per process.
 
 Scalar entries, dense sections, and row blocks all go through one array
 core, so a section is bitwise identical to its individual entries.
@@ -62,12 +63,12 @@ _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 /
 #: Least argument of the Stirling series; smaller integers are shifted up to it.
 _STIRLING_MIN = 16.0
 
-#: Arguments up to this read non-integer Pochhammer factors and ``ln Gamma``
-#: from tables of their values (:func:`_rising_table`, :func:`_log_gamma_table`).
+#: Indices below this read non-integer Pochhammer factors and ``ln Gamma``
+#: from tables of their values (:func:`_tabled`).
 _TABLE = 1024
 
-#: Non-integer exponents whose table is held, least recently used out first (8 KiB each).
-_RISING_TABLES = 64
+#: Tables held per process, least recently used out first (8 KiB each).
+_TABLES = 64
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -140,15 +141,12 @@ def _rising(x, exponent: float) -> np.ndarray:
     recurrence ``(j)_a = (j+1)_a j / (j+a)``.  Its relative error is at most
     :func:`_rising_rtol` of the exponent, for indices below 2^53.  Indices
     below ``_TABLE`` read these values from the exponent's table
-    (:func:`_rising_table`): a small vector costs one gather, not the
-    form's few dozen numpy calls.
+    (:func:`_tabled`).
     """
     if exponent == 0.0:
         return np.broadcast_to(1.0, np.shape(x))
     if not float(exponent).is_integer():
-        if np.max(x, initial=0) < _TABLE:
-            return _rising_table(float(exponent))[np.asarray(x, dtype=np.intp)]
-        return _stirling_rising(x + 1.0, float(exponent))
+        return _tabled(_stirling_rising, x, float(exponent))
     a = x + 1.0
     m = int(exponent)
     if m >= _FACTORIAL_OVERFLOW:
@@ -187,13 +185,11 @@ def _stirling_rising(z: np.ndarray, a: float) -> np.ndarray:
     shape = np.shape(z)
     z = np.ravel(z)
     big = np.maximum(z, _STIRLING_MIN)
-    # One remainder call for both arguments: fewer numpy calls per factor.
-    remainders = _stirling(np.concatenate((big + a, big)))
     r = np.log1p(a / big)
     r *= big + (a - 0.5)
     r -= a
-    r += remainders[: z.size]
-    r -= remainders[z.size :]
+    r += _stirling(big + a)
+    r -= _stirling(big)
     # An overflow gives inf, as in the product; the callers raise the range error.
     with np.errstate(over="ignore"):
         np.exp(r, out=r)
@@ -208,14 +204,24 @@ def _stirling_rising(z: np.ndarray, a: float) -> np.ndarray:
     return r.reshape(shape)
 
 
-@lru_cache(maxsize=_RISING_TABLES)
-def _rising_table(exponent: float) -> np.ndarray:
-    """``(j+1)_exponent`` for ``j < _TABLE`` from :func:`_stirling_rising`, read-only.
+def _tabled(form, x, *args) -> np.ndarray:
+    """``form(x + 1, *args)`` for integer-valued indices ``x >= 0``.
 
-    Each value is the form's at that index alone (:func:`_stirling` is
-    elementwise), so a gather from the table has the bits of the form.
+    When every index is below ``_TABLE`` the values are gathered from the
+    form's table at ``1 .. _TABLE``, held per process: a small vector costs
+    one gather, not the form's few dozen numpy calls.  Each value of a form
+    is the form's at that argument alone (:func:`_stirling` is
+    elementwise), so a gather has the bits of the form.
     """
-    table = _stirling_rising(np.arange(1.0, _TABLE + 1.0), exponent)
+    if np.max(x, initial=0) < _TABLE:
+        return _table(form, *args)[np.asarray(x, dtype=np.intp)]
+    return form(x + 1.0, *args)
+
+
+@lru_cache(maxsize=_TABLES)
+def _table(form, *args) -> np.ndarray:
+    """``form(z, *args)`` at ``z = 1 .. _TABLE``, read-only (:func:`_tabled`)."""
+    table = form(np.arange(1.0, _TABLE + 1.0), *args)
     table.flags.writeable = False
     return table
 
@@ -246,21 +252,10 @@ def _rising_rtol(exponent: float) -> float:
 def _log_gamma(z) -> np.ndarray:
     """``ln Gamma(z)`` for integer-valued ``z >= 1``, with relative error at most ``_LOG_GAMMA_RTOL`` u.
 
-    The values are :func:`_stirling_log_gamma`'s; arguments up to
-    ``_TABLE`` read them from its table (:func:`_log_gamma_table`).
+    The values are :func:`_stirling_log_gamma`'s, read from its table up to
+    ``_TABLE`` (:func:`_tabled`).
     """
-    z = np.asarray(z, dtype=np.float64)
-    if np.max(z, initial=1.0) <= _TABLE:
-        return _log_gamma_table()[z.astype(np.intp) - 1]
-    return _stirling_log_gamma(z)
-
-
-@lru_cache(maxsize=None)
-def _log_gamma_table() -> np.ndarray:
-    """``ln Gamma(z)`` for ``z = 1 .. _TABLE`` from :func:`_stirling_log_gamma`, read-only."""
-    table = _stirling_log_gamma(np.arange(1.0, _TABLE + 1.0))
-    table.flags.writeable = False
-    return table
+    return _tabled(_stirling_log_gamma, np.asarray(z, dtype=np.float64) - 1.0)
 
 
 def _stirling_log_gamma(z: np.ndarray) -> np.ndarray:
@@ -457,15 +452,15 @@ def section_to_csv(section: FiniteSection) -> str:
 
 
 def section_from_csv(text: str) -> FiniteSection:
+    """The section :func:`section_to_csv` wrote; ``ValueError`` for a ragged, non-square or non-finite table."""
     rows = [
         [float(cell) for cell in line.split(",")]
         for line in text.strip().splitlines()
         if line.strip()
     ]
-    entries = np.array(rows, dtype=np.float64)
-    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-        raise ValueError(f"expected a square table, got shape {entries.shape}")
-    return FiniteSection(entries.shape[0], entries)
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError("section rows must all have the same number of cells")
+    return _read_section(np.array(rows, dtype=np.float64))
 
 
 def section_to_json(section: FiniteSection) -> str:
@@ -475,7 +470,17 @@ def section_to_json(section: FiniteSection) -> str:
 
 
 def section_from_json(text: str) -> FiniteSection:
+    """The section :func:`section_to_json` wrote; ``ValueError`` for a size below 1 or not an integer, or a non-finite entry."""
     obj = json.loads(text)
-    size = int(obj["size"])
-    entries = np.array(obj["entries"], dtype=np.float64).reshape(size, size)
-    return FiniteSection(size, entries)
+    size = obj["size"]
+    _check_size(size, math.inf)
+    return _read_section(np.array(obj["entries"], dtype=np.float64).reshape(size, size))
+
+
+def _read_section(entries: np.ndarray) -> FiniteSection:
+    """``entries`` as a section; raises ``ValueError`` unless they are a square table of finite numbers."""
+    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
+        raise ValueError(f"expected a square table, got shape {entries.shape}")
+    if not np.isfinite(entries).all():
+        raise ValueError("section entries must be finite")
+    return FiniteSection(entries.shape[0], entries)

@@ -252,35 +252,29 @@ def apply_truncated(mu: Measure, a: SequenceVector, n_rows: int) -> SequenceVect
     """First ``n_rows`` outputs of the matrix applied to the stored sequence.
 
     Exact truncation: input beyond the stored length is treated as zero.
-    Rows are computed in memory-bounded blocks; each row is summed whole in
-    a fixed order, so results do not depend on the blocking.
+    Rows are computed in blocks of at most ``_APPLY_BLOCK_ELEMENTS`` entries
+    (at least one row), and :func:`_row_sums` sums each row whole in one
+    fixed order, so results do not depend on the blocking.
     """
     _check_size(n_rows, DEFAULT_SECTION_CAP)
     k_row = np.arange(len(a))[None, :]
-
-    def rows(start, stop):
-        return entry_block(mu, np.arange(start, stop)[:, None], k_row)
-
-    return SequenceVector(_row_block_sums(rows, a.values, n_rows))
-
-
-def _row_block_sums(rows, values: np.ndarray, n_rows: int) -> np.ndarray:
-    """``sum_k rows(start, stop)[i, k] * values[k]`` for the first ``n_rows`` rows.
-
-    ``rows(start, stop)`` returns the matrix rows ``start:stop`` over the
-    columns of ``values``; it is called on blocks of at most
-    ``_APPLY_BLOCK_ELEMENTS`` entries (at least one row).  Each row is summed
-    whole in a fixed order, so results do not depend on the blocking.
-    """
-    K = len(values)
     out = np.zeros(n_rows)
-    if K == 0:
-        return out
-    block = max(1, min(n_rows, _APPLY_BLOCK_ELEMENTS // K))
+    block = max(1, _APPLY_BLOCK_ELEMENTS // max(1, len(a)))
     for start in range(0, n_rows, block):
-        stop = min(start + block, n_rows)
-        out[start:stop] = (rows(start, stop) * values).sum(axis=1)
-    return out
+        rows = entry_block(mu, np.arange(start, min(start + block, n_rows))[:, None], k_row)
+        _row_sums(rows, a.values, out=out[start : start + len(rows)])
+    return SequenceVector(out)
+
+
+def _row_sums(rows: np.ndarray, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``sum_k rows[i, k] * values[k]`` for every row i, into ``out`` when given.
+
+    ``numpy.einsum`` (no BLAS) sums each row in one fixed order, whatever
+    other rows share the call and wherever the row starts in memory, so a
+    row's sum has the same bits in a block of any height and in a held
+    section.  BLAS ``@`` does not: its sums change with the block's height.
+    """
+    return np.einsum("ij,j->i", rows, values, out=out)
 
 
 def _gauss_jacobi_integrals(term, rows, values, n_nodes):
@@ -320,10 +314,10 @@ def _jacobi_rule(n_nodes: int, alpha: float, beta: float) -> tuple[np.ndarray, n
     most recently used.
     """
     n, a, b = n_nodes, beta, alpha
-    # a + b = ab + ab_low exactly (Knuth's two-sum): near a + b = -2 the sums
-    # k + a + b below cancel, and the rounding of a + b would dominate them.
+    # a + b = ab + ab_low exactly: near a + b = -2 the sums k + a + b below
+    # cancel, and the rounding of a + b would dominate them.
     ab = a + b
-    ab_low = (a - (ab - (ab - a))) + (b - (ab - a))
+    ab_low = math.fsum((a, b, -ab))
     k = np.arange(n, dtype=np.float64)
     s = 2.0 * k + ab + ab_low
     # The monic recurrence's coefficients; the first of each has its
@@ -501,6 +495,8 @@ class FFTPlan:
         )
         return FFTPlan(self.n_cols, self.n_rows, tiles, self.c1, self.c0, self.scale)
 
+    # An image or bound beyond the float64 range is inf, with no warning.
+    @np.errstate(over="ignore")
     def apply(self, a: SequenceVector, p: float) -> tuple[SequenceVector, float]:
         """The image of ``a`` (length ``n_cols``) in O(M log M) and an a-priori ell-p error bound.
 
@@ -514,11 +510,14 @@ class FFTPlan:
         m onto indices below k-1, so the rows kept are exact; m is the least
         power of two that long.  A dense tile (m = 0) forms c as the product
         of its matrix ``h[i+j]`` with b.  The image is finite whenever it is
-        within the float64 range.  An atom at 0 adds ``c0 * a[0]`` to every
-        row, an atom at 1 adds ``c1 * sum(a)`` to row 0.  The image and the
-        bound are then multiplied by ``2**scale``; that is exact while they
-        stay in the float64 range, so both equal those of the scaled
-        measure's own plan bit for bit, and beyond it they are inf.
+        within the float64 range: where ``E * a`` leaves that range, b is
+        formed from ``a`` divided by the power of two above ``max |a|``.  An
+        atom at 0 adds ``c0 * a[0]`` to every row, an atom at 1 adds
+        ``c1 * sum(a)`` to row 0; p is checked as :func:`lp_norm` checks
+        it.  The image and the bound are then multiplied by ``2**scale``;
+        that is exact while they stay in the float64 range, so both equal
+        those of the scaled measure's own plan bit for bit, and beyond it
+        they are inf.
 
         The bound majorizes ``||y_fft - y||_p``, where ``y`` is the exact
         product of the entries :func:`~genhilbert.kernel.entry_block` returns
@@ -573,6 +572,7 @@ class FFTPlan:
         """
         values = a.values
         K, n_rows = len(values), self.n_rows
+        p = validate_p(p)
         if K != self.n_cols:
             raise ValueError(f"input length {K} does not match the plan's {self.n_cols} columns")
         out = np.zeros(n_rows)
@@ -586,6 +586,13 @@ class FFTPlan:
             for row, col, segment, h_2, h_1, eta in terms:
                 b = col * part
                 b_1, b_2, e = _norms_1_2(b)
+                pre = 0
+                if math.isinf(b_1):
+                    # E * a left the float64 range: b is formed again from
+                    # a / 2**pre, and the rows are scaled back; both are exact.
+                    pre = math.frexp(float(np.abs(values).max()))[1]
+                    b = col * np.ldexp(part, -pre)
+                    b_1, b_2, e = _norms_1_2(b)
                 # The transforms' values reach m ||h||_1 ||b||_1 (a dense
                 # product's, ||h||_1 ||b||_1).  Where that may pass the
                 # float64 range they run on b / 2**e, whose entries are below
@@ -599,8 +606,8 @@ class FFTPlan:
                     c = row * irfft(segment * rfft(b[::-1], m), m)[k - 1 : k - 1 + n]
                 else:
                     c = row * (segment @ b)
-                out[rows] += np.ldexp(c, shift) if shift else c
-                tiles[-1][3].append((row.max(), h_2, h_1, b_1, b_2, e, eta))
+                out[rows] += np.ldexp(c, shift + pre) if shift + pre else c
+                tiles[-1][3].append((row.max(), h_2, h_1, b_1, b_2, e + pre, eta))
         c0, c1 = self.c0, self.c1
         if c0 > 0:
             out += c0 * values[0]
@@ -612,8 +619,7 @@ class FFTPlan:
             # them moves every row toward its exact value.
             np.maximum(out, 0.0, out=out)
         atoms = (c0, c1, abs(values[0]), np.abs(values).sum() if c1 > 0 else 0.0)
-        with np.errstate(over="ignore"):
-            np.ldexp(out, self.scale, out=out)
+        np.ldexp(out, self.scale, out=out)
         return SequenceVector(out), _ldexp(_stated_bound(tiles, atoms, n_rows, K, p), self.scale)
 
 

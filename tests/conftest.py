@@ -54,3 +54,6 @@ MIXED_CORPUS = (
     Measure((JacobiTerm(1.0, 1.0, 1.0),), (Atom(0.0, 1.0), Atom(1.0, 1.0))),
     Measure((), ()),
 )
+
+# Two Jacobi terms plus an interior atom at 0.3, the benchmark's mix-atom shape.
+MIX_ATOM = Measure((JacobiTerm(1.0, -0.5, 0.25), JacobiTerm(0.5, 0.5, -0.25)), (Atom(0.3, 0.4),))

@@ -34,7 +34,7 @@ from genhilbert import certify as certify_module
 from genhilbert import kernel, operator
 from genhilbert.certify import SOUNDNESS_SLACK
 from genhilbert.norms import classical_constant
-from conftest import MIXED_CORPUS, random_interior_measure
+from conftest import MIX_ATOM, MIXED_CORPUS, random_interior_measure
 from genhilbert.operator import (
     SequenceVector,
     apply_truncated,
@@ -831,6 +831,12 @@ def test_every_apply_of_a_sweep_runs_on_the_blocks_one_plan_or_its_transpose(mu,
         _assert_certified_against_the_dense_norm(mu, size, sigma, 1e-11)
 
 
+@pytest.mark.parametrize("eps_grid,size_grid", [([], [8]), ([0.1], []), ([], [])])
+def test_sweep_rejects_an_empty_grid(lebesgue, eps_grid, size_grid):
+    with pytest.raises(ValueError, match="^eps_grid and size_grid must be nonempty$"):
+        convergence_sweep(lebesgue, 2.0, eps_grid, size_grid)
+
+
 @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan])
 def test_p2_section_norm_rejects_a_tol_that_is_not_positive(lebesgue, tol):
     with pytest.raises(ValueError, match="tol must be > 0"):
@@ -964,20 +970,21 @@ def test_sweep_shape_and_monotone_sigma(lebesgue):
     assert report.verdict.is_bounded
 
 
-MIX_ATOM = Measure(
-    (JacobiTerm(1.0, -0.5, 0.25), JacobiTerm(0.5, 0.5, -0.25)), (Atom(0.3, 0.4),)
-)
-
-
 @pytest.mark.parametrize(
     "mu,sizes",
-    [(Measure((JacobiTerm(1.0, 1.0, 1.0),), ()), (128, 512)), (MIX_ATOM, (128, 256))],
-    ids=["t(1-t)dt", "interior-atom-mixture"],
+    [
+        (Measure((JacobiTerm(1.0, 1.0, 1.0),), ()), (128, 512)),
+        (MIX_ATOM, (128, 256)),
+        (MIX_ATOM, (600,)),
+    ],
+    ids=["t(1-t)dt", "interior-atom-mixture", "interior-atom-mixture-600"],
 )
 def test_p2_sweep_builds_each_size_once(mu, sizes, monkeypatch):
     # t(1-t)dt takes the tiled plan at both sizes, for sigma and the ratios
     # alike, and builds no entry.  The atom mixture is dense throughout; its ratios sum the
-    # section sigma built, with the same bits as the truncated apply.
+    # section sigma built, with the same bits as the truncated apply.  At 600
+    # the truncated apply streams two row blocks (436 and 164 rows) and the
+    # sweep sums its whole section in one call.
     eps_grid = (0.05, 0.1, 0.3)
     want_ratios = [
         lower_bound_ratio(mu, ExtremalParams(2.0, eps, size), size)

@@ -420,6 +420,13 @@ def test_invalid_p_exits_two():
     assert exc_info.value.code == 2
 
 
+def test_p_that_is_not_a_number_exits_two(capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        main(["classify", "--measure", "x.json", "--p", "abc"])
+    assert exc_info.value.code == 2
+    assert "p must be a real >= 1 or inf, got 'abc'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,5 +1,6 @@
 """Matrix entries, finite sections, additivity over endpoint atoms."""
 
+import json
 import math
 import warnings
 
@@ -253,12 +254,11 @@ def test_no_special_function_call_per_entry(monkeypatch):
     ``kernel._rising`` counts every Pochhammer factor, an integer
     exponent's exact product included, and ``kernel._log_gamma`` every
     interior atom's log-gamma vector.  Below ``kernel._TABLE`` both read
-    tables that the Stirling forms (``kernel._stirling_rising``,
-    ``kernel._stirling_log_gamma``) fill once per exponent; those calls
-    are counted on their own.
+    tables from the one table cache (``kernel._table``) that the Stirling
+    forms (``kernel._stirling_rising``, ``kernel._stirling_log_gamma``)
+    fill once per exponent; those calls are counted on their own.
     """
-    kernel._rising_table.cache_clear()
-    kernel._log_gamma_table.cache_clear()
+    kernel._table.cache_clear()
     sizes, products, stirling = [], [], []
     for name in ("_rising", "_log_gamma", "_stirling_rising", "_stirling_log_gamma"):
         original = getattr(kernel, name)
@@ -383,8 +383,22 @@ def test_section_json_round_trip_is_bitwise():
 
 
 def test_section_csv_rejects_ragged_input():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^section rows must all have the same number of cells$"):
         section_from_csv("1,2\n3\n")
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_section_parsers_reject_non_finite_entries(cell):
+    with pytest.raises(ValueError, match="^section entries must be finite$"):
+        section_from_csv(f"1,2\n{cell},4\n")
+    with pytest.raises(ValueError, match="^section entries must be finite$"):
+        section_from_json(json.dumps({"size": 2, "entries": [1.0, 2.0, float(cell), 4.0]}))
+
+
+@pytest.mark.parametrize("size", ["0", "1.5", "-1", "2.0"])
+def test_section_json_rejects_a_size_that_is_not_an_integer_from_one(size):
+    with pytest.raises(ValueError, match=f"^size must be an integer >= 1, got {size}$"):
+        section_from_json(f'{{"size": {size}, "entries": [1.0, 2.0, 3.0, 4.0]}}')
 
 
 def test_section_csv_rejects_a_non_square_table():

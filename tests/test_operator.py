@@ -30,7 +30,7 @@ from genhilbert import (
 )
 from genhilbert import operator
 from genhilbert.operator import fft_plan
-from conftest import MIXED_CORPUS, random_interior_measure
+from conftest import MIX_ATOM, MIXED_CORPUS, random_interior_measure
 
 
 def naive_hilbert_apply(values: np.ndarray, n_rows: int) -> np.ndarray:
@@ -226,15 +226,15 @@ def test_apply_respects_row_cap(lebesgue):
         apply_truncated(lebesgue, SequenceVector(np.ones(4)), 100_000)
 
 
-def test_blocking_does_not_change_results(lebesgue, monkeypatch):
-    import genhilbert.operator as op
-
-    values = np.random.default_rng(3).random(257)
-    a = SequenceVector(values)
-    full = apply_truncated(lebesgue, a, 65).values
-    monkeypatch.setattr(op, "_APPLY_BLOCK_ELEMENTS", 1000)
-    blocked = apply_truncated(lebesgue, a, 65).values
-    np.testing.assert_array_equal(full, blocked)
+@pytest.mark.parametrize("mu", [LEBESGUE, MIX_ATOM], ids=["lebesgue", "mix-atom"])
+@pytest.mark.parametrize("K", [257, 1000, 4097])
+@pytest.mark.parametrize("block_rows", [1, 3, 7])
+def test_blocking_does_not_change_results(mu, K, block_rows, monkeypatch):
+    a = SequenceVector(np.random.default_rng(3).random(K))
+    full = apply_truncated(mu, a, 65).values
+    monkeypatch.setattr(operator, "_APPLY_BLOCK_ELEMENTS", block_rows * K)
+    blocked = apply_truncated(mu, a, 65).values
+    assert blocked.tobytes() == full.tobytes()
 
 
 def test_monotone_in_input_length_and_rows(lebesgue):
@@ -360,6 +360,38 @@ def test_fft_plan_checks_the_input_length():
     plan = operator.fft_plan(LEBESGUE, 5, 3)
     with pytest.raises(ValueError, match="input length 4 does not match the plan's 3 columns"):
         plan.apply(SequenceVector(np.ones(4)), 2.0)
+
+
+@pytest.mark.parametrize("p", [0.0, math.nan, 0.5, -1.0])
+def test_fft_apply_rejects_a_p_below_one(p):
+    plan = fft_plan(LEBESGUE, 4, 3)
+    with pytest.raises(ValueError, match="p must be a real >= 1 or inf"):
+        plan.apply(SequenceVector(np.ones(3)), p)
+
+
+@pytest.mark.parametrize(
+    "mu,size,value",
+    [
+        (Measure((JacobiTerm(1.0, 1.0, 1.0),), ()), 300, 1e306),  # E * a overflows; the image peaks at 5.0e305
+        (Measure((JacobiTerm(1.0, 3.0, 0.0),), ()), 1000, 1e300),  # E * a overflows; it peaks at 5.7e300
+        (LEBESGUE, 300, 1e306),  # b is in range, and the transforms run on b / 2**e
+    ],
+    ids=["t(1-t)dt", "t^3dt", "lebesgue"],
+)
+def test_fft_image_near_the_float64_limit_is_finite_and_within_its_bound(mu, size, value):
+    a = SequenceVector(np.full(size, value))
+    image, bound = fft_plan(mu, size, size).apply(a, 2.0)
+    assert np.isfinite(image.values).all() and math.isfinite(bound)
+    # The bound is against the exact products of the entries; the truncated
+    # apply sums K nonnegative products, within gamma_K of them per row.
+    ref = apply_truncated(mu, a, size).values
+    gamma = size * 2.0**-53 / (1.0 - size * 2.0**-53)
+    assert lp_norm(image.values - ref, 2.0) <= bound + gamma * lp_norm(ref, 2.0)
+    # Dividing the input by a power of two and scaling back are exact.
+    e = math.frexp(value)[1]
+    small, small_bound = fft_plan(mu, size, size).apply(SequenceVector(np.ldexp(a.values, -e)), 2.0)
+    assert image.values.tobytes() == np.ldexp(small.values, e).tobytes()
+    assert bound == math.ldexp(small_bound, e)
 
 
 def test_empty_sequence_maps_to_zero_on_every_route():
