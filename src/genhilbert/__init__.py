@@ -8,7 +8,13 @@ sharp norms, and certifies those norms empirically from below.
 
 ``measure``, ``norms``, ``errors`` and ``rng`` use the standard library
 only and load with the package, so boundedness verdicts, rejected input
-files and sizes over their caps load no array library.  ``kernel``,
+files and sizes over their caps load no array library.  The records, from
+``JacobiTerm`` to ``CertificationReport``, derive from one slotted base in
+``measure`` that compares, hashes, prints and pickles them by their fields
+and generates no code at import, so a cold ``classify`` loads neither
+``inspect`` nor ``ast`` and takes about 80 ms against 56 ms for
+``python -c pass`` (medians of 21 runs on one CPU of an Intel Xeon, no
+bytecode cache).  ``kernel``,
 ``operator`` and ``certify`` need numpy alone; each is registered at import
 but runs its code on first attribute access.  No module imports scipy:
 Pochhammer factors, log-gamma values and Gauss-Jacobi rules are numpy code,

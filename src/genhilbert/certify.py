@@ -13,13 +13,12 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DEFAULT_SECTION_CAP, HANKEL_CAP, ConvergenceError, _check_block
 from .kernel import _UNIT_ROUNDOFF, _entry_rtol, finite_section
-from .measure import Measure
+from .measure import Measure, _Record
 from .norms import NormVerdict, classify_boundedness, validate_p, verdict_to_dict
 from .operator import (
     FFTPlan,
@@ -52,61 +51,58 @@ SOUNDNESS_SLACK = 1e-6
 _KRYLOV_STEP_CAP = 128
 
 
-@dataclass(frozen=True)
-class ExtremalParams:
+class ExtremalParams(_Record):
     """Power-law test sequence family (n+1)^{-w}, w = 1/p + epsilon.
 
     epsilon is capped at 1/p: the certification grids only ever shrink
     epsilon toward 0, and the cap keeps w within (1/p, 2/p].
     """
 
-    p: float
-    epsilon: float
-    length: int
+    __slots__ = ("p", "epsilon", "length")
 
-    def __post_init__(self):
-        p = validate_p(self.p)
+    def __init__(self, p: float, epsilon: float, length: int):
+        p = validate_p(p)
         if math.isinf(p):
             raise ValueError("extremal sequences are defined for finite p only")
+        if not 0.0 < epsilon <= 1.0 / p:
+            raise ValueError(f"epsilon must lie in (0, 1/p], got {epsilon} at p={p}")
+        if not isinstance(length, numbers.Integral) or length < 1:
+            raise ValueError(f"length must be an integer >= 1, got {length}")
         object.__setattr__(self, "p", p)
-        if not 0.0 < self.epsilon <= 1.0 / p:
-            raise ValueError(f"epsilon must lie in (0, 1/p], got {self.epsilon} at p={p}")
-        if not isinstance(self.length, numbers.Integral) or self.length < 1:
-            raise ValueError(f"length must be an integer >= 1, got {self.length}")
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "length", length)
 
     @property
     def w(self) -> float:
         return 1.0 / self.p + self.epsilon
 
 
-@dataclass(frozen=True)
-class CertificationReport:
+class CertificationReport(_Record):
     """Sweep results; construction enforces the report's guarantees.
 
     Ratios must not exceed a finite target beyond floating-point slack, and
     the finite-section series must be nondecreasing.
     """
 
-    ratios: tuple
-    target: float
-    sigma_max_series: tuple
-    verdict: NormVerdict
+    __slots__ = ("ratios", "target", "sigma_max_series", "verdict")
 
-    def __post_init__(self):
-        object.__setattr__(self, "ratios", tuple(tuple(row) for row in self.ratios))
-        object.__setattr__(
-            self, "sigma_max_series", tuple(tuple(row) for row in self.sigma_max_series)
-        )
-        if math.isfinite(self.target):
-            for eps, big_k, n_rows, ratio in self.ratios:
-                if ratio > self.target + SOUNDNESS_SLACK:
+    def __init__(self, ratios: tuple, target: float, sigma_max_series: tuple, verdict: NormVerdict):
+        ratios = tuple(tuple(row) for row in ratios)
+        sigma_max_series = tuple(tuple(row) for row in sigma_max_series)
+        if math.isfinite(target):
+            for eps, big_k, n_rows, ratio in ratios:
+                if ratio > target + SOUNDNESS_SLACK:
                     raise ValueError(
-                        f"lower-bound ratio {ratio} exceeds analytic norm {self.target} "
+                        f"lower-bound ratio {ratio} exceeds analytic norm {target} "
                         f"(eps={eps}, K={big_k}, N={n_rows})"
                     )
-        sigmas = [s for _, s in self.sigma_max_series]
+        sigmas = [s for _, s in sigma_max_series]
         if any(b < a for a, b in zip(sigmas, sigmas[1:])):
             raise ValueError(f"sigma_max series not nondecreasing: {sigmas}")
+        object.__setattr__(self, "ratios", ratios)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "sigma_max_series", sigma_max_series)
+        object.__setattr__(self, "verdict", verdict)
 
 
 def extremal_sequence(params: ExtremalParams) -> SequenceVector:

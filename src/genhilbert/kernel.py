@@ -26,14 +26,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import DEFAULT_SECTION_CAP, _check_size
-from .measure import JacobiTerm, Measure
+from .measure import JacobiTerm, Measure, _Record
 
 __all__ = [
     "DEFAULT_SECTION_CAP",
@@ -80,12 +79,14 @@ _LOG_FACTORIALS.flags.writeable = False
 _LOG_GAMMA_RTOL = 7.0
 
 
-@dataclass(frozen=True)
-class FiniteSection:
+class FiniteSection(_Record):
     """Dense N x N leading truncation, row index n, column index k."""
 
-    size: int
-    entries: np.ndarray
+    __slots__ = ("size", "entries")
+
+    def __init__(self, size: int, entries: np.ndarray):
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "entries", entries)
 
 
 def _indices(x) -> np.ndarray:

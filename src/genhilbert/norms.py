@@ -11,9 +11,8 @@ atom that makes the integral diverge.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .measure import Measure, beta_kernel_integral
+from .measure import Measure, _Record, beta_kernel_integral
 
 __all__ = [
     "REASON_DIVERGENT_INTEGRAL",
@@ -53,8 +52,7 @@ def validate_p(p: float | str) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class NormVerdict:
+class NormVerdict(_Record):
     """Outcome of the boundedness decision for one (measure, p) pair.
 
     Exactly one of ``norm`` (bounded) and ``reason`` (unbounded) is set,
@@ -62,16 +60,19 @@ class NormVerdict:
     form behind a bounded norm.
     """
 
-    p: float
-    norm: float | None = None
-    reason: str | None = None
-    formula_used: str | None = None
+    __slots__ = ("p", "norm", "reason", "formula_used")
 
-    def __post_init__(self):
-        if (self.norm is None) == (self.reason is None):
+    def __init__(
+        self, p: float, norm: float | None = None, reason: str | None = None, formula_used: str | None = None
+    ):
+        if (norm is None) == (reason is None):
             raise ValueError("exactly one of norm and reason must be present")
-        if self.norm is not None and not (0.0 <= self.norm < math.inf):
-            raise ValueError(f"bounded verdict requires a finite nonnegative norm, got {self.norm}")
+        if norm is not None and not (0.0 <= norm < math.inf):
+            raise ValueError(f"bounded verdict requires a finite nonnegative norm, got {norm}")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "norm", norm)
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "formula_used", formula_used)
 
     @property
     def is_bounded(self) -> bool:

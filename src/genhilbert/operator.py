@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import numbers
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -26,7 +25,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .errors import DEFAULT_SECTION_CAP, HANKEL_CAP, ConvergenceError, ResourceLimitError, _check_size
 from .kernel import _TINY, _UNIT_ROUNDOFF, _log_gamma, _term_rtol, entry_block, jacobi_factors
-from .measure import LEBESGUE, Atom, JacobiTerm, Measure, beta as beta_function
+from .measure import LEBESGUE, Atom, JacobiTerm, Measure, _Record, beta as beta_function
 from .norms import parse_sequence_csv, validate_p
 
 __all__ = [
@@ -43,7 +42,8 @@ __all__ = [
     "sequence_from_csv",
 ]
 
-# Target elements per block in the truncated matvec (memory bound).
+# Target elements per block in the truncated matvec and in a Gauss-Jacobi
+# rule's Aberth sums (memory bound).
 _APPLY_BLOCK_ELEMENTS = 1 << 18
 
 # Largest Gauss-Jacobi rule used for exact polynomial integration; beyond
@@ -74,18 +74,16 @@ _TAIL_TOL = 1e-12
 _MAX_TERMS = 10**7
 
 
-@dataclass(frozen=True)
-class SequenceVector:
+class SequenceVector(_Record):
     """Finite stored prefix of a sequence, implicitly zero beyond its end.
 
     ``nonneg`` is read from the values: whether none is negative.
     """
 
-    values: np.ndarray
-    nonneg: bool = field(init=False)
+    __slots__ = ("values", "nonneg")
 
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
+    def __init__(self, values: np.ndarray):
+        values = np.asarray(values, dtype=np.float64)
         if values.ndim != 1:
             raise ValueError(f"sequence values must be one-dimensional, got shape {values.shape}")
         object.__setattr__(self, "values", values)
@@ -339,9 +337,15 @@ def _jacobi_rule(n_nodes: int, alpha: float, beta: float) -> tuple[np.ndarray, n
         q, dq = _jacobi_values(x, coefficients)
         step = q / dq
         if n > 1:
-            gaps = x[:, None] - x[None, :]
-            np.fill_diagonal(gaps, math.inf)
-            step /= 1.0 - step * np.reciprocal(gaps, out=gaps).sum(axis=1)
+            # sum_(i != k) 1/(x_k - x_i), from row blocks of at most
+            # _APPLY_BLOCK_ELEMENTS gaps: a row's sum has the same bits at any block height.
+            sums = np.empty(n)
+            rows = max(1, _APPLY_BLOCK_ELEMENTS // n)
+            for r0 in range(0, n, rows):
+                gaps = x[r0 : r0 + rows, None] - x[None, :]
+                np.fill_diagonal(gaps[:, r0:], math.inf)
+                sums[r0 : r0 + rows] = np.reciprocal(gaps, out=gaps).sum(axis=1)
+            step /= 1.0 - step * sums
         x -= step
         if np.abs(step).max() <= 16.0 * _UNIT_ROUNDOFF:
             break
@@ -462,8 +466,7 @@ def _layout(n_rows: int, n_cols: int, tiled: bool) -> list[tuple[slice, slice, i
     return layout
 
 
-@dataclass(frozen=True)
-class FFTPlan:
+class FFTPlan(_Record):
     """The FFT apply of one measure's leading ``n_rows`` by ``n_cols`` block, for many inputs.
 
     ``tiles`` cut the block into disjoint ``(rows, cols, m, terms)``: row
@@ -480,12 +483,15 @@ class FFTPlan:
     (:meth:`apply`).  Build one with :func:`fft_plan`.
     """
 
-    n_rows: int
-    n_cols: int
-    tiles: tuple
-    c0: float
-    c1: float
-    scale: int = 0
+    __slots__ = ("n_rows", "n_cols", "tiles", "c0", "c1", "scale")
+
+    def __init__(self, n_rows: int, n_cols: int, tiles: tuple, c0: float, c1: float, scale: int = 0):
+        object.__setattr__(self, "n_rows", n_rows)
+        object.__setattr__(self, "n_cols", n_cols)
+        object.__setattr__(self, "tiles", tiles)
+        object.__setattr__(self, "c0", c0)
+        object.__setattr__(self, "c1", c1)
+        object.__setattr__(self, "scale", scale)
 
     def transposed(self) -> FFTPlan:
         """The plan of the transposed matrix: each tile's ranges and factors swap, and so do c0 and c1."""
@@ -513,11 +519,12 @@ class FFTPlan:
         within the float64 range: where ``E * a`` leaves that range, b is
         formed from ``a`` divided by the power of two above ``max |a|``.  An
         atom at 0 adds ``c0 * a[0]`` to every row, an atom at 1 adds
-        ``c1 * sum(a)`` to row 0; p is checked as :func:`lp_norm` checks
-        it.  The image and the bound are then multiplied by ``2**scale``;
-        that is exact while they stay in the float64 range, so both equal
-        those of the scaled measure's own plan bit for bit, and beyond it
-        they are inf.
+        ``c1 * sum(a)`` to row 0, with ``sum(a)`` and ``||a||_1`` formed from
+        that quotient too where ``||a||_1`` leaves the range; p is checked
+        as :func:`lp_norm` checks it.  The image and the bound are then
+        multiplied by ``2**scale``; that is exact while they stay in the
+        float64 range, so both equal those of the scaled measure's own plan
+        bit for bit, and beyond it they are inf.
 
         The bound majorizes ``||y_fft - y||_p``, where ``y`` is the exact
         product of the entries :func:`~genhilbert.kernel.entry_block` returns
@@ -611,26 +618,34 @@ class FFTPlan:
         c0, c1 = self.c0, self.c1
         if c0 > 0:
             out += c0 * values[0]
+        a_1 = e_1 = 0
         if c1 > 0:
-            out[0] += c1 * values.sum()
+            total, a_1 = values.sum(), np.abs(values).sum()
+            if math.isinf(a_1):
+                # ||a||_1 left the float64 range: sum(a) and ||a||_1 are formed
+                # again from a / 2**e_1, and row 0 is scaled back; both are exact.
+                e_1 = math.frexp(float(np.abs(values).max()))[1]
+                part = np.ldexp(values, -e_1)
+                total, a_1 = part.sum(), np.abs(part).sum()
+            out[0] += _ldexp(c1 * total, e_1)
         if a.nonneg:
             # The exact image is nonnegative; rows whose value lies below the
             # transforms' absolute error can come out negative, and clipping
             # them moves every row toward its exact value.
             np.maximum(out, 0.0, out=out)
-        atoms = (c0, c1, abs(values[0]), np.abs(values).sum() if c1 > 0 else 0.0)
+        atoms = (c0, c1, abs(values[0]), a_1, e_1)
         np.ldexp(out, self.scale, out=out)
         return SequenceVector(out), _ldexp(_stated_bound(tiles, atoms, n_rows, K, p), self.scale)
 
 
 def _stated_bound(tiles, atoms, n_rows: int, K: int, p: float) -> float:
-    """:meth:`FFTPlan.apply`'s bound from ``atoms = (c0, c1, |a[0]|, ||a||_1)`` and the ``tiles``.
+    """:meth:`FFTPlan.apply`'s bound from ``atoms = (c0, c1, |a[0]|, ||a||_1 / 2**e_1, e_1)`` and the ``tiles``.
 
     Per tile: ``(rows, m, k, norms)``, k its columns, and per density term
     ``(||D||_inf, h_2, h_1, b_1, b_2, e, eta)`` with b's norms in units of
     2**e and eta the term's factor error (:func:`~genhilbert.kernel._term_rtol`).
     """
-    c0, c1, a_0, a_1 = atoms
+    c0, c1, a_0, a_1, e_1 = atoms
     # Every tile holds row 0 or is the one row tile of its rows, and the tiles
     # that hold a later row hold row 0 too: no row lies in more than row 0.
     A = len(tiles[0][3]) * sum(rows.start == 0 for rows, *_ in tiles) + (c0 > 0) + (c1 > 0)
@@ -646,7 +661,7 @@ def _stated_bound(tiles, atoms, n_rows: int, K: int, p: float) -> float:
             factors += _ldexp(eta * d * h_2 * b_1, e)
         scale = 16.0 * (max(1, m.bit_length() - 1) + A + 1) if m else k + 2 * A + 4
         bound += (rows.stop - rows.start) ** s * (scale * weight + factors)
-    return float(bound + (2 * A + K + 3) * (u * c0 * a_0 * n_rows ** (1.0 / p) + u * c1 * a_1))
+    return float(bound + (2 * A + K + 3) * (u * c0 * a_0 * n_rows ** (1.0 / p) + _ldexp(u * c1 * a_1, e_1)))
 
 
 def fft_plan(mu: Measure, n_rows: int, n_cols: int) -> FFTPlan:
@@ -674,7 +689,7 @@ def fft_plan(mu: Measure, n_rows: int, n_cols: int) -> FFTPlan:
     if n_cols > HANKEL_CAP:
         raise ResourceLimitError(f"size {n_cols} exceeds cap {HANKEL_CAP}")
     plan, e = _cached(mu, n_rows, n_cols, lambda nu: _build_plan(nu, n_rows, n_cols))
-    return replace(plan, scale=e) if e else plan
+    return FFTPlan(plan.n_rows, plan.n_cols, plan.tiles, plan.c0, plan.c1, e) if e else plan
 
 
 def _held_section(mu: Measure, size: int, build) -> tuple[np.ndarray, int]:
@@ -793,7 +808,7 @@ def _build_plan(mu: Measure, n_rows: int, n_cols: int, tiled: bool | None = None
                       for (_, d, h_2, h_1, b_1, b_2, e), eta in zip(parts, etas)])
                     for (r, c, m), parts in norms[t]
                 ],
-                (c0, c1, q, n_cols * q), n_rows, n_cols, 2.0,
+                (c0, c1, q, n_cols * q, 0), n_rows, n_cols, 2.0,
             )
             for t in (False, True)
         ]

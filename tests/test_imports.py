@@ -3,8 +3,10 @@
 Boundedness verdicts, usage errors and sizes over their caps load neither
 numpy nor scipy; entries, sections, applies, certificates and checks load
 numpy alone, whatever their exponents, atoms or route, since the library
-imports scipy nowhere.  Each check runs in a fresh interpreter, since this
-test process has long since imported both.
+imports scipy nowhere.  No run loads ``dataclasses``, and the package, its
+verdicts and usage errors load no ``inspect`` either: the records derive
+from one slotted base (``genhilbert.measure._Record``).  Each check runs in
+a fresh interpreter, since this test process has long since imported them all.
 """
 
 import json
@@ -18,10 +20,17 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# Prints, as the last stdout line, the array libraries loaded so far.
+ARRAY_LIBRARIES = ["numpy", "scipy"]
+
+# Modules a cold verdict would pay for before any work: dataclasses and the
+# inspect it imports (about 12 ms).  numpy imports inspect too.
+RECORD_MACHINERY = ["dataclasses", "inspect"]
+
+# Prints, as the last stdout line, which of the JSON list of top-level modules
+# in sys.argv[1] are loaded so far.
 _REPORT = (
     "import json, sys\n"
-    "print(json.dumps(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'})))\n"
+    "print(json.dumps(sorted({m.split('.')[0] for m in sys.modules} & set(json.loads(sys.argv[1])))))\n"
 )
 
 
@@ -41,35 +50,36 @@ def run_fresh(code: str, *args: str) -> str:
     ["genhilbert", "genhilbert.measure", "genhilbert.norms", "genhilbert.errors", "genhilbert.rng"],
 )
 def test_standard_library_modules_import_without_array_libraries(module):
-    out = run_fresh(f"import {module}\n" + _REPORT)
+    out = run_fresh(f"import {module}\n" + _REPORT, json.dumps(ARRAY_LIBRARIES + RECORD_MACHINERY))
     assert json.loads(out.splitlines()[-1]) == []
 
 
 # Runs each argv of the JSON list in sys.argv[1] through the CLI in this one
-# interpreter and prints, per case, its exit status and the array libraries
-# loaded so far.
+# interpreter and prints, per case, its exit status and which of the
+# top-level modules in sys.argv[2] are loaded so far.
 _RUN_CASES = textwrap.dedent("""
     import contextlib, io, json, sys
     from genhilbert.cli import main
     quiet = io.StringIO()
+    watched = set(json.loads(sys.argv[2]))
     for argv in json.loads(sys.argv[1]):
         with contextlib.redirect_stdout(quiet), contextlib.redirect_stderr(quiet):
             try:
                 status = main(argv)
             except SystemExit as exc:
                 status = exc.code
-        loaded = sorted({m.split(".")[0] for m in sys.modules} & {"numpy", "scipy"})
+        loaded = sorted({m.split(".")[0] for m in sys.modules} & watched)
         print(json.dumps([status, loaded]))
 """)
 
 
-def run_cases(argvs) -> list:
-    """``[status, libraries loaded]`` after each argv, all run in one fresh interpreter.
+def run_cases(argvs, watched=ARRAY_LIBRARIES) -> list:
+    """``[status, watched modules loaded]`` after each argv, all run in one fresh interpreter.
 
-    A library loaded by one case stays loaded, so the report after each
+    A module loaded by one case stays loaded, so the report after each
     case covers every case before it.
     """
-    out = run_fresh(_RUN_CASES, json.dumps(argvs))
+    out = run_fresh(_RUN_CASES, json.dumps(argvs), json.dumps(watched))
     return [json.loads(line) for line in out.splitlines()]
 
 
@@ -95,7 +105,8 @@ def test_verdicts_and_usage_errors_load_no_array_library(tmp_path):
         (["classify", "--measure", f"{d}/inf.json", "--p", "2"], 2),
         (["norm", "--measure", f"{d}/absent.json", "--p", "2"], 2),
     ]
-    assert run_cases([argv for argv, _ in cases]) == [[status, []] for _, status in cases]
+    watched = ARRAY_LIBRARIES + RECORD_MACHINERY
+    assert run_cases([argv for argv, _ in cases], watched) == [[status, []] for _, status in cases]
 
 
 def test_sequence_file_errors_load_no_array_library(tmp_path):
@@ -145,6 +156,8 @@ def test_integer_exponent_work_loads_numpy_but_not_scipy(tmp_path):
         (["hilbert-check", "--p", "3", "--trials", "50", "--seed", "11"], 0),
     ]
     assert run_cases([argv for argv, _ in cases]) == [[status, ["numpy"]] for _, status in cases]
+    # Every record is built without dataclasses, on numpy's path too.
+    assert run_cases([argv for argv, _ in cases], ["dataclasses"]) == [[status, []] for _, status in cases]
 
 
 @pytest.mark.parametrize("case", ["interior-atom-entry", "quadrature-apply", "non-integer-entry"])

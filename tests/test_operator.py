@@ -1,6 +1,7 @@
 """Sequence applies: truncated matvec, quadrature reference, FFT fast path."""
 
 import math
+import tracemalloc
 from collections import OrderedDict
 
 import numpy as np
@@ -306,6 +307,33 @@ def test_each_gauss_jacobi_rule_is_computed_once(monkeypatch):
     assert len(calls) == 2 * first
 
 
+@pytest.mark.parametrize("n", [64, 300, 2048])
+def test_gauss_jacobi_aberth_sums_keep_their_bits_at_any_block_height(monkeypatch, n):
+    # Each Newton step sums 1/(x_k - x_i) per row over row blocks of at most
+    # _APPLY_BLOCK_ELEMENTS gaps (128 rows at n = 2048); one block of the
+    # whole gap matrix and blocks of 7 rows give the same rules bit for bit.
+    rule = operator._jacobi_rule.__wrapped__
+    pairs = ((0.0, 0.0), (-0.5, 0.25), (3.0, -0.9))
+    rules = []
+    for elements in (operator._APPLY_BLOCK_ELEMENTS, n * n, 7 * n):
+        monkeypatch.setattr(operator, "_APPLY_BLOCK_ELEMENTS", elements)
+        rules.append([b"".join(x.tobytes() for x in rule(n, alpha, beta)) for alpha, beta in pairs])
+    assert rules[0] == rules[1] == rules[2]
+
+
+def test_a_2048_node_rule_holds_no_gap_matrix():
+    # The whole gap matrix of 2048 nodes is 32 MiB; a block of
+    # _APPLY_BLOCK_ELEMENTS gaps is 2 MiB.
+    rule = operator._jacobi_rule.__wrapped__
+    tracemalloc.start()
+    try:
+        rule(2048, 0.5, -0.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+
+
 def test_quadrature_endpoint_atom_conventions():
     # atom at 0 adds a_0 to every row; atom at 1 adds the full sum to row 0
     a = SequenceVector(np.array([2.0, 3.0, 4.0]))
@@ -375,8 +403,10 @@ def test_fft_apply_rejects_a_p_below_one(p):
         (Measure((JacobiTerm(1.0, 1.0, 1.0),), ()), 300, 1e306),  # E * a overflows; the image peaks at 5.0e305
         (Measure((JacobiTerm(1.0, 3.0, 0.0),), ()), 1000, 1e300),  # E * a overflows; it peaks at 5.7e300
         (LEBESGUE, 300, 1e306),  # b is in range, and the transforms run on b / 2**e
+        # sum(a) overflows; the atom puts row 0 at 1.56e308
+        (Measure((JacobiTerm(1.0, 0.0, 0.0),), (Atom(1.0, 0.5),)), 300, 1e306),
     ],
-    ids=["t(1-t)dt", "t^3dt", "lebesgue"],
+    ids=["t(1-t)dt", "t^3dt", "lebesgue", "atom-at-1"],
 )
 def test_fft_image_near_the_float64_limit_is_finite_and_within_its_bound(mu, size, value):
     a = SequenceVector(np.full(size, value))
