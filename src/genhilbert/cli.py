@@ -178,6 +178,8 @@ def _hilbert_check_trial(rng: SplitMix64, max_terms: int):
 
 
 def _cmd_hilbert_check(args) -> int:
+    # Before any list is drawn: a trial draws up to --terms values per list.
+    _check_size(args.terms, HANKEL_CAP)
     if math.isinf(args.p) or args.p == 1.0:
         raise _UsageError("hilbert-check needs 1 < p < inf (constant undefined otherwise)")
     import numpy as np

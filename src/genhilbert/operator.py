@@ -471,9 +471,10 @@ class FFTPlan(_Record):
 
     ``tiles`` cut the block into disjoint ``(rows, cols, m, terms)``: row
     and column slices, a transform length m and, per density term,
-    ``(row, col, segment, h_2, h_1, eta)``.  ``row`` and ``col`` are the
+    ``(row, col, segment, d, h_2, h_1, eta)``.  ``row`` and ``col`` are the
     tile's slices of the factors :func:`~genhilbert.kernel.jacobi_factors`
-    returns.  ``h`` is the Hankel factor over the tile's diagonals,
+    returns, and d is ``row``'s largest value, ``||D||_inf`` over the
+    tile's rows.  ``h`` is the Hankel factor over the tile's diagonals,
     ``segment`` its spectrum ``rfft(h, m)`` or, when m is 0, the dense
     matrix ``h[i + j]`` of the tile's shape, ``h_2``, ``h_1`` its 2- and
     1-norms, and ``eta`` the term's factor error against the exact matrix
@@ -496,7 +497,7 @@ class FFTPlan(_Record):
     def transposed(self) -> FFTPlan:
         """The plan of the transposed matrix: each tile's ranges and factors swap, and so do c0 and c1."""
         tiles = tuple(
-            (cols, rows, m, tuple((col, row, seg if m else seg.T, *norms) for row, col, seg, *norms in terms))
+            (cols, rows, m, tuple((col, row, s if m else s.T, float(col.max()), *hs) for row, col, s, _, *hs in terms))
             for rows, cols, m, terms in self.tiles
         )
         return FFTPlan(self.n_cols, self.n_rows, tiles, self.c1, self.c0, self.scale)
@@ -515,16 +516,17 @@ class FFTPlan(_Record):
         convolution of length ``m >= n+k-1`` wraps only entries at or beyond
         m onto indices below k-1, so the rows kept are exact; m is the least
         power of two that long.  A dense tile (m = 0) forms c as the product
-        of its matrix ``h[i+j]`` with b.  The image is finite whenever it is
-        within the float64 range: where ``E * a`` leaves that range, b is
-        formed from ``a`` divided by the power of two above ``max |a|``.  An
-        atom at 0 adds ``c0 * a[0]`` to every row, an atom at 1 adds
-        ``c1 * sum(a)`` to row 0, with ``sum(a)`` and ``||a||_1`` formed from
-        that quotient too where ``||a||_1`` leaves the range; p is checked
-        as :func:`lp_norm` checks it.  The image and the bound are then
-        multiplied by ``2**scale``; that is exact while they stay in the
-        float64 range, so both equal those of the scaled measure's own plan
-        bit for bit, and beyond it they are inf.
+        of its matrix ``h[i+j]`` with b.  An atom at 0 adds ``c0 * a[0]`` to
+        every row, an atom at 1 adds ``c1 * sum(a)`` to row 0; p is checked
+        as :func:`lp_norm` checks it.
+
+        All of this runs on ``a / 2**e_a``, 2**e_a the power of two above
+        ``max |a|``, which keeps ``E * a``, ``sum(a)`` and ``||a||_1`` in
+        range; the image and the bound are then multiplied by
+        ``2**(scale + e_a)``.  Both scalings are exact while the values stay
+        in the float64 range, so the image is finite whenever it is within
+        that range, both equal those of the scaled measure's own plan bit for
+        bit, and beyond it they are inf.
 
         The bound majorizes ``||y_fft - y||_p``, where ``y`` is the exact
         product of the entries :func:`~genhilbert.kernel.entry_block` returns
@@ -585,27 +587,23 @@ class FFTPlan(_Record):
         out = np.zeros(n_rows)
         if K == 0:
             return SequenceVector(out), 0.0
-        tiles = []
+        e_a = math.frexp(max(values.max(), -values.min()))[1]
+        norms = []
         for rows, cols, m, terms in self.tiles:
             part = values[cols]
             n, k = rows.stop - rows.start, len(part)
-            tiles.append((rows, m, k, []))
-            for row, col, segment, h_2, h_1, eta in terms:
-                b = col * part
+            for row, col, segment, _, _, h_1, _ in terms:
+                b = np.ldexp(part, -e_a)
+                b *= col
                 b_1, b_2, e = _norms_1_2(b)
-                pre = 0
-                if math.isinf(b_1):
-                    # E * a left the float64 range: b is formed again from
-                    # a / 2**pre, and the rows are scaled back; both are exact.
-                    pre = math.frexp(float(np.abs(values).max()))[1]
-                    b = col * np.ldexp(part, -pre)
-                    b_1, b_2, e = _norms_1_2(b)
+                norms.append((b_1, b_2, e))
                 # The transforms' values reach m ||h||_1 ||b||_1 (a dense
-                # product's, ||h||_1 ||b||_1).  Where that may pass the
-                # float64 range they run on b / 2**e, whose entries are below
-                # 1, and the rows are scaled back; both steps are exact.  The
-                # copy is made only then, so the usual path holds no second
-                # array of b's length during the transforms.
+                # product's, ||h||_1 ||b||_1), which E can carry past the
+                # float64 range although |a| < 1 here.  Then they run on
+                # b / 2**e, whose entries are below 1, and the rows are
+                # scaled back; both steps are exact.  The copy is made only
+                # then, so the usual path holds no second array of b's length
+                # during the transforms.
                 shift = e if math.frexp(max(m, 1) * h_1 * b_1)[1] + e > 1000 else 0
                 if shift:
                     b = np.ldexp(b, -shift)
@@ -613,55 +611,50 @@ class FFTPlan(_Record):
                     c = row * irfft(segment * rfft(b[::-1], m), m)[k - 1 : k - 1 + n]
                 else:
                     c = row * (segment @ b)
-                out[rows] += np.ldexp(c, shift + pre) if shift + pre else c
-                tiles[-1][3].append((row.max(), h_2, h_1, b_1, b_2, e + pre, eta))
+                out[rows] += np.ldexp(c, shift) if shift else c
         c0, c1 = self.c0, self.c1
+        a_0, a_1 = math.ldexp(values[0], -e_a), 0.0
         if c0 > 0:
-            out += c0 * values[0]
-        a_1 = e_1 = 0
+            out += c0 * a_0
         if c1 > 0:
-            total, a_1 = values.sum(), np.abs(values).sum()
-            if math.isinf(a_1):
-                # ||a||_1 left the float64 range: sum(a) and ||a||_1 are formed
-                # again from a / 2**e_1, and row 0 is scaled back; both are exact.
-                e_1 = math.frexp(float(np.abs(values).max()))[1]
-                part = np.ldexp(values, -e_1)
-                total, a_1 = part.sum(), np.abs(part).sum()
-            out[0] += _ldexp(c1 * total, e_1)
+            part = np.ldexp(values, -e_a)
+            out[0] += c1 * part.sum()
+            a_1 = np.abs(part, out=part).sum()
         if a.nonneg:
             # The exact image is nonnegative; rows whose value lies below the
             # transforms' absolute error can come out negative, and clipping
             # them moves every row toward its exact value.
             np.maximum(out, 0.0, out=out)
-        atoms = (c0, c1, abs(values[0]), a_1, e_1)
-        np.ldexp(out, self.scale, out=out)
-        return SequenceVector(out), _ldexp(_stated_bound(tiles, atoms, n_rows, K, p), self.scale)
+        bound = _stated_bound(self.tiles, norms, (c0, c1, abs(a_0), a_1), n_rows, K, p)
+        np.ldexp(out, self.scale + e_a, out=out)
+        return SequenceVector(out), _ldexp(bound, self.scale + e_a)
 
 
-def _stated_bound(tiles, atoms, n_rows: int, K: int, p: float) -> float:
-    """:meth:`FFTPlan.apply`'s bound from ``atoms = (c0, c1, |a[0]|, ||a||_1 / 2**e_1, e_1)`` and the ``tiles``.
+def _stated_bound(tiles, norms, atoms, n_rows: int, K: int, p: float) -> float:
+    """:meth:`FFTPlan.apply`'s bound from a plan's ``tiles``, b's ``norms`` and ``atoms = (c0, c1, |a[0]|, ||a||_1)``.
 
-    Per tile: ``(rows, m, k, norms)``, k its columns, and per density term
-    ``(||D||_inf, h_2, h_1, b_1, b_2, e, eta)`` with b's norms in units of
-    2**e and eta the term's factor error (:func:`~genhilbert.kernel._term_rtol`).
+    The tiles are :class:`FFTPlan`'s, and ``norms`` holds b's
+    ``(||b||_1 / 2**e, ||b||_2 / 2**e, e)`` for each of their terms in
+    order; the bound is in the units of ``a``.
     """
-    c0, c1, a_0, a_1, e_1 = atoms
+    c0, c1, a_0, a_1 = atoms
     # Every tile holds row 0 or is the one row tile of its rows, and the tiles
     # that hold a later row hold row 0 too: no row lies in more than row 0.
     A = len(tiles[0][3]) * sum(rows.start == 0 for rows, *_ in tiles) + (c0 > 0) + (c1 > 0)
     u, s = _UNIT_ROUNDOFF, max(0.0, 1.0 / p - 0.5)
     bound = 0.0
-    for rows, m, k, norms in tiles:
+    norms = iter(norms)
+    for rows, cols, m, terms in tiles:
         # u scales each magnitude before the large factors do, and the
         # power of two of b last, so the bound overflows only when its
         # value is beyond float64.
         weight = factors = 0.0
-        for d, h_2, h_1, b_1, b_2, e, eta in norms:
+        for (_, _, _, d, h_2, h_1, eta), (b_1, b_2, e) in zip(terms, norms):
             weight += _ldexp(u * d * (h_2 * b_1 + h_1 * b_2), e)
             factors += _ldexp(eta * d * h_2 * b_1, e)
-        scale = 16.0 * (max(1, m.bit_length() - 1) + A + 1) if m else k + 2 * A + 4
+        scale = 16.0 * (max(1, m.bit_length() - 1) + A + 1) if m else cols.stop - cols.start + 2 * A + 4
         bound += (rows.stop - rows.start) ** s * (scale * weight + factors)
-    return float(bound + (2 * A + K + 3) * (u * c0 * a_0 * n_rows ** (1.0 / p) + _ldexp(u * c1 * a_1, e_1)))
+    return float(bound + (2 * A + K + 3) * (u * c0 * a_0 * n_rows ** (1.0 / p) + u * c1 * a_1))
 
 
 def fft_plan(mu: Measure, n_rows: int, n_cols: int) -> FFTPlan:
@@ -768,9 +761,10 @@ def _build_plan(mu: Measure, n_rows: int, n_cols: int, tiled: bool | None = None
     """``mu``'s plan from nothing, the bytes of its arrays and each term's row maximum.
 
     The factors come from one :func:`~genhilbert.kernel.jacobi_factors`
-    call per term, and spectra only for the tiling :func:`fft_plan` picks,
-    or for ``tiled`` when it is not None.  Every array is read-only; a
-    zero-stride constant counts no bytes.
+    call per term.  Both tilings' tiles are laid out as the plan's, with
+    the Hankel factor h in the segment's place, and spectra are taken only
+    for the tiling :func:`fft_plan` picks, or for ``tiled`` when it is not
+    None.  Every array is read-only; a zero-stride constant counts no bytes.
     """
     c0, c1 = mu.atom_at(0.0), mu.atom_at(1.0)
     if not n_cols:
@@ -783,48 +777,38 @@ def _build_plan(mu: Measure, n_rows: int, n_cols: int, tiled: bool | None = None
         # Before any view is taken: views inherit it.
         row.flags.writeable = col.flags.writeable = False
     etas = [_term_rtol(term) for term in mu.jacobi_terms]
-    # Per tiling, per tile (rows, cols, m) and term: the Hankel factor h over
-    # the tile's diagonals, the row factor's max, h's 2- and 1-norms and
-    # _norms_1_2 of the column factor.
-    norms = {
-        t: [
-            ((r, c, m), [
-                (h, float(row[r].max()), float(np.linalg.norm(h)), float(h.sum()), *_norms_1_2(col[c]))
-                for row, col, hankel in factors
+    # Both tilings' tiles in the plan's layout, with h in the segment's place.
+    candidates = [
+        [
+            (r, c, m, tuple(
+                (row[r], col[c], h, float(row[r].max()), float(np.linalg.norm(h)), float(h.sum()), eta)
+                for (row, col, hankel), eta in zip(factors, etas)
                 for h in [hankel[r.start + c.start : r.stop + c.stop - 1]]
-            ])
+            ))
             for r, c, m in _layout(n_rows, n_cols, t)
         ]
         for t in (False, True)
-    }
+    ]
     if tiled is None:
         # The probe a = 1/sqrt(K) at p = 2: b = E/sqrt(K), |a[0]| = 1/sqrt(K), ||a||_1 = sqrt(K).
         q = 1.0 / math.sqrt(n_cols)
-        bounds = [
-            _stated_bound(
-                [
-                    (r, m, c.stop - c.start,
-                     [(d, h_2, h_1, q * b_1, q * b_2, e, eta)
-                      for (_, d, h_2, h_1, b_1, b_2, e), eta in zip(parts, etas)])
-                    for (r, c, m), parts in norms[t]
-                ],
-                (c0, c1, q, n_cols * q, 0), n_rows, n_cols, 2.0,
-            )
-            for t in (False, True)
-        ]
-        tiled = not bounds[0] <= _ONE_TILE_BOUND_RATIO * bounds[1]
+        one, split = (
+            _stated_bound(tiles, [(q * b_1, q * b_2, e) for b_1, b_2, e in norms], (c0, c1, q, n_cols * q),
+                          n_rows, n_cols, 2.0)
+            for tiles in candidates
+            for norms in [[_norms_1_2(col) for *_, terms in tiles for _, col, *_ in terms]]
+        )
+        tiled = not one <= _ONE_TILE_BOUND_RATIO * split
     tiles, nbytes = [], sum(x.nbytes for row, col, _ in factors for x in (row, col) if x.strides[-1])
-    for (r, c, m), parts in norms[tiled]:
-        terms = []
-        for (row, col, _), (h, _, h_2, h_1, *_), eta in zip(factors, parts, etas):
-            shape = (r.stop - r.start, c.stop - c.start)
-            segment = rfft(h, m) if m else as_strided(h, shape, h.strides * 2).copy()
+    for r, c, m, terms in candidates[tiled]:
+        segments = [rfft(h, m) if m else as_strided(h, (len(row), len(col)), h.strides * 2).copy()
+                    for row, col, h, *_ in terms]
+        for segment in segments:
             segment.flags.writeable = False
             nbytes += segment.nbytes
-            terms.append((row[r], col[c], segment, h_2, h_1, eta))
-        tiles.append((r, c, m, tuple(terms)))
+        tiles.append((r, c, m, tuple((row, col, s, *hs) for (row, col, _, *hs), s in zip(terms, segments))))
     # The one tile covers every row.
-    row_max = tuple(top for _, top, *_ in norms[False][0][1])
+    row_max = tuple(top for _, _, _, top, *_ in candidates[0][0][3])
     return FFTPlan(n_rows, n_cols, tuple(tiles), c0, c1), nbytes, row_max
 
 

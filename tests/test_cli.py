@@ -22,7 +22,9 @@ from genhilbert import (
     section_from_json,
     sequence_to_csv,
 )
+from genhilbert import cli
 from genhilbert.cli import main
+from genhilbert.errors import HANKEL_CAP
 from genhilbert.operator import fft_plan
 
 
@@ -354,6 +356,18 @@ def test_hilbert_check_seeded_runs_are_identical(capsys):
 def test_hilbert_check_rejects_endpoint_p(capsys):
     code, _, err = run(capsys, "hilbert-check", "--p", "1", "--trials", "5", "--seed", "1")
     assert code == 2 and "1 < p < inf" in err
+
+
+def test_hilbert_check_terms_above_the_fft_cap_is_a_cap_error(capsys, monkeypatch):
+    # The cap is checked before any trial draws its lists.
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(cli, "_hilbert_check_trial", no_trial)
+    argv = ["hilbert-check", "--p", "2", "--trials", "1", "--seed", "1", "--terms", str(HANKEL_CAP + 1)]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and f"size {HANKEL_CAP + 1} exceeds cap {HANKEL_CAP}" in err
 
 
 # --------------------------------------------------------------- exit codes

@@ -25,6 +25,7 @@ from genhilbert import (
     hankel_fast_apply,
     lp_norm,
     norm_integral,
+    reflected,
     row_series_value,
     sequence_from_csv,
     sequence_to_csv,
@@ -398,19 +399,28 @@ def test_fft_apply_rejects_a_p_below_one(p):
 
 
 @pytest.mark.parametrize(
-    "mu,size,value",
+    "mu,size,value,transposed",
     [
-        (Measure((JacobiTerm(1.0, 1.0, 1.0),), ()), 300, 1e306),  # E * a overflows; the image peaks at 5.0e305
-        (Measure((JacobiTerm(1.0, 3.0, 0.0),), ()), 1000, 1e300),  # E * a overflows; it peaks at 5.7e300
-        (LEBESGUE, 300, 1e306),  # b is in range, and the transforms run on b / 2**e
-        # sum(a) overflows; the atom puts row 0 at 1.56e308
-        (Measure((JacobiTerm(1.0, 0.0, 0.0),), (Atom(1.0, 0.5),)), 300, 1e306),
+        # E * a is beyond float64; the image peaks at 5.0e305
+        (Measure((JacobiTerm(1.0, 1.0, 1.0),), ()), 300, 1e306, False),
+        # E * a is beyond float64; the image peaks at 5.7e300
+        (Measure((JacobiTerm(1.0, 3.0, 0.0),), ()), 1000, 1e300, False),
+        (LEBESGUE, 300, 1e306, False),  # the transforms run on a / 2**e_a, whose entries are below 1
+        # sum(a) is beyond float64; the atom puts row 0 at 1.56e308
+        (Measure((JacobiTerm(1.0, 0.0, 0.0),), (Atom(1.0, 0.5),)), 300, 1e306, False),
+        # The transposed plan's b = E * a / 2**e_a carries the coefficient, and m ||h||_1 ||b||_1
+        # reaches 2**1021.7: the transforms run on b / 2**e.  At 1e306 they would overflow without it.
+        (Measure((JacobiTerm(1.0, 0.0, 0.0), JacobiTerm(1e300, 0.5, 0.0)), ()), 4096, 1.0, True),
+        (Measure((JacobiTerm(1.0, 0.0, 0.0), JacobiTerm(1e306, 0.5, 0.0)), ()), 4096, 1.0, True),
     ],
-    ids=["t(1-t)dt", "t^3dt", "lebesgue", "atom-at-1"],
+    ids=["t(1-t)dt", "t^3dt", "lebesgue", "atom-at-1", "transposed-1e300", "transposed-1e306"],
 )
-def test_fft_image_near_the_float64_limit_is_finite_and_within_its_bound(mu, size, value):
+def test_fft_image_near_the_float64_limit_is_finite_and_within_its_bound(mu, size, value, transposed):
+    plan = fft_plan(mu, size, size)
+    if transposed:
+        plan, mu = plan.transposed(), reflected(mu)
     a = SequenceVector(np.full(size, value))
-    image, bound = fft_plan(mu, size, size).apply(a, 2.0)
+    image, bound = plan.apply(a, 2.0)
     assert np.isfinite(image.values).all() and math.isfinite(bound)
     # The bound is against the exact products of the entries; the truncated
     # apply sums K nonnegative products, within gamma_K of them per row.
@@ -419,7 +429,7 @@ def test_fft_image_near_the_float64_limit_is_finite_and_within_its_bound(mu, siz
     assert lp_norm(image.values - ref, 2.0) <= bound + gamma * lp_norm(ref, 2.0)
     # Dividing the input by a power of two and scaling back are exact.
     e = math.frexp(value)[1]
-    small, small_bound = fft_plan(mu, size, size).apply(SequenceVector(np.ldexp(a.values, -e)), 2.0)
+    small, small_bound = plan.apply(SequenceVector(np.ldexp(a.values, -e)), 2.0)
     assert image.values.tobytes() == np.ldexp(small.values, e).tobytes()
     assert bound == math.ldexp(small_bound, e)
 
@@ -661,6 +671,22 @@ def test_memo_arrays_are_read_only(monkeypatch):
                 for x in (row, col, segment):
                     with pytest.raises(ValueError, match="read-only"):
                         x[0] = 0.0
+
+
+def test_each_tile_term_holds_its_row_factors_maximum():
+    # The bound's ||D||_inf over a tile's rows is stored with each tile-term,
+    # by the build and by the transpose.
+    two_terms = Measure((JacobiTerm(1.0, -0.5, 0.25), JacobiTerm(0.5, 0.5, -0.25)), (Atom(1.0, 0.5),))
+    for mu in [m for m in MIXED_CORPUS if not m.interior_atoms and m.jacobi_terms] + [two_terms]:
+        for tiled in (False, True):
+            plan = operator._build_plan(mu, 300, 170, tiled)[0]
+            assert (len(plan.tiles) > 1) == tiled, mu
+            for q in (plan, plan.transposed(), plan.transposed().transposed()):
+                for rows, cols, m, terms in q.tiles:
+                    assert len(terms) == len(mu.jacobi_terms)
+                    for row, col, segment, d, *_ in terms:
+                        assert row.shape == (rows.stop - rows.start,) and col.shape == (cols.stop - cols.start,)
+                        assert type(d) is float and d == row.max(), (mu, tiled, q.n_rows, rows)
 
 
 def test_numpy_and_scipy_transforms_give_the_same_plans_and_images(monkeypatch):
