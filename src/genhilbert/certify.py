@@ -68,9 +68,7 @@ class ExtremalParams(_Record):
             raise ValueError(f"epsilon must lie in (0, 1/p], got {epsilon} at p={p}")
         if not isinstance(length, numbers.Integral) or length < 1:
             raise ValueError(f"length must be an integer >= 1, got {length}")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "epsilon", epsilon)
-        object.__setattr__(self, "length", length)
+        _Record.__init__(self, p, epsilon, length)
 
     @property
     def w(self) -> float:
@@ -99,10 +97,7 @@ class CertificationReport(_Record):
         sigmas = [s for _, s in sigma_max_series]
         if any(b < a for a, b in zip(sigmas, sigmas[1:])):
             raise ValueError(f"sigma_max series not nondecreasing: {sigmas}")
-        object.__setattr__(self, "ratios", ratios)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "sigma_max_series", sigma_max_series)
-        object.__setattr__(self, "verdict", verdict)
+        _Record.__init__(self, ratios, target, sigma_max_series, verdict)
 
 
 def extremal_sequence(params: ExtremalParams) -> SequenceVector:
@@ -118,10 +113,11 @@ def lower_bound_ratio(mu: Measure, params: ExtremalParams, n_rows: int) -> float
     most the true image norm: the ratio is a certified lower bound for the
     operator norm.  The image comes from the route :class:`_Block` picks
     (its FFT plan, or with interior atoms the dense truncated route), and the
-    numerator is its computed norm less the route's stated error and the
-    rounding of both norms (:meth:`_Block.ratio`).  The ratio scales exactly
-    with the measure, and is math.inf only when it is beyond the float64 range
-    (an unboundedness witness, e.g. for measures with an atom at 0).
+    numerator is its computed norm less the image's stated error
+    (:meth:`_Block.apply`) and the rounding of both norms
+    (:meth:`_Block.ratio`).  The ratio scales exactly with the measure, and
+    is math.inf only when it is beyond the float64 range (an unboundedness
+    witness, e.g. for measures with an atom at 0).
     """
     return _Block(mu, n_rows, params.length).ratio(extremal_sequence(params), params.p)
 
@@ -136,12 +132,11 @@ def p2_section_norm(mu: Measure, size: int, tol: float = 1e-10) -> float:
     with that value as the estimate past ``_KRYLOV_STEP_CAP`` steps.  The
     value returned is a certified quotient of the top Ritz vector x,
     ``max(0, ||fl(S x)||_2 - bound) / ||x||_2 <= ||S x||_2 / ||x||_2 <= sigma_N``
-    with ``bound`` covering the product's and the norms' rounding, so it is a
-    sound lower bound for the p=2 operator norm.  Every product, the
-    quotient's included, runs on the apply pair :class:`_Block` holds
-    (:meth:`_Block.sigma`).  sigma_N scales exactly with the measure while
-    the applies stay within the float64 range, and is math.inf only when
-    ``||fl(S x)||_2`` is beyond it.
+    with ``bound`` the product's stated error (:meth:`_Block.apply`) plus
+    the norms' rounding, so it is a sound lower bound for the p=2 operator
+    norm (:meth:`_Block.sigma`).  sigma_N scales exactly with the measure
+    while the applies stay within the float64 range, and is math.inf only
+    when ``||fl(S x)||_2`` is beyond it.
     """
     return _Block(mu, size, size).sigma(tol)
 
@@ -154,7 +149,8 @@ class _Block:
     checked against ``DEFAULT_SECTION_CAP``; any other takes its one FFT
     plan, and both sizes are checked against ``HANKEL_CAP``.  The plan and
     the section are fetched on first use and kept for the ratios and sigma
-    of one sweep size.
+    of one sweep size.  :meth:`apply` states each route's image and its
+    error once, and the ratios and sigma certify through it.
 
     Both are kept once per process as well, in one memo
     (:func:`~genhilbert.operator._cached`): the section under the key
@@ -189,53 +185,77 @@ class _Block:
             self._section = _held_section(self.mu, self.n_rows, finite_section)
         return self._section
 
+    def apply(self, a: SequenceVector, p: float) -> tuple[np.ndarray, float, int]:
+        """``(y, bound, e)``: ``2**e y`` is the block's computed image of ``a``, and ``2**e bound`` its ell-p error bound.
+
+        ``a`` has length ``n_cols``, and ``2**e bound`` majorizes the ell-p
+        distance of ``2**e y`` from the exact image of ``a``.  On the FFT
+        route y and the bound are the plan's own
+        (:meth:`~genhilbert.operator.FFTPlan.apply`), and e is 0.
+
+        The dense route picks its product once: the row sums
+        (:func:`~genhilbert.operator._row_sums`) of nu's section when the
+        block's sigma took it, with e its scale, and otherwise
+        :func:`~genhilbert.operator.apply_truncated`, with e = 0.  Both sum
+        each row in one fixed order, so they give the same y bit for bit.
+        With K = n_cols and u the unit roundoff, the bound is
+        ``(K u + eta) ||fl(S |a|)||_p``, where fl(S |a|) is y when ``a`` is
+        nonnegative.  A row of K products sums to within
+        ``gamma_K (|S| |a|)_n`` of its exact value (Higham, *Accuracy and
+        Stability of Numerical Algorithms*, 2nd ed., (3.11)), about K u to
+        first order; ``|S| = S`` here, and fl(S |a|) is within ``gamma_K``
+        of S |a|.  The entries lie within eta relative of the exact
+        matrix's, entry by entry (:func:`~genhilbert.kernel._entry_rtol`).
+        An interior atom's own log-space error is not subtracted:
+        ``_entry_rtol`` counts its part as exact, since its stated bound
+        (:func:`~genhilbert.kernel._atom_rtol`, 7e-11 relative for a unit
+        atom at 1/2 at N = 2048) lies far above the error its entries show
+        against mpmath.
+        """
+        if not self.dense:
+            image, bound = self.plan().apply(a, p)
+            return image.values, bound, 0
+        if self._section is None:
+            e = 0
+            product = lambda v: apply_truncated(self.mu, SequenceVector(v), self.n_rows).values
+        else:
+            s, e = self._section
+            product = lambda v: _row_sums(s, v)
+        y = product(a.values)
+        z = y if a.nonneg else product(np.abs(a.values))
+        return y, (self.n_cols * _UNIT_ROUNDOFF + _entry_rtol(self.mu)) * lp_norm(z, p), e
+
     def ratio(self, a: SequenceVector, p: float) -> float:
         """:func:`lower_bound_ratio` for the sequence ``a`` of length ``n_cols``.
 
-        On the FFT route the numerator is the image norm times
-        ``1 - (2 (N + K) + 16) u`` (N = n_rows, K = n_cols, u the unit
-        roundoff), less the apply's bound.  The factor covers, to first
-        order in u, the rounding of :func:`~genhilbert.operator.lp_norm` on
-        the image and on ``a`` (each at most ``(2L + 6) u`` relative for a
-        vector of length L: the sum, the powers, the exponent 1/p and the
-        root) and of the factor, the subtraction and the division; an image
-        norm beyond float64 stays math.inf.  The dense route sums a held
-        section's rows in one :func:`~genhilbert.operator._row_sums` call,
-        which sums each row as :func:`~genhilbert.operator.apply_truncated`'s
-        blocks do, so both give the same image bit for bit, and scales its
-        norm by ``1 - (2 (N + K) + K + 16) u - eta``: a row of K nonnegative
-        products sums to within ``gamma_K`` of its exact value (Higham,
-        *Accuracy and Stability of Numerical Algorithms*, 2nd ed., (3.11)),
-        about ``K u`` relative, for the nonnegative ``a`` every ratio takes,
-        and the entries lie within eta relative of the exact matrix's
-        (:func:`~genhilbert.kernel._entry_rtol`).  The block's
-        section is nu's, and the quotient is multiplied by ``2**e``.  ``a`` is
-        first divided by the power of two above its norm, which is exact, so
-        the image norm overflows only when the ratio is beyond the float64
-        range itself.
+        ``a`` is first divided by the power of two above its norm, which is
+        exact, so the image norm overflows only when the ratio is beyond the
+        float64 range itself.  The numerator is the norm of the image
+        :meth:`apply` gives, times ``1 - (2 (N + K) + 16) u`` (N = n_rows,
+        K = n_cols, u the unit roundoff), less the image's stated bound, and
+        the quotient is multiplied by the image's ``2**e``
+        (:func:`_certified_quotient`).  The factor covers, to first order in
+        u, the rounding of :func:`~genhilbert.operator.lp_norm` on the image
+        and on ``a`` (each at most ``(2L + 6) u`` relative for a vector of
+        length L: the sum, the powers, the exponent 1/p and the root) and of
+        the factor, the subtraction and the division.
         """
         norm_a = lp_norm(a.values, p)
-        e = math.frexp(norm_a)[1]
-        a, denominator = SequenceVector(np.ldexp(a.values, -e)), math.ldexp(norm_a, -e)
+        e_a = math.frexp(norm_a)[1]
+        # Rebinding a drops this frame's hold on the caller's sequence before the apply.
+        a, denominator = SequenceVector(np.ldexp(a.values, -e_a)), math.ldexp(norm_a, -e_a)
+        y, bound, e = self.apply(a, p)
         rounding = (2 * (self.n_rows + self.n_cols) + 16) * _UNIT_ROUNDOFF
-        if not self.dense:
-            image, bound = self.plan().apply(a, p)
-            return max(0.0, lp_norm(image.values, p) * (1.0 - rounding) - bound) / denominator
-        if self._section is None:
-            image, scale = apply_truncated(self.mu, a, self.n_rows).values, 0
-        else:
-            s, scale = self._section
-            image = _row_sums(s, a.values)
-        rounding += self.n_cols * _UNIT_ROUNDOFF + _entry_rtol(self.mu)
-        return _ldexp(lp_norm(image, p) * (1.0 - rounding) / denominator, scale)
+        return _ldexp(_certified_quotient(lp_norm(y, p) * (1.0 - rounding), bound, denominator), e)
 
     def sigma(self, tol: float) -> float:
         """:func:`p2_section_norm` of the (square) block: one Golub-Kahan-Lanczos loop.
 
-        The apply pair is nu's section and its transpose on the dense route,
-        and the result and the estimate of a :class:`ConvergenceError` are
-        multiplied by ``2**e`` (:meth:`section`); otherwise it is the block's
-        FFT plan and its transpose.  Step j applies S
+        The loop's products carry no bound: nu's section and its transpose
+        (BLAS ``@``) on the dense route, whose result and
+        :class:`ConvergenceError` estimate are multiplied by ``2**e``
+        (:meth:`section`), and otherwise the block's FFT plan and its
+        transpose, their bounds dropped.  Step j applies S
         to v_j and, unless the top Ritz value then stops the loop, S^T to
         u_j.  Each image is orthogonalized twice against the basis it
         extends (classical Gram-Schmidt) and normalized, which gives alpha_j,
@@ -248,20 +268,14 @@ class _Block:
         space is invariant, and the Ritz value exact) and after ``size``
         steps.
 
-        The quotient's ``bound`` is the product's error bound plus
-        ``(N + 4) u ||y||_2`` (u the unit roundoff), which covers, to first
-        order in u, the rounding of the 2-norms of y and x (each at most
-        ``(N/2 + 1) u`` relative, Higham, *Accuracy and Stability of
-        Numerical Algorithms*, 2nd ed., section 3.1) and of the final
-        subtraction and division.  On the FFT route the product's error
-        bound is the plan's stated one; on the dense route it is
-        ``(N u + eta) ||fl(S |x|)||_2``:
-        ``|fl(S x) - S x| <= gamma_N |S| |x|`` (ibid., (3.11)), ``|S| = S``
-        here, fl(S |x|) is within ``gamma_N`` of S |x|, and S within eta
-        relative of the exact matrix, entry by entry
-        (:func:`~genhilbert.kernel._entry_rtol`).  x is taken with
-        a nonnegative sum, so that |x| = x, and fl(S |x|) = fl(S x), as
-        long as no component is negative.
+        The top Ritz vector x, taken with a nonnegative sum, is certified
+        through :meth:`apply` at p = 2, which gives y = fl(S x) and its
+        stated bound.  The quotient's bound adds ``(N + 4) u ||y||_2``
+        (u the unit roundoff), which covers, to first order in u, the
+        rounding of the 2-norms of y and x (each at most ``(N/2 + 1) u``
+        relative, Higham, *Accuracy and Stability of Numerical Algorithms*,
+        2nd ed., section 3.1) and of the final subtraction and division
+        (:func:`_certified_quotient`).
         """
         if not tol > 0.0:
             raise ValueError(f"tol must be > 0, got {tol}")
@@ -304,18 +318,19 @@ class _Block:
             image = forward(basis_v[j + 1])
         x = np.linalg.svd(b)[2][0] @ basis_v[: j + 1]
         x *= math.copysign(1.0, x.sum())
-        if self.dense:
-            norm_y = _norm_2(s @ x)
-            # S |x| is S x when x is nonnegative, as the top Ritz vector of S >= 0 mostly is.
-            z_norm = norm_y if x.min() >= 0.0 else _norm_2(s @ np.abs(x))
-            bound = (size * _UNIT_ROUNDOFF + _entry_rtol(self.mu)) * z_norm
-        else:
-            image, bound = plan.apply(SequenceVector(x), 2.0)
-            norm_y = _norm_2(image.values)
-        bound += (size + 4) * _UNIT_ROUNDOFF * norm_y
-        # A norm beyond float64 makes the bound inf too; sigma_N is beyond it as well.
-        sigma = max(0.0, norm_y - bound) / float(np.linalg.norm(x)) if norm_y < math.inf else math.inf
+        y, bound, _ = self.apply(SequenceVector(x), 2.0)
+        norm_y = _norm_2(y)
+        sigma = _certified_quotient(norm_y, bound + (size + 4) * _UNIT_ROUNDOFF * norm_y, float(np.linalg.norm(x)))
         return _ldexp(sigma, scale)
+
+
+def _certified_quotient(norm: float, bound: float, denominator: float) -> float:
+    """``max(0, norm - bound) / denominator``, a lower bound for the exact quotient.
+
+    An image norm beyond float64 makes its bound inf too; the quotient is
+    then beyond it as well, and is math.inf rather than ``inf - inf``.
+    """
+    return max(0.0, norm - bound) / denominator if norm < math.inf else math.inf
 
 
 def _norm_2(x: np.ndarray) -> float:

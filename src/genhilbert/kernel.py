@@ -85,8 +85,7 @@ class FiniteSection(_Record):
     __slots__ = ("size", "entries")
 
     def __init__(self, size: int, entries: np.ndarray):
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "entries", entries)
+        _Record.__init__(self, size, entries)
 
 
 def _indices(x) -> np.ndarray:

@@ -41,23 +41,32 @@ class _Record:
     """Base of the package's immutable records, compared and hashed by their fields.
 
     A subclass names its fields once, in ``__slots__``, and its
-    ``__init__`` validates the arguments and stores each field with
-    ``object.__setattr__``; assigning or deleting a field afterwards raises
+    ``__init__`` validates the arguments and ends in one
+    ``_Record.__init__(self, ...)`` call, which stores the field values in
+    ``__slots__`` order; assigning or deleting a field afterwards raises
     ``AttributeError``.  Records are equal when they are of the same class
     and their field tuples are equal, and equal records hash equal, as
     their tuples do.  ``repr`` reads ``Class(field=value, ...)``, and pickling
-    or copying restores the fields without running ``__init__``.  The
+    or copying restores the fields through the base's ``__init__`` alone,
+    without the subclass's.  The
     base's ``__eq__`` and ``__hash__`` read the fields through one
     ``attrgetter`` per class, which returns a tuple since every record has
-    at least two fields.  ``JacobiTerm``, ``Atom`` and ``Measure``, hashed
+    at least two fields, and its ``__init__`` writes them through their
+    slots' descriptors.  ``JacobiTerm``, ``Atom`` and ``Measure``, hashed
     and compared on every memo lookup, spell out their field tuples
     instead, which takes half to three quarters of the time.
     """
 
     __slots__ = ()
 
+    def __init__(self, *values):
+        for set_field, value in zip(self._field_setters, values):
+            set_field(self, value)
+
     def __init_subclass__(cls):
         cls._field_values = attrgetter(*cls.__slots__)
+        # The slots' own descriptors write past the read-only __setattr__.
+        cls._field_setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -84,8 +93,7 @@ class _Record:
 def _restore(cls, values):
     """The record of class ``cls`` with field values ``values``, as pickled by ``_Record.__reduce__``."""
     record = object.__new__(cls)
-    for name, value in zip(cls.__slots__, values):
-        object.__setattr__(record, name, value)
+    _Record.__init__(record, *values)
     return record
 
 
@@ -104,9 +112,7 @@ class JacobiTerm(_Record):
             raise ValueError(f"alpha must be finite and > -1, got {alpha!r}")
         if not -1 < beta < math.inf:
             raise ValueError(f"beta must be finite and > -1, got {beta!r}")
-        object.__setattr__(self, "coeff", coeff)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
+        _Record.__init__(self, coeff, alpha, beta)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -127,8 +133,7 @@ class Atom(_Record):
             raise ValueError(f"atom location must lie in [0,1], got {location!r}")
         if not 0 < mass < math.inf:
             raise ValueError(f"atom mass must be finite and > 0, got {mass!r}")
-        object.__setattr__(self, "location", location)
-        object.__setattr__(self, "mass", mass)
+        _Record.__init__(self, location, mass)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -154,8 +159,7 @@ class Measure(_Record):
         locations = [a.location for a in atoms]
         if len(set(locations)) != len(locations):
             raise ValueError(f"atom locations must be pairwise distinct, got {locations}")
-        object.__setattr__(self, "jacobi_terms", jacobi_terms)
-        object.__setattr__(self, "atoms", atoms)
+        _Record.__init__(self, jacobi_terms, atoms)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -69,10 +69,7 @@ class NormVerdict(_Record):
             raise ValueError("exactly one of norm and reason must be present")
         if norm is not None and not (0.0 <= norm < math.inf):
             raise ValueError(f"bounded verdict requires a finite nonnegative norm, got {norm}")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "norm", norm)
-        object.__setattr__(self, "reason", reason)
-        object.__setattr__(self, "formula_used", formula_used)
+        _Record.__init__(self, p, norm, reason, formula_used)
 
     @property
     def is_bounded(self) -> bool:

@@ -86,8 +86,7 @@ class SequenceVector(_Record):
         values = np.asarray(values, dtype=np.float64)
         if values.ndim != 1:
             raise ValueError(f"sequence values must be one-dimensional, got shape {values.shape}")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "nonneg", bool(values.size == 0 or values.min() >= 0.0))
+        _Record.__init__(self, values, bool(values.size == 0 or values.min() >= 0.0))
 
     def __len__(self):
         return len(self.values)
@@ -487,12 +486,7 @@ class FFTPlan(_Record):
     __slots__ = ("n_rows", "n_cols", "tiles", "c0", "c1", "scale")
 
     def __init__(self, n_rows: int, n_cols: int, tiles: tuple, c0: float, c1: float, scale: int = 0):
-        object.__setattr__(self, "n_rows", n_rows)
-        object.__setattr__(self, "n_cols", n_cols)
-        object.__setattr__(self, "tiles", tiles)
-        object.__setattr__(self, "c0", c0)
-        object.__setattr__(self, "c1", c1)
-        object.__setattr__(self, "scale", scale)
+        _Record.__init__(self, n_rows, n_cols, tiles, c0, c1, scale)
 
     def transposed(self) -> FFTPlan:
         """The plan of the transposed matrix: each tile's ranges and factors swap, and so do c0 and c1."""

@@ -324,6 +324,40 @@ def test_dense_route_ratio_stays_below_the_exact_ratio():
         assert lower_bound_ratio(mu, params, size) <= want, (case, mu, size, p)
 
 
+@pytest.mark.parametrize("route", ["held", "streamed", "one-tile", "tiled"])
+def test_block_apply_image_lies_within_its_stated_bound_on_every_route(route, monkeypatch):
+    # _Block.apply gives (y, bound, e): 2**e y is the block's image of a and
+    # 2**e bound its stated ell-p error, here against the long double image.
+    rng = np.random.default_rng(2026)
+    if route in ("held", "streamed"):
+        measures = (MIX_ATOM, _times_power_of_two(Measure((), (Atom(0.5, 1.0),)), 40))
+    else:
+        _force_tiling(monkeypatch, route == "tiled")
+        # t(1-t)dt, and t(1-t)dt plus unit atoms at both endpoints.
+        measures = (MIXED_CORPUS[1], MIXED_CORPUS[7])
+    for mu in measures:
+        for size in (57, 300):
+            block = certify_module._Block(mu, size, size)
+            if route == "held":
+                block.section()
+            # The section's last right singular vector: its image cancels to rounding level.
+            cancelling = np.linalg.svd(finite_section(mu, size).entries)[2][-1]
+            for p in (1.0, 2.0, 3.0):
+                for values in (np.arange(1.0, size + 1.0) ** -0.6, rng.uniform(-1.0, 1.0, size), cancelling):
+                    a = SequenceVector(values)
+                    y, bound, e = block.apply(a, p)
+                    exact = _extended_precision_image(mu, values, size)
+                    err = lp_norm((np.ldexp(y, e).astype(np.longdouble) - exact).astype(np.float64), p)
+                    assert err <= math.ldexp(bound, e), (route, mu, size, p, a.nonneg, err, bound, e)
+                    if route == "held":
+                        # The held section's row sums are the streamed apply's, bit for bit.
+                        streamed = certify_module._Block(mu, size, size).apply(a, p)[0]
+                        assert np.ldexp(y, e).tobytes() == streamed.tobytes()
+                    elif route != "streamed":
+                        image, want = block.plan().apply(a, p)
+                        assert (y.tobytes(), bound, e) == (image.values.tobytes(), want, 0)
+
+
 # The gaps to the exact ratio measured 2.1e-12 (t(1-t)dt) and 2.4e-10
 # (t^3(1-t)^3, whose Hankel factor varies by up to 6^7 inside a tile).
 @pytest.mark.parametrize(
