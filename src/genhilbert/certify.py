@@ -212,9 +212,13 @@ class _Block:
         atom at 1/2 at N = 2048) lies far above the error its entries show
         against mpmath.
         """
+        return self._apply(a, p)[:3]
+
+    def _apply(self, a: SequenceVector, p: float) -> tuple[np.ndarray, float, int, float | None]:
+        """:meth:`apply`'s ``(y, bound, e)`` and ``lp_norm(y, p)`` where its bound took it (the dense route, nonnegative ``a``), else None."""
         if not self.dense:
             image, bound = self.plan().apply(a, p)
-            return image.values, bound, 0
+            return image.values, bound, 0, None
         if self._section is None:
             e = 0
             product = lambda v: apply_truncated(self.mu, SequenceVector(v), self.n_rows).values
@@ -222,8 +226,9 @@ class _Block:
             s, e = self._section
             product = lambda v: _row_sums(s, v)
         y = product(a.values)
-        z = y if a.nonneg else product(np.abs(a.values))
-        return y, (self.n_cols * _UNIT_ROUNDOFF + _entry_rtol(self.mu)) * lp_norm(z, p), e
+        norm = lp_norm(y, p) if a.nonneg else None
+        z_norm = lp_norm(product(np.abs(a.values)), p) if norm is None else norm
+        return y, (self.n_cols * _UNIT_ROUNDOFF + _entry_rtol(self.mu)) * z_norm, e, norm
 
     def ratio(self, a: SequenceVector, p: float) -> float:
         """:func:`lower_bound_ratio` for the sequence ``a`` of length ``n_cols``.
@@ -238,15 +243,17 @@ class _Block:
         u, the rounding of :func:`~genhilbert.operator.lp_norm` on the image
         and on ``a`` (each at most ``(2L + 6) u`` relative for a vector of
         length L: the sum, the powers, the exponent 1/p and the root) and of
-        the factor, the subtraction and the division.
+        the factor, the subtraction and the division.  The image norm is
+        taken once: where the bound took it (:meth:`_apply`), it is reused.
         """
         norm_a = lp_norm(a.values, p)
         e_a = math.frexp(norm_a)[1]
         # Rebinding a drops this frame's hold on the caller's sequence before the apply.
         a, denominator = SequenceVector(np.ldexp(a.values, -e_a)), math.ldexp(norm_a, -e_a)
-        y, bound, e = self.apply(a, p)
+        y, bound, e, norm = self._apply(a, p)
+        norm = lp_norm(y, p) if norm is None else norm
         rounding = (2 * (self.n_rows + self.n_cols) + 16) * _UNIT_ROUNDOFF
-        return _ldexp(_certified_quotient(lp_norm(y, p) * (1.0 - rounding), bound, denominator), e)
+        return _ldexp(_certified_quotient(norm * (1.0 - rounding), bound, denominator), e)
 
     def sigma(self, tol: float) -> float:
         """:func:`p2_section_norm` of the (square) block: one Golub-Kahan-Lanczos loop.
@@ -254,8 +261,9 @@ class _Block:
         The loop's products carry no bound: nu's section and its transpose
         (BLAS ``@``) on the dense route, whose result and
         :class:`ConvergenceError` estimate are multiplied by ``2**e``
-        (:meth:`section`), and otherwise the block's FFT plan and its
-        transpose, their bounds dropped.  Step j applies S
+        (:meth:`section`), and otherwise the bound-free images
+        (:meth:`~genhilbert.operator.FFTPlan.image`) of the block's FFT plan
+        and its transpose.  Step j applies S
         to v_j and, unless the top Ritz value then stops the loop, S^T to
         u_j.  Each image is orthogonalized twice against the basis it
         extends (classical Gram-Schmidt) and normalized, which gives alpha_j,
@@ -289,7 +297,7 @@ class _Block:
             forward, backward = s.__matmul__, s.T.__matmul__
         else:
             plan, scale = self.plan(), 0
-            forward, backward = _product(plan), _product(plan.transposed())
+            forward, backward = plan.image, plan.transposed().image
         image = forward(basis_v[0])
         # B in units of 2**e0, the power of two above the first image's largest magnitude.
         bidiagonal, e0 = np.zeros((steps, steps)), 0
@@ -337,11 +345,6 @@ def _norm_2(x: np.ndarray) -> float:
     """``||x||_2`` from :func:`_scaled`; math.inf only when it is beyond the float64 range."""
     _, norm, e = _scaled(x)
     return _ldexp(norm, e)
-
-
-def _product(plan: FFTPlan):
-    """The map from an array v to ``plan``'s image of it, as an array (at p = 2, its bound dropped)."""
-    return lambda v: plan.apply(SequenceVector(v), 2.0)[0].values
 
 
 def _orthonormalized(p: np.ndarray, e: int, basis: np.ndarray) -> tuple[float, np.ndarray]:

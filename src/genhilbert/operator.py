@@ -481,6 +481,14 @@ class FFTPlan(_Record):
     endpoint masses.  All of these are a
     measure nu's, and the plan is that of ``2**scale`` times nu
     (:meth:`apply`).  Build one with :func:`fft_plan`.
+
+    The spectra of the tile-terms that share a length m are the rows of
+    one read-only stack, in the plan's tile and term order, of at most
+    ``_APPLY_BLOCK_ELEMENTS // m`` rows, and each such segment is a row view
+    whose ``base`` is its stack; a spectrum alone in its stack is an array
+    of its own.  So every spectrum is held once, the transposed plan shares
+    the stacks, and an image runs one transform pair per stack
+    (:meth:`image`).
     """
 
     __slots__ = ("n_rows", "n_cols", "tiles", "c0", "c1", "scale")
@@ -496,8 +504,10 @@ class FFTPlan(_Record):
         )
         return FFTPlan(self.n_cols, self.n_rows, tiles, self.c1, self.c0, self.scale)
 
-    # An image or bound beyond the float64 range is inf, with no warning.
-    @np.errstate(over="ignore")
+    def image(self, values) -> np.ndarray:
+        """:meth:`apply`'s image of ``values`` (length ``n_cols``), bit for bit, without its bound."""
+        return self._image(np.asarray(values, dtype=np.float64), None)[0]
+
     def apply(self, a: SequenceVector, p: float) -> tuple[SequenceVector, float]:
         """The image of ``a`` (length ``n_cols``) in O(M log M) and an a-priori ell-p error bound.
 
@@ -509,10 +519,14 @@ class FFTPlan(_Record):
         k-2+n of the linear convolution of h with reversed b.  A circular
         convolution of length ``m >= n+k-1`` wraps only entries at or beyond
         m onto indices below k-1, so the rows kept are exact; m is the least
-        power of two that long.  A dense tile (m = 0) forms c as the product
-        of its matrix ``h[i+j]`` with b.  An atom at 0 adds ``c0 * a[0]`` to
-        every row, an atom at 1 adds ``c1 * sum(a)`` to row 0; p is checked
-        as :func:`lp_norm` checks it.
+        power of two that long.  The tile-terms of one stack
+        (:class:`FFTPlan`) transform together: their reversed b, each padded
+        to m, are the rows of one array, and one ``rfft`` of it, one product
+        with the stack and one ``irfft`` give all their c.  A tile-term alone
+        in its stack transforms its own b.  A dense tile (m = 0) forms c as
+        the product of its matrix ``h[i+j]`` with b.  An atom at 0 adds
+        ``c0 * a[0]`` to every row, an atom at 1 adds ``c1 * sum(a)`` to
+        row 0; p is checked as :func:`lp_norm` checks it.
 
         All of this runs on ``a / 2**e_a``, 2**e_a the power of two above
         ``max |a|``, which keeps ``E * a``, ``sum(a)`` and ``||a||_1`` in
@@ -546,7 +560,10 @@ class FFTPlan(_Record):
         of two, a length the theorem covers; numpy.fft's pocketfft computes
         these real transforms by radix-4 and radix-2 passes (a radix-4
         butterfly is two radix-2 levels in exact arithmetic), and the theorem
-        is taken for them, not proved.  The convolution is
+        is taken for them, not proved.  A stack's transforms run row by row
+        on the same plan of length m; their bits can differ from a lone
+        row's (rounding only), and the theorem is taken for each row alike,
+        again not proved.  The convolution is
         ``F^-1(Fh . Fb)`` with ``||Fx||_2 = sqrt(m) ||x||_2`` and
         ``||Fx||_inf <= ||x||_1``.  The error of ``Fh`` meets ``Fb`` and costs
         ``phi ||h||_2 ||b||_1``; the error of ``Fb`` meets ``Fh`` and costs
@@ -573,38 +590,79 @@ class FFTPlan(_Record):
         than a factor of 6, so each tile's bound is that of its own rows'
         image up to ``6^|alpha+beta+1|``.
         """
-        values = a.values
-        K, n_rows = len(values), self.n_rows
         p = validate_p(p)
+        norms = []
+        out, e_a, atoms = self._image(a.values, norms)
+        if not self.n_cols:
+            return SequenceVector(out), 0.0
+        bound = _stated_bound(self.tiles, norms, (self.c0, self.c1, *atoms), self.n_rows, self.n_cols, p)
+        return SequenceVector(out), _ldexp(bound, self.scale + e_a)
+
+    # An image beyond the float64 range is inf, with no warning.
+    @np.errstate(over="ignore")
+    def _image(self, values: np.ndarray, norms: list | None) -> tuple[np.ndarray, int, tuple[float, float]]:
+        """``(y, e_a, (|a[0]|, ||a||_1))``: the image y of ``values``, 2**e_a the power of two above ``max |a|``, and a's norms in units of it.
+
+        When ``norms`` is a list, each tile-term's b norms
+        (:func:`_norms_1_2`) are appended to it in the plan's order, as
+        :func:`_stated_bound` reads them.
+        """
+        K = len(values)
         if K != self.n_cols:
             raise ValueError(f"input length {K} does not match the plan's {self.n_cols} columns")
-        out = np.zeros(n_rows)
+        out = np.zeros(self.n_rows)
         if K == 0:
-            return SequenceVector(out), 0.0
-        e_a = math.frexp(max(values.max(), -values.min()))[1]
-        norms = []
+            return out, 0, (0.0, 0.0)
+        low = values.min()
+        e_a = math.frexp(max(values.max(), -low))[1]
+        # id(stack) -> (stack, its tile-terms' reversed b as rows, their (rows, n, k, row, shift)).
+        batches = {}
         for rows, cols, m, terms in self.tiles:
             part = values[cols]
             n, k = rows.stop - rows.start, len(part)
             for row, col, segment, _, _, h_1, _ in terms:
-                b = np.ldexp(part, -e_a)
-                b *= col
-                b_1, b_2, e = _norms_1_2(b)
-                norms.append((b_1, b_2, e))
+                stack = segment.base if m else None
+                if stack is None:
+                    b = np.ldexp(part, -e_a)
+                else:
+                    if id(stack) not in batches:
+                        batches[id(stack)] = stack, np.zeros((len(stack), m)), []
+                    _, inputs, members = batches[id(stack)]
+                    # b sits at the row's end, so the row read backwards is b reversed and padded.
+                    b = np.ldexp(part, -e_a, out=inputs[len(members), m - k :])
+                if col.strides[0] or col[0] != 1.0:
+                    b *= col
+                if norms is not None:
+                    norms.append(_norms_1_2(b))
                 # The transforms' values reach m ||h||_1 ||b||_1 (a dense
                 # product's, ||h||_1 ||b||_1), which E can carry past the
-                # float64 range although |a| < 1 here.  Then they run on
+                # float64 range although |a| < 1 here.  Since |b| <= |E| and
+                # E is monotone along the tile, ||b||_1 <= k max(E[0], E[-1]),
+                # and below 2**1000 the plan alone settles that they cannot.
+                # Otherwise b's norm decides, and when they can, they run on
                 # b / 2**e, whose entries are below 1, and the rows are
-                # scaled back; both steps are exact.  The copy is made only
-                # then, so the usual path holds no second array of b's length
-                # during the transforms.
-                shift = e if math.frexp(max(m, 1) * h_1 * b_1)[1] + e > 1000 else 0
-                if shift:
-                    b = np.ldexp(b, -shift)
+                # scaled back; both steps are exact.
+                shift, reach = 0, max(m, 1) * h_1
+                if not reach * k * max(col[0], col[-1]) < 2.0**1000:
+                    b_1, _, e = norms[-1] if norms is not None else _norms_1_2(b)
+                    if math.frexp(reach * b_1)[1] + e > 1000:
+                        shift = e
+                        np.ldexp(b, -shift, out=b)
+                if stack is not None:
+                    members.append((rows, n, k, row, shift))
+                    continue
                 if m:
                     c = row * irfft(segment * rfft(b[::-1], m), m)[k - 1 : k - 1 + n]
                 else:
                     c = row * (segment @ b)
+                out[rows] += np.ldexp(c, shift) if shift else c
+        for stack, inputs, members in batches.values():
+            m = inputs.shape[1]
+            spectra = rfft(inputs[:, ::-1], m)
+            # In a lone row's operand order: complex products are not commutative bit for bit.
+            np.multiply(stack, spectra, out=spectra)
+            for (rows, n, k, row, shift), y in zip(members, irfft(spectra, m)):
+                c = row * y[k - 1 : k - 1 + n]
                 out[rows] += np.ldexp(c, shift) if shift else c
         c0, c1 = self.c0, self.c1
         a_0, a_1 = math.ldexp(values[0], -e_a), 0.0
@@ -614,14 +672,13 @@ class FFTPlan(_Record):
             part = np.ldexp(values, -e_a)
             out[0] += c1 * part.sum()
             a_1 = np.abs(part, out=part).sum()
-        if a.nonneg:
+        if low >= 0.0:
             # The exact image is nonnegative; rows whose value lies below the
             # transforms' absolute error can come out negative, and clipping
             # them moves every row toward its exact value.
             np.maximum(out, 0.0, out=out)
-        bound = _stated_bound(self.tiles, norms, (c0, c1, abs(a_0), a_1), n_rows, K, p)
         np.ldexp(out, self.scale + e_a, out=out)
-        return SequenceVector(out), _ldexp(bound, self.scale + e_a)
+        return out, e_a, (abs(a_0), a_1)
 
 
 def _stated_bound(tiles, norms, atoms, n_rows: int, K: int, p: float) -> float:
@@ -758,7 +815,9 @@ def _build_plan(mu: Measure, n_rows: int, n_cols: int, tiled: bool | None = None
     call per term.  Both tilings' tiles are laid out as the plan's, with
     the Hankel factor h in the segment's place, and spectra are taken only
     for the tiling :func:`fft_plan` picks, or for ``tiled`` when it is not
-    None.  Every array is read-only; a zero-stride constant counts no bytes.
+    None: one ``rfft`` per tile-term, copied into its row of its length's
+    stack (:class:`FFTPlan`).  Every array is read-only, and its bytes
+    count once; a zero-stride constant counts none.
     """
     c0, c1 = mu.atom_at(0.0), mu.atom_at(1.0)
     if not n_cols:
@@ -793,13 +852,38 @@ def _build_plan(mu: Measure, n_rows: int, n_cols: int, tiled: bool | None = None
             for norms in [[_norms_1_2(col) for *_, terms in tiles for _, col, *_ in terms]]
         )
         tiled = not one <= _ONE_TILE_BOUND_RATIO * split
-    tiles, nbytes = [], sum(x.nbytes for row, col, _ in factors for x in (row, col) if x.strides[-1])
+    nbytes = sum(x.nbytes for row, col, _ in factors for x in (row, col) if x.strides[-1])
+    # Each length's Hankel factors in tile and term order, stacked in chunks of at most
+    # _APPLY_BLOCK_ELEMENTS // m rows; a chunk of one keeps its own rfft array.
+    lengths = {}
+    for _, _, m, terms in candidates[tiled]:
+        if m:
+            lengths.setdefault(m, []).extend(h for _, _, h, *_ in terms)
+    spectra = {}
+    for m, hs in lengths.items():
+        per = max(1, _APPLY_BLOCK_ELEMENTS // m)
+        for chunk in (hs[i : i + per] for i in range(0, len(hs), per)):
+            if len(chunk) == 1:
+                stack = rfft(chunk[0], m)
+            else:
+                stack = np.empty((len(chunk), m // 2 + 1), dtype=np.complex128)
+                for i, h in enumerate(chunk):
+                    stack[i] = rfft(h, m)
+            # Before the row views are taken: views inherit it.
+            stack.flags.writeable = False
+            nbytes += stack.nbytes
+            spectra.setdefault(m, []).extend([stack] if len(chunk) == 1 else stack)
+    spectra = {m: iter(rows) for m, rows in spectra.items()}
+    tiles = []
     for r, c, m, terms in candidates[tiled]:
-        segments = [rfft(h, m) if m else as_strided(h, (len(row), len(col)), h.strides * 2).copy()
-                    for row, col, h, *_ in terms]
-        for segment in segments:
-            segment.flags.writeable = False
-            nbytes += segment.nbytes
+        segments = []
+        for row, col, h, *_ in terms:
+            if m:
+                segments.append(next(spectra[m]))
+                continue
+            segments.append(as_strided(h, (len(row), len(col)), h.strides * 2).copy())
+            segments[-1].flags.writeable = False
+            nbytes += segments[-1].nbytes
         tiles.append((r, c, m, tuple((row, col, s, *hs) for (row, col, _, *hs), s in zip(terms, segments))))
     # The one tile covers every row.
     row_max = tuple(top for _, _, _, top, *_ in candidates[0][0][3])

@@ -57,3 +57,13 @@ MIXED_CORPUS = (
 
 # Two Jacobi terms plus an interior atom at 0.3, the benchmark's mix-atom shape.
 MIX_ATOM = Measure((JacobiTerm(1.0, -0.5, 0.25), JacobiTerm(0.5, 0.5, -0.25)), (Atom(0.3, 0.4),))
+
+# The README's two-term measure: its picked plan at N = 300 is tiled, and its
+# tile-terms stack at transform lengths 256 and 512.
+TWO_TERMS = Measure(
+    (
+        JacobiTerm(2.008275636674005, 1.4819280638927523, -0.15411454766890031),
+        JacobiTerm(1.7657447699476374, -0.7452229680099001, 2.226491179858306),
+    ),
+    (),
+)

@@ -34,7 +34,7 @@ from genhilbert import certify as certify_module
 from genhilbert import kernel, operator
 from genhilbert.certify import SOUNDNESS_SLACK
 from genhilbert.norms import classical_constant
-from conftest import MIX_ATOM, MIXED_CORPUS, random_interior_measure
+from conftest import MIX_ATOM, MIXED_CORPUS, TWO_TERMS, random_interior_measure
 from genhilbert.operator import (
     SequenceVector,
     apply_truncated,
@@ -309,6 +309,16 @@ def test_ratio_takes_the_dense_route_when_the_fft_cannot_serve(mu, size, monkeyp
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("mu", [MIX_ATOM, MIXED_CORPUS[1]], ids=["dense", "fft"])
+def test_a_ratio_takes_two_norms(mu, monkeypatch):
+    # One of the sequence and one of its image: the dense bound's norm of a
+    # nonnegative sequence's image is the numerator's too.
+    calls = []
+    _record_calls(monkeypatch, calls, certify_module, "lp_norm")
+    lower_bound_ratio(mu, ExtremalParams(1.5, 0.1, 300), 300)
+    assert len(calls) == 2
+
+
 def test_dense_route_ratio_stays_below_the_exact_ratio():
     # Unscaled, 16 of these 40 ratios came out up to 4.6e-16 above the exact one.
     rng = np.random.default_rng(2027)
@@ -356,6 +366,31 @@ def test_block_apply_image_lies_within_its_stated_bound_on_every_route(route, mo
                     elif route != "streamed":
                         image, want = block.plan().apply(a, p)
                         assert (y.tobytes(), bound, e) == (image.values.tobytes(), want, 0)
+
+
+@pytest.mark.parametrize(
+    "mu,size",
+    [(TWO_TERMS, 300), (Measure((JacobiTerm(1.0, 1.0, 1.0),), ()), 2048)],
+    ids=["two-terms@300", "t(1-t)dt@2048"],
+)
+def test_stacked_tiled_image_and_its_transpose_within_their_stated_bounds(mu, size):
+    # The picked plans are tiled, and tile-terms of one transform length
+    # stack (the two-term measure's at 256 and 512): each stack runs one
+    # transform pair, and the image stays within the plan's stated bound of
+    # the long double image, forward and transposed.
+    rng = np.random.default_rng(2803)
+    plan = fft_plan(mu, size, size)
+    stacked = {len(segment.base) for _, _, m, terms in plan.tiles if m for _, _, segment, *_ in terms
+               if segment.base is not None}
+    assert len(plan.tiles) > 1 and stacked and min(stacked) > 1
+    for transposed in (False, True):
+        q, oracle = (plan.transposed(), reflected(mu)) if transposed else (plan, mu)
+        for values in (np.arange(1.0, size + 1.0) ** -0.6, rng.uniform(-1.0, 1.0, size)):
+            exact = _extended_precision_image(oracle, values, size)
+            for p in (1.0, 2.0, 3.0):
+                y, bound = q.apply(SequenceVector(values), p)
+                err = lp_norm((y.values.astype(np.longdouble) - exact).astype(np.float64), p)
+                assert err <= bound, (transposed, p, err, bound)
 
 
 # The gaps to the exact ratio measured 2.1e-12 (t(1-t)dt) and 2.4e-10
@@ -712,23 +747,28 @@ def test_a_sweep_transforms_on_the_picked_tiling_alone(mu, tiled, monkeypatch):
     # the sweeps at both p share one kept plan.
     monkeypatch.setattr(operator, "_plan_memo", OrderedDict())
     applied, builds, spectra = set(), [], [0]
-    apply, build, rfft = operator.FFTPlan.apply, operator._build_plan, operator.rfft
+    apply, image, build, rfft = operator.FFTPlan.apply, operator.FFTPlan.image, operator._build_plan, operator.rfft
 
     def recorded_apply(plan, a, p):
         applied.add(len(plan.tiles) > 1)
         return apply(plan, a, p)
+
+    def recorded_image(plan, values):
+        applied.add(len(plan.tiles) > 1)
+        return image(plan, values)
 
     def recorded_build(*args):
         builds.append(None)
         builds[-1] = build(*args)
         return builds[-1]
 
-    def recorded_rfft(*args):
+    def recorded_rfft(*args, **kwargs):
         # A transform made while a plan is built is one of its spectra.
         spectra[0] += builds[-1:] == [None]
-        return rfft(*args)
+        return rfft(*args, **kwargs)
 
     monkeypatch.setattr(operator.FFTPlan, "apply", recorded_apply)
+    monkeypatch.setattr(operator.FFTPlan, "image", recorded_image)
     monkeypatch.setattr(operator, "_build_plan", recorded_build)
     monkeypatch.setattr(operator, "rfft", recorded_rfft)
     for p in (1.5, 2.0):
@@ -758,13 +798,18 @@ def test_ratio_checks_the_column_cap_before_it_builds_the_sequence(delta_half, m
 def test_krylov_loop_makes_two_transposed_applies_fewer_than_forward_ones(monkeypatch):
     # Convergence is tested before the transposed apply, which the last
     # step's Ritz value does not use, and the certified quotient of the
-    # Ritz vector is one more forward apply.
+    # Ritz vector is one more forward apply.  The loop's products are
+    # bound-free images, the quotient's an apply at p = 2.
     forward, backward = [], []
-    apply, transposed = operator.FFTPlan.apply, operator.FFTPlan.transposed
+    apply, image, transposed = operator.FFTPlan.apply, operator.FFTPlan.image, operator.FFTPlan.transposed
 
     def recorded_apply(plan, a, p):
         (backward if any(plan is adj for adj in adjoints) else forward).append(p)
         return apply(plan, a, p)
+
+    def recorded_image(plan, values):
+        (backward if any(plan is adj for adj in adjoints) else forward).append(None)
+        return image(plan, values)
 
     adjoints = []
 
@@ -773,19 +818,21 @@ def test_krylov_loop_makes_two_transposed_applies_fewer_than_forward_ones(monkey
         return adjoints[-1]
 
     monkeypatch.setattr(operator.FFTPlan, "apply", recorded_apply)
+    monkeypatch.setattr(operator.FFTPlan, "image", recorded_image)
     monkeypatch.setattr(operator.FFTPlan, "transposed", recorded_transposed)
     p2_section_norm(LEBESGUE, 512)
     assert len(forward) >= 3
     assert len(backward) == len(forward) - 2
+    assert forward.count(2.0) == 1 and backward.count(2.0) == 0
 
 
 def _record_fft_route(monkeypatch, applied, build=fft_plan):
-    """Record each FFTPlan.apply of the plans certify builds with ``build`` as ``(name, input values)``.
+    """Record each FFTPlan.apply and FFTPlan.image of the plans certify builds with ``build`` as ``(name, input values)``.
 
     The name is "one-tile" or "tiled", with "^T" for the plan's transpose;
-    an apply on any other plan fails.
+    an apply or image on any other plan fails.
     """
-    apply, transposed = operator.FFTPlan.apply, operator.FFTPlan.transposed
+    apply, image, transposed = operator.FFTPlan.apply, operator.FFTPlan.image, operator.FFTPlan.transposed
     names = []
 
     def name_of(plan):
@@ -804,9 +851,14 @@ def _record_fft_route(monkeypatch, applied, build=fft_plan):
         applied.append((name_of(plan), a.values.copy()))
         return apply(plan, a, p)
 
+    def recorded_image(plan, values):
+        applied.append((name_of(plan), np.array(values)))
+        return image(plan, values)
+
     monkeypatch.setattr(certify_module, "fft_plan", recorded_plan)
     monkeypatch.setattr(operator.FFTPlan, "transposed", recorded_transposed)
     monkeypatch.setattr(operator.FFTPlan, "apply", recorded_apply)
+    monkeypatch.setattr(operator.FFTPlan, "image", recorded_image)
     return names
 
 
@@ -831,15 +883,6 @@ def test_a_rejected_first_image_runs_the_whole_loop_on_the_tiled_plan(monkeypatc
 
 # The two-term measure's first one-tile image once passed a bound-to-norm
 # test that its top Ritz vector's failed; fft_plan now picks before any apply.
-TWO_TERMS = Measure(
-    (
-        JacobiTerm(2.008275636674005, 1.4819280638927523, -0.15411454766890031),
-        JacobiTerm(1.7657447699476374, -0.7452229680099001, 2.226491179858306),
-    ),
-    (),
-)
-
-
 @pytest.mark.parametrize(
     "mu,sizes",
     [

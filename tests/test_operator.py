@@ -32,7 +32,7 @@ from genhilbert import (
 )
 from genhilbert import operator
 from genhilbert.operator import fft_plan
-from conftest import MIX_ATOM, MIXED_CORPUS, random_interior_measure
+from conftest import MIX_ATOM, MIXED_CORPUS, TWO_TERMS, random_interior_measure
 
 
 def naive_hilbert_apply(values: np.ndarray, n_rows: int) -> np.ndarray:
@@ -730,6 +730,170 @@ def test_the_pick_reads_the_bound_each_tiling_states_at_the_probe(monkeypatch):
 def test_fft_apply_rejects_interior_atoms(delta_half):
     with pytest.raises(ValueError, match="endpoint atoms"):
         fft_plan(delta_half, 4, 4).apply(SequenceVector(np.ones(4)), 2.0)
+
+
+MIX2 = Measure((JacobiTerm(1.0, -0.5, 0.25), JacobiTerm(0.5, 0.5, -0.25)), ())
+
+
+def _count_norms(monkeypatch):
+    calls, norms_1_2 = [0], operator._norms_1_2
+
+    def counted(x):
+        calls[0] += 1
+        return norms_1_2(x)
+
+    monkeypatch.setattr(operator, "_norms_1_2", counted)
+    return calls
+
+
+def _assert_image_is_applys(plan, values, norms_taken=None):
+    """``plan.image(values)`` has the bits of ``plan.apply``'s image at every p; with a counter, it took no norm."""
+    before = norms_taken and norms_taken[0]
+    image = plan.image(values)
+    if norms_taken is not None:
+        assert norms_taken[0] == before, "the image took b's norms"
+    for p in (1.0, 2.0, 3.0):
+        assert image.tobytes() == plan.apply(SequenceVector(values), p)[0].values.tobytes(), p
+
+
+def test_image_is_applys_image_bit_for_bit(monkeypatch):
+    # One tile, tiled and picked plans and their transposes; one and two
+    # terms, atoms at 0 and 1; signed and nonnegative input; 2**k mu shares
+    # mu's plan with scale k.  The plan alone settles the transforms' shift
+    # guard here, so the image takes no norm.
+    rng = np.random.default_rng(2801)
+    norms_taken = _count_norms(monkeypatch)
+    measures = (LEBESGUE, MIXED_CORPUS[1], MIX2, TWO_TERMS, MIXED_CORPUS[5], MIXED_CORPUS[6], MIXED_CORPUS[7])
+    for mu in measures:
+        for k in (0, 600, -600):
+            scaled = _scaled(mu, 2.0**k)
+            for n_rows, n_cols in ((7, 5), (300, 170), (1024, 1024)):
+                plans = [fft_plan(scaled, n_rows, n_cols)]
+                plans += [operator._build_plan(scaled, n_rows, n_cols, tiled)[0] for tiled in (False, True)]
+                for plan in plans:
+                    for q in (plan, plan.transposed()):
+                        for low in (0.0, -1.0):
+                            _assert_image_is_applys(q, rng.uniform(low, 1.0, q.n_cols), norms_taken)
+    empty = fft_plan(MIXED_CORPUS[7], 5, 0)
+    _assert_image_is_applys(empty, np.zeros(0))
+    assert empty.image(np.zeros(0)).tobytes() == np.zeros(5).tobytes()
+    with pytest.raises(ValueError, match="^input length 4 does not match the plan's 5 columns$"):
+        fft_plan(LEBESGUE, 3, 5).image(np.ones(4))
+
+
+@pytest.mark.parametrize("coeff", [1e300, 1e306])
+def test_image_is_applys_image_where_the_shift_guard_fires(coeff, monkeypatch):
+    # The transposed two-term plan of test_fft_image_near_the_float64_limit:
+    # its b carries the coefficient, and the transforms run on b / 2**e.
+    # Its two terms share one stack, so the guard fires inside a batch.
+    mu = Measure((JacobiTerm(1.0, 0.0, 0.0), JacobiTerm(coeff, 0.5, 0.0)), ())
+    plan = fft_plan(mu, 4096, 4096).transposed()
+    assert all(segment.base is not None for _, _, _, terms in plan.tiles for _, _, segment, *_ in terms)
+    shifted, ldexp = [], np.ldexp
+
+    def recorded_ldexp(x, e, *args, **kwargs):
+        shifted.append(e)
+        return ldexp(x, e, *args, **kwargs)
+
+    norms_taken = _count_norms(monkeypatch)
+    monkeypatch.setattr(operator.np, "ldexp", recorded_ldexp)
+    for values in (np.ones(4096), np.random.default_rng(5).uniform(-1.0, 1.0, 4096)):
+        shifted.clear()
+        before = norms_taken[0]
+        image = plan.image(values)
+        # The second term's b needs its norm, and is shifted down and back up.
+        assert norms_taken[0] == before + 1 and max(shifted) > 900 and min(shifted) < -900
+        assert np.isfinite(image).all()
+        _assert_image_is_applys(plan, values)
+
+
+def _per_tile_term_image(plan, values):
+    """``plan``'s image of ``values`` from one transform pair per tile-term, and the largest row of summed magnitudes.
+
+    Each tile-term runs alone, and the rows add in the plan's tile and term
+    order, the atoms last; the magnitudes are those of the contributions,
+    before they cancel.
+    """
+    e_a = math.frexp(np.abs(values).max())[1]
+    out, magnitude = np.zeros(plan.n_rows), np.zeros(plan.n_rows)
+    for rows, cols, m, terms in plan.tiles:
+        n, k = rows.stop - rows.start, cols.stop - cols.start
+        for row, col, segment, *_ in terms:
+            b = np.ldexp(values[cols], -e_a) * col
+            if m:
+                c = row * np.fft.irfft(segment * np.fft.rfft(b[::-1], m), m)[k - 1 : k - 1 + n]
+            else:
+                c = row * (segment @ b)
+            out[rows] += c
+            magnitude[rows] += np.abs(c)
+    a = np.ldexp(values, -e_a)
+    out += plan.c0 * a[0]
+    out[0] += plan.c1 * a.sum()
+    magnitude += abs(plan.c0 * a[0])
+    magnitude[0] += abs(plan.c1 * a.sum())
+    if values.min() >= 0.0:
+        np.maximum(out, 0.0, out=out)
+    return np.ldexp(out, plan.scale + e_a), math.ldexp(magnitude.max(), plan.scale + e_a)
+
+
+def test_stacked_image_within_4u_of_single_transforms():
+    # A stack transforms its rows together, and its rows add after the lone
+    # tile-terms': only rounding moves, by at most 4 u of the largest row.
+    rng = np.random.default_rng(2802)
+    for mu, size in ((TWO_TERMS, 300), (MIXED_CORPUS[1], 2048), (MIX2, 1024), (MIXED_CORPUS[7], 700)):
+        plan = fft_plan(mu, size, size)
+        for q in (plan, plan.transposed()):
+            for low in (0.0, -1.0):
+                values = rng.uniform(low, 1.0, size)
+                want, largest = _per_tile_term_image(q, values)
+                assert np.abs(q.image(values) - want).max() <= 4 * 2.0**-53 * largest, (mu, size, low)
+
+
+def _stacks(plan):
+    """The arrays that hold ``plan``'s spectra, each once: a stack, or a spectrum alone."""
+    held = {}
+    for _, _, m, terms in plan.tiles:
+        for _, _, segment, *_ in terms:
+            if m:
+                stack = segment if segment.base is None else segment.base
+                held[id(stack)] = stack
+    return list(held.values())
+
+
+@pytest.mark.parametrize(
+    "mu,size",
+    [(TWO_TERMS, 300), (MIXED_CORPUS[1], 2048), (MIX2, 1024), (LEBESGUE, 1 << 17), (TWO_TERMS, 1 << 16)],
+    ids=["two-terms@300", "t(1-t)dt@2048", "mix2@1024", "lebesgue@2^17", "two-terms@2^16"],
+)
+def test_each_spectrum_is_held_once(mu, size, monkeypatch):
+    monkeypatch.setattr(operator, "_plan_memo", OrderedDict())
+    plan = fft_plan(mu, size, size)
+    stacks = _stacks(plan)
+    lengths = {}
+    for _, _, m, terms in plan.tiles:
+        for _, _, segment, *_ in terms:
+            if m:
+                lengths[m] = lengths.get(m, 0) + 1
+                assert any(np.shares_memory(segment, stack) for stack in stacks)
+                assert not segment.flags.writeable
+    # Per length, the fewest stacks of at most _APPLY_BLOCK_ELEMENTS // m rows (at least one).
+    for m, count in lengths.items():
+        per = max(1, operator._APPLY_BLOCK_ELEMENTS // m)
+        sizes = sorted(len(s) if s.ndim == 2 else 1 for s in stacks if s.shape[-1] == m // 2 + 1)
+        assert sum(sizes) == count and len(sizes) == -(-count // per) and max(sizes) <= per, (m, sizes)
+    assert all(not stack.flags.writeable and (stack.ndim == 1 or len(stack) > 1) for stack in stacks)
+    # The stacks hold the spectra and nothing more; the memo counts each byte once.
+    spectra = sum(segment.nbytes for _, _, m, terms in plan.tiles if m for _, _, segment, *_ in terms)
+    assert sum(stack.nbytes for stack in stacks) == spectra
+    (held,) = [nbytes for _, nbytes, _ in operator._plan_memo.values()]
+    assert held == _held_bytes(plan)
+    # The transpose shares them.
+    assert all(
+        s is t
+        for (*_, terms), (*_, t_terms) in zip(plan.tiles, plan.transposed().tiles)
+        for (_, _, s, *_), (_, _, t, *_) in zip(terms, t_terms)
+        if s.ndim == 1
+    )
 
 
 # ------------------------------------------------------------- propagation
