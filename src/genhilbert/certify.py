@@ -185,11 +185,13 @@ class _Block:
             self._section = _held_section(self.mu, self.n_rows, finite_section)
         return self._section
 
-    def apply(self, a: SequenceVector, p: float) -> tuple[np.ndarray, float, int]:
-        """``(y, bound, e)``: ``2**e y`` is the block's computed image of ``a``, and ``2**e bound`` its ell-p error bound.
+    def apply(self, a: SequenceVector, p: float) -> tuple[np.ndarray, float, int, float | None]:
+        """``(y, bound, e, norm)``: ``2**e y`` is the block's computed image of ``a``, and ``2**e bound`` its ell-p error bound.
 
         ``a`` has length ``n_cols``, and ``2**e bound`` majorizes the ell-p
-        distance of ``2**e y`` from the exact image of ``a``.  On the FFT
+        distance of ``2**e y`` from the exact image of ``a``.  ``norm`` is
+        ``lp_norm(y, p)`` where the bound took it (the dense route,
+        nonnegative ``a``), else None.  On the FFT
         route y and the bound are the plan's own
         (:meth:`~genhilbert.operator.FFTPlan.apply`), and e is 0.
 
@@ -212,10 +214,6 @@ class _Block:
         atom at 1/2 at N = 2048) lies far above the error its entries show
         against mpmath.
         """
-        return self._apply(a, p)[:3]
-
-    def _apply(self, a: SequenceVector, p: float) -> tuple[np.ndarray, float, int, float | None]:
-        """:meth:`apply`'s ``(y, bound, e)`` and ``lp_norm(y, p)`` where its bound took it (the dense route, nonnegative ``a``), else None."""
         if not self.dense:
             image, bound = self.plan().apply(a, p)
             return image.values, bound, 0, None
@@ -244,13 +242,13 @@ class _Block:
         and on ``a`` (each at most ``(2L + 6) u`` relative for a vector of
         length L: the sum, the powers, the exponent 1/p and the root) and of
         the factor, the subtraction and the division.  The image norm is
-        taken once: where the bound took it (:meth:`_apply`), it is reused.
+        taken once: where the bound took it (:meth:`apply`), it is reused.
         """
         norm_a = lp_norm(a.values, p)
         e_a = math.frexp(norm_a)[1]
         # Rebinding a drops this frame's hold on the caller's sequence before the apply.
         a, denominator = SequenceVector(np.ldexp(a.values, -e_a)), math.ldexp(norm_a, -e_a)
-        y, bound, e, norm = self._apply(a, p)
+        y, bound, e, norm = self.apply(a, p)
         norm = lp_norm(y, p) if norm is None else norm
         rounding = (2 * (self.n_rows + self.n_cols) + 16) * _UNIT_ROUNDOFF
         return _ldexp(_certified_quotient(norm * (1.0 - rounding), bound, denominator), e)
@@ -326,7 +324,7 @@ class _Block:
             image = forward(basis_v[j + 1])
         x = np.linalg.svd(b)[2][0] @ basis_v[: j + 1]
         x *= math.copysign(1.0, x.sum())
-        y, bound, _ = self.apply(SequenceVector(x), 2.0)
+        y, bound, *_ = self.apply(SequenceVector(x), 2.0)
         norm_y = _norm_2(y)
         sigma = _certified_quotient(norm_y, bound + (size + 4) * _UNIT_ROUNDOFF * norm_y, float(np.linalg.norm(x)))
         return _ldexp(sigma, scale)

@@ -474,7 +474,8 @@ class FFTPlan(_Record):
     tile's slices of the factors :func:`~genhilbert.kernel.jacobi_factors`
     returns, and d is ``row``'s largest value, ``||D||_inf`` over the
     tile's rows.  ``h`` is the Hankel factor over the tile's diagonals,
-    ``segment`` its spectrum ``rfft(h, m)`` or, when m is 0, the dense
+    ``segment`` its spectrum ``rfft(h, m)``, or ``(stack, i)`` when that
+    spectrum is row i of a stack, or, when m is 0, the dense
     matrix ``h[i + j]`` of the tile's shape, ``h_2``, ``h_1`` its 2- and
     1-norms, and ``eta`` the term's factor error against the exact matrix
     (:func:`~genhilbert.kernel._term_rtol`).  ``c0`` and ``c1`` are the
@@ -484,11 +485,11 @@ class FFTPlan(_Record):
 
     The spectra of the tile-terms that share a length m are the rows of
     one read-only stack, in the plan's tile and term order, of at most
-    ``_APPLY_BLOCK_ELEMENTS // m`` rows, and each such segment is a row view
-    whose ``base`` is its stack; a spectrum alone in its stack is an array
-    of its own.  So every spectrum is held once, the transposed plan shares
-    the stacks, and an image runs one transform pair per stack
-    (:meth:`image`).
+    ``_APPLY_BLOCK_ELEMENTS // m`` rows, and each such segment names its
+    stack and row; a spectrum alone in its stack is an array of its own.
+    So every spectrum is held once, also in a pickled or copied plan, which
+    keeps one copy of each stack; the transposed plan shares the stacks,
+    and an image runs one transform pair per stack (:meth:`image`).
     """
 
     __slots__ = ("n_rows", "n_cols", "tiles", "c0", "c1", "scale")
@@ -615,13 +616,13 @@ class FFTPlan(_Record):
             return out, 0, (0.0, 0.0)
         low = values.min()
         e_a = math.frexp(max(values.max(), -low))[1]
-        # id(stack) -> (stack, its tile-terms' reversed b as rows, their (rows, n, k, row, shift)).
+        # id(stack) -> (stack, its tile-terms' reversed b as rows, their (i, rows, n, k, row, shift)).
         batches = {}
         for rows, cols, m, terms in self.tiles:
             part = values[cols]
             n, k = rows.stop - rows.start, len(part)
             for row, col, segment, _, _, h_1, _ in terms:
-                stack = segment.base if m else None
+                stack, i = segment if type(segment) is tuple else (None, 0)
                 if stack is None:
                     b = np.ldexp(part, -e_a)
                 else:
@@ -629,7 +630,7 @@ class FFTPlan(_Record):
                         batches[id(stack)] = stack, np.zeros((len(stack), m)), []
                     _, inputs, members = batches[id(stack)]
                     # b sits at the row's end, so the row read backwards is b reversed and padded.
-                    b = np.ldexp(part, -e_a, out=inputs[len(members), m - k :])
+                    b = np.ldexp(part, -e_a, out=inputs[i, m - k :])
                 if col.strides[0] or col[0] != 1.0:
                     b *= col
                 if norms is not None:
@@ -649,7 +650,7 @@ class FFTPlan(_Record):
                         shift = e
                         np.ldexp(b, -shift, out=b)
                 if stack is not None:
-                    members.append((rows, n, k, row, shift))
+                    members.append((i, rows, n, k, row, shift))
                     continue
                 if m:
                     c = row * irfft(segment * rfft(b[::-1], m), m)[k - 1 : k - 1 + n]
@@ -661,8 +662,9 @@ class FFTPlan(_Record):
             spectra = rfft(inputs[:, ::-1], m)
             # In a lone row's operand order: complex products are not commutative bit for bit.
             np.multiply(stack, spectra, out=spectra)
-            for (rows, n, k, row, shift), y in zip(members, irfft(spectra, m)):
-                c = row * y[k - 1 : k - 1 + n]
+            ys = irfft(spectra, m)
+            for i, rows, n, k, row, shift in members:
+                c = row * ys[i, k - 1 : k - 1 + n]
                 out[rows] += np.ldexp(c, shift) if shift else c
         c0, c1 = self.c0, self.c1
         a_0, a_1 = math.ldexp(values[0], -e_a), 0.0
@@ -854,7 +856,7 @@ def _build_plan(mu: Measure, n_rows: int, n_cols: int, tiled: bool | None = None
         tiled = not one <= _ONE_TILE_BOUND_RATIO * split
     nbytes = sum(x.nbytes for row, col, _ in factors for x in (row, col) if x.strides[-1])
     # Each length's Hankel factors in tile and term order, stacked in chunks of at most
-    # _APPLY_BLOCK_ELEMENTS // m rows; a chunk of one keeps its own rfft array.
+    # _APPLY_BLOCK_ELEMENTS // m rows, each segment (stack, row); a chunk of one keeps its own rfft array.
     lengths = {}
     for _, _, m, terms in candidates[tiled]:
         if m:
@@ -869,10 +871,9 @@ def _build_plan(mu: Measure, n_rows: int, n_cols: int, tiled: bool | None = None
                 stack = np.empty((len(chunk), m // 2 + 1), dtype=np.complex128)
                 for i, h in enumerate(chunk):
                     stack[i] = rfft(h, m)
-            # Before the row views are taken: views inherit it.
             stack.flags.writeable = False
             nbytes += stack.nbytes
-            spectra.setdefault(m, []).extend([stack] if len(chunk) == 1 else stack)
+            spectra.setdefault(m, []).extend([stack] if len(chunk) == 1 else ((stack, i) for i in range(len(chunk))))
     spectra = {m: iter(rows) for m, rows in spectra.items()}
     tiles = []
     for r, c, m, terms in candidates[tiled]:

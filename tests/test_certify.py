@@ -336,8 +336,9 @@ def test_dense_route_ratio_stays_below_the_exact_ratio():
 
 @pytest.mark.parametrize("route", ["held", "streamed", "one-tile", "tiled"])
 def test_block_apply_image_lies_within_its_stated_bound_on_every_route(route, monkeypatch):
-    # _Block.apply gives (y, bound, e): 2**e y is the block's image of a and
-    # 2**e bound its stated ell-p error, here against the long double image.
+    # _Block.apply gives (y, bound, e, norm): 2**e y is the block's image of
+    # a and 2**e bound its stated ell-p error, here against the long double
+    # image; norm is y's ell-p norm where the dense bound took it.
     rng = np.random.default_rng(2026)
     if route in ("held", "streamed"):
         measures = (MIX_ATOM, _times_power_of_two(Measure((), (Atom(0.5, 1.0),)), 40))
@@ -355,7 +356,9 @@ def test_block_apply_image_lies_within_its_stated_bound_on_every_route(route, mo
             for p in (1.0, 2.0, 3.0):
                 for values in (np.arange(1.0, size + 1.0) ** -0.6, rng.uniform(-1.0, 1.0, size), cancelling):
                     a = SequenceVector(values)
-                    y, bound, e = block.apply(a, p)
+                    y, bound, e, norm = block.apply(a, p)
+                    dense = route in ("held", "streamed")
+                    assert norm == (lp_norm(y, p) if dense and a.nonneg else None), (route, p, a.nonneg)
                     exact = _extended_precision_image(mu, values, size)
                     err = lp_norm((np.ldexp(y, e).astype(np.longdouble) - exact).astype(np.float64), p)
                     assert err <= math.ldexp(bound, e), (route, mu, size, p, a.nonneg, err, bound, e)
@@ -380,8 +383,8 @@ def test_stacked_tiled_image_and_its_transpose_within_their_stated_bounds(mu, si
     # the long double image, forward and transposed.
     rng = np.random.default_rng(2803)
     plan = fft_plan(mu, size, size)
-    stacked = {len(segment.base) for _, _, m, terms in plan.tiles if m for _, _, segment, *_ in terms
-               if segment.base is not None}
+    stacked = {len(segment[0]) for _, _, m, terms in plan.tiles if m for _, _, segment, *_ in terms
+               if type(segment) is tuple}
     assert len(plan.tiles) > 1 and stacked and min(stacked) > 1
     for transposed in (False, True):
         q, oracle = (plan.transposed(), reflected(mu)) if transposed else (plan, mu)

@@ -1,6 +1,8 @@
 """Sequence applies: truncated matvec, quadrature reference, FFT fast path."""
 
+import copy
 import math
+import pickle
 import tracemalloc
 from collections import OrderedDict
 
@@ -476,13 +478,23 @@ def test_tile_cover_is_an_exact_partition():
         _assert_exact_partition(n_rows, n_cols)
 
 
+def _spectrum(segment) -> np.ndarray:
+    """A tile-term's spectrum or dense matrix: row i of its stack when the segment is ``(stack, i)``."""
+    return segment[0][segment[1]] if type(segment) is tuple else segment
+
+
+def _holder(segment) -> np.ndarray:
+    """The array that holds a tile-term's spectrum or dense matrix: its stack, or the segment itself."""
+    return segment[0] if type(segment) is tuple else segment
+
+
 def _plan_bytes(plan) -> bytes:
     """Every number a plan holds, as bytes."""
     parts = [repr((plan.n_rows, plan.n_cols, plan.c0, plan.c1))]
     for rows, cols, m, terms in plan.tiles:
         parts.append(repr((rows, cols, m)))
         for row, col, segment, *norms in terms:
-            parts += [repr(norms), row.tobytes(), col.tobytes(), segment.tobytes()]
+            parts += [repr(norms), row.tobytes(), col.tobytes(), _spectrum(segment).tobytes()]
     return b"".join(part.encode() if isinstance(part, str) else part for part in parts)
 
 
@@ -602,12 +614,13 @@ def test_a_measure_whose_unit_multiple_leaves_the_range_gets_its_own_plan(monkey
 
 
 def _held_bytes(plan) -> int:
-    """Bytes of the arrays a plan holds: each term's row and column factors, unless constant, and every segment."""
+    """Bytes of the arrays a plan holds: each term's row and column factors, unless constant, and every stack or segment once."""
     terms = plan.tiles[0][3]
     factors = sum(
         8 * (plan.n_rows * bool(row.strides[0]) + plan.n_cols * bool(col.strides[0])) for row, col, *_ in terms
     )
-    return factors + sum(segment.nbytes for *_, terms in plan.tiles for _, _, segment, *_ in terms)
+    held = {id(x): x for *_, terms in plan.tiles for _, _, segment, *_ in terms for x in [_holder(segment)]}
+    return factors + sum(x.nbytes for x in held.values())
 
 
 def test_memo_holds_at_most_its_budget(monkeypatch):
@@ -668,7 +681,7 @@ def test_memo_arrays_are_read_only(monkeypatch):
     for plan in plans:
         for _, _, _, terms in plan.tiles:
             for row, col, segment, *_ in terms:
-                for x in (row, col, segment):
+                for x in (row, col, _holder(segment)):
                     with pytest.raises(ValueError, match="read-only"):
                         x[0] = 0.0
 
@@ -788,7 +801,7 @@ def test_image_is_applys_image_where_the_shift_guard_fires(coeff, monkeypatch):
     # Its two terms share one stack, so the guard fires inside a batch.
     mu = Measure((JacobiTerm(1.0, 0.0, 0.0), JacobiTerm(coeff, 0.5, 0.0)), ())
     plan = fft_plan(mu, 4096, 4096).transposed()
-    assert all(segment.base is not None for _, _, _, terms in plan.tiles for _, _, segment, *_ in terms)
+    assert all(type(segment) is tuple for _, _, _, terms in plan.tiles for _, _, segment, *_ in terms)
     shifted, ldexp = [], np.ldexp
 
     def recorded_ldexp(x, e, *args, **kwargs):
@@ -821,7 +834,7 @@ def _per_tile_term_image(plan, values):
         for row, col, segment, *_ in terms:
             b = np.ldexp(values[cols], -e_a) * col
             if m:
-                c = row * np.fft.irfft(segment * np.fft.rfft(b[::-1], m), m)[k - 1 : k - 1 + n]
+                c = row * np.fft.irfft(_spectrum(segment) * np.fft.rfft(b[::-1], m), m)[k - 1 : k - 1 + n]
             else:
                 c = row * (segment @ b)
             out[rows] += c
@@ -855,8 +868,7 @@ def _stacks(plan):
     for _, _, m, terms in plan.tiles:
         for _, _, segment, *_ in terms:
             if m:
-                stack = segment if segment.base is None else segment.base
-                held[id(stack)] = stack
+                held[id(_holder(segment))] = _holder(segment)
     return list(held.values())
 
 
@@ -869,13 +881,18 @@ def test_each_spectrum_is_held_once(mu, size, monkeypatch):
     monkeypatch.setattr(operator, "_plan_memo", OrderedDict())
     plan = fft_plan(mu, size, size)
     stacks = _stacks(plan)
-    lengths = {}
+    lengths, rows = {}, set()
     for _, _, m, terms in plan.tiles:
         for _, _, segment, *_ in terms:
             if m:
                 lengths[m] = lengths.get(m, 0) + 1
-                assert any(np.shares_memory(segment, stack) for stack in stacks)
-                assert not segment.flags.writeable
+                if type(segment) is tuple:
+                    stack, i = segment
+                    assert stack.ndim == 2 and 0 <= i < len(stack) and (id(stack), i) not in rows
+                    rows.add((id(stack), i))
+                assert np.shares_memory(_spectrum(segment), _holder(segment))
+    # Every row of every stack is one tile-term's spectrum.
+    assert len(rows) == sum(len(s) for s in stacks if s.ndim == 2)
     # Per length, the fewest stacks of at most _APPLY_BLOCK_ELEMENTS // m rows (at least one).
     for m, count in lengths.items():
         per = max(1, operator._APPLY_BLOCK_ELEMENTS // m)
@@ -883,17 +900,43 @@ def test_each_spectrum_is_held_once(mu, size, monkeypatch):
         assert sum(sizes) == count and len(sizes) == -(-count // per) and max(sizes) <= per, (m, sizes)
     assert all(not stack.flags.writeable and (stack.ndim == 1 or len(stack) > 1) for stack in stacks)
     # The stacks hold the spectra and nothing more; the memo counts each byte once.
-    spectra = sum(segment.nbytes for _, _, m, terms in plan.tiles if m for _, _, segment, *_ in terms)
+    spectra = sum(_spectrum(segment).nbytes for _, _, m, terms in plan.tiles if m for _, _, segment, *_ in terms)
     assert sum(stack.nbytes for stack in stacks) == spectra
     (held,) = [nbytes for _, nbytes, _ in operator._plan_memo.values()]
     assert held == _held_bytes(plan)
     # The transpose shares them.
     assert all(
-        s is t
-        for (*_, terms), (*_, t_terms) in zip(plan.tiles, plan.transposed().tiles)
+        _holder(s) is _holder(t)
+        for (*_, m, terms), (*_, t_terms) in zip(plan.tiles, plan.transposed().tiles)
+        if m
         for (_, _, s, *_), (_, _, t, *_) in zip(terms, t_terms)
-        if s.ndim == 1
     )
+
+
+@pytest.mark.parametrize(
+    "mu,size",
+    [(LEBESGUE, 64), (LEBESGUE, 4096), (TWO_TERMS, 300), (MIXED_CORPUS[1], 2048), (MIXED_CORPUS[7], 700)],
+    ids=["lebesgue@64", "lebesgue@4096", "two-terms@300", "t(1-t)dt@2048", "t(1-t)dt+atoms@700"],
+)
+def test_pickled_and_copied_plans_keep_their_stacks_and_images(mu, size):
+    # One-tile plans whose spectrum pickles as a buffer of its own, and tiled
+    # plans with stacks: a pickled (either protocol) or deep-copied plan
+    # holds each stack once, as the plan does (its constant factors come
+    # back as full arrays), and its images, bounds and transposed images
+    # keep their bits.
+    rng = np.random.default_rng(2804)
+    plan = fft_plan(mu, size, size)
+    values = [rng.uniform(0.0, 1.0, size), rng.uniform(-1.0, 1.0, size)]
+    twins = [pickle.loads(pickle.dumps(plan, protocol)) for protocol in (4, pickle.HIGHEST_PROTOCOL)]
+    for twin in twins + [copy.deepcopy(plan)]:
+        assert _plan_bytes(twin) == _plan_bytes(plan)
+        assert [s.shape for s in _stacks(twin)] == [s.shape for s in _stacks(plan)]
+        for q, t in ((plan, twin), (plan.transposed(), twin.transposed())):
+            for v in values:
+                assert t.image(v).tobytes() == q.image(v).tobytes()
+                for p in (1.0, 2.0):
+                    (y, bound), (want, want_bound) = t.apply(SequenceVector(v), p), q.apply(SequenceVector(v), p)
+                    assert (y.values.tobytes(), bound) == (want.values.tobytes(), want_bound)
 
 
 # ------------------------------------------------------------- propagation
