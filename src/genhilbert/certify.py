@@ -13,12 +13,13 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from collections import Counter
 
 import numpy as np
 
 from .errors import DEFAULT_SECTION_CAP, HANKEL_CAP, ConvergenceError, _check_block
 from .kernel import _UNIT_ROUNDOFF, _entry_rtol, finite_section
-from .measure import Measure, _Record
+from .measure import Measure, _Record, reflected
 from .norms import NormVerdict, classify_boundedness, validate_p, verdict_to_dict
 from .operator import (
     FFTPlan,
@@ -47,7 +48,8 @@ __all__ = [
 # must stay below (floating-point headroom only).
 SOUNDNESS_SLACK = 1e-6
 
-# Golub-Kahan-Lanczos steps before p2_section_norm gives up.
+# Lanczos steps (each one image of S, and one of S^T for a block that is not symmetric)
+# before p2_section_norm gives up.
 _KRYLOV_STEP_CAP = 128
 
 
@@ -125,12 +127,15 @@ def lower_bound_ratio(mu: Measure, params: ExtremalParams, n_rows: int) -> float
 def p2_section_norm(mu: Measure, size: int, tol: float = 1e-10) -> float:
     """Largest singular value sigma_N of the size-by-size section S, from below.
 
-    Golub-Kahan-Lanczos bidiagonalization of S from the normalized all-ones
-    vector, with full reorthogonalization; it stops once the top Ritz value
-    (the largest singular value of the bidiagonal) changes by at most
-    ``tol`` relative, and raises :class:`~genhilbert.errors.ConvergenceError`
-    with that value as the estimate past ``_KRYLOV_STEP_CAP`` steps.  The
-    value returned is a certified quotient of the top Ritz vector x,
+    Lanczos with full reorthogonalization from the normalized all-ones
+    vector, on S itself when ``mu`` equals its reflection under t -> 1-t
+    (then S is symmetric and nonnegative, and sigma_N is its top
+    eigenvalue), and otherwise on ``S^T S``, whose top eigenvalue is
+    sigma_N squared.  It stops once the top Ritz value of sigma_N changes
+    by at most ``tol`` relative, and raises
+    :class:`~genhilbert.errors.ConvergenceError` with that value as the
+    estimate past ``_KRYLOV_STEP_CAP`` steps.  The value returned is a
+    certified quotient of the top Ritz vector x,
     ``max(0, ||fl(S x)||_2 - bound) / ||x||_2 <= ||S x||_2 / ||x||_2 <= sigma_N``
     with ``bound`` the product's stated error (:meth:`_Block.apply`) plus
     the norms' rounding, so it is a sound lower bound for the p=2 operator
@@ -254,80 +259,105 @@ class _Block:
         return _ldexp(_certified_quotient(norm * (1.0 - rounding), bound, denominator), e)
 
     def sigma(self, tol: float) -> float:
-        """:func:`p2_section_norm` of the (square) block: one Golub-Kahan-Lanczos loop.
+        """:func:`p2_section_norm` of the (square) block: one Lanczos loop.
 
-        The loop's products carry no bound: nu's section and its transpose
-        (BLAS ``@``) on the dense route, whose result and
-        :class:`ConvergenceError` estimate are multiplied by ``2**e``
-        (:meth:`section`), and otherwise the bound-free images
-        (:meth:`~genhilbert.operator.FFTPlan.image`) of the block's FFT plan
-        and its transpose.  Step j applies S
-        to v_j and, unless the top Ritz value then stops the loop, S^T to
-        u_j.  Each image is orthogonalized twice against the basis it
-        extends (classical Gram-Schmidt) and normalized, which gives alpha_j,
-        u_j and beta_j, v_(j+1) of the upper bidiagonal B with ``S V = U B``.
-        Images are divided by the power of two above their largest
-        magnitude before they are orthogonalized, and B is kept in units of
-        the first image's power of two; both are exact, so sigma scales
-        exactly with the measure.
-        The loop also ends when an image is 0 within the basis (the Krylov
-        space is invariant, and the Ritz value exact) and after ``size``
-        steps.
+        The loop runs on a symmetric matrix A with one orthonormal basis V
+        and the tridiagonal ``T = V^T A V``.  When ``mu`` equals its
+        reflection (:func:`_reflection_symmetric`), S is symmetric and
+        entrywise nonnegative, so by Perron-Frobenius its top eigenvalue is
+        sigma: A is S, and the top Ritz value is T's top eigenvalue.  Any
+        other block takes ``A = S^T S`` and the root of T's top eigenvalue;
+        its Krylov space is Golub-Kahan-Lanczos bidiagonalization's, and so
+        is its step count.
 
-        The top Ritz vector x, taken with a nonnegative sum, is certified
-        through :meth:`apply` at p = 2, which gives y = fl(S x) and its
-        stated bound.  The quotient's bound adds ``(N + 4) u ||y||_2``
-        (u the unit roundoff), which covers, to first order in u, the
-        rounding of the 2-norms of y and x (each at most ``(N/2 + 1) u``
-        relative, Higham, *Accuracy and Stability of Numerical Algorithms*,
-        2nd ed., section 3.1) and of the final subtraction and division
-        (:func:`_certified_quotient`).
+        The loop's products carry no bound: nu's section (BLAS ``@``) on the
+        dense route, whose result and :class:`ConvergenceError` estimate are
+        multiplied by ``2**e`` (:meth:`section`), and otherwise the
+        bound-free images (:meth:`~genhilbert.operator.FFTPlan.image`) of
+        the block's FFT plan.  Step j applies S to v_j; ``T[j, j]`` is
+        ``v_j . S v_j``, or ``||S v_j||_2^2`` for ``S^T S``.  Unless the top
+        Ritz value then stops the loop, A v_j (for ``S^T S``, the transpose
+        or transposed plan applied to S v_j) is orthogonalized twice
+        against V (classical Gram-Schmidt) and normalized, which gives
+        ``T[j, j+1]`` and v_(j+1).  So a symmetric block takes one image
+        per step and never builds the transpose, and a step that stops
+        makes no transposed image.  Images are divided by the power of two
+        above their largest magnitude before they are used, and T is kept
+        in units of the first image's power of two (its square for
+        ``S^T S``); both are exact, so sigma scales exactly with the
+        measure.  The loop also ends when A v_j is 0 within the basis (the
+        Krylov space is invariant, and the Ritz value exact) and after
+        ``size`` steps.
+
+        The top Ritz vector x, T's top eigenvector in the basis V, taken
+        with a nonnegative sum, is certified through :meth:`apply` at
+        p = 2, which gives y = fl(S x) and its stated bound.  The
+        quotient's bound adds ``(N + 4) u ||y||_2`` (u the unit roundoff),
+        which covers, to first order in u, the rounding of the 2-norms of y
+        and x (each at most ``(N/2 + 1) u`` relative, Higham, *Accuracy and
+        Stability of Numerical Algorithms*, 2nd ed., section 3.1) and of
+        the final subtraction and division (:func:`_certified_quotient`).
         """
         if not tol > 0.0:
             raise ValueError(f"tol must be > 0, got {tol}")
         size = self.n_rows
         steps = min(size, _KRYLOV_STEP_CAP)
-        # Rows of V and U; their storage doubles when full.
-        basis_v, basis_u = np.empty((2, min(steps, 16) + 1, size))
-        basis_v[0] = 1.0 / math.sqrt(size)
+        symmetric = self.n_cols == size and _reflection_symmetric(self.mu)
+        # Rows of V; their storage doubles when full.
+        basis = np.empty((min(steps, 16) + 1, size))
+        basis[0] = 1.0 / math.sqrt(size)
         if self.dense:
             s, scale = self.section()
-            forward, backward = s.__matmul__, s.T.__matmul__
+            forward, backward = s.__matmul__, None if symmetric else s.T.__matmul__
         else:
             plan, scale = self.plan(), 0
-            forward, backward = plan.image, plan.transposed().image
-        image = forward(basis_v[0])
-        # B in units of 2**e0, the power of two above the first image's largest magnitude.
-        bidiagonal, e0 = np.zeros((steps, steps)), 0
+            forward, backward = plan.image, None if symmetric else plan.transposed().image
+        # T in units of 2**(power e0), 2**e0 the power of two above the first image's largest magnitude.
+        power = 1 if symmetric else 2
+        tridiagonal, e0 = np.zeros((steps, steps)), 0
         top = 0.0
         for j in range(steps):
-            p, _, e = _scaled(image)
+            p, norm, e = _scaled(forward(basis[j]))
             if j == 0:
                 e0 = e
-            bidiagonal[j, j], basis_u[j] = _orthonormalized(p, e - e0, basis_u[:j])
-            b = bidiagonal[: j + 1, : j + 1]
-            previous, top = top, float(np.linalg.svd(b, compute_uv=False)[0])
-            if abs(top - previous) <= tol * top or not b[j, j] or j + 1 == size:
+            tridiagonal[j, j] = math.ldexp(basis[j] @ p if symmetric else norm * norm, power * (e - e0))
+            t = tridiagonal[: j + 1, : j + 1]
+            previous, top = top, float(np.linalg.eigvalsh(t)[-1])
+            top = top if symmetric else math.sqrt(top)
+            if abs(top - previous) <= tol * top or j + 1 == size:
                 break
             if j + 1 == steps:
                 raise ConvergenceError(
-                    f"Golub-Kahan-Lanczos did not reach relative tol {tol} "
-                    f"within {steps} steps (size {size})",
+                    f"Lanczos did not reach relative tol {tol} within {steps} steps (size {size})",
                     estimate=_ldexp(top, e0 + scale),
                 )
-            w, _, e = _scaled(backward(basis_u[j]))
-            if j + 1 == len(basis_v):
-                basis_v, basis_u = (np.concatenate((m, np.empty_like(m))) for m in (basis_v, basis_u))
-            bidiagonal[j, j + 1], basis_v[j + 1] = _orthonormalized(w, e - e0, basis_v[: j + 1])
-            if not bidiagonal[j, j + 1]:
+            if backward is not None:
+                p, _, shift = _scaled(backward(p))
+                e += shift
+            if j + 1 == len(basis):
+                basis = np.concatenate((basis, np.empty_like(basis)))
+            beta, basis[j + 1] = _orthonormalized(p, e - power * e0, basis[: j + 1])
+            if not beta:
                 break
-            image = forward(basis_v[j + 1])
-        x = np.linalg.svd(b)[2][0] @ basis_v[: j + 1]
+            tridiagonal[j, j + 1] = tridiagonal[j + 1, j] = beta
+        x = np.linalg.eigh(t)[1][:, -1] @ basis[: j + 1]
         x *= math.copysign(1.0, x.sum())
         y, bound, *_ = self.apply(SequenceVector(x), 2.0)
         norm_y = _norm_2(y)
         sigma = _certified_quotient(norm_y, bound + (size + 4) * _UNIT_ROUNDOFF * norm_y, float(np.linalg.norm(x)))
         return _ldexp(sigma, scale)
+
+
+def _reflection_symmetric(mu: Measure) -> bool:
+    """Whether ``mu`` equals its reflection under t -> 1-t, its terms and its atoms compared as multisets.
+
+    Reflection transposes every section, so then every square section of
+    ``mu`` is symmetric.  An atom at t < 1/2 pairs only with one at
+    ``fl(1 - t)`` whose own reflection, exact by Sterbenz's lemma, is t: so
+    the pair is the exact reflection of itself.
+    """
+    nu = reflected(mu)
+    return Counter(mu.jacobi_terms) == Counter(nu.jacobi_terms) and set(mu.atoms) == set(nu.atoms)
 
 
 def _certified_quotient(norm: float, bound: float, denominator: float) -> float:

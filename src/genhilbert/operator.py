@@ -489,13 +489,20 @@ class FFTPlan(_Record):
     stack and row; a spectrum alone in its stack is an array of its own.
     So every spectrum is held once, also in a pickled or copied plan, which
     keeps one copy of each stack; the transposed plan shares the stacks,
-    and an image runs one transform pair per stack (:meth:`image`).
+    and an image runs one transform pair per stack (:meth:`image`).  A
+    pickled or copied plan's zero-stride constant factors come back at zero
+    stride too, and hold no bytes.
     """
 
     __slots__ = ("n_rows", "n_cols", "tiles", "c0", "c1", "scale")
 
     def __init__(self, n_rows: int, n_cols: int, tiles: tuple, c0: float, c1: float, scale: int = 0):
         _Record.__init__(self, n_rows, n_cols, tiles, c0, c1, scale)
+
+    def __reduce__(self):
+        # numpy pickles a zero-stride factor as a full array; it travels as (value, length) instead.
+        tiles = _map_factors(self.tiles, lambda x: x if x.strides[0] else (float(x[0]), len(x)))
+        return _unpickled_plan, (self.n_rows, self.n_cols, tiles, self.c0, self.c1, self.scale)
 
     def transposed(self) -> FFTPlan:
         """The plan of the transposed matrix: each tile's ranges and factors swap, and so do c0 and c1."""
@@ -681,6 +688,19 @@ class FFTPlan(_Record):
             np.maximum(out, 0.0, out=out)
         np.ldexp(out, self.scale + e_a, out=out)
         return out, e_a, (abs(a_0), a_1)
+
+
+def _unpickled_plan(n_rows: int, n_cols: int, tiles: tuple, c0: float, c1: float, scale: int) -> FFTPlan:
+    """The plan :meth:`FFTPlan.__reduce__` pickled: each ``(value, length)`` factor is broadcast back to zero stride."""
+    tiles = _map_factors(tiles, lambda x: np.broadcast_to(*x) if type(x) is tuple else x)
+    return FFTPlan(n_rows, n_cols, tiles, c0, c1, scale)
+
+
+def _map_factors(tiles: tuple, f) -> tuple:
+    """A plan's ``tiles`` with ``f`` applied to each tile-term's row and column factors."""
+    return tuple(
+        (rows, cols, m, tuple((f(row), f(col), *rest) for row, col, *rest in terms)) for rows, cols, m, terms in tiles
+    )
 
 
 def _stated_bound(tiles, norms, atoms, n_rows: int, K: int, p: float) -> float:

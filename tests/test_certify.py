@@ -542,6 +542,58 @@ def test_p2_section_norm_below_operator_norm(lebesgue, delta_half):
         assert p2_section_norm(mu, 256) < target
 
 
+T1MT = Measure((JacobiTerm(1.0, 1.0, 1.0),), ())
+T1MT_ATOMS = Measure((JacobiTerm(1.0, 1.0, 1.0),), (Atom(0.0, 1.0), Atom(1.0, 1.0)))
+MIX2 = Measure((JacobiTerm(1.0, -0.5, 0.25), JacobiTerm(0.5, 0.5, -0.25)), ())
+T_PLUS_ONE_MINUS_T = Measure((JacobiTerm(1.0, 1.0, 0.0), JacobiTerm(1.0, 0.0, 1.0)), ())
+
+
+@pytest.mark.parametrize(
+    "mu,symmetric",
+    [
+        (LEBESGUE, True),
+        (T1MT, True),
+        (Measure((), (Atom(0.5, 1.0),)), True),
+        (T1MT_ATOMS, True),
+        (T_PLUS_ONE_MINUS_T, True),
+        (Measure(tuple(reversed(T_PLUS_ONE_MINUS_T.jacobi_terms)), ()), True),
+        (MIX2, False),
+        (Measure((JacobiTerm(1.0, 1.0, 0.0),), (Atom(1.0, 1.0),)), False),
+        (Measure((JacobiTerm(1.0, 0.0, 0.5),), (Atom(0.0, 0.5),)), False),
+        (Measure((), (Atom(0.3, 1.0),)), False),
+    ],
+    ids=["lebesgue", "t(1-t)dt", "delta_1/2", "t(1-t)dt+delta_0+delta_1", "tdt+(1-t)dt", "(1-t)dt+tdt",
+         "mix2", "c07", "atom-zero", "delta_0.3"],
+)
+def test_reflection_symmetry_compares_terms_and_atoms_as_multisets(mu, symmetric):
+    assert certify_module._reflection_symmetric(mu) is symmetric
+
+
+@pytest.mark.parametrize(
+    "mu,size,tol",
+    [
+        (LEBESGUE, 1024, 1e-10),
+        (T1MT, 512, 1e-10),
+        (T1MT_ATOMS, 1024, 1e-10),
+        (T_PLUS_ONE_MINUS_T, 1024, 1e-10),
+        (Measure((), (Atom(0.5, 1.0),)), 64, 1e-10),
+        # From 256 to 2048 the two loops stop 1.5e-13 to 1.6e-13 apart at the
+        # default tol, both sound: the gap is the Ritz values' own, and at
+        # tol 1e-12 it falls below 3e-15.
+        (Measure((), (Atom(0.5, 1.0),)), 512, 1e-12),
+    ],
+    ids=["lebesgue@1024", "t(1-t)dt@512", "t(1-t)dt+delta_0+delta_1@1024", "tdt+(1-t)dt@1024", "delta_1/2@64",
+         "delta_1/2@512"],
+)
+def test_one_image_sigma_agrees_with_the_normal_equations_loop(mu, size, tol, monkeypatch):
+    one_image = p2_section_norm(mu, size, tol)
+    monkeypatch.setattr(certify_module, "_reflection_symmetric", lambda mu: False)
+    normal = p2_section_norm(mu, size, tol)
+    assert abs(one_image - normal) <= 1e-13 * normal, (one_image, normal)
+    for sigma in (one_image, normal):
+        _assert_certified_against_the_dense_norm(mu, size, sigma, 1e-12)
+
+
 def _record_sections(monkeypatch, sections, products):
     """certify's finite_section, recording each call and every product with a section or its transpose.
 
@@ -798,9 +850,11 @@ def test_ratio_checks_the_column_cap_before_it_builds_the_sequence(delta_half, m
     assert lower_bound_ratio(delta_half, ExtremalParams(2.0, 0.1, 9), 8) > 0.0
 
 
-def test_krylov_loop_makes_two_transposed_applies_fewer_than_forward_ones(monkeypatch):
-    # Convergence is tested before the transposed apply, which the last
-    # step's Ritz value does not use, and the certified quotient of the
+@pytest.mark.parametrize("mu,symmetric", [(LEBESGUE, True), (MIX2, False)], ids=["lebesgue", "mix2"])
+def test_krylov_loop_makes_no_transposed_image_on_a_symmetric_block_and_two_fewer_otherwise(mu, symmetric, monkeypatch):
+    # A symmetric block's loop runs on S alone and builds no transposed plan.
+    # Otherwise convergence is tested before the transposed apply, which the
+    # last step's Ritz value does not use.  The certified quotient of the
     # Ritz vector is one more forward apply.  The loop's products are
     # bound-free images, the quotient's an apply at p = 2.
     forward, backward = [], []
@@ -823,10 +877,26 @@ def test_krylov_loop_makes_two_transposed_applies_fewer_than_forward_ones(monkey
     monkeypatch.setattr(operator.FFTPlan, "apply", recorded_apply)
     monkeypatch.setattr(operator.FFTPlan, "image", recorded_image)
     monkeypatch.setattr(operator.FFTPlan, "transposed", recorded_transposed)
-    p2_section_norm(LEBESGUE, 512)
+    p2_section_norm(mu, 512)
     assert len(forward) >= 3
-    assert len(backward) == len(forward) - 2
+    if symmetric:
+        assert adjoints == [] and backward == []
+    else:
+        assert len(backward) == len(forward) - 2
     assert forward.count(2.0) == 1 and backward.count(2.0) == 0
+
+
+def test_dense_symmetric_sigma_takes_no_transpose(monkeypatch):
+    # delta_1/2's section is symmetric: every product is with the section
+    # itself, and the mix-atom section, which is not, takes its transpose.
+    for mu, symmetric in ((Measure((), (Atom(0.5, 1.0),)), True), (MIX_ATOM, False)):
+        monkeypatch.setattr(operator, "_plan_memo", OrderedDict())
+        sections, products = [], []
+        _record_sections(monkeypatch, sections, products)
+        p2_section_norm(mu, 256)
+        forward = sum(f for f, _ in products)
+        assert sections == [(mu, 256)] and forward >= 3
+        assert len(products) - forward == (0 if symmetric else forward - 1), mu
 
 
 def _record_fft_route(monkeypatch, applied, build=fft_plan):
@@ -887,16 +957,16 @@ def test_a_rejected_first_image_runs_the_whole_loop_on_the_tiled_plan(monkeypatc
 # The two-term measure's first one-tile image once passed a bound-to-norm
 # test that its top Ritz vector's failed; fft_plan now picks before any apply.
 @pytest.mark.parametrize(
-    "mu,sizes",
+    "mu,sizes,symmetric",
     [
-        (TWO_TERMS, (300,)),
-        (Measure((JacobiTerm(1.0, -0.5, 0.25), JacobiTerm(0.5, 0.5, -0.25)), ()), (256, 1024)),
-        (Measure((JacobiTerm(1.0, 1.0, 1.0),), ()), (256, 512)),
-        (MIXED_CORPUS[5], (256,)),
+        (TWO_TERMS, (300,), False),
+        (MIX2, (256, 1024), False),
+        (T1MT, (256, 512), True),
+        (MIXED_CORPUS[5], (256,), False),
     ],
     ids=["two-terms", "mix2", "t(1-t)dt", "t^2dt+5delta_1"],
 )
-def test_every_apply_of_a_sweep_runs_on_the_blocks_one_plan_or_its_transpose(mu, sizes, monkeypatch):
+def test_every_apply_of_a_sweep_runs_on_the_blocks_one_plan_or_its_transpose(mu, sizes, symmetric, monkeypatch):
     applied = []
     built = _record_fft_route(monkeypatch, applied)
     report = convergence_sweep(mu, 2.0, [0.05, 0.3], sizes)
@@ -905,8 +975,14 @@ def test_every_apply_of_a_sweep_runs_on_the_blocks_one_plan_or_its_transpose(mu,
     plans = [(plan.n_rows, name) for plan, name in built if not name.endswith("^T")]
     assert [size for size, _ in plans] == list(sizes), plans
     forward = sum(not name.endswith("^T") for name, _ in applied)
-    # sigma makes two transposed applies fewer than forward ones, and each ratio one forward.
-    assert forward == len(applied) - forward + 4 * len(sizes)
+    transposed = len(applied) - forward
+    # Each ratio makes one forward apply.  sigma makes no transposed apply,
+    # and builds no transposed plan, on a symmetric block, and two
+    # transposed applies fewer than forward ones on any other.
+    if symmetric:
+        assert transposed == 0 and all(not name.endswith("^T") for _, name in built)
+    else:
+        assert forward == transposed + 4 * len(sizes)
     for size, sigma in report.sigma_max_series:
         _assert_certified_against_the_dense_norm(mu, size, sigma, 1e-11)
 
