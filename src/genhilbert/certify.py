@@ -302,7 +302,7 @@ class _Block:
             raise ValueError(f"tol must be > 0, got {tol}")
         size = self.n_rows
         steps = min(size, _KRYLOV_STEP_CAP)
-        symmetric = self.n_cols == size and _reflection_symmetric(self.mu)
+        symmetric = _reflection_symmetric(self.mu)
         # Rows of V; their storage doubles when full.
         basis = np.empty((min(steps, 16) + 1, size))
         basis[0] = 1.0 / math.sqrt(size)
