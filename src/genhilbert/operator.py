@@ -468,18 +468,18 @@ def _layout(n_rows: int, n_cols: int, tiled: bool) -> list[tuple[slice, slice, i
 class FFTPlan(_Record):
     """The FFT apply of one measure's leading ``n_rows`` by ``n_cols`` block, for many inputs.
 
-    ``tiles`` cut the block into disjoint ``(rows, cols, m, terms)``: row
-    and column slices, a transform length m and, per density term,
-    ``(row, col, segment, d, h_2, h_1, eta)``.  ``row`` and ``col`` are the
-    tile's slices of the factors :func:`~genhilbert.kernel.jacobi_factors`
-    returns, and d is ``row``'s largest value, ``||D||_inf`` over the
-    tile's rows.  ``h`` is the Hankel factor over the tile's diagonals,
-    ``segment`` its spectrum ``rfft(h, m)``, or ``(stack, i)`` when that
-    spectrum is row i of a stack, or, when m is 0, the dense
-    matrix ``h[i + j]`` of the tile's shape, ``h_2``, ``h_1`` its 2- and
-    1-norms, and ``eta`` the term's factor error against the exact matrix
-    (:func:`~genhilbert.kernel._term_rtol`).  ``c0`` and ``c1`` are the
-    endpoint masses.  All of these are a
+    ``terms`` holds one ``(row, col, eta)`` per density term: the full row
+    and column factors :func:`~genhilbert.kernel.jacobi_factors` returns,
+    read-only, and the term's factor error against the exact matrix
+    (:func:`~genhilbert.kernel._term_rtol`).  ``tiles`` cut the block into
+    disjoint ``(rows, cols, m, terms)``: row and column slices, a transform
+    length m and, per density term in ``terms``' order, a tile-term
+    ``(segment, d, h_2, h_1)``.  d is the term's largest row factor over the
+    tile's rows, ``||D||_inf``.  ``h`` is the Hankel factor over the tile's
+    diagonals, ``segment`` its spectrum ``rfft(h, m)``, or ``(stack, i)``
+    when that spectrum is row i of a stack, or, when m is 0, the dense
+    matrix ``h[i + j]`` of the tile's shape, and ``h_2``, ``h_1`` its 2- and
+    1-norms.  ``c0`` and ``c1`` are the endpoint masses.  All of these are a
     measure nu's, and the plan is that of ``2**scale`` times nu
     (:meth:`apply`).  Build one with :func:`fft_plan`.
 
@@ -487,30 +487,36 @@ class FFTPlan(_Record):
     one read-only stack, in the plan's tile and term order, of at most
     ``_APPLY_BLOCK_ELEMENTS // m`` rows, and each such segment names its
     stack and row; a spectrum alone in its stack is an array of its own.
-    So every spectrum is held once, also in a pickled or copied plan, which
-    keeps one copy of each stack; the transposed plan shares the stacks,
-    and an image runs one transform pair per stack (:meth:`image`).  A
-    pickled or copied plan's zero-stride constant factors come back at zero
-    stride too, and hold no bytes.
+    So every factor and every spectrum is held once, also in a pickled or
+    copied plan; the transposed plan shares them, and an image runs one
+    transform pair per stack (:meth:`image`).  A pickled or copied plan's
+    zero-stride constant factors come back at zero stride too, and hold no
+    bytes.
     """
 
-    __slots__ = ("n_rows", "n_cols", "tiles", "c0", "c1", "scale")
+    __slots__ = ("n_rows", "n_cols", "terms", "tiles", "c0", "c1", "scale")
 
-    def __init__(self, n_rows: int, n_cols: int, tiles: tuple, c0: float, c1: float, scale: int = 0):
-        _Record.__init__(self, n_rows, n_cols, tiles, c0, c1, scale)
+    def __init__(self, n_rows: int, n_cols: int, terms: tuple, tiles: tuple, c0: float, c1: float, scale: int = 0):
+        _Record.__init__(self, n_rows, n_cols, terms, tiles, c0, c1, scale)
 
     def __reduce__(self):
         # numpy pickles a zero-stride factor as a full array; it travels as (value, length) instead.
-        tiles = _map_factors(self.tiles, lambda x: x if x.strides[0] else (float(x[0]), len(x)))
-        return _unpickled_plan, (self.n_rows, self.n_cols, tiles, self.c0, self.c1, self.scale)
+        terms = tuple(
+            tuple(x if x.strides[0] else (float(x[0]), len(x)) for x in (row, col)) + (eta,)
+            for row, col, eta in self.terms
+        )
+        return _unpickled_plan, (self.n_rows, self.n_cols, terms, self.tiles, self.c0, self.c1, self.scale)
 
     def transposed(self) -> FFTPlan:
-        """The plan of the transposed matrix: each tile's ranges and factors swap, and so do c0 and c1."""
+        """The plan of the transposed matrix: each term's factors swap, each tile's ranges too, and so do c0 and c1."""
         tiles = tuple(
-            (cols, rows, m, tuple((col, row, s if m else s.T, float(col.max()), *hs) for row, col, s, _, *hs in terms))
+            (cols, rows, m, tuple(
+                (s if m else s.T, float(col[cols].max()), *hs) for (s, _, *hs), (_, col, _) in zip(terms, self.terms)
+            ))
             for rows, cols, m, terms in self.tiles
         )
-        return FFTPlan(self.n_cols, self.n_rows, tiles, self.c1, self.c0, self.scale)
+        terms = tuple((col, row, eta) for row, col, eta in self.terms)
+        return FFTPlan(self.n_cols, self.n_rows, terms, tiles, self.c1, self.c0, self.scale)
 
     def image(self, values) -> np.ndarray:
         """:meth:`apply`'s image of ``values`` (length ``n_cols``), bit for bit, without its bound."""
@@ -601,10 +607,7 @@ class FFTPlan(_Record):
         p = validate_p(p)
         norms = []
         out, e_a, atoms = self._image(a.values, norms)
-        if not self.n_cols:
-            return SequenceVector(out), 0.0
-        bound = _stated_bound(self.tiles, norms, (self.c0, self.c1, *atoms), self.n_rows, self.n_cols, p)
-        return SequenceVector(out), _ldexp(bound, self.scale + e_a)
+        return SequenceVector(out), _ldexp(_stated_bound(self, norms, atoms, p), self.scale + e_a)
 
     # An image beyond the float64 range is inf, with no warning.
     @np.errstate(over="ignore")
@@ -614,32 +617,29 @@ class FFTPlan(_Record):
         When ``norms`` is a list, each tile-term's b norms
         (:func:`_norms_1_2`) are appended to it in the plan's order, as
         :func:`_stated_bound` reads them.
+
+        The input is scaled once, ``a = values / 2**e_a``, and each term's
+        ``E a`` is formed once over all K columns.  A tile-term's b is the
+        slice of it over the tile's columns: copied into its stack's row when
+        stacked, read in place when alone, and a new array only where the
+        shift guard below fires.  The atoms read the same ``a``.
         """
         K = len(values)
         if K != self.n_cols:
             raise ValueError(f"input length {K} does not match the plan's {self.n_cols} columns")
         out = np.zeros(self.n_rows)
-        if K == 0:
+        if not (K and self.n_rows):
             return out, 0, (0.0, 0.0)
         low = values.min()
         e_a = math.frexp(max(values.max(), -low))[1]
+        a = np.ldexp(values, -e_a)
+        products = [a * col if col.strides[0] or col[0] != 1.0 else a for _, col, _ in self.terms]
         # id(stack) -> (stack, its tile-terms' reversed b as rows, their (i, rows, n, k, row, shift)).
         batches = {}
         for rows, cols, m, terms in self.tiles:
-            part = values[cols]
-            n, k = rows.stop - rows.start, len(part)
-            for row, col, segment, _, _, h_1, _ in terms:
-                stack, i = segment if type(segment) is tuple else (None, 0)
-                if stack is None:
-                    b = np.ldexp(part, -e_a)
-                else:
-                    if id(stack) not in batches:
-                        batches[id(stack)] = stack, np.zeros((len(stack), m)), []
-                    _, inputs, members = batches[id(stack)]
-                    # b sits at the row's end, so the row read backwards is b reversed and padded.
-                    b = np.ldexp(part, -e_a, out=inputs[i, m - k :])
-                if col.strides[0] or col[0] != 1.0:
-                    b *= col
+            n, k = rows.stop - rows.start, cols.stop - cols.start
+            for (segment, _, _, h_1), (row, col, _), product in zip(terms, self.terms, products):
+                b = product[cols]
                 if norms is not None:
                     norms.append(_norms_1_2(b))
                 # The transforms' values reach m ||h||_1 ||b||_1 (a dense
@@ -651,18 +651,24 @@ class FFTPlan(_Record):
                 # b / 2**e, whose entries are below 1, and the rows are
                 # scaled back; both steps are exact.
                 shift, reach = 0, max(m, 1) * h_1
-                if not reach * k * max(col[0], col[-1]) < 2.0**1000:
+                if not reach * k * max(col[cols.start], col[cols.stop - 1]) < 2.0**1000:
                     b_1, _, e = norms[-1] if norms is not None else _norms_1_2(b)
                     if math.frexp(reach * b_1)[1] + e > 1000:
                         shift = e
-                        np.ldexp(b, -shift, out=b)
-                if stack is not None:
+                        b = np.ldexp(b, -shift)
+                if type(segment) is tuple:
+                    stack, i = segment
+                    if id(stack) not in batches:
+                        batches[id(stack)] = stack, np.zeros((len(stack), m)), []
+                    _, inputs, members = batches[id(stack)]
+                    # b sits at the row's end, so the row read backwards is b reversed and padded.
+                    inputs[i, m - k :] = b
                     members.append((i, rows, n, k, row, shift))
                     continue
                 if m:
-                    c = row * irfft(segment * rfft(b[::-1], m), m)[k - 1 : k - 1 + n]
+                    c = row[rows] * irfft(segment * rfft(b[::-1], m), m)[k - 1 : k - 1 + n]
                 else:
-                    c = row * (segment @ b)
+                    c = row[rows] * (segment @ b)
                 out[rows] += np.ldexp(c, shift) if shift else c
         for stack, inputs, members in batches.values():
             m = inputs.shape[1]
@@ -671,63 +677,57 @@ class FFTPlan(_Record):
             np.multiply(stack, spectra, out=spectra)
             ys = irfft(spectra, m)
             for i, rows, n, k, row, shift in members:
-                c = row * ys[i, k - 1 : k - 1 + n]
+                c = row[rows] * ys[i, k - 1 : k - 1 + n]
                 out[rows] += np.ldexp(c, shift) if shift else c
         c0, c1 = self.c0, self.c1
-        a_0, a_1 = math.ldexp(values[0], -e_a), 0.0
+        a_1 = 0.0
         if c0 > 0:
-            out += c0 * a_0
+            out += c0 * a[0]
         if c1 > 0:
-            part = np.ldexp(values, -e_a)
-            out[0] += c1 * part.sum()
-            a_1 = np.abs(part, out=part).sum()
+            out[0] += c1 * a.sum()
+            a_1 = np.abs(a).sum()
         if low >= 0.0:
             # The exact image is nonnegative; rows whose value lies below the
             # transforms' absolute error can come out negative, and clipping
             # them moves every row toward its exact value.
             np.maximum(out, 0.0, out=out)
         np.ldexp(out, self.scale + e_a, out=out)
-        return out, e_a, (abs(a_0), a_1)
+        return out, e_a, (abs(float(a[0])), a_1)
 
 
-def _unpickled_plan(n_rows: int, n_cols: int, tiles: tuple, c0: float, c1: float, scale: int) -> FFTPlan:
+def _unpickled_plan(n_rows: int, n_cols: int, terms: tuple, tiles: tuple, c0: float, c1: float, scale: int) -> FFTPlan:
     """The plan :meth:`FFTPlan.__reduce__` pickled: each ``(value, length)`` factor is broadcast back to zero stride."""
-    tiles = _map_factors(tiles, lambda x: np.broadcast_to(*x) if type(x) is tuple else x)
-    return FFTPlan(n_rows, n_cols, tiles, c0, c1, scale)
-
-
-def _map_factors(tiles: tuple, f) -> tuple:
-    """A plan's ``tiles`` with ``f`` applied to each tile-term's row and column factors."""
-    return tuple(
-        (rows, cols, m, tuple((f(row), f(col), *rest) for row, col, *rest in terms)) for rows, cols, m, terms in tiles
+    terms = tuple(
+        tuple(np.broadcast_to(*x) if type(x) is tuple else x for x in (row, col)) + (eta,) for row, col, eta in terms
     )
+    return FFTPlan(n_rows, n_cols, terms, tiles, c0, c1, scale)
 
 
-def _stated_bound(tiles, norms, atoms, n_rows: int, K: int, p: float) -> float:
-    """:meth:`FFTPlan.apply`'s bound from a plan's ``tiles``, b's ``norms`` and ``atoms = (c0, c1, |a[0]|, ||a||_1)``.
+def _stated_bound(plan: FFTPlan, norms, atoms, p: float) -> float:
+    """:meth:`FFTPlan.apply`'s bound from ``plan``, b's ``norms`` and ``atoms = (|a[0]|, ||a||_1)``.
 
-    The tiles are :class:`FFTPlan`'s, and ``norms`` holds b's
-    ``(||b||_1 / 2**e, ||b||_2 / 2**e, e)`` for each of their terms in
-    order; the bound is in the units of ``a``.
+    ``norms`` holds b's ``(||b||_1 / 2**e, ||b||_2 / 2**e, e)`` for each of
+    the plan's tile-terms in order, and the plan's tiles may hold h in
+    place of each segment; the bound is in the units of ``a``.
     """
-    c0, c1, a_0, a_1 = atoms
+    c0, c1, (a_0, a_1) = plan.c0, plan.c1, atoms
     # Every tile holds row 0 or is the one row tile of its rows, and the tiles
     # that hold a later row hold row 0 too: no row lies in more than row 0.
-    A = len(tiles[0][3]) * sum(rows.start == 0 for rows, *_ in tiles) + (c0 > 0) + (c1 > 0)
+    A = len(plan.terms) * sum(rows.start == 0 for rows, *_ in plan.tiles) + (c0 > 0) + (c1 > 0)
     u, s = _UNIT_ROUNDOFF, max(0.0, 1.0 / p - 0.5)
     bound = 0.0
     norms = iter(norms)
-    for rows, cols, m, terms in tiles:
+    for rows, cols, m, terms in plan.tiles:
         # u scales each magnitude before the large factors do, and the
         # power of two of b last, so the bound overflows only when its
         # value is beyond float64.
         weight = factors = 0.0
-        for (_, _, _, d, h_2, h_1, eta), (b_1, b_2, e) in zip(terms, norms):
+        for (_, d, h_2, h_1), (_, _, eta), (b_1, b_2, e) in zip(terms, plan.terms, norms):
             weight += _ldexp(u * d * (h_2 * b_1 + h_1 * b_2), e)
             factors += _ldexp(eta * d * h_2 * b_1, e)
         scale = 16.0 * (max(1, m.bit_length() - 1) + A + 1) if m else cols.stop - cols.start + 2 * A + 4
         bound += (rows.stop - rows.start) ** s * (scale * weight + factors)
-    return float(bound + (2 * A + K + 3) * (u * c0 * a_0 * n_rows ** (1.0 / p) + u * c1 * a_1))
+    return float(bound + (2 * A + plan.n_cols + 3) * (u * c0 * a_0 * plan.n_rows ** (1.0 / p) + u * c1 * a_1))
 
 
 def fft_plan(mu: Measure, n_rows: int, n_cols: int) -> FFTPlan:
@@ -755,7 +755,7 @@ def fft_plan(mu: Measure, n_rows: int, n_cols: int) -> FFTPlan:
     if n_cols > HANKEL_CAP:
         raise ResourceLimitError(f"size {n_cols} exceeds cap {HANKEL_CAP}")
     plan, e = _cached(mu, n_rows, n_cols, lambda nu: _build_plan(nu, n_rows, n_cols))
-    return FFTPlan(plan.n_rows, plan.n_cols, plan.tiles, plan.c0, plan.c1, e) if e else plan
+    return FFTPlan(plan.n_rows, plan.n_cols, plan.terms, plan.tiles, plan.c0, plan.c1, e) if e else plan
 
 
 def _held_section(mu: Measure, size: int, build) -> tuple[np.ndarray, int]:
@@ -834,53 +834,53 @@ def _build_plan(mu: Measure, n_rows: int, n_cols: int, tiled: bool | None = None
     """``mu``'s plan from nothing, the bytes of its arrays and each term's row maximum.
 
     The factors come from one :func:`~genhilbert.kernel.jacobi_factors`
-    call per term.  Both tilings' tiles are laid out as the plan's, with
-    the Hankel factor h in the segment's place, and spectra are taken only
-    for the tiling :func:`fft_plan` picks, or for ``tiled`` when it is not
-    None: one ``rfft`` per tile-term, copied into its row of its length's
-    stack (:class:`FFTPlan`).  Every array is read-only, and its bytes
-    count once; a zero-stride constant counts none.
+    call per term and are the plan's ``terms`` whole, with each term's eta;
+    a tile-term reads its rows' largest factor from them.  Both tilings are
+    laid out as plans, with each tile-term's Hankel factor h in its
+    segment's place, and spectra are taken only for the tiling
+    :func:`fft_plan` picks, or for ``tiled`` when it is not None: one
+    ``rfft`` per tile-term, copied into its row of its length's stack
+    (:class:`FFTPlan`).  Every array is read-only, and its bytes count
+    once; a zero-stride constant counts none.
     """
     c0, c1 = mu.atom_at(0.0), mu.atom_at(1.0)
     if not n_cols:
-        return FFTPlan(n_rows, n_cols, (), c0, c1), 0, ()
+        return FFTPlan(n_rows, n_cols, (), (), c0, c1), 0, ()
     # The indices live with the factors until the plan is built: freed earlier, they left later
     # applies' large temporaries where each free returns them to the system (c*dt at 2^20: 17% slower).
     n, k, d = np.arange(n_rows), np.arange(n_cols), np.arange(n_rows + n_cols - 1.0)
     factors = [jacobi_factors(term, n, k, d) for term in mu.jacobi_terms]
     for row, col, _ in factors:
-        # Before any view is taken: views inherit it.
         row.flags.writeable = col.flags.writeable = False
-    etas = [_term_rtol(term) for term in mu.jacobi_terms]
-    # Both tilings' tiles in the plan's layout, with h in the segment's place.
+    terms = tuple((row, col, _term_rtol(term)) for (row, col, _), term in zip(factors, mu.jacobi_terms))
+    # Both tilings as plans, with h in each segment's place.
     candidates = [
-        [
+        FFTPlan(n_rows, n_cols, terms, tuple(
             (r, c, m, tuple(
-                (row[r], col[c], h, float(row[r].max()), float(np.linalg.norm(h)), float(h.sum()), eta)
-                for (row, col, hankel), eta in zip(factors, etas)
+                (h, float(row[r].max()), float(np.linalg.norm(h)), float(h.sum()))
+                for row, _, hankel in factors
                 for h in [hankel[r.start + c.start : r.stop + c.stop - 1]]
             ))
             for r, c, m in _layout(n_rows, n_cols, t)
-        ]
+        ), c0, c1)
         for t in (False, True)
     ]
     if tiled is None:
         # The probe a = 1/sqrt(K) at p = 2: b = E/sqrt(K), |a[0]| = 1/sqrt(K), ||a||_1 = sqrt(K).
         q = 1.0 / math.sqrt(n_cols)
         one, split = (
-            _stated_bound(tiles, [(q * b_1, q * b_2, e) for b_1, b_2, e in norms], (c0, c1, q, n_cols * q),
-                          n_rows, n_cols, 2.0)
-            for tiles in candidates
-            for norms in [[_norms_1_2(col) for *_, terms in tiles for _, col, *_ in terms]]
+            _stated_bound(plan, [(q * b_1, q * b_2, e) for b_1, b_2, e in norms], (q, n_cols * q), 2.0)
+            for plan in candidates
+            for norms in [[_norms_1_2(col[c]) for _, c, _, _ in plan.tiles for _, col, _ in plan.terms]]
         )
         tiled = not one <= _ONE_TILE_BOUND_RATIO * split
     nbytes = sum(x.nbytes for row, col, _ in factors for x in (row, col) if x.strides[-1])
     # Each length's Hankel factors in tile and term order, stacked in chunks of at most
     # _APPLY_BLOCK_ELEMENTS // m rows, each segment (stack, row); a chunk of one keeps its own rfft array.
     lengths = {}
-    for _, _, m, terms in candidates[tiled]:
+    for _, _, m, tile_terms in candidates[tiled].tiles:
         if m:
-            lengths.setdefault(m, []).extend(h for _, _, h, *_ in terms)
+            lengths.setdefault(m, []).extend(h for h, *_ in tile_terms)
     spectra = {}
     for m, hs in lengths.items():
         per = max(1, _APPLY_BLOCK_ELEMENTS // m)
@@ -896,19 +896,18 @@ def _build_plan(mu: Measure, n_rows: int, n_cols: int, tiled: bool | None = None
             spectra.setdefault(m, []).extend([stack] if len(chunk) == 1 else ((stack, i) for i in range(len(chunk))))
     spectra = {m: iter(rows) for m, rows in spectra.items()}
     tiles = []
-    for r, c, m, terms in candidates[tiled]:
+    for r, c, m, tile_terms in candidates[tiled].tiles:
         segments = []
-        for row, col, h, *_ in terms:
+        for h, *_ in tile_terms:
             if m:
                 segments.append(next(spectra[m]))
                 continue
-            segments.append(as_strided(h, (len(row), len(col)), h.strides * 2).copy())
+            segments.append(as_strided(h, (r.stop - r.start, c.stop - c.start), h.strides * 2).copy())
             segments[-1].flags.writeable = False
             nbytes += segments[-1].nbytes
-        tiles.append((r, c, m, tuple((row, col, s, *hs) for (row, col, _, *hs), s in zip(terms, segments))))
-    # The one tile covers every row.
-    row_max = tuple(top for _, _, _, top, *_ in candidates[0][0][3])
-    return FFTPlan(n_rows, n_cols, tuple(tiles), c0, c1), nbytes, row_max
+        tiles.append((r, c, m, tuple((s, *hs) for (_, *hs), s in zip(tile_terms, segments))))
+    row_max = tuple(float(row.max()) for row, _, _ in factors)
+    return FFTPlan(n_rows, n_cols, terms, tuple(tiles), c0, c1), nbytes, row_max
 
 
 def hankel_fast_apply(a: SequenceVector, n_rows: int) -> SequenceVector:

@@ -383,7 +383,7 @@ def test_stacked_tiled_image_and_its_transpose_within_their_stated_bounds(mu, si
     # the long double image, forward and transposed.
     rng = np.random.default_rng(2803)
     plan = fft_plan(mu, size, size)
-    stacked = {len(segment[0]) for _, _, m, terms in plan.tiles if m for _, _, segment, *_ in terms
+    stacked = {len(segment[0]) for _, _, m, terms in plan.tiles if m for segment, *_ in terms
                if type(segment) is tuple}
     assert len(plan.tiles) > 1 and stacked and min(stacked) > 1
     for transposed in (False, True):

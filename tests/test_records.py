@@ -43,8 +43,8 @@ REPRS = [
     (FiniteSection(2, np.eye(2)), "FiniteSection(size=2, entries=array([[1., 0.],\n       [0., 1.]]))"),
     (SequenceVector([1.0, -2.0]), "SequenceVector(values=array([ 1., -2.]), nonneg=False)"),
     (SequenceVector([]), "SequenceVector(values=array([], dtype=float64), nonneg=True)"),
-    (FFTPlan(3, 0, (), 0.0, 1.5), "FFTPlan(n_rows=3, n_cols=0, tiles=(), c0=0.0, c1=1.5, scale=0)"),
-    (FFTPlan(3, 0, (), 0.0, 1.5, 4), "FFTPlan(n_rows=3, n_cols=0, tiles=(), c0=0.0, c1=1.5, scale=4)"),
+    (FFTPlan(3, 0, (), (), 0.0, 1.5), "FFTPlan(n_rows=3, n_cols=0, terms=(), tiles=(), c0=0.0, c1=1.5, scale=0)"),
+    (FFTPlan(3, 0, (), (), 0.0, 1.5, 4), "FFTPlan(n_rows=3, n_cols=0, terms=(), tiles=(), c0=0.0, c1=1.5, scale=4)"),
     (ExtremalParams(2, 0.1, 8), "ExtremalParams(p=2.0, epsilon=0.1, length=8)"),
     (
         CertificationReport([[0.1, 8, 8, 1.0]], math.pi, [[8, 1.0], [16, 2.0]], VERDICT),
@@ -60,7 +60,7 @@ VALUE_RECORDS = [
     Atom(0.5, 2.0),
     Measure([JacobiTerm(1.0, 1.0, 1.0)], [Atom(0.0, 1.0), Atom(0.3, 0.4)]),
     VERDICT,
-    FFTPlan(3, 0, (), 0.0, 1.5, 4),
+    FFTPlan(3, 0, (), (), 0.0, 1.5, 4),
     ExtremalParams(2.0, 0.1, 8),
     CertificationReport([[0.1, 8, 8, 1.0]], math.pi, [[8, 1.0]], VERDICT),
 ]
@@ -71,7 +71,7 @@ def _fields(record):
 
 
 def _same(x, y) -> bool:
-    """Equal fields, arrays (also inside an FFT plan's tiles) compared by dtype and bytes."""
+    """Equal fields, arrays (also inside an FFT plan's terms and tiles) compared by dtype and bytes."""
     if isinstance(x, np.ndarray):
         return isinstance(y, np.ndarray) and x.dtype == y.dtype and x.tobytes() == y.tobytes()
     if isinstance(x, slice):
@@ -105,8 +105,8 @@ def test_positional_and_keyword_forms_and_defaults():
     assert NormVerdict(2.0, norm=1.0) == NormVerdict(2.0, 1.0, None, None)
     assert NormVerdict(p=2.0, reason="X").formula_used is None
     assert FiniteSection(size=1, entries=np.ones((1, 1))).size == 1
-    assert FFTPlan(3, 0, (), 0.0, 1.5).scale == 0
-    assert FFTPlan(n_rows=3, n_cols=0, tiles=(), c0=0.0, c1=1.5, scale=2).scale == 2
+    assert FFTPlan(3, 0, (), (), 0.0, 1.5).scale == 0
+    assert FFTPlan(n_rows=3, n_cols=0, terms=(), tiles=(), c0=0.0, c1=1.5, scale=2).scale == 2
     assert ExtremalParams(p="2", epsilon=0.1, length=8).p == 2.0
     report = CertificationReport(ratios=[[0.1, 8, 8, 1.0]], target=math.pi, sigma_max_series=[], verdict=VERDICT)
     assert report.ratios == ((0.1, 8, 8, 1.0),) and report.sigma_max_series == ()
