@@ -80,8 +80,9 @@ class ExtremalParams(_Record):
 class CertificationReport(_Record):
     """Sweep results; construction enforces the report's guarantees.
 
-    Ratios must not exceed a finite target beyond floating-point slack, and
-    the finite-section series must be nondecreasing.
+    Ratios and sigma_max values must not exceed a finite target beyond
+    floating-point slack, and the finite-section series must be
+    nondecreasing.
     """
 
     __slots__ = ("ratios", "target", "sigma_max_series", "verdict")
@@ -96,6 +97,9 @@ class CertificationReport(_Record):
                         f"lower-bound ratio {ratio} exceeds analytic norm {target} "
                         f"(eps={eps}, K={big_k}, N={n_rows})"
                     )
+            for size, sigma in sigma_max_series:
+                if sigma > target + SOUNDNESS_SLACK:
+                    raise ValueError(f"sigma_max {sigma} exceeds analytic norm {target} (N={size})")
         sigmas = [s for _, s in sigma_max_series]
         if any(b < a for a, b in zip(sigmas, sigmas[1:])):
             raise ValueError(f"sigma_max series not nondecreasing: {sigmas}")
@@ -127,11 +131,12 @@ def lower_bound_ratio(mu: Measure, params: ExtremalParams, n_rows: int) -> float
 def p2_section_norm(mu: Measure, size: int, tol: float = 1e-10) -> float:
     """Largest singular value sigma_N of the size-by-size section S, from below.
 
-    Lanczos with full reorthogonalization from the normalized all-ones
-    vector, on S itself when ``mu`` equals its reflection under t -> 1-t
-    (then S is symmetric and nonnegative, and sigma_N is its top
-    eigenvalue), and otherwise on ``S^T S``, whose top eigenvalue is
-    sigma_N squared.  It stops once the top Ritz value of sigma_N changes
+    Lanczos with full reorthogonalization from the normalized
+    ``(n+1)^(-1/2)``, the p = 2 member of the witness family
+    (:func:`_krylov_start`), on S itself when ``mu`` equals its
+    reflection under t -> 1-t (then S is symmetric and nonnegative, and
+    sigma_N is its top eigenvalue), and otherwise on ``S^T S``, whose top
+    eigenvalue is sigma_N squared.  It stops once the top Ritz value of sigma_N changes
     by at most ``tol`` relative, and raises
     :class:`~genhilbert.errors.ConvergenceError` with that value as the
     estimate past ``_KRYLOV_STEP_CAP`` steps.  The value returned is a
@@ -268,7 +273,7 @@ class _Block:
         sigma: A is S, and the top Ritz value is T's top eigenvalue.  Any
         other block takes ``A = S^T S`` and the root of T's top eigenvalue;
         its Krylov space is Golub-Kahan-Lanczos bidiagonalization's, and so
-        is its step count.
+        is its step count.  v_0 is :func:`_krylov_start`.
 
         The loop's products carry no bound: nu's section (BLAS ``@``) on the
         dense route, whose result and :class:`ConvergenceError` estimate are
@@ -305,7 +310,7 @@ class _Block:
         symmetric = _reflection_symmetric(self.mu)
         # Rows of V; their storage doubles when full.
         basis = np.empty((min(steps, 16) + 1, size))
-        basis[0] = 1.0 / math.sqrt(size)
+        basis[0] = _krylov_start(size)
         if self.dense:
             s, scale = self.section()
             forward, backward = s.__matmul__, None if symmetric else s.T.__matmul__
@@ -346,6 +351,20 @@ class _Block:
         norm_y = _norm_2(y)
         sigma = _certified_quotient(norm_y, bound + (size + 4) * _UNIT_ROUNDOFF * norm_y, float(np.linalg.norm(x)))
         return _ldexp(sigma, scale)
+
+
+def _krylov_start(size: int) -> np.ndarray:
+    """The Lanczos loop's first basis vector: ``(n+1)^(-1/2)`` for n < size, normalized.
+
+    It is the p = 2 member of the witness family ``(n+1)^(-1/p-eps)``
+    (:func:`extremal_sequence`) at eps = 0, which the top singular vectors
+    of the sections approach, so its angle to them is smaller than the
+    all-ones vector's, and by the Kaniel-Paige-Saad bound (Y. Saad,
+    *Numerical Methods for Large Eigenvalue Problems*, ch. 6) the loop
+    needs fewer steps.
+    """
+    v = 1.0 / np.sqrt(np.arange(1.0, size + 1.0))
+    return v / math.sqrt(v @ v)
 
 
 def _reflection_symmetric(mu: Measure) -> bool:

@@ -737,9 +737,11 @@ def fft_plan(mu: Measure, n_rows: int, n_cols: int) -> FFTPlan:
     transform, both tilings' stated bounds (:meth:`FFTPlan.apply`) are
     taken at the probe, the normalized all-ones vector at p = 2, and the
     one-tile plan, the faster apply, is kept iff its bound is at most
-    ``_ONE_TILE_BOUND_RATIO`` times the tiled plan's.  Interior atoms raise
-    ``ValueError``, factors outside the float64 range too, naming ``mu``'s
-    own term.  ``n_rows`` is checked as every size is; ``n_cols`` must be an
+    ``_ONE_TILE_BOUND_RATIO`` times the tiled plan's.  The probe is not the
+    Lanczos loop's start vector (:func:`~genhilbert.certify._krylov_start`):
+    the pick depends on the block alone, whatever runs on the plan.
+    Interior atoms raise ``ValueError``, factors outside the float64 range
+    too, naming ``mu``'s own term.  ``n_rows`` is checked as every size is; ``n_cols`` must be an
     integer from 0 to ``HANKEL_CAP``.
 
     The plan is that of ``(nu, n_rows, n_cols)``, ``mu = 2**e * nu``
@@ -838,10 +840,10 @@ def _build_plan(mu: Measure, n_rows: int, n_cols: int, tiled: bool | None = None
     a tile-term reads its rows' largest factor from them.  Both tilings are
     laid out as plans, with each tile-term's Hankel factor h in its
     segment's place, and spectra are taken only for the tiling
-    :func:`fft_plan` picks, or for ``tiled`` when it is not None: one
-    ``rfft`` per tile-term, copied into its row of its length's stack
-    (:class:`FFTPlan`).  Every array is read-only, and its bytes count
-    once; a zero-stride constant counts none.
+    :func:`fft_plan` picks at its all-ones probe, or for ``tiled`` when it
+    is not None: one ``rfft`` per tile-term, copied into its row of its
+    length's stack (:class:`FFTPlan`).  Every array is read-only, and its
+    bytes count once; a zero-stride constant counts none.
     """
     c0, c1 = mu.atom_at(0.0), mu.atom_at(1.0)
     if not n_cols:

@@ -613,11 +613,11 @@ def _record_sections(monkeypatch, sections, products):
     monkeypatch.setattr(certify_module, "finite_section", recorded_section)
 
 
-def test_fft_route_sigma_is_certified_against_the_dense_eigensolver(monkeypatch):
-    rng = np.random.default_rng(1950)
-    calls = []
-    _record_calls(monkeypatch, calls, certify_module, "finite_section")
-    for _ in range(24):
+def _random_fft_cases(seed, count):
+    """``count`` random ``(mu, size)``: one or two density terms, endpoint atoms, sizes from 2 to 1024."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for _ in range(count):
         terms = tuple(
             JacobiTerm(float(rng.uniform(0.1, 3.0)), *map(float, rng.uniform(-0.9, 3.0, size=2)))
             for _ in range(int(rng.integers(1, 3)))
@@ -625,15 +625,38 @@ def test_fft_route_sigma_is_certified_against_the_dense_eigensolver(monkeypatch)
         atoms = tuple(
             Atom(t, float(rng.uniform(0.1, 3.0))) for t in (0.0, 1.0) if rng.random() < 0.3
         )
-        mu = Measure(terms, atoms)
-        size = int(rng.integers(2, 1025))
-        calls.clear()
-        sigma = p2_section_norm(mu, size)
-        assert calls == []  # one-tile or tiled, never the dense section
-        s = finite_section(mu, size).entries
-        top = math.sqrt(np.linalg.eigvalsh(s.T @ s)[-1])
-        assert sigma <= top * (1.0 + 1e-12), (mu, size, sigma, top)
-        assert abs(sigma - top) <= 1e-9 * top, (mu, size, sigma, top)
+        cases.append((Measure(terms, atoms), int(rng.integers(2, 1025))))
+    return cases
+
+
+# Density-only measures whose Lanczos step counts README gives for both start vectors.
+DENSITY_CORPUS = {
+    "lebesgue": LEBESGUE,
+    "3dt": Measure((JacobiTerm(3.0, 0.0, 0.0),), ()),
+    "t(1-t)dt": T1MT,
+    "t^3dt": Measure((JacobiTerm(1.0, 3.0, 0.0),), ()),
+    "mix2": MIX2,
+}
+# Criterion 07's t dt plus an atom at 1: its row 0 holds a rank-one part.
+C07 = Measure((JacobiTerm(1.0, 1.0, 0.0),), (Atom(1.0, 1.0),))
+CORPUS_SIZES = (256, 1024, 2048)
+
+
+@pytest.mark.parametrize(
+    "mu,size",
+    [(mu, size) for mu in (*DENSITY_CORPUS.values(), C07) for size in CORPUS_SIZES] + _random_fft_cases(1950, 24),
+    ids=[f"{name}@{size}" for name in (*DENSITY_CORPUS, "c07") for size in CORPUS_SIZES]
+    + [f"random-{i}" for i in range(24)],
+)
+def test_fft_route_sigma_is_certified_against_the_dense_eigensolver(mu, size, monkeypatch):
+    calls = []
+    _record_calls(monkeypatch, calls, certify_module, "finite_section")
+    sigma = p2_section_norm(mu, size)
+    assert calls == []  # one-tile or tiled, never the dense section
+    s = finite_section(mu, size).entries
+    top = math.sqrt(np.linalg.eigvalsh(s.T @ s)[-1])
+    assert sigma <= top * (1.0 + 1e-12), (mu, size, sigma, top)
+    assert abs(sigma - top) <= 1e-9 * top, (mu, size, sigma, top)
 
 
 def test_atom_free_sweep_builds_no_entries(monkeypatch):
@@ -648,11 +671,8 @@ def test_atom_free_sweep_builds_no_entries(monkeypatch):
 
 @pytest.mark.parametrize(
     "mu,size",
-    [
-        (Measure((), (Atom(0.5, 1.0),)), 256),
-        (Measure((), (Atom(0.5, 1.0),)), 2048),
-    ],
-    ids=["delta_half", "delta_half@2048"],
+    [(mu, size) for mu in (Measure((), (Atom(0.5, 1.0),)), MIX_ATOM) for size in CORPUS_SIZES],
+    ids=["delta_half", "delta_half@1024", "delta_half@2048", "mix-atom@256", "mix-atom@1024", "mix-atom@2048"],
 )
 def test_dense_route_sigma_is_one_section_and_unchanged(mu, size, monkeypatch):
     # An interior atom has no FFT apply: it runs on one dense section.
@@ -662,8 +682,7 @@ def test_dense_route_sigma_is_one_section_and_unchanged(mu, size, monkeypatch):
     sigma = p2_section_norm(mu, size)
     assert sections == [(mu, size)]
     assert sum(forward for forward, _ in products) <= 80
-    top = float(np.linalg.norm(finite_section(mu, size).entries, 2))
-    assert abs(sigma - top) <= 1e-12 * top, (sigma, top)
+    _assert_certified_against_the_dense_norm(mu, size, sigma, 1e-12)
 
 
 def _section_builds(monkeypatch) -> list:
@@ -751,7 +770,7 @@ def test_a_section_over_the_budget_is_not_kept(monkeypatch):
 
 @pytest.mark.parametrize("size", [512, 2048], ids=["t(1-t)dt@512", "t(1-t)dt"])
 def test_tiled_route_sigma_is_certified_against_the_dense_norm(size, monkeypatch):
-    # t(1-t)dt's one-tile bound at the start vector is above 256 times the
+    # t(1-t)dt's one-tile bound at the all-ones probe is above 256 times the
     # tiled one, so the loop runs on the tiled plan and its transpose, with
     # no section.
     mu = Measure((JacobiTerm(1.0, 1.0, 1.0),), ())
@@ -781,7 +800,7 @@ def test_tiled_route_sigma_is_certified_against_the_dense_norm(size, monkeypatch
 @pytest.mark.parametrize("size", [256, 512])
 @pytest.mark.parametrize("mu", [MIXED_CORPUS[5], MIXED_CORPUS[7]], ids=["t^2dt+5delta_1", "t(1-t)dt+delta_0+delta_1"])
 def test_sigma_of_growing_factors_with_endpoint_atoms_within_1e12_of_the_dense_norm(mu, size):
-    # One tile's bound at the start vector is 496 to 7100 times the tiled
+    # One tile's bound at the all-ones probe is 496 to 7100 times the tiled
     # one here; the loop on one tile left sigma 1.8e-11 to 4.0e-10 below.
     sigma = p2_section_norm(mu, size)
     top = float(np.linalg.norm(finite_section(mu, size).entries, 2))
@@ -942,8 +961,8 @@ def _assert_certified_against_the_dense_norm(mu, size, sigma, rtol):
 
 
 def test_a_rejected_first_image_runs_the_whole_loop_on_the_tiled_plan(monkeypatch):
-    # mix2 keeps one tile (its bound at v_0 is 3.2 times the tiled one); the
-    # tiled plan, forced, serves every step and the quotient.
+    # mix2 keeps one tile (its bound at the all-ones probe is 3.2 times the
+    # tiled one); the tiled plan, forced, serves every step and the quotient.
     mu = Measure((JacobiTerm(1.0, -0.5, 0.25), JacobiTerm(0.5, 0.5, -0.25)), ())
     applied = []
     _record_fft_route(monkeypatch, applied, lambda *args: operator._build_plan(*args, True)[0])
@@ -985,6 +1004,75 @@ def test_every_apply_of_a_sweep_runs_on_the_blocks_one_plan_or_its_transpose(mu,
         assert forward == transposed + 4 * len(sizes)
     for size, sigma in report.sigma_max_series:
         _assert_certified_against_the_dense_norm(mu, size, sigma, 1e-11)
+
+
+def test_krylov_start_is_the_normalized_p2_witness():
+    for size in (1, 2, 7, 300, 1 << 20):
+        v = certify_module._krylov_start(size)
+        w = 1.0 / np.sqrt(np.arange(1.0, size + 1.0))
+        np.testing.assert_allclose(v, w / np.linalg.norm(w), rtol=1e-15, atol=0.0)
+        assert abs(v @ v - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "mu,dense",
+    [(LEBESGUE, False), (MIX2, False), (Measure((), (Atom(0.5, 1.0),)), True), (MIX_ATOM, True)],
+    ids=["fft-symmetric", "fft-normal", "dense-symmetric", "dense-normal"],
+)
+def test_the_krylov_loop_starts_at_the_witness_on_every_path(mu, dense, monkeypatch):
+    # The loop's first product is the forward one, with _krylov_start(N) itself.
+    monkeypatch.setattr(operator, "_plan_memo", OrderedDict())
+    size = 300
+    if dense:
+        sections, products = [], []
+        _record_sections(monkeypatch, sections, products)
+        p2_section_norm(mu, size)
+        assert sections == [(mu, size)]
+        forward, first = products[0]
+    else:
+        applied = []
+        _record_fft_route(monkeypatch, applied)
+        p2_section_norm(mu, size)
+        name, first = applied[0]
+        forward = not name.endswith("^T")
+    assert forward and first.tobytes() == certify_module._krylov_start(size).tobytes()
+
+
+def _ones_start(size):
+    """The all-ones start the loop took before the witness, bit for bit."""
+    return np.full(size, 1.0 / math.sqrt(size))
+
+
+def _sigma_and_fft_calls(mu, size, start, monkeypatch):
+    """``p2_section_norm(mu, size)`` with the loop started at ``start(size)``, and its count of FFT images and applies."""
+    applied = []
+    with monkeypatch.context() as patch:
+        patch.setattr(certify_module, "_krylov_start", start)
+        _record_fft_route(patch, applied)
+        sigma = p2_section_norm(mu, size)
+    return sigma, len(applied)
+
+
+@pytest.mark.parametrize("size", CORPUS_SIZES)
+@pytest.mark.parametrize("mu", DENSITY_CORPUS.values(), ids=DENSITY_CORPUS.keys())
+def test_the_witness_start_takes_no_more_images_than_the_all_ones_start(mu, size, monkeypatch):
+    # Both counts include the certified quotient's one apply.
+    sigma, calls = _sigma_and_fft_calls(mu, size, certify_module._krylov_start, monkeypatch)
+    ones_sigma, ones_calls = _sigma_and_fft_calls(mu, size, _ones_start, monkeypatch)
+    assert calls <= ones_calls, (calls, ones_calls)
+    assert abs(sigma - ones_sigma) <= 1e-11 * ones_sigma, (sigma, ones_sigma)
+
+
+@pytest.mark.parametrize("size", [1024, 2048])
+def test_the_witness_start_takes_one_step_more_on_c07(size, monkeypatch):
+    # The atom at 1 puts its mass in every entry of row 0.  That rank-one
+    # part sets sigma_N (about sqrt(N) times the mass), and its right
+    # singular vector is the all-ones one: the loop on S^T S takes 3 steps
+    # from there and 4 from the witness, one more image and transposed image.
+    sigma, calls = _sigma_and_fft_calls(C07, size, certify_module._krylov_start, monkeypatch)
+    ones_sigma, ones_calls = _sigma_and_fft_calls(C07, size, _ones_start, monkeypatch)
+    assert (calls, ones_calls) == (4 + 3 + 1, 3 + 2 + 1)
+    assert abs(sigma - ones_sigma) <= 1e-11 * ones_sigma, (sigma, ones_sigma)
 
 
 @pytest.mark.parametrize("eps_grid,size_grid", [([], [8]), ([0.1], []), ([], [])])
@@ -1238,6 +1326,15 @@ def test_report_rejects_ratio_above_target():
     verdict = classify_boundedness(LEBESGUE, 2.0)
     with pytest.raises(ValueError):
         CertificationReport(((0.5, 8, 8, 4.0),), math.pi, (), verdict)
+
+
+def test_report_rejects_sigma_above_target():
+    verdict = classify_boundedness(LEBESGUE, 2.0)
+    with pytest.raises(ValueError, match="^sigma_max 3.2 exceeds analytic norm"):
+        CertificationReport(((0.5, 8, 8, 1.0),), math.pi, ((8, 1.0), (16, 3.2)), verdict)
+    # Within the slack the report stands, and an infinite target checks nothing.
+    CertificationReport((), math.pi, ((8, math.pi + 0.5 * SOUNDNESS_SLACK),), verdict)
+    CertificationReport((), math.inf, ((8, 1e300),), classify_boundedness(LEBESGUE, 1.0))
 
 
 def test_report_rejects_decreasing_sigma():

@@ -143,6 +143,10 @@ def test_sequence_vector_derives_nonneg_and_takes_no_such_argument():
             "lower-bound ratio 4.0 exceeds analytic norm 3.141592653589793 (eps=0.1, K=8, N=8)",
         ),
         (
+            lambda: CertificationReport((), math.pi, [(8, 4.0)], VERDICT),
+            "sigma_max 4.0 exceeds analytic norm 3.141592653589793 (N=8)",
+        ),
+        (
             lambda: CertificationReport((), math.pi, [(8, 2.0), (16, 1.5)], VERDICT),
             "sigma_max series not nondecreasing: [2.0, 1.5]",
         ),
