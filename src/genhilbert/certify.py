@@ -52,6 +52,10 @@ SOUNDNESS_SLACK = 1e-6
 # before p2_section_norm gives up.
 _KRYLOV_STEP_CAP = 128
 
+# A square block without interior atoms of at most this many entries, or four times as
+# many when fft_plan picks the tiled cover for it, takes the dense route (_Block).
+_DENSE_BLOCK_ENTRIES = 1 << 16
+
 
 class ExtremalParams(_Record):
     """Power-law test sequence family (n+1)^{-w}, w = 1/p + epsilon.
@@ -117,9 +121,11 @@ def lower_bound_ratio(mu: Measure, params: ExtremalParams, n_rows: int) -> float
 
     Entries are nonnegative, so any truncation of the image has norm at
     most the true image norm: the ratio is a certified lower bound for the
-    operator norm.  The image comes from the route :class:`_Block` picks
-    (its FFT plan, or with interior atoms the dense truncated route), and the
-    numerator is its computed norm less the image's stated error
+    operator norm.  The image comes from the route :class:`_Block` picks:
+    its FFT plan, or on the dense route (interior atoms, or a small square
+    block) the row sums of the held section or, with interior atoms and no
+    section held, the truncated apply.  The numerator is its computed norm
+    less the image's stated error
     (:meth:`_Block.apply`) and the rounding of both norms
     (:meth:`_Block.ratio`).  The ratio scales exactly with the measure, and
     is math.inf only when it is beyond the float64 range (an unboundedness
@@ -133,7 +139,9 @@ def p2_section_norm(mu: Measure, size: int, tol: float = 1e-10) -> float:
 
     Lanczos with full reorthogonalization from the normalized
     ``(n+1)^(-1/2)``, the p = 2 member of the witness family
-    (:func:`_krylov_start`), on S itself when ``mu`` equals its
+    (:func:`_krylov_start`) on the route :class:`_Block` picks (BLAS
+    products of the held section on the dense route, which small blocks
+    take, and FFT images otherwise): on S itself when ``mu`` equals its
     reflection under t -> 1-t (then S is symmetric and nonnegative, and
     sigma_N is its top eigenvalue), and otherwise on ``S^T S``, whose top
     eigenvalue is sigma_N squared.  It stops once the top Ritz value of sigma_N changes
@@ -154,35 +162,51 @@ def p2_section_norm(mu: Measure, size: int, tol: float = 1e-10) -> float:
 class _Block:
     """The leading ``n_rows`` by ``n_cols`` block of ``mu``'s matrix, and its route.
 
-    The route is picked once, on construction: a measure with interior
-    atoms takes the dense section or the truncated apply, and ``n_rows`` is
-    checked against ``DEFAULT_SECTION_CAP``; any other takes its one FFT
-    plan, and both sizes are checked against ``HANKEL_CAP``.  The plan and
-    the section are fetched on first use and kept for the ratios and sigma
-    of one sweep size.  :meth:`apply` states each route's image and its
-    error once, and the ratios and sigma certify through it.
+    The route is picked once, on construction.  A measure with interior
+    atoms takes the dense route, and ``n_rows`` is checked against
+    ``DEFAULT_SECTION_CAP``; for any other both sizes are checked against
+    ``HANKEL_CAP``, and the block takes its one FFT plan unless it is small.
+    Small means square with at most ``_DENSE_BLOCK_ENTRIES`` (2^16) entries,
+    or 2^18 when :func:`~genhilbert.operator.fft_plan` picks the tiled cover
+    for it, since a tiled image makes one Python pass per tile; only a block
+    between the two limits builds its plan to learn the pick.  A small block
+    takes the dense route, at most 512 rows, and reads its held section for
+    every product: one BLAS product costs a few microseconds where an FFT
+    image costs tens, and the dense route's stated error is the tighter at
+    these sizes.  The plan and the section are fetched on first use and
+    kept for the ratios and sigma of one sweep size.  :meth:`apply` states
+    each route's image and its error once, and the ratios and sigma certify
+    through it.
 
     Both are kept once per process as well, in one memo
-    (:func:`~genhilbert.operator._cached`): the section under the key
-    ``(nu, N, N)`` with ``mu = 2**e * nu`` exactly
+    (:func:`~genhilbert.operator._cached`): the plan under the key
+    ``(nu, N, K)`` and the section under ``(nu, N)``, with ``mu = 2**e * nu`` exactly
     (:func:`~genhilbert.operator._binary_scale`), read-only, and sigma and
     the ratios run on nu's section and multiply their result by ``2**e``,
     as :attr:`~genhilbert.operator.FFTPlan.scale` does.  If nu's largest
     entry times ``2**e`` leaves float64, mu's own build raises mu's own
     range error.  A plan or section within ``_PLAN_MEMO_BYTES`` (64 MiB)
     stays in the memo, least recently used out first; a larger one is not
-    kept and lives only as long as its block.  Only sigma takes a section;
-    a ratio sums the rows of the one its block's sigma took, and otherwise
-    takes the truncated apply.
+    kept and lives only as long as its block.  A small block reads its
+    section for sigma and every ratio, so a ratio-only call builds it once
+    per process.  A block with interior atoms takes a section only for
+    sigma; its ratios sum the rows of the one its sigma took, and otherwise
+    take the truncated apply.  Either way a ratio has the same bits with or
+    without sigma run first.
     """
 
     def __init__(self, mu: Measure, n_rows: int, n_cols: int):
         self.mu = mu
         self.n_rows = n_rows
         self.n_cols = n_cols
-        self.dense = bool(mu.interior_atoms)
         _check_block(mu, n_rows, n_cols, DEFAULT_SECTION_CAP, HANKEL_CAP)
         self._plan = self._section = None
+        entries = n_rows * n_cols
+        self.dense = bool(mu.interior_atoms) or (
+            n_rows == n_cols
+            and entries <= 4 * _DENSE_BLOCK_ENTRIES
+            and (entries <= _DENSE_BLOCK_ENTRIES or len(self.plan().tiles) > 1)
+        )
 
     def plan(self) -> FFTPlan:
         if self._plan is None:
@@ -206,9 +230,9 @@ class _Block:
         (:meth:`~genhilbert.operator.FFTPlan.apply`), and e is 0.
 
         The dense route picks its product once: the row sums
-        (:func:`~genhilbert.operator._row_sums`) of nu's section when the
-        block's sigma took it, with e its scale, and otherwise
-        :func:`~genhilbert.operator.apply_truncated`, with e = 0.  Both sum
+        (:func:`~genhilbert.operator._row_sums`) of nu's section, with e its
+        scale, on a small block or once the block's sigma took it, and
+        otherwise :func:`~genhilbert.operator.apply_truncated`, with e = 0.  Both sum
         each row in one fixed order, so they give the same y bit for bit.
         With K = n_cols and u the unit roundoff, the bound is
         ``(K u + eta) ||fl(S |a|)||_p``, where fl(S |a|) is y when ``a`` is
@@ -227,11 +251,11 @@ class _Block:
         if not self.dense:
             image, bound = self.plan().apply(a, p)
             return image.values, bound, 0, None
-        if self._section is None:
+        if self._section is None and self.mu.interior_atoms:
             e = 0
             product = lambda v: apply_truncated(self.mu, SequenceVector(v), self.n_rows).values
         else:
-            s, e = self._section
+            s, e = self.section()
             product = lambda v: _row_sums(s, v)
         y = product(a.values)
         norm = lp_norm(y, p) if a.nonneg else None
@@ -415,11 +439,12 @@ def convergence_sweep(
     attached.  The report's construction re-checks soundness against the
     analytic verdict and monotonicity of the section series.
 
-    Each size is one :class:`_Block`, and all are built, which checks every
-    size against its route's cap, before any work.  A size's sigma comes
-    first, so a size whose Krylov loop took the dense section reuses it,
-    and the FFT plan, for every epsilon.  Sections and plans are held once
-    per process under ``(nu, N, N)``, ``mu = 2**e * nu``, in one memo of
+    Every size is checked against its route's cap before any work, and
+    each is then one :class:`_Block` (a block between the small limits
+    builds its plan on construction).  A size's sigma comes first, so a
+    size whose Krylov loop took the dense section reuses it, and the FFT
+    plan, for every epsilon.  Sections are held once per process under
+    ``(nu, N)`` and plans under ``(nu, N, N)``, ``mu = 2**e * nu``, in one memo of
     ``_PLAN_MEMO_BYTES`` (64 MiB), least recently used out first: a later
     sweep of any power-of-two multiple of ``mu`` builds neither again while
     they are held, and a section or plan over the budget is built once per
@@ -431,6 +456,8 @@ def convergence_sweep(
     if not eps_grid or not size_grid:
         raise ValueError("eps_grid and size_grid must be nonempty")
     p = validate_p(p)
+    for size in size_grid:
+        _check_block(mu, size, size, DEFAULT_SECTION_CAP, HANKEL_CAP)
     blocks = [_Block(mu, size, size) for size in size_grid]
     # In report order, epsilon-major: size j's cells are every len(size_grid)-th from j.
     cells = [ExtremalParams(p, eps, size) for eps in eps_grid for size in size_grid]

@@ -44,8 +44,11 @@ def _check_block(mu, n_rows: int, n_cols: int, section_cap: int, hankel_cap: int
     """Check a block of ``mu``'s matrix against its route's caps.
 
     A measure with interior atoms takes the dense route: ``n_rows`` is
-    checked against ``section_cap`` and the columns are uncapped.  Any other
-    takes the FFT route, and both sizes are checked against ``hankel_cap``.
+    checked against ``section_cap`` and the columns are uncapped.  For any
+    other both sizes are checked against ``hankel_cap``: it takes the FFT
+    route, or the dense route on a small block
+    (:class:`~genhilbert.certify._Block`), whose at most 512 rows lie far
+    within ``section_cap``.
     """
     if mu.interior_atoms:
         _check_size(n_rows, section_cap)

@@ -622,7 +622,9 @@ class FFTPlan(_Record):
         ``E a`` is formed once over all K columns.  A tile-term's b is the
         slice of it over the tile's columns: copied into its stack's row when
         stacked, read in place when alone, and a new array only where the
-        shift guard below fires.  The atoms read the same ``a``.
+        shift guard below fires.  A tile that is the whole block (a one-tile
+        plan's) takes b, the row factor and the image whole, with no view.
+        The atoms read the same ``a``.
         """
         K = len(values)
         if K != self.n_cols:
@@ -634,12 +636,15 @@ class FFTPlan(_Record):
         e_a = math.frexp(max(values.max(), -low))[1]
         a = np.ldexp(values, -e_a)
         products = [a * col if col.strides[0] or col[0] != 1.0 else a for _, col, _ in self.terms]
-        # id(stack) -> (stack, its tile-terms' reversed b as rows, their (i, rows, n, k, row, shift)).
+        # id(stack) -> (stack, its tile-terms' reversed b as rows, their (i, n, k, row, shift, image rows)).
         batches = {}
         for rows, cols, m, terms in self.tiles:
             n, k = rows.stop - rows.start, cols.stop - cols.start
+            # A tile that is the whole block reads E a, the row factor and the image whole, through no view.
+            whole = n == self.n_rows and k == K
+            into = out if whole else out[rows]
             for (segment, _, _, h_1), (row, col, _), product in zip(terms, self.terms, products):
-                b = product[cols]
+                b, row = (product, row) if whole else (product[cols], row[rows])
                 if norms is not None:
                     norms.append(_norms_1_2(b))
                 # The transforms' values reach m ||h||_1 ||b||_1 (a dense
@@ -663,22 +668,22 @@ class FFTPlan(_Record):
                     _, inputs, members = batches[id(stack)]
                     # b sits at the row's end, so the row read backwards is b reversed and padded.
                     inputs[i, m - k :] = b
-                    members.append((i, rows, n, k, row, shift))
+                    members.append((i, n, k, row, shift, into))
                     continue
                 if m:
-                    c = row[rows] * irfft(segment * rfft(b[::-1], m), m)[k - 1 : k - 1 + n]
+                    c = row * irfft(segment * rfft(b[::-1], m), m)[k - 1 : k - 1 + n]
                 else:
-                    c = row[rows] * (segment @ b)
-                out[rows] += np.ldexp(c, shift) if shift else c
+                    c = row * (segment @ b)
+                into += np.ldexp(c, shift) if shift else c
         for stack, inputs, members in batches.values():
             m = inputs.shape[1]
             spectra = rfft(inputs[:, ::-1], m)
             # In a lone row's operand order: complex products are not commutative bit for bit.
             np.multiply(stack, spectra, out=spectra)
             ys = irfft(spectra, m)
-            for i, rows, n, k, row, shift in members:
-                c = row[rows] * ys[i, k - 1 : k - 1 + n]
-                out[rows] += np.ldexp(c, shift) if shift else c
+            for i, n, k, row, shift, into in members:
+                c = row * ys[i, k - 1 : k - 1 + n]
+                into += np.ldexp(c, shift) if shift else c
         c0, c1 = self.c0, self.c1
         a_1 = 0.0
         if c0 > 0:
@@ -746,8 +751,8 @@ def fft_plan(mu: Measure, n_rows: int, n_cols: int) -> FFTPlan:
 
     The plan is that of ``(nu, n_rows, n_cols)``, ``mu = 2**e * nu``
     (:func:`_binary_scale`), read from or kept in the process memo
-    (:func:`_cached`), and serves ``mu`` with scale e, so every
-    power-of-two multiple of a measure shares it.
+    (:func:`_cached`) under that key, and serves ``mu`` with scale e, so
+    every power-of-two multiple of a measure shares it.
     """
     if mu.interior_atoms:
         raise ValueError("the FFT apply takes density terms and endpoint atoms only")
@@ -756,7 +761,7 @@ def fft_plan(mu: Measure, n_rows: int, n_cols: int) -> FFTPlan:
         raise ValueError(f"n_cols must be an integer >= 0, got {n_cols}")
     if n_cols > HANKEL_CAP:
         raise ResourceLimitError(f"size {n_cols} exceeds cap {HANKEL_CAP}")
-    plan, e = _cached(mu, n_rows, n_cols, lambda nu: _build_plan(nu, n_rows, n_cols))
+    plan, e = _cached(mu, (n_rows, n_cols), lambda nu: _build_plan(nu, n_rows, n_cols))
     return FFTPlan(plan.n_rows, plan.n_cols, plan.terms, plan.tiles, plan.c0, plan.c1, e) if e else plan
 
 
@@ -764,12 +769,15 @@ def _held_section(mu: Measure, size: int, build) -> tuple[np.ndarray, int]:
     """``(S, e)``: nu's dense leading ``size`` by ``size`` section S, read-only, with ``mu = 2**e * nu``.
 
     S is read from or kept in the memo as a plan is (:func:`_cached`),
-    under ``(nu, size, size)``, so every power-of-two multiple of a measure
-    reads one section; its products with S are ``2**e`` times mu's, exactly
-    while they stay in the float64 range.  On a miss ``build(nu, size)``
-    (:func:`~genhilbert.kernel.finite_section`'s signature) builds it.
+    under ``(nu, size)``, a key no plan takes (a plan's is
+    ``(nu, n_rows, n_cols)``), so a measure without interior atoms may hold
+    both its section and its plan of one size, and every power-of-two
+    multiple of a measure reads one section; its products with S are
+    ``2**e`` times mu's, exactly while they stay in the float64 range.  On
+    a miss ``build(nu, size)`` (:func:`~genhilbert.kernel.finite_section`'s
+    signature) builds it.
     """
-    return _cached(mu, size, size, lambda nu: _section_entry(build(nu, size).entries))
+    return _cached(mu, (size,), lambda nu: _section_entry(build(nu, size).entries))
 
 
 def _section_entry(section: np.ndarray) -> tuple:
@@ -781,13 +789,13 @@ def _section_entry(section: np.ndarray) -> tuple:
 #: Bytes of plans and sections the memo keeps for the life of the process.
 _PLAN_MEMO_BYTES = 64 << 20
 
-# (nu, n_rows, n_cols) -> (plan, bytes held, each term's row maximum) or, for a measure with
-# interior atoms, (section, bytes held, (its largest entry,)); least recently used first.
+# (nu, n_rows, n_cols) -> (plan, bytes held, each term's row maximum) and
+# (nu, size) -> (section, bytes held, (its largest entry,)); least recently used first.
 _plan_memo: OrderedDict = OrderedDict()
 
 
-def _cached(mu: Measure, n_rows: int, n_cols: int, build):
-    """``(value, e)``: the memo's value for ``nu = 2**-e * mu`` (:func:`_binary_scale`), or ``build(nu)``'s.
+def _cached(mu: Measure, shape: tuple, build):
+    """``(value, e)``: the memo's value under ``(nu, *shape)``, ``nu = 2**-e * mu`` (:func:`_binary_scale`), or ``build(nu)``'s.
 
     ``build`` returns ``(value, bytes held, largest values)``, the values
     that scale with the measure: each term's row maximum for a plan, the
@@ -801,7 +809,7 @@ def _cached(mu: Measure, n_rows: int, n_cols: int, build):
     raises leaves the memo unchanged.
     """
     for nu, e in (_binary_scale(mu), (mu, 0)):
-        key = (nu, n_rows, n_cols)
+        key = (nu, *shape)
         try:
             value, held, tops = entry = _plan_memo.get(key) or build(nu)
         except ValueError:

@@ -338,7 +338,9 @@ def test_dense_route_ratio_stays_below_the_exact_ratio():
 def test_block_apply_image_lies_within_its_stated_bound_on_every_route(route, monkeypatch):
     # _Block.apply gives (y, bound, e, norm): 2**e y is the block's image of
     # a and 2**e bound its stated ell-p error, here against the long double
-    # image; norm is y's ell-p norm where the dense bound took it.
+    # image; norm is y's ell-p norm where the dense bound took it.  No block
+    # here is small enough to take the dense route without an interior atom.
+    monkeypatch.setattr(certify_module, "_DENSE_BLOCK_ENTRIES", 0)
     rng = np.random.default_rng(2026)
     if route in ("held", "streamed"):
         measures = (MIX_ATOM, _times_power_of_two(Measure((), (Atom(0.5, 1.0),)), 40))
@@ -649,6 +651,8 @@ CORPUS_SIZES = (256, 1024, 2048)
     + [f"random-{i}" for i in range(24)],
 )
 def test_fft_route_sigma_is_certified_against_the_dense_eigensolver(mu, size, monkeypatch):
+    # The blocks at 256 and the small random ones stay on the FFT route.
+    monkeypatch.setattr(certify_module, "_DENSE_BLOCK_ENTRIES", 0)
     calls = []
     _record_calls(monkeypatch, calls, certify_module, "finite_section")
     sigma = p2_section_norm(mu, size)
@@ -660,6 +664,8 @@ def test_fft_route_sigma_is_certified_against_the_dense_eigensolver(mu, size, mo
 
 
 def test_atom_free_sweep_builds_no_entries(monkeypatch):
+    # On the FFT route; at 256 the block would take the dense route and build its section.
+    monkeypatch.setattr(certify_module, "_DENSE_BLOCK_ENTRIES", 0)
     mix2 = Measure((JacobiTerm(1.0, -0.5, 0.25), JacobiTerm(0.5, 0.5, -0.25)), ())
     calls = []
     _record_calls(monkeypatch, calls, kernel, "entry_block")
@@ -704,7 +710,7 @@ def test_power_of_two_multiples_share_one_held_section(k, monkeypatch):
     assert scaled.sigma_max_series == ((256, math.ldexp(report.sigma_max_series[0][1], k)),)
     assert [row[-1] for row in scaled.ratios] == [math.ldexp(row[-1], k) for row in report.ratios]
     assert builds == [(MIX_ATOM, 256)] and truncated == []
-    assert list(operator._plan_memo) == [(MIX_ATOM, 256, 256)]
+    assert list(operator._plan_memo) == [(MIX_ATOM, 256)]
 
 
 def test_a_held_unit_section_leaves_a_multiple_its_own_range_error(monkeypatch):
@@ -721,7 +727,7 @@ def test_a_held_unit_section_leaves_a_multiple_its_own_range_error(monkeypatch):
             call()
         assert str(error.value) == str(want.value)
     assert builds == [(nu, 100), (mu, 100)]
-    assert list(operator._plan_memo) == [(nu, 100, 100)]
+    assert list(operator._plan_memo) == [(nu, 100)]
 
 
 def test_held_sections_are_read_only_and_finite_section_stays_fresh(monkeypatch):
@@ -753,26 +759,87 @@ def test_a_section_over_the_budget_is_not_kept(monkeypatch):
     # Within the budget, sections and plans leave the memo least recently
     # used first, whichever kind: the section pushes the plan out, and the plan the section.
     p2_section_norm(delta, 64)
-    assert list(operator._plan_memo) == [(delta, 64, 64)]
+    assert list(operator._plan_memo) == [(delta, 64)]
     fft_plan(LEBESGUE, 32, 32)
     assert list(operator._plan_memo) == [(LEBESGUE, 32, 32)]
     # With room for both, a hit makes the plan the newest, and a newer
     # section pushes out the older one, now the least recently used.
     monkeypatch.setattr(operator, "_PLAN_MEMO_BYTES", 64 * 64 * 8 + plan_bytes)
     p2_section_norm(delta, 64)
-    assert list(operator._plan_memo) == [(LEBESGUE, 32, 32), (delta, 64, 64)]
+    assert list(operator._plan_memo) == [(LEBESGUE, 32, 32), (delta, 64)]
     fft_plan(LEBESGUE, 32, 32)
-    assert list(operator._plan_memo) == [(delta, 64, 64), (LEBESGUE, 32, 32)]
+    assert list(operator._plan_memo) == [(delta, 64), (LEBESGUE, 32, 32)]
     p2_section_norm(delta, 63)
-    assert list(operator._plan_memo) == [(LEBESGUE, 32, 32), (delta, 63, 63)]
+    assert list(operator._plan_memo) == [(LEBESGUE, 32, 32), (delta, 63)]
     assert builds == [(delta, 65)] * 3 + [(delta, 64)] * 2 + [(delta, 63)]
+
+
+def test_a_plan_and_a_section_of_one_size_are_held_apart(monkeypatch):
+    # An atom-free (nu, 256) holds both its plan and its section, each under
+    # its own key, and a power-of-two multiple reads both.
+    builds = _section_builds(monkeypatch)
+    plan = fft_plan(MIX2, 256, 256)
+    section, e = operator._held_section(MIX2, 256, certify_module.finite_section)
+    assert e == 0 and list(operator._plan_memo) == [(MIX2, 256, 256), (MIX2, 256)]
+    scaled = _times_power_of_two(MIX2, 7)
+    twin = fft_plan(scaled, 256, 256)
+    held, e = operator._held_section(scaled, 256, certify_module.finite_section)
+    assert (twin.scale, twin.tiles, e) == (7, plan.tiles, 7) and held is section
+    assert builds == [(MIX2, 256)] and list(operator._plan_memo) == [(MIX2, 256, 256), (MIX2, 256)]
+
+
+# Either side of each limit: 2^16 entries on a one-tile plan, 2^18 on a tiled one.
+@pytest.mark.parametrize(
+    "mu,size,dense",
+    [(MIX2, 256, True), (MIX2, 257, False), (T1MT, 512, True), (T1MT, 513, False), (LEBESGUE, 512, False)],
+    ids=["mix2@256", "mix2@257", "t(1-t)dt@512", "t(1-t)dt@513", "lebesgue@512"],
+)
+def test_small_blocks_take_the_dense_route_and_read_their_held_section(mu, size, dense, monkeypatch):
+    builds, truncated = _section_builds(monkeypatch), []
+    _record_calls(monkeypatch, truncated, certify_module, "apply_truncated")
+    block = certify_module._Block(mu, size, size)
+    assert block.dense == dense and (len(fft_plan(mu, size, size).tiles) > 1) == (mu is T1MT)
+    eps_grid = (0.05, 0.3)
+    cells = [ExtremalParams(2.0, eps, size) for eps in eps_grid]
+    # A ratio-only call reads the held section it builds, and a ratio has
+    # the same bits before and after sigma.
+    alone = [lower_bound_ratio(mu, params, size) for params in cells]
+    sigma = p2_section_norm(mu, size)
+    after = [lower_bound_ratio(mu, params, size) for params in cells]
+    assert builds == ([(mu, size)] if dense else []) and truncated == []
+    monkeypatch.setattr(operator, "_plan_memo", OrderedDict())
+    report = convergence_sweep(mu, 2.0, eps_grid, [size])
+    assert report.sigma_max_series == ((size, sigma),)
+    assert [ratio for *_, ratio in report.ratios] == alone == after
+    for k in (-600, -3, 5, 600):
+        assert p2_section_norm(_times_power_of_two(mu, k), size) == math.ldexp(sigma, k), k
+
+
+T5_1MT5 = Measure((JacobiTerm(1.0, 5.0, 5.0),), ())
+T3 = Measure((JacobiTerm(1.0, 3.0, 0.0),), ())
+SMALL_CORPUS = {"t^5(1-t)^5dt": T5_1MT5, "t(1-t)dt": T1MT, "t^3dt": T3, "mix2": MIX2, "lebesgue": LEBESGUE}
+
+
+# t^5(1-t)^5 dt's sigma_256 on its tiled plan lay 2.1e-8 below the dense
+# norm.  The first three measures take the tiled plan, so are small at 512 too.
+@pytest.mark.parametrize(
+    "mu,size",
+    [(mu, size) for mu in SMALL_CORPUS.values() for size in (64, 256)] + [(mu, 512) for mu in (T5_1MT5, T1MT, T3)],
+    ids=[f"{name}@{size}" for name in SMALL_CORPUS for size in (64, 256)] + [f"{name}@512" for name in list(SMALL_CORPUS)[:3]],
+)
+def test_small_block_sigma_lies_within_1e12_below_the_dense_norm(mu, size):
+    sigma = p2_section_norm(mu, size)
+    top = float(np.linalg.norm(finite_section(mu, size).entries, 2))
+    assert top - 1e-12 * top <= sigma <= top, (sigma, top)
 
 
 @pytest.mark.parametrize("size", [512, 2048], ids=["t(1-t)dt@512", "t(1-t)dt"])
 def test_tiled_route_sigma_is_certified_against_the_dense_norm(size, monkeypatch):
     # t(1-t)dt's one-tile bound at the all-ones probe is above 256 times the
     # tiled one, so the loop runs on the tiled plan and its transpose, with
-    # no section.
+    # no section.  At 512 the block would take the dense route; it stays on
+    # the FFT route.
+    monkeypatch.setattr(certify_module, "_DENSE_BLOCK_ENTRIES", 0)
     mu = Measure((JacobiTerm(1.0, 1.0, 1.0),), ())
     sections, products, plans, forward = [], [], [], []
     _record_sections(monkeypatch, sections, products)
@@ -963,6 +1030,8 @@ def _assert_certified_against_the_dense_norm(mu, size, sigma, rtol):
 def test_a_rejected_first_image_runs_the_whole_loop_on_the_tiled_plan(monkeypatch):
     # mix2 keeps one tile (its bound at the all-ones probe is 3.2 times the
     # tiled one); the tiled plan, forced, serves every step and the quotient.
+    # At 256 the block would take the dense route; it stays on the FFT route.
+    monkeypatch.setattr(certify_module, "_DENSE_BLOCK_ENTRIES", 0)
     mu = Measure((JacobiTerm(1.0, -0.5, 0.25), JacobiTerm(0.5, 0.5, -0.25)), ())
     applied = []
     _record_fft_route(monkeypatch, applied, lambda *args: operator._build_plan(*args, True)[0])
@@ -986,6 +1055,8 @@ def test_a_rejected_first_image_runs_the_whole_loop_on_the_tiled_plan(monkeypatc
     ids=["two-terms", "mix2", "t(1-t)dt", "t^2dt+5delta_1"],
 )
 def test_every_apply_of_a_sweep_runs_on_the_blocks_one_plan_or_its_transpose(mu, sizes, symmetric, monkeypatch):
+    # Every size stays on the FFT route, the small ones too.
+    monkeypatch.setattr(certify_module, "_DENSE_BLOCK_ENTRIES", 0)
     applied = []
     built = _record_fft_route(monkeypatch, applied)
     report = convergence_sweep(mu, 2.0, [0.05, 0.3], sizes)
@@ -1228,7 +1299,9 @@ def test_p2_sweep_builds_each_size_once(mu, sizes, monkeypatch):
     # alike, and builds no entry.  The atom mixture is dense throughout; its ratios sum the
     # section sigma built, with the same bits as the truncated apply.  At 600
     # the truncated apply streams two row blocks (436 and 164 rows) and the
-    # sweep sums its whole section in one call.
+    # sweep sums its whole section in one call.  t(1-t)dt's blocks stay on
+    # the FFT route, the small ones too.
+    monkeypatch.setattr(certify_module, "_DENSE_BLOCK_ENTRIES", 0)
     eps_grid = (0.05, 0.1, 0.3)
     want_ratios = [
         lower_bound_ratio(mu, ExtremalParams(2.0, eps, size), size)
