@@ -24,8 +24,11 @@ from .norms import NormVerdict, classify_boundedness, validate_p, verdict_to_dic
 from .operator import (
     FFTPlan,
     SequenceVector,
+    _binary_scale,
+    _cached,
     _held_section,
     _ldexp,
+    _peek_section,
     _row_sums,
     _scaled,
     apply_truncated,
@@ -124,7 +127,7 @@ def lower_bound_ratio(mu: Measure, params: ExtremalParams, n_rows: int) -> float
     operator norm.  The image comes from the route :class:`_Block` picks:
     its FFT plan, or on the dense route (interior atoms, or a small square
     block) the row sums of the held section or, with interior atoms and no
-    section held, the truncated apply.  The numerator is its computed norm
+    square section held, the truncated apply.  The numerator is its computed norm
     less the image's stated error
     (:meth:`_Block.apply`) and the rounding of both norms
     (:meth:`_Block.ratio`).  The ratio scales exactly with the measure, and
@@ -152,9 +155,13 @@ def p2_section_norm(mu: Measure, size: int, tol: float = 1e-10) -> float:
     ``max(0, ||fl(S x)||_2 - bound) / ||x||_2 <= ||S x||_2 / ||x||_2 <= sigma_N``
     with ``bound`` the product's stated error (:meth:`_Block.apply`) plus
     the norms' rounding, so it is a sound lower bound for the p=2 operator
-    norm (:meth:`_Block.sigma`).  sigma_N scales exactly with the measure
-    while the applies stay within the float64 range, and is math.inf only
-    when ``||fl(S x)||_2`` is beyond it.
+    norm (:meth:`_Block.sigma`).  sigma_N scales exactly with the measure,
+    and is math.inf only when it is beyond the float64 range.
+
+    The value is held once per process for nu, ``mu = 2**e * nu``, under
+    its ``tol`` and the block's route: a later call for any power-of-two
+    multiple of ``mu`` runs no Lanczos loop while it is held.  A call that
+    raises holds nothing.
     """
     return _Block(mu, size, size).sigma(tol)
 
@@ -176,23 +183,26 @@ class _Block:
     these sizes.  The plan and the section are fetched on first use and
     kept for the ratios and sigma of one sweep size.  :meth:`apply` states
     each route's image and its error once, and the ratios and sigma certify
-    through it.
+    through it (sigma on the FFT route through the plan at scale 0).
 
     Both are kept once per process as well, in one memo
     (:func:`~genhilbert.operator._cached`): the plan under the key
     ``(nu, N, K)`` and the section under ``(nu, N)``, with ``mu = 2**e * nu`` exactly
     (:func:`~genhilbert.operator._binary_scale`), read-only, and sigma and
     the ratios run on nu's section and multiply their result by ``2**e``,
-    as :attr:`~genhilbert.operator.FFTPlan.scale` does.  If nu's largest
-    entry times ``2**e`` leaves float64, mu's own build raises mu's own
-    range error.  A plan or section within ``_PLAN_MEMO_BYTES`` (64 MiB)
+    as :attr:`~genhilbert.operator.FFTPlan.scale` does.  sigma runs on
+    nu's plan as well, and the memo holds its result too (:meth:`sigma`).
+    If nu's largest entry times ``2**e`` leaves float64, mu's own build
+    raises mu's own range error.  A plan or section within ``_PLAN_MEMO_BYTES`` (64 MiB)
     stays in the memo, least recently used out first; a larger one is not
     kept and lives only as long as its block.  A small block reads its
     section for sigma and every ratio, so a ratio-only call builds it once
-    per process.  A block with interior atoms takes a section only for
-    sigma; its ratios sum the rows of the one its sigma took, and otherwise
-    take the truncated apply.  Either way a ratio has the same bits with or
-    without sigma run first.
+    per process.  A block with interior atoms builds a section only for
+    sigma (and :func:`convergence_sweep` at p = 2).  A square one's ratios
+    sum the rows of the section it took or of nu's held one, read by a
+    lookup that builds nothing (:func:`~genhilbert.operator._peek_section`);
+    otherwise, and on every rectangular block, they take the truncated
+    apply.  Either way a ratio has the same bits with or without a section.
     """
 
     def __init__(self, mu: Measure, n_rows: int, n_cols: int):
@@ -231,8 +241,9 @@ class _Block:
 
         The dense route picks its product once: the row sums
         (:func:`~genhilbert.operator._row_sums`) of nu's section, with e its
-        scale, on a small block or once the block's sigma took it, and
-        otherwise :func:`~genhilbert.operator.apply_truncated`, with e = 0.  Both sum
+        scale, on a small block, once the block took the section, or on a
+        square block while the memo holds it, and otherwise
+        :func:`~genhilbert.operator.apply_truncated`, with e = 0.  Both sum
         each row in one fixed order, so they give the same y bit for bit.
         With K = n_cols and u the unit roundoff, the bound is
         ``(K u + eta) ||fl(S |a|)||_p``, where fl(S |a|) is y when ``a`` is
@@ -251,6 +262,8 @@ class _Block:
         if not self.dense:
             image, bound = self.plan().apply(a, p)
             return image.values, bound, 0, None
+        if self._section is None and self.mu.interior_atoms and self.n_rows == self.n_cols:
+            self._section = _peek_section(self.mu, self.n_rows)
         if self._section is None and self.mu.interior_atoms:
             e = 0
             product = lambda v: apply_truncated(self.mu, SequenceVector(v), self.n_rows).values
@@ -288,7 +301,36 @@ class _Block:
         return _ldexp(_certified_quotient(norm * (1.0 - rounding), bound, denominator), e)
 
     def sigma(self, tol: float) -> float:
-        """:func:`p2_section_norm` of the (square) block: one Lanczos loop.
+        """:func:`p2_section_norm` of the (square) block: a held value, or one Lanczos loop (:meth:`_lanczos`).
+
+        The value is held in the plan and section memo
+        (:func:`~genhilbert.operator._cached`) under
+        ``(nu, "sigma", N, tol, dense, _KRYLOV_STEP_CAP)``, with
+        ``mu = 2**e * nu``: every input the loop reads.  No plan
+        ``(nu, N, K)`` or section ``(nu, N)`` key takes that shape.  The
+        loop runs on nu's section or plan and multiplies its result by
+        ``2**e`` at the end, so sigma of any power-of-two multiple of nu is
+        nu's held value times ``2**e``, bit for bit, and a repeated sweep
+        runs no loop.  Where that product leaves float64, mu's own value is
+        computed, as :func:`~genhilbert.operator._cached` does for every
+        entry.  A raise is never held: a ConvergenceError raises again,
+        with the same estimate.  The entry holds no array and counts 0
+        bytes against ``_PLAN_MEMO_BYTES``.
+        """
+        if not tol > 0.0:
+            raise ValueError(f"tol must be > 0, got {tol}")
+
+        def entry(nu: Measure) -> tuple:
+            # nu is 2**-e mu (_cached tries nu, then mu itself), and the loop's operand is 2**-scale mu's.
+            sigma, scale = self._lanczos(tol)
+            sigma = _ldexp(sigma, scale - (0 if nu is self.mu else _binary_scale(self.mu)[1]))
+            return sigma, 0, (sigma,)
+
+        sigma, e = _cached(self.mu, ("sigma", self.n_rows, tol, self.dense, _KRYLOV_STEP_CAP), entry)
+        return _ldexp(sigma, e)
+
+    def _lanczos(self, tol: float) -> tuple[float, int]:
+        """``(sigma, scale)``: the Lanczos loop's certified sigma_N of ``2**-scale mu``, whose section or plan it runs on.
 
         The loop runs on a symmetric matrix A with one orthonormal basis V
         and the tridiagonal ``T = V^T A V``.  When ``mu`` equals its
@@ -300,10 +342,11 @@ class _Block:
         is its step count.  v_0 is :func:`_krylov_start`.
 
         The loop's products carry no bound: nu's section (BLAS ``@``) on the
-        dense route, whose result and :class:`ConvergenceError` estimate are
-        multiplied by ``2**e`` (:meth:`section`), and otherwise the
-        bound-free images (:meth:`~genhilbert.operator.FFTPlan.image`) of
-        the block's FFT plan.  Step j applies S to v_j; ``T[j, j]`` is
+        dense route (:meth:`section`), and otherwise the bound-free images
+        (:meth:`~genhilbert.operator.FFTPlan.image`) of nu's plan, the
+        block's FFT plan at scale 0.  scale is the section's or the plan's
+        e, and the :class:`ConvergenceError` estimate is multiplied by
+        ``2**scale``.  Step j applies S to v_j; ``T[j, j]`` is
         ``v_j . S v_j``, or ``||S v_j||_2^2`` for ``S^T S``.  Unless the top
         Ritz value then stops the loop, A v_j (for ``S^T S``, the transpose
         or transposed plan applied to S v_j) is orthogonalized twice
@@ -319,16 +362,16 @@ class _Block:
         ``size`` steps.
 
         The top Ritz vector x, T's top eigenvector in the basis V, taken
-        with a nonnegative sum, is certified through :meth:`apply` at
-        p = 2, which gives y = fl(S x) and its stated bound.  The
+        with a nonnegative sum, is certified at p = 2 through :meth:`apply`
+        on the dense route and through nu's plan's
+        :meth:`~genhilbert.operator.FFTPlan.apply` otherwise, which give
+        y = fl(S x) and its stated bound.  The
         quotient's bound adds ``(N + 4) u ||y||_2`` (u the unit roundoff),
         which covers, to first order in u, the rounding of the 2-norms of y
         and x (each at most ``(N/2 + 1) u`` relative, Higham, *Accuracy and
         Stability of Numerical Algorithms*, 2nd ed., section 3.1) and of
         the final subtraction and division (:func:`_certified_quotient`).
         """
-        if not tol > 0.0:
-            raise ValueError(f"tol must be > 0, got {tol}")
         size = self.n_rows
         steps = min(size, _KRYLOV_STEP_CAP)
         symmetric = _reflection_symmetric(self.mu)
@@ -339,7 +382,10 @@ class _Block:
             s, scale = self.section()
             forward, backward = s.__matmul__, None if symmetric else s.T.__matmul__
         else:
-            plan, scale = self.plan(), 0
+            plan = self.plan()
+            scale = plan.scale
+            if scale:
+                plan = FFTPlan(plan.n_rows, plan.n_cols, plan.terms, plan.tiles, plan.c0, plan.c1)
             forward, backward = plan.image, None if symmetric else plan.transposed().image
         # T in units of 2**(power e0), 2**e0 the power of two above the first image's largest magnitude.
         power = 1 if symmetric else 2
@@ -371,10 +417,14 @@ class _Block:
             tridiagonal[j, j + 1] = tridiagonal[j + 1, j] = beta
         x = np.linalg.eigh(t)[1][:, -1] @ basis[: j + 1]
         x *= math.copysign(1.0, x.sum())
-        y, bound, *_ = self.apply(SequenceVector(x), 2.0)
+        if self.dense:
+            y, bound, *_ = self.apply(SequenceVector(x), 2.0)
+        else:
+            image, bound = plan.apply(SequenceVector(x), 2.0)
+            y = image.values
         norm_y = _norm_2(y)
         sigma = _certified_quotient(norm_y, bound + (size + 4) * _UNIT_ROUNDOFF * norm_y, float(np.linalg.norm(x)))
-        return _ldexp(sigma, scale)
+        return sigma, scale
 
 
 def _krylov_start(size: int) -> np.ndarray:
@@ -443,13 +493,18 @@ def convergence_sweep(
     each is then one :class:`_Block` (a block between the small limits
     builds its plan on construction).  A size's sigma comes first, so a
     size whose Krylov loop took the dense section reuses it, and the FFT
-    plan, for every epsilon.  Sections are held once per process under
-    ``(nu, N)`` and plans under ``(nu, N, N)``, ``mu = 2**e * nu``, in one memo of
-    ``_PLAN_MEMO_BYTES`` (64 MiB), least recently used out first: a later
-    sweep of any power-of-two multiple of ``mu`` builds neither again while
-    they are held, and a section or plan over the budget is built once per
-    sweep and dropped with its block when the sweep returns.  The values equal
-    :func:`p2_section_norm`'s and :func:`lower_bound_ratio`'s bit for bit.
+    plan, for every epsilon; at p = 2 a block with interior atoms takes its
+    section for the ratios even when its sigma was held.  Sections are held
+    once per process under ``(nu, N)``, plans under ``(nu, N, N)`` and
+    sigma_N under its tol and route (:meth:`_Block.sigma`),
+    ``mu = 2**e * nu``, in one memo of ``_PLAN_MEMO_BYTES`` (64 MiB), least
+    recently used out first: a later sweep of any power-of-two multiple of
+    ``mu`` builds neither again and runs no Lanczos loop while they are
+    held, and a section or plan over the budget is built once per sweep and
+    dropped with its block when the sweep returns.  So repeated p = 2 sweeps
+    in one process gain; a one-shot ``genhilbert certify`` runs one sweep
+    and gains nothing.  The values equal :func:`p2_section_norm`'s and
+    :func:`lower_bound_ratio`'s bit for bit.
     """
     eps_grid = list(eps_grid)
     size_grid = list(size_grid)
@@ -468,6 +523,8 @@ def convergence_sweep(
     for j, block in enumerate(blocks):
         if p == 2.0:
             sigma_series.append((block.n_rows, block.sigma(tol)))
+            if block.mu.interior_atoms:
+                block.section()
         for c in range(j, len(cells), len(size_grid)):
             ratios[c] = block.ratio(extremal_sequence(cells[c]), p)
     return CertificationReport(

@@ -786,11 +786,27 @@ def _section_entry(section: np.ndarray) -> tuple:
     return section, section.nbytes, (float(section.max()),)
 
 
+def _peek_section(mu: Measure, size: int) -> tuple[np.ndarray, int] | None:
+    """``(S, e)`` as :func:`_held_section` gives it when the memo holds nu's S, else None; a lookup that builds nothing.
+
+    None too when S's largest entry times ``2**e`` leaves float64.  A hit
+    becomes the memo's newest entry, as a :func:`_cached` hit does.
+    """
+    nu, e = _binary_scale(mu)
+    entry = _plan_memo.get((nu, size))
+    if entry is None or not all(_ldexp(top, e) < math.inf for top in entry[2]):
+        return None
+    _plan_memo.move_to_end((nu, size))
+    return entry[0], e
+
+
 #: Bytes of plans and sections the memo keeps for the life of the process.
 _PLAN_MEMO_BYTES = 64 << 20
 
-# (nu, n_rows, n_cols) -> (plan, bytes held, each term's row maximum) and
-# (nu, size) -> (section, bytes held, (its largest entry,)); least recently used first.
+# (nu, n_rows, n_cols) -> (plan, bytes held, each term's row maximum),
+# (nu, size) -> (section, bytes held, (its largest entry,)) and
+# (nu, "sigma", size, tol, dense, step cap) -> (sigma_N, 0, (sigma_N,)) (certify._Block.sigma);
+# least recently used first.
 _plan_memo: OrderedDict = OrderedDict()
 
 
@@ -799,7 +815,9 @@ def _cached(mu: Measure, shape: tuple, build):
 
     ``build`` returns ``(value, bytes held, largest values)``, the values
     that scale with the measure: each term's row maximum for a plan, the
-    largest entry for a section.  When nu's build raises ``ValueError``, or
+    largest entry for a section, sigma_N itself for a held sigma_N
+    (:meth:`~genhilbert.certify._Block.sigma`, which holds no array and
+    counts 0 bytes).  When nu's build raises ``ValueError``, or
     one of nu's largest values times ``2**e`` leaves float64, mu's own build
     runs with e = 0: it gives mu's value where only nu's leaves float64,
     and otherwise raises mu's own error.  A value within

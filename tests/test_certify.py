@@ -297,6 +297,8 @@ def test_ratio_without_interior_atoms_builds_no_entries(monkeypatch):
     ids=["interior-atom"],
 )
 def test_ratio_takes_the_dense_route_when_the_fft_cannot_serve(mu, size, monkeypatch):
+    # From an empty memo, which holds no section to read.
+    monkeypatch.setattr(operator, "_plan_memo", OrderedDict())
     params = ExtremalParams(2.0, 0.1, size)
     a = extremal_sequence(params)
     # The numerator gives up the rounding of K-term row sums and of both
@@ -340,6 +342,8 @@ def test_block_apply_image_lies_within_its_stated_bound_on_every_route(route, mo
     # a and 2**e bound its stated ell-p error, here against the long double
     # image; norm is y's ell-p norm where the dense bound took it.  No block
     # here is small enough to take the dense route without an interior atom.
+    # The streamed blocks start from an empty memo, which holds no section to read.
+    monkeypatch.setattr(operator, "_plan_memo", OrderedDict())
     monkeypatch.setattr(certify_module, "_DENSE_BLOCK_ENTRIES", 0)
     rng = np.random.default_rng(2026)
     if route in ("held", "streamed"):
@@ -366,7 +370,7 @@ def test_block_apply_image_lies_within_its_stated_bound_on_every_route(route, mo
                     assert err <= math.ldexp(bound, e), (route, mu, size, p, a.nonneg, err, bound, e)
                     if route == "held":
                         # The held section's row sums are the streamed apply's, bit for bit.
-                        streamed = certify_module._Block(mu, size, size).apply(a, p)[0]
+                        streamed = apply_truncated(mu, a, size).values
                         assert np.ldexp(y, e).tobytes() == streamed.tobytes()
                     elif route != "streamed":
                         image, want = block.plan().apply(a, p)
@@ -588,8 +592,10 @@ def test_reflection_symmetry_compares_terms_and_atoms_as_multisets(mu, symmetric
          "delta_1/2@512"],
 )
 def test_one_image_sigma_agrees_with_the_normal_equations_loop(mu, size, tol, monkeypatch):
+    monkeypatch.setattr(operator, "_plan_memo", OrderedDict())
     one_image = p2_section_norm(mu, size, tol)
     monkeypatch.setattr(certify_module, "_reflection_symmetric", lambda mu: False)
+    monkeypatch.setattr(operator, "_plan_memo", OrderedDict())
     normal = p2_section_norm(mu, size, tol)
     assert abs(one_image - normal) <= 1e-13 * normal, (one_image, normal)
     for sigma in (one_image, normal):
@@ -653,6 +659,7 @@ CORPUS_SIZES = (256, 1024, 2048)
 def test_fft_route_sigma_is_certified_against_the_dense_eigensolver(mu, size, monkeypatch):
     # The blocks at 256 and the small random ones stay on the FFT route.
     monkeypatch.setattr(certify_module, "_DENSE_BLOCK_ENTRIES", 0)
+    monkeypatch.setattr(operator, "_plan_memo", OrderedDict())
     calls = []
     _record_calls(monkeypatch, calls, certify_module, "finite_section")
     sigma = p2_section_norm(mu, size)
@@ -666,6 +673,7 @@ def test_fft_route_sigma_is_certified_against_the_dense_eigensolver(mu, size, mo
 def test_atom_free_sweep_builds_no_entries(monkeypatch):
     # On the FFT route; at 256 the block would take the dense route and build its section.
     monkeypatch.setattr(certify_module, "_DENSE_BLOCK_ENTRIES", 0)
+    monkeypatch.setattr(operator, "_plan_memo", OrderedDict())
     mix2 = Measure((JacobiTerm(1.0, -0.5, 0.25), JacobiTerm(0.5, 0.5, -0.25)), ())
     calls = []
     _record_calls(monkeypatch, calls, kernel, "entry_block")
@@ -691,6 +699,11 @@ def test_dense_route_sigma_is_one_section_and_unchanged(mu, size, monkeypatch):
     _assert_certified_against_the_dense_norm(mu, size, sigma, 1e-12)
 
 
+def _sigma_key(nu, size, tol=1e-10, dense=True):
+    """The memo key of nu's held sigma_N (certify._Block.sigma)."""
+    return (nu, "sigma", size, tol, dense, certify_module._KRYLOV_STEP_CAP)
+
+
 def _section_builds(monkeypatch) -> list:
     """Start from an empty memo; the returned list gets the arguments of each section certify builds."""
     monkeypatch.setattr(operator, "_plan_memo", OrderedDict())
@@ -710,7 +723,8 @@ def test_power_of_two_multiples_share_one_held_section(k, monkeypatch):
     assert scaled.sigma_max_series == ((256, math.ldexp(report.sigma_max_series[0][1], k)),)
     assert [row[-1] for row in scaled.ratios] == [math.ldexp(row[-1], k) for row in report.ratios]
     assert builds == [(MIX_ATOM, 256)] and truncated == []
-    assert list(operator._plan_memo) == [(MIX_ATOM, 256)]
+    # The second sweep's sigma is the held one; then its ratios read the section.
+    assert list(operator._plan_memo) == [_sigma_key(MIX_ATOM, 256), (MIX_ATOM, 256)]
 
 
 def test_a_held_unit_section_leaves_a_multiple_its_own_range_error(monkeypatch):
@@ -727,13 +741,14 @@ def test_a_held_unit_section_leaves_a_multiple_its_own_range_error(monkeypatch):
             call()
         assert str(error.value) == str(want.value)
     assert builds == [(nu, 100), (mu, 100)]
-    assert list(operator._plan_memo) == [(nu, 100)]
+    assert list(operator._plan_memo) == [(nu, 100), _sigma_key(nu, 100)]
 
 
 def test_held_sections_are_read_only_and_finite_section_stays_fresh(monkeypatch):
     _section_builds(monkeypatch)
     p2_section_norm(MIX_ATOM, 64)
-    [(held, nbytes, _)] = operator._plan_memo.values()
+    assert list(operator._plan_memo) == [(MIX_ATOM, 64), _sigma_key(MIX_ATOM, 64)]
+    held, nbytes, _ = operator._plan_memo[(MIX_ATOM, 64)]
     with pytest.raises(ValueError, match="read-only"):
         held[0, 0] = 0.0
     fresh = finite_section(MIX_ATOM, 64).entries
@@ -751,25 +766,29 @@ def test_a_section_over_the_budget_is_not_kept(monkeypatch):
     fft_plan(LEBESGUE, 32, 32)
     plan_bytes = operator._plan_memo[(LEBESGUE, 32, 32)][1]
     for _ in range(2):
-        # The sweep's ratios sum the section its sigma built, and the memo keeps its plan.
+        # The sweep's ratios sum the section its sigma built, or the second
+        # sweep's held sigma left it to build, and the memo keeps its plan and sigma.
         report = convergence_sweep(delta, 2.0, [0.1, 0.3], [65])
-        assert list(operator._plan_memo) == [(LEBESGUE, 32, 32)] and truncated == []
+        assert list(operator._plan_memo) == [(LEBESGUE, 32, 32), _sigma_key(delta, 65)] and truncated == []
     assert builds == [(delta, 65)] * 2
-    assert report.sigma_max_series == ((65, p2_section_norm(delta, 65)),)
+    with monkeypatch.context() as cold:
+        cold.setattr(operator, "_plan_memo", OrderedDict())
+        assert report.sigma_max_series == ((65, p2_section_norm(delta, 65)),)
     # Within the budget, sections and plans leave the memo least recently
-    # used first, whichever kind: the section pushes the plan out, and the plan the section.
+    # used first, whichever kind: the section pushes the plan out, and the
+    # plan the section.  A held sigma counts no bytes and leaves in its turn.
     p2_section_norm(delta, 64)
-    assert list(operator._plan_memo) == [(delta, 64)]
+    assert list(operator._plan_memo) == [_sigma_key(delta, 65), (delta, 64), _sigma_key(delta, 64)]
     fft_plan(LEBESGUE, 32, 32)
-    assert list(operator._plan_memo) == [(LEBESGUE, 32, 32)]
+    assert list(operator._plan_memo) == [_sigma_key(delta, 64), (LEBESGUE, 32, 32)]
     # With room for both, a hit makes the plan the newest, and a newer
     # section pushes out the older one, now the least recently used.
     monkeypatch.setattr(operator, "_PLAN_MEMO_BYTES", 64 * 64 * 8 + plan_bytes)
-    p2_section_norm(delta, 64)
-    assert list(operator._plan_memo) == [(LEBESGUE, 32, 32), (delta, 64)]
+    operator._held_section(delta, 64, certify_module.finite_section)
+    assert list(operator._plan_memo) == [_sigma_key(delta, 64), (LEBESGUE, 32, 32), (delta, 64)]
     fft_plan(LEBESGUE, 32, 32)
-    assert list(operator._plan_memo) == [(delta, 64), (LEBESGUE, 32, 32)]
-    p2_section_norm(delta, 63)
+    assert list(operator._plan_memo) == [_sigma_key(delta, 64), (delta, 64), (LEBESGUE, 32, 32)]
+    operator._held_section(delta, 63, certify_module.finite_section)
     assert list(operator._plan_memo) == [(LEBESGUE, 32, 32), (delta, 63)]
     assert builds == [(delta, 65)] * 3 + [(delta, 64)] * 2 + [(delta, 63)]
 
@@ -786,6 +805,147 @@ def test_a_plan_and_a_section_of_one_size_are_held_apart(monkeypatch):
     held, e = operator._held_section(scaled, 256, certify_module.finite_section)
     assert (twin.scale, twin.tiles, e) == (7, plan.tiles, 7) and held is section
     assert builds == [(MIX2, 256)] and list(operator._plan_memo) == [(MIX2, 256, 256), (MIX2, 256)]
+
+
+CORPUS_NAMES = (
+    "lebesgue", "t(1-t)dt", "0.5t^-0.5(1-t)^0.25dt", "delta_1/2", "dt+atoms", "t^2dt+5delta_1", "dt+2delta_0",
+    "t(1-t)dt+delta_0+delta_1", "zero",
+)
+HELD_SIGMA_CORPUS = {**dict(zip(CORPUS_NAMES, MIXED_CORPUS)), "mix2": MIX2, "mix-atom": MIX_ATOM}
+HELD_SIGMA_SCALES = (-1000, -600, -3, 0, 5, 600, 1000)
+
+
+def _record_loop_products(monkeypatch) -> list:
+    """Start from an empty memo; the returned list gets one item per Lanczos product.
+
+    That is each FFTPlan.image, and each product with a section certify
+    builds or with its transpose (:func:`_record_sections`).  A ratio makes
+    neither: it applies the plan or sums a section's rows.
+    """
+    monkeypatch.setattr(operator, "_plan_memo", OrderedDict())
+    products = []
+    _record_sections(monkeypatch, [], products)
+    image = operator.FFTPlan.image
+    monkeypatch.setattr(operator.FFTPlan, "image", lambda plan, values: products.append(None) or image(plan, values))
+    return products
+
+
+# The interior-atom corpus measures at 1024 build a 1024^2 section per cold
+# sigma; the CI step on held sigma covers delta_1/2 there.
+@pytest.mark.parametrize(
+    "mu,size",
+    [(mu, size) for mu in HELD_SIGMA_CORPUS.values() for size in (64, 256, 300, 1024)
+     if size < 1024 or not mu.interior_atoms or mu is MIX_ATOM],
+    ids=[f"{name}@{size}" for name, mu in HELD_SIGMA_CORPUS.items() for size in (64, 256, 300, 1024)
+         if size < 1024 or not mu.interior_atoms or mu is MIX_ATOM],
+)
+def test_a_held_sigma_equals_a_fresh_one_and_a_second_sweep_makes_no_lanczos_product(mu, size, monkeypatch):
+    # Both routes (dense up to 256, and 300 on a tiled plan; FFT at 300 on
+    # one tile and at 1024) and both loops (S on a reflection-symmetric
+    # measure, S^T S otherwise).  The held sigma of nu serves every 2**k nu.
+    products = _record_loop_products(monkeypatch)
+    sigma = p2_section_norm(mu, size)
+    assert products
+    for k in HELD_SIGMA_SCALES:
+        scaled = _times_power_of_two(mu, k)
+        products.clear()
+        report = convergence_sweep(scaled, 2.0, [0.1], [size])
+        assert products == [], k
+        with monkeypatch.context() as cold:
+            cold.setattr(operator, "_plan_memo", OrderedDict())
+            fresh = p2_section_norm(scaled, size)
+        assert report.sigma_max_series == ((size, fresh),) and fresh == math.ldexp(sigma, k), (k, fresh, sigma)
+
+
+# Pinned from the loop before sigma was held: tol 1e-12 takes more steps than 1e-10.
+@pytest.mark.parametrize(
+    "mu,size,want",
+    [
+        (Measure((), (Atom(0.5, 1.0),)), 512, ("0x1.fe9b7be7b2bc4p+0", "0x1.fe9b7be7b4f68p+0")),
+        (LEBESGUE, 1024, ("0x1.38fe8a38a8119p+1", "0x1.38fe8a38a8118p+1")),
+    ],
+    ids=["delta_1/2@512", "lebesgue@1024"],
+)
+def test_each_tol_holds_its_own_sigma(mu, size, want, monkeypatch):
+    monkeypatch.setattr(operator, "_plan_memo", OrderedDict())
+    for _ in range(2):
+        assert tuple(p2_section_norm(mu, size, tol).hex() for tol in (1e-10, 1e-12)) == want
+    dense = certify_module._Block(mu, size, size).dense
+    assert [key for key in operator._plan_memo if key[1] == "sigma"] == [
+        _sigma_key(mu, size, tol, dense) for tol in (1e-10, 1e-12)
+    ]
+
+
+def test_a_sigma_that_raised_raises_again_with_the_same_estimate(monkeypatch):
+    # A raise is never held, and a power-of-two multiple's estimate is 2**k times nu's.
+    products = _record_loop_products(monkeypatch)
+    monkeypatch.setattr(certify_module, "_KRYLOV_STEP_CAP", 3)
+    for mu, size in ((LEBESGUE, 300), (MIX_ATOM, 256)):
+        estimates = []
+        for k in (0, 0, 5, -600):
+            products.clear()
+            with pytest.raises(ConvergenceError) as error:
+                p2_section_norm(_times_power_of_two(mu, k), size, tol=1e-300)
+            assert len(products) >= 3, (mu, k)
+            estimates.append(math.ldexp(error.value.estimate, -k).hex())
+        assert len(set(estimates)) == 1 and float.fromhex(estimates[0]) > 0.0, estimates
+        assert all(key[1] != "sigma" for key in operator._plan_memo), mu
+
+
+def test_a_patched_route_or_step_cap_never_reads_another_ones_sigma(monkeypatch):
+    products = _record_loop_products(monkeypatch)
+    held = [_sigma_key(MIX2, 256, dense=dense) for dense in (True, False)]
+    sigma = p2_section_norm(MIX2, 256)
+    # The small block's dense route held it; on the FFT route the loop runs again.
+    monkeypatch.setattr(certify_module, "_DENSE_BLOCK_ENTRIES", 0)
+    products.clear()
+    fft = p2_section_norm(MIX2, 256)
+    assert products and abs(fft - sigma) <= 1e-9 * sigma
+    # Too few steps for the tolerance raise, though both sigmas are held.
+    monkeypatch.setattr(certify_module, "_KRYLOV_STEP_CAP", 2)
+    for dense in (0, 1 << 16):
+        monkeypatch.setattr(certify_module, "_DENSE_BLOCK_ENTRIES", dense)
+        with pytest.raises(ConvergenceError):
+            p2_section_norm(MIX2, 256)
+    assert [key for key in operator._plan_memo if key[1] == "sigma"] == held
+
+
+def test_emptying_the_memo_empties_every_held_sigma(monkeypatch):
+    products = _record_loop_products(monkeypatch)
+    for mu in (MIX2, MIX_ATOM):
+        sigma = p2_section_norm(mu, 256)
+        products.clear()
+        assert p2_section_norm(mu, 256) == sigma and products == []
+        operator._plan_memo.clear()
+        assert p2_section_norm(mu, 256) == sigma and products, mu
+
+
+def test_a_square_interior_atom_ratio_reads_a_held_section_and_keeps_its_bits(monkeypatch):
+    # 711 us against about 57 us at N = 256: a ratio-only call streamed
+    # every entry although the memo held the section.
+    builds, truncated = _section_builds(monkeypatch), []
+    _record_calls(monkeypatch, truncated, certify_module, "apply_truncated")
+    for k in (0, 5, -600):
+        mu = _times_power_of_two(MIX_ATOM, k)
+        cells = [ExtremalParams(p, 0.5 / p, 256) for p in (1.0, 2.0, 3.0)]
+        operator._plan_memo.clear()
+        streamed = [lower_bound_ratio(mu, params, 256) for params in cells]
+        assert len(truncated) == 3 and list(operator._plan_memo) == []
+        p2_section_norm(MIX_ATOM, 256)
+        truncated.clear()
+        assert [lower_bound_ratio(mu, params, 256) for params in cells] == streamed and truncated == [], k
+    assert builds == [(MIX_ATOM, 256)] * 3
+
+
+def test_a_rectangular_interior_atom_ratio_takes_the_truncated_apply(monkeypatch):
+    # The held section is square; a block of K != N columns streams its rows.
+    builds, truncated = _section_builds(monkeypatch), []
+    cells = [ExtremalParams(2.0, 0.1, length) for length in (200, 300)]
+    streamed = [lower_bound_ratio(MIX_ATOM, params, 256) for params in cells]
+    p2_section_norm(MIX_ATOM, 256)
+    _record_calls(monkeypatch, truncated, certify_module, "apply_truncated")
+    assert [lower_bound_ratio(MIX_ATOM, params, 256) for params in cells] == streamed
+    assert [args[2] for args in truncated] == [256, 256] and builds == [(MIX_ATOM, 256)]
 
 
 # Either side of each limit: 2^16 entries on a one-tile plan, 2^18 on a tiled one.
@@ -840,6 +1000,7 @@ def test_tiled_route_sigma_is_certified_against_the_dense_norm(size, monkeypatch
     # no section.  At 512 the block would take the dense route; it stays on
     # the FFT route.
     monkeypatch.setattr(certify_module, "_DENSE_BLOCK_ENTRIES", 0)
+    monkeypatch.setattr(operator, "_plan_memo", OrderedDict())
     mu = Measure((JacobiTerm(1.0, 1.0, 1.0),), ())
     sections, products, plans, forward = [], [], [], []
     _record_sections(monkeypatch, sections, products)
@@ -918,7 +1079,7 @@ def test_a_sweep_transforms_on_the_picked_tiling_alone(mu, tiled, monkeypatch):
     # One build, whose transforms are the picked tiling's spectra: one per FFT tile and term.
     (plan, _, _), = builds
     assert spectra[0] == sum(bool(m) for _, _, m, _ in plan.tiles) * len(mu.jacobi_terms) > 0
-    assert [key[1:] for key in operator._plan_memo] == [(2048, 2048)]
+    assert [key[1:] for key in operator._plan_memo] == [(2048, 2048), _sigma_key(mu, 2048, dense=False)[1:]]
 
 
 def test_ratio_checks_the_column_cap_before_it_builds_the_sequence(delta_half, monkeypatch):
@@ -963,6 +1124,7 @@ def test_krylov_loop_makes_no_transposed_image_on_a_symmetric_block_and_two_fewe
     monkeypatch.setattr(operator.FFTPlan, "apply", recorded_apply)
     monkeypatch.setattr(operator.FFTPlan, "image", recorded_image)
     monkeypatch.setattr(operator.FFTPlan, "transposed", recorded_transposed)
+    monkeypatch.setattr(operator, "_plan_memo", OrderedDict())
     p2_section_norm(mu, 512)
     assert len(forward) >= 3
     if symmetric:
@@ -988,14 +1150,15 @@ def test_dense_symmetric_sigma_takes_no_transpose(monkeypatch):
 def _record_fft_route(monkeypatch, applied, build=fft_plan):
     """Record each FFTPlan.apply and FFTPlan.image of the plans certify builds with ``build`` as ``(name, input values)``.
 
-    The name is "one-tile" or "tiled", with "^T" for the plan's transpose;
-    an apply or image on any other plan fails.
+    The name is "one-tile" or "tiled", with "^T" for the plan's transpose.
+    A plan is known by its tiles, which it shares with its copy at scale 0
+    that sigma's loop runs on; an apply or image on any other plan fails.
     """
     apply, image, transposed = operator.FFTPlan.apply, operator.FFTPlan.image, operator.FFTPlan.transposed
     names = []
 
     def name_of(plan):
-        return next(name for built, name in names if built is plan)
+        return next(name for built, name in names if built.tiles is plan.tiles)
 
     def recorded_plan(mu, n_rows, n_cols):
         plan = build(mu, n_rows, n_cols)
@@ -1032,6 +1195,7 @@ def test_a_rejected_first_image_runs_the_whole_loop_on_the_tiled_plan(monkeypatc
     # tiled one); the tiled plan, forced, serves every step and the quotient.
     # At 256 the block would take the dense route; it stays on the FFT route.
     monkeypatch.setattr(certify_module, "_DENSE_BLOCK_ENTRIES", 0)
+    monkeypatch.setattr(operator, "_plan_memo", OrderedDict())
     mu = Measure((JacobiTerm(1.0, -0.5, 0.25), JacobiTerm(0.5, 0.5, -0.25)), ())
     applied = []
     _record_fft_route(monkeypatch, applied, lambda *args: operator._build_plan(*args, True)[0])
@@ -1057,6 +1221,7 @@ def test_a_rejected_first_image_runs_the_whole_loop_on_the_tiled_plan(monkeypatc
 def test_every_apply_of_a_sweep_runs_on_the_blocks_one_plan_or_its_transpose(mu, sizes, symmetric, monkeypatch):
     # Every size stays on the FFT route, the small ones too.
     monkeypatch.setattr(certify_module, "_DENSE_BLOCK_ENTRIES", 0)
+    monkeypatch.setattr(operator, "_plan_memo", OrderedDict())
     applied = []
     built = _record_fft_route(monkeypatch, applied)
     report = convergence_sweep(mu, 2.0, [0.05, 0.3], sizes)
@@ -1118,6 +1283,7 @@ def _sigma_and_fft_calls(mu, size, start, monkeypatch):
     """``p2_section_norm(mu, size)`` with the loop started at ``start(size)``, and its count of FFT images and applies."""
     applied = []
     with monkeypatch.context() as patch:
+        patch.setattr(operator, "_plan_memo", OrderedDict())
         patch.setattr(certify_module, "_krylov_start", start)
         _record_fft_route(patch, applied)
         sigma = p2_section_norm(mu, size)
@@ -1166,13 +1332,16 @@ def _times_power_of_two(mu, k):
 
 
 @pytest.mark.parametrize("k", [100, 400, 520, 700, 1000, -100, -400, -520, -700, -1000])
-def test_sigma_and_ratios_scale_exactly_with_the_measure(k):
+def test_sigma_and_ratios_scale_exactly_with_the_measure(k, monkeypatch):
     # 2**k mu has 2**k times mu's entries and images, bit for bit.  sigma
     # read 0.0 at 2**260 dt and inf at 2**-300 dt while ||.||_2 squared
-    # unscaled values.
+    # unscaled values.  Each sigma starts from an empty memo.
     for mu in MIXED_CORPUS:
         scaled = _times_power_of_two(mu, k)
-        assert p2_section_norm(scaled, 48) == math.ldexp(p2_section_norm(mu, 48), k), mu
+        monkeypatch.setattr(operator, "_plan_memo", OrderedDict())
+        got = p2_section_norm(scaled, 48)
+        monkeypatch.setattr(operator, "_plan_memo", OrderedDict())
+        assert got == math.ldexp(p2_section_norm(mu, 48), k), mu
         for p in (1.0, 3.0):
             params = ExtremalParams(p, 0.5 / p, 48)
             want = math.ldexp(lower_bound_ratio(mu, params, 48), k)
@@ -1191,25 +1360,27 @@ def test_p1_ratio_of_a_measure_whose_image_norm_is_beyond_float64():
     assert beyond == math.inf
 
 
-def test_sigma_of_a_measure_near_the_float64_limit_scales_exactly():
+def test_sigma_of_a_measure_near_the_float64_limit_scales_exactly(monkeypatch):
     # The transposed apply's input carries the coefficient: 2**1017 ||u||_1
     # m ||h||_1 is beyond float64 in its transforms, while sigma_300
-    # (3.3e306) is not.
+    # (3.3e306) is not.  The second sigma starts from an empty memo.
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         want = math.ldexp(p2_section_norm(LEBESGUE, 300), 1017)
+        monkeypatch.setattr(operator, "_plan_memo", OrderedDict())
         got = p2_section_norm(_times_power_of_two(LEBESGUE, 1017), 300)
     assert got == want
 
 
 @pytest.mark.parametrize("size", [300, 4096])
-def test_sigma_of_a_measure_at_the_float64_limit_scales_exactly(size):
+def test_sigma_of_a_measure_at_the_float64_limit_scales_exactly(size, monkeypatch):
     # The transposed apply's input carries the coefficient, so the bound's
     # ||b||_1 (4096) or h_2 ||b||_1 (300) overflowed for 2**1020 dt, while
-    # sigma (2.6e307, 2.9e307) is in range.
+    # sigma (2.6e307, 2.9e307) is in range.  The second sigma starts from an empty memo.
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         want = math.ldexp(p2_section_norm(LEBESGUE, size), 1020)
+        monkeypatch.setattr(operator, "_plan_memo", OrderedDict())
         got = p2_section_norm(_times_power_of_two(LEBESGUE, 1020), size)
     assert got == want
 

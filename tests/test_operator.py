@@ -32,7 +32,7 @@ from genhilbert import (
     sequence_from_csv,
     sequence_to_csv,
 )
-from genhilbert import operator
+from genhilbert import certify, operator
 from genhilbert.operator import fft_plan
 from conftest import MIX_ATOM, MIXED_CORPUS, TWO_TERMS, random_interior_measure
 
@@ -666,15 +666,19 @@ def test_a_plan_over_the_memo_budget_is_not_kept_and_a_sweep_builds_it_once(monk
         return build(*args)
 
     monkeypatch.setattr(operator, "_build_plan", recorded_build)
-    for mu in (LEBESGUE, Measure((JacobiTerm(1.0, 1.0, 1.0),), ())):
+    # t(1-t)dt's tiled block at 512 is small: its sigma takes the dense route.
+    for mu, small in ((LEBESGUE, False), (Measure((JacobiTerm(1.0, 1.0, 1.0),), ()), True)):
         builds.clear()
+        operator._plan_memo.clear()
         plan = fft_plan(mu, 4096, 4096)
         assert _held_bytes(plan) > 1 << 10 and list(operator._plan_memo) == []
         assert fft_plan(mu, 4096, 4096) is not plan and builds == [(4096, 4096)] * 2
-        # The sweep's block holds each plan for its sigma and every ratio.
+        # The sweep's block holds each plan for its sigma and every ratio;
+        # the memo holds each sigma, which counts no bytes, and no plan.
         builds.clear()
         convergence_sweep(mu, 2.0, [0.1, 0.3], [512, 2048])
-        assert builds == [(512, 512), (2048, 2048)] and list(operator._plan_memo) == []
+        sigmas = [(mu, "sigma", size, 1e-10, dense, certify._KRYLOV_STEP_CAP) for size, dense in ((512, small), (2048, False))]
+        assert builds == [(512, 512), (2048, 2048)] and list(operator._plan_memo) == sigmas
 
 
 def test_memo_arrays_are_read_only(monkeypatch):
