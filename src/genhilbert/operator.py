@@ -476,22 +476,18 @@ class FFTPlan(_Record):
     length m and, per density term in ``terms``' order, a tile-term
     ``(segment, d, h_2, h_1)``.  d is the term's largest row factor over the
     tile's rows, ``||D||_inf``.  ``h`` is the Hankel factor over the tile's
-    diagonals, ``segment`` its spectrum ``rfft(h, m)``, or ``(stack, i)``
-    when that spectrum is row i of a stack, or, when m is 0, the dense
-    matrix ``h[i + j]`` of the tile's shape, and ``h_2``, ``h_1`` its 2- and
-    1-norms.  ``c0`` and ``c1`` are the endpoint masses.  All of these are a
-    measure nu's, and the plan is that of ``2**scale`` times nu
-    (:meth:`apply`).  Build one with :func:`fft_plan`.
+    diagonals, ``segment`` its spectrum ``rfft(h, m)``, a read-only array of
+    its own, or, when m is 0, the dense matrix ``h[i + j]`` of the tile's
+    shape, and ``h_2``, ``h_1`` its 2- and 1-norms.  ``c0`` and ``c1`` are
+    the endpoint masses.  All of these are a measure nu's, and the plan is
+    that of ``2**scale`` times nu (:meth:`apply`).  Build one with
+    :func:`fft_plan`.
 
-    The spectra of the tile-terms that share a length m are the rows of
-    one read-only stack, in the plan's tile and term order, of at most
-    ``_APPLY_BLOCK_ELEMENTS // m`` rows, and each such segment names its
-    stack and row; a spectrum alone in its stack is an array of its own.
-    So every factor and every spectrum is held once, also in a pickled or
+    Every factor and every segment is held once, also in a pickled or
     copied plan; the transposed plan shares them, and an image runs one
-    transform pair per stack (:meth:`image`).  A pickled or copied plan's
-    zero-stride constant factors come back at zero stride too, and hold no
-    bytes.
+    transform pair per FFT tile-term (:meth:`image`).  A pickled or copied
+    plan's zero-stride constant factors come back at zero stride too, and
+    hold no bytes.
     """
 
     __slots__ = ("n_rows", "n_cols", "terms", "tiles", "c0", "c1", "scale")
@@ -533,11 +529,8 @@ class FFTPlan(_Record):
         k-2+n of the linear convolution of h with reversed b.  A circular
         convolution of length ``m >= n+k-1`` wraps only entries at or beyond
         m onto indices below k-1, so the rows kept are exact; m is the least
-        power of two that long.  The tile-terms of one stack
-        (:class:`FFTPlan`) transform together: their reversed b, each padded
-        to m, are the rows of one array, and one ``rfft`` of it, one product
-        with the stack and one ``irfft`` give all their c.  A tile-term alone
-        in its stack transforms its own b.  A dense tile (m = 0) forms c as
+        power of two that long: one ``rfft`` of reversed b, one product with
+        the segment and one ``irfft`` give c.  A dense tile (m = 0) forms c as
         the product of its matrix ``h[i+j]`` with b.  An atom at 0 adds
         ``c0 * a[0]`` to every row, an atom at 1 adds ``c1 * sum(a)`` to
         row 0; p is checked as :func:`lp_norm` checks it.
@@ -574,10 +567,7 @@ class FFTPlan(_Record):
         of two, a length the theorem covers; numpy.fft's pocketfft computes
         these real transforms by radix-4 and radix-2 passes (a radix-4
         butterfly is two radix-2 levels in exact arithmetic), and the theorem
-        is taken for them, not proved.  A stack's transforms run row by row
-        on the same plan of length m; their bits can differ from a lone
-        row's (rounding only), and the theorem is taken for each row alike,
-        again not proved.  The convolution is
+        is taken for them, not proved.  The convolution is
         ``F^-1(Fh . Fb)`` with ``||Fx||_2 = sqrt(m) ||x||_2`` and
         ``||Fx||_inf <= ||x||_1``.  The error of ``Fh`` meets ``Fb`` and costs
         ``phi ||h||_2 ||b||_1``; the error of ``Fb`` meets ``Fh`` and costs
@@ -620,11 +610,10 @@ class FFTPlan(_Record):
 
         The input is scaled once, ``a = values / 2**e_a``, and each term's
         ``E a`` is formed once over all K columns.  A tile-term's b is the
-        slice of it over the tile's columns: copied into its stack's row when
-        stacked, read in place when alone, and a new array only where the
-        shift guard below fires.  A tile that is the whole block (a one-tile
-        plan's) takes b, the row factor and the image whole, with no view.
-        The atoms read the same ``a``.
+        slice of it over the tile's columns, read in place, and a new array
+        only where the shift guard below fires.  A tile that is the whole
+        block (a one-tile plan's) takes b, the row factor and the image whole,
+        with no view.  The atoms read the same ``a``.
         """
         K = len(values)
         if K != self.n_cols:
@@ -636,8 +625,6 @@ class FFTPlan(_Record):
         e_a = math.frexp(max(values.max(), -low))[1]
         a = np.ldexp(values, -e_a)
         products = [a * col if col.strides[0] or col[0] != 1.0 else a for _, col, _ in self.terms]
-        # id(stack) -> (stack, its tile-terms' reversed b as rows, their (i, n, k, row, shift, image rows)).
-        batches = {}
         for rows, cols, m, terms in self.tiles:
             n, k = rows.stop - rows.start, cols.stop - cols.start
             # A tile that is the whole block reads E a, the row factor and the image whole, through no view.
@@ -661,28 +648,10 @@ class FFTPlan(_Record):
                     if math.frexp(reach * b_1)[1] + e > 1000:
                         shift = e
                         b = np.ldexp(b, -shift)
-                if type(segment) is tuple:
-                    stack, i = segment
-                    if id(stack) not in batches:
-                        batches[id(stack)] = stack, np.zeros((len(stack), m)), []
-                    _, inputs, members = batches[id(stack)]
-                    # b sits at the row's end, so the row read backwards is b reversed and padded.
-                    inputs[i, m - k :] = b
-                    members.append((i, n, k, row, shift, into))
-                    continue
                 if m:
                     c = row * irfft(segment * rfft(b[::-1], m), m)[k - 1 : k - 1 + n]
                 else:
                     c = row * (segment @ b)
-                into += np.ldexp(c, shift) if shift else c
-        for stack, inputs, members in batches.values():
-            m = inputs.shape[1]
-            spectra = rfft(inputs[:, ::-1], m)
-            # In a lone row's operand order: complex products are not commutative bit for bit.
-            np.multiply(stack, spectra, out=spectra)
-            ys = irfft(spectra, m)
-            for i, n, k, row, shift, into in members:
-                c = row * ys[i, k - 1 : k - 1 + n]
                 into += np.ldexp(c, shift) if shift else c
         c0, c1 = self.c0, self.c1
         a_1 = 0.0
@@ -867,9 +836,9 @@ def _build_plan(mu: Measure, n_rows: int, n_cols: int, tiled: bool | None = None
     laid out as plans, with each tile-term's Hankel factor h in its
     segment's place, and spectra are taken only for the tiling
     :func:`fft_plan` picks at its all-ones probe, or for ``tiled`` when it
-    is not None: one ``rfft`` per tile-term, copied into its row of its
-    length's stack (:class:`FFTPlan`).  Every array is read-only, and its
-    bytes count once; a zero-stride constant counts none.
+    is not None: one ``rfft`` per FFT tile-term, an array of its own
+    (:class:`FFTPlan`).  Every array is read-only, and its bytes count once;
+    a zero-stride constant counts none.
     """
     c0, c1 = mu.atom_at(0.0), mu.atom_at(1.0)
     if not n_cols:
@@ -903,37 +872,15 @@ def _build_plan(mu: Measure, n_rows: int, n_cols: int, tiled: bool | None = None
         )
         tiled = not one <= _ONE_TILE_BOUND_RATIO * split
     nbytes = sum(x.nbytes for row, col, _ in factors for x in (row, col) if x.strides[-1])
-    # Each length's Hankel factors in tile and term order, stacked in chunks of at most
-    # _APPLY_BLOCK_ELEMENTS // m rows, each segment (stack, row); a chunk of one keeps its own rfft array.
-    lengths = {}
-    for _, _, m, tile_terms in candidates[tiled].tiles:
-        if m:
-            lengths.setdefault(m, []).extend(h for h, *_ in tile_terms)
-    spectra = {}
-    for m, hs in lengths.items():
-        per = max(1, _APPLY_BLOCK_ELEMENTS // m)
-        for chunk in (hs[i : i + per] for i in range(0, len(hs), per)):
-            if len(chunk) == 1:
-                stack = rfft(chunk[0], m)
-            else:
-                stack = np.empty((len(chunk), m // 2 + 1), dtype=np.complex128)
-                for i, h in enumerate(chunk):
-                    stack[i] = rfft(h, m)
-            stack.flags.writeable = False
-            nbytes += stack.nbytes
-            spectra.setdefault(m, []).extend([stack] if len(chunk) == 1 else ((stack, i) for i in range(len(chunk))))
-    spectra = {m: iter(rows) for m, rows in spectra.items()}
     tiles = []
     for r, c, m, tile_terms in candidates[tiled].tiles:
-        segments = []
-        for h, *_ in tile_terms:
-            if m:
-                segments.append(next(spectra[m]))
-                continue
-            segments.append(as_strided(h, (r.stop - r.start, c.stop - c.start), h.strides * 2).copy())
-            segments[-1].flags.writeable = False
-            nbytes += segments[-1].nbytes
-        tiles.append((r, c, m, tuple((s, *hs) for (_, *hs), s in zip(tile_terms, segments))))
+        shape, held = (r.stop - r.start, c.stop - c.start), []
+        for h, *hs in tile_terms:
+            segment = rfft(h, m) if m else as_strided(h, shape, h.strides * 2).copy()
+            segment.flags.writeable = False
+            nbytes += segment.nbytes
+            held.append((segment, *hs))
+        tiles.append((r, c, m, tuple(held)))
     row_max = tuple(float(row.max()) for row, _, _ in factors)
     return FFTPlan(n_rows, n_cols, terms, tuple(tiles), c0, c1), nbytes, row_max
 

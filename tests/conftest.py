@@ -55,11 +55,12 @@ MIXED_CORPUS = (
     Measure((), ()),
 )
 
-# Two Jacobi terms plus an interior atom at 0.3, the benchmark's mix-atom shape.
-MIX_ATOM = Measure((JacobiTerm(1.0, -0.5, 0.25), JacobiTerm(0.5, 0.5, -0.25)), (Atom(0.3, 0.4),))
+# Two Jacobi terms, the benchmark's mix2, and with an interior atom at 0.3 its mix-atom shape.
+MIX2 = Measure((JacobiTerm(1.0, -0.5, 0.25), JacobiTerm(0.5, 0.5, -0.25)), ())
+MIX_ATOM = Measure(MIX2.jacobi_terms, (Atom(0.3, 0.4),))
 
-# The README's two-term measure: its picked plan at N = 300 is tiled, and its
-# tile-terms stack at transform lengths 256 and 512.
+# The README's two-term measure: its picked plan at N = 300 is tiled, with
+# several tile-terms at each of the transform lengths 256 and 512.
 TWO_TERMS = Measure(
     (
         JacobiTerm(2.008275636674005, 1.4819280638927523, -0.15411454766890031),

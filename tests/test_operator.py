@@ -34,7 +34,7 @@ from genhilbert import (
 )
 from genhilbert import certify, operator
 from genhilbert.operator import fft_plan
-from conftest import MIX_ATOM, MIXED_CORPUS, TWO_TERMS, random_interior_measure
+from conftest import MIX2, MIX_ATOM, MIXED_CORPUS, TWO_TERMS, random_interior_measure
 
 
 def naive_hilbert_apply(values: np.ndarray, n_rows: int) -> np.ndarray:
@@ -478,16 +478,6 @@ def test_tile_cover_is_an_exact_partition():
         _assert_exact_partition(n_rows, n_cols)
 
 
-def _spectrum(segment) -> np.ndarray:
-    """A tile-term's spectrum or dense matrix: row i of its stack when the segment is ``(stack, i)``."""
-    return segment[0][segment[1]] if type(segment) is tuple else segment
-
-
-def _holder(segment) -> np.ndarray:
-    """The array that holds a tile-term's spectrum or dense matrix: its stack, or the segment itself."""
-    return segment[0] if type(segment) is tuple else segment
-
-
 def _plan_bytes(plan) -> bytes:
     """Every number a plan holds, as bytes."""
     parts = [repr((plan.n_rows, plan.n_cols, plan.c0, plan.c1))]
@@ -496,7 +486,7 @@ def _plan_bytes(plan) -> bytes:
     for rows, cols, m, terms in plan.tiles:
         parts.append(repr((rows, cols, m)))
         for segment, *norms in terms:
-            parts += [repr(norms), _spectrum(segment).tobytes()]
+            parts += [repr(norms), segment.tobytes()]
     return b"".join(part.encode() if isinstance(part, str) else part for part in parts)
 
 
@@ -616,9 +606,9 @@ def test_a_measure_whose_unit_multiple_leaves_the_range_gets_its_own_plan(monkey
 
 
 def _held_bytes(plan) -> int:
-    """Bytes of the distinct arrays a plan holds, each base array once: the factors, unless constant, and every stack or segment."""
+    """Bytes of the distinct arrays a plan holds, each base array once: the factors, unless constant, and every segment."""
     arrays = [x for row, col, _ in plan.terms for x in (row, col) if x.strides[0]]
-    arrays += [_holder(segment) for *_, terms in plan.tiles for segment, *_ in terms]
+    arrays += [segment for *_, terms in plan.tiles for segment, *_ in terms]
     bases = {}
     for x in arrays:
         while isinstance(x.base, np.ndarray):
@@ -688,7 +678,7 @@ def test_memo_arrays_are_read_only(monkeypatch):
     assert [plan for plan, _, _ in operator._plan_memo.values()] == plans[:1]
     for plan in plans:
         held = [x for row, col, _ in plan.terms for x in (row, col)]
-        held += [_holder(segment) for *_, terms in plan.tiles for segment, *_ in terms]
+        held += [segment for *_, terms in plan.tiles for segment, *_ in terms]
         for x in held:
             with pytest.raises(ValueError, match="read-only"):
                 x[0] = 0.0
@@ -755,9 +745,6 @@ def test_fft_apply_rejects_interior_atoms(delta_half):
         fft_plan(delta_half, 4, 4).apply(SequenceVector(np.ones(4)), 2.0)
 
 
-MIX2 = Measure((JacobiTerm(1.0, -0.5, 0.25), JacobiTerm(0.5, 0.5, -0.25)), ())
-
-
 def _count_norms(monkeypatch):
     calls, norms_1_2 = [0], operator._norms_1_2
 
@@ -819,10 +806,8 @@ def test_the_transposed_plan_of_a_zero_column_block_gives_the_empty_image(mu):
 def test_image_is_applys_image_where_the_shift_guard_fires(coeff, monkeypatch):
     # The transposed two-term plan of test_fft_image_near_the_float64_limit:
     # its b carries the coefficient, and the transforms run on b / 2**e.
-    # Its two terms share one stack, so the guard fires inside a batch.
     mu = Measure((JacobiTerm(1.0, 0.0, 0.0), JacobiTerm(coeff, 0.5, 0.0)), ())
     plan = fft_plan(mu, 4096, 4096).transposed()
-    assert all(type(segment) is tuple for _, _, _, terms in plan.tiles for segment, *_ in terms)
     shifted, ldexp = [], np.ldexp
 
     def recorded_ldexp(x, e, *args, **kwargs):
@@ -842,55 +827,44 @@ def test_image_is_applys_image_where_the_shift_guard_fires(coeff, monkeypatch):
 
 
 def _per_tile_term_image(plan, values):
-    """``plan``'s image of ``values`` from one transform pair per tile-term, and the largest row of summed magnitudes.
+    """``plan``'s image of ``values`` from one transform pair per tile-term, with no shift guard.
 
     Each tile-term runs alone, and the rows add in the plan's tile and term
-    order, the atoms last; the magnitudes are those of the contributions,
-    before they cancel.
+    order, the atoms last.
     """
     e_a = math.frexp(np.abs(values).max())[1]
-    out, magnitude = np.zeros(plan.n_rows), np.zeros(plan.n_rows)
+    out = np.zeros(plan.n_rows)
     for rows, cols, m, terms in plan.tiles:
         n, k = rows.stop - rows.start, cols.stop - cols.start
         for (segment, *_), (row, col, _) in zip(terms, plan.terms):
             b = np.ldexp(values[cols], -e_a) * col[cols]
             if m:
-                c = row[rows] * np.fft.irfft(_spectrum(segment) * np.fft.rfft(b[::-1], m), m)[k - 1 : k - 1 + n]
+                c = row[rows] * np.fft.irfft(segment * np.fft.rfft(b[::-1], m), m)[k - 1 : k - 1 + n]
             else:
                 c = row[rows] * (segment @ b)
             out[rows] += c
-            magnitude[rows] += np.abs(c)
     a = np.ldexp(values, -e_a)
     out += plan.c0 * a[0]
     out[0] += plan.c1 * a.sum()
-    magnitude += abs(plan.c0 * a[0])
-    magnitude[0] += abs(plan.c1 * a.sum())
     if values.min() >= 0.0:
         np.maximum(out, 0.0, out=out)
-    return np.ldexp(out, plan.scale + e_a), math.ldexp(magnitude.max(), plan.scale + e_a)
+    return np.ldexp(out, plan.scale + e_a)
 
 
-def test_stacked_image_within_4u_of_single_transforms():
-    # A stack transforms its rows together, and its rows add after the lone
-    # tile-terms': only rounding moves, by at most 4 u of the largest row.
+def test_image_equals_single_transforms_bit_for_bit():
+    # Tiled plans with several tile-terms per transform length, one-tile
+    # plans with two terms, and endpoint atoms: each tile-term transforms
+    # alone, so the image has the bits of _per_tile_term_image, forward and
+    # transposed, on nonnegative and signed input.
     rng = np.random.default_rng(2802)
-    for mu, size in ((TWO_TERMS, 300), (MIXED_CORPUS[1], 2048), (MIX2, 1024), (MIXED_CORPUS[7], 700)):
+    cases = ((TWO_TERMS, 300), (MIXED_CORPUS[1], 2048), (MIX2, 1024), (MIXED_CORPUS[7], 700), (TWO_TERMS, 1 << 14))
+    for mu, size in cases:
         plan = fft_plan(mu, size, size)
         for q in (plan, plan.transposed()):
             for low in (0.0, -1.0):
                 values = rng.uniform(low, 1.0, size)
-                want, largest = _per_tile_term_image(q, values)
-                assert np.abs(q.image(values) - want).max() <= 4 * 2.0**-53 * largest, (mu, size, low)
-
-
-def _stacks(plan):
-    """The arrays that hold ``plan``'s spectra, each once: a stack, or a spectrum alone."""
-    held = {}
-    for _, _, m, terms in plan.tiles:
-        for segment, *_ in terms:
-            if m:
-                held[id(_holder(segment))] = _holder(segment)
-    return list(held.values())
+                want = _per_tile_term_image(q, values)
+                assert q.image(values).tobytes() == want.tobytes(), (mu, size, q is plan, low)
 
 
 @pytest.mark.parametrize(
@@ -901,33 +875,18 @@ def _stacks(plan):
 def test_each_spectrum_is_held_once(mu, size, monkeypatch):
     monkeypatch.setattr(operator, "_plan_memo", OrderedDict())
     plan = fft_plan(mu, size, size)
-    stacks = _stacks(plan)
-    lengths, rows = {}, set()
-    for _, _, m, terms in plan.tiles:
-        for segment, *_ in terms:
-            if m:
-                lengths[m] = lengths.get(m, 0) + 1
-                if type(segment) is tuple:
-                    stack, i = segment
-                    assert stack.ndim == 2 and 0 <= i < len(stack) and (id(stack), i) not in rows
-                    rows.add((id(stack), i))
-                assert np.shares_memory(_spectrum(segment), _holder(segment))
-    # Every row of every stack is one tile-term's spectrum.
-    assert len(rows) == sum(len(s) for s in stacks if s.ndim == 2)
-    # Per length, the fewest stacks of at most _APPLY_BLOCK_ELEMENTS // m rows (at least one).
-    for m, count in lengths.items():
-        per = max(1, operator._APPLY_BLOCK_ELEMENTS // m)
-        sizes = sorted(len(s) if s.ndim == 2 else 1 for s in stacks if s.shape[-1] == m // 2 + 1)
-        assert sum(sizes) == count and len(sizes) == -(-count // per) and max(sizes) <= per, (m, sizes)
-    assert all(not stack.flags.writeable and (stack.ndim == 1 or len(stack) > 1) for stack in stacks)
-    # The stacks hold the spectra and nothing more; the memo counts each byte once.
-    spectra = sum(_spectrum(segment).nbytes for _, _, m, terms in plan.tiles if m for segment, *_ in terms)
-    assert sum(stack.nbytes for stack in stacks) == spectra
+    # Each FFT tile-term's spectrum is a read-only 1-D array of its own, of length m // 2 + 1.
+    spectra = [(m, segment) for _, _, m, terms in plan.tiles if m for segment, *_ in terms]
+    for m, segment in spectra:
+        assert segment.shape == (m // 2 + 1,) and segment.dtype == np.complex128, m
+        assert segment.base is None and not segment.flags.writeable
+    assert len({id(segment) for _, segment in spectra}) == len(spectra) > 0
+    # The memo counts each byte once.
     (held,) = [nbytes for _, nbytes, _ in operator._plan_memo.values()]
     assert held == _held_bytes(plan)
     # The transpose shares them.
     assert all(
-        _holder(s) is _holder(t)
+        s is t
         for (*_, m, terms), (*_, t_terms) in zip(plan.tiles, plan.transposed().tiles)
         if m
         for (s, *_), (t, *_) in zip(terms, t_terms)
@@ -942,12 +901,11 @@ def test_each_spectrum_is_held_once(mu, size, monkeypatch):
     ],
     ids=["lebesgue@64", "lebesgue@4096", "two-terms@300", "t(1-t)dt@2048", "t(1-t)dt@4096", "t(1-t)dt+atoms@700"],
 )
-def test_pickled_and_copied_plans_keep_their_stacks_and_images(mu, size, monkeypatch):
-    # One-tile plans whose spectrum pickles as a buffer of its own, and tiled
-    # plans with stacks: a pickled (protocol 4 or 5) or deep-copied plan
-    # holds each factor and each stack once, as the plan does (t(1-t)dt's
-    # tiled plan at 4096: 0.387 MB of distinct arrays), and its images,
-    # bounds and transposed images keep their bits.
+def test_pickled_and_copied_plans_keep_their_segments_and_images(mu, size, monkeypatch):
+    # One-tile and tiled plans: a pickled (protocol 4 or 5) or deep-copied
+    # plan holds each factor and each segment once, as the plan does
+    # (t(1-t)dt's tiled plan at 4096: 0.387 MB of distinct arrays), and its
+    # images, bounds and transposed images keep their bits.
     monkeypatch.setattr(operator, "_plan_memo", OrderedDict())
     rng = np.random.default_rng(2804)
     plan = fft_plan(mu, size, size)
@@ -957,7 +915,8 @@ def test_pickled_and_copied_plans_keep_their_stacks_and_images(mu, size, monkeyp
     twins = [pickle.loads(pickle.dumps(plan, protocol)) for protocol in (4, 5)]
     for twin in twins + [copy.deepcopy(plan)]:
         assert _plan_bytes(twin) == _plan_bytes(plan) and _held_bytes(twin) == held
-        assert [s.shape for s in _stacks(twin)] == [s.shape for s in _stacks(plan)]
+        shapes = [[s.shape for *_, terms in q.tiles for s, *_ in terms] for q in (twin, plan)]
+        assert shapes[0] == shapes[1]
         for q, t in ((plan, twin), (plan.transposed(), twin.transposed())):
             for v in values:
                 assert t.image(v).tobytes() == q.image(v).tobytes()
@@ -989,6 +948,44 @@ def test_pickled_and_copied_plans_keep_their_constant_factors_at_zero_stride(mu,
                 for p in (1.0, 2.0):
                     (y, bound), (want, want_bound) = t.apply(SequenceVector(v), p), q.apply(SequenceVector(v), p)
                     assert (y.values.tobytes(), bound) == (want.values.tobytes(), want_bound)
+
+
+@pytest.mark.slow
+def test_fft_images_equal_applys_and_single_transforms_bit_for_bit_up_to_65536():
+    # Tiled plans with several tile-terms per transform length from m = 512
+    # up, forward and transposed: the image has the bits of apply's and of
+    # _per_tile_term_image's, and so lies within apply's stated bound of it.
+    rng = np.random.default_rng(2804)
+    for mu in (MIXED_CORPUS[1], TWO_TERMS):
+        for size in (4096, 16384, 65536):
+            plan = fft_plan(mu, size, size)
+            for q in (plan, plan.transposed()):
+                for low in (0.0, -1.0):
+                    values = rng.uniform(low, 1.0, size)
+                    image = q.image(values)
+                    want = _per_tile_term_image(q, values)
+                    assert image.tobytes() == want.tobytes(), (mu, size, q is plan, low)
+                    for p in (1.0, 2.0, 3.0):
+                        y, bound = q.apply(SequenceVector(values), p)
+                        assert image.tobytes() == y.values.tobytes(), (mu, size, q is plan, low, p)
+                        assert lp_norm(image - want, p) <= bound, (mu, size, q is plan, low, p)
+
+
+@pytest.mark.slow
+def test_pickled_tiled_plan_at_65536_holds_as_many_bytes_and_keeps_its_images_and_bounds():
+    # Each factor and each spectrum travels once: 5.30 MB before and after the round trip.
+    size = 1 << 16
+    plan = fft_plan(MIXED_CORPUS[1], size, size)
+    twin = pickle.loads(pickle.dumps(plan, 5))
+    assert len(plan.tiles) > 1 and _held_bytes(twin) == _held_bytes(plan)
+    rng = np.random.default_rng(3001)
+    for q, t in ((plan, twin), (plan.transposed(), twin.transposed())):
+        for low in (0.0, -1.0):
+            values = rng.uniform(low, 1.0, size)
+            assert t.image(values).tobytes() == q.image(values).tobytes(), (q is plan, low)
+            for p in (1.0, 2.0, 3.0):
+                (y, bound), (want, want_bound) = (r.apply(SequenceVector(values), p) for r in (t, q))
+                assert (y.values.tobytes(), bound) == (want.values.tobytes(), want_bound), (q is plan, low, p)
 
 
 # ------------------------------------------------------------- propagation
