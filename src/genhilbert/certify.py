@@ -322,6 +322,7 @@ class _Block:
 
         def entry(nu: Measure) -> tuple:
             # nu is 2**-e mu (_cached tries nu, then mu itself), and the loop's operand is 2**-scale mu's.
+            # Where nu is not mu itself, e is _binary_scale's, and 0 when nu is mu's equal twin held there.
             sigma, scale = self._lanczos(tol)
             sigma = _ldexp(sigma, scale - (0 if nu is self.mu else _binary_scale(self.mu)[1]))
             return sigma, 0, (sigma,)

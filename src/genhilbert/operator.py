@@ -133,15 +133,20 @@ def _scaled(x: np.ndarray) -> tuple[np.ndarray, float, int]:
     The division is exact and keeps the quotient's squares in range, so
     ``2**e`` times the norm is ``||x||_2`` to within the norm's own rounding.
     """
-    e = math.frexp(float(np.abs(x).max()))[1]
+    e = math.frexp(max(x.max(), -x.min()))[1]
     x = np.ldexp(x, -e)
     return x, math.sqrt(x.dot(x)), e
 
 
 def _norms_1_2(x: np.ndarray) -> tuple[float, float, int]:
-    """``||x||_1`` and ``||x||_2`` in units of 2**e, the power of two above max |x|, and e (:func:`_scaled`)."""
-    x, norm_2, e = _scaled(x)
-    return float(np.abs(x).sum()), norm_2, e
+    """``||x||_1`` and ``||x||_2`` in units of 2**e, the power of two above max |x|, and e (:func:`_scaled`).
+
+    x's extremes give e, and when none is negative, x/2**e is its own magnitude and is summed as it is.
+    """
+    low = x.min()
+    e = math.frexp(max(x.max(), -low))[1]
+    x = np.ldexp(x, -e)
+    return float((x if low >= 0.0 else np.abs(x)).sum()), math.sqrt(x.dot(x)), e
 
 
 def _row_series_block(rows, t, values) -> np.ndarray:
@@ -596,17 +601,21 @@ class FFTPlan(_Record):
         """
         p = validate_p(p)
         norms = []
-        out, e_a, atoms = self._image(a.values, norms)
+        out, e_a, atoms = self._image(a.values, norms, a.nonneg)
         return SequenceVector(out), _ldexp(_stated_bound(self, norms, atoms, p), self.scale + e_a)
 
     # An image beyond the float64 range is inf, with no warning.
     @np.errstate(over="ignore")
-    def _image(self, values: np.ndarray, norms: list | None) -> tuple[np.ndarray, int, tuple[float, float]]:
+    def _image(
+        self, values: np.ndarray, norms: list | None, nonneg: bool = False
+    ) -> tuple[np.ndarray, int, tuple[float, float]]:
         """``(y, e_a, (|a[0]|, ||a||_1))``: the image y of ``values``, 2**e_a the power of two above ``max |a|``, and a's norms in units of it.
 
         When ``norms`` is a list, each tile-term's b norms
         (:func:`_norms_1_2`) are appended to it in the plan's order, as
-        :func:`_stated_bound` reads them.
+        :func:`_stated_bound` reads them.  ``nonneg`` says that no value is
+        negative (:class:`SequenceVector`'s field), and then the values'
+        minimum is not read; otherwise it is.
 
         The input is scaled once, ``a = values / 2**e_a``, and each term's
         ``E a`` is formed once over all K columns.  A tile-term's b is the
@@ -621,7 +630,7 @@ class FFTPlan(_Record):
         out = np.zeros(self.n_rows)
         if not (K and self.n_rows):
             return out, 0, (0.0, 0.0)
-        low = values.min()
+        low = 0.0 if nonneg else values.min()
         e_a = math.frexp(max(values.max(), -low))[1]
         a = np.ldexp(values, -e_a)
         products = [a * col if col.strides[0] or col[0] != 1.0 else a for _, col, _ in self.terms]
@@ -794,30 +803,48 @@ def _cached(mu: Measure, shape: tuple, build):
     recently used go first while the memo holds more; one over the budget
     is never kept and lives as long as its caller holds it.  A call that
     raises leaves the memo unchanged.
+
+    A hit costs the same however many entries the memo holds: it only
+    becomes the newest entry.  Only a kept build sums the held bytes and
+    evicts, since summing reads every entry and so hashes every key.
     """
     for nu, e in (_binary_scale(mu), (mu, 0)):
         key = (nu, *shape)
-        try:
-            value, held, tops = entry = _plan_memo.get(key) or build(nu)
-        except ValueError:
-            if not e:
-                raise
-            continue
-        if not e or all(_ldexp(top, e) < math.inf for top in tops):
+        entry = _plan_memo.get(key)
+        hit = entry is not None
+        if not hit:
+            try:
+                entry = build(nu)
+            except ValueError:
+                if not e:
+                    raise
+                continue
+        if not e or all(_ldexp(top, e) < math.inf for top in entry[2]):
             break
-    if held <= _PLAN_MEMO_BYTES:
-        _plan_memo[key] = entry
+    value, held, _ = entry
+    if hit:
         _plan_memo.move_to_end(key)
+    elif held <= _PLAN_MEMO_BYTES:
+        _plan_memo[key] = entry
         while sum(nbytes for _, nbytes, _ in _plan_memo.values()) > _PLAN_MEMO_BYTES:
             _plan_memo.popitem(last=False)
     return value, e
 
 
+#: Binary scalings (_binary_scale) kept per process, least recently used
+#: out first.  Each holds two small measure records, and a sweep reads a
+#: handful of measures, so the bound only caps memory.
+_BINARY_SCALES = 128
+
+
+@lru_cache(maxsize=_BINARY_SCALES)
 def _binary_scale(mu: Measure) -> tuple[Measure, int]:
     """``(nu, e)`` with ``mu = 2**e * nu`` exactly and nu's first coefficient or mass in [1, 2).
 
     e is 0, and nu is ``mu``, when ``mu`` has no weight or a weight of nu
-    would leave the normal float64 range.
+    would leave the normal float64 range.  The pair is held per measure
+    (``_BINARY_SCALES``), and a measure equal to one held gets that one's
+    pair: with e = 0, its nu may be an equal twin of ``mu``, not ``mu`` itself.
     """
     exponents = [math.frexp(w)[1] for w in [t.coeff for t in mu.jacobi_terms] + [a.mass for a in mu.atoms]]
     e = exponents[0] - 1 if exponents else 0

@@ -804,6 +804,69 @@ def test_a_plan_and_a_section_of_one_size_are_held_apart(monkeypatch):
     assert builds == [(MIX2, 256)] and list(operator._plan_memo) == [(MIX2, 256, 256), (MIX2, 256)]
 
 
+@pytest.mark.parametrize("coeff", [1.0, 32.0])
+def test_an_equal_distinct_measure_reads_the_held_binary_scale_and_keeps_its_sigma(coeff, monkeypatch):
+    # _binary_scale holds one pair per measure, and an equal, distinct
+    # measure reads it: with e = 0 its nu is the first measure, not itself,
+    # and sigma's scale correction is 0 either way.
+    first, twin = (Measure((JacobiTerm(coeff, 1.25, 0.75),), ()) for _ in range(2))
+    assert first == twin and first is not twin
+    operator._binary_scale.cache_clear()
+    monkeypatch.setattr(operator, "_plan_memo", OrderedDict())
+    report = convergence_sweep(first, 2.0, [0.1], [256, 600])
+    nu, e = operator._binary_scale(twin)
+    assert nu is operator._binary_scale(first)[0] and (nu is first) == (e == 0) and e == math.frexp(coeff)[1] - 1
+    # Without the held sigmas, the twin's sweep runs each loop again on nu's held section or plan.
+    for key in [key for key in operator._plan_memo if key[1] == "sigma"]:
+        del operator._plan_memo[key]
+    assert convergence_sweep(twin, 2.0, [0.1], [256, 600]) == report
+    with monkeypatch.context() as cold:
+        cold.setattr(operator, "_plan_memo", OrderedDict())
+        assert report.sigma_max_series == tuple((size, p2_section_norm(twin, size)) for size in (256, 600))
+
+
+@pytest.mark.slow
+def test_a_t1mt_p2_sweep_at_2_20_builds_its_plan_once_and_leaves_the_memo_within_its_budget(monkeypatch):
+    builds = []
+    _record_calls(monkeypatch, builds, operator, "_build_plan")
+    monkeypatch.setattr(operator, "_plan_memo", OrderedDict())
+    mu = Measure((JacobiTerm(1.0, 1.0, 1.0),), ())
+    report = convergence_sweep(mu, 2.0, [0.05, 0.1], [1 << 20])
+    # The tiled plan holds 80.06 MiB, over the 64 MiB budget: the sweep's block keeps it, the memo does not.
+    held = sum(nbytes for _, nbytes, _ in operator._plan_memo.values())
+    assert [args[1:] for args in builds] == [(1 << 20, 1 << 20)], report.sigma_max_series
+    assert held <= operator._PLAN_MEMO_BYTES
+
+
+@pytest.mark.slow
+def test_a_mix_atom_section_is_held_once_per_process_and_none_over_the_memo_budget(monkeypatch):
+    # Two Jacobi terms plus an interior atom at 0.3, the benchmark's mix-atom shape.
+    entries = []
+    entry_block = kernel.entry_block
+
+    def counted(mu, n, k):
+        out = entry_block(mu, n, k)
+        entries.append(out.size)
+        return out
+
+    monkeypatch.setattr(kernel, "entry_block", counted)
+    monkeypatch.setattr(operator, "entry_block", counted)
+    monkeypatch.setattr(operator, "_plan_memo", OrderedDict())
+    for size in (1024, 4096):
+        built, reports = [], []
+        for _ in range(2):
+            entries.clear()
+            reports.append(report_to_json(convergence_sweep(MIX_ATOM, 2.0, [0.05, 0.3], [size])))
+            built.append(sum(entries))
+        # A section's key is (nu, N); a plan's is (nu, N, K); a held sigma's (nu, "sigma", N, tol, dense, cap).
+        held = [key[1:] for key in operator._plan_memo]
+        sections = [key for key in held if len(key) == 1]
+        sigmas = [key[1] for key in held if key[0] == "sigma"]
+        assert reports[0] == reports[1] and sections == [(1024,)] and sigmas[-1] == size, (size, held)
+        # 1024^2 float64 is 8 MiB and stays held; 4096^2 is 128 MiB, over the 64 MiB budget.
+        assert built == ([size * size, 0] if size == 1024 else [size * size] * 2), (size, built)
+
+
 CORPUS_NAMES = (
     "lebesgue", "t(1-t)dt", "0.5t^-0.5(1-t)^0.25dt", "delta_1/2", "dt+atoms", "t^2dt+5delta_1", "dt+2delta_0",
     "t(1-t)dt+delta_0+delta_1", "zero",

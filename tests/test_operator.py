@@ -94,6 +94,46 @@ def test_lp_norm_rejects_p_below_one():
         lp_norm([1.0], 0.5)
 
 
+def _magnitude_norms(x):
+    """``_scaled`` and ``_norms_1_2`` written through ``np.abs``: ``(x / 2**e, ||.||_2, e)`` and ``||x / 2**e||_1``."""
+    e = math.frexp(float(np.abs(x).max()))[1]
+    x = np.ldexp(x, -e)
+    return (x, math.sqrt(x.dot(x)), e), float(np.abs(x).sum())
+
+
+_NORM_INPUTS = {
+    "nonnegative": np.random.default_rng(37).uniform(0.0, 1.0, 300),
+    "signed": np.random.default_rng(38).uniform(-1.0, 1.0, 300),
+    "one value": np.array([-3.0]),
+    "all zero": np.zeros(17),
+    "all -0.0": np.full(9, -0.0),
+    "-0.0 among nonnegatives": np.array([-0.0, 0.0, 2.5, -0.0, 1.0]),
+    "-0.0 among signed": np.array([-0.0, -1.5, 0.0, 2.0]),
+    "subnormal nonnegative": np.array([5e-324, 2.5e-310, 0.0, 1e-315]),
+    "subnormal signed": np.array([5e-324, -2.5e-310, -0.0, 1e-315]),
+    "2^1000": np.random.default_rng(39).uniform(0.0, 1.0, 50) * 2.0**1000,
+    "2^1000 signed": np.random.default_rng(40).uniform(-1.0, 1.0, 50) * 2.0**1000,
+    "2^-1000": np.random.default_rng(41).uniform(0.0, 1.0, 50) * 2.0**-1000,
+    "2^-1000 signed": np.random.default_rng(42).uniform(-1.0, 1.0, 50) * 2.0**-1000,
+    # Scaled by 2**-1001, the subnormals underflow to +-0.0.
+    "2^1000 with subnormals": np.array([2.0**1000, 5e-324, 0.0, 3.0]),
+    "2^1000 with negative subnormals": np.array([2.0**1000, -5e-324, -1e-310, 3.0]),
+}
+
+
+@pytest.mark.parametrize("name", _NORM_INPUTS)
+def test_scaled_and_norms_1_2_keep_the_bits_of_their_magnitude_expressions(name):
+    x = _NORM_INPUTS[name]
+    (want_x, want_2, want_e), want_1 = _magnitude_norms(x)
+    got_x, got_2, got_e = operator._scaled(x)
+    assert (got_x.tobytes(), got_2.hex(), got_e) == (want_x.tobytes(), want_2.hex(), want_e)
+    got_1, got_2, got_e = operator._norms_1_2(x)
+    assert (got_1.hex(), got_2.hex(), got_e) == (want_1.hex(), want_2.hex(), want_e)
+    # A zero-stride constant, as a plan's unit factor is, and its tile slices.
+    constant = np.broadcast_to(x[-1], 64)
+    assert operator._norms_1_2(constant[5:40]) == operator._norms_1_2(np.full(35, x[-1]))
+
+
 # ---------------------------------------------------------------- row series
 
 
@@ -603,6 +643,30 @@ def test_a_measure_whose_unit_multiple_leaves_the_range_gets_its_own_plan(monkey
     assert plan.scale == 0 and list(operator._plan_memo) == [(mu, 300, 170)]
     _assert_same_applies(plan, operator._build_plan(mu, 300, 170)[0], np.random.default_rng(3))
     assert fft_plan(mu, 300, 170).tiles is plan.tiles
+
+
+def test_a_memo_hit_hashes_as_many_measures_however_many_entries_are_held(monkeypatch):
+    # A hit only becomes the memo's newest entry: it sums no bytes, so it
+    # hashes no key but its own.
+    hashes, measure_hash = [0], Measure.__hash__
+
+    def counted(mu):
+        hashes[0] += 1
+        return measure_hash(mu)
+
+    def hit_hashes(others):
+        monkeypatch.setattr(operator, "_plan_memo", OrderedDict())
+        plan = fft_plan(LEBESGUE, 64, 64)
+        for size in range(8, 8 + others):
+            fft_plan(MIX2, size, 8)
+        with monkeypatch.context() as hashing:
+            hashing.setattr(Measure, "__hash__", counted)
+            hashes[0] = 0
+            assert fft_plan(LEBESGUE, 64, 64) is plan
+        assert len(operator._plan_memo) == others + 1 and next(reversed(operator._plan_memo)) == (LEBESGUE, 64, 64)
+        return hashes[0]
+
+    assert 0 < hit_hashes(1) == hit_hashes(40)
 
 
 def _held_bytes(plan) -> int:
