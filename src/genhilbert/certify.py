@@ -17,6 +17,7 @@ from collections import Counter
 
 import numpy as np
 
+from . import operator
 from .errors import DEFAULT_SECTION_CAP, HANKEL_CAP, ConvergenceError, _check_block
 from .kernel import _UNIT_ROUNDOFF, _entry_rtol, finite_section
 from .measure import Measure, _Record, reflected
@@ -28,7 +29,6 @@ from .operator import (
     _cached,
     _held_section,
     _ldexp,
-    _peek_section,
     _row_sums,
     _scaled,
     apply_truncated,
@@ -126,10 +126,10 @@ def lower_bound_ratio(mu: Measure, params: ExtremalParams, n_rows: int) -> float
     most the true image norm: the ratio is a certified lower bound for the
     operator norm.  The image comes from the route :class:`_Block` picks:
     its FFT plan, or on the dense route (interior atoms, or a small square
-    block) the row sums of the held section or, with interior atoms and no
-    square section held, the truncated apply.  The numerator is its computed norm
-    less the image's stated error
-    (:meth:`_Block.apply`) and the rounding of both norms
+    block) the row sums of nu's section, held once per process, or the
+    truncated apply where the block is not square or the section would not
+    fit the memo.  The numerator is its computed norm less the image's
+    stated error (:meth:`_Block.apply`) and the rounding of both norms
     (:meth:`_Block.ratio`).  The ratio scales exactly with the measure, and
     is math.inf only when it is beyond the float64 range (an unboundedness
     witness, e.g. for measures with an atom at 0).
@@ -177,32 +177,27 @@ class _Block:
     or 2^18 when :func:`~genhilbert.operator.fft_plan` picks the tiled cover
     for it, since a tiled image makes one Python pass per tile; only a block
     between the two limits builds its plan to learn the pick.  A small block
-    takes the dense route, at most 512 rows, and reads its held section for
-    every product: one BLAS product costs a few microseconds where an FFT
-    image costs tens, and the dense route's stated error is the tighter at
-    these sizes.  The plan and the section are fetched on first use and
-    kept for the ratios and sigma of one sweep size.  :meth:`apply` states
-    each route's image and its error once, and the ratios and sigma certify
-    through it (sigma on the FFT route through the plan at scale 0).
+    (at most 512 rows) takes the dense route: one BLAS product costs a few
+    microseconds where an FFT image costs tens, and the dense route's stated
+    error is the tighter at these sizes.  :meth:`apply` states each route's
+    image and its error once, and the ratios and sigma certify through it
+    (sigma on the FFT route through the plan at scale 0).
 
-    Both are kept once per process as well, in one memo
-    (:func:`~genhilbert.operator._cached`): the plan under the key
-    ``(nu, N, K)`` and the section under ``(nu, N)``, with ``mu = 2**e * nu`` exactly
-    (:func:`~genhilbert.operator._binary_scale`), read-only, and sigma and
-    the ratios run on nu's section and multiply their result by ``2**e``,
-    as :attr:`~genhilbert.operator.FFTPlan.scale` does.  sigma runs on
-    nu's plan as well, and the memo holds its result too (:meth:`sigma`).
-    If nu's largest entry times ``2**e`` leaves float64, mu's own build
-    raises mu's own range error.  A plan or section within ``_PLAN_MEMO_BYTES`` (64 MiB)
-    stays in the memo, least recently used out first; a larger one is not
-    kept and lives only as long as its block.  A small block reads its
-    section for sigma and every ratio, so a ratio-only call builds it once
-    per process.  A block with interior atoms builds a section only for
-    sigma (and :func:`convergence_sweep` at p = 2).  A square one's ratios
-    sum the rows of the section it took or of nu's held one, read by a
-    lookup that builds nothing (:func:`~genhilbert.operator._peek_section`);
-    otherwise, and on every rectangular block, they take the truncated
-    apply.  Either way a ratio has the same bits with or without a section.
+    The plan and the section are fetched on first use, kept for the block's
+    life and held once per process in one memo
+    (:func:`~genhilbert.operator._cached`): the plan under ``(nu, N, K)``
+    and the section under ``(nu, N)``, read-only, with ``mu = 2**e * nu``
+    exactly (:func:`~genhilbert.operator._binary_scale`).  sigma and the
+    ratios run on nu's section or plan and multiply their result by
+    ``2**e``, as :attr:`~genhilbert.operator.FFTPlan.scale` does, and the
+    memo holds sigma too (:meth:`sigma`).  If nu's largest entry times
+    ``2**e`` leaves float64, mu's own build raises mu's own range error.  A
+    plan or section within ``_PLAN_MEMO_BYTES`` (64 MiB) stays in the memo,
+    least recently used out first; a larger one lives only as long as its
+    block.  A dense square block reads a section for every product; one
+    over the budget takes it only for sigma or a sweep of more than one
+    product (:func:`convergence_sweep`), and otherwise streams its rows
+    (:meth:`apply`), with the same bits.
     """
 
     def __init__(self, mu: Measure, n_rows: int, n_cols: int):
@@ -239,10 +234,12 @@ class _Block:
         route y and the bound are the plan's own
         (:meth:`~genhilbert.operator.FFTPlan.apply`), and e is 0.
 
-        The dense route picks its product once: the row sums
+        The dense route on a square block takes the row sums
         (:func:`~genhilbert.operator._row_sums`) of nu's section, with e its
-        scale, on a small block, once the block took the section, or on a
-        square block while the memo holds it, and otherwise
+        scale: the one the block took, or else nu's held or newly built one
+        (:meth:`section`) when its N^2 float64 entries fit
+        ``_PLAN_MEMO_BYTES``.  A rectangular block, and a square one over the
+        budget that took no section, takes
         :func:`~genhilbert.operator.apply_truncated`, with e = 0.  Both sum
         each row in one fixed order, so they give the same y bit for bit.
         With K = n_cols and u the unit roundoff, the bound is
@@ -262,9 +259,8 @@ class _Block:
         if not self.dense:
             image, bound = self.plan().apply(a, p)
             return image.values, bound, 0, None
-        if self._section is None and self.mu.interior_atoms and self.n_rows == self.n_cols:
-            self._section = _peek_section(self.mu, self.n_rows)
-        if self._section is None and self.mu.interior_atoms:
+        # A section of N^2 float64 entries over the memo budget is not held; the budget is read per call, as _cached reads it.
+        if self._section is None and (self.n_cols != self.n_rows or 8 * self.n_rows**2 > operator._PLAN_MEMO_BYTES):
             e = 0
             product = lambda v: apply_truncated(self.mu, SequenceVector(v), self.n_rows).values
         else:
@@ -492,19 +488,18 @@ def convergence_sweep(
 
     Every size is checked against its route's cap before any work, and
     each is then one :class:`_Block` (a block between the small limits
-    builds its plan on construction).  A size's sigma comes first, so a
-    size whose Krylov loop took the dense section reuses it, and the FFT
-    plan, for every epsilon; at p = 2 a block with interior atoms takes its
-    section for the ratios even when its sigma was held.  Sections are held
-    once per process under ``(nu, N)``, plans under ``(nu, N, N)`` and
-    sigma_N under its tol and route (:meth:`_Block.sigma`),
-    ``mu = 2**e * nu``, in one memo of ``_PLAN_MEMO_BYTES`` (64 MiB), least
-    recently used out first: a later sweep of any power-of-two multiple of
-    ``mu`` builds neither again and runs no Lanczos loop while they are
-    held, and a section or plan over the budget is built once per sweep and
-    dropped with its block when the sweep returns.  So repeated p = 2 sweeps
-    in one process gain; a one-shot ``genhilbert certify`` runs one sweep
-    and gains nothing.  The values equal :func:`p2_section_norm`'s and
+    builds its plan on construction), which keeps its FFT plan or dense
+    section for its sigma and every epsilon.  A dense block that runs more
+    than one product (sigma counts as one) takes its section after sigma
+    and before the ratios, even where the section is over the memo budget,
+    so each entry is evaluated once per size.  Sections are held once per
+    process under ``(nu, N)``, plans under ``(nu, N, N)`` and sigma_N under
+    its tol and route (:meth:`_Block.sigma`), ``mu = 2**e * nu``, in one
+    memo of ``_PLAN_MEMO_BYTES`` (64 MiB), least recently used out first:
+    a later sweep of any power-of-two multiple of ``mu`` builds neither
+    again and runs no Lanczos loop while they are held, and a section or
+    plan over the budget is built once per sweep and dropped with its block
+    when the sweep returns.  The values equal :func:`p2_section_norm`'s and
     :func:`lower_bound_ratio`'s bit for bit.
     """
     eps_grid = list(eps_grid)
@@ -524,8 +519,8 @@ def convergence_sweep(
     for j, block in enumerate(blocks):
         if p == 2.0:
             sigma_series.append((block.n_rows, block.sigma(tol)))
-            if block.mu.interior_atoms:
-                block.section()
+        if block.dense and len(eps_grid) + (p == 2.0) > 1:
+            block.section()
         for c in range(j, len(cells), len(size_grid)):
             ratios[c] = block.ratio(extremal_sequence(cells[c]), p)
     return CertificationReport(

@@ -753,7 +753,9 @@ def _held_section(mu: Measure, size: int, build) -> tuple[np.ndarray, int]:
     multiple of a measure reads one section; its products with S are
     ``2**e`` times mu's, exactly while they stay in the float64 range.  On
     a miss ``build(nu, size)`` (:func:`~genhilbert.kernel.finite_section`'s
-    signature) builds it.
+    signature) builds it.  A dense square block reads it for every product
+    while its ``size**2`` float64 entries fit ``_PLAN_MEMO_BYTES``
+    (:meth:`~genhilbert.certify._Block.apply`).
     """
     return _cached(mu, (size,), lambda nu: _section_entry(build(nu, size).entries))
 
@@ -762,20 +764,6 @@ def _section_entry(section: np.ndarray) -> tuple:
     """The memo entry of a section: the section, read-only from now on, its bytes and its largest entry."""
     section.flags.writeable = False
     return section, section.nbytes, (float(section.max()),)
-
-
-def _peek_section(mu: Measure, size: int) -> tuple[np.ndarray, int] | None:
-    """``(S, e)`` as :func:`_held_section` gives it when the memo holds nu's S, else None; a lookup that builds nothing.
-
-    None too when S's largest entry times ``2**e`` leaves float64.  A hit
-    becomes the memo's newest entry, as a :func:`_cached` hit does.
-    """
-    nu, e = _binary_scale(mu)
-    entry = _plan_memo.get((nu, size))
-    if entry is None or not all(_ldexp(top, e) < math.inf for top in entry[2]):
-        return None
-    _plan_memo.move_to_end((nu, size))
-    return entry[0], e
 
 
 #: Bytes of plans and sections the memo keeps for the life of the process.

@@ -297,8 +297,8 @@ def test_ratio_without_interior_atoms_builds_no_entries(monkeypatch):
     ids=["interior-atom"],
 )
 def test_ratio_takes_the_dense_route_when_the_fft_cannot_serve(mu, size, monkeypatch):
-    # From an empty memo, which holds no section to read.
-    monkeypatch.setattr(operator, "_plan_memo", OrderedDict())
+    # From an empty memo: the ratio builds nu's section and sums its rows, with the streamed apply's bits.
+    builds = _section_builds(monkeypatch)
     params = ExtremalParams(2.0, 0.1, size)
     a = extremal_sequence(params)
     # The numerator gives up the rounding of K-term row sums and of both
@@ -308,7 +308,7 @@ def test_ratio_takes_the_dense_route_when_the_fft_cannot_serve(mu, size, monkeyp
     calls = []
     _record_calls(monkeypatch, calls, certify_module, "apply_truncated")
     assert lower_bound_ratio(mu, params, size) == dense
-    assert len(calls) == 1
+    assert calls == [] and builds == [(mu, size)]
 
 
 @pytest.mark.parametrize("mu", [MIX_ATOM, MIXED_CORPUS[1]], ids=["dense", "fft"])
@@ -342,9 +342,11 @@ def test_block_apply_image_lies_within_its_stated_bound_on_every_route(route, mo
     # a and 2**e bound its stated ell-p error, here against the long double
     # image; norm is y's ell-p norm where the dense bound took it.  No block
     # here is small enough to take the dense route without an interior atom.
-    # The streamed blocks start from an empty memo, which holds no section to read.
+    # The streamed blocks have no memo budget, so they take no section.
     monkeypatch.setattr(operator, "_plan_memo", OrderedDict())
     monkeypatch.setattr(certify_module, "_DENSE_BLOCK_ENTRIES", 0)
+    if route == "streamed":
+        monkeypatch.setattr(operator, "_PLAN_MEMO_BYTES", 0)
     rng = np.random.default_rng(2026)
     if route in ("held", "streamed"):
         measures = (MIX_ATOM, _times_power_of_two(Measure((), (Atom(0.5, 1.0),)), 40))
@@ -701,6 +703,21 @@ def _sigma_key(nu, size, tol=1e-10, dense=True):
     return (nu, "sigma", size, tol, dense, certify_module._KRYLOV_STEP_CAP)
 
 
+def _counted_entries(monkeypatch) -> list:
+    """The returned list gets the number of entries each kernel or operator ``entry_block`` call evaluates."""
+    entries = []
+    entry_block = kernel.entry_block
+
+    def counted(mu, n, k):
+        out = entry_block(mu, n, k)
+        entries.append(out.size)
+        return out
+
+    monkeypatch.setattr(kernel, "entry_block", counted)
+    monkeypatch.setattr(operator, "entry_block", counted)
+    return entries
+
+
 def _section_builds(monkeypatch) -> list:
     """Start from an empty memo; the returned list gets the arguments of each section certify builds."""
     monkeypatch.setattr(operator, "_plan_memo", OrderedDict())
@@ -726,7 +743,7 @@ def test_power_of_two_multiples_share_one_held_section(k, monkeypatch):
 
 def test_a_held_unit_section_leaves_a_multiple_its_own_range_error(monkeypatch):
     # nu's section is held; 2**1023 nu's entries near the corner sum two
-    # finite components into inf, and its own build or apply raises its own error.
+    # finite components into inf, and its own section build raises its own error.
     builds = _section_builds(monkeypatch)
     nu = Measure((JacobiTerm(1.0, 0.0, 0.0),), (Atom(0.5, 1.0),))
     mu = _times_power_of_two(nu, 1023)
@@ -737,7 +754,7 @@ def test_a_held_unit_section_leaves_a_multiple_its_own_range_error(monkeypatch):
         with pytest.raises(ValueError, match="float64 range") as error:
             call()
         assert str(error.value) == str(want.value)
-    assert builds == [(nu, 100), (mu, 100)]
+    assert builds == [(nu, 100), (mu, 100), (mu, 100)]
     assert list(operator._plan_memo) == [(nu, 100), _sigma_key(nu, 100)]
 
 
@@ -841,16 +858,7 @@ def test_a_t1mt_p2_sweep_at_2_20_builds_its_plan_once_and_leaves_the_memo_within
 @pytest.mark.slow
 def test_a_mix_atom_section_is_held_once_per_process_and_none_over_the_memo_budget(monkeypatch):
     # Two Jacobi terms plus an interior atom at 0.3, the benchmark's mix-atom shape.
-    entries = []
-    entry_block = kernel.entry_block
-
-    def counted(mu, n, k):
-        out = entry_block(mu, n, k)
-        entries.append(out.size)
-        return out
-
-    monkeypatch.setattr(kernel, "entry_block", counted)
-    monkeypatch.setattr(operator, "entry_block", counted)
+    entries = _counted_entries(monkeypatch)
     monkeypatch.setattr(operator, "_plan_memo", OrderedDict())
     for size in (1024, 4096):
         built, reports = [], []
@@ -865,6 +873,35 @@ def test_a_mix_atom_section_is_held_once_per_process_and_none_over_the_memo_budg
         assert reports[0] == reports[1] and sections == [(1024,)] and sigmas[-1] == size, (size, held)
         # 1024^2 float64 is 8 MiB and stays held; 4096^2 is 128 MiB, over the 64 MiB budget.
         assert built == ([size * size, 0] if size == 1024 else [size * size] * 2), (size, built)
+
+
+@pytest.mark.slow
+def test_a_held_sigma_equals_an_emptied_memo_s_at_every_scale_and_a_second_sweep_runs_no_lanczos_loop(monkeypatch):
+    measures = {
+        "lebesgue": LEBESGUE,
+        "mix2": MIX2,
+        "t(1-t)dt": T1MT,
+        "t^3dt": T3,
+        "mix-atom": MIX_ATOM,
+        "delta_1/2": MIXED_CORPUS[3],
+    }
+    loops = []
+    lanczos = certify_module._Block._lanczos
+    monkeypatch.setattr(certify_module._Block, "_lanczos", lambda block, tol: loops.append(None) or lanczos(block, tol))
+    for name, mu in measures.items():
+        # mix-atom's 128 MiB section at 4096 is over the memo budget and is not held; its sigma is.
+        for size in (256, 1024, 2048) + ((4096,) if name == "mix-atom" else ()):
+            monkeypatch.setattr(operator, "_plan_memo", OrderedDict())
+            sigma = p2_section_norm(mu, size)
+            for k in (-600, -3, 0, 5, 600):
+                scaled = _times_power_of_two(mu, k)
+                loops.clear()
+                warm = convergence_sweep(scaled, 2.0, [0.1], [size]).sigma_max_series[0][1]
+                assert loops == [], (name, size, k)
+                with monkeypatch.context() as cold:
+                    cold.setattr(operator, "_plan_memo", OrderedDict())
+                    fresh = p2_section_norm(scaled, size)
+                assert warm.hex() == fresh.hex() == math.ldexp(sigma, k).hex(), (name, size, k)
 
 
 CORPUS_NAMES = (
@@ -982,19 +1019,68 @@ def test_emptying_the_memo_empties_every_held_sigma(monkeypatch):
 
 def test_a_square_interior_atom_ratio_reads_a_held_section_and_keeps_its_bits(monkeypatch):
     # 711 us against about 57 us at N = 256: a ratio-only call streamed
-    # every entry although the memo held the section.
+    # every entry although the memo held the section.  With no memo budget
+    # it still streams; within it, the first call builds and holds nu's section.
     builds, truncated = _section_builds(monkeypatch), []
     _record_calls(monkeypatch, truncated, certify_module, "apply_truncated")
     for k in (0, 5, -600):
         mu = _times_power_of_two(MIX_ATOM, k)
         cells = [ExtremalParams(p, 0.5 / p, 256) for p in (1.0, 2.0, 3.0)]
+        with monkeypatch.context() as streaming:
+            streaming.setattr(operator, "_PLAN_MEMO_BYTES", 0)
+            streamed = [lower_bound_ratio(mu, params, 256) for params in cells]
+        assert len(truncated) == 3
         operator._plan_memo.clear()
-        streamed = [lower_bound_ratio(mu, params, 256) for params in cells]
-        assert len(truncated) == 3 and list(operator._plan_memo) == []
-        p2_section_norm(MIX_ATOM, 256)
         truncated.clear()
         assert [lower_bound_ratio(mu, params, 256) for params in cells] == streamed and truncated == [], k
+        assert list(operator._plan_memo) == [(MIX_ATOM, 256)]
+        p2_section_norm(MIX_ATOM, 256)
+        assert [lower_bound_ratio(mu, params, 256) for params in cells] == streamed and truncated == [], k
     assert builds == [(MIX_ATOM, 256)] * 3
+
+
+def test_a_ratio_only_call_builds_nu_s_section_once_and_later_ones_evaluate_no_entry(monkeypatch):
+    # The first call from an empty memo builds nu's section and holds it;
+    # calls at another p, or on 2**k mu, read it with the streamed bits.
+    entries, builds = _counted_entries(monkeypatch), _section_builds(monkeypatch)
+    cells = [ExtremalParams(p, 0.1, 256) for p in (1.5, 1.0, 3.0)]
+    scaled = [_times_power_of_two(MIX_ATOM, k) for k in (0, 5, -600)]
+    with monkeypatch.context() as streaming:
+        streaming.setattr(operator, "_PLAN_MEMO_BYTES", 0)
+        streamed = [[lower_bound_ratio(mu, params, 256).hex() for params in cells] for mu in scaled]
+    assert builds == [] and list(operator._plan_memo) == []
+    entries.clear()
+    assert lower_bound_ratio(MIX_ATOM, cells[0], 256).hex() == streamed[0][0]
+    assert sum(entries) == 256 * 256 and builds == [(MIX_ATOM, 256)]
+    entries.clear()
+    assert [[lower_bound_ratio(mu, params, 256).hex() for params in cells] for mu in scaled] == streamed
+    assert entries == [] and builds == [(MIX_ATOM, 256)] and list(operator._plan_memo) == [(MIX_ATOM, 256)]
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_a_dense_sweep_evaluates_each_entry_once_with_the_streamed_bits(p, monkeypatch):
+    # Each block takes its section once for every epsilon, and the ratios
+    # keep the bits of one streamed epsilon per sweep.
+    entries = _counted_entries(monkeypatch)
+    monkeypatch.setattr(operator, "_plan_memo", OrderedDict())
+    eps_grid, sizes = [0.05, 0.1, 0.2, 0.3], [256, 1024]
+    report = convergence_sweep(MIX_ATOM, p, eps_grid, sizes)
+    assert sum(entries) == sum(size * size for size in sizes)
+    monkeypatch.setattr(operator, "_PLAN_MEMO_BYTES", 0)
+    streamed = [convergence_sweep(MIX_ATOM, p, [eps], sizes).ratios for eps in eps_grid]
+    assert [row[-1].hex() for row in report.ratios] == [row[-1].hex() for rows in streamed for row in rows]
+
+
+def test_over_the_budget_a_lone_ratio_streams_and_a_sweep_builds_its_section_once(monkeypatch):
+    builds, truncated = _section_builds(monkeypatch), []
+    _record_calls(monkeypatch, truncated, certify_module, "apply_truncated")
+    monkeypatch.setattr(operator, "_PLAN_MEMO_BYTES", 256 * 256 * 8 - 1)
+    lone = lower_bound_ratio(MIX_ATOM, ExtremalParams(1.5, 0.1, 256), 256)
+    assert len(truncated) == 1 and builds == [] and list(operator._plan_memo) == []
+    truncated.clear()
+    report = convergence_sweep(MIX_ATOM, 1.5, [0.1, 0.3], [256])
+    assert truncated == [] and builds == [(MIX_ATOM, 256)] and list(operator._plan_memo) == []
+    assert report.ratios[0][-1] == lone
 
 
 def test_a_rectangular_interior_atom_ratio_takes_the_truncated_apply(monkeypatch):
