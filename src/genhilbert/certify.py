@@ -241,7 +241,9 @@ class _Block:
         ``_PLAN_MEMO_BYTES``.  A rectangular block, and a square one over the
         budget that took no section, takes
         :func:`~genhilbert.operator.apply_truncated`, with e = 0.  Both sum
-        each row in one fixed order, so they give the same y bit for bit.
+        each row by :func:`~genhilbert.operator._row_sums`, per-row BLAS
+        ``ddot`` on column chunks, in an order set by the row's length
+        alone, so they give the same y bit for bit.
         With K = n_cols and u the unit roundoff, the bound is
         ``(K u + eta) ||fl(S |a|)||_p``, where fl(S |a|) is y when ``a`` is
         nonnegative.  A row of K products sums to within

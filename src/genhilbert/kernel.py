@@ -78,6 +78,10 @@ _LOG_FACTORIALS.flags.writeable = False
 #: Relative error bound of :func:`_log_gamma`, in units of u.
 _LOG_GAMMA_RTOL = 7.0
 
+#: Target entries per row block (memory bound): of a grid in :func:`entry_block`,
+#: of the truncated matvec and of a Gauss-Jacobi rule's Aberth sums (:mod:`genhilbert.operator`).
+_APPLY_BLOCK_ELEMENTS = 1 << 18
+
 
 class FiniteSection(_Record):
     """Dense N x N leading truncation, row index n, column index k."""
@@ -292,13 +296,19 @@ def entry_block(mu: Measure, n, k) -> np.ndarray:
 
     This is the single code path behind :func:`entry`, :func:`finite_section`
     and the blocked matvec in :mod:`genhilbert.operator`; density terms take
-    their factors from :func:`jacobi_factors`, as the FFT apply does.  When
+    their factors from :func:`jacobi_factors`, as the FFT apply does.  Each
+    component's factors are computed once, over the whole index set.  When
     ``n`` is a column (R, 1) and ``k`` a row (1, C) of consecutive indices,
-    the diagonal factors are read as ``as_strided(h, (R, C), (s, s))`` with
-    ``s`` the vector's element stride, so no R x C index array is built;
-    any other indices gather one value per distinct diagonal.  Both give
-    the same bits, since each entry is the same products of the same
-    factors.  Every
+    the output is filled in row blocks of at most ``_APPLY_BLOCK_ELEMENTS``
+    entries (at least one row), and each block reads the diagonal factors
+    as ``as_strided(h[r0:], (rows, C), (s, s))`` with ``s`` the vector's
+    element stride, so no R x C index array is built; any other indices
+    are one block, which gathers one value per distinct diagonal.  In each
+    block the first component is written straight into the output and
+    every later one goes through one buffer of the block's size, then is
+    added in, so the output is the only array of the full shape.  Both
+    paths give the same bits, since each entry is the same products of the
+    same factors, summed over the components in the same order.  Every
     component's contribution is nonnegative, so the plain running sum over
     components is accurate to (m-1) ulps.  A density term whose factors leave the
     float64 range, which takes (alpha+beta+1) * ln(n+k+1) above ~708,
@@ -312,37 +322,40 @@ def entry_block(mu: Measure, n, k) -> np.ndarray:
     """
     n = _indices(n)
     k = _indices(k)
-    out = np.zeros(np.broadcast_shapes(n.shape, k.shape))
+    out = np.empty(np.broadcast_shapes(n.shape, k.shape))
     if out.size == 0:
         return out
-    buf = np.empty(out.shape)
     if _is_grid(n, k):
         # n + k = n[0] + k[0] + i + j, so a vector over the diagonals is read
-        # as an (R, C) view whose row and column strides are both one element.
-        lo = int(n[0, 0]) + int(k[0, 0])
-        d = np.arange(lo, lo + sum(out.shape) - 1, dtype=np.float64)
+        # as a (rows, C) view whose row and column strides are both one element.
+        (R, C), lo = out.shape, int(n[0, 0]) + int(k[0, 0])
+        d = np.arange(lo, lo + R + C - 1, dtype=np.float64)
+        height = max(1, _APPLY_BLOCK_ELEMENTS // C)
+        blocks = [slice(r0, min(r0 + height, R)) for r0 in range(0, R, height)]
 
-        def diagonal(h):
-            return as_strided(h, out.shape, (h.strides[0],) * 2, writeable=False)
+        def diagonal(h, rows, into):
+            return as_strided(h[rows.start :], into.shape, (h.strides[0],) * 2, writeable=False)
 
     else:
         # n + k cannot wrap in uint64; the factors read d in float64, as the
         # grid's, and a range error names the exact largest diagonal.
         d, diag = np.unique(n.astype(np.uint64) + k.astype(np.uint64), return_inverse=True)
         diag = diag.reshape(out.shape)
+        blocks = [...]  # one block: the whole output
 
-        def diagonal(h):
-            return np.take(h, diag, out=buf, mode="clip")
+        def diagonal(h, rows, into):
+            return np.take(h, diag, out=into, mode="clip")
 
-    # An upper bound on the largest entry, summed over the components below.
+    # Each component's factors, in the order the entries sum them: (diagonal
+    # vector, row part, column part, mass); an endpoint atom's vector is None
+    # and its row or column part the mask where it adds its mass.
+    parts = []
+    # An upper bound on the largest entry, summed over the components.
     bound = 0.0
     for term in mu.jacobi_terms:
         row, col, hankel = jacobi_factors(term, n, k, d)
         bound += float(row.max()) * float(col.max()) * float(hankel.max())
-        with np.errstate(over="ignore"):
-            np.multiply(diagonal(hankel), row, out=buf)
-            buf *= col
-            out += buf
+        parts.append((hankel, row, col, None))
     if mu.interior_atoms:
         _check_log_space_bound(mu, int(n.max()), int(k.max()))
         log_diag = _log_gamma(d + 1.0)
@@ -350,19 +363,36 @@ def entry_block(mu: Measure, n, k) -> np.ndarray:
         log_col = _log_gamma(k + 1.0)
     for atom in mu.atoms:
         t = atom.location
-        with np.errstate(over="ignore"):
-            if t == 0.0:
-                np.add(out, atom.mass, out=out, where=k == 0)
-            elif t == 1.0:
-                np.add(out, atom.mass, out=out, where=n == 0)
-            else:
-                np.add(diagonal(log_diag), k * math.log(t) - log_col, out=buf)
-                buf += n * math.log1p(-t) - log_row
-                np.exp(buf, out=buf)
-                buf *= atom.mass
-                out += buf
+        if t == 0.0:
+            parts.append((None, None, k == 0, atom.mass))
+        elif t == 1.0:
+            parts.append((None, n == 0, None, atom.mass))
+        else:
+            parts.append((log_diag, n * math.log1p(-t) - log_row, k * math.log(t) - log_col, atom.mass))
         # An interior atom's entry is at most mass / max(t, 1-t) <= 2 mass.
         bound += atom.mass if t in (0.0, 1.0) else 2.0 * atom.mass
+    if not parts or parts[0][0] is None:
+        # Nothing is written in place: endpoint atoms add their masses to zeros.
+        out.fill(0.0)
+    spare = np.empty(out[blocks[0]].size) if any(part[0] is not None for part in parts[1:]) else None
+    with np.errstate(over="ignore"):
+        for rows in blocks:
+            block = out[rows]
+            for i, (vector, row, col, mass) in enumerate(parts):
+                if vector is None:
+                    np.add(block, mass, out=block, where=col if row is None else row[rows])
+                    continue
+                into = spare[: block.size].reshape(block.shape) if i else block
+                if mass is None:
+                    np.multiply(diagonal(vector, rows, into), row[rows], out=into)
+                    into *= col
+                else:
+                    np.add(diagonal(vector, rows, into), col, out=into)
+                    into += row[rows]
+                    np.exp(into, out=into)
+                    into *= mass
+                if i:
+                    block += into
     if bound > 2.0**1023 and not np.isfinite(out).all():
         raise _range_error(mu, d[-1])
     return out

@@ -24,7 +24,7 @@ from numpy.fft import irfft, rfft
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import DEFAULT_SECTION_CAP, HANKEL_CAP, ConvergenceError, ResourceLimitError, _check_size
-from .kernel import _TINY, _UNIT_ROUNDOFF, _log_gamma, _term_rtol, entry_block, jacobi_factors
+from .kernel import _APPLY_BLOCK_ELEMENTS, _TINY, _UNIT_ROUNDOFF, _log_gamma, _term_rtol, entry_block, jacobi_factors
 from .measure import LEBESGUE, Atom, JacobiTerm, Measure, _Record, beta as beta_function
 from .norms import parse_sequence_csv, validate_p
 
@@ -42,9 +42,9 @@ __all__ = [
     "sequence_from_csv",
 ]
 
-# Target elements per block in the truncated matvec and in a Gauss-Jacobi
-# rule's Aberth sums (memory bound).
-_APPLY_BLOCK_ELEMENTS = 1 << 18
+# Entries per column chunk of _row_sums: at most 10000, the length above which
+# OpenBLAS 0.3.31 splits one ddot between threads and so changes its sum.
+_ROW_CHUNK = 8192
 
 # Largest Gauss-Jacobi rule used for exact polynomial integration; beyond
 # this the quadrature route falls back to compare-two-rules refinement.
@@ -255,8 +255,10 @@ def apply_truncated(mu: Measure, a: SequenceVector, n_rows: int) -> SequenceVect
 
     Exact truncation: input beyond the stored length is treated as zero.
     Rows are computed in blocks of at most ``_APPLY_BLOCK_ELEMENTS`` entries
-    (at least one row), and :func:`_row_sums` sums each row whole in one
-    fixed order, so results do not depend on the blocking.
+    (at least one row), each one :func:`~genhilbert.kernel.entry_block`
+    grid, and :func:`_row_sums` sums each row in an order fixed by its
+    length alone, so results do not depend on the blocking and equal the
+    row sums of a held section bit for bit.
     """
     _check_size(n_rows, DEFAULT_SECTION_CAP)
     k_row = np.arange(len(a))[None, :]
@@ -271,12 +273,21 @@ def apply_truncated(mu: Measure, a: SequenceVector, n_rows: int) -> SequenceVect
 def _row_sums(rows: np.ndarray, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``sum_k rows[i, k] * values[k]`` for every row i, into ``out`` when given.
 
-    ``numpy.einsum`` (no BLAS) sums each row in one fixed order, whatever
-    other rows share the call and wherever the row starts in memory, so a
-    row's sum has the same bits in a block of any height and in a held
-    section.  BLAS ``@`` does not: its sums change with the block's height.
+    ``numpy.vecdot`` calls BLAS ``ddot`` once per row, on column chunks of
+    at most ``_ROW_CHUNK`` entries whose sums are added left to right.
+    ``ddot`` sums a vector in an order set by its length alone, and a chunk
+    is too short for OpenBLAS to split it between threads, so a row's sum
+    has the same bits in a block of any height, wherever the row starts in
+    memory, in a held section and under any BLAS thread count.  A matrix
+    product ``@`` does not: its sums change with the block's height.  Any
+    order sums a row of K products to within ``gamma_K`` of the exact sum
+    of their magnitudes (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., (3.11)), the bound the dense route states.
     """
-    return np.einsum("ij,j->i", rows, values, out=out)
+    out = np.vecdot(rows[:, :_ROW_CHUNK], values[:_ROW_CHUNK], out=out)
+    for c0 in range(_ROW_CHUNK, len(values), _ROW_CHUNK):
+        out += np.vecdot(rows[:, c0 : c0 + _ROW_CHUNK], values[c0 : c0 + _ROW_CHUNK])
+    return out
 
 
 def _gauss_jacobi_integrals(term, rows, values, n_nodes):

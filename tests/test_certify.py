@@ -955,10 +955,11 @@ def test_a_held_sigma_equals_a_fresh_one_and_a_second_sweep_makes_no_lanczos_pro
 
 
 # Pinned from the loop before sigma was held: tol 1e-12 takes more steps than 1e-10.
+# delta_1/2's values rest on the order in which _row_sums sums a row.
 @pytest.mark.parametrize(
     "mu,size,want",
     [
-        (Measure((), (Atom(0.5, 1.0),)), 512, ("0x1.fe9b7be7b2bc4p+0", "0x1.fe9b7be7b4f68p+0")),
+        (Measure((), (Atom(0.5, 1.0),)), 512, ("0x1.fe9b7be7b2bc4p+0", "0x1.fe9b7be7b4f69p+0")),
         (LEBESGUE, 1024, ("0x1.38fe8a38a8119p+1", "0x1.38fe8a38a8118p+1")),
     ],
     ids=["delta_1/2@512", "lebesgue@1024"],
@@ -967,6 +968,11 @@ def test_each_tol_holds_its_own_sigma(mu, size, want, monkeypatch):
     monkeypatch.setattr(operator, "_plan_memo", OrderedDict())
     for _ in range(2):
         assert tuple(p2_section_norm(mu, size, tol).hex() for tol in (1e-10, 1e-12)) == want
+    # Independently of the pins: each sigma lies below the dense 2-norm and
+    # within its tol of it (delta_1/2's tol 1e-10 value sits 1.1e-12 below).
+    top = float(np.linalg.norm(finite_section(mu, size).entries, 2))
+    for tol, sigma in zip((1e-10, 1e-12), want):
+        assert 0.0 <= (top - float.fromhex(sigma)) / top <= tol, (tol, sigma, top)
     dense = certify_module._Block(mu, size, size).dense
     assert [key for key in operator._plan_memo if key[1] == "sigma"] == [
         _sigma_key(mu, size, tol, dense) for tol in (1e-10, 1e-12)

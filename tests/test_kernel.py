@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -26,7 +27,7 @@ from genhilbert import (
     section_to_csv,
     section_to_json,
 )
-from conftest import MIXED_CORPUS
+from conftest import MIX2, MIX_ATOM, MIXED_CORPUS
 
 # ------------------------------------------------------------------- entries
 
@@ -108,6 +109,60 @@ def test_section_is_bit_identical_to_entries():
         section = finite_section(mu, 9).entries
         for n, k in [(0, 0), (3, 7), (8, 1), (5, 5)]:
             assert section[n, k] == entry(mu, n, k)
+
+
+DENSE_ROUTE = [MIX_ATOM, MIX2, Measure((JacobiTerm(1.0, 1.0, 1.0),), ())]
+DENSE_IDS = ["mix-atom", "mix2", "t(1-t)dt"]
+
+
+def _gathered(mu, n, k):
+    """``entry_block`` of every (n_i, k_j) through the gather path: one flat index pair per entry."""
+    return entry_block(mu, np.repeat(n, len(k)), np.tile(k, len(n))).reshape(len(n), len(k))
+
+
+@pytest.mark.parametrize("mu", DENSE_ROUTE, ids=DENSE_IDS)
+@pytest.mark.parametrize("size", [1, 7, 255, 513, 1024])
+def test_a_sections_row_blocks_have_the_gather_paths_bits(mu, size):
+    # A section fills row blocks of at most _APPLY_BLOCK_ELEMENTS entries
+    # (256 rows at 1024, so 513 ends on a block of one row), the first
+    # component in place; flat indices gather every entry in one block.
+    section = finite_section(mu, size).entries
+    n = np.arange(size)
+    assert section.tobytes() == _gathered(mu, n, n).tobytes()
+    for i, j in {(0, 0), (size - 1, 0), (0, size - 1), (size - 1, size - 1), (size // 2, size // 3)}:
+        assert section[i, j] == entry(mu, i, j)
+
+
+@pytest.mark.parametrize("mu", DENSE_ROUTE, ids=DENSE_IDS)
+def test_grids_from_a_later_row_and_wider_than_a_block_have_the_gather_paths_bits(mu, monkeypatch):
+    # Entries per block, and grids of (first row, first column, rows, columns).
+    elements = kernel._APPLY_BLOCK_ELEMENTS
+    cases = [
+        (elements, [(1, 0, 7, 5), (300, 17, 600, 513), (1500, 3, 2, elements + 3)]),
+        # Rows wider than a block, one block each; then blocks of 3, 3 and 1 rows.
+        (100, [(5, 2, 9, 257)]),
+        (3 * 40 + 1, [(1, 9, 7, 40)]),
+    ]
+    for elements, grids in cases:
+        monkeypatch.setattr(kernel, "_APPLY_BLOCK_ELEMENTS", elements)
+        for n0, k0, rows, cols in grids:
+            n, k = np.arange(n0, n0 + rows), np.arange(k0, k0 + cols)
+            got = entry_block(mu, n[:, None], k[None, :])
+            assert got.tobytes() == _gathered(mu, n, k).tobytes(), (elements, n0, k0, rows, cols)
+
+
+def test_a_section_build_holds_one_block_beside_the_section():
+    # The section is the one array of its size: the first component is
+    # written into it, and each later one goes through one block of
+    # _APPLY_BLOCK_ELEMENTS entries (2 MiB).
+    finite_section(MIX_ATOM, 1024)  # the factor tables, held per process, are built outside the trace
+    tracemalloc.start()
+    try:
+        section = finite_section(MIX_ATOM, 1024).entries
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= section.nbytes + 3 * 8 * kernel._APPLY_BLOCK_ELEMENTS
 
 
 @pytest.mark.parametrize(

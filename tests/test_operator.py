@@ -2,7 +2,10 @@
 
 import copy
 import math
+import os
 import pickle
+import subprocess
+import sys
 import tracemalloc
 from collections import OrderedDict
 
@@ -15,6 +18,7 @@ from hypothesis import strategies as st
 from genhilbert import (
     Atom,
     ConvergenceError,
+    ExtremalParams,
     JacobiTerm,
     LEBESGUE,
     Measure,
@@ -23,6 +27,7 @@ from genhilbert import (
     apply_truncated,
     apply_via_quadrature,
     convergence_sweep,
+    extremal_sequence,
     finite_section,
     hankel_fast_apply,
     lp_norm,
@@ -279,6 +284,59 @@ def test_blocking_does_not_change_results(mu, K, block_rows, monkeypatch):
     monkeypatch.setattr(operator, "_APPLY_BLOCK_ELEMENTS", block_rows * K)
     blocked = apply_truncated(mu, a, 65).values
     assert blocked.tobytes() == full.tobytes()
+
+
+_CHUNK = operator._ROW_CHUNK
+
+
+@pytest.mark.parametrize("K", [1, 257, 1001, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5])
+def test_row_sums_keep_their_bits_at_any_block_height_and_row_offset(K):
+    # A row's sum depends on its length alone: alone, in a block of any
+    # height, and from each of eight element offsets (every alignment of a
+    # 64-byte line), it has the same bits, within gamma_K of the exact sum.
+    rng = np.random.default_rng(K)
+    rows = rng.random((7, K))
+    # Signed powers of two: every product is exact, so math.fsum rounds the exact sum once.
+    values = rng.choice([-1.0, 1.0], K) * np.ldexp(1.0, rng.integers(-3, 4, K))
+    alone = np.array([operator._row_sums(row[None, :], values)[0] for row in rows])
+    for height in (2, 3, 7):
+        blocked = np.concatenate([operator._row_sums(rows[r0 : r0 + height], values) for r0 in range(0, 7, height)])
+        assert blocked.tobytes() == alone.tobytes(), height
+    for offset in range(8):
+        shifted = np.empty((7, K + 8))[:, offset : offset + K]
+        shifted[...] = rows
+        moved = np.empty(K + 8)[offset : offset + K]
+        moved[...] = values
+        assert operator._row_sums(shifted, moved).tobytes() == alone.tobytes(), offset
+    gamma = K * 2.0**-53 / (1.0 - K * 2.0**-53)
+    for row, got in zip(rows, alone):
+        products = row * values
+        assert abs(got - math.fsum(products)) <= gamma * math.fsum(np.abs(products))
+
+
+def test_truncated_rows_keep_their_bits_under_any_blas_thread_count():
+    # OpenBLAS splits one ddot of more than 10000 entries between its
+    # threads; _row_sums' column chunks are shorter, so mix-atom's rows of
+    # 2^17 entries have the same bits on one BLAS thread and on two.
+    code = (
+        "import numpy as np\n"
+        "from genhilbert import Atom, JacobiTerm, Measure, SequenceVector, apply_truncated\n"
+        "mu = Measure((JacobiTerm(1.0, -0.5, 0.25), JacobiTerm(0.5, 0.5, -0.25)), (Atom(0.3, 0.4),))\n"
+        "a = SequenceVector(np.random.default_rng(17).random(1 << 17))\n"
+        "print(' '.join(v.hex() for v in apply_truncated(mu, a, 4).values.tolist()))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    printed = []
+    for threads in ("1", "2"):
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        printed.append(done.stdout.split())
+    here = apply_truncated(MIX_ATOM, SequenceVector(np.random.default_rng(17).random(1 << 17)), 4).values
+    assert printed[0] == printed[1] == [v.hex() for v in here.tolist()]
 
 
 def test_monotone_in_input_length_and_rows(lebesgue):
@@ -1050,6 +1108,18 @@ def test_pickled_tiled_plan_at_65536_holds_as_many_bytes_and_keeps_its_images_an
             for p in (1.0, 2.0, 3.0):
                 (y, bound), (want, want_bound) = (r.apply(SequenceVector(values), p) for r in (t, q))
                 assert (y.values.tobytes(), bound) == (want.values.tobytes(), want_bound), (q is plan, low, p)
+
+
+@pytest.mark.slow
+def test_quadrature_apply_agrees_with_the_truncated_apply_to_1e_7_on_mix_atom_at_1024():
+    # N = K = 1024 on the measure with an interior atom: both dense kernels
+    # (the section build's row blocks and _row_sums) against the reference route.
+    for p in (1.0, 1.5, 3.0):
+        a = extremal_sequence(ExtremalParams(p, 0.1, 1024))
+        quadrature = apply_via_quadrature(MIX_ATOM, a, 1024).values
+        truncated = apply_truncated(MIX_ATOM, a, 1024).values
+        rel = np.abs(quadrature - truncated) / np.abs(truncated)
+        assert rel.max() <= 1e-7, (p, rel.max(), int(rel.argmax()))
 
 
 # ------------------------------------------------------------- propagation
