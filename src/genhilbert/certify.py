@@ -240,7 +240,9 @@ class _Block:
         (:meth:`section`) when its N^2 float64 entries fit
         ``_PLAN_MEMO_BYTES``.  A rectangular block, and a square one over the
         budget that took no section, takes
-        :func:`~genhilbert.operator.apply_truncated`, with e = 0.  Both sum
+        :func:`~genhilbert.operator.apply_truncated`, with e = 0: one stream
+        of mu's row blocks that computes each component's factors once per
+        product and holds one block at a time, never the section.  Both sum
         each row by :func:`~genhilbert.operator._row_sums`, per-row BLAS
         ``ddot`` on column chunks, in an order set by the row's length
         alone, so they give the same y bit for bit.

@@ -7,9 +7,9 @@ The matrix attached to a measure has entries
 ``(x)_m = Gamma(x+m)/Gamma(x)``: a row factor times a Hankel (diagonal)
 factor times a column factor, each evaluated once per distinct row, column
 or diagonal.  On a grid of consecutive rows by consecutive columns, as in
-every section and row block, entry (i, j) reads the diagonal vector at
-i + j through a read-only strided view; other index arrays gather it per
-entry.  Interior atoms stay in log space (``Gamma(n+k+1)`` overflows) but
+every section and truncated apply, entry (i, j) reads the diagonal vector
+at i + j through a read-only strided view; other index arrays gather it
+per entry.  Interior atoms stay in log space (``Gamma(n+k+1)`` overflows) but
 read ``ln Gamma(d+1)`` the same way.  Everything is numpy: a factor whose
 exponent is an integer is an exact product, with ``scipy.special.poch``'s
 bits; any other, and ``ln Gamma``, take the Stirling series' remainder
@@ -18,8 +18,11 @@ bits; any other, and ``ln Gamma``, take the Stirling series' remainder
 small indices (:func:`_tabled`): below ``_TABLE`` they are gathered from a
 table of the form's own values, held per process.
 
-Scalar entries, dense sections, and row blocks all go through one array
-core, so a section is bitwise identical to its individual entries.
+Scalar entries, dense sections and the truncated apply's rows all come
+from one stream (:func:`_row_blocks`), which computes each component's
+factors once and yields row blocks of the one height rule
+(:func:`_row_slices`), so a section is bitwise identical to its
+individual entries and to the rows an apply sums.
 """
 
 from __future__ import annotations
@@ -78,8 +81,9 @@ _LOG_FACTORIALS.flags.writeable = False
 #: Relative error bound of :func:`_log_gamma`, in units of u.
 _LOG_GAMMA_RTOL = 7.0
 
-#: Target entries per row block (memory bound): of a grid in :func:`entry_block`,
-#: of the truncated matvec and of a Gauss-Jacobi rule's Aberth sums (:mod:`genhilbert.operator`).
+#: Target entries per row block (memory bound, :func:`_row_slices`): of a grid in
+#: :func:`_row_blocks`, which sections and the truncated matvec stream, and of a
+#: Gauss-Jacobi rule's Aberth sums (:mod:`genhilbert.operator`).
 _APPLY_BLOCK_ELEMENTS = 1 << 18
 
 
@@ -294,14 +298,15 @@ def _range_error(what, d_max) -> ValueError:
 def entry_block(mu: Measure, n, k) -> np.ndarray:
     """Matrix entries for broadcastable nonnegative integer index arrays ``n``, ``k``.
 
-    This is the single code path behind :func:`entry`, :func:`finite_section`
-    and the blocked matvec in :mod:`genhilbert.operator`; density terms take
-    their factors from :func:`jacobi_factors`, as the FFT apply does.  Each
-    component's factors are computed once, over the whole index set.  When
-    ``n`` is a column (R, 1) and ``k`` a row (1, C) of consecutive indices,
-    the output is filled in row blocks of at most ``_APPLY_BLOCK_ELEMENTS``
-    entries (at least one row), and each block reads the diagonal factors
-    as ``as_strided(h[r0:], (rows, C), (s, s))`` with ``s`` the vector's
+    This is the single code path behind :func:`entry` and
+    :func:`finite_section`, and :func:`_row_blocks`, which it runs, also
+    streams the truncated matvec in :mod:`genhilbert.operator`; density
+    terms take their factors from :func:`jacobi_factors`, as the FFT apply
+    does.  Each component's factors are computed once, over the whole index
+    set.  When ``n`` is a column (R, 1) and ``k`` a row (1, C) of
+    consecutive indices, the output is filled in the row blocks of
+    :func:`_row_slices`, and each block reads the diagonal factors as
+    ``as_strided(h[r0:], (rows, C), (s, s))`` with ``s`` the vector's
     element stride, so no R x C index array is built; any other indices
     are one block, which gathers one value per distinct diagonal.  In each
     block the first component is written straight into the output and
@@ -312,26 +317,50 @@ def entry_block(mu: Measure, n, k) -> np.ndarray:
     component's contribution is nonnegative, so the plain running sum over
     components is accurate to (m-1) ulps.  A density term whose factors leave the
     float64 range, which takes (alpha+beta+1) * ln(n+k+1) above ~708,
-    raises ``ValueError``, and so does a sum of finite components beyond
-    it; the sum is checked only when the components' largest values add up
-    to more than 2^1023.  An interior atom's entry is the exp of a sum of
-    log-space terms; with M the sum of their magnitudes its relative error
-    is at most ``11 u M + 3 u`` (u the unit roundoff, :func:`_atom_rtol`),
-    and a block whose largest indices put that bound above ``_ATOM_RTOL``
-    raises ``ValueError``.
+    raises ``ValueError`` naming the largest n+k of the whole index set,
+    and so does a sum of finite components beyond it; the sum is checked
+    only when the components' largest values add up to more than 2^1023.
+    An interior atom's entry is the exp of a sum of log-space terms; with
+    M the sum of their magnitudes its relative error is at most
+    ``11 u M + 3 u`` (u the unit roundoff, :func:`_atom_rtol`), and indices
+    whose largest values put that bound above ``_ATOM_RTOL`` raise
+    ``ValueError``.
     """
     n = _indices(n)
     k = _indices(k)
     out = np.empty(np.broadcast_shapes(n.shape, k.shape))
-    if out.size == 0:
-        return out
+    for _ in _row_blocks(mu, n, k, out):
+        pass
+    return out
+
+
+def _row_slices(rows: int, cols: int) -> list[slice]:
+    """Consecutive row blocks of a ``rows x cols`` array, each of at most ``_APPLY_BLOCK_ELEMENTS`` entries and at least one row."""
+    height = max(1, _APPLY_BLOCK_ELEMENTS // cols)
+    return [slice(r0, min(r0 + height, rows)) for r0 in range(0, rows, height)]
+
+
+def _row_blocks(mu: Measure, n: np.ndarray, k: np.ndarray, out: np.ndarray | None = None):
+    """Yield ``(rows, block)``, the entries at intp index arrays ``n``, ``k`` one row block at a time, as :func:`entry_block` states.
+
+    A grid's blocks are its :func:`_row_slices`; other indices are one
+    block, ``rows = ...``.  Each block is ``out[rows]``, filled in place,
+    when ``out`` (of the indices' broadcast shape) is given; otherwise, for
+    a grid only, every block goes into one buffer of the first block's
+    height, which the next block overwrites.  Each component's factors, with
+    their range check, and the log-space check are computed once over all
+    the indices before the first block; a sum beyond float64 raises in its
+    block, naming the same largest n+k.
+    """
+    shape = np.broadcast_shapes(n.shape, k.shape)
+    if math.prod(shape) == 0:
+        return
     if _is_grid(n, k):
         # n + k = n[0] + k[0] + i + j, so a vector over the diagonals is read
         # as a (rows, C) view whose row and column strides are both one element.
-        (R, C), lo = out.shape, int(n[0, 0]) + int(k[0, 0])
+        (R, C), lo = shape, int(n[0, 0]) + int(k[0, 0])
         d = np.arange(lo, lo + R + C - 1, dtype=np.float64)
-        height = max(1, _APPLY_BLOCK_ELEMENTS // C)
-        blocks = [slice(r0, min(r0 + height, R)) for r0 in range(0, R, height)]
+        blocks = _row_slices(R, C)
 
         def diagonal(h, rows, into):
             return as_strided(h[rows.start :], into.shape, (h.strides[0],) * 2, writeable=False)
@@ -340,7 +369,7 @@ def entry_block(mu: Measure, n, k) -> np.ndarray:
         # n + k cannot wrap in uint64; the factors read d in float64, as the
         # grid's, and a range error names the exact largest diagonal.
         d, diag = np.unique(n.astype(np.uint64) + k.astype(np.uint64), return_inverse=True)
-        diag = diag.reshape(out.shape)
+        diag = diag.reshape(shape)
         blocks = [...]  # one block: the whole output
 
         def diagonal(h, rows, into):
@@ -371,13 +400,15 @@ def entry_block(mu: Measure, n, k) -> np.ndarray:
             parts.append((log_diag, n * math.log1p(-t) - log_row, k * math.log(t) - log_col, atom.mass))
         # An interior atom's entry is at most mass / max(t, 1-t) <= 2 mass.
         bound += atom.mass if t in (0.0, 1.0) else 2.0 * atom.mass
-    if not parts or parts[0][0] is None:
-        # Nothing is written in place: endpoint atoms add their masses to zeros.
-        out.fill(0.0)
-    spare = np.empty(out[blocks[0]].size) if any(part[0] is not None for part in parts[1:]) else None
-    with np.errstate(over="ignore"):
-        for rows in blocks:
-            block = out[rows]
+    # The first block: out's, or the buffer that every block of a grid reuses.
+    first = out[blocks[0]] if out is not None else np.empty((blocks[0].stop, C))
+    spare = np.empty(first.size) if any(part[0] is not None for part in parts[1:]) else None
+    for rows in blocks:
+        block = out[rows] if out is not None else first[: rows.stop - rows.start]
+        if not parts or parts[0][0] is None:
+            # Nothing is written in place: endpoint atoms add their masses to zeros.
+            block.fill(0.0)
+        with np.errstate(over="ignore"):
             for i, (vector, row, col, mass) in enumerate(parts):
                 if vector is None:
                     np.add(block, mass, out=block, where=col if row is None else row[rows])
@@ -393,9 +424,9 @@ def entry_block(mu: Measure, n, k) -> np.ndarray:
                     into *= mass
                 if i:
                     block += into
-    if bound > 2.0**1023 and not np.isfinite(out).all():
-        raise _range_error(mu, d[-1])
-    return out
+        if bound > 2.0**1023 and not np.isfinite(block).all():
+            raise _range_error(mu, d[-1])
+        yield rows, block
 
 
 def _is_grid(n: np.ndarray, k: np.ndarray) -> bool:

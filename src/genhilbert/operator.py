@@ -24,7 +24,7 @@ from numpy.fft import irfft, rfft
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import DEFAULT_SECTION_CAP, HANKEL_CAP, ConvergenceError, ResourceLimitError, _check_size
-from .kernel import _APPLY_BLOCK_ELEMENTS, _TINY, _UNIT_ROUNDOFF, _log_gamma, _term_rtol, entry_block, jacobi_factors
+from .kernel import _TINY, _UNIT_ROUNDOFF, _log_gamma, _row_blocks, _row_slices, _term_rtol, jacobi_factors
 from .measure import LEBESGUE, Atom, JacobiTerm, Measure, _Record, beta as beta_function
 from .norms import parse_sequence_csv, validate_p
 
@@ -254,19 +254,19 @@ def apply_truncated(mu: Measure, a: SequenceVector, n_rows: int) -> SequenceVect
     """First ``n_rows`` outputs of the matrix applied to the stored sequence.
 
     Exact truncation: input beyond the stored length is treated as zero.
-    Rows are computed in blocks of at most ``_APPLY_BLOCK_ELEMENTS`` entries
-    (at least one row), each one :func:`~genhilbert.kernel.entry_block`
-    grid, and :func:`_row_sums` sums each row in an order fixed by its
-    length alone, so results do not depend on the blocking and equal the
-    row sums of a held section bit for bit.
+    The entries come from one :func:`~genhilbert.kernel._row_blocks`
+    stream over the ``n_rows x len(a)`` grid, which computes each
+    component's factors once and fills one reused buffer per row block of
+    :func:`~genhilbert.kernel._row_slices`, and :func:`_row_sums` sums each
+    row in an order fixed by its length alone, so results do not depend on
+    the blocking and equal the row sums of a held section bit for bit.  A
+    range error names the largest n+k of the whole grid, as
+    :func:`fft_plan` and :func:`~genhilbert.kernel.finite_section` do.
     """
     _check_size(n_rows, DEFAULT_SECTION_CAP)
-    k_row = np.arange(len(a))[None, :]
     out = np.zeros(n_rows)
-    block = max(1, _APPLY_BLOCK_ELEMENTS // max(1, len(a)))
-    for start in range(0, n_rows, block):
-        rows = entry_block(mu, np.arange(start, min(start + block, n_rows))[:, None], k_row)
-        _row_sums(rows, a.values, out=out[start : start + len(rows)])
+    for rows, block in _row_blocks(mu, np.arange(n_rows)[:, None], np.arange(len(a))[None, :]):
+        _row_sums(block, a.values, out=out[rows])
     return SequenceVector(out)
 
 
@@ -352,14 +352,13 @@ def _jacobi_rule(n_nodes: int, alpha: float, beta: float) -> tuple[np.ndarray, n
         q, dq = _jacobi_values(x, coefficients)
         step = q / dq
         if n > 1:
-            # sum_(i != k) 1/(x_k - x_i), from row blocks of at most
-            # _APPLY_BLOCK_ELEMENTS gaps: a row's sum has the same bits at any block height.
+            # sum_(i != k) 1/(x_k - x_i), from the row blocks of the gap matrix
+            # (kernel._row_slices): a row's sum has the same bits at any block height.
             sums = np.empty(n)
-            rows = max(1, _APPLY_BLOCK_ELEMENTS // n)
-            for r0 in range(0, n, rows):
-                gaps = x[r0 : r0 + rows, None] - x[None, :]
-                np.fill_diagonal(gaps[:, r0:], math.inf)
-                sums[r0 : r0 + rows] = np.reciprocal(gaps, out=gaps).sum(axis=1)
+            for rows in _row_slices(n, n):
+                gaps = x[rows, None] - x[None, :]
+                np.fill_diagonal(gaps[:, rows.start :], math.inf)
+                sums[rows] = np.reciprocal(gaps, out=gaps).sum(axis=1)
             step /= 1.0 - step * sums
         x -= step
         if np.abs(step).max() <= 16.0 * _UNIT_ROUNDOFF:

@@ -282,13 +282,11 @@ def _record_calls(monkeypatch, calls, module, name):
 def test_ratio_without_interior_atoms_builds_no_entries(monkeypatch):
     mix2 = Measure((JacobiTerm(1.0, -0.5, 0.25), JacobiTerm(0.5, 0.5, -0.25)), ())
     with_endpoints = Measure(mix2.jacobi_terms, (Atom(0.0, 0.5), Atom(1.0, 2.0)))
-    calls = []
-    _record_calls(monkeypatch, calls, kernel, "entry_block")
-    _record_calls(monkeypatch, calls, operator, "entry_block")
+    entries = _counted_entries(monkeypatch)
     for mu in (mix2, with_endpoints):
         for p in (1.0, 1.5, 3.0):
             lower_bound_ratio(mu, ExtremalParams(p, 0.1, 2048), 2048)
-    assert calls == []
+    assert entries == []
 
 
 @pytest.mark.parametrize(
@@ -674,11 +672,9 @@ def test_atom_free_sweep_builds_no_entries(monkeypatch):
     monkeypatch.setattr(certify_module, "_DENSE_BLOCK_ENTRIES", 0)
     monkeypatch.setattr(operator, "_plan_memo", OrderedDict())
     mix2 = Measure((JacobiTerm(1.0, -0.5, 0.25), JacobiTerm(0.5, 0.5, -0.25)), ())
-    calls = []
-    _record_calls(monkeypatch, calls, kernel, "entry_block")
-    _record_calls(monkeypatch, calls, operator, "entry_block")
+    entries = _counted_entries(monkeypatch)
     report = convergence_sweep(mix2, 2.0, [0.1], [256, 1024])
-    assert calls == []
+    assert entries == []
     assert [n for n, _ in report.sigma_max_series] == [256, 1024]
 
 
@@ -704,17 +700,21 @@ def _sigma_key(nu, size, tol=1e-10, dense=True):
 
 
 def _counted_entries(monkeypatch) -> list:
-    """The returned list gets the number of entries each kernel or operator ``entry_block`` call evaluates."""
+    """The returned list gets the number of entries in each row block the kernel's stream yields.
+
+    ``kernel._row_blocks`` evaluates every entry: those of ``entry_block``
+    and ``finite_section`` and the rows ``apply_truncated`` streams.
+    """
     entries = []
-    entry_block = kernel.entry_block
+    stream = kernel._row_blocks
 
-    def counted(mu, n, k):
-        out = entry_block(mu, n, k)
-        entries.append(out.size)
-        return out
+    def counted(*args):
+        for rows, block in stream(*args):
+            entries.append(block.size)
+            yield rows, block
 
-    monkeypatch.setattr(kernel, "entry_block", counted)
-    monkeypatch.setattr(operator, "entry_block", counted)
+    monkeypatch.setattr(kernel, "_row_blocks", counted)
+    monkeypatch.setattr(operator, "_row_blocks", counted)
     return entries
 
 
@@ -873,6 +873,47 @@ def test_a_mix_atom_section_is_held_once_per_process_and_none_over_the_memo_budg
         assert reports[0] == reports[1] and sections == [(1024,)] and sigmas[-1] == size, (size, held)
         # 1024^2 float64 is 8 MiB and stays held; 4096^2 is 128 MiB, over the 64 MiB budget.
         assert built == ([size * size, 0] if size == 1024 else [size * size] * 2), (size, built)
+
+
+@pytest.mark.slow
+def test_symmetric_sections_take_the_one_image_loop_with_no_transpose_and_agree_with_the_normal_loop(monkeypatch):
+    # A reflection-symmetric section (S^T = S) takes one image per step, with
+    # no transposed plan or section; the S^T S loop on the same section, which
+    # takes transposes, stops within 1e-11 of it, up to 65536.
+    transposes = []  # each transposed plan built, and each transpose taken of a dense section
+    transposed, section = operator.FFTPlan.transposed, certify_module.finite_section
+
+    class Section(np.ndarray):
+        @property
+        def T(self):
+            transposes.append("section")
+            return np.asarray(self).T
+
+    def recorded_transposed(plan):
+        transposes.append("plan")
+        return transposed(plan)
+
+    monkeypatch.setattr(operator.FFTPlan, "transposed", recorded_transposed)
+    monkeypatch.setattr(
+        certify_module, "finite_section", lambda mu, size: FiniteSection(size, section(mu, size).entries.view(Section))
+    )
+    monkeypatch.setattr(operator, "_plan_memo", OrderedDict())
+    t1mt, delta = Measure((JacobiTerm(1.0, 1.0, 1.0),), ()), Measure((), (Atom(0.5, 1.0),))
+    cases = [(LEBESGUE, n) for n in (16384, 65536)] + [(t1mt, n) for n in (16384, 65536)]
+    # delta_1/2's loops stop 1.4e-12 apart at 4096, within tol's reach; both are sound lower bounds.
+    cases.append((delta, 4096))
+    for mu, size in cases:
+        transposes.clear()
+        one_image = p2_section_norm(mu, size)
+        assert transposes == [], (mu, size, transposes)
+        with monkeypatch.context() as normal_loop:
+            normal_loop.setattr(certify_module, "_reflection_symmetric", lambda mu: False)
+            # The memo holds sigma under the measure, whatever _reflection_symmetric says: drop the held ones.
+            for key in [key for key in operator._plan_memo if key[1] == "sigma"]:
+                del operator._plan_memo[key]
+            normal = p2_section_norm(mu, size)
+        assert transposes != [], (mu, size)
+        assert abs(one_image - normal) <= 1e-11 * normal, (mu, size, one_image, normal)
 
 
 @pytest.mark.slow
@@ -1634,14 +1675,7 @@ def test_p2_sweep_builds_each_size_once(mu, sizes, monkeypatch):
     want_sigmas = [p2_section_norm(mu, size) for size in sizes]
     # The counts start from an empty memo, as a fresh process does.
     monkeypatch.setattr(operator, "_plan_memo", OrderedDict())
-    entries = []
-
-    def counted_entry_block(mu, n, k, _original=kernel.entry_block):
-        entries.append(np.broadcast(n, k).size)
-        return _original(mu, n, k)
-
-    monkeypatch.setattr(kernel, "entry_block", counted_entry_block)
-    monkeypatch.setattr(operator, "entry_block", counted_entry_block)
+    entries = _counted_entries(monkeypatch)
     truncated, plans = [], []
     _record_calls(monkeypatch, truncated, certify_module, "apply_truncated")
     _record_calls(monkeypatch, plans, certify_module, "fft_plan")

@@ -328,7 +328,7 @@ def test_no_special_function_call_per_entry(monkeypatch):
             return _original(x, *args)
 
         monkeypatch.setattr(kernel, name, counted)
-    monkeypatch.setattr(operator, "_APPLY_BLOCK_ELEMENTS", 5000)
+    monkeypatch.setattr(kernel, "_APPLY_BLOCK_ELEMENTS", 5000)
     a = operator.SequenceVector(np.ones(300))
     for mu in MIXED_CORPUS:
         finite_section(mu, 64)
@@ -337,11 +337,9 @@ def test_no_special_function_call_per_entry(monkeypatch):
     # Its non-integer exponents -0.5, 0.25 and 0.75 and its interior atoms fill one table each.
     table = kernel._TABLE
     assert sorted(stirling) == [("_stirling_log_gamma", table)] + [("_stirling_rising", table)] * 3
-    sizes.clear()
     stirling.clear()
     for mu in MIXED_CORPUS:
-        operator.apply_truncated(mu, a, 100)  # blocks of 16 rows by 300 columns
-    assert sizes and max(sizes) <= 16 + 300
+        _assert_factors_once(mu, a, 100, sizes)  # 7 blocks of at most 16 rows by 300 columns
     # Indices that are not a grid of consecutive rows and columns gather
     # one value per distinct diagonal.
     n = np.arange(0, 30, 3)[:, None]
@@ -353,6 +351,18 @@ def test_no_special_function_call_per_entry(monkeypatch):
         for i, j in [(0, 0), (2, 7), (9, 19)]:
             assert block[i, j] == entry(mu, int(n[i, 0]), int(k[0, j]))
     assert stirling == []  # the tables serve every later index below kernel._TABLE
+    # Rows of 2^17 columns: one row per block here, two at the default height.
+    for mu in MIXED_CORPUS:
+        _assert_factors_once(mu, operator.SequenceVector(np.ones(1 << 17)), 6, sizes)
+
+
+def _assert_factors_once(mu, a, n_rows, sizes):
+    """One row, one column and one diagonal vector per component for a whole ``apply_truncated``, not per block."""
+    sizes.clear()
+    operator.apply_truncated(mu, a, n_rows)
+    K = len(a)
+    assert sum(sizes) <= (len(mu.jacobi_terms) + len(mu.atoms)) * (n_rows + K + n_rows + K - 1), mu
+    assert bool(sizes) == bool(mu.jacobi_terms or mu.interior_atoms), mu
 
 
 def test_entries_across_the_table_edge_keep_their_bits():

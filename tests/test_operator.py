@@ -37,7 +37,7 @@ from genhilbert import (
     sequence_from_csv,
     sequence_to_csv,
 )
-from genhilbert import certify, operator
+from genhilbert import certify, kernel, operator
 from genhilbert.operator import fft_plan
 from conftest import MIX2, MIX_ATOM, MIXED_CORPUS, TWO_TERMS, random_interior_measure
 
@@ -281,9 +281,26 @@ def test_apply_respects_row_cap(lebesgue):
 def test_blocking_does_not_change_results(mu, K, block_rows, monkeypatch):
     a = SequenceVector(np.random.default_rng(3).random(K))
     full = apply_truncated(mu, a, 65).values
-    monkeypatch.setattr(operator, "_APPLY_BLOCK_ELEMENTS", block_rows * K)
+    monkeypatch.setattr(kernel, "_APPLY_BLOCK_ELEMENTS", block_rows * K)
     blocked = apply_truncated(mu, a, 65).values
     assert blocked.tobytes() == full.tobytes()
+
+
+@pytest.mark.parametrize("K,block_rows", [(170, None), (170, 7), (170, 1), (1 << 17, None)])
+def test_a_streamed_apply_s_range_error_names_the_whole_grid_at_any_block_height(K, block_rows, monkeypatch):
+    # coeff times the row factor leaves float64.  Every block of the 300 x K
+    # grid reads factors over the whole grid, so the error names its largest
+    # n+k, as the FFT plan's does; at K = 2^17 a block is 2 rows unpatched.
+    monkeypatch.setattr(operator, "_plan_memo", OrderedDict())
+    mu = Measure((JacobiTerm(1e300, 0.5, 30.0),), ())
+    want = f"{mu.jacobi_terms[0]} leaves the float64 range of the factored kernel at n+k <= {300 + K - 2}"
+    with pytest.raises(ValueError) as planned:
+        fft_plan(mu, 300, K)
+    if block_rows is not None:
+        monkeypatch.setattr(kernel, "_APPLY_BLOCK_ELEMENTS", block_rows * K)
+    with pytest.raises(ValueError) as streamed:
+        apply_truncated(mu, SequenceVector(np.ones(K)), 300)
+    assert str(streamed.value) == str(planned.value) == want
 
 
 _CHUNK = operator._ROW_CHUNK
@@ -411,13 +428,13 @@ def test_each_gauss_jacobi_rule_is_computed_once(monkeypatch):
 @pytest.mark.parametrize("n", [64, 300, 2048])
 def test_gauss_jacobi_aberth_sums_keep_their_bits_at_any_block_height(monkeypatch, n):
     # Each Newton step sums 1/(x_k - x_i) per row over row blocks of at most
-    # _APPLY_BLOCK_ELEMENTS gaps (128 rows at n = 2048); one block of the
+    # kernel._APPLY_BLOCK_ELEMENTS gaps (128 rows at n = 2048); one block of the
     # whole gap matrix and blocks of 7 rows give the same rules bit for bit.
     rule = operator._jacobi_rule.__wrapped__
     pairs = ((0.0, 0.0), (-0.5, 0.25), (3.0, -0.9))
     rules = []
-    for elements in (operator._APPLY_BLOCK_ELEMENTS, n * n, 7 * n):
-        monkeypatch.setattr(operator, "_APPLY_BLOCK_ELEMENTS", elements)
+    for elements in (kernel._APPLY_BLOCK_ELEMENTS, n * n, 7 * n):
+        monkeypatch.setattr(kernel, "_APPLY_BLOCK_ELEMENTS", elements)
         rules.append([b"".join(x.tobytes() for x in rule(n, alpha, beta)) for alpha, beta in pairs])
     assert rules[0] == rules[1] == rules[2]
 
