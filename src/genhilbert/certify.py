@@ -27,12 +27,12 @@ from .operator import (
     SequenceVector,
     _binary_scale,
     _cached,
+    _held_plan,
     _held_section,
     _ldexp,
     _row_sums,
     _scaled,
     apply_truncated,
-    fft_plan,
     lp_norm,
 )
 
@@ -130,9 +130,10 @@ def lower_bound_ratio(mu: Measure, params: ExtremalParams, n_rows: int) -> float
     truncated apply where the block is not square or the section would not
     fit the memo.  The numerator is its computed norm less the image's
     stated error (:meth:`_Block.apply`) and the rounding of both norms
-    (:meth:`_Block.ratio`).  The ratio scales exactly with the measure, and
-    is math.inf only when it is beyond the float64 range (an unboundedness
-    witness, e.g. for measures with an atom at 0).
+    (:meth:`_Block.ratio`).  The ratio scales exactly with the measure in
+    the normal range, and is rounded toward zero below it; it is math.inf
+    only when it is beyond the float64 range (an unboundedness witness,
+    e.g. for measures with an atom at 0).
     """
     return _Block(mu, n_rows, params.length).ratio(extremal_sequence(params), params.p)
 
@@ -142,9 +143,10 @@ def p2_section_norm(mu: Measure, size: int, tol: float = 1e-10) -> float:
 
     Lanczos with full reorthogonalization from the normalized
     ``(n+1)^(-1/2)``, the p = 2 member of the witness family
-    (:func:`_krylov_start`) on the route :class:`_Block` picks (BLAS
-    products of the held section on the dense route, which small blocks
-    take, and FFT images otherwise): on S itself when ``mu`` equals its
+    (:func:`_krylov_start`), on the operand :class:`_Block` gives either
+    route, nu's held section or plan with ``mu = 2**e * nu`` (BLAS
+    products of the section on the dense route, which small blocks take,
+    and FFT images otherwise): on S itself when ``mu`` equals its
     reflection under t -> 1-t (then S is symmetric and nonnegative, and
     sigma_N is its top eigenvalue), and otherwise on ``S^T S``, whose top
     eigenvalue is sigma_N squared.  It stops once the top Ritz value of sigma_N changes
@@ -155,8 +157,9 @@ def p2_section_norm(mu: Measure, size: int, tol: float = 1e-10) -> float:
     ``max(0, ||fl(S x)||_2 - bound) / ||x||_2 <= ||S x||_2 / ||x||_2 <= sigma_N``
     with ``bound`` the product's stated error (:meth:`_Block.apply`) plus
     the norms' rounding, so it is a sound lower bound for the p=2 operator
-    norm (:meth:`_Block.sigma`).  sigma_N scales exactly with the measure,
-    and is math.inf only when it is beyond the float64 range.
+    norm (:meth:`_Block.sigma`).  sigma_N is nu's times ``2**e``, exactly
+    in the normal range and rounded toward zero below it, and is math.inf
+    only when it is beyond the float64 range.
 
     The value is held once per process for nu, ``mu = 2**e * nu``, under
     its ``tol`` and the block's route: a later call for any power-of-two
@@ -180,18 +183,20 @@ class _Block:
     (at most 512 rows) takes the dense route: one BLAS product costs a few
     microseconds where an FFT image costs tens, and the dense route's stated
     error is the tighter at these sizes.  :meth:`apply` states each route's
-    image and its error once, and the ratios and sigma certify through it
-    (sigma on the FFT route through the plan at scale 0).
+    image and its error once, and the ratios and sigma certify through it.
 
-    The plan and the section are fetched on first use, kept for the block's
-    life and held once per process in one memo
+    Both routes take one operand contract: :meth:`plan` and :meth:`section`
+    each return ``(operand, e)``, nu's plan at scale 0 or nu's section,
+    with ``mu = 2**e * nu`` exactly
+    (:func:`~genhilbert.operator._binary_scale`).  They are fetched on first
+    use, kept for the block's life and held once per process in one memo
     (:func:`~genhilbert.operator._cached`): the plan under ``(nu, N, K)``
-    and the section under ``(nu, N)``, read-only, with ``mu = 2**e * nu``
-    exactly (:func:`~genhilbert.operator._binary_scale`).  sigma and the
-    ratios run on nu's section or plan and multiply their result by
-    ``2**e``, as :attr:`~genhilbert.operator.FFTPlan.scale` does, and the
-    memo holds sigma too (:meth:`sigma`).  If nu's largest entry times
-    ``2**e`` leaves float64, mu's own build raises mu's own range error.  A
+    (:func:`~genhilbert.operator._held_plan`) and the section under
+    ``(nu, N)`` (:func:`~genhilbert.operator._held_section`), read-only.
+    sigma and the ratios run on nu's operand and scale their result by
+    ``2**e`` toward zero (:func:`_ldexp_down`), by one rule on both routes,
+    and the memo holds sigma too (:meth:`sigma`).  If nu's largest entry
+    times ``2**e`` leaves float64, mu's own build raises mu's own range error.  A
     plan or section within ``_PLAN_MEMO_BYTES`` (64 MiB) stays in the memo,
     least recently used out first; a larger one lives only as long as its
     block.  A dense square block reads a section for every product; one
@@ -210,12 +215,13 @@ class _Block:
         self.dense = bool(mu.interior_atoms) or (
             n_rows == n_cols
             and entries <= 4 * _DENSE_BLOCK_ENTRIES
-            and (entries <= _DENSE_BLOCK_ENTRIES or len(self.plan().tiles) > 1)
+            and (entries <= _DENSE_BLOCK_ENTRIES or len(self.plan()[0].tiles) > 1)
         )
 
-    def plan(self) -> FFTPlan:
+    def plan(self) -> tuple[FFTPlan, int]:
+        """``(plan, e)``: nu's held or newly built plan at scale 0, with ``mu = 2**e * nu``."""
         if self._plan is None:
-            self._plan = fft_plan(self.mu, self.n_rows, self.n_cols)
+            self._plan = _held_plan(self.mu, self.n_rows, self.n_cols)
         return self._plan
 
     def section(self) -> tuple[np.ndarray, int]:
@@ -230,9 +236,9 @@ class _Block:
         ``a`` has length ``n_cols``, and ``2**e bound`` majorizes the ell-p
         distance of ``2**e y`` from the exact image of ``a``.  ``norm`` is
         ``lp_norm(y, p)`` where the bound took it (the dense route,
-        nonnegative ``a``), else None.  On the FFT
-        route y and the bound are the plan's own
-        (:meth:`~genhilbert.operator.FFTPlan.apply`), and e is 0.
+        nonnegative ``a``), else None.  On the FFT route y and the bound
+        are those of nu's plan (:meth:`plan`,
+        :meth:`~genhilbert.operator.FFTPlan.apply`), and e is its scale.
 
         The dense route on a square block takes the row sums
         (:func:`~genhilbert.operator._row_sums`) of nu's section, with e its
@@ -258,11 +264,16 @@ class _Block:
         ``_entry_rtol`` counts its part as exact, since its stated bound
         (:func:`~genhilbert.kernel._atom_rtol`, 7e-11 relative for a unit
         atom at 1/2 at N = 2048) lies far above the error its entries show
-        against mpmath.
+        against mpmath.  Those errors still lie far above ``K u``: delta_1/2's
+        entries err by up to 2.9e-12 relative at N = 1024 and 8.3e-11 at
+        16384, where K u is 1.1e-13 and 1.8e-12, so the per-row statement
+        above does not cover an atom's rows.  No unsound ratio has been
+        seen, since the row errors cancel in the ell-p norm.
         """
         if not self.dense:
-            image, bound = self.plan().apply(a, p)
-            return image.values, bound, 0, None
+            plan, e = self.plan()
+            image, bound = plan.apply(a, p)
+            return image.values, bound, e, None
         # A section of N^2 float64 entries over the memo budget is not held; the budget is read per call, as _cached reads it.
         if self._section is None and (self.n_cols != self.n_rows or 8 * self.n_rows**2 > operator._PLAN_MEMO_BYTES):
             e = 0
@@ -283,11 +294,12 @@ class _Block:
         float64 range itself.  The numerator is the norm of the image
         :meth:`apply` gives, times ``1 - (2 (N + K) + 16) u`` (N = n_rows,
         K = n_cols, u the unit roundoff), less the image's stated bound, and
-        the quotient is multiplied by the image's ``2**e``
-        (:func:`_certified_quotient`).  The factor covers, to first order in
-        u, the rounding of :func:`~genhilbert.operator.lp_norm` on the image
-        and on ``a`` (each at most ``(2L + 6) u`` relative for a vector of
-        length L: the sum, the powers, the exponent 1/p and the root) and of
+        the quotient (:func:`_certified_quotient`) is multiplied by the
+        image's ``2**e``, rounded toward zero (:func:`_ldexp_down`).  The
+        factor covers, to first order in u, the rounding of
+        :func:`~genhilbert.operator.lp_norm` on the image and on ``a`` (each
+        at most ``(2L + 6) u`` relative for a vector of length L: the sum,
+        the powers, the exponent 1/p and the root) and of
         the factor, the subtraction and the division.  The image norm is
         taken once: where the bound took it (:meth:`apply`), it is reused.
         """
@@ -298,7 +310,7 @@ class _Block:
         y, bound, e, norm = self.apply(a, p)
         norm = lp_norm(y, p) if norm is None else norm
         rounding = (2 * (self.n_rows + self.n_cols) + 16) * _UNIT_ROUNDOFF
-        return _ldexp(_certified_quotient(norm * (1.0 - rounding), bound, denominator), e)
+        return _ldexp_down(_certified_quotient(norm * (1.0 - rounding), bound, denominator), e)
 
     def sigma(self, tol: float) -> float:
         """:func:`p2_section_norm` of the (square) block: a held value, or one Lanczos loop (:meth:`_lanczos`).
@@ -308,14 +320,15 @@ class _Block:
         ``(nu, "sigma", N, tol, dense, _KRYLOV_STEP_CAP)``, with
         ``mu = 2**e * nu``: every input the loop reads.  No plan
         ``(nu, N, K)`` or section ``(nu, N)`` key takes that shape.  The
-        loop runs on nu's section or plan and multiplies its result by
-        ``2**e`` at the end, so sigma of any power-of-two multiple of nu is
-        nu's held value times ``2**e``, bit for bit, and a repeated sweep
-        runs no loop.  Where that product leaves float64, mu's own value is
-        computed, as :func:`~genhilbert.operator._cached` does for every
-        entry.  A raise is never held: a ConvergenceError raises again,
-        with the same estimate.  The entry holds no array and counts 0
-        bytes against ``_PLAN_MEMO_BYTES``.
+        loop runs on nu's section or plan and scales its result by ``2**e``
+        at the end, rounded toward zero (:func:`_ldexp_down`), so sigma of
+        any power-of-two multiple of nu is nu's held value so scaled, bit
+        for bit, a lower bound below the normal range too, and a repeated
+        sweep runs no loop.  Where that product leaves float64, mu's own
+        value is computed, as :func:`~genhilbert.operator._cached` does for
+        every entry.  A raise is never held: a ConvergenceError raises
+        again, with the same estimate.  The entry holds no array and counts
+        0 bytes against ``_PLAN_MEMO_BYTES``.
         """
         if not tol > 0.0:
             raise ValueError(f"tol must be > 0, got {tol}")
@@ -324,11 +337,26 @@ class _Block:
             # nu is 2**-e mu (_cached tries nu, then mu itself), and the loop's operand is 2**-scale mu's.
             # Where nu is not mu itself, e is _binary_scale's, and 0 when nu is mu's equal twin held there.
             sigma, scale = self._lanczos(tol)
-            sigma = _ldexp(sigma, scale - (0 if nu is self.mu else _binary_scale(self.mu)[1]))
+            sigma = _ldexp_down(sigma, scale - (0 if nu is self.mu else _binary_scale(self.mu)[1]))
             return sigma, 0, (sigma,)
 
         sigma, e = _cached(self.mu, ("sigma", self.n_rows, tol, self.dense, _KRYLOV_STEP_CAP), entry)
-        return _ldexp(sigma, e)
+        return _ldexp_down(sigma, e)
+
+    def _images(self, symmetric: bool) -> tuple:
+        """``(forward, backward, e)``: bound-free products with S and S^T of nu's section or plan, ``mu = 2**e * nu``.
+
+        They are BLAS ``@`` with nu's section (:meth:`section`) on the dense
+        route, and otherwise the images
+        (:meth:`~genhilbert.operator.FFTPlan.image`) of nu's plan
+        (:meth:`plan`) and of its transpose.  backward is None for a
+        ``symmetric`` block, which builds no transpose.
+        """
+        if self.dense:
+            s, e = self.section()
+            return s.__matmul__, None if symmetric else s.T.__matmul__, e
+        plan, e = self.plan()
+        return plan.image, None if symmetric else plan.transposed().image, e
 
     def _lanczos(self, tol: float) -> tuple[float, int]:
         """``(sigma, scale)``: the Lanczos loop's certified sigma_N of ``2**-scale mu``, whose section or plan it runs on.
@@ -342,13 +370,11 @@ class _Block:
         its Krylov space is Golub-Kahan-Lanczos bidiagonalization's, and so
         is its step count.  v_0 is :func:`_krylov_start`.
 
-        The loop's products carry no bound: nu's section (BLAS ``@``) on the
-        dense route (:meth:`section`), and otherwise the bound-free images
-        (:meth:`~genhilbert.operator.FFTPlan.image`) of nu's plan, the
-        block's FFT plan at scale 0.  scale is the section's or the plan's
-        e, and the :class:`ConvergenceError` estimate is multiplied by
-        ``2**scale``.  Step j applies S to v_j; ``T[j, j]`` is
-        ``v_j . S v_j``, or ``||S v_j||_2^2`` for ``S^T S``.  Unless the top
+        The loop's products carry no bound, and come with scale from
+        :meth:`_images`, on either route: products with nu's section or
+        plan, ``mu = 2**scale * nu``.  The :class:`ConvergenceError`
+        estimate is multiplied by ``2**scale``.  Step j applies S to v_j;
+        ``T[j, j]`` is ``v_j . S v_j``, or ``||S v_j||_2^2`` for ``S^T S``.  Unless the top
         Ritz value then stops the loop, A v_j (for ``S^T S``, the transpose
         or transposed plan applied to S v_j) is orthogonalized twice
         against V (classical Gram-Schmidt) and normalized, which gives
@@ -363,10 +389,9 @@ class _Block:
         ``size`` steps.
 
         The top Ritz vector x, T's top eigenvector in the basis V, taken
-        with a nonnegative sum, is certified at p = 2 through :meth:`apply`
-        on the dense route and through nu's plan's
-        :meth:`~genhilbert.operator.FFTPlan.apply` otherwise, which give
-        y = fl(S x) and its stated bound.  The
+        with a nonnegative sum, is certified at p = 2 through :meth:`apply`,
+        which gives y = fl(S x) of nu's operand and its stated bound on
+        either route.  The
         quotient's bound adds ``(N + 4) u ||y||_2`` (u the unit roundoff),
         which covers, to first order in u, the rounding of the 2-norms of y
         and x (each at most ``(N/2 + 1) u`` relative, Higham, *Accuracy and
@@ -379,15 +404,7 @@ class _Block:
         # Rows of V; their storage doubles when full.
         basis = np.empty((min(steps, 16) + 1, size))
         basis[0] = _krylov_start(size)
-        if self.dense:
-            s, scale = self.section()
-            forward, backward = s.__matmul__, None if symmetric else s.T.__matmul__
-        else:
-            plan = self.plan()
-            scale = plan.scale
-            if scale:
-                plan = FFTPlan(plan.n_rows, plan.n_cols, plan.terms, plan.tiles, plan.c0, plan.c1)
-            forward, backward = plan.image, None if symmetric else plan.transposed().image
+        forward, backward, scale = self._images(symmetric)
         # T in units of 2**(power e0), 2**e0 the power of two above the first image's largest magnitude.
         power = 1 if symmetric else 2
         tridiagonal, e0 = np.zeros((steps, steps)), 0
@@ -418,11 +435,7 @@ class _Block:
             tridiagonal[j, j + 1] = tridiagonal[j + 1, j] = beta
         x = np.linalg.eigh(t)[1][:, -1] @ basis[: j + 1]
         x *= math.copysign(1.0, x.sum())
-        if self.dense:
-            y, bound, *_ = self.apply(SequenceVector(x), 2.0)
-        else:
-            image, bound = plan.apply(SequenceVector(x), 2.0)
-            y = image.values
+        y, bound, *_ = self.apply(SequenceVector(x), 2.0)
         norm_y = _norm_2(y)
         sigma = _certified_quotient(norm_y, bound + (size + 4) * _UNIT_ROUNDOFF * norm_y, float(np.linalg.norm(x)))
         return sigma, scale
@@ -461,6 +474,18 @@ def _certified_quotient(norm: float, bound: float, denominator: float) -> float:
     then beyond it as well, and is math.inf rather than ``inf - inf``.
     """
     return max(0.0, norm - bound) / denominator if norm < math.inf else math.inf
+
+
+def _ldexp_down(x: float, e: int) -> float:
+    """``x * 2**e`` for a lower bound ``x >= 0``, rounded toward zero, or math.inf when beyond float64.
+
+    The product is exact unless it falls below the normal range, where
+    :func:`~genhilbert.operator._ldexp` rounds to nearest: up by as much as
+    half a subnormal's ulp, far beyond a certificate's slack.  A product
+    that rounded up is taken one float toward zero.
+    """
+    y = _ldexp(x, e)
+    return math.nextafter(y, 0.0) if y < math.inf and math.ldexp(y, -e) > x else y
 
 
 def _norm_2(x: np.ndarray) -> float:

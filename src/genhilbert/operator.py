@@ -738,8 +738,8 @@ def fft_plan(mu: Measure, n_rows: int, n_cols: int) -> FFTPlan:
     integer from 0 to ``HANKEL_CAP``.
 
     The plan is that of ``(nu, n_rows, n_cols)``, ``mu = 2**e * nu``
-    (:func:`_binary_scale`), read from or kept in the process memo
-    (:func:`_cached`) under that key, and serves ``mu`` with scale e, so
+    (:func:`_binary_scale`), read from or kept in the process memo under
+    that key (:func:`_held_plan`), and serves ``mu`` with scale e, so
     every power-of-two multiple of a measure shares it.
     """
     if mu.interior_atoms:
@@ -749,8 +749,22 @@ def fft_plan(mu: Measure, n_rows: int, n_cols: int) -> FFTPlan:
         raise ValueError(f"n_cols must be an integer >= 0, got {n_cols}")
     if n_cols > HANKEL_CAP:
         raise ResourceLimitError(f"size {n_cols} exceeds cap {HANKEL_CAP}")
-    plan, e = _cached(mu, (n_rows, n_cols), lambda nu: _build_plan(nu, n_rows, n_cols))
+    plan, e = _held_plan(mu, n_rows, n_cols)
     return FFTPlan(plan.n_rows, plan.n_cols, plan.terms, plan.tiles, plan.c0, plan.c1, e) if e else plan
+
+
+def _held_plan(mu: Measure, n_rows: int, n_cols: int) -> tuple[FFTPlan, int]:
+    """``(plan, e)``: nu's plan of the leading ``n_rows`` by ``n_cols`` block, at scale 0, with ``mu = 2**e * nu``.
+
+    The plan is read from or kept in the memo (:func:`_cached`) under
+    ``(nu, n_rows, n_cols)``, as a section is under ``(nu, size)``
+    (:func:`_held_section`), and built by :func:`_build_plan` on a miss.
+    Its images are ``2**-e`` times mu's, exactly while they stay in the
+    float64 range.  :func:`fft_plan` checks its arguments and wraps the
+    result at scale e; :class:`~genhilbert.certify._Block` reads the pair
+    as it is, for a block it has checked itself.
+    """
+    return _cached(mu, (n_rows, n_cols), lambda nu: _build_plan(nu, n_rows, n_cols))
 
 
 def _held_section(mu: Measure, size: int, build) -> tuple[np.ndarray, int]:

@@ -171,7 +171,7 @@ def test_fft_route_error_within_its_stated_bound_and_ratio_sound():
 
 def _force_tiling(patch, tiled):
     """Make every plan certify builds the one-tile (False) or the tiled (True) plan."""
-    patch.setattr(certify_module, "fft_plan", lambda *args: operator._build_plan(*args, tiled)[0])
+    patch.setattr(certify_module, "_held_plan", lambda *args: (operator._build_plan(*args, tiled)[0], 0))
 
 
 def test_tiled_image_and_its_transpose_within_their_stated_bounds(monkeypatch):
@@ -373,8 +373,9 @@ def test_block_apply_image_lies_within_its_stated_bound_on_every_route(route, mo
                         streamed = apply_truncated(mu, a, size).values
                         assert np.ldexp(y, e).tobytes() == streamed.tobytes()
                     elif route != "streamed":
-                        image, want = block.plan().apply(a, p)
-                        assert (y.tobytes(), bound, e) == (image.values.tobytes(), want, 0)
+                        plan, plan_e = block.plan()
+                        image, want = plan.apply(a, p)
+                        assert (y.tobytes(), bound, e) == (image.values.tobytes(), want, plan_e) and e == 0
 
 
 @pytest.mark.parametrize(
@@ -418,10 +419,12 @@ def test_ratio_takes_the_tiled_route_when_one_tile_cannot_serve(mu, size, gap, m
     want = float(np.sqrt(np.sum(exact**2))) / lp_norm(a.values, 2.0)
     truncated, plans = [], []
     _record_calls(monkeypatch, truncated, certify_module, "apply_truncated")
-    monkeypatch.setattr(certify_module, "fft_plan", lambda *args: plans.append(fft_plan(*args)) or plans[-1])
+    monkeypatch.setattr(
+        certify_module, "_held_plan", lambda *args: plans.append(operator._held_plan(*args)) or plans[-1]
+    )
     ratio = lower_bound_ratio(mu, params, size)
     assert truncated == []
-    assert [len(plan.tiles) > 1 for plan in plans] == [True]
+    assert [len(plan.tiles) > 1 for plan, _ in plans] == [True]
     assert want * (1.0 - gap) <= ratio <= want, (ratio, want)
     # Forced onto the one-tile plan, the same ratio is looser.
     _force_tiling(monkeypatch, False)
@@ -1200,18 +1203,18 @@ def test_tiled_route_sigma_is_certified_against_the_dense_norm(size, monkeypatch
     apply = operator.FFTPlan.apply
 
     def recorded_plan(*args):
-        plans.append(fft_plan(*args))
+        plans.append(operator._held_plan(*args))
         return plans[-1]
 
     def recorded_apply(plan, a, p):
-        forward.append(any(plan is built for built in plans))
+        forward.append(any(plan is built for built, _ in plans))
         return apply(plan, a, p)
 
-    monkeypatch.setattr(certify_module, "fft_plan", recorded_plan)
+    monkeypatch.setattr(certify_module, "_held_plan", recorded_plan)
     monkeypatch.setattr(operator.FFTPlan, "apply", recorded_apply)
     sigma = p2_section_norm(mu, size)
     assert sections == []
-    assert [len(plan.tiles) > 1 for plan in plans] == [True]
+    assert [len(plan.tiles) > 1 for plan, _ in plans] == [True]
     assert sum(forward) <= 80
     top = float(np.linalg.norm(finite_section(mu, size).entries, 2))
     assert sigma <= top * (1.0 + 1e-12), (sigma, top)
@@ -1340,12 +1343,13 @@ def test_dense_symmetric_sigma_takes_no_transpose(monkeypatch):
         assert len(products) - forward == (0 if symmetric else forward - 1), mu
 
 
-def _record_fft_route(monkeypatch, applied, build=fft_plan):
-    """Record each FFTPlan.apply and FFTPlan.image of the plans certify builds with ``build`` as ``(name, input values)``.
+def _record_fft_route(monkeypatch, applied, build=operator._held_plan):
+    """Record each FFTPlan.apply and FFTPlan.image of the plans certify reads with ``build`` as ``(name, input values)``.
 
-    The name is "one-tile" or "tiled", with "^T" for the plan's transpose.
-    A plan is known by its tiles, which it shares with its copy at scale 0
-    that sigma's loop runs on; an apply or image on any other plan fails.
+    ``build`` returns ``(plan, e)``, as :func:`~genhilbert.operator._held_plan`
+    does.  The name is "one-tile" or "tiled", with "^T" for the plan's
+    transpose.  A plan is known by its tiles; an apply or image on any
+    other plan fails.
     """
     apply, image, transposed = operator.FFTPlan.apply, operator.FFTPlan.image, operator.FFTPlan.transposed
     names = []
@@ -1354,9 +1358,9 @@ def _record_fft_route(monkeypatch, applied, build=fft_plan):
         return next(name for built, name in names if built.tiles is plan.tiles)
 
     def recorded_plan(mu, n_rows, n_cols):
-        plan = build(mu, n_rows, n_cols)
+        plan, e = build(mu, n_rows, n_cols)
         names.append((plan, "tiled" if len(plan.tiles) > 1 else "one-tile"))
-        return plan
+        return plan, e
 
     def recorded_transposed(plan):
         names.append((transposed(plan), name_of(plan) + "^T"))
@@ -1370,7 +1374,7 @@ def _record_fft_route(monkeypatch, applied, build=fft_plan):
         applied.append((name_of(plan), np.array(values)))
         return image(plan, values)
 
-    monkeypatch.setattr(certify_module, "fft_plan", recorded_plan)
+    monkeypatch.setattr(certify_module, "_held_plan", recorded_plan)
     monkeypatch.setattr(operator.FFTPlan, "transposed", recorded_transposed)
     monkeypatch.setattr(operator.FFTPlan, "apply", recorded_apply)
     monkeypatch.setattr(operator.FFTPlan, "image", recorded_image)
@@ -1391,7 +1395,7 @@ def test_a_rejected_first_image_runs_the_whole_loop_on_the_tiled_plan(monkeypatc
     monkeypatch.setattr(operator, "_plan_memo", OrderedDict())
     mu = Measure((JacobiTerm(1.0, -0.5, 0.25), JacobiTerm(0.5, 0.5, -0.25)), ())
     applied = []
-    _record_fft_route(monkeypatch, applied, lambda *args: operator._build_plan(*args, True)[0])
+    _record_fft_route(monkeypatch, applied, lambda *args: (operator._build_plan(*args, True)[0], 0))
     sigma = p2_section_norm(mu, 256)
     names = [name for name, _ in applied]
     assert set(names) == {"tiled", "tiled^T"}
@@ -1483,8 +1487,15 @@ def _sigma_and_fft_calls(mu, size, start, monkeypatch):
     return sigma, len(applied)
 
 
-@pytest.mark.parametrize("size", CORPUS_SIZES)
-@pytest.mark.parametrize("mu", DENSITY_CORPUS.values(), ids=DENSITY_CORPUS.keys())
+@pytest.mark.parametrize(
+    "mu,size",
+    [pytest.param(mu, size, id=f"{name}-{size}") for name, mu in DENSITY_CORPUS.items() for size in CORPUS_SIZES]
+    + [
+        pytest.param(DENSITY_CORPUS[name], size, id=f"{name}-{size}", marks=pytest.mark.slow)
+        for name, size in (("lebesgue", 1 << 16), ("lebesgue", 1 << 20), ("3dt", 1 << 16), ("3dt", 1 << 20),
+                           ("t(1-t)dt", 1 << 16))
+    ],
+)
 def test_the_witness_start_takes_no_more_images_than_the_all_ones_start(mu, size, monkeypatch):
     # Both counts include the certified quotient's one apply.
     sigma, calls = _sigma_and_fft_calls(mu, size, certify_module._krylov_start, monkeypatch)
@@ -1539,6 +1550,42 @@ def test_sigma_and_ratios_scale_exactly_with_the_measure(k, monkeypatch):
             params = ExtremalParams(p, 0.5 / p, 48)
             want = math.ldexp(lower_bound_ratio(mu, params, 48), k)
             assert lower_bound_ratio(scaled, params, 48) == want, (mu, p)
+
+
+def _lower_bounds(mu, size):
+    """The ratios at p = 1, 1.5, 2 and 3 (epsilon 0.1) and sigma of ``mu``'s size-by-size block."""
+    ratios = [lower_bound_ratio(mu, ExtremalParams(p, 0.1, size), size) for p in (1.0, 1.5, 2.0, 3.0)]
+    return ratios + [p2_section_norm(mu, size)]
+
+
+@pytest.mark.parametrize("size", [64, 300, 1000])
+@pytest.mark.parametrize("mu", [LEBESGUE, T1MT, MIX_ATOM], ids=["lebesgue", "t(1-t)dt", "mix-atom"])
+def test_lower_bounds_below_the_normal_range_round_toward_zero(mu, size):
+    # 2**k mu's values are nu's, mu = 2**k nu, scaled by 2**k: below 2**-1022
+    # that product rounds, and a lower bound that rounded up by half a
+    # subnormal's ulp would exceed 2**k times nu's exact value, of which
+    # nu's own certified value is a lower bound.
+    for k in (-1060, -1065, -1070):
+        nu, e = operator._binary_scale(_times_power_of_two(mu, k))
+        assert e == k
+        for got, want in zip(_lower_bounds(_times_power_of_two(mu, k), size), _lower_bounds(nu, size)):
+            assert 0.0 < got < 2.0**-1022 and math.ldexp(got, -k) <= want, (k, got, want)
+
+
+@pytest.mark.parametrize(
+    "mu,size",
+    [(mu, size) for mu in (LEBESGUE, T1MT, MIX2) for size in (300, 4096)] + [(MIX_ATOM, 300)],
+    ids=[f"{name}@{size}" for name in ("lebesgue", "t(1-t)dt", "mix2") for size in (300, 4096)] + ["mix-atom@300"],
+)
+def test_both_routes_scale_a_lower_bound_by_one_rule(mu, size):
+    # Each value of 2**k mu is nu's, mu = 2**k nu, scaled toward zero by
+    # 2**k, on the FFT route as on the dense one, bit for bit.
+    for k in (-1070, -1060, -1000, 0, 1000):
+        scaled = _times_power_of_two(mu, k)
+        nu, e = operator._binary_scale(scaled)
+        assert e == k
+        want = [certify_module._ldexp_down(value, k).hex() for value in _lower_bounds(nu, size)]
+        assert [value.hex() for value in _lower_bounds(scaled, size)] == want, k
 
 
 def test_p1_ratio_of_a_measure_whose_image_norm_is_beyond_float64():
@@ -1678,7 +1725,7 @@ def test_p2_sweep_builds_each_size_once(mu, sizes, monkeypatch):
     entries = _counted_entries(monkeypatch)
     truncated, plans = [], []
     _record_calls(monkeypatch, truncated, certify_module, "apply_truncated")
-    _record_calls(monkeypatch, plans, certify_module, "fft_plan")
+    _record_calls(monkeypatch, plans, certify_module, "_held_plan")
     report = convergence_sweep(mu, 2.0, eps_grid, sizes)
     assert sum(entries) == (sum(size * size for size in sizes) if mu.interior_atoms else 0)
     assert truncated == []
@@ -1689,7 +1736,7 @@ def test_p2_sweep_builds_each_size_once(mu, sizes, monkeypatch):
 
 def test_sweep_checks_every_size_against_its_cap_before_any_work(delta_half, monkeypatch):
     calls = []
-    for name in ("finite_section", "apply_truncated", "fft_plan"):
+    for name in ("finite_section", "apply_truncated", "_held_plan"):
         _record_calls(monkeypatch, calls, certify_module, name)
     for mu, cap in ((delta_half, kernel.DEFAULT_SECTION_CAP), (LEBESGUE, operator.HANKEL_CAP)):
         with pytest.raises(ResourceLimitError, match=f"size {cap + 1} exceeds cap {cap}"):
